@@ -15,6 +15,7 @@ from .calculus import Calculus, build_symmetry, q_inverse_apply, validate_calcul
 from .connection import (
     Connection,
     Geometry,
+    certify,
     covariant_derivative,
     grassmann,
     koszul_rhs,
@@ -38,6 +39,7 @@ __all__ = [
     "Subspace",
     "__version__",
     "build_symmetry",
+    "certify",
     "covariant_derivative",
     "g_tilde",
     "grassmann",

@@ -11,6 +11,7 @@ and their tensor squares for the rest of the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Algebra
@@ -331,17 +332,20 @@ class HomModule:
             for v in self.flat.basis)
         self.dim = len(self.basis)
 
+    @cached_property
+    def bimodule(self) -> Bimodule:
+        """The actions, built on first use: most Hom spaces only need a basis."""
         left = []
         right = []
-        for i in range(alg.dim):
+        for i in range(self.source.algebra.dim):
             lcols = []
             rcols = []
             for t in self.basis:
-                lcols.append(self._coords(target.left[i] @ t))
-                rcols.append(self._coords(t @ source.left[i]))
+                lcols.append(self._coords(self.target.left[i] @ t))
+                rcols.append(self._coords(t @ self.source.left[i]))
             left.append(Matrix.from_cols(lcols, self.dim) if self.dim else Matrix.zeros(0, 0))
             right.append(Matrix.from_cols(rcols, self.dim) if self.dim else Matrix.zeros(0, 0))
-        self.bimodule = Bimodule(alg, self.dim, left, right)
+        return Bimodule(self.source.algebra, self.dim, left, right)
 
     def _coords(self, m: Matrix) -> Vector:
         c = self.coords_of(m)

@@ -86,9 +86,6 @@ class Calculus:
                         out[r] = out[r] + c * v
         return tuple(out)
 
-    def d_of(self, a: Vector) -> Vector:
-        return self.d0.apply(a)
-
     def __repr__(self) -> str:
         return (f"Calculus(dim A={self.algebra.dim}, dim E={self.one_forms.dim}, "
                 f"dim Omega2={self.two_forms.dim})")

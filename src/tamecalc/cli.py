@@ -20,12 +20,9 @@ from .calculus import build_symmetry, validate_calculus
 from .connection import (
     Connection,
     Geometry,
-    check_compat_cov,
-    check_torsionless_cov,
-    leibniz_witness,
+    certify,
     levi_civita_direct,
     levi_civita_koszul,
-    torsion,
 )
 from .errors import ContractViolationError, EngineError, SpecFileError
 from .metric import validate_metric
@@ -190,11 +187,12 @@ def cmd_connect(args) -> int:
         return EXIT_MATH
 
     conn = koszul.connection
+    verdicts = koszul.verdicts
     checks = {
-        "leibniz": leibniz_witness(spec.calculus, conn) is None,
+        "leibniz": verdicts.leibniz is None,
         "route_equality": conn.nabla == direct.connection.nabla,
-        "torsion_zero": torsion(spec.calculus, conn).is_zero(),
-        "compatibility": check_compat_cov(geo, conn).ok,
+        "torsion_zero": not verdicts.torsion_witnesses,
+        "compatibility": not verdicts.compat_witnesses,
         "table_in_fields": koszul.table_in_fields,
         "uniqueness_kernel_zero": direct.kernel_dim == 0,
     }
@@ -221,28 +219,26 @@ def cmd_verify(args) -> int:
 
     calc = spec.calculus
     obj = load_json(args.connection)
-    nabla, _table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
-    conn = Connection(nabla)
+    nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
+    verdicts = certify(Geometry(calc, cert, metric), Connection(nabla))
 
-    witness = leibniz_witness(calc, conn)
-    rb.add("leibniz", witness is None, witness)
-    if witness is not None:
-        rb.summary["valid_connection"] = False
+    rb.add("leibniz", verdicts.leibniz is None, verdicts.leibniz)
+    rb.summary["valid_connection"] = verdicts.leibniz is None
+    if verdicts.leibniz is not None:
         emit(rb.finish(EXIT_MATH), args.json)
         return EXIT_MATH
-    rb.summary["valid_connection"] = True
 
-    geo = Geometry(calc, cert, metric)
-    t_form = torsion(calc, conn).is_zero()
-    t_cov = check_torsionless_cov(geo, conn)
-    rb.add("torsion_zero_form", t_form)
-    rb.add("torsion_zero_covariant", t_cov.ok,
-           None if t_cov.ok else f"failing field pairs {list(t_cov.witnesses)[:3]}")
-    c_cov = check_compat_cov(geo, conn)
-    rb.add("compatibility_covariant", c_cov.ok,
-           None if c_cov.ok else f"failing field triples {list(c_cov.witnesses)[:3]}")
-    rb.summary["torsionless"] = t_form
-    rb.summary["compatible"] = c_cov.ok
+    tw, cw = verdicts.torsion_witnesses, verdicts.compat_witnesses
+    rb.add("torsion_zero_form", not tw)
+    rb.add("torsion_zero_covariant", not tw, f"failing field pairs {list(tw)[:3]}" if tw else None)
+    rb.add("compatibility_covariant", not cw,
+           f"failing field triples {list(cw)[:3]}" if cw else None)
+    if table is not None:
+        rb.add("table_matches_connection", tuple(map(tuple, table)) == verdicts.table)
+    if "input_digest" in obj:
+        rb.add("input_digest_matches", obj["input_digest"] == input_digest(args.spec))
+    rb.summary["torsionless"] = not tw
+    rb.summary["compatible"] = not cw
     code = EXIT_OK if rb.ok else EXIT_MATH
     emit(rb.finish(code), args.json)
     return code

@@ -3,9 +3,10 @@
 A connection is stored by its value matrix on a basis of the one-forms,
 with the Leibniz rule as a checked invariant.  The module provides the
 Grassmann connection of a frame, the torsionless reference connection, the
-covariant derivative on vector fields, the Lie bracket, the torsion and
-metric-compatibility checks in both their form-level and covariant
-formulations, and two independent routes to the Levi-Civita connection:
+covariant derivative on vector fields, the Lie bracket, one certification
+(`certify`) that reads torsion and metric compatibility off a single
+covariant table and cross-checks each against its form-level formulation,
+and two independent routes to the Levi-Civita connection:
 
 * a Koszul route that reads every covariant derivative off the
   six-term formula and reconstructs the connection through the
@@ -526,20 +527,40 @@ def bracket_general(geo: Geometry, x: Vector, phi: Vector) -> Vector:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    ok: bool
-    witnesses: tuple = ()
+class Verdicts:
+    """What certify found; no table or witnesses when Leibniz fails."""
+
+    leibniz: tuple[int, int] | None
+    table: Table | None = None
+    torsion_witnesses: tuple[tuple[int, int], ...] = ()
+    compat_witnesses: tuple[tuple[int, int, int], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.leibniz is None and not self.torsion_witnesses and not self.compat_witnesses
 
 
-def check_torsionless_cov(geo: Geometry, conn: Connection) -> EquivalenceReport:
-    """Field-level torsion test, cross-checked against the form-level torsion."""
+def certify(geo: Geometry, conn: Connection) -> Verdicts:
+    """Leibniz first, then torsion and compatibility off one covariant table."""
+    bad = leibniz_witness(geo.calc, conn)
+    if bad is not None:
+        return Verdicts(leibniz=bad)
+    table = covariant_table(geo, conn)
+    return Verdicts(leibniz=None, table=table,
+                    torsion_witnesses=torsion_witnesses(geo, conn, table),
+                    compat_witnesses=compat_witnesses(geo, conn, table))
+
+
+def torsion_witnesses(geo: Geometry, conn: Connection,
+                      table: Table) -> tuple[tuple[int, int], ...]:
+    """Pairs p < q with nabla_p X_q - nabla_q X_p != [X_p, X_q], cross-checked
+    against the form-level torsion; the pair (q, p) is the negative of (p, q)."""
     n = geo.fields.count
     witnesses = []
     for p in range(n):
-        for q in range(n):
-            lhs = covariant_derivative(geo, conn, geo.fields.basis[q], geo.fields.basis[p])
-            rhs = covariant_derivative(geo, conn, geo.fields.basis[p], geo.fields.basis[q])
-            diff = tuple(a - b - c for a, b, c in zip(lhs, rhs, geo.lie_table[p][q]))
+        for q in range(p + 1, n):
+            diff = tuple(a - b - c for a, b, c in
+                         zip(table[p][q], table[q][p], geo.lie_table[p][q]))
             if not vec_is_zero(diff):
                 witnesses.append((p, q))
     cov_ok = not witnesses
@@ -547,7 +568,7 @@ def check_torsionless_cov(geo: Geometry, conn: Connection) -> EquivalenceReport:
     if cov_ok != form_ok:
         raise InternalInconsistencyError(
             f"torsion verdicts disagree: covariant {cov_ok}, form-level {form_ok}")
-    return EquivalenceReport(cov_ok, tuple(witnesses))
+    return tuple(witnesses)
 
 
 def pi0_values(geo: Geometry, conn: Connection, p: int, q: int) -> Vector:
@@ -584,21 +605,19 @@ def pi_g_matrix(geo: Geometry, conn: Connection) -> Matrix:
     return m
 
 
-def check_compat_cov(geo: Geometry, conn: Connection) -> EquivalenceReport:
-    """Covariant metric-compatibility, cross-checked at the form level."""
+def compat_witnesses(geo: Geometry, conn: Connection,
+                     table: Table) -> tuple[tuple[int, int, int], ...]:
+    """Triples (y, z, x) with Y g(Z, X) != g(nabla_Y Z, X) + g(Z, nabla_Y X),
+    cross-checked against the form-level compatibility map."""
     n = geo.fields.count
+    basis = geo.fields.basis
     witnesses = []
-    ders = [[covariant_derivative(geo, conn, geo.fields.basis[b], geo.fields.basis[a])
-             for b in range(n)] for a in range(n)]
     for yp in range(n):
-        y = geo.fields.basis[yp]
         for zp in range(n):
-            z = geo.fields.basis[zp]
             for xp in range(n):
-                x = geo.fields.basis[xp]
-                lhs = geo.delta(y, geo.gt(z, x))
+                lhs = geo.delta(basis[yp], geo.gt(basis[zp], basis[xp]))
                 rhs = tuple(a + b for a, b in zip(
-                    geo.gt(ders[yp][zp], x), geo.gt(ders[yp][xp], z)))
+                    geo.gt(table[yp][zp], basis[xp]), geo.gt(table[yp][xp], basis[zp])))
                 if lhs != rhs:
                     witnesses.append((yp, zp, xp))
     cov_ok = not witnesses
@@ -606,20 +625,21 @@ def check_compat_cov(geo: Geometry, conn: Connection) -> EquivalenceReport:
     if cov_ok != form_ok:
         raise InternalInconsistencyError(
             f"compatibility verdicts disagree: covariant {cov_ok}, form-level {form_ok}")
-    return EquivalenceReport(cov_ok, tuple(witnesses))
+    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------
 # The Koszul route
 # ---------------------------------------------------------------------------
 
-def koszul_rhs(geo: Geometry, x: Vector, y: Vector, z: Vector) -> Vector:
-    """The six-term right-hand side; x, y vector fields, z any dual element."""
+def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
+    """The six-term right-hand side for x = X_p, y = X_q and any dual z."""
+    x, y = geo.fields.basis[p], geo.fields.basis[q]
     t1 = geo.delta(x, geo.gt(y, z))
     t2 = geo.delta(y, geo.gt(x, z))
     t3 = geo.delta(z, geo.gt(x, y))
     b_xz = bracket_general(geo, x, z)
-    b_yx = lie_bracket(geo, y, x)
+    b_yx = geo.lie_table[q][p]
     b_zy = tuple(-v for v in bracket_general(geo, y, z))
     t4 = geo.gt(y, b_xz)
     t5 = geo.gt(b_yx, z)
@@ -634,6 +654,7 @@ class LeviCivitaResult:
     table: Table
     table_in_fields: bool
     kernel_dim: int | None = None
+    verdicts: Verdicts | None = None
 
 
 def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
@@ -689,7 +710,7 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
             cols = []
             for i in range(e.dim):
                 z = geo.metric.v_g.col(i)
-                val = koszul_rhs(geo, geo.fields.basis[p], geo.fields.basis[q], z)
+                val = koszul_rhs(geo, p, q, z)
                 cols.append(tuple(HALF * v for v in val))
             functional = Matrix.from_cols(cols, nA)
             coords = e_star.coords_of(functional)
@@ -702,16 +723,12 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
     table = tuple(table)
     conn = reconstruct_from_table(geo, table)
 
-    bad = leibniz_witness(geo.calc, conn)
-    if bad is not None:
-        raise InternalInconsistencyError(f"Koszul connection fails Leibniz at {bad}")
-    if not torsion(geo.calc, conn).is_zero():
-        raise InternalInconsistencyError("Koszul connection has torsion")
-    if pi_g_matrix(geo, conn) != geo.calc.d0 @ geo.metric.g:
-        raise InternalInconsistencyError("Koszul connection is not compatible")
-    if covariant_table(geo, conn) != table:
-        raise InternalInconsistencyError("table does not regenerate from the connection")
-    return LeviCivitaResult(connection=conn, table=table, table_in_fields=in_fields)
+    verdicts = certify(geo, conn)
+    if not verdicts.ok or verdicts.table != table:
+        raise InternalInconsistencyError(
+            "Koszul connection fails certification or does not regenerate its table")
+    return LeviCivitaResult(connection=conn, table=table, table_in_fields=in_fields,
+                            verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -470,23 +470,6 @@ class Matrix:
             out[i] = acc
         return tuple(out)
 
-    def apply_sparse(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for j, x in v.items():
-            if x.is_zero():
-                continue
-            for i in range(self.rows):
-                a = self.entries[i][j]
-                if a.is_zero():
-                    continue
-                cur = out.get(i)
-                nv = cur + a * x if cur is not None else a * x
-                if nv.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
-        return out
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinAlgError(f"matmul shape mismatch: {self.cols} vs {other.rows}")

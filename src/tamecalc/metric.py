@@ -159,7 +159,6 @@ class VectorFieldModule:
     deltas: tuple[Matrix, ...]
     center_dual: Subspace              # Z(E*) in E* coordinates
     span_solver: ColumnSolver          # decomposes E* over {X_p . a_r}
-    span_pairs: tuple[tuple[int, int], ...]
 
     @property
     def count(self) -> int:
@@ -186,12 +185,7 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
         if not alg.is_derivation(d):
             raise InternalInconsistencyError(
                 f"vector field {p} does not act as a derivation")
-    pairs = []
-    cols = []
-    for p, x in enumerate(basis):
-        for r in range(alg.dim):
-            pairs.append((p, r))
-            cols.append(e_star.bimodule.right[r].apply(x))
+    cols = [e_star.bimodule.right[r].apply(x) for x in basis for r in range(alg.dim)]
     span = Matrix.from_cols(cols, e_star.dim) if cols else Matrix.zeros(e_star.dim, 0)
     solver = ColumnSolver(span)
     if solver.rank != e_star.dim:
@@ -199,7 +193,7 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
             "vector fields are not right-total in the dual module")
     return VectorFieldModule(
         basis=basis, maps=maps, deltas=deltas, center_dual=center_dual,
-        span_solver=solver, span_pairs=tuple(pairs))
+        span_solver=solver)
 
 
 def delta_of(calc: Calculus, metric: Metric, phi: Vector) -> Matrix:

@@ -12,8 +12,7 @@ from tamecalc.calculus import build_symmetry, validate_calculus
 from tamecalc.cli import main
 from tamecalc.connection import (
     Geometry,
-    check_compat_cov,
-    check_torsionless_cov,
+    certify,
     classical_bracket_check,
     covariant_table,
     grassmann,
@@ -93,8 +92,8 @@ def test_criterion_3_route_equality(fuzzy_geo, torus_geo):
 
 
 def test_criterion_4_condition_equivalences(fuzzy_geo, torus_geo):
-    # check_* compute both the covariant and the form-level verdicts and
-    # raise if they ever disagree, so each call is itself the equivalence
+    # certify computes both the covariant and the form-level verdicts and
+    # raises if they ever disagree, so each call is itself the equivalence
     # assertion; the verdict values are pinned on top of that.
     cases = 0
     for geo in (fuzzy_geo, torus_geo):
@@ -104,10 +103,9 @@ def test_criterion_4_condition_equivalences(fuzzy_geo, torus_geo):
         conns = [gr, n0, lc_conn]
         conns += [random_leibniz_perturbation(geo, seed) for seed in range(1, 6)]
         for conn in conns:
-            t_report = check_torsionless_cov(geo, conn)
-            assert t_report.ok == torsion(geo.calc, conn).is_zero()
-            c_report = check_compat_cov(geo, conn)
-            assert isinstance(c_report.ok, bool)
+            verdicts = certify(geo, conn)
+            assert verdicts.leibniz is None
+            assert (not verdicts.torsion_witnesses) == torsion(geo.calc, conn).is_zero()
             cases += 1
     report(4, f"torsion and compatibility verdicts agree across routes on {cases} connections")
 

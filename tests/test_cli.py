@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and stdout are
 asserted directly; artifacts land in tmp_path.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -285,6 +286,46 @@ def test_verify_zero_map_fails_leibniz(workdir, capsys, tmp_path):
     assert report["summary"]["valid_connection"] is False
 
 
+def _tampered(workdir, capsys, tmp_path, edit):
+    art = tmp_path / "fresh.connection.json"
+    assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(art)]) == 0
+    capsys.readouterr()
+    obj = json.loads(art.read_text())
+    edit(obj)
+    bad = tmp_path / "tampered.connection.json"
+    bad.write_text(dumps_canonical(obj))
+    code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(bad)])
+    report = json.loads(out)
+    validate_report_schema(report)
+    failed = {c["name"] for c in report["checks"] if not c["ok"]}
+    return code, failed
+
+
+def test_verify_rejects_tampered_table(workdir, capsys, tmp_path):
+    def edit(obj):
+        assert obj["table"][0][1][8] == "1"
+        obj["table"][0][1][8] = "7"
+    code, failed = _tampered(workdir, capsys, tmp_path, edit)
+    assert code == 1
+    assert failed == {"table_matches_connection"}
+
+
+def test_verify_rejects_wrong_input_digest(workdir, capsys, tmp_path):
+    def edit(obj):
+        obj["input_digest"] = "sha256:" + "0" * 64
+    code, failed = _tampered(workdir, capsys, tmp_path, edit)
+    assert code == 1
+    assert failed == {"input_digest_matches"}
+
+
+def test_verify_table_of_wrong_shape_mismatches(workdir, capsys, tmp_path):
+    def edit(obj):
+        obj["table"] = [row[:2] for row in obj["table"][:2]]
+    code, failed = _tampered(workdir, capsys, tmp_path, edit)
+    assert code == 1
+    assert failed == {"table_matches_connection"}
+
+
 def test_verify_malformed_artifact_exits_two(workdir, capsys, tmp_path):
     art = tmp_path / "malformed.json"
     art.write_text(json.dumps({"nabla": [["0", "0"]]}))
@@ -302,6 +343,23 @@ def test_round_trip_all_presets(capsys, tmp_path):
         assert main(["connect", str(spec_path), "--out", str(art_path)]) == 0
         assert main(["verify", str(spec_path), str(art_path)]) == 0
         capsys.readouterr()
+
+
+# sha256 of the connect artifacts of the two small presets, default metric
+GOLDEN_ARTIFACTS = {
+    "matrix-derivations": "8b78bb41bfae161284e7aed924e21a733677856a3fcf05cd609169441367c6f5",
+    "abelian-torus": "0a19bcfccd8eb8295e81d821fbb7e3eb61b66bbd8f9fbe0e8b6e9b8a67c4187b",
+}
+
+
+def test_connect_artifacts_match_golden_digests(capsys, tmp_path):
+    for preset, digest in GOLDEN_ARTIFACTS.items():
+        spec_path = tmp_path / f"{preset}-2.json"
+        art_path = tmp_path / f"{preset}-2.connection.json"
+        assert main(["gen", preset, "--n", "2", "--out", str(spec_path)]) == 0
+        assert main(["connect", str(spec_path), "--out", str(art_path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(art_path.read_bytes()).hexdigest() == digest, preset
 
 
 def test_spec_files_round_trip_exactly(workdir):

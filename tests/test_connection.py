@@ -7,9 +7,9 @@ from tamecalc.connection import (
     Connection,
     Geometry,
     bracket_general,
-    check_compat_cov,
-    check_torsionless_cov,
+    certify,
     classical_bracket_check,
+    compat_witnesses,
     covariant_derivative,
     covariant_table,
     grassmann,
@@ -23,6 +23,7 @@ from tamecalc.connection import (
     random_leibniz_perturbation,
     reconstruct_from_table,
     torsion,
+    torsion_witnesses,
 )
 from tamecalc.errors import YNotCentralError
 from tamecalc.linalg import (
@@ -214,23 +215,24 @@ def test_dual_decomposition_is_unique_here(fuzzy_geo, torus_geo):
 
 def test_koszul_rhs_vanishes_on_torus(torus_geo):
     geo = torus_geo
-    for x in geo.fields.basis:
-        for y in geo.fields.basis:
+    n = geo.fields.count
+    for p in range(n):
+        for q in range(n):
             for z in geo.fields.basis:
-                assert vec_is_zero(koszul_rhs(geo, x, y, z))
+                assert vec_is_zero(koszul_rhs(geo, p, q, z))
 
 
 def test_koszul_rhs_golden_triple(fuzzy_geo):
     geo = fuzzy_geo
-    x1, x2, x3 = geo.fields.basis
-    got = koszul_rhs(geo, x1, x2, x3)
+    x3 = geo.fields.basis[2]
+    got = koszul_rhs(geo, 0, 1, x3)
     assert got == tuple(qi(2) * v for v in geo.calc.algebra.unit)
 
 
 def test_koszul_rhs_zero_argument(fuzzy_geo):
     geo = fuzzy_geo
     z = zero_vector(12)
-    assert vec_is_zero(koszul_rhs(geo, geo.fields.basis[0], geo.fields.basis[1], z))
+    assert vec_is_zero(koszul_rhs(geo, 0, 1, z))
 
 
 # -- Levi-Civita, both routes ------------------------------------------------------
@@ -285,37 +287,50 @@ def test_scaled_metric_same_connection(fuzzy_geo):
 
 def test_levi_civita_is_torsionless_and_compatible(fuzzy_geo, fuzzy_lc):
     geo = fuzzy_geo
-    assert check_torsionless_cov(geo, fuzzy_lc.connection).ok
-    assert check_compat_cov(geo, fuzzy_lc.connection).ok
+    verdicts = certify(geo, fuzzy_lc.connection)
+    assert verdicts.ok
+    assert verdicts == fuzzy_lc.verdicts
+    assert verdicts.table == fuzzy_lc.table
 
 
 def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):
     geo = fuzzy_geo
     gr, _ = grassmann(geo.calc, geo.cert)
-    report = check_torsionless_cov(geo, gr)
-    assert not report.ok
-    assert report.witnesses
+    verdicts = certify(geo, gr)
+    assert not verdicts.ok
+    assert verdicts.leibniz is None
+    assert verdicts.torsion_witnesses
+    # only pairs above the diagonal are read
+    assert all(p < q for p, q in verdicts.torsion_witnesses)
 
 
 def test_reference_connection_passes_torsion_everywhere(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
         n0 = nabla_zero(geo.calc, geo.cert)
-        assert check_torsionless_cov(geo, n0).ok
+        assert torsion_witnesses(geo, n0, covariant_table(geo, n0)) == ()
 
 
 def test_torus_reference_connection_is_compatible(torus_geo):
     # the reference connection is already Levi-Civita on the flat preset
     geo = torus_geo
     n0 = nabla_zero(geo.calc, geo.cert)
-    assert check_compat_cov(geo, n0).ok
+    assert certify(geo, n0).ok
 
 
 def test_flat_connection_with_varying_metric_incompatible(line_geo):
+    # the exact forms of this calculus do not pin a bracket, so only the
+    # compatibility half of the certification applies
     geo = line_geo
     gr, _ = grassmann(geo.calc, geo.cert)
-    report = check_compat_cov(geo, gr)
-    assert not report.ok
-    assert report.witnesses
+    assert compat_witnesses(geo, gr, covariant_table(geo, gr))
+
+
+def test_certify_stops_at_leibniz(fuzzy_geo):
+    geo = fuzzy_geo
+    verdicts = certify(geo, Connection(Matrix.zeros(36, 12)))
+    assert verdicts.leibniz is not None
+    assert verdicts.table is None
+    assert not verdicts.ok
 
 
 # -- reconstruction and uniqueness --------------------------------------------------
