@@ -25,7 +25,7 @@ from .connection import (
     nabla_zero,
     torsion,
 )
-from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi, solve, subspace_ops
+from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi, subspace_ops
 from .metric import g_tilde, metric_square, validate_metric, vector_fields
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "nabla_zero",
     "q_inverse_apply",
     "qi",
-    "solve",
     "subspace_ops",
     "tensor_over_A",
     "torsion",

@@ -24,6 +24,7 @@ from .linalg import (
     Vector,
     ZERO,
     basis_vector,
+    commutator_rows,
     kernel_rows,
     vec_to_sparse,
     zero_vector,
@@ -195,30 +196,8 @@ class QuotientTensor:
         self.ambient_dim = e.dim * f.dim
         alg = e.algebra
 
-        rows = []
-        for i in range(alg.dim):
-            re_i = e.right[i]
-            lf_i = f.left[i]
-            for s in range(e.dim):
-                ecol = [(k, re_i.entries[k][s]) for k in range(e.dim)
-                        if not re_i.entries[k][s].is_zero()]
-                for t in range(f.dim):
-                    row: dict[int, Scalar] = {}
-                    for k, v in ecol:
-                        row[k * f.dim + t] = v
-                    for k in range(f.dim):
-                        v = lf_i.entries[k][t]
-                        if v.is_zero():
-                            continue
-                        j = s * f.dim + k
-                        cur = row.get(j)
-                        nv = cur - v if cur is not None else -v
-                        if nv.is_zero():
-                            row.pop(j, None)
-                        else:
-                            row[j] = nv
-                    if row:
-                        rows.append(row)
+        # e.a (x) f - e (x) a.f, as the rows of X -> R_a^T X - X L_a
+        rows = commutator_rows((e.right[i].transpose(), f.left[i]) for i in range(alg.dim))
         self.relations = Subspace(self.ambient_dim, rows)
         free = self.relations.complement_positions()
         self.dim = len(free)
@@ -302,30 +281,8 @@ class HomModule:
         alg = source.algebra
         ns, nt = source.dim, target.dim
 
-        rows = []
-        for i in range(alg.dim):
-            rs = source.right[i]
-            rt = target.right[i]
-            for j in range(ns):
-                scol = [(k, rs.entries[k][j]) for k in range(ns)
-                        if not rs.entries[k][j].is_zero()]
-                for f in range(nt):
-                    row: dict[int, Scalar] = {}
-                    for k, v in scol:
-                        row[f * ns + k] = v
-                    for fp in range(nt):
-                        v = rt.entries[f][fp]
-                        if v.is_zero():
-                            continue
-                        idx = fp * ns + j
-                        cur = row.get(idx)
-                        nv = cur - v if cur is not None else -v
-                        if nv.is_zero():
-                            row.pop(idx, None)
-                        else:
-                            row[idx] = nv
-                    if row:
-                        rows.append(row)
+        # T(v a) == T(v) a for every basis element a
+        rows = commutator_rows((target.right[i], source.right[i]) for i in range(alg.dim))
         self.flat = Subspace(ns * nt, kernel_rows(rows, ns * nt))
         self.basis: tuple[Matrix, ...] = tuple(
             Matrix(nt, ns, [v[f * ns:(f + 1) * ns] for f in range(nt)])

@@ -45,6 +45,7 @@ from .linalg import (
     Vector,
     ZERO,
     basis_vector,
+    commutator_rows,
     qi,
     solve_sparse,
     solve_through,
@@ -117,34 +118,10 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
     def unknown(j: int, out_a: int, in_e: int) -> int:
         return j * width + out_a * nE + in_e
 
-    rows: list[dict[int, Scalar]] = []
-    rhs: list[Scalar] = []
-    # right-linearity of each splitting component
-    for j in range(n):
-        for i in range(nA):
-            re_i = e.right[i]
-            ra_i = alg.right_basis_matrix(i)
-            for k in range(nE):
-                recol = [(m, re_i.entries[m][k]) for m in range(nE)
-                         if not re_i.entries[m][k].is_zero()]
-                for c in range(nA):
-                    row: dict[int, Scalar] = {}
-                    for m, v in recol:
-                        row[unknown(j, c, m)] = v
-                    for d in range(nA):
-                        v = ra_i.entries[c][d]
-                        if v.is_zero():
-                            continue
-                        key = unknown(j, d, k)
-                        cur = row.get(key)
-                        nv = cur - v if cur is not None else -v
-                        if nv.is_zero():
-                            row.pop(key, None)
-                        else:
-                            row[key] = nv
-                    if row:
-                        rows.append(row)
-                        rhs.append(ZERO)
+    # right-linearity of each splitting component: S_j R_a == R_a S_j
+    linear = commutator_rows((alg.right_basis_matrix(i), e.right[i]) for i in range(nA))
+    rows = [{j * width + k: v for k, v in row.items()} for j in range(n) for row in linear]
+    rhs = [ZERO] * len(rows)
     # reconstruction through the frame
     rgen = [[e.right[a].apply(gens[j]) for a in range(nA)] for j in range(n)]
     for k in range(nE):
@@ -158,7 +135,7 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
             rows.append(row)
             rhs.append(ONE if c == k else ZERO)
 
-    sol, _ = solve_sparse(rows, n * width, rhs)
+    (sol,), _ = solve_sparse(rows, n * width, [rhs])
     if sol is None:
         raise NoSplittingError(
             "no right-linear splitting through the chosen frame generators",
@@ -248,6 +225,7 @@ class Geometry:
         self._hom_e_t2: HomModule | None = None
         self._nabla0: Connection | None = None
         self._extend_cols: list[Vector] | None = None
+        self._field_brackets: dict[tuple[int, Vector], Vector] = {}
 
     # -- simple accessors ---------------------------------------------------
 
@@ -350,15 +328,9 @@ class Geometry:
         if self._bracket_solver is None:
             e_star = self.metric.e_star
             nA = self.calc.algebra.dim
-            rows = []
-            for i in range(nA):
-                for c in range(nA):
-                    row = {}
-                    for s in range(e_star.dim):
-                        v = (e_star.basis[s] @ self.calc.d0).entries[c][i]
-                        if not v.is_zero():
-                            row[s] = v
-                    rows.append(sparse_row_to_vec(row, e_star.dim))
+            # row (i, c): the values phi(d a_i)_c of every dual basis element
+            exact = [phi @ self.calc.d0 for phi in e_star.basis]
+            rows = [[m.entries[c][i] for m in exact] for i in range(nA) for c in range(nA)]
             solver = ColumnSolver(Matrix.from_rows(rows) if rows
                                   else Matrix.zeros(0, e_star.dim))
             if solver.rank != e_star.dim:
@@ -367,6 +339,15 @@ class Geometry:
                     "the exact forms do not span")
             self._bracket_solver = solver
         return self._bracket_solver
+
+    def field_bracket(self, p: int, z: Vector) -> Vector:
+        """[X_p, z] for a dual element z, bracketed once per (p, z)."""
+        key = (p, z)
+        got = self._field_brackets.get(key)
+        if got is None:
+            got = bracket_general(self, self.fields.basis[p], z)
+            self._field_brackets[key] = got
+        return got
 
     @property
     def field_solver(self) -> ColumnSolver:
@@ -419,13 +400,6 @@ class Geometry:
                     cols.append(e.right[s].apply(z))
             self._extend_cols = cols
         return self._extend_cols
-
-
-def sparse_row_to_vec(row: dict[int, Scalar], n: int) -> list[Scalar]:
-    out = [ZERO] * n
-    for j, v in row.items():
-        out[j] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +612,9 @@ def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
     t1 = geo.delta(x, geo.gt(y, z))
     t2 = geo.delta(y, geo.gt(x, z))
     t3 = geo.delta(z, geo.gt(x, y))
-    b_xz = bracket_general(geo, x, z)
+    b_xz = geo.field_bracket(p, z)
     b_yx = geo.lie_table[q][p]
-    b_zy = tuple(-v for v in bracket_general(geo, y, z))
+    b_zy = tuple(-v for v in geo.field_bracket(q, z))
     t4 = geo.gt(y, b_xz)
     t5 = geo.gt(b_yx, z)
     t6 = geo.gt(x, b_zy)
@@ -651,7 +625,7 @@ def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
 @dataclass(frozen=True)
 class LeviCivitaResult:
     connection: Connection
-    table: Table
+    table: Table | None       # the Koszul route's table; None for the direct route
     table_in_fields: bool
     kernel_dim: int | None = None
     verdicts: Verdicts | None = None
@@ -796,7 +770,7 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
             rows.append(row)
             rhs.append(ZERO)
 
-    sol, rank = solve_sparse(rows, nh, rhs)
+    (sol,), rank = solve_sparse(rows, nh, [rhs])
     if sol is None:
         raise NoSolutionError("no torsionless compatible connection exists")
     kernel_dim = nh - rank
@@ -807,7 +781,7 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     for s, c in vec_to_sparse(sol).items():
         alpha = alpha + hom.basis[s].scale(c)
     conn = Connection(n0.nabla + alpha)
-    return LeviCivitaResult(connection=conn, table=covariant_table(geo, conn),
+    return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)
 
 

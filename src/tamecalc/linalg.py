@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class LinAlgError(ValueError):
@@ -179,10 +179,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Scalar, u: Vector) -> Vector:
     if c is ONE:
         return tuple(u)
@@ -205,6 +201,31 @@ def sparse_to_vec(s: dict[int, Scalar], n: int) -> Vector:
 # Sparse reduced row echelon form
 # ---------------------------------------------------------------------------
 
+def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: int) -> None:
+    """row -= coef * src in place, over every column of src except skip."""
+    for cc, v in src.items():
+        if cc == skip:
+            continue
+        cur = row.get(cc)
+        nv = cur - coef * v if cur is not None else -(coef * v)
+        if nv.is_zero():
+            row.pop(cc, None)
+        else:
+            row[cc] = nv
+
+
+def _eliminate(row: dict[int, Scalar], pivots: dict[int, dict[int, Scalar]]) -> dict[int, Scalar]:
+    """Substitute every pivot column present in row; returns the removed
+    coefficients by pivot column.  Pivot rows contain no other pivot columns,
+    so one pass suffices."""
+    removed = {}
+    for c in [c for c in row if c in pivots]:
+        coef = row.pop(c)
+        removed[c] = coef
+        _axpy(row, coef, pivots[c], c)
+    return removed
+
+
 def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, dict[int, Scalar]], list[dict[int, Scalar]]]:
     """Incremental RREF on sparse rows.
 
@@ -217,19 +238,7 @@ def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, d
     leftovers: list[dict[int, Scalar]] = []
     for raw in rows:
         row = {c: v for c, v in raw.items() if not v.is_zero()}
-        # Eliminate all pivot columns present; pivot rows contain no other
-        # pivot columns, so one pass suffices.
-        for c in [c for c in row if c in pivots]:
-            coef = row.pop(c)
-            for cc, v in pivots[c].items():
-                if cc == c:
-                    continue
-                cur = row.get(cc)
-                nv = cur - coef * v if cur is not None else -(coef * v)
-                if nv.is_zero():
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
+        _eliminate(row, pivots)
         if not row:
             continue
         elig = [c for c in row if c < stop_col]
@@ -246,17 +255,8 @@ def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, d
         # Maintain full reduction: clear the new pivot column everywhere.
         for p2 in pivots.values():
             coef = p2.pop(c, None)
-            if coef is None:
-                continue
-            for cc, v in newrow.items():
-                if cc == c:
-                    continue
-                cur = p2.get(cc)
-                nv = cur - coef * v if cur is not None else -(coef * v)
-                if nv.is_zero():
-                    p2.pop(cc, None)
-                else:
-                    p2[cc] = nv
+            if coef is not None:
+                _axpy(p2, coef, newrow, c)
         pivots[c] = newrow
     return pivots, leftovers
 
@@ -294,39 +294,16 @@ class Subspace:
     def reduce(self, v: Sequence[Scalar]) -> Vector:
         """Residual of v modulo this subspace (zero iff v is a member)."""
         row = vec_to_sparse(v)
-        for c in [c for c in row if c in self._pivots]:
-            coef = row.pop(c)
-            for cc, w in self._pivots[c].items():
-                if cc == c:
-                    continue
-                cur = row.get(cc)
-                nv = cur - coef * w if cur is not None else -(coef * w)
-                if nv.is_zero():
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
+        _eliminate(row, self._pivots)
         return sparse_to_vec(row, self.ambient_dim)
 
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coordinates of v in self.basis, or None if v is not in the span."""
         row = vec_to_sparse(v)
-        coords: dict[int, Scalar] = {}
-        order = {c: k for k, c in enumerate(sorted(self._pivots))}
-        for c in [c for c in row if c in self._pivots]:
-            coef = row.pop(c)
-            coords[order[c]] = coef
-            for cc, w in self._pivots[c].items():
-                if cc == c:
-                    continue
-                cur = row.get(cc)
-                nv = cur - coef * w if cur is not None else -(coef * w)
-                if nv.is_zero():
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
+        removed = _eliminate(row, self._pivots)
         if row:
             return None
-        return sparse_to_vec(coords, self.dim)
+        return tuple(removed.get(c, ZERO) for c in sorted(self._pivots))
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -446,10 +423,6 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
-    def columns(self) -> Iterator[Vector]:
-        for j in range(self.cols):
-            yield self.col(j)
-
     def sparse_rows(self) -> tuple[dict[int, Scalar], ...]:
         if self._sparse_rows is None:
             self._sparse_rows = tuple(vec_to_sparse(r) for r in self.entries)
@@ -542,14 +515,11 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
-        sols = solve_many(self, [basis_vector(self.rows, i) for i in range(self.rows)])
-        cols = []
-        for s in sols:
-            if s is None:
-                raise LinAlgError("matrix is singular")
-            cols.append(s)
-        inv = Matrix.from_cols(cols, self.cols)
-        return inv
+        sols, _ = solve_sparse(self.sparse_rows(), self.cols,
+                               [basis_vector(self.rows, i) for i in range(self.rows)])
+        if any(s is None for s in sols):
+            raise LinAlgError("matrix is singular")
+        return Matrix.from_cols(sols, self.cols)
 
 
 def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:
@@ -567,111 +537,83 @@ def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int,
     return out
 
 
-@dataclass(frozen=True)
-class Solution:
-    particular: Vector
-    kernel: Subspace
+def commutator_rows(pairs: Iterable[tuple[Matrix, Matrix]]) -> list[dict[int, Scalar]]:
+    """Sparse rows of X -> A X - X B for each pair (A, B), X flattened row-major.
 
-
-def solve(m: Matrix, b: Sequence[Scalar]) -> Solution | None:
-    """Solve Mx = b exactly; None when b is outside the column space."""
-    if len(b) != m.rows:
-        raise LinAlgError(f"solve: rhs of dim {len(b)} for {m.rows}x{m.cols} matrix")
-    sols = solve_many(m, [b])
-    if sols[0] is None:
-        return None
-    return Solution(particular=sols[0], kernel=m.kernel())
-
-
-def solve_many(m: Matrix, rhs: Sequence[Sequence[Scalar]]) -> list[Vector | None]:
-    """Solve Mx = b for several right-hand sides with one elimination.
-
-    Free variables are set to zero, which makes the particular solution
-    canonical and reruns deterministic.
+    Their common kernel is the space of X with A X == X B for every pair,
+    which is how right-linearity constraints are posed.  Read as vectors,
+    the rows span the images of X -> A^T X - X B^T.  Zero rows are dropped.
     """
-    n = m.cols
-    k = len(rhs)
-    aug_rows = []
-    for i, row in enumerate(m.sparse_rows()):
+    rows = []
+    for a, b in pairs:
+        n = b.rows
+        a_rows = a.sparse_rows()
+        b_cols = b.transpose().sparse_rows()
+        for r in range(a.rows):
+            for c in range(n):
+                row = {k * n + c: v for k, v in a_rows[r].items()}
+                _axpy(row, ONE, {r * n + k: v for k, v in b_cols[c].items()}, -1)
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def solve_sparse(rows: Sequence[dict[int, Scalar]], ncols: int,
+                 rhs_list: Sequence[Sequence[Scalar]]) -> tuple[list[Vector | None], int]:
+    """Solve a sparse row system for several right-hand sides with one
+    elimination, each augmented as one extra column.
+
+    Returns one particular solution per right-hand side (None when that
+    system is inconsistent) and the rank of the coefficient part.  Free
+    variables are pinned to zero, which makes every solution canonical and
+    reruns deterministic.
+    """
+    if any(len(b) != len(rows) for b in rhs_list):
+        raise LinAlgError(f"solve_sparse: rhs length differs from {len(rows)} rows")
+    aug = []
+    for i, row in enumerate(rows):
         r = dict(row)
-        for t in range(k):
-            v = rhs[t][i]
-            if not v.is_zero():
-                r[n + t] = v
-        aug_rows.append(r)
-    pivots, leftovers = _rref(iter(aug_rows), n)
-    bad = set()
-    for row in leftovers:
-        for c in row:
-            bad.add(c - n)
+        for t, b in enumerate(rhs_list):
+            if not b[i].is_zero():
+                r[ncols + t] = b[i]
+        aug.append(r)
+    pivots, leftovers = _rref(aug, ncols)
+    bad = {c - ncols for row in leftovers for c in row}
     out: list[Vector | None] = []
-    for t in range(k):
+    for t in range(len(rhs_list)):
         if t in bad:
             out.append(None)
             continue
-        x = [ZERO] * n
+        x = [ZERO] * ncols
         for c, prow in pivots.items():
-            v = prow.get(n + t)
+            v = prow.get(ncols + t)
             if v is not None:
                 x[c] = v
         out.append(tuple(x))
-    return out
+    return out, len(pivots)
 
 
 def solve_through(span_cols: Sequence[Sequence[Scalar]], value_cols: Sequence[Sequence[Scalar]],
-                  out_dim: int, require_spanning: bool = True) -> Matrix | None:
+                  out_dim: int) -> Matrix | None:
     """Find M with M @ span_cols[j] == value_cols[j] for every j.
 
     This is how a linear map gets defined by its values on a spanning set:
     it exists iff every linear relation among the spanning columns is
-    satisfied by the values.  Returns None when no such map exists.  When
-    require_spanning is set, raises if the columns do not span the domain
-    (the map would be underdetermined).
+    satisfied by the values.  Returns None when no such map exists, and
+    raises if the columns do not span the domain (the map would be
+    underdetermined).
     """
     if len(span_cols) != len(value_cols):
         raise LinAlgError("solve_through: span/value length mismatch")
     in_dim = len(span_cols[0]) if span_cols else 0
-    k = len(span_cols)
     # Transposed system: span^T  M^T = value^T, one RHS per output coordinate.
-    st = Matrix(k, in_dim, [list(span_cols[j]) for j in range(k)])
-    rhs = [[value_cols[j][i] for j in range(k)] for i in range(out_dim)]
-    if require_spanning and st.rank() != in_dim:
+    rhs = [[v[i] for v in value_cols] for i in range(out_dim)]
+    sols, rank = solve_sparse([vec_to_sparse(c) for c in span_cols], in_dim, rhs)
+    if rank != in_dim:
         raise LinAlgError("solve_through: columns do not span the domain")
-    sols = solve_many(st, rhs)
-    rows = []
-    for s in sols:
-        if s is None:
-            return None
-        rows.append(list(s))
-    if not rows:
-        return Matrix.zeros(0, in_dim)
-    return Matrix(out_dim, in_dim, rows)
-
-
-def solve_sparse(rows: Sequence[dict[int, Scalar]], ncols: int,
-                 rhs: Sequence[Scalar]) -> tuple[Vector | None, int]:
-    """Solve a sparse row system with one right-hand side.
-
-    Returns (particular or None, rank of the coefficient part); free
-    variables are pinned to zero.
-    """
-    if len(rhs) != len(rows):
-        raise LinAlgError("solve_sparse: rhs length mismatch")
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if not b.is_zero():
-            r[ncols] = b
-        aug.append(r)
-    pivots, leftovers = _rref(iter(aug), ncols)
-    if leftovers:
-        return None, len(pivots)
-    x = [ZERO] * ncols
-    for c, prow in pivots.items():
-        v = prow.get(ncols)
-        if v is not None:
-            x[c] = v
-    return tuple(x), len(pivots)
+    if any(s is None for s in sols):
+        return None
+    return Matrix(out_dim, in_dim, sols)
 
 
 class ColumnSolver:

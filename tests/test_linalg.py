@@ -1,6 +1,7 @@
 """Exact linear algebra: solve/kernel/subspace contracts and field axioms."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,13 @@ from tamecalc.linalg import (
     Scalar,
     Subspace,
     basis_vector,
+    commutator_rows,
+    kernel_rows,
     kronecker,
     qi,
     scalar_from_json,
     scalar_to_json,
-    solve,
-    solve_many,
+    solve_sparse,
     solve_through,
     subspace_ops,
     vec_is_zero,
@@ -92,24 +94,31 @@ def test_scalar_fraction_views():
 
 # -- solve ------------------------------------------------------------------
 
+def solve(m, b):
+    """One right-hand side through solve_sparse: the particular solution or None."""
+    (x,), _ = solve_sparse(m.sparse_rows(), m.cols, [b])
+    return x
+
+
 def test_solve_one_by_one_zero_rhs():
-    sol = solve(mat([[1]]), (ZERO,))
-    assert sol.particular == (ZERO,)
-    assert sol.kernel.dim == 0
+    m = mat([[1]])
+    assert solve(m, (ZERO,)) == (ZERO,)
+    assert m.kernel().dim == 0
 
 
 def test_solve_zero_matrix_full_kernel():
-    sol = solve(mat([[0]]), (ZERO,))
-    assert sol.particular == (ZERO,)
-    assert sol.kernel.basis == ((ONE,),)
+    m = mat([[0]])
+    assert solve(m, (ZERO,)) == (ZERO,)
+    assert m.kernel().basis == ((ONE,),)
 
 
 def test_solve_complex_rank_one_kernel():
     # Hand row-reduction over Q(i): row2 = i*row1, kernel spanned by (-i, 1).
     m = mat([[1, I], [I, -1]])
-    sol = solve(m, (ZERO, ZERO))
-    assert m.rank() == 1
-    assert sol.kernel == Subspace(2, [(-I, ONE)])
+    (x,), rank = solve_sparse(m.sparse_rows(), m.cols, [(ZERO, ZERO)])
+    assert x == (ZERO, ZERO)
+    assert rank == m.rank() == 1
+    assert m.kernel() == Subspace(2, [(-I, ONE)])
 
 
 def test_solve_no_solution():
@@ -122,11 +131,12 @@ def test_solve_dimension_mismatch():
         solve(mat([[1, 0]]), (ONE, ONE))
 
 
-def test_solve_many_mixed_rhs():
+def test_solve_sparse_mixed_rhs():
     m = mat([[1, 0], [0, 0]])
-    got = solve_many(m, [(ONE, ZERO), (ZERO, ONE)])
+    got, rank = solve_sparse(m.sparse_rows(), m.cols, [(ONE, ZERO), (ZERO, ONE)])
     assert got[0] == (ONE, ZERO)
     assert got[1] is None
+    assert rank == 1
 
 
 # -- kernel -----------------------------------------------------------------
@@ -201,10 +211,10 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_solve_residual_is_exactly_zero(m, data):
     x = tuple(data.draw(scalars) for _ in range(m.cols))
     b = m.apply(x)
-    sol = solve(m, b)
-    assert sol is not None
-    assert vec_is_zero(tuple(u - v for u, v in zip(m.apply(sol.particular), b)))
-    for k in sol.kernel.basis:
+    got = solve(m, b)
+    assert got is not None
+    assert vec_is_zero(tuple(u - v for u, v in zip(m.apply(got), b)))
+    for k in m.kernel().basis:
         assert vec_is_zero(m.apply(k))
 
 
@@ -254,7 +264,7 @@ def test_column_solver_matches_one_shot_solve(m, data):
     got = solver.solve(b)
     assert got is not None
     assert m.apply(got) == b
-    # an unreachable rhs is refused exactly when solve() refuses it
+    # an unreachable rhs is refused exactly when the one-shot solve refuses it
     b2 = tuple(data.draw(scalars) for _ in range(m.rows))
     assert (solver.solve(b2) is None) == (solve(m, b2) is None)
 
@@ -272,6 +282,45 @@ def test_solve_through_reproduces_random_map(m, data):
     values = [target.apply(c) for c in cols]
     got = solve_through(cols, values, out_dim=out_dim)
     assert got == target
+
+
+# -- right-linearity constraint rows -----------------------------------------
+
+def _flat(x):
+    return tuple(v for row in x.entries for v in row)
+
+
+def test_commutator_rows_kernel_is_intertwiner_space():
+    # X with A X == X B, found by brute force over X with entries in {-1, 0, 1}
+    a1, b1 = mat([[0, 1], [0, 0]]), mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    a2, b2 = mat([[1, 0], [0, 2]]), mat([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    pairs = [(a1, b1), (a2, b2)]
+    kernel = Subspace(6, kernel_rows(commutator_rows(pairs), 6))
+    brute = []
+    for entries in product((-1, 0, 1), repeat=6):
+        x = mat([entries[:3], entries[3:]])
+        if all(a @ x == x @ b for a, b in pairs):
+            brute.append(_flat(x))
+    assert kernel == Subspace(6, brute)
+    assert kernel.dim == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_commutator_rows_span_transposed_images(data):
+    m = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+
+    def square(k):
+        return Matrix.from_rows([[data.draw(scalars) for _ in range(k)] for _ in range(k)])
+
+    pairs = [(square(m), square(n)) for _ in range(2)]
+    images = []
+    for a, b in pairs:
+        for pos in range(m * n):
+            x = Matrix(m, n, [basis_vector(m * n, pos)[r * n:(r + 1) * n] for r in range(m)])
+            images.append(_flat(a.transpose() @ x - x @ b.transpose()))
+    assert Subspace(m * n, commutator_rows(pairs)) == Subspace(m * n, images)
 
 
 def test_kronecker_shape_and_values():
