@@ -15,6 +15,8 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _combination_rows,
+    _lincomb,
     basis_vector,
     kernel_rows,
     vec_to_sparse,
@@ -62,10 +64,8 @@ class Algebra:
         return m
 
     def left_mult(self, a: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in vec_to_sparse(a).items():
-            out = out + self.left_basis_matrix(i).scale(c)
-        return out
+        terms = ((c, self.left_basis_matrix(i)) for i, c in vec_to_sparse(a).items())
+        return Matrix.from_sparse_rows(_combination_rows(terms, self.dim), self.dim)
 
     def multiply(self, a: Vector, b: Vector) -> Vector:
         out = [ZERO] * self.dim
@@ -98,12 +98,14 @@ class Algebra:
             if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
                 raise ContractViolationError(
                     f"unit law fails on basis element {self.labels[i]}", witness=i)
+        # (b_i b_j) b_k and b_i (b_j b_k) as sparse sums over the table
+        mul = [[vec_to_sparse(v) for v in row] for row in self.mul]
         for i in range(n):
             for j in range(n):
-                ij = self.mul[i][j]
+                ij = mul[i][j]
                 for k in range(n):
-                    left = self.multiply(ij, basis_vector(n, k))
-                    right = self.multiply(basis_vector(n, i), self.mul[j][k])
+                    left = _lincomb((c, mul[p][k]) for p, c in ij.items())
+                    right = _lincomb((c, mul[i][q]) for q, c in mul[j][k].items())
                     if left != right:
                         raise ContractViolationError(
                             "associativity fails on basis triple "

@@ -23,9 +23,13 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _combination_rows,
+    _lincomb,
+    _product_rows,
     basis_vector,
     commutator_rows,
     kernel_rows,
+    sparse_to_vec,
     vec_to_sparse,
     zero_vector,
 )
@@ -60,36 +64,35 @@ class Bimodule:
         return Bimodule(algebra, 0, [z] * algebra.dim, [z] * algebra.dim)
 
     def left_action(self, a: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in vec_to_sparse(a).items():
-            out = out + self.left[i].scale(c)
-        return out
+        return Matrix.from_sparse_rows(self._action_rows(self.left, a), self.dim)
 
     def right_action(self, a: Vector) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, c in vec_to_sparse(a).items():
-            out = out + self.right[i].scale(c)
-        return out
+        return Matrix.from_sparse_rows(self._action_rows(self.right, a), self.dim)
+
+    def _action_rows(self, actions: Sequence[Matrix], a: Vector) -> list[dict[int, Scalar]]:
+        return _combination_rows(((c, actions[i]) for i, c in vec_to_sparse(a).items()), self.dim)
 
     def validate(self) -> None:
-        """Certify the bimodule axioms; raises with the failing pair."""
+        """Certify the bimodule axioms; raises with the failing pair.
+
+        Every identity is compared on sparse rows."""
         alg = self.algebra
         n = alg.dim
-        ident = Matrix.identity(self.dim)
-        if self.left_action(alg.unit) != ident:
+        ident = [{i: ONE} for i in range(self.dim)]
+        if self._action_rows(self.left, alg.unit) != ident:
             raise ContractViolationError("bimodule: unit does not act as identity on the left")
-        if self.right_action(alg.unit) != ident:
+        if self._action_rows(self.right, alg.unit) != ident:
             raise ContractViolationError("bimodule: unit does not act as identity on the right")
         for i in range(n):
             for j in range(n):
                 prod = alg.mul[i][j]
-                if self.left_action(prod) != self.left[i] @ self.left[j]:
+                if self._action_rows(self.left, prod) != _product_rows(self.left[i], self.left[j]):
                     raise ContractViolationError(
                         f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})", witness=(i, j))
-                if self.right_action(prod) != self.right[j] @ self.right[i]:
+                if self._action_rows(self.right, prod) != _product_rows(self.right[j], self.right[i]):
                     raise ContractViolationError(
                         f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})", witness=(i, j))
-                if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
+                if _product_rows(self.left[i], self.right[j]) != _product_rows(self.right[j], self.left[i]):
                     raise ContractViolationError(
                         f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})", witness=(i, j))
 
@@ -142,41 +145,22 @@ def is_centered(e: Bimodule) -> CenteredReport:
 
 def _tensor_left_apply(l: Matrix, fdim: int, svec: dict[int, Scalar]) -> dict[int, Scalar]:
     """(L (x) id) on a sparse plain-tensor vector, index (s, t) -> s*fdim + t."""
-    out: dict[int, Scalar] = {}
+    cols = l.sparse_cols()
+    terms = []
     for idx, c in svec.items():
         s, t = divmod(idx, fdim)
-        for k in range(l.rows):
-            a = l.entries[k][s]
-            if a.is_zero():
-                continue
-            j = k * fdim + t
-            cur = out.get(j)
-            nv = cur + a * c if cur is not None else a * c
-            if nv.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = nv
-    return out
+        terms.append((c, {k * fdim + t: a for k, a in cols[s].items()}))
+    return _lincomb(terms)
 
 
 def _tensor_right_apply(r: Matrix, fdim: int, svec: dict[int, Scalar]) -> dict[int, Scalar]:
     """(id (x) R) on a sparse plain-tensor vector."""
-    out: dict[int, Scalar] = {}
+    cols = r.sparse_cols()
+    terms = []
     for idx, c in svec.items():
         s, t = divmod(idx, fdim)
-        base = s * fdim
-        for k in range(r.rows):
-            a = r.entries[k][t]
-            if a.is_zero():
-                continue
-            j = base + k
-            cur = out.get(j)
-            nv = cur + a * c if cur is not None else a * c
-            if nv.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = nv
-    return out
+        terms.append((c, {s * fdim + k: a for k, a in cols[t].items()}))
+    return _lincomb(terms)
 
 
 class QuotientTensor:
@@ -202,51 +186,55 @@ class QuotientTensor:
         free = self.relations.complement_positions()
         self.dim = len(free)
 
-        # project: reduce each ambient basis vector modulo the relations and
-        # read off the free coordinates; section: include the free positions.
-        proj_cols: list[Vector] = []
+        # project: eliminate the relation pivots from each ambient basis
+        # vector, which leaves it on the free positions; section: include
+        # the free positions.
         pos = {f_: q for q, f_ in enumerate(free)}
-        for j in range(self.ambient_dim):
-            if j in pos:
-                proj_cols.append(basis_vector(self.dim, pos[j]))
-            else:
-                red = self.relations.reduce(basis_vector(self.ambient_dim, j))
-                proj_cols.append(tuple(red[f_] for f_ in free))
-        self.project = Matrix.from_cols(proj_cols, self.dim)
-        sec_cols = [basis_vector(self.ambient_dim, f_) for f_ in free]
-        self.section = Matrix.from_cols(sec_cols, self.ambient_dim) if free else Matrix.zeros(self.ambient_dim, 0)
+        self._project_cols = [{pos[c]: v for c, v in self.relations._residual({j: ONE}).items()}
+                              for j in range(self.ambient_dim)]
+        self.project = Matrix.from_sparse_cols(self._project_cols, self.dim)
+        self.section = Matrix.from_sparse_cols([{f_: ONE} for f_ in free], self.ambient_dim)
 
         left = []
         right = []
         for i in range(alg.dim):
             lcols = []
             rcols = []
-            for q in range(self.dim):
-                svec = {free[q]: ONE}
+            for f_ in free:
+                svec = {f_: ONE}
                 lcols.append(self._project_sparse(_tensor_left_apply(e.left[i], f.dim, svec)))
                 rcols.append(self._project_sparse(_tensor_right_apply(f.right[i], f.dim, svec)))
-            left.append(Matrix.from_cols(lcols, self.dim) if self.dim else Matrix.zeros(0, 0))
-            right.append(Matrix.from_cols(rcols, self.dim) if self.dim else Matrix.zeros(0, 0))
+            left.append(Matrix.from_sparse_cols(lcols, self.dim))
+            right.append(Matrix.from_sparse_cols(rcols, self.dim))
         self.bimodule = Bimodule(alg, self.dim, left, right)
 
-    def _project_sparse(self, svec: dict[int, Scalar]) -> Vector:
-        out = [ZERO] * self.dim
-        for j, c in svec.items():
-            col = self.project.col(j)
-            for q in range(self.dim):
-                a = col[q]
-                if not a.is_zero():
-                    out[q] = out[q] + c * a
-        return tuple(out)
+    def _project_sparse(self, svec: dict[int, Scalar]) -> dict[int, Scalar]:
+        return _lincomb((c, self._project_cols[j]) for j, c in svec.items())
 
     def pure(self, e_vec: Vector, f_vec: Vector) -> Vector:
         """Quotient coordinates of the class of e (x) f."""
         svec: dict[int, Scalar] = {}
         fdim = self.right_factor.dim
+        f_sparse = vec_to_sparse(f_vec)
         for s, a in vec_to_sparse(e_vec).items():
-            for t, b in vec_to_sparse(f_vec).items():
+            for t, b in f_sparse.items():
                 svec[s * fdim + t] = a * b
-        return self._project_sparse(svec)
+        return sparse_to_vec(self._project_sparse(svec), self.dim)
+
+    def first_unkilled(self, m: Matrix) -> Vector | None:
+        """The first relation basis vector that the plain-coordinate map m
+        does not send to zero, or None when m factors through the quotient."""
+        mrows = [r for r in m.sparse_rows() if r]
+        for rel in self.relations.rows:
+            for mrow in mrows:
+                acc = ZERO
+                for c, v in rel.items():
+                    a = mrow.get(c)
+                    if a is not None:
+                        acc = acc + a * v
+                if not acc.is_zero():
+                    return sparse_to_vec(rel, self.ambient_dim)
+        return None
 
     def lift(self, x: Vector) -> Vector:
         """The canonical plain-tensor representative of a quotient class."""

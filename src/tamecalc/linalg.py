@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -151,13 +152,22 @@ def scalar_from_json(obj: int | str | dict) -> Scalar:
     if isinstance(obj, int):
         return Scalar(obj)
     if isinstance(obj, str):
-        return Scalar.from_fractions(Fraction(obj))
+        return _scalar_from_str(obj)
     if isinstance(obj, dict):
         extra = set(obj) - {"re", "im"}
         if extra:
             raise LinAlgError(f"unknown scalar fields {sorted(extra)}")
         return Scalar.from_fractions(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
     raise LinAlgError(f"not a scalar: {obj!r}")
+
+
+@lru_cache(maxsize=None)
+def _scalar_from_str(text: str) -> Scalar:
+    """Parse once per distinct string: spec files repeat a handful of values
+    (mostly "0") hundreds of thousands of times, and a Scalar is immutable,
+    so every occurrence can share one instance.  Parse errors are raised,
+    never cached."""
+    return Scalar.from_fractions(Fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +183,6 @@ def zero_vector(n: int) -> Vector:
 
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    if c is ONE:
-        return tuple(u)
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
@@ -212,6 +212,14 @@ def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: in
             row.pop(cc, None)
         else:
             row[cc] = nv
+
+
+def _lincomb(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Scalar]:
+    """Sparse sum of coef * row over the given terms, zeros dropped."""
+    out: dict[int, Scalar] = {}
+    for coef, row in terms:
+        _axpy(out, -coef, row, -1)
+    return out
 
 
 def _eliminate(row: dict[int, Scalar], pivots: dict[int, dict[int, Scalar]]) -> dict[int, Scalar]:
@@ -275,27 +283,39 @@ def rref_rows(rows: Iterable[Sequence[Scalar] | dict[int, Scalar]], ncols: int) 
 class Subspace:
     """A subspace of K^n held as a canonical reduced-echelon basis.
 
-    Two Subspace objects are equal iff they are the same subspace; the
-    canonical basis makes this a structural comparison.
+    rows are the sparse RREF rows sorted by pivot column; the dense basis is
+    built from them on first read.  Two Subspace objects are equal iff they
+    are the same subspace; the canonical basis makes this a structural
+    comparison.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "_pivots", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Scalar] | dict[int, Scalar]] = ()):
         self.ambient_dim = ambient_dim
-        rows = rref_rows(vectors, ambient_dim)
-        self._pivots = {min(r): r for r in rows}
-        self.basis: tuple[Vector, ...] = tuple(sparse_to_vec(r, ambient_dim) for r in rows)
+        self.rows: tuple[dict[int, Scalar], ...] = tuple(rref_rows(vectors, ambient_dim))
+        self._pivots = {min(r): r for r in self.rows}
+        self._basis: tuple[Vector, ...] | None = None
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            self._basis = tuple(sparse_to_vec(r, self.ambient_dim) for r in self.rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def reduce(self, v: Sequence[Scalar]) -> Vector:
         """Residual of v modulo this subspace (zero iff v is a member)."""
-        row = vec_to_sparse(v)
+        return sparse_to_vec(self._residual(vec_to_sparse(v)), self.ambient_dim)
+
+    def _residual(self, row: dict[int, Scalar]) -> dict[int, Scalar]:
+        """row reduced in place modulo this subspace (empty iff a member);
+        what is left lies on the complement positions."""
         _eliminate(row, self._pivots)
-        return sparse_to_vec(row, self.ambient_dim)
+        return row
 
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coordinates of v in self.basis, or None if v is not in the span."""
@@ -306,42 +326,32 @@ class Subspace:
         return tuple(removed.get(c, ZERO) for c in sorted(self._pivots))
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return not self._residual(vec_to_sparse(v))
 
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self."""
         self._check_ambient(other)
-        return all(self.contains_vector(b) for b in other.basis)
+        return not any(self._residual(dict(r)) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, self.rows + other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         # x = sum a_k u_k = sum b_l v_l: kernel of [U^T | -V^T].
-        k, l = self.dim, other.dim
-        rows = []
-        for i in range(self.ambient_dim):
-            row: dict[int, Scalar] = {}
-            for j in range(k):
-                a = self.basis[j][i]
-                if not a.is_zero():
-                    row[j] = a
-            for j in range(l):
-                b = other.basis[j][i]
-                if not b.is_zero():
-                    row[k + j] = -b
-            if row:
-                rows.append(row)
-        null = kernel_rows(rows, k + l)
-        vecs = []
-        for w in null:
-            x = zero_vector(self.ambient_dim)
-            for j in range(k):
-                x = vec_add(x, vec_scale(w[j], self.basis[j]))
-            vecs.append(x)
-        return Subspace(self.ambient_dim, vecs)
+        k = self.dim
+        rows: dict[int, dict[int, Scalar]] = {}
+        for j, r in enumerate(self.rows):
+            for i, a in r.items():
+                rows.setdefault(i, {})[j] = a
+        for j, r in enumerate(other.rows):
+            for i, b in r.items():
+                rows.setdefault(i, {})[k + j] = -b
+        null = kernel_rows([rows[i] for i in sorted(rows)], k + other.dim)
+        return Subspace(self.ambient_dim,
+                        [_lincomb((c, self.rows[j]) for j, c in w.items() if j < k)
+                         for w in null])
 
     def complement_positions(self) -> list[int]:
         """Coordinate positions whose standard vectors complement this subspace."""
@@ -355,10 +365,10 @@ class Subspace:
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
@@ -383,7 +393,7 @@ def subspace_ops(u: Subspace, v: Subspace) -> SubspaceOps:
 class Matrix:
     """Dense immutable matrix over Q(i) acting on column vectors."""
 
-    __slots__ = ("rows", "cols", "entries", "_sparse_rows")
+    __slots__ = ("rows", "cols", "entries", "_sparse_rows", "_sparse_cols")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -392,6 +402,7 @@ class Matrix:
         self.cols = cols
         self.entries: tuple[tuple[Scalar, ...], ...] = tuple(tuple(r) for r in entries)
         self._sparse_rows: tuple[dict[int, Scalar], ...] | None = None
+        self._sparse_cols: tuple[dict[int, Scalar], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -408,6 +419,27 @@ class Matrix:
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         return Matrix(rows, cols, entries)
+
+    @staticmethod
+    def from_sparse_rows(sparse: Sequence[dict[int, Scalar]], cols: int) -> "Matrix":
+        """The matrix with the given zero-free sparse rows, which it keeps as
+        its sparse-row cache (callers must not mutate them afterwards)."""
+        entries = [[ZERO] * cols for _ in sparse]
+        for out, row in zip(entries, sparse):
+            for j, v in row.items():
+                out[j] = v
+        m = Matrix(len(sparse), cols, entries)
+        m._sparse_rows = tuple(sparse)
+        return m
+
+    @staticmethod
+    def from_sparse_cols(sparse: Sequence[dict[int, Scalar]], rows: int) -> "Matrix":
+        """The matrix with the given sparse columns."""
+        entries = [[ZERO] * len(sparse) for _ in range(rows)]
+        for j, col in enumerate(sparse):
+            for i, v in col.items():
+                entries[i][j] = v
+        return Matrix(rows, len(sparse), entries)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]], nrows: int | None = None) -> "Matrix":
@@ -428,6 +460,15 @@ class Matrix:
             self._sparse_rows = tuple(vec_to_sparse(r) for r in self.entries)
         return self._sparse_rows
 
+    def sparse_cols(self) -> tuple[dict[int, Scalar], ...]:
+        if self._sparse_cols is None:
+            cols: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self.sparse_rows()):
+                for j, v in row.items():
+                    cols[j][i] = v
+            self._sparse_cols = tuple(cols)
+        return self._sparse_cols
+
     # -- arithmetic ---------------------------------------------------------
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
@@ -447,14 +488,12 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError(f"matmul shape mismatch: {self.cols} vs {other.rows}")
         out = [[ZERO] * other.cols for _ in range(self.rows)]
+        brows = other.sparse_rows()
         for i, row in enumerate(self.sparse_rows()):
             oi = out[i]
             for k, a in row.items():
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        oi[j] = oi[j] + a * b
+                for j, b in brows[k].items():
+                    oi[j] = oi[j] + a * b
         return Matrix(self.rows, other.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -520,6 +559,20 @@ class Matrix:
         if any(s is None for s in sols):
             raise LinAlgError("matrix is singular")
         return Matrix.from_cols(sols, self.cols)
+
+
+def _combination_rows(terms: Iterable[tuple[Scalar, Matrix]], nrows: int) -> list[dict[int, Scalar]]:
+    """Sparse rows of sum c_i M_i over the (c_i, M_i) terms, each M_i with nrows rows."""
+    mats = [(c, m.sparse_rows()) for c, m in terms]
+    return [_lincomb((c, rows[r]) for c, rows in mats) for r in range(nrows)]
+
+
+def _product_rows(a: Matrix, b: Matrix) -> list[dict[int, Scalar]]:
+    """Sparse rows of a @ b."""
+    if a.cols != b.rows:
+        raise LinAlgError(f"matmul shape mismatch: {a.cols} vs {b.rows}")
+    brows = b.sparse_rows()
+    return [_lincomb((v, brows[k]) for k, v in row.items()) for row in a.sparse_rows()]
 
 
 def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:

@@ -92,11 +92,11 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     if g_in.rows != alg.dim:
         return _fail("NotBilinear", f"metric must be valued in the algebra ({alg.dim} rows)")
     if g_in.cols == qt.ambient_dim:
-        for v in qt.relations.basis:
-            if not vec_is_zero(g_in.apply(v)):
-                return _fail("NotBilinear",
-                             "metric on plain tensors does not kill the (x)_A relations",
-                             v)
+        unkilled = qt.first_unkilled(g_in)
+        if unkilled is not None:
+            return _fail("NotBilinear",
+                         "metric on plain tensors does not kill the (x)_A relations",
+                         unkilled)
         g = g_in @ qt.section
     elif g_in.cols == qt.dim:
         g = g_in

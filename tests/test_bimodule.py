@@ -1,5 +1,7 @@
 """Bimodules: tensor quotients, hom modules, centers, centeredness."""
 
+import hashlib
+
 import pytest
 
 from tamecalc.algebra import Algebra
@@ -15,8 +17,10 @@ from tamecalc.bimodule import (
 )
 from tamecalc.builders import build_chevalley, matrix_derivations_chevalley
 from tamecalc.errors import ContractViolationError
+from tamecalc.specfile import dumps_canonical, matrix_to_json
 from tamecalc.linalg import (
     Matrix,
+    ONE,
     Subspace,
     basis_vector,
     zero_vector,
@@ -61,6 +65,50 @@ def test_broken_action_is_rejected(fuzzy):
         bad.validate()
 
 
+def bumped(m, r, c):
+    rows = [list(x) for x in m.entries]
+    rows[r][c] = rows[r][c] + ONE
+    return Matrix(m.rows, m.cols, rows)
+
+
+def validate_witness(b):
+    with pytest.raises(ContractViolationError) as info:
+        b.validate()
+    return str(info.value), info.value.witness
+
+
+@pytest.mark.parametrize("preset, pair", [("fuzzy_preset", (1, 1)), ("torus_preset", (1, 0))])
+def test_tampered_right_action_names_its_pair(preset, pair, request):
+    e = request.getfixturevalue(preset).calculus.one_forms
+    right = list(e.right)
+    right[1] = bumped(right[1], 0, 0)
+    msg, witness = validate_witness(Bimodule(e.algebra, e.dim, e.left, right))
+    assert msg == f"bimodule: e(ab) != (ea)b at basis pair {pair}"
+    assert witness == pair
+
+
+@pytest.mark.parametrize("preset, pair", [("fuzzy_preset", (1, 1)), ("torus_preset", (1, 0))])
+def test_tampered_left_action_names_its_pair(preset, pair, request):
+    e = request.getfixturevalue(preset).calculus.one_forms
+    left = list(e.left)
+    left[1] = bumped(left[1], 0, 0)
+    msg, witness = validate_witness(Bimodule(e.algebra, e.dim, left, e.right))
+    assert msg == f"bimodule: (ab)e != a(be) at basis pair {pair}"
+    assert witness == pair
+
+
+@pytest.mark.parametrize("preset, pair", [("fuzzy_preset", (1, 1)), ("torus_preset", (1, 0))])
+def test_conjugated_right_action_breaks_commutation(preset, pair, request):
+    # P R_a P^-1 is still a right action, but no longer commutes with L_a
+    e = request.getfixturevalue(preset).calculus.one_forms
+    p = bumped(Matrix.identity(e.dim), 0, 1)
+    p_inv = p.inverse()
+    right = [p @ m @ p_inv for m in e.right]
+    msg, witness = validate_witness(Bimodule(e.algebra, e.dim, e.left, right))
+    assert msg == f"bimodule: (a e) b != a (e b) at basis pair {pair}"
+    assert witness == pair
+
+
 # -- tensor products ----------------------------------------------------------
 
 def test_tensor_regular_with_itself_collapses(fuzzy):
@@ -103,6 +151,42 @@ def test_project_section_round_trip(fuzzy_calc):
         x = basis_vector(qt.ambient_dim, j)
         diff = tuple(a - b for a, b in zip(qt.section.apply(qt.project.apply(x)), x))
         assert qt.relations.contains_vector(diff)
+
+
+def _digest(matrices):
+    text = "".join(dumps_canonical(matrix_to_json(m)) for m in matrices)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the canonical JSON of project, section and the quotient actions
+# (all left actions concatenated, then all right actions) of the tensor
+# square of the one-forms, default presets
+GOLDEN_TENSOR_SQUARE = {
+    "fuzzy_preset": {
+        "project": "642d6fd36161136d20dea1dfa076a0890415fb7bfee4b888d58b927f4a3e61d2",
+        "section": "f9812a677c44d8087b2b356408d9efd1419f0ccc8e2f38da480733b672dfff76",
+        "left": "c443af27784ba36a33213097ea8043092950c88b14ba178afe93bd3477b6153e",
+        "right": "09457c0b2d73d8c655c4cff873045495eb095b65a3f89d047619e72b0a297d99",
+    },
+    "torus_preset": {
+        "project": "d707f9f2f5f1738789439e60a81aa435080f73fd137a604011e142abbcf9b7c7",
+        "section": "a66f94b23c582b37abdd9600a715549afed76287ea4b8e74e432437580a8ef6e",
+        "left": "9d17b5c02bfd1020746f767fd0261699a6b1a61f19cd6b0f76ce623490f591b4",
+        "right": "bcf44462ac7b55ea7104e0f07cff3ea2d4d8ba8c539bdc596a3763962d42956b",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_TENSOR_SQUARE))
+def test_tensor_square_matches_golden_digests(preset, request):
+    qt = request.getfixturevalue(preset).calculus.tensor_square
+    got = {
+        "project": _digest([qt.project]),
+        "section": _digest([qt.section]),
+        "left": _digest(qt.bimodule.left),
+        "right": _digest(qt.bimodule.right),
+    }
+    assert got == GOLDEN_TENSOR_SQUARE[preset]
 
 
 def test_quotient_bimodule_axioms(fuzzy_calc):

@@ -106,6 +106,36 @@ def test_tampered_d1_reports_graded_leibniz(fuzzy):
     assert "d_squared_zero" not in names  # 0 after d0 is still 0
 
 
+def with_wedge_bumped(calc, r, c):
+    rows = [list(x) for x in calc.wedge_plain.entries]
+    rows[r][c] = rows[r][c] + ONE
+    return Calculus(calc.algebra, calc.one_forms, calc.two_forms, calc.d0, calc.d1,
+                    Matrix(calc.wedge_plain.rows, calc.wedge_plain.cols, rows))
+
+
+@pytest.mark.parametrize("preset, entry, witness", [
+    ("fuzzy_preset", (0, 5), "wedge(e (x) f a) != wedge(e (x) f) a at (a=U, 0, 4)"),
+    ("torus_preset", (0, 5), "wedge(e (x) f a) != wedge(e (x) f) a at (a=E11, 0, 5)"),
+    ("fuzzy_preset", (0, 0), "wedge(a e (x) f) != a wedge(e (x) f) at (a=U, 0, 0)"),
+    ("torus_preset", (3, 0), "wedge(a e (x) f) != a wedge(e (x) f) at (a=E11, 0, 0)"),
+])
+def test_tampered_wedge_names_its_witness(preset, entry, witness, request):
+    calc = with_wedge_bumped(request.getfixturevalue(preset).calculus, *entry)
+    failures = {item.name: item.witness for item in validate_calculus(calc).failures()}
+    assert failures["wedge_bimodule_map"] == witness
+    assert failures["wedge_middle_linear"] == \
+        "wedge does not vanish on the (x)_A relation subspace"
+
+
+def test_wedge_of_matches_plain_tensor_product(fuzzy):
+    # wedge(e (x) f) is the wedge matrix applied to the Kronecker coordinates
+    n = fuzzy.one_forms.dim
+    for i, j in ((0, 1), (1, 3), (2, 2)):
+        e_vec, f_vec = fuzzy.d0.col(i), fuzzy.d0.col(j)
+        plain = tuple(e_vec[s] * f_vec[t] for s in range(n) for t in range(n))
+        assert fuzzy.wedge_of(e_vec, f_vec) == fuzzy.wedge_plain.apply(plain)
+
+
 def test_zero_calculus_passes():
     alg = truncated_line_chevalley().algebra
     zero_bim = Bimodule.zero(alg)

@@ -15,6 +15,8 @@ from tamecalc.linalg import (
     Matrix,
     Scalar,
     Subspace,
+    _combination_rows,
+    _product_rows,
     basis_vector,
     commutator_rows,
     kernel_rows,
@@ -26,6 +28,7 @@ from tamecalc.linalg import (
     solve_through,
     subspace_ops,
     vec_is_zero,
+    vec_to_sparse,
 )
 
 scalars = st.builds(
@@ -84,6 +87,15 @@ def test_scalar_json_forms():
     assert scalar_from_json(7) == qi(7)
     with pytest.raises(LinAlgError):
         scalar_from_json({"re": "1", "bogus": "2"})
+
+
+def test_scalar_strings_parse_once_and_errors_still_raise():
+    assert scalar_from_json("-3/4") is scalar_from_json("-3/4")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            scalar_from_json("3/x")
+        with pytest.raises(ZeroDivisionError):
+            scalar_from_json("1/0")
 
 
 def test_scalar_fraction_views():
@@ -187,6 +199,24 @@ def test_subspace_ambient_mismatch():
         Subspace(2).sum(Subspace(3))
 
 
+def test_subspace_intersection_with_zero_kernel_coefficients():
+    # the kernel vector of [U^T | -V^T] has a zero coefficient on u_0
+    u = Subspace(3, [basis_vector(3, 0), basis_vector(3, 1)])
+    v = Subspace(3, [basis_vector(3, 1), basis_vector(3, 2)])
+    assert u.intersect(v) == Subspace(3, [basis_vector(3, 1)])
+
+
+def test_subspace_rows_equality_and_hash():
+    u = Subspace(3, [(ONE, qi(2), ZERO), (ZERO, ONE, I)])
+    v = Subspace(3, [(ONE, qi(3), I), (qi(2), qi(4), ZERO)])
+    assert u == v and hash(u) == hash(v)
+    assert u.basis == tuple(tuple(r.get(j, ZERO) for j in range(3)) for r in u.rows)
+    assert u.dim == len(u.basis) == 2
+    assert vec_is_zero(u.reduce((ONE, qi(3), I)))
+    assert u.reduce((ZERO, ZERO, ONE)) == (ZERO, ZERO, ONE)
+    assert u != Subspace(3, [(ONE, qi(2), ZERO)])
+
+
 def test_subspace_coordinates():
     u = Subspace(3, [(ONE, ZERO, ONE), (ZERO, ONE, -ONE)])
     v = (qi(2), qi(3), -ONE)
@@ -229,6 +259,43 @@ def test_rank_nullity(m):
 def test_row_space_kernel_complement(m):
     # ker(M) and row-space(M) together fill K^cols.
     assert m.kernel().sum(m.row_space()).dim == m.cols
+
+
+def dense_product(a, b):
+    """The triple loop over dense entries, the reference for a @ b."""
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), ZERO)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.data())
+def test_sparse_products_match_dense_loops(a, data):
+    cols = data.draw(st.integers(min_value=1, max_value=4))
+    b = Matrix.from_rows([[data.draw(scalars) for _ in range(cols)] for _ in range(a.cols)])
+    want = dense_product(a, b)
+    assert (a @ b).entries == tuple(map(tuple, want))
+    assert _product_rows(a, b) == [vec_to_sparse(r) for r in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.data())
+def test_combination_rows_match_dense_sum(m, data):
+    mats = [m] + [Matrix.from_rows([[data.draw(scalars) for _ in range(m.cols)]
+                                    for _ in range(m.rows)]) for _ in range(2)]
+    coefs = [data.draw(scalars) for _ in mats]
+    want = Matrix.zeros(m.rows, m.cols)
+    for c, x in zip(coefs, mats):
+        want = want + x.scale(c)
+    got = _combination_rows(zip(coefs, mats), m.rows)
+    assert got == list(want.sparse_rows())
+    assert Matrix.from_sparse_rows(got, m.cols) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_matrices)
+def test_sparse_cols_are_transposed_rows(m):
+    assert m.sparse_cols() == m.transpose().sparse_rows()
+    assert Matrix.from_sparse_cols(m.sparse_cols(), m.rows) == m
 
 
 # -- matrix utilities -------------------------------------------------------

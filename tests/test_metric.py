@@ -6,6 +6,7 @@ from tamecalc.linalg import (
     Matrix,
     ONE,
     Subspace,
+    ZERO,
     basis_vector,
     vec_is_zero,
     zero_vector,
@@ -108,6 +109,22 @@ def test_plain_matrix_not_killing_relations_rejected(fuzzy):
     outcome = validate_metric(p.calculus, cert, Matrix(4, 144, rows))
     assert not outcome.ok
     assert outcome.failure.reason == "NotBilinear"
+
+
+def test_plain_metric_names_the_first_unkilled_relation(fuzzy):
+    # relation 3 is the first one the tampered metric does not kill
+    p, cert = fuzzy
+    qt = p.calculus.tensor_square
+    rel = qt.relations.basis[3]
+    rows = [list(r) for r in p.metric_plain.entries]
+    for col, v in enumerate(rel):
+        rows[0][col] = rows[0][col] + v
+    outcome = validate_metric(p.calculus, cert, Matrix(4, 144, rows))
+    assert outcome.failure.reason == "NotBilinear"
+    assert outcome.failure.detail == "metric on plain tensors does not kill the (x)_A relations"
+    want = [ZERO] * 144
+    want[3], want[36] = ONE, -ONE
+    assert outcome.failure.witness == tuple(want)
 
 
 # -- vector fields --------------------------------------------------------------
