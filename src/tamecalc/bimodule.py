@@ -185,6 +185,7 @@ class QuotientTensor:
         self.relations = Subspace(self.ambient_dim, rows)
         free = self.relations.complement_positions()
         self.dim = len(free)
+        self._free = free
 
         # project: eliminate the relation pivots from each ambient basis
         # vector, which leaves it on the free positions; section: include
@@ -236,9 +237,10 @@ class QuotientTensor:
                     return sparse_to_vec(rel, self.ambient_dim)
         return None
 
-    def lift(self, x: Vector) -> Vector:
-        """The canonical plain-tensor representative of a quotient class."""
-        return self.section.apply(x)
+    def lift(self, x: Vector) -> dict[int, Scalar]:
+        """The canonical plain-tensor representative of a quotient class,
+        sparse: section only includes the free positions."""
+        return {self._free[q]: c for q, c in enumerate(x) if not c.is_zero()}
 
     def __repr__(self) -> str:
         return f"QuotientTensor(dim={self.dim}, ambient={self.ambient_dim})"
@@ -353,7 +355,7 @@ def pair_apply(qt: QuotientTensor, phi: Matrix, psi: Matrix, x: Vector) -> Vecto
     alg = qt.left_factor.algebra
     fdim = qt.right_factor.dim
     out = zero_vector(alg.dim)
-    for idx, c in vec_to_sparse(qt.lift(x)).items():
+    for idx, c in qt.lift(x).items():
         s, t = divmod(idx, fdim)
         prod = alg.multiply(phi.col(s), psi.col(t))
         out = tuple(u + c * v for u, v in zip(out, prod))
@@ -379,7 +381,7 @@ def central_decomposition(qt: QuotientTensor, x: Vector) -> list[tuple[Vector, V
     nA = f.algebra.dim
     fdim = f.dim
     firsts: dict[int, Vector] = {}
-    for idx, c in vec_to_sparse(qt.lift(x)).items():
+    for idx, c in qt.lift(x).items():
         s, t = divmod(idx, fdim)
         rep_t = solver.solve(basis_vector(fdim, t))
         if rep_t is None:

@@ -12,7 +12,8 @@ and two independent routes to the Levi-Civita connection:
   six-term formula and reconstructs the connection through the
   separating family of field pairs, and
 * a direct route that solves the torsionless + compatible constraints
-  over all Leibniz perturbations of the reference connection.
+  over all Leibniz perturbations of the reference connection, each fixed
+  by its images of the central generators of the one-forms.
 
 Exact equality of the two routes is the engine's own strongest self-test.
 """
@@ -20,9 +21,9 @@ Exact equality of the two routes is the engine's own strongest self-test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
+from typing import Sequence
 
-from .bimodule import HomModule, hom_A, pair_apply
+from .bimodule import pair_apply
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     BracketNotCentralError,
@@ -44,9 +45,11 @@ from .linalg import (
     Scalar,
     Vector,
     ZERO,
+    _axpy,
+    _product_rows,
     basis_vector,
     commutator_rows,
-    qi,
+    kernel_rows,
     solve_sparse,
     solve_through,
     vec_is_zero,
@@ -222,7 +225,6 @@ class Geometry:
         self._bracket_solver: ColumnSolver | None = None
         self._field_solver: ColumnSolver | None = None
         self._recon_solver: ColumnSolver | None = None
-        self._hom_e_t2: HomModule | None = None
         self._nabla0: Connection | None = None
         self._extend_cols: list[Vector] | None = None
         self._field_brackets: dict[tuple[int, Vector], Vector] = {}
@@ -234,12 +236,6 @@ class Geometry:
         if self._nabla0 is None:
             self._nabla0 = nabla_zero(self.calc, self.cert, self.frame)
         return self._nabla0
-
-    @property
-    def hom_e_t2(self) -> HomModule:
-        if self._hom_e_t2 is None:
-            self._hom_e_t2 = hom_A(self.calc.one_forms, self.calc.tensor_square.bimodule)
-        return self._hom_e_t2
 
     def delta(self, phi: Vector, a: Vector) -> Vector:
         """phi(da): the derivation action when phi is a vector field."""
@@ -258,7 +254,7 @@ class Geometry:
             e_dim = self.calc.one_forms.dim
             z = self.cert.central_basis[q]
             flipped = self.cert.sigma.apply(qt.pure(basis_vector(e_dim, t), z))
-            got = vec_to_sparse(qt.lift(flipped))
+            got = qt.lift(flipped)
             self._sigma_pure[key] = got
         return got
 
@@ -284,7 +280,7 @@ class Geometry:
         e_dim = self.calc.one_forms.dim
         cols = []
         for y in range(qt.dim):
-            rep = vec_to_sparse(qt.lift(basis_vector(qt.dim, y)))
+            rep = qt.lift(basis_vector(qt.dim, y))
             out = zero_vector(e_dim)
             for idx, c in rep.items():
                 s, t = divmod(idx, e_dim)
@@ -309,7 +305,7 @@ class Geometry:
         zp = vec_to_sparse(self.cert.central_basis[p])
         cols = []
         for y in range(qt.dim):
-            rep = vec_to_sparse(qt.lift(basis_vector(qt.dim, y)))
+            rep = qt.lift(basis_vector(qt.dim, y))
             out = zero_vector(e_dim)
             for idx, c in rep.items():
                 u, v = divmod(idx, e_dim)
@@ -400,6 +396,15 @@ class Geometry:
                     cols.append(e.right[s].apply(z))
             self._extend_cols = cols
         return self._extend_cols
+
+    def extend(self, values: Sequence[Vector]) -> Matrix:
+        """The linear map from the one-forms to the tensor square that sends
+        extend_cols[i] to values[i]; raises when the values break a linear
+        relation among those columns."""
+        m = solve_through(self.extend_cols, values, out_dim=self.calc.tensor_square.dim)
+        if m is None:
+            raise InternalInconsistencyError("Leibniz extension is not well-defined")
+        return m
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +668,7 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
             v = qt.bimodule.right[s].apply(ws[r])
             extra = qt.pure(z, calc.d0.col(s))
             values.append(tuple(x + y for x, y in zip(v, extra)))
-    nabla = solve_through(geo.extend_cols, values, out_dim=qt.dim)
-    if nabla is None:
-        raise InternalInconsistencyError("Leibniz extension is not well-defined")
-    return Connection(nabla)
+    return Connection(geo.extend(values))
 
 
 def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
@@ -709,32 +711,73 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
 # The direct route
 # ---------------------------------------------------------------------------
 
+def generator_relation_rows(geo: Geometry) -> list[dict[int, Scalar]]:
+    """Rows on images (f_1..f_k) of the central generators z_j in the tensor
+    square, f_j at unknown j * dim(E (x)_A E): sum_j f_j . w_j == 0 for each
+    relation sum_j z_j . w_j == 0, the relations being the kernel of
+    (j, a) -> z_j . a.  Their solutions are exactly the generator images of
+    right-linear maps; there are none when the one-forms are free on the z_j."""
+    nA = geo.calc.algebra.dim
+    t2 = geo.calc.tensor_square.bimodule
+    gens = Matrix.from_cols(geo.extend_cols, geo.calc.one_forms.dim)
+    rows = []
+    for w in kernel_rows(gens.sparse_rows(), gens.cols):
+        w_of: dict[int, list[Scalar]] = {}
+        for pos, c in w.items():
+            j, a = divmod(pos, nA)
+            w_of.setdefault(j, [ZERO] * nA)[a] = c
+        blocks = [(j * t2.dim, t2.right_action(tuple(wj)).sparse_rows())
+                  for j, wj in w_of.items()]
+        for y in range(t2.dim):
+            rows.append({off + f: v for off, act in blocks for f, v in act[y].items()})
+    return rows
+
+
+def right_linear_from_images(geo: Geometry, images: Vector) -> Matrix:
+    """The right-linear map from the one-forms to the tensor square sending
+    z_j to f_j = images[j * dim:(j + 1) * dim], so z_j . a to f_j . a."""
+    t2 = geo.calc.tensor_square.bimodule
+    nt = t2.dim
+    return geo.extend([t2.right[s].apply(images[j * nt:(j + 1) * nt])
+                       for j in range(len(geo.cert.central_basis))
+                       for s in range(geo.calc.algebra.dim)])
+
+
 def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     """Solve for the torsionless compatible connection among all Leibniz
     perturbations of the reference connection; the constraint kernel must be
-    zero, which witnesses uniqueness."""
+    zero, which witnesses uniqueness.
+
+    A perturbation alpha is right-linear, so the images f_j = alpha(z_j) of
+    the central generators fix it; they are the unknowns, f_j at
+    j * dim(E (x)_A E), and alpha is rebuilt from them once at the end.
+    """
     calc = geo.calc
     e = calc.one_forms
     alg = calc.algebra
-    qt = calc.tensor_square
-    hom = geo.hom_e_t2
+    t2 = calc.tensor_square.bimodule
+    nt = t2.dim
     n0 = geo.nabla0
     span = geo.cert.spanning
     nz = len(geo.cert.central_basis)
-    nh = hom.dim
+    nunk = nz * nt
 
-    lam_cols: dict[tuple[int, int], list[Vector]] = {}
+    def shifted(j: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
+        return {j * nt + f: v for f, v in row.items()}
+
+    # lam[(p, q)]: the compatibility one-form on (z_p, z_q) as a map of the
+    # unknowns, leg_sigma(q) f_p + leg_plain(p) f_q
+    lam: dict[tuple[int, int], Matrix] = {}
     for p in range(nz):
         for q in range(nz):
-            zs_p = geo.cert.central_basis[p]
-            zs_q = geo.cert.central_basis[q]
-            cols = []
-            for s in range(nh):
-                h = hom.basis[s]
-                v = geo.leg_sigma(q).apply(h.apply(zs_p))
-                w = geo.leg_plain(p).apply(h.apply(zs_q))
-                cols.append(tuple(x + y for x, y in zip(v, w)))
-            lam_cols[(p, q)] = cols
+            sig = geo.leg_sigma(q).sparse_rows()
+            pla = geo.leg_plain(p).sparse_rows()
+            lrows = []
+            for c in range(e.dim):
+                row = shifted(p, sig[c])
+                _axpy(row, -ONE, shifted(q, pla[c]), -1)
+                lrows.append(row)
+            lam[(p, q)] = Matrix.from_sparse_rows(lrows, nunk)
 
     rows: list[dict[int, Scalar]] = []
     rhs: list[Scalar] = []
@@ -748,45 +791,29 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
         cons = e.right[r].apply(base[(p, q)])
         extra = e.left_action(gval[(p, q)]).apply(calc.d0.col(r))
         target = calc.d0.apply(alg.right_basis_matrix(r).apply(gval[(p, q)]))
-        resid = tuple(t - c - x for t, c, x in zip(target, cons, extra))
-        coeff = [e.right[r].apply(lam_cols[(p, q)][s]) for s in range(nh)]
-        for c in range(e.dim):
-            row = {}
-            for s in range(nh):
-                v = coeff[s][c]
-                if not v.is_zero():
-                    row[s] = v
-            rows.append(row)
-            rhs.append(resid[c])
-    # torsion stays zero: wedge after the perturbation vanishes
-    wh = [calc.wedge_q @ hom.basis[s] for s in range(nh)]
-    for wcoord in range(calc.two_forms.dim):
-        for k in range(e.dim):
-            row = {}
-            for s in range(nh):
-                v = wh[s].entries[wcoord][k]
-                if not v.is_zero():
-                    row[s] = v
-            rows.append(row)
-            rhs.append(ZERO)
+        rows.extend(_product_rows(e.right[r], lam[(p, q)]))
+        rhs.extend(t - c - x for t, c, x in zip(target, cons, extra))
+    # torsion stays zero: the wedge kills every generator image, hence alpha
+    wedge = calc.wedge_q.sparse_rows()
+    for j in range(nz):
+        rows.extend(shifted(j, row) for row in wedge)
+    rows.extend(generator_relation_rows(geo))
+    rhs.extend([ZERO] * (len(rows) - len(rhs)))
 
-    (sol,), rank = solve_sparse(rows, nh, [rhs])
+    (sol,), rank = solve_sparse(rows, nunk, [rhs])
     if sol is None:
         raise NoSolutionError("no torsionless compatible connection exists")
-    kernel_dim = nh - rank
+    kernel_dim = nunk - rank
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    alpha = Matrix.zeros(qt.dim, e.dim)
-    for s, c in vec_to_sparse(sol).items():
-        alpha = alpha + hom.basis[s].scale(c)
-    conn = Connection(n0.nabla + alpha)
+    conn = Connection(n0.nabla + right_linear_from_images(geo, sol))
     return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)
 
 
 # ---------------------------------------------------------------------------
-# Classical bracket identity and seeded perturbations
+# Classical bracket identity
 # ---------------------------------------------------------------------------
 
 def classical_bracket_check(geo: Geometry) -> bool:
@@ -825,21 +852,3 @@ def classical_bracket_check(geo: Geometry) -> bool:
                 if lhs != rhs:
                     return False
     return True
-
-
-def random_leibniz_perturbation(geo: Geometry, seed: int) -> Connection:
-    """The reference connection plus a nonzero seeded right-linear shift."""
-    rng = Random(seed)
-    hom = geo.hom_e_t2
-    qt = geo.calc.tensor_square
-    e = geo.calc.one_forms
-    while True:
-        alpha = Matrix.zeros(qt.dim, e.dim)
-        nonzero = False
-        for s in range(hom.dim):
-            c = rng.randint(-2, 2)
-            if c:
-                nonzero = True
-                alpha = alpha + hom.basis[s].scale(qi(c))
-        if nonzero or hom.dim == 0:
-            return Connection(geo.nabla0.nabla + alpha)

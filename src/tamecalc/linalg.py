@@ -142,7 +142,8 @@ def qi(re: int | str | Fraction | Scalar = 0, im: int | str | Fraction = 0) -> S
 def scalar_to_json(s: Scalar) -> str | dict[str, str]:
     """Exact wire form: "a/b" for rationals, {"re", "im"} otherwise."""
     if s.im == 0:
-        return str(s.re)
+        # canonical, so gcd(rn, dn) == 1 already: no Fraction needed
+        return str(s.rn) if s.dn == 1 else f"{s.rn}/{s.dn}"
     return {"re": str(s.re), "im": str(s.imag)}
 
 

@@ -234,7 +234,7 @@ def metric_square(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
 
     # pair_values[x][y] on quotient basis classes: lift both legs, contract
     # the middle with g, close with g again.
-    lifted = [vec_to_sparse(qt.lift(basis_vector(qt.dim, x))) for x in range(qt.dim)]
+    lifted = [qt.lift(basis_vector(qt.dim, x)) for x in range(qt.dim)]
     values: list[list[Vector]] = []
     for x in range(qt.dim):
         row: list[Vector] = []

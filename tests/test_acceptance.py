@@ -7,6 +7,7 @@ the wall-clock budgets.  Run with -s to see one PASS line per criterion.
 import time
 
 import lemma_checks as lc
+from perturbations import random_leibniz_perturbation
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import build_symmetry, validate_calculus
 from tamecalc.cli import main
@@ -19,7 +20,6 @@ from tamecalc.connection import (
     levi_civita_direct,
     levi_civita_koszul,
     lie_bracket,
-    random_leibniz_perturbation,
     reconstruct_from_table,
     torsion,
 )

@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from perturbations import random_leibniz_perturbation
+from tamecalc.bimodule import hom_A
 from tamecalc.builders import preset_matrix_derivations
 from tamecalc.connection import (
     Connection,
@@ -14,6 +16,7 @@ from tamecalc.connection import (
     compat_witnesses,
     covariant_derivative,
     covariant_table,
+    generator_relation_rows,
     grassmann,
     is_connection,
     koszul_rhs,
@@ -22,16 +25,19 @@ from tamecalc.connection import (
     levi_civita_koszul,
     lie_bracket,
     nabla_zero,
-    random_leibniz_perturbation,
     reconstruct_from_table,
+    right_linear_from_images,
     torsion,
     torsion_witnesses,
 )
 from tamecalc.errors import YNotCentralError
 from tamecalc.linalg import (
     Matrix,
+    Subspace,
     basis_vector,
+    kernel_rows,
     qi,
+    sparse_to_vec,
     vec_is_zero,
     zero_vector,
 )
@@ -270,6 +276,38 @@ def test_direct_solver_confirms_golden(fuzzy_geo):
     theta3 = basis_vector(12, 8)
     val = geo.metric.e_star.value(covariant_table(geo, direct.connection)[0][1], theta3)
     assert val == geo.calc.algebra.unit
+
+
+def test_generator_images_give_the_hom_space(fuzzy_geo, torus_geo, line_geo):
+    # the direct route's unknowns: images of the central generators that
+    # satisfy the relation rows, extended right-linearly, span exactly the
+    # kernel construction of Hom_A(E, E (x)_A E); the two presets are free on
+    # their generators, the K[x]/(x^3) fixture has 3 * 3 - 3 = 6 relations
+    for geo, relations in ((fuzzy_geo, 0), (torus_geo, 0), (line_geo, 6)):
+        t2 = geo.calc.tensor_square.bimodule
+        nunk = len(geo.cert.central_basis) * t2.dim
+        rows = generator_relation_rows(geo)
+        assert len(rows) == relations * t2.dim
+        maps = []
+        for v in kernel_rows(rows, nunk):
+            m = right_linear_from_images(geo, sparse_to_vec(v, nunk))
+            maps.append(tuple(x for row in m.entries for x in row))
+        hom = hom_A(geo.calc.one_forms, t2)
+        assert Subspace(hom.flat.ambient_dim, maps) == hom.flat
+
+
+# sha256 of the direct route's value matrix on the K[x]/(x^3) fixture, the
+# only geometry with relation rows (no preset reaches them).  Compatibility
+# and torsion already pin the solution there, so the rows themselves are
+# guarded by test_generator_images_give_the_hom_space.
+GOLDEN_LINE_DIRECT = "d0d7905ef85e474b2d33ae33361ff8af45a126b5b91dc734f055331efc57463e"
+
+
+def test_direct_route_with_generator_relations_matches_golden(line_geo):
+    direct = levi_civita_direct(line_geo)
+    assert direct.kernel_dim == 0
+    text = dumps_canonical(matrix_to_json(direct.connection.nabla))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LINE_DIRECT
 
 
 def test_route_equality_euclidean(fuzzy_geo, torus_geo):

@@ -79,6 +79,16 @@ def test_scalar_json_round_trip(a):
     assert scalar_from_json(scalar_to_json(a)) == a
 
 
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4),
+       st.one_of(st.just(0), st.integers(-10**6, 10**6)))
+def test_scalar_json_matches_fraction_form(num, den, im):
+    # integers, negatives and fractions when im == 0, complex values otherwise
+    s = Scalar(num, im, den)
+    want = (str(Fraction(s.rn, s.dn)) if s.im == 0
+            else {"re": str(Fraction(s.rn, s.dn)), "im": str(Fraction(s.im, s.dn))})
+    assert scalar_to_json(s) == want
+
+
 def test_scalar_json_forms():
     assert scalar_to_json(qi("3/2")) == "3/2"
     assert scalar_to_json(qi(1, -2)) == {"re": "1", "im": "-2"}
