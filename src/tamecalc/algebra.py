@@ -7,11 +7,13 @@ and the derivation test reduce to exact kernels.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ContractViolationError
 from .linalg import (
     Matrix,
+    Scalar,
     Subspace,
     Vector,
     ZERO,
@@ -67,14 +69,20 @@ class Algebra:
         terms = ((c, self.left_basis_matrix(i)) for i, c in vec_to_sparse(a).items())
         return Matrix.from_sparse_rows(_combination_rows(terms, self.dim), self.dim)
 
+    @cached_property
+    def sparse_mul(self) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+        """The structure constants as sparse vectors: sparse_mul[i][j] is b_i b_j."""
+        return tuple(tuple(vec_to_sparse(v) for v in row) for row in self.mul)
+
     def multiply(self, a: Vector, b: Vector) -> Vector:
+        table = self.sparse_mul
         out = [ZERO] * self.dim
+        b_sparse = vec_to_sparse(b)
         for i, ca in vec_to_sparse(a).items():
-            for j, cb in vec_to_sparse(b).items():
+            for j, cb in b_sparse.items():
                 c = ca * cb
-                for k, s in enumerate(self.mul[i][j]):
-                    if not s.is_zero():
-                        out[k] = out[k] + c * s
+                for k, s in table[i][j].items():
+                    out[k] = out[k] + c * s
         return tuple(out)
 
     def commutator(self, a: Vector, b: Vector) -> Vector:
@@ -99,7 +107,7 @@ class Algebra:
                 raise ContractViolationError(
                     f"unit law fails on basis element {self.labels[i]}", witness=i)
         # (b_i b_j) b_k and b_i (b_j b_k) as sparse sums over the table
-        mul = [[vec_to_sparse(v) for v in row] for row in self.mul]
+        mul = self.sparse_mul
         for i in range(n):
             for j in range(n):
                 ij = mul[i][j]

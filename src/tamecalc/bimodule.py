@@ -31,7 +31,6 @@ from .linalg import (
     kernel_rows,
     sparse_to_vec,
     vec_to_sparse,
-    zero_vector,
 )
 
 
@@ -72,6 +71,14 @@ class Bimodule:
     def _action_rows(self, actions: Sequence[Matrix], a: Vector) -> list[dict[int, Scalar]]:
         return _combination_rows(((c, actions[i]) for i, c in vec_to_sparse(a).items()), self.dim)
 
+    def act_left(self, a: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """a . v for sparse a and v, without building the action of a."""
+        return _act(self.left, a, v)
+
+    def act_right(self, a: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """v . a for sparse a and v, without building the action of a."""
+        return _act(self.right, a, v)
+
     def validate(self) -> None:
         """Certify the bimodule axioms; raises with the failing pair.
 
@@ -98,6 +105,15 @@ class Bimodule:
 
     def __repr__(self) -> str:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
+
+
+def _act(maps: Sequence[Matrix], a: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
+    """sum_i a_i maps[i] v, summed over the maps' sparse columns."""
+    terms = []
+    for i, c in a.items():
+        cols = maps[i].sparse_cols()
+        terms.extend((c * x, cols[j]) for j, x in v.items())
+    return _lincomb(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +230,14 @@ class QuotientTensor:
 
     def pure(self, e_vec: Vector, f_vec: Vector) -> Vector:
         """Quotient coordinates of the class of e (x) f."""
-        svec: dict[int, Scalar] = {}
+        return sparse_to_vec(self.pure_sparse(vec_to_sparse(e_vec), vec_to_sparse(f_vec)),
+                             self.dim)
+
+    def pure_sparse(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar]) -> dict[int, Scalar]:
+        """pure on sparse factors, with sparse quotient coordinates."""
         fdim = self.right_factor.dim
-        f_sparse = vec_to_sparse(f_vec)
-        for s, a in vec_to_sparse(e_vec).items():
-            for t, b in f_sparse.items():
-                svec[s * fdim + t] = a * b
-        return sparse_to_vec(self._project_sparse(svec), self.dim)
+        return self._project_sparse({s * fdim + t: a * b
+                                     for s, a in e_vec.items() for t, b in f_vec.items()})
 
     def first_unkilled(self, m: Matrix) -> Vector | None:
         """The first relation basis vector that the plain-coordinate map m
@@ -240,7 +257,11 @@ class QuotientTensor:
     def lift(self, x: Vector) -> dict[int, Scalar]:
         """The canonical plain-tensor representative of a quotient class,
         sparse: section only includes the free positions."""
-        return {self._free[q]: c for q, c in enumerate(x) if not c.is_zero()}
+        return self.lift_sparse(vec_to_sparse(x))
+
+    def lift_sparse(self, x: dict[int, Scalar]) -> dict[int, Scalar]:
+        """lift of a class given by sparse quotient coordinates."""
+        return {self._free[q]: c for q, c in x.items()}
 
     def __repr__(self) -> str:
         return f"QuotientTensor(dim={self.dim}, ambient={self.ambient_dim})"
@@ -321,11 +342,8 @@ class HomModule:
 
     def value(self, coords: Vector, v: Vector) -> Vector:
         """Evaluate the map with the given coordinates on v."""
-        out = zero_vector(self.target.dim)
-        for s, c in vec_to_sparse(coords).items():
-            w = self.basis[s].apply(v)
-            out = tuple(x + c * y for x, y in zip(out, w))
-        return out
+        return sparse_to_vec(_act(self.basis, vec_to_sparse(coords), vec_to_sparse(v)),
+                             self.target.dim)
 
     def __repr__(self) -> str:
         return f"HomModule(dim={self.dim}: {self.source.dim} -> {self.target.dim})"
@@ -354,12 +372,16 @@ def pair_apply(qt: QuotientTensor, phi: Matrix, psi: Matrix, x: Vector) -> Vecto
     """
     alg = qt.left_factor.algebra
     fdim = qt.right_factor.dim
-    out = zero_vector(alg.dim)
+    table = alg.sparse_mul
+    phi_cols, psi_cols = phi.sparse_cols(), psi.sparse_cols()
+    terms = []
     for idx, c in qt.lift(x).items():
         s, t = divmod(idx, fdim)
-        prod = alg.multiply(phi.col(s), psi.col(t))
-        out = tuple(u + c * v for u, v in zip(out, prod))
-    return out
+        right = psi_cols[t]
+        for i, a in phi_cols[s].items():
+            ca = c * a
+            terms.extend((ca * b, table[i][j]) for j, b in right.items())
+    return sparse_to_vec(_lincomb(terms), alg.dim)
 
 
 def central_decomposition(qt: QuotientTensor, x: Vector) -> list[tuple[Vector, Vector]]:

@@ -21,6 +21,7 @@ Exact equality of the two routes is the engine's own strongest self-test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .bimodule import pair_apply
@@ -45,18 +46,21 @@ from .linalg import (
     Scalar,
     Vector,
     ZERO,
+    _apply_sparse,
     _axpy,
+    _lincomb,
     _product_rows,
     basis_vector,
     commutator_rows,
     kernel_rows,
     solve_sparse,
     solve_through,
+    sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
     zero_vector,
 )
-from .metric import Metric, VectorFieldModule, g_tilde, vector_fields
+from .metric import Metric, VectorFieldModule, delta_of, g_of_forms, vector_fields
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,20 @@ Table = tuple  # Table[p][q] = coordinates of the derivative of X_q along X_p
 # ---------------------------------------------------------------------------
 
 def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
-    """First basis pair violating the Leibniz rule, or None."""
+    """First basis pair (s, i) with nabla(e_s . a_i) != nabla(e_s) . a_i +
+    e_s (x) d a_i, algebra index outer, or None; compared on sparse columns."""
     e = calc.one_forms
     qt = calc.tensor_square
+    ncols = conn.nabla.sparse_cols()
+    dcols = calc.d0.sparse_cols()
     for i in range(calc.algebra.dim):
+        rcols = e.right[i].sparse_cols()
+        t2_right = qt.bimodule.right[i]
         for s in range(e.dim):
-            lhs = conn.nabla.apply(e.right[i].col(s))
-            rhs = qt.bimodule.right[i].apply(conn.nabla.col(s))
-            extra = qt.pure(basis_vector(e.dim, s), calc.d0.col(i))
-            if lhs != tuple(x + y for x, y in zip(rhs, extra)):
+            lhs = _apply_sparse(conn.nabla, rcols[s])
+            rhs = _lincomb(((ONE, _apply_sparse(t2_right, ncols[s])),
+                            (ONE, qt.pure_sparse({s: ONE}, dcols[i]))))
+            if lhs != rhs:
                 return (s, i)
     return None
 
@@ -147,14 +156,13 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
         Matrix(nA, nE, [[sol[unknown(j, c, k)] for k in range(nE)] for c in range(nA)])
         for j in range(n))
 
-    cols = []
-    for k in range(nE):
-        acc = zero_vector(qt.dim)
-        for j in range(n):
-            da = calc.d0.apply(splitting[j].col(k))
-            acc = tuple(x + y for x, y in zip(acc, qt.pure(gens[j], da)))
-        cols.append(acc)
-    conn = Connection(Matrix.from_cols(cols, qt.dim))
+    # nabla(e_k) = sum_j gens[j] (x) d(S_j e_k)
+    gen_sparse = [vec_to_sparse(g) for g in gens]
+    split_cols = [s.sparse_cols() for s in splitting]
+    cols = [_lincomb((ONE, qt.pure_sparse(gen_sparse[j], _apply_sparse(calc.d0, split_cols[j][k])))
+                     for j in range(n))
+            for k in range(nE)]
+    conn = Connection(Matrix.from_sparse_cols(cols, qt.dim))
     bad = leibniz_witness(calc, conn)
     if bad is not None:
         raise InternalInconsistencyError(f"Grassmann connection fails Leibniz at {bad}")
@@ -218,6 +226,9 @@ class Geometry:
         self.frame = frame
         self.fields = fields if fields is not None else vector_fields(calc, cert, metric)
         self.g_plain = metric.g_plain(calc)
+        # V_g^{-1} X_p, by field index
+        self.field_forms = tuple(metric.form_of(vec_to_sparse(x)) for x in self.fields.basis)
+        self._duals: dict[Vector, DualElement] = {}
         self._sigma_pure: dict[tuple[int, int], dict[int, Scalar]] = {}
         self._leg_sigma: list[Matrix] | None = None
         self._leg_plain: list[Matrix] | None = None
@@ -227,7 +238,6 @@ class Geometry:
         self._recon_solver: ColumnSolver | None = None
         self._nabla0: Connection | None = None
         self._extend_cols: list[Vector] | None = None
-        self._field_brackets: dict[tuple[int, Vector], Vector] = {}
 
     # -- simple accessors ---------------------------------------------------
 
@@ -237,12 +247,44 @@ class Geometry:
             self._nabla0 = nabla_zero(self.calc, self.cert, self.frame)
         return self._nabla0
 
+    def dual(self, phi: Vector) -> DualElement:
+        """phi with what the connection layer reads off it, kept per element."""
+        got = self._duals.get(phi)
+        if got is None:
+            got = DualElement(self, phi)
+            self._duals[phi] = got
+        return got
+
     def delta(self, phi: Vector, a: Vector) -> Vector:
         """phi(da): the derivation action when phi is a vector field."""
-        return self.metric.e_star.value(phi, self.calc.d0.apply(a))
+        return sparse_to_vec(_apply_sparse(self.dual(phi).delta, vec_to_sparse(a)),
+                             self.calc.algebra.dim)
 
     def gt(self, phi: Vector, psi: Vector) -> Vector:
-        return g_tilde(self.calc, self.metric, phi, psi)
+        """g_tilde(phi, psi) through the memoised V_g^{-1} images."""
+        return sparse_to_vec(self.pair_forms(self.dual(phi).form, self.dual(psi).form),
+                             self.calc.algebra.dim)
+
+    def pair_forms(self, u: dict[int, Scalar], w: dict[int, Scalar]) -> dict[int, Scalar]:
+        """g(u (x) w) for sparse one-forms, sparse in the algebra."""
+        return g_of_forms(self.g_plain, self.calc.one_forms.dim, u, w)
+
+    @cached_property
+    def g_central(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """g(z_p (x) z_q) on the central pairs, sparse in the algebra."""
+        pures = self.cert.spanning.pures
+        return {(p, q): _apply_sparse(self.metric.g, vec_to_sparse(pure))
+                for p, row in enumerate(pures) for q, pure in enumerate(row)}
+
+    @cached_property
+    def field_gram(self) -> list[list[dict[int, Scalar]]]:
+        """g_tilde(X_p, X_q), sparse, by field indices."""
+        return [[self.pair_forms(u, w) for w in self.field_forms] for u in self.field_forms]
+
+    @cached_property
+    def lie_forms(self) -> list[list[dict[int, Scalar]]]:
+        """V_g^{-1} [X_p, X_q], by field indices."""
+        return [[self.metric.form_of(vec_to_sparse(b)) for b in row] for row in self.lie_table]
 
     # -- pairing legs for the compatibility map ------------------------------
 
@@ -251,22 +293,15 @@ class Geometry:
         got = self._sigma_pure.get(key)
         if got is None:
             qt = self.calc.tensor_square
-            e_dim = self.calc.one_forms.dim
-            z = self.cert.central_basis[q]
-            flipped = self.cert.sigma.apply(qt.pure(basis_vector(e_dim, t), z))
-            got = qt.lift(flipped)
+            z = vec_to_sparse(self.cert.central_basis[q])
+            got = qt.lift_sparse(_apply_sparse(self.cert.sigma, qt.pure_sparse({t: ONE}, z)))
             self._sigma_pure[key] = got
         return got
 
-    def _left_of_g(self, s: int, u: int, v: int) -> Vector:
-        """g(class of e_s (x) e_u) acting on e_v from the left."""
+    def _left_of_g(self, s: int, u: int, v: int) -> dict[int, Scalar]:
+        """g(class of e_s (x) e_u) acting on e_v from the left, sparse."""
         e = self.calc.one_forms
-        a = self.g_plain.col(s * e.dim + u)
-        out = zero_vector(e.dim)
-        for i, c in vec_to_sparse(a).items():
-            lc = e.left[i].col(v)
-            out = tuple(x + c * y for x, y in zip(out, lc))
-        return out
+        return e.act_left(self.g_plain.sparse_cols()[s * e.dim + u], {v: ONE})
 
     def leg_sigma(self, q: int) -> Matrix:
         """As a matrix in w: contract g over legs 1-2 of sigma_23(w (x) z_q)."""
@@ -280,17 +315,14 @@ class Geometry:
         e_dim = self.calc.one_forms.dim
         cols = []
         for y in range(qt.dim):
-            rep = qt.lift(basis_vector(qt.dim, y))
-            out = zero_vector(e_dim)
-            for idx, c in rep.items():
+            terms = []
+            for idx, c in qt.lift_sparse({y: ONE}).items():
                 s, t = divmod(idx, e_dim)
                 for uv, c2 in self._sigma_pure_lift(t, q).items():
                     u, v = divmod(uv, e_dim)
-                    term = self._left_of_g(s, u, v)
-                    cc = c * c2
-                    out = tuple(x + cc * y_ for x, y_ in zip(out, term))
-            cols.append(out)
-        return Matrix.from_cols(cols, e_dim) if qt.dim else Matrix.zeros(e_dim, 0)
+                    terms.append((c * c2, self._left_of_g(s, u, v)))
+            cols.append(_lincomb(terms))
+        return Matrix.from_sparse_cols(cols, e_dim)
 
     def leg_plain(self, p: int) -> Matrix:
         """As a matrix in w: contract g over legs 1-2 of z_p (x) w."""
@@ -305,16 +337,12 @@ class Geometry:
         zp = vec_to_sparse(self.cert.central_basis[p])
         cols = []
         for y in range(qt.dim):
-            rep = qt.lift(basis_vector(qt.dim, y))
-            out = zero_vector(e_dim)
-            for idx, c in rep.items():
+            terms = []
+            for idx, c in qt.lift_sparse({y: ONE}).items():
                 u, v = divmod(idx, e_dim)
-                for s, cz in zp.items():
-                    term = self._left_of_g(s, u, v)
-                    cc = c * cz
-                    out = tuple(x + cc * y_ for x, y_ in zip(out, term))
-            cols.append(out)
-        return Matrix.from_cols(cols, e_dim) if qt.dim else Matrix.zeros(e_dim, 0)
+                terms.extend((c * cz, self._left_of_g(s, u, v)) for s, cz in zp.items())
+            cols.append(_lincomb(terms))
+        return Matrix.from_sparse_cols(cols, e_dim)
 
     # -- brackets -------------------------------------------------------------
 
@@ -335,15 +363,6 @@ class Geometry:
                     "the exact forms do not span")
             self._bracket_solver = solver
         return self._bracket_solver
-
-    def field_bracket(self, p: int, z: Vector) -> Vector:
-        """[X_p, z] for a dual element z, bracketed once per (p, z)."""
-        key = (p, z)
-        got = self._field_brackets.get(key)
-        if got is None:
-            got = bracket_general(self, self.fields.basis[p], z)
-            self._field_brackets[key] = got
-        return got
 
     @property
     def field_solver(self) -> ColumnSolver:
@@ -407,6 +426,36 @@ class Geometry:
         return m
 
 
+class DualElement:
+    """One dual element phi and what the connection layer reads off it, each
+    built on first use; Geometry.dual keeps one per element."""
+
+    def __init__(self, geo: Geometry, phi: Vector):
+        self.geo = geo
+        self.phi = phi
+        self._bracket_forms: dict[int, dict[int, Scalar]] = {}
+
+    @cached_property
+    def form(self) -> dict[int, Scalar]:
+        """V_g^{-1} phi, a sparse one-form."""
+        return self.geo.metric.form_of(vec_to_sparse(self.phi))
+
+    @cached_property
+    def delta(self) -> Matrix:
+        """The map a -> phi(da)."""
+        return delta_of(self.geo.calc, self.geo.metric, self.phi)
+
+    def bracket_form(self, p: int) -> dict[int, Scalar]:
+        """V_g^{-1} [X_p, phi], bracketed once per field index."""
+        got = self._bracket_forms.get(p)
+        if got is None:
+            geo = self.geo
+            bracket = bracket_general(geo, geo.fields.basis[p], self.phi)
+            got = geo.metric.form_of(vec_to_sparse(bracket))
+            self._bracket_forms[p] = got
+        return got
+
+
 # ---------------------------------------------------------------------------
 # Covariant derivative and brackets
 # ---------------------------------------------------------------------------
@@ -426,13 +475,14 @@ def covariant_derivative(geo: Geometry, conn: Connection, field: Vector,
     qt = geo.calc.tensor_square
     fm = e_star.matrix_of(field)
     dm = e_star.matrix_of(direction)
-    delta_dir = dm @ geo.calc.d0
+    delta_dir = geo.dual(direction).delta
+    fcols = fm.sparse_cols()
     cols = []
     for i in range(e.dim):
-        first = delta_dir.apply(fm.col(i))
         second = pair_apply(qt, fm, dm, conn.nabla.col(i))
-        cols.append(tuple(x - y for x, y in zip(first, second)))
-    functional = Matrix.from_cols(cols, geo.calc.algebra.dim)
+        cols.append(_lincomb(((ONE, _apply_sparse(delta_dir, fcols[i])),
+                              (-ONE, vec_to_sparse(second)))))
+    functional = Matrix.from_sparse_cols(cols, geo.calc.algebra.dim)
     coords = e_star.coords_of(functional)
     if coords is None:
         raise InternalInconsistencyError("covariant derivative is not right-linear")
@@ -451,9 +501,8 @@ def lie_bracket(geo: Geometry, x: Vector, y: Vector) -> Vector:
     """The unique dual element whose derivation is the commutator of the two."""
     if not geo.fields.contains(x) or not geo.fields.contains(y):
         raise ContractViolationError("lie_bracket arguments must be vector fields")
-    e_star = geo.metric.e_star
-    dx = e_star.matrix_of(x) @ geo.calc.d0
-    dy = e_star.matrix_of(y) @ geo.calc.d0
+    dx = geo.dual(x).delta
+    dy = geo.dual(y).delta
     comm = dx @ dy - dy @ dx
     nA = geo.calc.algebra.dim
     rhs = []
@@ -483,22 +532,20 @@ def bracket_general(geo: Geometry, x: Vector, phi: Vector) -> Vector:
         raise InternalInconsistencyError("dual element escaped the field span")
     nA = geo.calc.algebra.dim
     e_star = geo.metric.e_star
-    out = zero_vector(e_star.dim)
-    a_of: dict[int, list[Scalar]] = {}
+    dx = geo.dual(x).delta
+    a_of: dict[int, dict[int, Scalar]] = {}
     for pos, c in vec_to_sparse(dec).items():
         p, r = divmod(pos, nA)
-        cur = a_of.setdefault(p, [ZERO] * nA)
-        cur[r] = cur[r] + c
-    for p, a_list in a_of.items():
-        a_p = tuple(a_list)
-        bracket_xp = zero_vector(e_star.dim)
-        for m, lm in vec_to_sparse(lam).items():
-            bracket_xp = tuple(u + lm * v for u, v in zip(bracket_xp, geo.lie_table[m][p]))
-        term1 = e_star.bimodule.right_action(a_p).apply(bracket_xp)
-        dxa = geo.delta(x, a_p)
-        term2 = e_star.bimodule.left_action(dxa).apply(geo.fields.basis[p])
-        out = tuple(u + v + w for u, v, w in zip(out, term1, term2))
-    return out
+        a_of.setdefault(p, {})[r] = c
+    lam_sparse = vec_to_sparse(lam)
+    terms = []
+    for p, a_p in a_of.items():
+        bracket_xp = _lincomb((lm, vec_to_sparse(geo.lie_table[m][p]))
+                              for m, lm in lam_sparse.items())
+        terms.append((ONE, e_star.bimodule.act_right(a_p, bracket_xp)))
+        dxa = _apply_sparse(dx, a_p)
+        terms.append((ONE, e_star.bimodule.act_left(dxa, vec_to_sparse(geo.fields.basis[p]))))
+    return sparse_to_vec(_lincomb(terms), e_star.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -550,35 +597,32 @@ def torsion_witnesses(geo: Geometry, conn: Connection,
     return tuple(witnesses)
 
 
-def pi0_values(geo: Geometry, conn: Connection, p: int, q: int) -> Vector:
-    """The compatibility one-form on the central pair (z_p, z_q)."""
-    w_p = conn.nabla.apply(geo.cert.central_basis[p])
-    w_q = conn.nabla.apply(geo.cert.central_basis[q])
-    first = geo.leg_sigma(q).apply(w_p)
-    second = geo.leg_plain(p).apply(w_q)
-    return tuple(x + y for x, y in zip(first, second))
+def compat_values(geo: Geometry, conn: Connection) -> list[dict[int, Scalar]]:
+    """The compatibility one-form on each spanning triple (p, q, r), the
+    class of z_p (x) z_q . a_r, sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r,
+    where pi0(p, q) contracts g against sigma_23(nabla z_p (x) z_q) and
+    z_p (x) nabla z_q."""
+    e = geo.calc.one_forms
+    images = [_apply_sparse(conn.nabla, vec_to_sparse(z)) for z in geo.cert.central_basis]
+    dcols = geo.calc.d0.sparse_cols()
+    pi0: dict[tuple[int, int], dict[int, Scalar]] = {}
+    values = []
+    for p, q, r in geo.cert.spanning.triples:
+        base = pi0.get((p, q))
+        if base is None:
+            base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma(q), images[p])),
+                             (ONE, _apply_sparse(geo.leg_plain(p), images[q]))))
+            pi0[(p, q)] = base
+        values.append(_lincomb(((ONE, _apply_sparse(e.right[r], base)),
+                                (ONE, e.act_left(geo.g_central[(p, q)], dcols[r])))))
+    return values
 
 
 def pi_g_matrix(geo: Geometry, conn: Connection) -> Matrix:
     """The compatibility map on the whole tensor square, by spanning solve."""
-    calc = geo.calc
-    e = calc.one_forms
-    alg = calc.algebra
-    qt = calc.tensor_square
-    span = geo.cert.spanning
-    values = []
-    base: dict[tuple[int, int], Vector] = {}
-    gval: dict[tuple[int, int], Vector] = {}
-    nz = len(geo.cert.central_basis)
-    for p in range(nz):
-        for q in range(nz):
-            base[(p, q)] = pi0_values(geo, conn, p, q)
-            gval[(p, q)] = geo.metric.g.apply(span.pures[p][q])
-    for (p, q, r) in span.triples:
-        v = e.right[r].apply(base[(p, q)])
-        extra = e.left_action(gval[(p, q)]).apply(calc.d0.col(r))
-        values.append(tuple(x + y for x, y in zip(v, extra)))
-    m = solve_through(list(span.columns), values, out_dim=e.dim)
+    e = geo.calc.one_forms
+    values = [sparse_to_vec(v, e.dim) for v in compat_values(geo, conn)]
+    m = solve_through(list(geo.cert.spanning.columns), values, out_dim=e.dim)
     if m is None:
         raise InternalInconsistencyError("compatibility map is not well-defined")
     return m
@@ -589,14 +633,16 @@ def compat_witnesses(geo: Geometry, conn: Connection,
     """Triples (y, z, x) with Y g(Z, X) != g(nabla_Y Z, X) + g(Z, nabla_Y X),
     cross-checked against the form-level compatibility map."""
     n = geo.fields.count
-    basis = geo.fields.basis
+    forms = geo.field_forms
+    table_forms = [[geo.dual(entry).form for entry in row] for row in table]
     witnesses = []
     for yp in range(n):
+        delta_y = geo.fields.deltas[yp]
         for zp in range(n):
             for xp in range(n):
-                lhs = geo.delta(basis[yp], geo.gt(basis[zp], basis[xp]))
-                rhs = tuple(a + b for a, b in zip(
-                    geo.gt(table[yp][zp], basis[xp]), geo.gt(table[yp][xp], basis[zp])))
+                lhs = _apply_sparse(delta_y, geo.field_gram[zp][xp])
+                rhs = _lincomb(((ONE, geo.pair_forms(table_forms[yp][zp], forms[xp])),
+                                (ONE, geo.pair_forms(table_forms[yp][xp], forms[zp]))))
                 if lhs != rhs:
                     witnesses.append((yp, zp, xp))
     cov_ok = not witnesses
@@ -612,19 +658,22 @@ def compat_witnesses(geo: Geometry, conn: Connection,
 # ---------------------------------------------------------------------------
 
 def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
-    """The six-term right-hand side for x = X_p, y = X_q and any dual z."""
-    x, y = geo.fields.basis[p], geo.fields.basis[q]
-    t1 = geo.delta(x, geo.gt(y, z))
-    t2 = geo.delta(y, geo.gt(x, z))
-    t3 = geo.delta(z, geo.gt(x, y))
-    b_xz = geo.field_bracket(p, z)
-    b_yx = geo.lie_table[q][p]
-    b_zy = tuple(-v for v in geo.field_bracket(q, z))
-    t4 = geo.gt(y, b_xz)
-    t5 = geo.gt(b_yx, z)
-    t6 = geo.gt(x, b_zy)
-    return tuple(a + b - c - d - e + f for a, b, c, d, e, f in
-                 zip(t1, t2, t3, t4, t5, t6))
+    """The six-term right-hand side for x = X_p, y = X_q and any dual z:
+    x g(y, z) + y g(x, z) - z g(x, y) - g(y, [x, z]) - g([y, x], z)
+    + g(x, [z, y]), with g the pairing g_tilde and a field acting through
+    its derivation."""
+    zd = geo.dual(z)
+    fx, fy = geo.field_forms[p], geo.field_forms[q]
+    deltas = geo.fields.deltas
+    terms = (
+        (ONE, _apply_sparse(deltas[p], geo.pair_forms(fy, zd.form))),
+        (ONE, _apply_sparse(deltas[q], geo.pair_forms(fx, zd.form))),
+        (-ONE, _apply_sparse(zd.delta, geo.field_gram[p][q])),
+        (-ONE, geo.pair_forms(fy, zd.bracket_form(p))),
+        (-ONE, geo.pair_forms(geo.lie_forms[q][p], zd.form)),
+        (-ONE, geo.pair_forms(fx, zd.bracket_form(q))),      # [z, y] = -[y, z]
+    )
+    return sparse_to_vec(_lincomb(terms), geo.calc.algebra.dim)
 
 
 @dataclass(frozen=True)
@@ -651,9 +700,9 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
     for z in geo.cert.central_basis:
         rhs = []
         for p in range(n):
-            xp_of_z = geo.fields.maps[p].apply(z)
+            xp_of_z = _apply_sparse(geo.fields.maps[p], vec_to_sparse(z))
             for q in range(n):
-                first = geo.delta(geo.fields.basis[q], xp_of_z)
+                first = sparse_to_vec(_apply_sparse(geo.fields.deltas[q], xp_of_z), nA)
                 second = e_star.value(table[q][p], z)
                 # row order matches recon_solver: p outer, q inner, then the
                 # algebra coordinate
@@ -781,18 +830,11 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
 
     rows: list[dict[int, Scalar]] = []
     rhs: list[Scalar] = []
-    base: dict[tuple[int, int], Vector] = {}
-    gval: dict[tuple[int, int], Vector] = {}
-    for p in range(nz):
-        for q in range(nz):
-            base[(p, q)] = pi0_values(geo, n0, p, q)
-            gval[(p, q)] = geo.metric.g.apply(span.pures[p][q])
-    for (p, q, r) in span.triples:
-        cons = e.right[r].apply(base[(p, q)])
-        extra = e.left_action(gval[(p, q)]).apply(calc.d0.col(r))
-        target = calc.d0.apply(alg.right_basis_matrix(r).apply(gval[(p, q)]))
+    for (p, q, r), value in zip(span.triples, compat_values(geo, n0)):
+        gval = _apply_sparse(alg.right_basis_matrix(r), geo.g_central[(p, q)])
+        residual = _lincomb(((ONE, _apply_sparse(calc.d0, gval)), (-ONE, value)))
         rows.extend(_product_rows(e.right[r], lam[(p, q)]))
-        rhs.extend(t - c - x for t, c, x in zip(target, cons, extra))
+        rhs.extend(sparse_to_vec(residual, e.dim))
     # torsion stays zero: the wedge kills every generator image, hence alpha
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):

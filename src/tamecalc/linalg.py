@@ -576,6 +576,12 @@ def _product_rows(a: Matrix, b: Matrix) -> list[dict[int, Scalar]]:
     return [_lincomb((v, brows[k]) for k, v in row.items()) for row in a.sparse_rows()]
 
 
+def _apply_sparse(m: Matrix, v: dict[int, Scalar]) -> dict[int, Scalar]:
+    """m applied to a sparse vector, summed over the cached sparse columns."""
+    cols = m.sparse_cols()
+    return _lincomb((c, cols[j]) for j, c in v.items())
+
+
 def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:
     """Kernel basis (sparse) of the system {row . x = 0 for each row}."""
     pivots, _ = _rref(iter(rows), ncols)

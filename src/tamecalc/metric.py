@@ -31,10 +31,15 @@ from .linalg import (
     ColumnSolver,
     LinAlgError,
     Matrix,
+    ONE,
+    Scalar,
     Subspace,
     Vector,
+    _apply_sparse,
+    _lincomb,
     basis_vector,
     qi,
+    sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
     zero_vector,
@@ -56,6 +61,10 @@ class Metric:
     def functional(self, coords: Vector) -> Matrix:
         """The dual element with the given coordinates, as a map E -> A."""
         return self.e_star.matrix_of(coords)
+
+    def form_of(self, phi: dict[int, Scalar]) -> dict[int, Scalar]:
+        """V_g^{-1} phi as a sparse one-form, for sparse dual coordinates."""
+        return _apply_sparse(self.v_g_inv, phi)
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,8 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
                      f"dual module has dimension {e_star.dim}, one-forms {e.dim}")
     cols = []
     for i in range(e.dim):
-        functional = Matrix.from_cols(
-            [g.apply(qt.pure(basis_vector(e.dim, i), basis_vector(e.dim, j)))
-             for j in range(e.dim)], alg.dim)
+        functional = Matrix.from_sparse_cols(
+            [_apply_sparse(g, qt.pure_sparse({i: ONE}, {j: ONE})) for j in range(e.dim)], alg.dim)
         coords = e_star.coords_of(functional)
         if coords is None:
             raise InternalInconsistencyError(
@@ -304,9 +312,18 @@ def metric_square(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
 
 def g_tilde(calc: Calculus, metric: Metric, phi: Vector, psi: Vector) -> Vector:
     """g(V_g^{-1} phi (x) V_g^{-1} psi) for dual coordinates phi, psi."""
-    u = metric.v_g_inv.apply(phi)
-    w = metric.v_g_inv.apply(psi)
-    return metric.g.apply(calc.tensor_square.pure(u, w))
+    g_plain = metric.g_plain(calc)
+    return sparse_to_vec(g_of_forms(g_plain, calc.one_forms.dim,
+                                    metric.form_of(vec_to_sparse(phi)),
+                                    metric.form_of(vec_to_sparse(psi))), g_plain.rows)
+
+
+def g_of_forms(g_plain: Matrix, e_dim: int, u: dict[int, Scalar],
+               w: dict[int, Scalar]) -> dict[int, Scalar]:
+    """g(u (x) w) for sparse one-forms u, w, sparse in the algebra: the sum
+    of u_s w_t times column s * e_dim + t of the metric on plain tensors."""
+    cols = g_plain.sparse_cols()
+    return _lincomb((a * b, cols[s * e_dim + t]) for s, a in u.items() for t, b in w.items())
 
 
 # ---------------------------------------------------------------------------

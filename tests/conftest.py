@@ -12,7 +12,7 @@ from tamecalc.builders import (
 )
 from tamecalc.calculus import build_symmetry
 from tamecalc.connection import Geometry
-from tamecalc.linalg import Matrix, ONE, ZERO, basis_vector, qi, zero_vector
+from tamecalc.linalg import Matrix, ONE, ZERO, basis_vector, qi, vec_to_sparse, zero_vector
 from tamecalc.metric import validate_metric
 
 
@@ -20,6 +20,32 @@ def _geometry(preset):
     cert = build_symmetry(preset.calculus).certificate
     metric = validate_metric(preset.calculus, cert, preset.metric_plain).metric
     return Geometry(preset.calculus, cert, metric)
+
+
+def constant_metric_plain(spec: ChevalleySpec, c) -> Matrix:
+    """g(theta_j (x) theta_k) = c[j][k] 1 on the frame one-forms, on plain
+    tensor coordinates: g(phi_{j,a} (x) phi_{k,b}) = c_jk b_a b_b.  Unless c
+    is diagonal, V_g^{-1} mixes the frame directions."""
+    alg = spec.algebra
+    nA, nL = alg.dim, spec.lie_dim
+    ne = nL * nA
+    entries = [[ZERO] * (ne * ne) for _ in range(nA)]
+    for j in range(nL):
+        for k in range(nL):
+            if c[j][k] == 0:
+                continue
+            cjk = qi(c[j][k])
+            for alpha in range(nA):
+                for beta in range(nA):
+                    col = (j * nA + alpha) * ne + (k * nA + beta)
+                    for gamma, v in vec_to_sparse(alg.mul[alpha][beta]).items():
+                        entries[gamma][col] = cjk * v
+    return Matrix(nA, ne * ne, entries)
+
+
+# dense symmetric invertible Gram matrices on the frame one-forms
+GRAM_3 = ((2, 1, -1), (1, 3, 1), (-1, 1, 2))
+GRAM_2 = ((2, 1), (1, -1))
 
 
 @pytest.fixture(scope="session")

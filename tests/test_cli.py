@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GRAM_3, constant_metric_plain
+from tamecalc.builders import matrix_derivations_chevalley
 from tamecalc.cli import main
 from tamecalc.connection import grassmann
 from tamecalc.specfile import (
@@ -18,6 +20,7 @@ from tamecalc.specfile import (
     dumps_canonical,
     input_digest,
     load_spec,
+    matrix_to_json,
 )
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" /
@@ -360,6 +363,24 @@ def test_connect_artifacts_match_golden_digests(capsys, tmp_path):
         assert main(["connect", str(spec_path), "--out", str(art_path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(art_path.read_bytes()).hexdigest() == digest, preset
+
+
+# sha256 of the matrix-derivations-2 connect artifact under the constant
+# metric GRAM_3 on the frame one-forms, where V_g^{-1} is dense
+GOLDEN_DENSE_INVERSE = "99c93e567353617e8bc27848ae83185ad2c5f1a720e29396ede0a8ef2e413451"
+
+
+def test_connect_artifact_with_dense_inverse_metric_matches_golden(capsys, tmp_path):
+    spec_path = tmp_path / "matrix-derivations-2.json"
+    metric_path = tmp_path / "gram3.metric.json"
+    art_path = tmp_path / "matrix-derivations-2.connection.json"
+    assert main(["gen", "matrix-derivations", "--n", "2", "--out", str(spec_path)]) == 0
+    g = constant_metric_plain(matrix_derivations_chevalley(2), GRAM_3)
+    metric_path.write_text(dumps_canonical({"metric": matrix_to_json(g)}), encoding="utf-8")
+    assert main(["connect", str(spec_path), "--metric", str(metric_path),
+                 "--out", str(art_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(art_path.read_bytes()).hexdigest() == GOLDEN_DENSE_INVERSE
 
 
 def test_spec_files_round_trip_exactly(workdir):

@@ -152,10 +152,27 @@ def test_reference_connection_matches_golden_digests(fuzzy_geo, torus_geo):
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE[name], name
 
 
-def test_zero_map_is_not_a_connection(fuzzy_geo):
-    geo = fuzzy_geo
-    broken = Connection(Matrix.zeros(36, 12))
-    assert leibniz_witness(geo.calc, broken) is not None
+def test_zero_map_is_not_a_connection(fuzzy_geo, torus_geo):
+    # the unit satisfies Leibniz for any map, so the first witness is the
+    # first one-form against the first non-unit basis element
+    for geo in (fuzzy_geo, torus_geo):
+        qt, e = geo.calc.tensor_square, geo.calc.one_forms
+        broken = Connection(Matrix.zeros(qt.dim, e.dim))
+        assert leibniz_witness(geo.calc, broken) == (0, 1)
+
+
+def test_leibniz_witness_order_on_changed_entry(fuzzy_geo, torus_geo):
+    # one value-matrix entry (row, col) of the reference connection plus 1;
+    # the witness is the first (s, i) with the algebra index i outer (on
+    # matrix-derivations-2 the one-form index outer would give (4, 2))
+    for geo, entry, want in ((fuzzy_geo, (0, 6), (6, 1)), (fuzzy_geo, (7, 4), (4, 1)),
+                             (torus_geo, (0, 6), (6, 1)), (torus_geo, (7, 4), (3, 1))):
+        n0 = geo.nabla0.nabla
+        entries = [list(r) for r in n0.entries]
+        r, c = entry
+        entries[r][c] = entries[r][c] + qi(1)
+        broken = Connection(Matrix(n0.rows, n0.cols, entries))
+        assert leibniz_witness(geo.calc, broken) == want, entry
 
 
 # -- covariant derivatives ------------------------------------------------------
