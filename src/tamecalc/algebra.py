@@ -17,6 +17,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _apply_sparse,
     _combination_rows,
     _lincomb,
     basis_vector,
@@ -53,7 +54,7 @@ class Algebra:
         """Matrix of x -> basis_i * x."""
         m = self._left[i]
         if m is None:
-            m = Matrix.from_cols([self.mul[i][j] for j in range(self.dim)], self.dim)
+            m = Matrix.from_sparse_cols(self.sparse_mul[i], self.dim)
             self._left[i] = m
         return m
 
@@ -61,7 +62,7 @@ class Algebra:
         """Matrix of x -> x * basis_i."""
         m = self._right[i]
         if m is None:
-            m = Matrix.from_cols([self.mul[j][i] for j in range(self.dim)], self.dim)
+            m = Matrix.from_sparse_cols([row[i] for row in self.sparse_mul], self.dim)
             self._right[i] = m
         return m
 
@@ -134,16 +135,14 @@ class Algebra:
         """Leibniz test delta(ab) = delta(a) b + a delta(b) on all basis pairs."""
         if delta.rows != self.dim or delta.cols != self.dim:
             raise ContractViolationError("derivation matrix has wrong shape")
-        n = self.dim
-        dcols = [delta.col(j) for j in range(n)]
-        for i in range(n):
-            ei = basis_vector(n, i)
-            for j in range(n):
-                lhs = delta.apply(self.mul[i][j])
-                rhs = tuple(
-                    x + y for x, y in zip(
-                        self.multiply(dcols[i], basis_vector(n, j)),
-                        self.multiply(ei, dcols[j])))
+        # both sides as sparse sums over the structure constants
+        table = self.sparse_mul
+        dcols = delta.sparse_cols()
+        for i in range(self.dim):
+            for j in range(self.dim):
+                lhs = _apply_sparse(delta, table[i][j])
+                rhs = _lincomb([*((c, table[k][j]) for k, c in dcols[i].items()),
+                                *((c, table[i][k]) for k, c in dcols[j].items())])
                 if lhs != rhs:
                     return False
         return True

@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _apply_sparse,
     _combination_rows,
     _lincomb,
     _product_rows,
@@ -148,7 +149,8 @@ class CenteredReport:
 def is_centered(e: Bimodule) -> CenteredReport:
     """Does the center generate e as a right module?"""
     zc = module_center(e)
-    span = Subspace(e.dim, right_span_columns(e, list(zc.basis)))
+    span = Subspace(e.dim, [_apply_sparse(e.right[r], z) for z in zc.rows
+                            for r in range(e.algebra.dim)])
     if span.dim == e.dim:
         return CenteredReport(True, zc, None)
     missing = span.complement_positions()[0]
@@ -295,14 +297,23 @@ class HomModule:
         # T(v a) == T(v) a for every basis element a
         rows = commutator_rows((target.right[i], source.right[i]) for i in range(alg.dim))
         self.flat = Subspace(ns * nt, kernel_rows(rows, ns * nt))
-        self.basis: tuple[Matrix, ...] = tuple(
-            Matrix(nt, ns, [v[f * ns:(f + 1) * ns] for f in range(nt)])
-            for v in self.flat.basis)
+        self.basis: tuple[Matrix, ...] = tuple(self._unflatten(v) for v in self.flat.rows)
         self.dim = len(self.basis)
+
+    def _unflatten(self, flat: dict[int, Scalar]) -> Matrix:
+        """The map with flat coordinates flat, as a target x source matrix."""
+        ns = self.source.dim
+        rows: list[dict[int, Scalar]] = [{} for _ in range(self.target.dim)]
+        for k, v in flat.items():
+            f, e = divmod(k, ns)
+            rows[f][e] = v
+        return Matrix.from_sparse_rows(rows, ns)
 
     @cached_property
     def bimodule(self) -> Bimodule:
-        """The actions, built on first use: most Hom spaces only need a basis."""
+        """The actions, built on first use: most Hom spaces only need a basis.
+        Column t of each action holds the coordinates of the action on basis
+        map t, read off its sparse rows."""
         left = []
         right = []
         for i in range(self.source.algebra.dim):
@@ -311,34 +322,31 @@ class HomModule:
             for t in self.basis:
                 lcols.append(self._coords(self.target.left[i] @ t))
                 rcols.append(self._coords(t @ self.source.left[i]))
-            left.append(Matrix.from_cols(lcols, self.dim) if self.dim else Matrix.zeros(0, 0))
-            right.append(Matrix.from_cols(rcols, self.dim) if self.dim else Matrix.zeros(0, 0))
+            left.append(Matrix.from_sparse_cols(lcols, self.dim))
+            right.append(Matrix.from_sparse_cols(rcols, self.dim))
         return Bimodule(self.source.algebra, self.dim, left, right)
 
-    def _coords(self, m: Matrix) -> Vector:
-        c = self.coords_of(m)
+    def _coords(self, m: Matrix) -> dict[int, Scalar]:
+        c = self.sparse_coords_of(m)
         if c is None:
             raise InternalInconsistencyError(
                 "hom module is not closed under the bimodule actions")
         return c
 
     def coords_of(self, m: Matrix) -> Vector | None:
-        flatv = tuple(x for row in m.entries for x in row)
-        return self.flat.coordinates(flatv)
+        """Coordinates of the map m in this basis, or None if m is not in it."""
+        c = self.sparse_coords_of(m)
+        return None if c is None else sparse_to_vec(c, self.dim)
+
+    def sparse_coords_of(self, m: Matrix) -> dict[int, Scalar] | None:
+        """coords_of, sparse (basis index -> coefficient), read off the
+        sparse rows of m."""
+        return self.flat.coordinates_sparse({f * m.cols + e: v for f, row in enumerate(m.sparse_rows())
+                                             for e, v in row.items()})
 
     def matrix_of(self, coords: Vector) -> Matrix:
-        ns, nt = self.source.dim, self.target.dim
-        out = [[ZERO] * ns for _ in range(nt)]
-        for s, c in vec_to_sparse(coords).items():
-            b = self.basis[s]
-            for f in range(nt):
-                brow = b.entries[f]
-                orow = out[f]
-                for e in range(ns):
-                    v = brow[e]
-                    if not v.is_zero():
-                        orow[e] = orow[e] + c * v
-        return Matrix(nt, ns, out)
+        terms = ((c, self.basis[s]) for s, c in vec_to_sparse(coords).items())
+        return Matrix.from_sparse_rows(_combination_rows(terms, self.target.dim), self.source.dim)
 
     def value(self, coords: Vector, v: Vector) -> Vector:
         """Evaluate the map with the given coordinates on v."""

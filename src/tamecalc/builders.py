@@ -26,6 +26,7 @@ from .errors import ContractViolationError, InvalidActionError
 from .linalg import (
     Matrix,
     ONE,
+    Scalar,
     Vector,
     ZERO,
     basis_vector,
@@ -111,59 +112,49 @@ def build_chevalley(spec: ChevalleySpec) -> Calculus:
     else:
         two_forms = Bimodule.zero(alg)
 
-    # d0: (da)(X_k) = X_k(a)
-    d0 = Matrix.zeros(nL * nA, nA) if nL else Matrix.zeros(0, nA)
-    if nL:
-        entries = [[ZERO] * nA for _ in range(nL * nA)]
-        for k in range(nL):
-            act = spec.actions[k]
-            for gamma in range(nA):
-                for alpha in range(nA):
-                    entries[k * nA + gamma][alpha] = act.entries[gamma][alpha]
-        d0 = Matrix(nL * nA, nA, entries)
+    # d0: (da)(X_k) = X_k(a), so rows k*nA + gamma are the rows of X_k
+    d0 = Matrix.from_sparse_rows([r for act in spec.actions for r in act.sparse_rows()], nA)
 
     # d1: (dphi)(X_p, X_q) = X_p(phi(X_q)) - X_q(phi(X_p)) - phi([X_p, X_q])
-    d1 = Matrix.zeros(two_forms.dim, one_forms.dim)
-    if npairs:
-        entries = [[ZERO] * (nL * nA) for _ in range(npairs * nA)]
-        for j in range(nL):
-            for alpha in range(nA):
-                col = j * nA + alpha
-                for (p, q) in pairs:
-                    row_base = pair_index[(p, q)] * nA
-                    if q == j:
-                        for gamma in range(nA):
-                            v = spec.actions[p].entries[gamma][alpha]
-                            if not v.is_zero():
-                                entries[row_base + gamma][col] = entries[row_base + gamma][col] + v
-                    if p == j:
-                        for gamma in range(nA):
-                            v = spec.actions[q].entries[gamma][alpha]
-                            if not v.is_zero():
-                                entries[row_base + gamma][col] = entries[row_base + gamma][col] - v
-                    c = spec.brackets[p][q][j]
-                    if not c.is_zero():
-                        entries[row_base + alpha][col] = entries[row_base + alpha][col] - c
-        d1 = Matrix(npairs * nA, nL * nA, entries)
+    d1_rows: list[dict[int, Scalar]] = [{} for _ in range(npairs * nA)]
+
+    def add(row: int, col: int, v: Scalar) -> None:
+        cur = d1_rows[row].get(col)
+        d1_rows[row][col] = v if cur is None else cur + v
+
+    for j in range(nL):
+        for alpha in range(nA):
+            col = j * nA + alpha
+            for (p, q) in pairs:
+                row_base = pair_index[(p, q)] * nA
+                if q == j:
+                    for gamma, v in spec.actions[p].sparse_cols()[alpha].items():
+                        add(row_base + gamma, col, v)
+                if p == j:
+                    for gamma, v in spec.actions[q].sparse_cols()[alpha].items():
+                        add(row_base + gamma, col, -v)
+                c = spec.brackets[p][q][j]
+                if not c.is_zero():
+                    add(row_base + alpha, col, -c)
+    d1 = Matrix.from_sparse_rows([{c: v for c, v in r.items() if not v.is_zero()} for r in d1_rows],
+                                 one_forms.dim)
 
     # wedge on the plain tensor square
     ne = nL * nA
-    wedge = Matrix.zeros(two_forms.dim, ne * ne)
-    if npairs and ne:
-        entries = [[ZERO] * (ne * ne) for _ in range(npairs * nA)]
-        for j in range(nL):
-            for alpha in range(nA):
-                for k in range(nL):
-                    if j == k:
-                        continue
-                    sign = ONE if j < k else -ONE
-                    m = pair_index[(j, k) if j < k else (k, j)]
-                    for beta in range(nA):
-                        col = (j * nA + alpha) * ne + (k * nA + beta)
-                        prod = alg.mul[alpha][beta]
-                        for gamma, v in vec_to_sparse(prod).items():
-                            entries[m * nA + gamma][col] = sign * v
-        wedge = Matrix(npairs * nA, ne * ne, entries)
+    wedge_rows: list[dict[int, Scalar]] = [{} for _ in range(npairs * nA)]
+    table = alg.sparse_mul
+    for j in range(nL):
+        for alpha in range(nA):
+            for k in range(nL):
+                if j == k:
+                    continue
+                sign = ONE if j < k else -ONE
+                m = pair_index[(j, k) if j < k else (k, j)]
+                for beta in range(nA):
+                    col = (j * nA + alpha) * ne + (k * nA + beta)
+                    for gamma, v in table[alpha][beta].items():
+                        wedge_rows[m * nA + gamma][col] = sign * v
+    wedge = Matrix.from_sparse_rows(wedge_rows, ne * ne)
 
     return Calculus(alg, one_forms, two_forms, d0, d1, wedge)
 
@@ -177,14 +168,15 @@ def euclidean_metric_plain(spec: ChevalleySpec) -> Matrix:
     alg = spec.algebra
     nA, nL = alg.dim, spec.lie_dim
     ne = nL * nA
-    entries = [[ZERO] * (ne * ne) for _ in range(nA)]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(nA)]
+    table = alg.sparse_mul
     for j in range(nL):
         for alpha in range(nA):
             for beta in range(nA):
                 col = (j * nA + alpha) * ne + (j * nA + beta)
-                for gamma, v in vec_to_sparse(alg.mul[alpha][beta]).items():
-                    entries[gamma][col] = v
-    return Matrix(nA, ne * ne, entries)
+                for gamma, v in table[alpha][beta].items():
+                    rows[gamma][col] = v
+    return Matrix.from_sparse_rows(rows, ne * ne)
 
 
 # ---------------------------------------------------------------------------

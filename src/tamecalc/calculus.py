@@ -28,12 +28,13 @@ from .linalg import (
     HALF,
     LinAlgError,
     Matrix,
+    ONE,
+    Scalar,
     Subspace,
     Vector,
+    _apply_sparse,
     _lincomb,
-    basis_vector,
     solve_through,
-    sparse_to_vec,
     vec_to_sparse,
 )
 
@@ -72,14 +73,13 @@ class Calculus:
             self._wedge_q = self.wedge_plain @ self.tensor_square.section
         return self._wedge_q
 
-    def wedge_of(self, e_vec: Vector, f_vec: Vector) -> Vector:
-        """wedge(e (x) f) straight from the sparse columns of the plain tensor matrix."""
+    def wedge_terms(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar],
+                    c: Scalar = ONE) -> list[tuple[Scalar, dict[int, Scalar]]]:
+        """c wedge(e (x) f) for sparse one-forms, as _lincomb terms over the
+        sparse columns of the wedge on plain tensors."""
         n = self.one_forms.dim
         cols = self.wedge_plain.sparse_cols()
-        f_sparse = vec_to_sparse(f_vec)
-        out = _lincomb((a * b, cols[s * n + t])
-                       for s, a in vec_to_sparse(e_vec).items() for t, b in f_sparse.items())
-        return sparse_to_vec(out, self.two_forms.dim)
+        return [(c * a * b, cols[s * n + t]) for s, a in e_vec.items() for t, b in f_vec.items()]
 
     def __repr__(self) -> str:
         return (f"Calculus(dim A={self.algebra.dim}, dim E={self.one_forms.dim}, "
@@ -136,14 +136,15 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
         w2.validate()
         return None
 
+    d0 = calc.d0.sparse_cols()
+
     def d0_leibniz():
         for i in range(nA):
-            di = calc.d0.col(i)
             for j in range(nA):
-                lhs = calc.d0.apply(alg.mul[i][j])
-                rhs_first = e.right[j].apply(di)
-                rhs_second = e.left[i].apply(calc.d0.col(j))
-                if lhs != tuple(x + y for x, y in zip(rhs_first, rhs_second)):
+                lhs = _apply_sparse(calc.d0, alg.sparse_mul[i][j])
+                rhs = _lincomb(((ONE, _apply_sparse(e.right[j], d0[i])),
+                                (ONE, _apply_sparse(e.left[i], d0[j]))))
+                if lhs != rhs:
                     return f"d(ab) != da.b + a.db at basis pair ({alg.labels[i]}, {alg.labels[j]})"
         return None
 
@@ -176,35 +177,33 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
         return None
 
     def graded_leibniz():
-        # d(da.b) = -da ^ db, d(a.w) = da ^ w + a.dw, d(w.a) = dw.a - w ^ da
+        # d(da.b) = -da ^ db, d(a.w) = da ^ w + a.dw, d(w.a) = dw.a - w ^ da,
+        # on the sparse columns of d0, d1, the wedge and the actions
+        d1 = calc.d1.sparse_cols()
         for i in range(nA):
-            da = calc.d0.col(i)
             for j in range(nA):
-                lhs = calc.d1.apply(e.right[j].apply(da))
-                rhs = tuple(-x for x in calc.wedge_of(da, calc.d0.col(j)))
-                if lhs != rhs:
+                lhs = _apply_sparse(calc.d1, _apply_sparse(e.right[j], d0[i]))
+                if lhs != _lincomb(calc.wedge_terms(d0[i], d0[j], -ONE)):
                     return f"d(da.b) != -da^db at ({alg.labels[i]}, {alg.labels[j]})"
         for i in range(nA):
-            da = calc.d0.col(i)
+            el, er = e.left[i].sparse_cols(), e.right[i].sparse_cols()
+            wl, wr = w2.left[i].sparse_cols(), w2.right[i].sparse_cols()
             for s in range(nE):
-                es = basis_vector(nE, s)
-                ds = calc.d1.col(s)
-                lhs = calc.d1.apply(e.left[i].apply(es))
-                rhs = tuple(x + y for x, y in zip(calc.wedge_of(da, es), w2.left[i].apply(ds)))
+                es = {s: ONE}
+                lhs = _apply_sparse(calc.d1, el[s])
+                rhs = _lincomb([*calc.wedge_terms(d0[i], es),
+                                *((c, wl[r]) for r, c in d1[s].items())])
                 if lhs != rhs:
                     return f"d(a.w) != da^w + a.dw at (a={alg.labels[i]}, w={s})"
-                lhs = calc.d1.apply(e.right[i].apply(es))
-                rhs = tuple(x - y for x, y in zip(w2.right[i].apply(ds), calc.wedge_of(es, da)))
+                lhs = _apply_sparse(calc.d1, er[s])
+                rhs = _lincomb([*((c, wr[r]) for r, c in d1[s].items()),
+                                *calc.wedge_terms(es, d0[i], -ONE)])
                 if lhs != rhs:
                     return f"d(w.a) != dw.a - w^da at (a={alg.labels[i]}, w={s})"
         return None
 
     def spanned_by_da_b():
-        cols = []
-        for i in range(nA):
-            da = calc.d0.col(i)
-            for j in range(nA):
-                cols.append(e.right[j].apply(da))
+        cols = [_apply_sparse(e.right[j], d0[i]) for i in range(nA) for j in range(nA)]
         if Subspace(nE, cols).dim != nE:
             return "one-forms are not the right-linear span of {da.b}"
         return None
@@ -232,12 +231,13 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 
 @dataclass(frozen=True)
 class CentralSpanning:
-    """The family pi(z_p (x) z_q) . a_r indexed by (p, q, r), with caches."""
+    """The family pi(z_p (x) z_q) . a_r indexed by (p, q, r), with caches;
+    the tensors are sparse quotient coordinates."""
 
     zbasis: tuple[Vector, ...]
-    pures: tuple[tuple[Vector, ...], ...]      # pures[p][q] = pi(z_p (x) z_q)
+    pures: tuple[tuple[dict[int, Scalar], ...], ...]      # pures[p][q] = pi(z_p (x) z_q)
     triples: tuple[tuple[int, int, int], ...]
-    columns: tuple[Vector, ...]
+    columns: tuple[dict[int, Scalar], ...]
 
 
 @dataclass(frozen=True)
@@ -283,14 +283,15 @@ def central_spanning(calc: Calculus, zbasis: tuple[Vector, ...]) -> CentralSpann
     qt = calc.tensor_square
     nz = len(zbasis)
     nA = calc.algebra.dim
-    pures = tuple(tuple(qt.pure(zbasis[p], zbasis[q]) for q in range(nz)) for p in range(nz))
+    zs = [vec_to_sparse(z) for z in zbasis]
+    pures = tuple(tuple(qt.pure_sparse(zs[p], zs[q]) for q in range(nz)) for p in range(nz))
     triples = []
     columns = []
     for p in range(nz):
         for q in range(nz):
             for r in range(nA):
                 triples.append((p, q, r))
-                columns.append(qt.bimodule.right[r].apply(pures[p][q]))
+                columns.append(_apply_sparse(qt.bimodule.right[r], pures[p][q]))
     return CentralSpanning(zbasis, pures, tuple(triples), tuple(columns))
 
 
@@ -310,15 +311,13 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
                      "the center of the one-forms does not generate them as a right module",
                      rep.witness)
     span = central_spanning(calc, rep.center.basis)
-    flipped = []
-    for (p, q, r) in span.triples:
-        flipped.append(qt.bimodule.right[r].apply(span.pures[q][p]))
+    flipped = [_apply_sparse(qt.bimodule.right[r], span.pures[q][p]) for (p, q, r) in span.triples]
 
     if qt.dim == 0:
         sigma = Matrix.zeros(0, 0)
     else:
         try:
-            sigma = solve_through(list(span.columns), flipped, out_dim=qt.dim)
+            sigma = solve_through(span.columns, flipped, out_dim=qt.dim, in_dim=qt.dim)
         except LinAlgError:
             raise InternalInconsistencyError(
                 "central tensors fail to span the tensor square of a centered module")
@@ -370,7 +369,7 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         return _fail("QNotInvertible",
                      f"complement has dimension {complement_f.dim}, two-forms {w2dim}")
     if w2dim:
-        fcols = Matrix.from_cols(list(complement_f.basis), qt.dim)
+        fcols = Matrix.from_sparse_cols(complement_f.rows, qt.dim)
         wf = calc.wedge_q @ fcols
         try:
             q_inverse = fcols @ wf.inverse()

@@ -237,7 +237,7 @@ class Geometry:
         self._field_solver: ColumnSolver | None = None
         self._recon_solver: ColumnSolver | None = None
         self._nabla0: Connection | None = None
-        self._extend_cols: list[Vector] | None = None
+        self._extend_cols: list[dict[int, Scalar]] | None = None
 
     # -- simple accessors ---------------------------------------------------
 
@@ -273,7 +273,7 @@ class Geometry:
     def g_central(self) -> dict[tuple[int, int], dict[int, Scalar]]:
         """g(z_p (x) z_q) on the central pairs, sparse in the algebra."""
         pures = self.cert.spanning.pures
-        return {(p, q): _apply_sparse(self.metric.g, vec_to_sparse(pure))
+        return {(p, q): _apply_sparse(self.metric.g, pure)
                 for p, row in enumerate(pures) for q, pure in enumerate(row)}
 
     @cached_property
@@ -293,7 +293,7 @@ class Geometry:
         got = self._sigma_pure.get(key)
         if got is None:
             qt = self.calc.tensor_square
-            z = vec_to_sparse(self.cert.central_basis[q])
+            z = self.cert.center_one_forms.rows[q]
             got = qt.lift_sparse(_apply_sparse(self.cert.sigma, qt.pure_sparse({t: ONE}, z)))
             self._sigma_pure[key] = got
         return got
@@ -334,7 +334,7 @@ class Geometry:
     def _build_leg_plain(self, p: int) -> Matrix:
         qt = self.calc.tensor_square
         e_dim = self.calc.one_forms.dim
-        zp = vec_to_sparse(self.cert.central_basis[p])
+        zp = self.cert.center_one_forms.rows[p]
         cols = []
         for y in range(qt.dim):
             terms = []
@@ -353,10 +353,12 @@ class Geometry:
             e_star = self.metric.e_star
             nA = self.calc.algebra.dim
             # row (i, c): the values phi(d a_i)_c of every dual basis element
-            exact = [phi @ self.calc.d0 for phi in e_star.basis]
-            rows = [[m.entries[c][i] for m in exact] for i in range(nA) for c in range(nA)]
-            solver = ColumnSolver(Matrix.from_rows(rows) if rows
-                                  else Matrix.zeros(0, e_star.dim))
+            rows: list[dict[int, Scalar]] = [{} for _ in range(nA * nA)]
+            for m, phi in enumerate(e_star.basis):
+                for c, row in enumerate(_product_rows(phi, self.calc.d0)):
+                    for i, v in row.items():
+                        rows[i * nA + c][m] = v
+            solver = ColumnSolver(Matrix.from_sparse_rows(rows, e_star.dim))
             if solver.rank != e_star.dim:
                 raise BracketUnsolvableError(
                     "values on exact one-forms do not pin a dual element; "
@@ -388,15 +390,18 @@ class Geometry:
             qt = self.calc.tensor_square
             nA = self.calc.algebra.dim
             n = self.fields.count
-            rows: list[list[Scalar]] = []
+            # row ((p, q), c): coordinate c of (X_p (x) X_q)(e_y), over y
+            rows: list[dict[int, Scalar]] = [{} for _ in range(n * n * nA)]
             for p in range(n):
                 for q in range(n):
-                    vals = [pair_apply(qt, self.fields.maps[p], self.fields.maps[q],
-                                       basis_vector(qt.dim, y)) for y in range(qt.dim)]
-                    for c in range(nA):
-                        rows.append([vals[y][c] for y in range(qt.dim)])
-            solver = ColumnSolver(Matrix.from_rows(rows) if rows
-                                  else Matrix.zeros(0, qt.dim))
+                    base = (p * n + q) * nA
+                    for y in range(qt.dim):
+                        val = pair_apply(qt, self.fields.maps[p], self.fields.maps[q],
+                                         basis_vector(qt.dim, y))
+                        for c, v in enumerate(val):
+                            if not v.is_zero():
+                                rows[base + c][y] = v
+            solver = ColumnSolver(Matrix.from_sparse_rows(rows, qt.dim))
             if solver.rank != qt.dim:
                 raise SystemSingularError(
                     "field pairings do not separate the tensor square",
@@ -405,22 +410,21 @@ class Geometry:
         return self._recon_solver
 
     @property
-    def extend_cols(self) -> list[Vector]:
-        """Spanning family z_r . a_s of the one-forms, for Leibniz extension."""
+    def extend_cols(self) -> list[dict[int, Scalar]]:
+        """Spanning family z_r . a_s of the one-forms, sparse, for Leibniz
+        extension."""
         if self._extend_cols is None:
             e = self.calc.one_forms
-            cols = []
-            for z in self.cert.central_basis:
-                for s in range(self.calc.algebra.dim):
-                    cols.append(e.right[s].apply(z))
-            self._extend_cols = cols
+            self._extend_cols = [_apply_sparse(e.right[s], z) for z in self.cert.center_one_forms.rows
+                                 for s in range(self.calc.algebra.dim)]
         return self._extend_cols
 
     def extend(self, values: Sequence[Vector]) -> Matrix:
         """The linear map from the one-forms to the tensor square that sends
         extend_cols[i] to values[i]; raises when the values break a linear
         relation among those columns."""
-        m = solve_through(self.extend_cols, values, out_dim=self.calc.tensor_square.dim)
+        m = solve_through(self.extend_cols, values, out_dim=self.calc.tensor_square.dim,
+                          in_dim=self.calc.one_forms.dim)
         if m is None:
             raise InternalInconsistencyError("Leibniz extension is not well-defined")
         return m
@@ -505,10 +509,10 @@ def lie_bracket(geo: Geometry, x: Vector, y: Vector) -> Vector:
     dy = geo.dual(y).delta
     comm = dx @ dy - dy @ dx
     nA = geo.calc.algebra.dim
-    rhs = []
-    for i in range(nA):
-        for c in range(nA):
-            rhs.append(comm.entries[c][i])
+    rhs = [ZERO] * (nA * nA)        # entry (i, c) is comm[c][i]
+    for c, row in enumerate(comm.sparse_rows()):
+        for i, v in row.items():
+            rhs[i * nA + c] = v
     z = geo.bracket_solver.solve(rhs)
     if z is None:
         raise BracketUnsolvableError("no dual element matches the commutator")
@@ -603,7 +607,7 @@ def compat_values(geo: Geometry, conn: Connection) -> list[dict[int, Scalar]]:
     where pi0(p, q) contracts g against sigma_23(nabla z_p (x) z_q) and
     z_p (x) nabla z_q."""
     e = geo.calc.one_forms
-    images = [_apply_sparse(conn.nabla, vec_to_sparse(z)) for z in geo.cert.central_basis]
+    images = [_apply_sparse(conn.nabla, z) for z in geo.cert.center_one_forms.rows]
     dcols = geo.calc.d0.sparse_cols()
     pi0: dict[tuple[int, int], dict[int, Scalar]] = {}
     values = []
@@ -620,9 +624,8 @@ def compat_values(geo: Geometry, conn: Connection) -> list[dict[int, Scalar]]:
 
 def pi_g_matrix(geo: Geometry, conn: Connection) -> Matrix:
     """The compatibility map on the whole tensor square, by spanning solve."""
-    e = geo.calc.one_forms
-    values = [sparse_to_vec(v, e.dim) for v in compat_values(geo, conn)]
-    m = solve_through(list(geo.cert.spanning.columns), values, out_dim=e.dim)
+    m = solve_through(geo.cert.spanning.columns, compat_values(geo, conn),
+                      out_dim=geo.calc.one_forms.dim, in_dim=geo.calc.tensor_square.dim)
     if m is None:
         raise InternalInconsistencyError("compatibility map is not well-defined")
     return m
@@ -768,7 +771,7 @@ def generator_relation_rows(geo: Geometry) -> list[dict[int, Scalar]]:
     right-linear maps; there are none when the one-forms are free on the z_j."""
     nA = geo.calc.algebra.dim
     t2 = geo.calc.tensor_square.bimodule
-    gens = Matrix.from_cols(geo.extend_cols, geo.calc.one_forms.dim)
+    gens = Matrix.from_sparse_cols(geo.extend_cols, geo.calc.one_forms.dim)
     rows = []
     for w in kernel_rows(gens.sparse_rows(), gens.cols):
         w_of: dict[int, list[Scalar]] = {}
@@ -824,7 +827,7 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
             lrows = []
             for c in range(e.dim):
                 row = shifted(p, sig[c])
-                _axpy(row, -ONE, shifted(q, pla[c]), -1)
+                _axpy(row, ONE, shifted(q, pla[c]), -1)
                 lrows.append(row)
             lam[(p, q)] = Matrix.from_sparse_rows(lrows, nunk)
 

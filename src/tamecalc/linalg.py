@@ -5,11 +5,11 @@ linear systems over this field, so all arithmetic here is exact: a scalar is
 re + im*i with re, im rational, stored over a common positive denominator
 with gcd(re_num, im_num, den) == 1.  There is no floating point anywhere.
 
-Row reduction keeps rows as {column: Scalar} dicts; the systems produced by
-structure constants are very sparse and this is what makes desk-scale
-examples run in seconds.  Echelon bases are fully reduced (RREF) so that a
-subspace has exactly one representation and equality of subspaces is
-equality of bases.
+Matrices and row reduction keep rows as zero-free {column: Scalar} dicts;
+the systems produced by structure constants are very sparse and this is
+what makes desk-scale examples run in seconds.  Echelon bases are fully
+reduced (RREF) so that a subspace has exactly one representation and
+equality of subspaces is equality of bases.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -203,23 +204,30 @@ def sparse_to_vec(s: dict[int, Scalar], n: int) -> Vector:
 # ---------------------------------------------------------------------------
 
 def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: int) -> None:
-    """row -= coef * src in place, over every column of src except skip."""
+    """row += coef * src in place, over every column of src except skip;
+    coef is nonzero, so only a column row already has can cancel."""
+    unit = coef == ONE
     for cc, v in src.items():
         if cc == skip:
             continue
+        x = v if unit else coef * v
         cur = row.get(cc)
-        nv = cur - coef * v if cur is not None else -(coef * v)
-        if nv.is_zero():
-            row.pop(cc, None)
+        if cur is None:
+            row[cc] = x
         else:
-            row[cc] = nv
+            nv = cur + x
+            if nv.is_zero():
+                del row[cc]
+            else:
+                row[cc] = nv
 
 
 def _lincomb(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Scalar]:
     """Sparse sum of coef * row over the given terms, zeros dropped."""
     out: dict[int, Scalar] = {}
     for coef, row in terms:
-        _axpy(out, -coef, row, -1)
+        if not coef.is_zero():
+            _axpy(out, coef, row, -1)
     return out
 
 
@@ -231,23 +239,29 @@ def _eliminate(row: dict[int, Scalar], pivots: dict[int, dict[int, Scalar]]) -> 
     for c in [c for c in row if c in pivots]:
         coef = row.pop(c)
         removed[c] = coef
-        _axpy(row, coef, pivots[c], c)
+        _axpy(row, -coef, pivots[c], c)
     return removed
 
 
 def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, dict[int, Scalar]], list[dict[int, Scalar]]]:
-    """Incremental RREF on sparse rows.
+    """Sparse RREF in two phases: echelon form, then one back-substitution.
 
     Columns >= stop_col are never chosen as pivots (they carry augmented
-    right-hand sides).  Returns (pivots, leftovers) where pivots maps a pivot
-    column to its fully reduced row (pivot entry 1, no other pivot columns),
-    and leftovers are surviving nonzero rows supported on cols >= stop_col.
+    right-hand sides).  Each incoming row is reduced against the pivot rows
+    in ascending pivot-column order; pivot rows stay in echelon form (entries
+    only right of their pivot) until every row is in, and are then fully
+    reduced once, in descending pivot order.  Returns (pivots, leftovers)
+    where pivots maps a pivot column to its fully reduced row (pivot entry 1,
+    no other pivot columns), and leftovers are surviving nonzero rows
+    supported on cols >= stop_col.  The pivot rows are the canonical RREF:
+    each is the unique combination of the rows that opened a pivot with
+    entry 1 at its pivot and 0 at the others, whatever the route to it.
     """
     pivots: dict[int, dict[int, Scalar]] = {}
     leftovers: list[dict[int, Scalar]] = []
     for raw in rows:
         row = {c: v for c, v in raw.items() if not v.is_zero()}
-        _eliminate(row, pivots)
+        _reduce_echelon(row, pivots)
         if not row:
             continue
         elig = [c for c in row if c < stop_col]
@@ -257,17 +271,34 @@ def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, d
         c = min(elig)
         inv = row[c].inverse()
         if inv == ONE:
-            newrow = row
+            pivots[c] = row
         else:
             newrow = {cc: v * inv for cc, v in row.items()}
             newrow[c] = ONE
-        # Maintain full reduction: clear the new pivot column everywhere.
-        for p2 in pivots.values():
-            coef = p2.pop(c, None)
-            if coef is not None:
-                _axpy(p2, coef, newrow, c)
-        pivots[c] = newrow
+            pivots[c] = newrow
+    for c in sorted(pivots, reverse=True):
+        prow = pivots[c]
+        for cc in [cc for cc in prow if cc != c and cc in pivots]:
+            _axpy(prow, -prow.pop(cc), pivots[cc], cc)
     return pivots, leftovers
+
+
+def _reduce_echelon(row: dict[int, Scalar], pivots: dict[int, dict[int, Scalar]]) -> None:
+    """Clear every pivot column from row in place, against echelon pivot
+    rows, smallest column first: clearing column c only brings in columns
+    right of c, so each pivot column is cleared at most once."""
+    heap = [c for c in row if c in pivots]
+    heapify(heap)
+    while heap:
+        c = heappop(heap)
+        coef = row.pop(c, None)
+        if coef is None:        # cancelled, or queued twice
+            continue
+        prow = pivots[c]
+        for cc in prow:
+            if cc != c and cc not in row and cc in pivots:
+                heappush(heap, cc)
+        _axpy(row, -coef, prow, c)
 
 
 def rref_rows(rows: Iterable[Sequence[Scalar] | dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:
@@ -290,12 +321,13 @@ class Subspace:
     comparison.
     """
 
-    __slots__ = ("ambient_dim", "rows", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "rows", "_pivots", "_index", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence[Scalar] | dict[int, Scalar]] = ()):
         self.ambient_dim = ambient_dim
         self.rows: tuple[dict[int, Scalar], ...] = tuple(rref_rows(vectors, ambient_dim))
         self._pivots = {min(r): r for r in self.rows}
+        self._index = {c: k for k, c in enumerate(self._pivots)}   # pivot column -> basis index
         self._basis: tuple[Vector, ...] | None = None
 
     @property
@@ -320,11 +352,16 @@ class Subspace:
 
     def coordinates(self, v: Sequence[Scalar]) -> Vector | None:
         """Coordinates of v in self.basis, or None if v is not in the span."""
-        row = vec_to_sparse(v)
+        c = self.coordinates_sparse(vec_to_sparse(v))
+        return None if c is None else sparse_to_vec(c, self.dim)
+
+    def coordinates_sparse(self, row: dict[int, Scalar]) -> dict[int, Scalar] | None:
+        """Sparse coordinates (basis index -> coefficient) of a sparse vector,
+        which is reduced in place; None if it is not in the span."""
         removed = _eliminate(row, self._pivots)
         if row:
             return None
-        return tuple(removed.get(c, ZERO) for c in sorted(self._pivots))
+        return {self._index[c]: v for c, v in removed.items()}
 
     def contains_vector(self, v: Sequence[Scalar]) -> bool:
         return not self._residual(vec_to_sparse(v))
@@ -392,83 +429,91 @@ def subspace_ops(u: Subspace, v: Subspace) -> SubspaceOps:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense immutable matrix over Q(i) acting on column vectors."""
+    """Immutable matrix over Q(i) acting on column vectors.
 
-    __slots__ = ("rows", "cols", "entries", "_sparse_rows", "_sparse_cols")
+    It holds its zero-free sparse rows and nothing else; the sparse columns
+    are built on first use and cached.  `entries` is a dense view, built on
+    every read, for I/O, witnesses and tests.  Every constructor and every
+    operation works on sparse rows, so no stored entry is ever zero.
+    """
+
+    __slots__ = ("rows", "cols", "_rows", "_cols")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise LinAlgError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols
-        self.entries: tuple[tuple[Scalar, ...], ...] = tuple(tuple(r) for r in entries)
-        self._sparse_rows: tuple[dict[int, Scalar], ...] | None = None
-        self._sparse_cols: tuple[dict[int, Scalar], ...] | None = None
+        self._rows: tuple[dict[int, Scalar], ...] = tuple(vec_to_sparse(r) for r in entries)
+        self._cols: tuple[dict[int, Scalar], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_rows(entries: Sequence[Sequence[Scalar]]) -> "Matrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return Matrix(rows, cols, entries)
-
-    @staticmethod
-    def from_sparse_rows(sparse: Sequence[dict[int, Scalar]], cols: int) -> "Matrix":
-        """The matrix with the given zero-free sparse rows, which it keeps as
-        its sparse-row cache (callers must not mutate them afterwards)."""
-        entries = [[ZERO] * cols for _ in sparse]
-        for out, row in zip(entries, sparse):
-            for j, v in row.items():
-                out[j] = v
-        m = Matrix(len(sparse), cols, entries)
-        m._sparse_rows = tuple(sparse)
+    def _of(rows: int, cols: int, sparse_rows: Sequence[dict[int, Scalar]],
+            sparse_cols: Sequence[dict[int, Scalar]] | None = None) -> "Matrix":
+        m = object.__new__(Matrix)
+        m.rows = rows
+        m.cols = cols
+        m._rows = tuple(sparse_rows)
+        m._cols = None if sparse_cols is None else tuple(sparse_cols)
         return m
 
     @staticmethod
+    def zeros(rows: int, cols: int) -> "Matrix":
+        return Matrix._of(rows, cols, [{} for _ in range(rows)])
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return Matrix._of(n, n, [{i: ONE} for i in range(n)])
+
+    @staticmethod
+    def from_sparse_rows(sparse: Sequence[dict[int, Scalar]], cols: int) -> "Matrix":
+        """The matrix with the given zero-free sparse rows, which it keeps
+        (callers must not mutate them afterwards)."""
+        return Matrix._of(len(sparse), cols, sparse)
+
+    @staticmethod
     def from_sparse_cols(sparse: Sequence[dict[int, Scalar]], rows: int) -> "Matrix":
-        """The matrix with the given sparse columns."""
-        entries = [[ZERO] * len(sparse) for _ in range(rows)]
+        """The matrix with the given zero-free sparse columns, which it keeps
+        as its column cache (callers must not mutate them afterwards)."""
+        out: list[dict[int, Scalar]] = [{} for _ in range(rows)]
         for j, col in enumerate(sparse):
             for i, v in col.items():
-                entries[i][j] = v
-        return Matrix(rows, len(sparse), entries)
+                out[i][j] = v
+        return Matrix._of(rows, len(sparse), out, sparse)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence[Scalar]], nrows: int | None = None) -> "Matrix":
-        ncols = len(cols)
         if nrows is None:
             if not cols:
                 raise LinAlgError("from_cols needs nrows when there are no columns")
             nrows = len(cols[0])
-        return Matrix(nrows, ncols, [[cols[j][i] for j in range(ncols)] for i in range(nrows)])
+        if any(len(c) != nrows for c in cols):
+            raise LinAlgError("entry grid does not match declared shape")
+        return Matrix.from_sparse_cols([vec_to_sparse(c) for c in cols], nrows)
 
     # -- access -------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows, built on every read."""
+        return tuple(sparse_to_vec(r, self.cols) for r in self._rows)
+
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return sparse_to_vec(self.sparse_cols()[j], self.rows)
 
     def sparse_rows(self) -> tuple[dict[int, Scalar], ...]:
-        if self._sparse_rows is None:
-            self._sparse_rows = tuple(vec_to_sparse(r) for r in self.entries)
-        return self._sparse_rows
+        return self._rows
 
     def sparse_cols(self) -> tuple[dict[int, Scalar], ...]:
-        if self._sparse_cols is None:
+        if self._cols is None:
             cols: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
-            for i, row in enumerate(self.sparse_rows()):
+            for i, row in enumerate(self._rows):
                 for j, v in row.items():
                     cols[j][i] = v
-            self._sparse_cols = tuple(cols)
-        return self._sparse_cols
+            self._cols = tuple(cols)
+        return self._cols
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -476,7 +521,7 @@ class Matrix:
         if len(v) != self.cols:
             raise LinAlgError(f"apply: vector of dim {len(v)} to {self.rows}x{self.cols} matrix")
         out = [ZERO] * self.rows
-        for i, row in enumerate(self.sparse_rows()):
+        for i, row in enumerate(self._rows):
             acc = ZERO
             for j, a in row.items():
                 x = v[j]
@@ -486,76 +531,63 @@ class Matrix:
         return tuple(out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise LinAlgError(f"matmul shape mismatch: {self.cols} vs {other.rows}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        brows = other.sparse_rows()
-        for i, row in enumerate(self.sparse_rows()):
-            oi = out[i]
-            for k, a in row.items():
-                for j, b in brows[k].items():
-                    oi[j] = oi[j] + a * b
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._of(self.rows, other.cols, _product_rows(self, other))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return self._combine(ONE, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return self._combine(-ONE, other)
+
+    def _combine(self, c: Scalar, other: "Matrix") -> "Matrix":
+        """self + c * other, row by row."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise LinAlgError("shape mismatch")
+        return Matrix._of(self.rows, self.cols,
+                          [_lincomb(((ONE, a), (c, b))) for a, b in zip(self._rows, other._rows)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+        return Matrix._of(self.rows, self.cols, [{j: -a for j, a in r.items()} for r in self._rows])
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[c * a for a in r] for r in self.entries])
+        if c.is_zero():
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols,
+                          [{j: c * a for j, a in r.items()} for r in self._rows])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of(self.cols, self.rows, self.sparse_cols(), self._rows)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.entries for a in r)
+        return not any(self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise LinAlgError("shape mismatch")
-
     # -- rank / kernel / solve ---------------------------------------------
 
     def rank(self) -> int:
-        pivots, _ = _rref(iter(self.sparse_rows()), self.cols)
+        pivots, _ = _rref(iter(self._rows), self.cols)
         return len(pivots)
 
     def kernel(self) -> Subspace:
         """Exact null space {x : Mx = 0} with canonical echelon basis."""
-        return Subspace(self.cols, kernel_rows(self.sparse_rows(), self.cols))
+        return Subspace(self.cols, kernel_rows(self._rows, self.cols))
 
     def column_space(self) -> Subspace:
-        return Subspace(self.rows, [self.col(j) for j in range(self.cols)])
-
-    def row_space(self) -> Subspace:
-        return Subspace(self.cols, self.entries)
+        return Subspace(self.rows, self.sparse_cols())
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
-        sols, _ = solve_sparse(self.sparse_rows(), self.cols,
+        sols, _ = solve_sparse(self._rows, self.cols,
                                [basis_vector(self.rows, i) for i in range(self.rows)])
         if any(s is None for s in sols):
             raise LinAlgError("matrix is singular")
@@ -608,11 +640,11 @@ def commutator_rows(pairs: Iterable[tuple[Matrix, Matrix]]) -> list[dict[int, Sc
     for a, b in pairs:
         n = b.rows
         a_rows = a.sparse_rows()
-        b_cols = b.transpose().sparse_rows()
+        minus_b_cols = [{k: -v for k, v in col.items()} for col in b.sparse_cols()]
         for r in range(a.rows):
             for c in range(n):
                 row = {k * n + c: v for k, v in a_rows[r].items()}
-                _axpy(row, ONE, {r * n + k: v for k, v in b_cols[c].items()}, -1)
+                _axpy(row, ONE, {r * n + k: v for k, v in minus_b_cols[c].items()}, -1)
                 if row:
                     rows.append(row)
     return rows
@@ -653,22 +685,29 @@ def solve_sparse(rows: Sequence[dict[int, Scalar]], ncols: int,
     return out, len(pivots)
 
 
-def solve_through(span_cols: Sequence[Sequence[Scalar]], value_cols: Sequence[Sequence[Scalar]],
-                  out_dim: int) -> Matrix | None:
+def solve_through(span_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
+                  value_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
+                  out_dim: int, in_dim: int | None = None) -> Matrix | None:
     """Find M with M @ span_cols[j] == value_cols[j] for every j.
 
     This is how a linear map gets defined by its values on a spanning set:
     it exists iff every linear relation among the spanning columns is
     satisfied by the values.  Returns None when no such map exists, and
     raises if the columns do not span the domain (the map would be
-    underdetermined).
+    underdetermined).  Columns may be dense or sparse; in_dim, the domain
+    dimension, is read off the first dense span column when not given.
     """
     if len(span_cols) != len(value_cols):
         raise LinAlgError("solve_through: span/value length mismatch")
-    in_dim = len(span_cols[0]) if span_cols else 0
+    if in_dim is None:
+        in_dim = len(span_cols[0]) if span_cols else 0
     # Transposed system: span^T  M^T = value^T, one RHS per output coordinate.
-    rhs = [[v[i] for v in value_cols] for i in range(out_dim)]
-    sols, rank = solve_sparse([vec_to_sparse(c) for c in span_cols], in_dim, rhs)
+    rhs = [[ZERO] * len(value_cols) for _ in range(out_dim)]
+    for j, v in enumerate(value_cols):
+        for i, x in (v if isinstance(v, dict) else vec_to_sparse(v)).items():
+            rhs[i][j] = x
+    rows = [c if isinstance(c, dict) else vec_to_sparse(c) for c in span_cols]
+    sols, rank = solve_sparse(rows, in_dim, rhs)
     if rank != in_dim:
         raise LinAlgError("solve_through: columns do not span the domain")
     if any(s is None for s in sols):
@@ -725,18 +764,7 @@ class ColumnSolver:
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with (i, j) -> i * b.rows + j index flattening."""
-    out = [[ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        arow = a.entries[i]
-        for j in range(a.cols):
-            aij = arow[j]
-            if aij.is_zero():
-                continue
-            for p in range(b.rows):
-                brow = b.entries[p]
-                orow = out[i * b.rows + p]
-                for q in range(b.cols):
-                    bpq = brow[q]
-                    if not bpq.is_zero():
-                        orow[j * b.cols + q] = aij * bpq
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+    brows = b.sparse_rows()
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols,
+                      [{j * b.cols + q: aij * bpq for j, aij in arow.items() for q, bpq in brow.items()}
+                       for arow in a.sparse_rows() for brow in brows])

@@ -39,6 +39,7 @@ from .linalg import (
     _lincomb,
     basis_vector,
     qi,
+    solve_through,
     sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
@@ -135,12 +136,12 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     for i in range(e.dim):
         functional = Matrix.from_sparse_cols(
             [_apply_sparse(g, qt.pure_sparse({i: ONE}, {j: ONE})) for j in range(e.dim)], alg.dim)
-        coords = e_star.coords_of(functional)
+        coords = e_star.sparse_coords_of(functional)
         if coords is None:
             raise InternalInconsistencyError(
                 "one-leg contraction of a right-linear metric is not right-linear")
         cols.append(coords)
-    v_g = Matrix.from_cols(cols, e_star.dim)
+    v_g = Matrix.from_sparse_cols(cols, e_star.dim)
     try:
         v_g_inv = v_g.inverse()
     except LinAlgError:
@@ -180,8 +181,9 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
     """Build X(A) = V_g(Z(E)), certify it equals Z(E*), attach derivations."""
     alg = calc.algebra
     e_star = metric.e_star
-    basis = tuple(metric.v_g.apply(z) for z in cert.central_basis)
-    image = Subspace(e_star.dim, basis)
+    forms = [_apply_sparse(metric.v_g, z) for z in cert.center_one_forms.rows]
+    basis = tuple(sparse_to_vec(x, e_star.dim) for x in forms)
+    image = Subspace(e_star.dim, forms)
     center_dual = module_center(e_star.bimodule)
     if image != center_dual:
         raise CenterMismatchError(
@@ -193,9 +195,8 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
         if not alg.is_derivation(d):
             raise InternalInconsistencyError(
                 f"vector field {p} does not act as a derivation")
-    cols = [e_star.bimodule.right[r].apply(x) for x in basis for r in range(alg.dim)]
-    span = Matrix.from_cols(cols, e_star.dim) if cols else Matrix.zeros(e_star.dim, 0)
-    solver = ColumnSolver(span)
+    cols = [_apply_sparse(e_star.bimodule.right[r], x) for x in forms for r in range(alg.dim)]
+    solver = ColumnSolver(Matrix.from_sparse_cols(cols, e_star.dim))
     if solver.rank != e_star.dim:
         raise InternalInconsistencyError(
             "vector fields are not right-total in the dual module")
@@ -356,13 +357,10 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
                     vec = tuple(x + c * y for x, y in zip(vec, zb))
                 coeff[p][q] = vec
                 coeff[q][p] = vec
-        span_cols = list(cert.spanning.columns)
         value_cols = []
         for (p, q, r) in cert.spanning.triples:
             value_cols.append(alg.right_basis_matrix(r).apply(coeff[p][q]))
-        from .linalg import solve_through
-
-        g = solve_through(span_cols, value_cols, out_dim=alg.dim)
+        g = solve_through(cert.spanning.columns, value_cols, out_dim=alg.dim, in_dim=qt.dim)
         if g is None:
             continue
         outcome = validate_metric(calc, cert, g)

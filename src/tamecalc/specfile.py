@@ -27,6 +27,7 @@ from .linalg import (
     Vector,
     scalar_from_json,
     scalar_to_json,
+    sparse_to_vec,
 )
 
 FIELD_TAG = "Q(i)"
@@ -49,23 +50,42 @@ def vector_to_json(v: Sequence[Scalar]) -> list:
 
 
 def vector_from_json(obj: Any, n: int, where: str) -> Vector:
+    return sparse_to_vec(_sparse_from_json(obj, n, where), n)
+
+
+def _sparse_from_json(obj: Any, n: int, where: str) -> dict[int, Scalar]:
+    """A JSON vector parsed straight into a zero-free sparse vector."""
     if not isinstance(obj, list) or len(obj) != n:
         raise SpecFileError(f"{where}: expected a vector of length {n}")
+    out = {}
     try:
-        return tuple(scalar_from_json(x) for x in obj)
+        for j, x in enumerate(obj):
+            if x == "0":
+                continue
+            v = scalar_from_json(x)
+            if not v.is_zero():
+                out[j] = v
     except (LinAlgError, ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"{where}: bad scalar ({exc})")
+    return out
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [vector_to_json(row) for row in m.entries]
+    """Dense JSON rows straight from the sparse rows, zeros as "0"."""
+    out = []
+    for row in m.sparse_rows():
+        line: list = ["0"] * m.cols
+        for j, v in row.items():
+            line[j] = scalar_to_json(v)
+        out.append(line)
+    return out
 
 
 def matrix_from_json(obj: Any, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise SpecFileError(f"{where}: expected {rows} rows")
-    return Matrix(rows, cols, [vector_from_json(r, cols, f"{where}[{i}]")
-                               for i, r in enumerate(obj)])
+    return Matrix.from_sparse_rows([_sparse_from_json(r, cols, f"{where}[{i}]")
+                                    for i, r in enumerate(obj)], cols)
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -3,6 +3,7 @@ is read-only."""
 
 import pytest
 
+from dense_reference import from_rows
 from tamecalc.algebra import Algebra
 from tamecalc.builders import (
     ChevalleySpec,
@@ -80,7 +81,7 @@ def truncated_line_spec() -> ChevalleySpec:
                 mul[a][b] = e[a + b]
     alg = Algebra(dim, ("1", "x", "x^2"), e[0], mul)
     alg.validate()
-    euler = Matrix.from_rows([(ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, qi(2))])
+    euler = from_rows([(ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, qi(2))])
     return ChevalleySpec(alg, 1, ((z[:1],),), (euler,))
 
 

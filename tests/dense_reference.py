@@ -1,11 +1,141 @@
-"""Dense reference formulas for the sparse connection-layer kernels.
+"""Dense reference formulas for the sparse kernels.
 
-Each function is the kernel's definition written with dense vectors and
-whole action matrices, as the engine computed it before its kernels moved
-to sparse columns.  The equivalence tests hold the kernels to these.
+Each function is a kernel's definition written with dense vectors, dense
+entry grids and whole action matrices, as the engine computed it before the
+kernel went sparse: the full-reduction elimination, the dense matrix
+arithmetic, and the connection-layer formulas.  The equivalence tests hold
+the sparse kernels to these.
 """
 
-from tamecalc.linalg import Matrix, ZERO, Vector, basis_vector, vec_to_sparse, zero_vector
+from tamecalc.linalg import (
+    Matrix,
+    ONE,
+    ZERO,
+    Subspace,
+    Vector,
+    basis_vector,
+    vec_to_sparse,
+    zero_vector,
+)
+
+
+# -- elimination ----------------------------------------------------------------
+
+def _subtract(row, coef, src, skip):
+    """row -= coef * src in place, over every column of src except skip."""
+    for cc, v in src.items():
+        if cc == skip:
+            continue
+        cur = row.get(cc)
+        nv = cur - coef * v if cur is not None else -(coef * v)
+        if nv.is_zero():
+            row.pop(cc, None)
+        else:
+            row[cc] = nv
+
+
+def rref_full(rows, stop_col):
+    """Incremental RREF that keeps every pivot row fully reduced: each new
+    pivot column is cleared from all earlier pivot rows at once.  Same
+    contract as linalg._rref: (pivots, leftovers)."""
+    pivots = {}
+    leftovers = []
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if not v.is_zero()}
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
+        if not row:
+            continue
+        elig = [c for c in row if c < stop_col]
+        if not elig:
+            leftovers.append(row)
+            continue
+        c = min(elig)
+        inv = row[c].inverse()
+        if inv == ONE:
+            newrow = row
+        else:
+            newrow = {cc: v * inv for cc, v in row.items()}
+            newrow[c] = ONE
+        for p2 in pivots.values():
+            coef = p2.pop(c, None)
+            if coef is not None:
+                _subtract(p2, coef, newrow, c)
+        pivots[c] = newrow
+    return pivots, leftovers
+
+
+# -- dense matrices ---------------------------------------------------------------
+
+def from_rows(entries) -> Matrix:
+    """The matrix with the given dense rows."""
+    rows = len(entries)
+    return Matrix(rows, len(entries[0]) if rows else 0, entries)
+
+
+def row_space(m: Matrix) -> Subspace:
+    return Subspace(m.cols, m.entries)
+
+
+class DenseMatrix:
+    """An entry grid with the arithmetic Matrix had while it stored one."""
+
+    def __init__(self, rows: int, cols: int, entries):
+        self.rows = rows
+        self.cols = cols
+        self.entries = tuple(tuple(r) for r in entries)
+
+    @staticmethod
+    def of(m: Matrix) -> "DenseMatrix":
+        return DenseMatrix(m.rows, m.cols, m.entries)
+
+    def __matmul__(self, other):
+        out = [[ZERO] * other.cols for _ in range(self.rows)]
+        for i in range(self.rows):
+            for k in range(self.cols):
+                a = self.entries[i][k]
+                for j in range(other.cols):
+                    out[i][j] = out[i][j] + a * other.entries[k][j]
+        return DenseMatrix(self.rows, other.cols, out)
+
+    def __add__(self, other):
+        return DenseMatrix(self.rows, self.cols, [[a + b for a, b in zip(r1, r2)]
+                                                  for r1, r2 in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        return DenseMatrix(self.rows, self.cols, [[a - b for a, b in zip(r1, r2)]
+                                                  for r1, r2 in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return DenseMatrix(self.rows, self.cols, [[-a for a in r] for r in self.entries])
+
+    def scale(self, c):
+        return DenseMatrix(self.rows, self.cols, [[c * a for a in r] for r in self.entries])
+
+    def transpose(self):
+        return DenseMatrix(self.cols, self.rows, [[self.entries[i][j] for i in range(self.rows)]
+                                                  for j in range(self.cols)])
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for r in self.entries for a in r)
+
+
+def kronecker_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    out = [[ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for p in range(b.rows):
+                for q in range(b.cols):
+                    out[i * b.rows + p][j * b.cols + q] = a.entries[i][j] * b.entries[p][q]
+    return DenseMatrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def wedge_of(calc, e_vec: Vector, f_vec: Vector) -> Vector:
+    """wedge(e (x) f): the wedge matrix on the Kronecker coordinates."""
+    return calc.wedge_plain.apply(tuple(a * b for a in e_vec for b in f_vec))
+
+
+# -- connection-layer kernels ------------------------------------------------------
 
 
 def pure_dense(qt, e_vec: Vector, f_vec: Vector) -> Vector:
@@ -56,4 +186,32 @@ def leibniz_witness_dense(calc, conn) -> tuple[int, int] | None:
             extra = pure_dense(qt, basis_vector(e.dim, s), calc.d0.col(i))
             if lhs != tuple(x + y for x, y in zip(rhs, extra)):
                 return (s, i)
+    return None
+
+
+def graded_leibniz_dense(calc) -> str | None:
+    """The graded Leibniz check on dense vectors: the first failing identity's
+    witness, in the calculus check's order, or None."""
+    alg, e, w2 = calc.algebra, calc.one_forms, calc.two_forms
+    nA, nE = alg.dim, e.dim
+    for i in range(nA):
+        da = calc.d0.col(i)
+        for j in range(nA):
+            lhs = calc.d1.apply(e.right[j].apply(da))
+            rhs = tuple(-x for x in wedge_of(calc, da, calc.d0.col(j)))
+            if lhs != rhs:
+                return f"d(da.b) != -da^db at ({alg.labels[i]}, {alg.labels[j]})"
+    for i in range(nA):
+        da = calc.d0.col(i)
+        for s in range(nE):
+            es = basis_vector(nE, s)
+            ds = calc.d1.col(s)
+            lhs = calc.d1.apply(e.left[i].apply(es))
+            rhs = tuple(x + y for x, y in zip(wedge_of(calc, da, es), w2.left[i].apply(ds)))
+            if lhs != rhs:
+                return f"d(a.w) != da^w + a.dw at (a={alg.labels[i]}, w={s})"
+            lhs = calc.d1.apply(e.right[i].apply(es))
+            rhs = tuple(x - y for x, y in zip(w2.right[i].apply(ds), wedge_of(calc, es, da)))
+            if lhs != rhs:
+                return f"d(w.a) != dw.a - w^da at (a={alg.labels[i]}, w={s})"
     return None

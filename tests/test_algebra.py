@@ -7,6 +7,7 @@ multiplied as honest matrices.
 
 import pytest
 
+from dense_reference import from_rows
 from tamecalc.algebra import Algebra
 from tamecalc.builders import matrix_derivations_chevalley
 from tamecalc.errors import ContractViolationError
@@ -30,8 +31,8 @@ def fuzzy():
 def _rep(vec):
     u = ((qi(1), qi(0)), (qi(0), qi(-1)))
     v = ((qi(0), qi(1)), (qi(1), qi(0)))
-    mats = [Matrix.identity(2), Matrix.from_rows(u), Matrix.from_rows(v),
-            Matrix.from_rows(u) @ Matrix.from_rows(v)]
+    mats = [Matrix.identity(2), from_rows(u), from_rows(v),
+            from_rows(u) @ from_rows(v)]
     out = Matrix.zeros(2, 2)
     for c, m in zip(vec, mats):
         out = out + m.scale(c)

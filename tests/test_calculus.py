@@ -2,6 +2,7 @@
 
 import pytest
 
+from dense_reference import from_rows, wedge_of
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, dual_module, module_center, pair_apply
 from tamecalc.builders import (
@@ -21,9 +22,12 @@ from tamecalc.linalg import (
     Matrix,
     ONE,
     ZERO,
+    _lincomb,
     basis_vector,
     qi,
+    sparse_to_vec,
     vec_is_zero,
+    vec_to_sparse,
     zero_vector,
 )
 
@@ -57,7 +61,7 @@ def truncated_line_chevalley():
                 mul[a][b] = e[a + b]
     alg = Algebra(dim, ("1", "x", "x^2"), e[0], mul)
     alg.validate()
-    euler = Matrix.from_rows([
+    euler = from_rows([
         (ZERO, ZERO, ZERO),
         (ZERO, ONE, ZERO),
         (ZERO, ZERO, qi(2)),
@@ -133,7 +137,8 @@ def test_wedge_of_matches_plain_tensor_product(fuzzy):
     for i, j in ((0, 1), (1, 3), (2, 2)):
         e_vec, f_vec = fuzzy.d0.col(i), fuzzy.d0.col(j)
         plain = tuple(e_vec[s] * f_vec[t] for s in range(n) for t in range(n))
-        assert fuzzy.wedge_of(e_vec, f_vec) == fuzzy.wedge_plain.apply(plain)
+        got = _lincomb(fuzzy.wedge_terms(vec_to_sparse(e_vec), vec_to_sparse(f_vec)))
+        assert sparse_to_vec(got, fuzzy.two_forms.dim) == fuzzy.wedge_plain.apply(plain)
 
 
 def test_zero_calculus_passes():
@@ -284,7 +289,7 @@ def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
     # theta_1 ^ theta_2 pulls back to (theta_1 (x) theta_2 - theta_2 (x) theta_1)/2
     qt = fuzzy_cert.tensor_square
     theta = [basis_vector(12, j * 4) for j in range(3)]
-    w = fuzzy.wedge_of(theta[0], theta[1])
+    w = wedge_of(fuzzy, theta[0], theta[1])
     expect = tuple(HALF * (a - b) for a, b in
                    zip(qt.pure(theta[0], theta[1]), qt.pure(theta[1], theta[0])))
     assert q_inverse_apply(fuzzy_cert, w) == expect

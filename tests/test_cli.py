@@ -392,3 +392,25 @@ def test_spec_files_round_trip_exactly(workdir):
     assert again.calculus.wedge_plain == spec.calculus.wedge_plain
     assert again.metric_plain == spec.metric_plain
     assert again.calculus.algebra.mul == spec.calculus.algebra.mul
+
+
+def _report_digest(report: dict) -> str:
+    """sha256 of a --json report without its run time and input path."""
+    kept = {k: v for k, v in report.items() if k not in ("timing_ms", "input")}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the abelian-torus-4 spec that `gen` writes, and of its
+# `check --json` report without timing_ms and the input path
+GOLDEN_TORUS4_SPEC = "757febec2b2bb1de0a6c8c0054efacbbb771f62644bcddf3e10324363671cc76"
+GOLDEN_TORUS4_CHECK = "5e46ae6e65459fc45c6736a7c9893f0e81f2bea275a83e52692a435648d32f13"
+
+
+def test_abelian_torus_4_spec_and_check_report_match_golden(capsys, tmp_path):
+    spec_path = tmp_path / "abelian-torus-4.json"
+    assert main(["gen", "abelian-torus", "--n", "4", "--out", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(spec_path.read_bytes()).hexdigest() == GOLDEN_TORUS4_SPEC
+    code, out = run(capsys, ["check", str(spec_path), "--json"])
+    assert code == 0
+    assert _report_digest(json.loads(out)) == GOLDEN_TORUS4_CHECK

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from dense_reference import from_rows
 from perturbations import random_leibniz_perturbation
 from tamecalc.bimodule import hom_A
 from tamecalc.builders import preset_matrix_derivations
@@ -465,7 +466,7 @@ def christoffel_oracle(brackets, gram):
         return acc
 
     gamma = {}
-    gmat = Matrix.from_rows(gram)
+    gmat = from_rows(gram)
     assert gmat.kernel().dim == 0
     for p in range(n):
         for q in range(n):

@@ -79,7 +79,8 @@ def test_asymmetric_metric_rejected(fuzzy):
     coeff[1][0] = tuple(-x for x in unit)
     values = [alg.right_basis_matrix(r).apply(coeff[pp][qq])
               for (pp, qq, r) in cert.spanning.triples]
-    g = solve_through(list(cert.spanning.columns), values, out_dim=4)
+    g = solve_through(cert.spanning.columns, values, out_dim=4,
+                      in_dim=p.calculus.tensor_square.dim)
     outcome = validate_metric(p.calculus, cert, g)
     assert not outcome.ok
     assert outcome.failure.reason == "NotSymmetric"
