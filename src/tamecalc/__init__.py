@@ -25,8 +25,8 @@ from .connection import (
     nabla_zero,
     torsion,
 )
-from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi, subspace_ops
-from .metric import g_tilde, metric_square, validate_metric, vector_fields
+from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi
+from .metric import g_tilde, validate_metric, vector_fields
 
 __all__ = [
     "Algebra",
@@ -50,12 +50,10 @@ __all__ = [
     "levi_civita_direct",
     "levi_civita_koszul",
     "lie_bracket",
-    "metric_square",
     "module_center",
     "nabla_zero",
     "q_inverse_apply",
     "qi",
-    "subspace_ops",
     "tensor_over_A",
     "torsion",
     "validate_calculus",

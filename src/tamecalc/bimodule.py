@@ -3,9 +3,11 @@
 A bimodule is a K-space with one left-action and one right-action matrix per
 algebra basis element.  Tensor products over the algebra are materialized as
 quotients of the plain tensor space by the middle-linearity relations, with
-explicit project/section matrices; Hom spaces of right-linear maps are cut
-out as exact kernels.  These constructions carry the one-forms, two-forms
-and their tensor squares for the rest of the engine.
+explicit project/section matrices.  Right-linear maps out of a centered
+bimodule are built one way, from the images of its central generators
+(`CentralGenerators`); Hom spaces are spanned by those maps.  These
+constructions carry the one-forms, two-forms and their tensor squares for
+the rest of the engine.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import (
     basis_vector,
     commutator_rows,
     kernel_rows,
+    solve_sparse,
     sparse_to_vec,
     vec_to_sparse,
 )
@@ -128,15 +131,6 @@ def module_center(e: Bimodule) -> Subspace:
         diff = e.left[i] - e.right[i]
         rows.extend(diff.sparse_rows())
     return Subspace(e.dim, kernel_rows(rows, e.dim))
-
-
-def right_span_columns(e: Bimodule, vectors: Sequence[Vector]) -> list[Vector]:
-    """The spanning family {v . a_r} for v in vectors, a_r an algebra basis."""
-    cols = []
-    for v in vectors:
-        for r in range(e.algebra.dim):
-            cols.append(e.right[r].apply(v))
-    return cols
 
 
 @dataclass(frozen=True)
@@ -278,9 +272,78 @@ def tensor_over_A(e: Bimodule, f: Bimodule) -> QuotientTensor:
 # Hom modules
 # ---------------------------------------------------------------------------
 
+class CentralGenerators:
+    """A centered bimodule as a right module over its central basis z_1..z_k.
+
+    A right-linear map out of it is fixed by the images f_j of the z_j: it
+    sends z_j . a to f_j . a.  Images (f_1..f_k) in a bimodule F come from a
+    right-linear map exactly when sum_j f_j . w_j == 0 for every relation
+    sum_j z_j . w_j == 0, and there are no relations when the module is free
+    on the z_j.  Unknown j * dim F + f is coordinate f of f_j.
+    """
+
+    def __init__(self, source: Bimodule):
+        rep = is_centered(source)
+        if not rep.ok:
+            raise ContractViolationError(
+                "hom_A: the source is not generated by its center as a right module",
+                witness=rep.witness)
+        nA = source.algebra.dim
+        self.source = source
+        self.center = rep.center
+        # the spanning family z_j . a_s, column j * nA + s
+        span = Matrix.from_sparse_cols([_apply_sparse(source.right[s], z)
+                                        for z in rep.center.rows for s in range(nA)], source.dim)
+        # the coefficients w of each relation sum w_(j,s) z_j . a_s == 0
+        self.relations = kernel_rows(span.sparse_rows(), span.cols)
+        # one decomposition of each basis vector over the spanning family,
+        # from one elimination
+        sols, _ = solve_sparse(span.sparse_rows(), span.cols,
+                               [basis_vector(source.dim, t) for t in range(source.dim)])
+        self._through = [vec_to_sparse(x) for x in sols]
+
+    def relation_rows(self, target: Bimodule) -> list[dict[int, Scalar]]:
+        """sum_j f_j . w_j == 0 as rows on the images in target, one per
+        relation and target coordinate."""
+        nA = self.source.algebra.dim
+        rows = []
+        for w in self.relations:
+            terms: dict[int, list[tuple[Scalar, Matrix]]] = {}
+            for pos, c in w.items():
+                j, s = divmod(pos, nA)
+                terms.setdefault(j, []).append((c, target.right[s]))
+            blocks = [(j * target.dim, _combination_rows(t, target.dim)) for j, t in terms.items()]
+            for y in range(target.dim):
+                rows.append({off + f: v for off, act in blocks for f, v in act[y].items()})
+        return rows
+
+    def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix:
+        """The linear map sending z_j . a_s to the sparse values[j * nA + s];
+        raises when the values break a relation among the z_j . a_s."""
+        for w in self.relations:
+            if _lincomb((c, values[i]) for i, c in w.items()):
+                raise InternalInconsistencyError(
+                    "values break a relation among the central generators")
+        return Matrix.from_sparse_cols(
+            [_lincomb((c, values[i]) for i, c in through.items()) for through in self._through],
+            out_dim)
+
+    def right_linear(self, target: Bimodule, images: dict[int, Scalar]) -> Matrix:
+        """The right-linear map source -> target sending z_j to f_j, from
+        sparse images that satisfy relation_rows(target)."""
+        nA, nt = self.source.algebra.dim, target.dim
+        f_of: list[dict[int, Scalar]] = [{} for _ in range(self.center.dim)]
+        for u, c in images.items():
+            j, f = divmod(u, nt)
+            f_of[j][f] = c
+        return self.extend([_apply_sparse(target.right[s], f) for f in f_of for s in range(nA)], nt)
+
+
 class HomModule:
     """All right-A-linear maps source -> target, with its bimodule structure.
 
+    The maps are spanned by the right-linear maps of the kernel vectors of
+    the generators' relation rows; Subspace makes the basis canonical.
     Maps are flattened target-major: coordinate f*source.dim + e is the
     (f, e) matrix entry.  The bimodule actions are (a T)(v) = a T(v) and
     (T a)(v) = T(a v).
@@ -291,12 +354,11 @@ class HomModule:
             raise ContractViolationError("hom_A: source and target over different algebras")
         self.source = source
         self.target = target
-        alg = source.algebra
-        ns, nt = source.dim, target.dim
-
-        # T(v a) == T(v) a for every basis element a
-        rows = commutator_rows((target.right[i], source.right[i]) for i in range(alg.dim))
-        self.flat = Subspace(ns * nt, kernel_rows(rows, ns * nt))
+        self.generators = gens = CentralGenerators(source)
+        nunk = gens.center.dim * target.dim
+        self.flat = Subspace(source.dim * target.dim,
+                             [_flatten(gens.right_linear(target, v))
+                              for v in kernel_rows(gens.relation_rows(target), nunk)])
         self.basis: tuple[Matrix, ...] = tuple(self._unflatten(v) for v in self.flat.rows)
         self.dim = len(self.basis)
 
@@ -341,8 +403,7 @@ class HomModule:
     def sparse_coords_of(self, m: Matrix) -> dict[int, Scalar] | None:
         """coords_of, sparse (basis index -> coefficient), read off the
         sparse rows of m."""
-        return self.flat.coordinates_sparse({f * m.cols + e: v for f, row in enumerate(m.sparse_rows())
-                                             for e, v in row.items()})
+        return self.flat.coordinates_sparse(_flatten(m))
 
     def matrix_of(self, coords: Vector) -> Matrix:
         terms = ((c, self.basis[s]) for s, c in vec_to_sparse(coords).items())
@@ -357,8 +418,13 @@ class HomModule:
         return f"HomModule(dim={self.dim}: {self.source.dim} -> {self.target.dim})"
 
 
+def _flatten(m: Matrix) -> dict[int, Scalar]:
+    """The sparse flat coordinates of a map, target-major."""
+    return {f * m.cols + e: v for f, row in enumerate(m.sparse_rows()) for e, v in row.items()}
+
+
 def hom_A(e: Bimodule, f: Bimodule) -> HomModule:
-    """The right-A-linear maps e -> f as a bimodule."""
+    """The right-A-linear maps e -> f as a bimodule; e must be centered."""
     return HomModule(e, f)
 
 
@@ -368,59 +434,26 @@ def dual_module(e: Bimodule) -> HomModule:
 
 
 # ---------------------------------------------------------------------------
-# Pairings and central decompositions
+# Pairings
 # ---------------------------------------------------------------------------
 
-def pair_apply(qt: QuotientTensor, phi: Matrix, psi: Matrix, x: Vector) -> Vector:
-    """(phi (x) psi) applied to a class in E (x)_A F, valued in A.
+def pair_apply(qt: QuotientTensor, phi: Matrix, psi: Matrix,
+               x: dict[int, Scalar]) -> dict[int, Scalar]:
+    """(phi (x) psi) applied to a class in E (x)_A F, valued in A; the class
+    and the value are sparse.
 
     Defined as phi(e) * psi(f) summed over the canonical representative;
     independent of the representative when psi is a central element of the
     dual (callers enforce that where it matters).
     """
-    alg = qt.left_factor.algebra
     fdim = qt.right_factor.dim
-    table = alg.sparse_mul
+    table = qt.left_factor.algebra.sparse_mul
     phi_cols, psi_cols = phi.sparse_cols(), psi.sparse_cols()
     terms = []
-    for idx, c in qt.lift(x).items():
+    for idx, c in qt.lift_sparse(x).items():
         s, t = divmod(idx, fdim)
         right = psi_cols[t]
         for i, a in phi_cols[s].items():
             ca = c * a
             terms.extend((ca * b, table[i][j]) for j, b in right.items())
-    return sparse_to_vec(_lincomb(terms), alg.dim)
-
-
-def central_decomposition(qt: QuotientTensor, x: Vector) -> list[tuple[Vector, Vector]]:
-    """Rewrite a class of E (x)_A F as sum_i  e_i (x) h_i with h_i central in F.
-
-    Possible exactly when F is centered; fails loudly otherwise.
-    """
-    f = qt.right_factor
-    rep = is_centered(f)
-    if not rep.ok:
-        raise ContractViolationError(
-            "central_decomposition: right factor is not centered", witness=rep.witness)
-    zbasis = list(rep.center.basis)
-    span_cols = right_span_columns(f, zbasis)
-    span = Matrix.from_cols(span_cols, f.dim)
-    from .linalg import ColumnSolver
-
-    solver = ColumnSolver(span)
-    nA = f.algebra.dim
-    fdim = f.dim
-    firsts: dict[int, Vector] = {}
-    for idx, c in qt.lift(x).items():
-        s, t = divmod(idx, fdim)
-        rep_t = solver.solve(basis_vector(fdim, t))
-        if rep_t is None:
-            raise InternalInconsistencyError("centered module failed to span itself")
-        for pos, coef in vec_to_sparse(rep_t).items():
-            q, r = divmod(pos, nA)
-            # e_s (x) z_q a_r  ==  (e_s . a_r) (x) z_q  since z_q is central
-            piece = qt.left_factor.right[r].apply(basis_vector(qt.left_factor.dim, s))
-            piece = tuple((c * coef) * v for v in piece)
-            cur = firsts.get(q)
-            firsts[q] = tuple(u + v for u, v in zip(cur, piece)) if cur is not None else piece
-    return [(first, zbasis[q]) for q, first in sorted(firsts.items())]
+    return _lincomb(terms)

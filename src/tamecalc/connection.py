@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .bimodule import pair_apply
 from .calculus import Calculus, TamenessCertificate
@@ -50,9 +49,7 @@ from .linalg import (
     _axpy,
     _lincomb,
     _product_rows,
-    basis_vector,
     commutator_rows,
-    kernel_rows,
     solve_sparse,
     solve_through,
     sparse_to_vec,
@@ -237,7 +234,8 @@ class Geometry:
         self._field_solver: ColumnSolver | None = None
         self._recon_solver: ColumnSolver | None = None
         self._nabla0: Connection | None = None
-        self._extend_cols: list[dict[int, Scalar]] | None = None
+        # the one-forms over their central generators, shared with E*
+        self.generators = metric.e_star.generators
 
     # -- simple accessors ---------------------------------------------------
 
@@ -381,7 +379,7 @@ class Geometry:
                                 for q in range(n)] for p in range(n)]
         return self._lie_table
 
-    # -- reconstruction and extension machinery --------------------------------
+    # -- reconstruction ---------------------------------------------------------
 
     @property
     def recon_solver(self) -> ColumnSolver:
@@ -396,11 +394,9 @@ class Geometry:
                 for q in range(n):
                     base = (p * n + q) * nA
                     for y in range(qt.dim):
-                        val = pair_apply(qt, self.fields.maps[p], self.fields.maps[q],
-                                         basis_vector(qt.dim, y))
-                        for c, v in enumerate(val):
-                            if not v.is_zero():
-                                rows[base + c][y] = v
+                        val = pair_apply(qt, self.fields.maps[p], self.fields.maps[q], {y: ONE})
+                        for c, v in val.items():
+                            rows[base + c][y] = v
             solver = ColumnSolver(Matrix.from_sparse_rows(rows, qt.dim))
             if solver.rank != qt.dim:
                 raise SystemSingularError(
@@ -408,26 +404,6 @@ class Geometry:
                     witness=solver.rank)
             self._recon_solver = solver
         return self._recon_solver
-
-    @property
-    def extend_cols(self) -> list[dict[int, Scalar]]:
-        """Spanning family z_r . a_s of the one-forms, sparse, for Leibniz
-        extension."""
-        if self._extend_cols is None:
-            e = self.calc.one_forms
-            self._extend_cols = [_apply_sparse(e.right[s], z) for z in self.cert.center_one_forms.rows
-                                 for s in range(self.calc.algebra.dim)]
-        return self._extend_cols
-
-    def extend(self, values: Sequence[Vector]) -> Matrix:
-        """The linear map from the one-forms to the tensor square that sends
-        extend_cols[i] to values[i]; raises when the values break a linear
-        relation among those columns."""
-        m = solve_through(self.extend_cols, values, out_dim=self.calc.tensor_square.dim,
-                          in_dim=self.calc.one_forms.dim)
-        if m is None:
-            raise InternalInconsistencyError("Leibniz extension is not well-defined")
-        return m
 
 
 class DualElement:
@@ -481,11 +457,12 @@ def covariant_derivative(geo: Geometry, conn: Connection, field: Vector,
     dm = e_star.matrix_of(direction)
     delta_dir = geo.dual(direction).delta
     fcols = fm.sparse_cols()
+    ncols = conn.nabla.sparse_cols()
     cols = []
     for i in range(e.dim):
-        second = pair_apply(qt, fm, dm, conn.nabla.col(i))
+        second = pair_apply(qt, fm, dm, ncols[i])
         cols.append(_lincomb(((ONE, _apply_sparse(delta_dir, fcols[i])),
-                              (-ONE, vec_to_sparse(second)))))
+                              (-ONE, second))))
     functional = Matrix.from_sparse_cols(cols, geo.calc.algebra.dim)
     coords = e_star.coords_of(functional)
     if coords is None:
@@ -713,14 +690,13 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
         w = geo.recon_solver.solve(rhs)
         if w is None:
             raise SystemSingularError("reconstruction system has no solution")
-        ws.append(w)
-    values = []
-    for r, z in enumerate(geo.cert.central_basis):
-        for s in range(nA):
-            v = qt.bimodule.right[s].apply(ws[r])
-            extra = qt.pure(z, calc.d0.col(s))
-            values.append(tuple(x + y for x, y in zip(v, extra)))
-    return Connection(geo.extend(values))
+        ws.append(vec_to_sparse(w))
+    # the Leibniz extension: z_r . a_s -> w_r . a_s + z_r (x) d a_s
+    dcols = calc.d0.sparse_cols()
+    values = [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
+                        (ONE, qt.pure_sparse(z, dcols[s]))))
+              for w, z in zip(ws, geo.cert.center_one_forms.rows) for s in range(nA)]
+    return Connection(geo.generators.extend(values, qt.dim))
 
 
 def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
@@ -762,38 +738,6 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
 # ---------------------------------------------------------------------------
 # The direct route
 # ---------------------------------------------------------------------------
-
-def generator_relation_rows(geo: Geometry) -> list[dict[int, Scalar]]:
-    """Rows on images (f_1..f_k) of the central generators z_j in the tensor
-    square, f_j at unknown j * dim(E (x)_A E): sum_j f_j . w_j == 0 for each
-    relation sum_j z_j . w_j == 0, the relations being the kernel of
-    (j, a) -> z_j . a.  Their solutions are exactly the generator images of
-    right-linear maps; there are none when the one-forms are free on the z_j."""
-    nA = geo.calc.algebra.dim
-    t2 = geo.calc.tensor_square.bimodule
-    gens = Matrix.from_sparse_cols(geo.extend_cols, geo.calc.one_forms.dim)
-    rows = []
-    for w in kernel_rows(gens.sparse_rows(), gens.cols):
-        w_of: dict[int, list[Scalar]] = {}
-        for pos, c in w.items():
-            j, a = divmod(pos, nA)
-            w_of.setdefault(j, [ZERO] * nA)[a] = c
-        blocks = [(j * t2.dim, t2.right_action(tuple(wj)).sparse_rows())
-                  for j, wj in w_of.items()]
-        for y in range(t2.dim):
-            rows.append({off + f: v for off, act in blocks for f, v in act[y].items()})
-    return rows
-
-
-def right_linear_from_images(geo: Geometry, images: Vector) -> Matrix:
-    """The right-linear map from the one-forms to the tensor square sending
-    z_j to f_j = images[j * dim:(j + 1) * dim], so z_j . a to f_j . a."""
-    t2 = geo.calc.tensor_square.bimodule
-    nt = t2.dim
-    return geo.extend([t2.right[s].apply(images[j * nt:(j + 1) * nt])
-                       for j in range(len(geo.cert.central_basis))
-                       for s in range(geo.calc.algebra.dim)])
-
 
 def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     """Solve for the torsionless compatible connection among all Leibniz
@@ -842,7 +786,7 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):
         rows.extend(shifted(j, row) for row in wedge)
-    rows.extend(generator_relation_rows(geo))
+    rows.extend(geo.generators.relation_rows(t2))
     rhs.extend([ZERO] * (len(rows) - len(rhs)))
 
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
@@ -852,48 +796,6 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    conn = Connection(n0.nabla + right_linear_from_images(geo, sol))
+    conn = Connection(n0.nabla + geo.generators.right_linear(t2, vec_to_sparse(sol)))
     return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)
-
-
-# ---------------------------------------------------------------------------
-# Classical bracket identity
-# ---------------------------------------------------------------------------
-
-def classical_bracket_check(geo: Geometry) -> bool:
-    """[X, Y](xi) against the reference-connection correction formula, plus
-    the vanishing of the antisymmetrized reference pairing on exact forms."""
-    calc = geo.calc
-    e = calc.one_forms
-    qt = calc.tensor_square
-    n0 = geo.nabla0
-    n = geo.fields.count
-    for i in range(calc.algebra.dim):
-        da = calc.d0.col(i)
-        w = n0.nabla.apply(da)
-        for p in range(n):
-            for q in range(n):
-                forward = pair_apply(qt, geo.fields.maps[p], geo.fields.maps[q], w)
-                backward = pair_apply(qt, geo.fields.maps[q], geo.fields.maps[p], w)
-                if forward != backward:
-                    return False
-    for p in range(n):
-        for q in range(n):
-            br = geo.lie_table[p][q]
-            for s in range(e.dim):
-                xi = basis_vector(e.dim, s)
-                lhs = geo.metric.e_star.value(br, xi)
-                t1 = geo.metric.e_star.value(
-                    geo.fields.basis[p],
-                    calc.d0.apply(geo.fields.maps[q].col(s)))
-                t2 = geo.metric.e_star.value(
-                    geo.fields.basis[q],
-                    calc.d0.apply(geo.fields.maps[p].col(s)))
-                w = n0.nabla.col(s)
-                t3 = pair_apply(qt, geo.fields.maps[p], geo.fields.maps[q], w)
-                t4 = pair_apply(qt, geo.fields.maps[q], geo.fields.maps[p], w)
-                rhs = tuple(a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4))
-                if lhs != rhs:
-                    return False
-    return True

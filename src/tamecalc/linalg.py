@@ -14,7 +14,6 @@ equality of subspaces is equality of bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -410,18 +409,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
-
-
-@dataclass(frozen=True)
-class SubspaceOps:
-    sum: Subspace
-    intersection: Subspace
-    contains: bool
-
-
-def subspace_ops(u: Subspace, v: Subspace) -> SubspaceOps:
-    """Sum, intersection and the containment test u <= v."""
-    return SubspaceOps(sum=u.sum(v), intersection=u.intersect(v), contains=v.contains(u))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .bimodule import (
-    Bimodule,
-    HomModule,
-    dual_module,
-    hom_A,
-    module_center,
-    pair_apply,
-)
+from .bimodule import HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     CenterMismatchError,
     ContractViolationError,
-    InconsistentMetricError,
     InternalInconsistencyError,
 )
 from .linalg import (
@@ -208,103 +200,6 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
 def delta_of(calc: Calculus, metric: Metric, phi: Vector) -> Matrix:
     """The map a -> phi(da) for any dual element (a derivation iff central)."""
     return metric.e_star.matrix_of(phi) @ calc.d0
-
-
-# ---------------------------------------------------------------------------
-# The squared metric on the tensor square
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MetricSquare:
-    """The pairing ((h (x) x) , (h' (x) x')) -> g(h (x) g(x (x) h') x')."""
-
-    t2_star: HomModule
-    v_g2: Matrix
-    v_g2_inv: Matrix
-    pair_values: tuple[tuple[Vector, ...], ...]   # [x][y] = g2(x (x) y) on basis
-
-    def pairing(self, x: Vector, y: Vector) -> Vector:
-        nA = len(self.pair_values[0][0]) if self.pair_values else 0
-        out = zero_vector(nA)
-        for s, a in vec_to_sparse(x).items():
-            for t, b in vec_to_sparse(y).items():
-                c = a * b
-                out = tuple(u + c * v for u, v in zip(out, self.pair_values[s][t]))
-        return out
-
-
-def metric_square(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> MetricSquare:
-    """Extend the metric to two-fold tensors and certify it stays invertible."""
-    qt = calc.tensor_square
-    alg = calc.algebra
-    e = calc.one_forms
-    g = metric.g
-    g_plain = metric.g_plain(calc)
-
-    # pair_values[x][y] on quotient basis classes: lift both legs, contract
-    # the middle with g, close with g again.
-    lifted = [qt.lift(basis_vector(qt.dim, x)) for x in range(qt.dim)]
-    values: list[list[Vector]] = []
-    for x in range(qt.dim):
-        row: list[Vector] = []
-        for y in range(qt.dim):
-            acc = zero_vector(alg.dim)
-            for sx, cx in lifted[x].items():
-                s, t = divmod(sx, e.dim)
-                for sy, cy in lifted[y].items():
-                    u, v = divmod(sy, e.dim)
-                    mid = g_plain.col(t * e.dim + u)
-                    inner = zero_vector(e.dim)
-                    for i, c in vec_to_sparse(mid).items():
-                        lc = e.left[i].col(v)
-                        inner = tuple(p + c * q for p, q in zip(inner, lc))
-                    val = g.apply(qt.pure(basis_vector(e.dim, s), inner))
-                    c = cx * cy
-                    acc = tuple(p + c * q for p, q in zip(acc, val))
-            row.append(acc)
-        values.append(row)
-
-    t2_star = hom_A(qt.bimodule, Bimodule.regular(alg))
-    if t2_star.dim != qt.dim:
-        raise InconsistentMetricError(
-            f"dual of the tensor square has dimension {t2_star.dim}, expected {qt.dim}")
-    cols = []
-    for x in range(qt.dim):
-        functional = Matrix.from_cols([values[x][y] for y in range(qt.dim)], alg.dim)
-        coords = t2_star.coords_of(functional)
-        if coords is None:
-            raise InconsistentMetricError("squared pairing is not right-linear in its second slot")
-        cols.append(coords)
-    v_g2 = Matrix.from_cols(cols, t2_star.dim)
-    try:
-        v_g2_inv = v_g2.inverse()
-    except LinAlgError:
-        raise InconsistentMetricError("squared contraction V_g2 is singular")
-
-    for i in range(alg.dim):
-        if v_g2 @ qt.bimodule.left[i] != t2_star.bimodule.left[i] @ v_g2:
-            raise InconsistentMetricError("V_g2 is not left-linear")
-        if v_g2 @ qt.bimodule.right[i] != t2_star.bimodule.right[i] @ v_g2:
-            raise InconsistentMetricError("V_g2 is not right-linear")
-
-    square = MetricSquare(t2_star=t2_star, v_g2=v_g2, v_g2_inv=v_g2_inv,
-                          pair_values=tuple(tuple(r) for r in values))
-
-    # V_g(w) (x) V_g(h) must agree with the squared contraction of h (x) w
-    # on central pairs; anything else means the inputs are inconsistent.
-    for zw in cert.central_basis:
-        phi_w = metric.functional(metric.v_g.apply(zw))
-        for zh in cert.central_basis:
-            phi_h = metric.functional(metric.v_g.apply(zh))
-            target = qt.pure(zh, zw)
-            for y in range(qt.dim):
-                ey = basis_vector(qt.dim, y)
-                lhs = pair_apply(qt, phi_w, phi_h, ey)
-                if lhs != square.pairing(target, ey):
-                    raise InconsistentMetricError(
-                        "tensor of contractions disagrees with the squared metric "
-                        "on central pairs")
-    return square
 
 
 # ---------------------------------------------------------------------------

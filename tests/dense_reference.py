@@ -4,7 +4,9 @@ Each function is a kernel's definition written with dense vectors, dense
 entry grids and whole action matrices, as the engine computed it before the
 kernel went sparse: the full-reduction elimination, the dense matrix
 arithmetic, and the connection-layer formulas.  The equivalence tests hold
-the sparse kernels to these.
+the sparse kernels to these.  hom_kernel is the Hom space as the exact
+kernel of the right-linearity rows, the oracle for the construction from
+the images of the central generators.
 """
 
 from tamecalc.linalg import (
@@ -14,6 +16,8 @@ from tamecalc.linalg import (
     Subspace,
     Vector,
     basis_vector,
+    commutator_rows,
+    kernel_rows,
     vec_to_sparse,
     zero_vector,
 )
@@ -133,6 +137,17 @@ def kronecker_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 def wedge_of(calc, e_vec: Vector, f_vec: Vector) -> Vector:
     """wedge(e (x) f): the wedge matrix on the Kronecker coordinates."""
     return calc.wedge_plain.apply(tuple(a * b for a in e_vec for b in f_vec))
+
+
+# -- Hom spaces ---------------------------------------------------------------------
+
+def hom_kernel(source, target) -> Subspace:
+    """The right-linear maps source -> target, flattened target-major as in
+    HomModule.flat: the maps T with T R_a == R_a T for every basis element a,
+    dim A * source.dim * target.dim rows."""
+    n = source.dim * target.dim
+    rows = commutator_rows((target.right[i], source.right[i]) for i in range(source.algebra.dim))
+    return Subspace(n, kernel_rows(rows, n))
 
 
 # -- connection-layer kernels ------------------------------------------------------

@@ -2,13 +2,149 @@
 
 Each function takes a prepared geometry and returns True exactly when the
 identity holds on the stated exhaustive family.  They are shared between
-the granular identity tests and the acceptance sweep.
+the granular identity tests and the acceptance sweep, together with the
+constructions only these checks use: the squared metric on the tensor
+square (the one builder of (E (x)_A E)*) and the classical bracket identity.
 """
 
-from tamecalc.bimodule import pair_apply
+from dataclasses import dataclass
+
+from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
 from tamecalc.connection import Geometry, covariant_derivative
-from tamecalc.linalg import Vector, basis_vector
-from tamecalc.metric import MetricSquare
+from tamecalc.errors import InconsistentMetricError
+from tamecalc.linalg import (
+    LinAlgError,
+    Matrix,
+    Vector,
+    basis_vector,
+    sparse_to_vec,
+    vec_to_sparse,
+    zero_vector,
+)
+
+
+def pair(qt, phi: Matrix, psi: Matrix, x: Vector) -> Vector:
+    """pair_apply on a dense class, with a dense value."""
+    return sparse_to_vec(pair_apply(qt, phi, psi, vec_to_sparse(x)), qt.left_factor.algebra.dim)
+
+
+# -- the squared metric on the tensor square --------------------------------------
+
+@dataclass(frozen=True)
+class MetricSquare:
+    """The pairing ((h (x) x) , (h' (x) x')) -> g(h (x) g(x (x) h') x')."""
+
+    t2_star: HomModule
+    v_g2: Matrix
+    v_g2_inv: Matrix
+    pair_values: tuple[tuple[Vector, ...], ...]   # [x][y] = g2(x (x) y) on basis
+
+    def pairing(self, x: Vector, y: Vector) -> Vector:
+        nA = len(self.pair_values[0][0]) if self.pair_values else 0
+        out = zero_vector(nA)
+        for s, a in vec_to_sparse(x).items():
+            for t, b in vec_to_sparse(y).items():
+                c = a * b
+                out = tuple(u + c * v for u, v in zip(out, self.pair_values[s][t]))
+        return out
+
+
+def metric_square(calc, cert, metric) -> MetricSquare:
+    """Extend the metric to two-fold tensors and certify it stays invertible."""
+    qt = calc.tensor_square
+    alg = calc.algebra
+    e = calc.one_forms
+    g = metric.g
+    g_plain = metric.g_plain(calc)
+
+    # pair_values[x][y] on quotient basis classes: lift both legs, contract
+    # the middle with g, close with g again.
+    lifted = [qt.lift(basis_vector(qt.dim, x)) for x in range(qt.dim)]
+    values: list[list[Vector]] = []
+    for x in range(qt.dim):
+        row: list[Vector] = []
+        for y in range(qt.dim):
+            acc = zero_vector(alg.dim)
+            for sx, cx in lifted[x].items():
+                s, t = divmod(sx, e.dim)
+                for sy, cy in lifted[y].items():
+                    u, v = divmod(sy, e.dim)
+                    mid = g_plain.col(t * e.dim + u)
+                    inner = zero_vector(e.dim)
+                    for i, c in vec_to_sparse(mid).items():
+                        lc = e.left[i].col(v)
+                        inner = tuple(p + c * q for p, q in zip(inner, lc))
+                    val = g.apply(qt.pure(basis_vector(e.dim, s), inner))
+                    c = cx * cy
+                    acc = tuple(p + c * q for p, q in zip(acc, val))
+            row.append(acc)
+        values.append(row)
+
+    t2_star = hom_A(qt.bimodule, Bimodule.regular(alg))
+    if t2_star.dim != qt.dim:
+        raise InconsistentMetricError(
+            f"dual of the tensor square has dimension {t2_star.dim}, expected {qt.dim}")
+    cols = []
+    for x in range(qt.dim):
+        functional = Matrix.from_cols([values[x][y] for y in range(qt.dim)], alg.dim)
+        coords = t2_star.coords_of(functional)
+        if coords is None:
+            raise InconsistentMetricError("squared pairing is not right-linear in its second slot")
+        cols.append(coords)
+    v_g2 = Matrix.from_cols(cols, t2_star.dim)
+    try:
+        v_g2_inv = v_g2.inverse()
+    except LinAlgError:
+        raise InconsistentMetricError("squared contraction V_g2 is singular")
+
+    for i in range(alg.dim):
+        if v_g2 @ qt.bimodule.left[i] != t2_star.bimodule.left[i] @ v_g2:
+            raise InconsistentMetricError("V_g2 is not left-linear")
+        if v_g2 @ qt.bimodule.right[i] != t2_star.bimodule.right[i] @ v_g2:
+            raise InconsistentMetricError("V_g2 is not right-linear")
+
+    square = MetricSquare(t2_star=t2_star, v_g2=v_g2, v_g2_inv=v_g2_inv,
+                          pair_values=tuple(tuple(r) for r in values))
+
+    # V_g(w) (x) V_g(h) must agree with the squared contraction of h (x) w
+    # on central pairs; anything else means the inputs are inconsistent.
+    if not squared_contraction_matches_field_tensor(metric, cert, qt, square):
+        raise InconsistentMetricError(
+            "tensor of contractions disagrees with the squared metric on central pairs")
+    return square
+
+
+# -- the classical bracket identity -------------------------------------------------
+
+def classical_bracket_check(geo: Geometry) -> bool:
+    """[X, Y](xi) against the reference-connection correction formula, plus
+    the vanishing of the antisymmetrized reference pairing on exact forms."""
+    calc = geo.calc
+    e = calc.one_forms
+    qt = calc.tensor_square
+    n0 = geo.nabla0
+    n = geo.fields.count
+    maps = geo.fields.maps
+    if not antisymmetrized_reference_kills_exact_forms(geo):
+        return False
+    for p in range(n):
+        for q in range(n):
+            br = geo.lie_table[p][q]
+            for s in range(e.dim):
+                xi = basis_vector(e.dim, s)
+                lhs = geo.metric.e_star.value(br, xi)
+                t1 = geo.metric.e_star.value(geo.fields.basis[p], calc.d0.apply(maps[q].col(s)))
+                t2 = geo.metric.e_star.value(geo.fields.basis[q], calc.d0.apply(maps[p].col(s)))
+                w = n0.nabla.col(s)
+                t3 = pair(qt, maps[p], maps[q], w)
+                t4 = pair(qt, maps[q], maps[p], w)
+                rhs = tuple(a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+# -- identities ---------------------------------------------------------------------
 
 
 def sigma_flips_one_central(geo: Geometry) -> bool:
@@ -74,8 +210,8 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
         for z2 in geo.cert.central_basis:
             phi2 = geo.metric.functional(geo.metric.v_g.apply(z2))
             for xi in fixed.basis:
-                lhs = pair_apply(qt, phi1, phi2, xi)
-                rhs = pair_apply(qt, phi2, phi1, xi)
+                lhs = pair(qt, phi1, phi2, xi)
+                rhs = pair(qt, phi2, phi1, xi)
                 if lhs != rhs:
                     return False
     return True
@@ -92,16 +228,17 @@ def squared_pairing_symmetrizer_hops(geo: Geometry, square: MetricSquare) -> boo
     return True
 
 
-def squared_contraction_matches_field_tensor(geo: Geometry, square: MetricSquare) -> bool:
-    qt = geo.calc.tensor_square
-    for zw in geo.cert.central_basis:
-        phi_w = geo.metric.functional(geo.metric.v_g.apply(zw))
-        for zh in geo.cert.central_basis:
-            phi_h = geo.metric.functional(geo.metric.v_g.apply(zh))
+def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSquare) -> bool:
+    """V_g(w) (x) V_g(h) against the squared contraction of h (x) w, on
+    central pairs."""
+    for zw in cert.central_basis:
+        phi_w = metric.functional(metric.v_g.apply(zw))
+        for zh in cert.central_basis:
+            phi_h = metric.functional(metric.v_g.apply(zh))
             target = qt.pure(zh, zw)
             for y in range(qt.dim):
                 ey = basis_vector(qt.dim, y)
-                if pair_apply(qt, phi_w, phi_h, ey) != square.pairing(target, ey):
+                if pair(qt, phi_w, phi_h, ey) != square.pairing(target, ey):
                     return False
     return True
 
@@ -164,8 +301,8 @@ def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
         w = n0.nabla.apply(geo.calc.d0.col(i))
         for p in range(geo.fields.count):
             for q in range(geo.fields.count):
-                fw = pair_apply(qt, geo.fields.maps[p], geo.fields.maps[q], w)
-                bw = pair_apply(qt, geo.fields.maps[q], geo.fields.maps[p], w)
+                fw = pair(qt, geo.fields.maps[p], geo.fields.maps[q], w)
+                bw = pair(qt, geo.fields.maps[q], geo.fields.maps[p], w)
                 if fw != bw:
                     return False
     return True

@@ -1,8 +1,9 @@
 """Seeded Leibniz perturbations of the reference connection.
 
-The shifts are drawn over the kernel construction hom_A(E, E (x)_A E), the
-reference that the direct route's generator-image parametrisation is
-checked against.
+The shifts are drawn over the basis of hom_A(E, E (x)_A E), the right-linear
+maps built from the images of the central generators of the one-forms.
+That construction is checked against the kernel construction
+dense_reference.hom_kernel.
 """
 
 from random import Random

@@ -7,7 +7,6 @@ import pytest
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import (
     Bimodule,
-    central_decomposition,
     dual_module,
     hom_A,
     is_centered,
@@ -19,10 +18,12 @@ from tamecalc.builders import build_chevalley, matrix_derivations_chevalley
 from tamecalc.errors import ContractViolationError
 from tamecalc.specfile import dumps_canonical, matrix_to_json
 from tamecalc.linalg import (
+    ColumnSolver,
     Matrix,
     ONE,
     Subspace,
     basis_vector,
+    vec_to_sparse,
     zero_vector,
 )
 
@@ -249,6 +250,24 @@ def test_dual_of_regular_is_regular_sized():
     assert dual_module(Bimodule.regular(alg)).dim == alg.dim
 
 
+def test_hom_from_a_source_that_is_not_centered_raises():
+    # K x K acting on K through its two characters: a . v = a_1 v and
+    # v . a = a_2 v, so no nonzero v is central and the center generates
+    # nothing; a right-linear map is not fixed by central generators.
+    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+    alg = Algebra(2, ("p", "q"), (ONE, ONE), [[e0, zero_vector(2)], [zero_vector(2), e1]])
+    alg.validate()
+    one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
+    e = Bimodule(alg, 1, [one, zero], [zero, one])
+    e.validate()
+    rep = is_centered(e)
+    assert not rep.ok and rep.witness == basis_vector(1, 0)
+    for build in (lambda: hom_A(e, Bimodule.regular(alg)), lambda: dual_module(e)):
+        with pytest.raises(ContractViolationError) as err:
+            build()
+        assert err.value.witness == rep.witness
+
+
 def test_hom_actions_match_pointwise_rule(fuzzy_calc):
     # (aT)(f) = a T(f) and (Ta)(f) = T(af) on basis elements.
     e = fuzzy_calc.one_forms
@@ -336,6 +355,40 @@ def test_quotient_center_contains_central_pure_tensors(fuzzy_calc):
 
 # -- decomposition and pairing ------------------------------------------------
 
+def right_span_columns(e, vectors):
+    """The spanning family {v . a_r} for v in vectors, a_r an algebra basis."""
+    return [e.right[r].apply(v) for v in vectors for r in range(e.algebra.dim)]
+
+
+def central_decomposition(qt, x):
+    """Rewrite a class of E (x)_A F as sum_i  e_i (x) h_i with h_i central in F.
+
+    Possible exactly when F is centered; fails loudly otherwise.
+    """
+    f = qt.right_factor
+    rep = is_centered(f)
+    if not rep.ok:
+        raise ContractViolationError(
+            "central_decomposition: right factor is not centered", witness=rep.witness)
+    zbasis = list(rep.center.basis)
+    solver = ColumnSolver(Matrix.from_cols(right_span_columns(f, zbasis), f.dim))
+    nA = f.algebra.dim
+    fdim = f.dim
+    firsts = {}
+    for idx, c in qt.lift(x).items():
+        s, t = divmod(idx, fdim)
+        rep_t = solver.solve(basis_vector(fdim, t))
+        assert rep_t is not None, "centered module failed to span itself"
+        for pos, coef in vec_to_sparse(rep_t).items():
+            q, r = divmod(pos, nA)
+            # e_s (x) z_q a_r  ==  (e_s . a_r) (x) z_q  since z_q is central
+            piece = qt.left_factor.right[r].apply(basis_vector(qt.left_factor.dim, s))
+            piece = tuple((c * coef) * v for v in piece)
+            cur = firsts.get(q)
+            firsts[q] = tuple(u + v for u, v in zip(cur, piece)) if cur is not None else piece
+    return [(first, zbasis[q]) for q, first in sorted(firsts.items())]
+
+
 def test_central_decomposition_round_trip(fuzzy_calc):
     qt = fuzzy_calc.tensor_square
     for j in (0, 9, 23, 35):
@@ -353,5 +406,5 @@ def test_pair_apply_on_regular_tensor(fuzzy):
     qt = tensor_over_A(reg, reg)
     ident = Matrix.identity(4)  # the identity functional A -> A
     x = qt.pure(basis_vector(4, 1), basis_vector(4, 2))  # class of U (x) V
-    got = pair_apply(qt, ident, ident, x)
-    assert got == basis_vector(4, 3)  # U * V = W
+    got = pair_apply(qt, ident, ident, vec_to_sparse(x))
+    assert got == {3: ONE}  # U * V = W

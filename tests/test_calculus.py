@@ -321,8 +321,9 @@ def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert):
     one_minus_p = Matrix.identity(n) - cert.p_sym
     for j in (0, 13, 29):
         gamma = basis_vector(n, j)
-        lhs = pair_apply(qt, phi, psi, tuple(qi(2) * x for x in one_minus_p.apply(gamma)))
+        lhs = pair_apply(qt, phi, psi,
+                         vec_to_sparse(tuple(qi(2) * x for x in one_minus_p.apply(gamma))))
         rhs = pair_apply(qt, phi, psi,
-                         tuple(qi(2) * x for x in
-                               q_inverse_apply(cert, fuzzy.wedge_q.apply(gamma))))
+                         vec_to_sparse(tuple(qi(2) * x for x in
+                                             q_inverse_apply(cert, fuzzy.wedge_q.apply(gamma)))))
         assert lhs == rhs

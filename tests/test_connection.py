@@ -4,20 +4,19 @@ import hashlib
 
 import pytest
 
-from dense_reference import from_rows
+import lemma_checks as lc
+from dense_reference import from_rows, hom_kernel
 from perturbations import random_leibniz_perturbation
-from tamecalc.bimodule import hom_A
-from tamecalc.builders import preset_matrix_derivations
+from tamecalc.bimodule import Bimodule, dual_module, hom_A
+from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.connection import (
     Connection,
     Geometry,
     bracket_general,
     certify,
-    classical_bracket_check,
     compat_witnesses,
     covariant_derivative,
     covariant_table,
-    generator_relation_rows,
     grassmann,
     is_connection,
     koszul_rhs,
@@ -27,18 +26,14 @@ from tamecalc.connection import (
     lie_bracket,
     nabla_zero,
     reconstruct_from_table,
-    right_linear_from_images,
     torsion,
     torsion_witnesses,
 )
 from tamecalc.errors import YNotCentralError
 from tamecalc.linalg import (
     Matrix,
-    Subspace,
     basis_vector,
-    kernel_rows,
     qi,
-    sparse_to_vec,
     vec_is_zero,
     zero_vector,
 )
@@ -297,21 +292,21 @@ def test_direct_solver_confirms_golden(fuzzy_geo):
 
 
 def test_generator_images_give_the_hom_space(fuzzy_geo, torus_geo, line_geo):
-    # the direct route's unknowns: images of the central generators that
-    # satisfy the relation rows, extended right-linearly, span exactly the
-    # kernel construction of Hom_A(E, E (x)_A E); the two presets are free on
-    # their generators, the K[x]/(x^3) fixture has 3 * 3 - 3 = 6 relations
+    # Hom_A built from the images of the central generators is the kernel
+    # construction, basis for basis, for E*, Hom_A(E, E (x)_A E) and
+    # (E (x)_A E)*; the two presets are free on their generators, the
+    # K[x]/(x^3) fixture has 3 * 3 - 3 = 6 relations
     for geo, relations in ((fuzzy_geo, 0), (torus_geo, 0), (line_geo, 6)):
+        e = geo.calc.one_forms
         t2 = geo.calc.tensor_square.bimodule
-        nunk = len(geo.cert.central_basis) * t2.dim
-        rows = generator_relation_rows(geo)
-        assert len(rows) == relations * t2.dim
-        maps = []
-        for v in kernel_rows(rows, nunk):
-            m = right_linear_from_images(geo, sparse_to_vec(v, nunk))
-            maps.append(tuple(x for row in m.entries for x in row))
-        hom = hom_A(geo.calc.one_forms, t2)
-        assert Subspace(hom.flat.ambient_dim, maps) == hom.flat
+        reg = Bimodule.regular(geo.calc.algebra)
+        assert geo.generators is geo.metric.e_star.generators
+        assert geo.generators.center == geo.cert.center_one_forms
+        assert len(geo.generators.relation_rows(t2)) == relations * t2.dim
+        for source, target in ((e, reg), (e, t2), (t2, reg)):
+            assert hom_A(source, target).flat == hom_kernel(source, target)
+    torus4 = preset_abelian_torus(4).calculus.one_forms
+    assert dual_module(torus4).flat == hom_kernel(torus4, Bimodule.regular(torus4.algebra))
 
 
 # sha256 of the direct route's value matrix on the K[x]/(x^3) fixture, the
@@ -440,8 +435,8 @@ def test_perturbations_are_connections_and_deterministic(fuzzy_geo):
 # -- the classical bracket identity --------------------------------------------------
 
 def test_classical_bracket_identity(fuzzy_geo, torus_geo):
-    assert classical_bracket_check(fuzzy_geo)
-    assert classical_bracket_check(torus_geo)
+    assert lc.classical_bracket_check(fuzzy_geo)
+    assert lc.classical_bracket_check(torus_geo)
 
 
 # -- independent Christoffel oracle ---------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact linear algebra: solve/kernel/subspace contracts and field axioms."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import from_rows, row_space
@@ -27,7 +28,6 @@ from tamecalc.linalg import (
     scalar_to_json,
     solve_sparse,
     solve_through,
-    subspace_ops,
     vec_is_zero,
     vec_to_sparse,
 )
@@ -181,6 +181,18 @@ def test_kernel_single_equation():
 
 # -- subspaces --------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SubspaceOps:
+    sum: Subspace
+    intersection: Subspace
+    contains: bool
+
+
+def subspace_ops(u: Subspace, v: Subspace) -> SubspaceOps:
+    """Sum, intersection and the containment test u <= v."""
+    return SubspaceOps(sum=u.sum(v), intersection=u.intersect(v), contains=v.contains(u))
+
+
 def test_subspace_ops_coordinate_axes():
     u = Subspace(2, [basis_vector(2, 0)])
     v = Subspace(2, [basis_vector(2, 1)])
@@ -267,9 +279,13 @@ def test_rank_nullity(m):
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
+@example(mat([[I, 1]]))
 def test_row_space_kernel_complement(m):
-    # ker(M) and row-space(M) together fill K^cols.
-    assert m.kernel().sum(row_space(m)).dim == m.cols
+    # ker(M) is the orthogonal complement of the conjugate rows under the
+    # positive definite Hermitian product, so ker(M) + row(conj M) = K^cols.
+    # ker(M) + row(M) need not be: for M = [[i, 1]] both are the line (1, -i).
+    conj = from_rows([[x.conjugate() for x in row] for row in m.entries])
+    assert m.kernel().sum(row_space(conj)).dim == m.cols
 
 
 def dense_product(a, b):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import lemma_checks as lc
 from tamecalc.linalg import (
     Matrix,
     ONE,
@@ -14,7 +15,6 @@ from tamecalc.linalg import (
 from tamecalc.metric import (
     delta_of,
     g_tilde,
-    metric_square,
     random_metric,
     validate_metric,
     vector_fields,
@@ -198,7 +198,7 @@ def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric):
 @pytest.fixture(scope="module")
 def fuzzy_square(fuzzy, fuzzy_metric):
     p, cert = fuzzy
-    return metric_square(p.calculus, cert, fuzzy_metric)
+    return lc.metric_square(p.calculus, cert, fuzzy_metric)
 
 
 def test_metric_square_euclidean_values(fuzzy, fuzzy_metric, fuzzy_square):

@@ -2,7 +2,8 @@
 
 The suite does not collect perfbench/, so these tests hold the names and
 call shapes the harness uses: its input writer must still produce loadable
-specs, and every linalg name its span recorder wraps must still resolve.
+specs, its oracle check must still read tables through E*, and every name
+its span recorder wraps must still resolve.
 """
 
 import importlib.util
@@ -10,14 +11,14 @@ import inspect
 import sys
 from pathlib import Path
 
-from tamecalc import connection, linalg
+from tamecalc import bimodule, connection, linalg
 from tamecalc.specfile import load_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # its dataclasses look their module up
     spec.loader.exec_module(module)
@@ -25,7 +26,7 @@ def _load_inputs():
 
 
 def test_benchmark_input_writer_produces_loadable_specs(tmp_path):
-    inputs = _load_inputs()
+    inputs = _load("inputs")
     written = inputs.write_input("abelian-torus-2", {"g0": inputs.BASES["A2"]}, tmp_path)
     spec = load_spec(written.spec_path)
     assert spec.calculus.one_forms.dim == written.calculus.one_forms.dim == 18
@@ -45,3 +46,18 @@ def test_traced_linalg_names_resolve():
     # the direct route calls it as connection.solve_sparse(rows, ncols, rhs_list)
     assert connection.solve_sparse is linalg.solve_sparse
     assert len(inspect.signature(linalg.solve_sparse).parameters) == 3
+
+
+def test_oracle_reader_and_hom_layer_resolve():
+    # read_table builds E* as dual_module(calc.one_forms) and evaluates
+    # table entries through HomModule.value
+    params = list(inspect.signature(bimodule.dual_module).parameters.values())
+    assert len(params) == 1
+    assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert callable(vars(bimodule.HomModule)["value"])
+    layers = {name: (modname, attrs) for name, modname, attrs in _load("spans").SPANS}
+    modname, attrs = layers["bimodule.hom"]
+    assert modname == "tamecalc.bimodule"
+    assert {"hom_A", "dual_module"} <= set(attrs)
+    for name in attrs:
+        assert callable(getattr(bimodule, name)), name

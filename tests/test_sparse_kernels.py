@@ -77,7 +77,8 @@ def test_pair_apply_matches_dense_reference(geometries, data):
         phi = e_star.matrix_of(data.draw(vectors(e_star.dim)))
         psi = e_star.matrix_of(data.draw(vectors(e_star.dim)))
         x = data.draw(vectors(qt.dim))
-        assert pair_apply(qt, phi, psi, x) == pair_apply_dense(qt, phi, psi, x)
+        assert pair_apply(qt, phi, psi, vec_to_sparse(x)) == vec_to_sparse(
+            pair_apply_dense(qt, phi, psi, x))
 
 
 @SETTINGS
