@@ -8,6 +8,13 @@ bimodule are built one way, from the images of its central generators
 (`CentralGenerators`); Hom spaces are spanned by those maps.  These
 constructions carry the one-forms, two-forms and their tensor squares for
 the rest of the engine.
+
+A bimodule records in `validated` that its axioms hold over a validated
+algebra, or that it was built from bimodules that did.  Then the bimodule
+axioms, the center and the middle-linearity relations only need the
+algebra's generators: the relation e.(ab) (x) f - e (x) (ab).f is a sum of
+relations for a and for b, so the relation subspace, and with it the
+quotient basis, project and section, is the same.
 """
 
 from __future__ import annotations
@@ -52,6 +59,13 @@ class Bimodule:
         self.dim = dim
         self.left = tuple(left)
         self.right = tuple(right)
+        self.validated = False
+
+    def _derived(self, *sources: "Bimodule | Algebra") -> "Bimodule":
+        """Mark a bimodule built from validated ones (or from a validated
+        algebra) as validated itself."""
+        self.validated = all(src.validated for src in sources)
+        return self
 
     @staticmethod
     def regular(algebra: Algebra) -> "Bimodule":
@@ -59,7 +73,7 @@ class Bimodule:
         n = algebra.dim
         return Bimodule(algebra, n,
                         [algebra.left_basis_matrix(i) for i in range(n)],
-                        [algebra.right_basis_matrix(i) for i in range(n)])
+                        [algebra.right_basis_matrix(i) for i in range(n)])._derived(algebra)
 
     @staticmethod
     def zero(algebra: Algebra) -> "Bimodule":
@@ -86,7 +100,9 @@ class Bimodule:
     def validate(self) -> None:
         """Certify the bimodule axioms; raises with the failing pair.
 
-        Every identity is compared on sparse rows."""
+        Every identity is compared on sparse rows.  Over a validated algebra
+        with the unit acting as the identity, each axiom holds for all of A
+        once it holds for the generators in the slot named below."""
         alg = self.algebra
         n = alg.dim
         ident = [{i: ONE} for i in range(self.dim)]
@@ -94,18 +110,30 @@ class Bimodule:
             raise ContractViolationError("bimodule: unit does not act as identity on the left")
         if self._action_rows(self.right, alg.unit) != ident:
             raise ContractViolationError("bimodule: unit does not act as identity on the right")
-        for i in range(n):
-            for j in range(n):
-                prod = alg.mul[i][j]
-                if self._action_rows(self.left, prod) != _product_rows(self.left[i], self.left[j]):
-                    raise ContractViolationError(
-                        f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})", witness=(i, j))
-                if self._action_rows(self.right, prod) != _product_rows(self.right[j], self.right[i]):
-                    raise ContractViolationError(
-                        f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})", witness=(i, j))
-                if _product_rows(self.left[i], self.right[j]) != _product_rows(self.right[j], self.left[i]):
-                    raise ContractViolationError(
-                        f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})", witness=(i, j))
+
+        def axioms(gens: Sequence[int]) -> ContractViolationError | None:
+            # (ab)e with a, e(ab) with b and (ae)b with a in gens
+            for i in range(n):
+                for j in range(n):
+                    prod = alg.mul[i][j]
+                    if i in gens and self._action_rows(self.left, prod) != \
+                            _product_rows(self.left[i], self.left[j]):
+                        return ContractViolationError(
+                            f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})", witness=(i, j))
+                    if j in gens and self._action_rows(self.right, prod) != \
+                            _product_rows(self.right[j], self.right[i]):
+                        return ContractViolationError(
+                            f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})", witness=(i, j))
+                    if i in gens and _product_rows(self.left[i], self.right[j]) != \
+                            _product_rows(self.right[j], self.left[i]):
+                        return ContractViolationError(
+                            f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})", witness=(i, j))
+            return None
+
+        failure = alg.first_failure(axioms, alg.validated)
+        if failure is not None:
+            raise failure
+        self.validated = alg.validated
 
     def __repr__(self) -> str:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
@@ -125,9 +153,10 @@ def _act(maps: Sequence[Matrix], a: dict[int, Scalar], v: dict[int, Scalar]) -> 
 # ---------------------------------------------------------------------------
 
 def module_center(e: Bimodule) -> Subspace:
-    """Basis of {v : a v = v a for every basis a}."""
+    """Basis of {v : a v = v a for every basis a}; the generators suffice
+    when e is validated."""
     rows = []
-    for i in range(e.algebra.dim):
+    for i in e.algebra.basis_indices(e.validated):
         diff = e.left[i] - e.right[i]
         rows.extend(diff.sparse_rows())
     return Subspace(e.dim, kernel_rows(rows, e.dim))
@@ -193,7 +222,8 @@ class QuotientTensor:
         alg = e.algebra
 
         # e.a (x) f - e (x) a.f, as the rows of X -> R_a^T X - X L_a
-        rows = commutator_rows((e.right[i].transpose(), f.left[i]) for i in range(alg.dim))
+        rows = commutator_rows((e.right[i].transpose(), f.left[i])
+                               for i in alg.basis_indices(e.validated and f.validated))
         self.relations = Subspace(self.ambient_dim, rows)
         free = self.relations.complement_positions()
         self.dim = len(free)
@@ -219,7 +249,7 @@ class QuotientTensor:
                 rcols.append(self._project_sparse(_tensor_right_apply(f.right[i], f.dim, svec)))
             left.append(Matrix.from_sparse_cols(lcols, self.dim))
             right.append(Matrix.from_sparse_cols(rcols, self.dim))
-        self.bimodule = Bimodule(alg, self.dim, left, right)
+        self.bimodule = Bimodule(alg, self.dim, left, right)._derived(e, f)
 
     def _project_sparse(self, svec: dict[int, Scalar]) -> dict[int, Scalar]:
         return _lincomb((c, self._project_cols[j]) for j, c in svec.items())
@@ -237,7 +267,12 @@ class QuotientTensor:
 
     def first_unkilled(self, m: Matrix) -> Vector | None:
         """The first relation basis vector that the plain-coordinate map m
-        does not send to zero, or None when m factors through the quotient."""
+        does not send to zero, or None when m factors through the quotient.
+
+        m kills the relations exactly when m == (m @ section) @ project; the
+        relation rows are searched only when it does not."""
+        if m == (m @ self.section) @ self.project:
+            return None
         mrows = [r for r in m.sparse_rows() if r]
         for rel in self.relations.rows:
             for mrow in mrows:
@@ -386,7 +421,8 @@ class HomModule:
                 rcols.append(self._coords(t @ self.source.left[i]))
             left.append(Matrix.from_sparse_cols(lcols, self.dim))
             right.append(Matrix.from_sparse_cols(rcols, self.dim))
-        return Bimodule(self.source.algebra, self.dim, left, right)
+        return Bimodule(self.source.algebra, self.dim, left, right)._derived(
+            self.source, self.target)
 
     def _coords(self, m: Matrix) -> dict[int, Scalar]:
         c = self.sparse_coords_of(m)

@@ -9,12 +9,21 @@ tensors, and the certificate then packages sigma, the symmetrizer, the
 complement of ker(wedge) and the inverse of the wedge on that complement.
 Failures are returned as data, never raised: the check command is a
 diagnostic tool.
+
+The axioms that read "for every a in A" run over the algebra's generators
+(`Algebra.first_failure`) once the axioms before them passed on a validated
+algebra: then the a where one holds form a unital subalgebra.  Only d0's
+Leibniz rule needs the unit checked too, as d(1) == 0.  Any failure reruns
+the check over the whole basis, so every witness is the first in basis
+order.  `Calculus.validated` records a fully passed report over a
+validated algebra; the symmetry, the metric and the connection layer read
+it the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .algebra import Algebra
 from .bimodule import (
@@ -59,6 +68,7 @@ class Calculus:
         self.wedge_plain = wedge_plain
         self._tensor_square: QuotientTensor | None = None
         self._wedge_q: Matrix | None = None
+        self.validated = False
 
     @property
     def tensor_square(self) -> QuotientTensor:
@@ -113,12 +123,18 @@ class CalculusReport:
 
 
 def validate_calculus(calc: Calculus) -> CalculusReport:
-    """Run every calculus axiom; failures are report entries with witnesses."""
+    """Run every calculus axiom; failures are report entries with witnesses.
+
+    An axiom over the algebra runs on its generators when every earlier item
+    passed on a validated algebra, and records calc.validated at the end."""
     items: list[CheckItem] = []
     alg = calc.algebra
     e = calc.one_forms
     w2 = calc.two_forms
     nA, nE = alg.dim, e.dim
+
+    def ready() -> bool:
+        return alg.validated and all(item.ok for item in items)
 
     def check(name: str, fn) -> None:
         try:
@@ -139,14 +155,19 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
     d0 = calc.d0.sparse_cols()
 
     def d0_leibniz():
-        for i in range(nA):
-            for j in range(nA):
-                lhs = _apply_sparse(calc.d0, alg.sparse_mul[i][j])
-                rhs = _lincomb(((ONE, _apply_sparse(e.right[j], d0[i])),
-                                (ONE, _apply_sparse(e.left[i], d0[j]))))
-                if lhs != rhs:
-                    return f"d(ab) != da.b + a.db at basis pair ({alg.labels[i]}, {alg.labels[j]})"
-        return None
+        def pairs(firsts: Sequence[int]) -> str | None:
+            for i in firsts:
+                for j in range(nA):
+                    lhs = _apply_sparse(calc.d0, alg.sparse_mul[i][j])
+                    rhs = _lincomb(((ONE, _apply_sparse(e.right[j], d0[i])),
+                                    (ONE, _apply_sparse(e.left[i], d0[j]))))
+                    if lhs != rhs:
+                        return f"d(ab) != da.b + a.db at basis pair ({alg.labels[i]}, {alg.labels[j]})"
+            return None
+
+        # the unit is in the subalgebra exactly when d(1) == 0
+        unit_ok = not _apply_sparse(calc.d0, vec_to_sparse(alg.unit))
+        return alg.first_failure(pairs, ready() and unit_ok)
 
     def d_squared():
         if not (calc.d1 @ calc.d0).is_zero():
@@ -162,45 +183,53 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
         # W (L_a (x) 1) == L_a W and W (1 (x) R_a) == R_a W on sparse
         # columns, where column s*nE + t of W is wedge(e_s (x) e_t)
         w = calc.wedge_plain.sparse_cols()
-        for i in range(nA):
-            le, lw = e.left[i].sparse_cols(), w2.left[i].sparse_cols()
-            re, rw = e.right[i].sparse_cols(), w2.right[i].sparse_cols()
-            for s in range(nE):
-                for t in range(nE):
-                    base = w[s * nE + t]
-                    lhs = _lincomb((a, w[u * nE + t]) for u, a in le[s].items())
-                    if lhs != _lincomb((c, lw[r]) for r, c in base.items()):
-                        return f"wedge(a e (x) f) != a wedge(e (x) f) at (a={alg.labels[i]}, {s}, {t})"
-                    rhs = _lincomb((a, w[s * nE + u]) for u, a in re[t].items())
-                    if rhs != _lincomb((c, rw[r]) for r, c in base.items()):
-                        return f"wedge(e (x) f a) != wedge(e (x) f) a at (a={alg.labels[i]}, {s}, {t})"
-        return None
+
+        def actions(indices: Sequence[int]) -> str | None:
+            for i in indices:
+                le, lw = e.left[i].sparse_cols(), w2.left[i].sparse_cols()
+                re, rw = e.right[i].sparse_cols(), w2.right[i].sparse_cols()
+                for s in range(nE):
+                    for t in range(nE):
+                        base = w[s * nE + t]
+                        lhs = _lincomb((a, w[u * nE + t]) for u, a in le[s].items())
+                        if lhs != _lincomb((c, lw[r]) for r, c in base.items()):
+                            return f"wedge(a e (x) f) != a wedge(e (x) f) at (a={alg.labels[i]}, {s}, {t})"
+                        rhs = _lincomb((a, w[s * nE + u]) for u, a in re[t].items())
+                        if rhs != _lincomb((c, rw[r]) for r, c in base.items()):
+                            return f"wedge(e (x) f a) != wedge(e (x) f) a at (a={alg.labels[i]}, {s}, {t})"
+            return None
+
+        return alg.first_failure(actions, ready())
 
     def graded_leibniz():
         # d(da.b) = -da ^ db, d(a.w) = da ^ w + a.dw, d(w.a) = dw.a - w ^ da,
         # on the sparse columns of d0, d1, the wedge and the actions
         d1 = calc.d1.sparse_cols()
-        for i in range(nA):
-            for j in range(nA):
-                lhs = _apply_sparse(calc.d1, _apply_sparse(e.right[j], d0[i]))
-                if lhs != _lincomb(calc.wedge_terms(d0[i], d0[j], -ONE)):
-                    return f"d(da.b) != -da^db at ({alg.labels[i]}, {alg.labels[j]})"
-        for i in range(nA):
-            el, er = e.left[i].sparse_cols(), e.right[i].sparse_cols()
-            wl, wr = w2.left[i].sparse_cols(), w2.right[i].sparse_cols()
-            for s in range(nE):
-                es = {s: ONE}
-                lhs = _apply_sparse(calc.d1, el[s])
-                rhs = _lincomb([*calc.wedge_terms(d0[i], es),
-                                *((c, wl[r]) for r, c in d1[s].items())])
-                if lhs != rhs:
-                    return f"d(a.w) != da^w + a.dw at (a={alg.labels[i]}, w={s})"
-                lhs = _apply_sparse(calc.d1, er[s])
-                rhs = _lincomb([*((c, wr[r]) for r, c in d1[s].items()),
-                                *calc.wedge_terms(es, d0[i], -ONE)])
-                if lhs != rhs:
-                    return f"d(w.a) != dw.a - w^da at (a={alg.labels[i]}, w={s})"
-        return None
+
+        def identities(indices: Sequence[int]) -> str | None:
+            for i in indices:
+                for j in range(nA):
+                    lhs = _apply_sparse(calc.d1, _apply_sparse(e.right[j], d0[i]))
+                    if lhs != _lincomb(calc.wedge_terms(d0[i], d0[j], -ONE)):
+                        return f"d(da.b) != -da^db at ({alg.labels[i]}, {alg.labels[j]})"
+            for i in indices:
+                el, er = e.left[i].sparse_cols(), e.right[i].sparse_cols()
+                wl, wr = w2.left[i].sparse_cols(), w2.right[i].sparse_cols()
+                for s in range(nE):
+                    es = {s: ONE}
+                    lhs = _apply_sparse(calc.d1, el[s])
+                    rhs = _lincomb([*calc.wedge_terms(d0[i], es),
+                                    *((c, wl[r]) for r, c in d1[s].items())])
+                    if lhs != rhs:
+                        return f"d(a.w) != da^w + a.dw at (a={alg.labels[i]}, w={s})"
+                    lhs = _apply_sparse(calc.d1, er[s])
+                    rhs = _lincomb([*((c, wr[r]) for r, c in d1[s].items()),
+                                    *calc.wedge_terms(es, d0[i], -ONE)])
+                    if lhs != rhs:
+                        return f"d(w.a) != dw.a - w^da at (a={alg.labels[i]}, w={s})"
+            return None
+
+        return alg.first_failure(identities, ready())
 
     def spanned_by_da_b():
         cols = [_apply_sparse(e.right[j], d0[i]) for i in range(nA) for j in range(nA)]
@@ -222,6 +251,7 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
     check("graded_leibniz", graded_leibniz)
     check("one_forms_spanned_by_exact_forms", spanned_by_da_b)
     check("wedge_surjective", wedge_surjective)
+    calc.validated = ready()
     return CalculusReport(tuple(items))
 
 
@@ -331,19 +361,20 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         raise InternalInconsistencyError("flip extension failed to be an involution")
     flags["sigma_involution"] = True
 
-    bilinear = True
-    for i in range(calc.algebra.dim):
-        if sigma @ qt.bimodule.left[i] != qt.bimodule.left[i] @ sigma:
-            bilinear = False
-            break
-        if sigma @ qt.bimodule.right[i] != qt.bimodule.right[i] @ sigma:
-            bilinear = False
-            break
-    flags["sigma_bilinear"] = bilinear
-    if not bilinear:
+    def commutes(indices: Sequence[int]) -> int | None:
+        for i in indices:
+            if sigma @ qt.bimodule.left[i] != qt.bimodule.left[i] @ sigma:
+                return i
+            if sigma @ qt.bimodule.right[i] != qt.bimodule.right[i] @ sigma:
+                return i
+        return None
+
+    unbilinear = calc.algebra.first_failure(commutes, calc.validated)
+    flags["sigma_bilinear"] = unbilinear is None
+    if unbilinear is not None:
         return _fail("SigmaNotBilinear",
                      "the central flip extends right-linearly but is not a bimodule map",
-                     calc.algebra.labels[i])
+                     calc.algebra.labels[unbilinear])
 
     p_sym = (Matrix.identity(qt.dim) + sigma).scale(HALF)
     kernel_wedge = calc.wedge_q.kernel()

@@ -1,9 +1,11 @@
 """Command-line surface: gen, check, connect, verify.
 
 Exit codes: 0 success, 1 mathematical failure, 2 unreadable or malformed
-input.  Reports go to stdout, human-readable by default, machine-readable
-with --json; the connect artifact written to disk contains no timing, so
-reruns on the same input are byte-identical.
+input.  A linear-algebra failure that escapes a command (a singular or
+inconsistent system on an accepted spec) exits 1 with one line on stderr.
+Reports go to stdout, human-readable by default, machine-readable with
+--json; the connect artifact written to disk contains no timing, so reruns
+on the same input are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .connection import (
     levi_civita_koszul,
 )
 from .errors import ContractViolationError, EngineError, SpecFileError
+from .linalg import LinAlgError
 from .metric import validate_metric
 from .specfile import (
     SpecData,
@@ -296,6 +299,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except EngineError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except LinAlgError as exc:
+        print(f"LinAlgError: {exc}", file=sys.stderr)
         return EXIT_MATH
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .bimodule import pair_apply
 from .calculus import Calculus, TamenessCertificate
@@ -87,21 +88,26 @@ Table = tuple  # Table[p][q] = coordinates of the derivative of X_q along X_p
 
 def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
     """First basis pair (s, i) with nabla(e_s . a_i) != nabla(e_s) . a_i +
-    e_s (x) d a_i, algebra index outer, or None; compared on sparse columns."""
+    e_s (x) d a_i, algebra index outer, or None; compared on sparse columns.
+    On a validated calculus the algebra's generators decide it."""
     e = calc.one_forms
     qt = calc.tensor_square
     ncols = conn.nabla.sparse_cols()
     dcols = calc.d0.sparse_cols()
-    for i in range(calc.algebra.dim):
-        rcols = e.right[i].sparse_cols()
-        t2_right = qt.bimodule.right[i]
-        for s in range(e.dim):
-            lhs = _apply_sparse(conn.nabla, rcols[s])
-            rhs = _lincomb(((ONE, _apply_sparse(t2_right, ncols[s])),
-                            (ONE, qt.pure_sparse({s: ONE}, dcols[i]))))
-            if lhs != rhs:
-                return (s, i)
-    return None
+
+    def pairs(indices: Sequence[int]) -> tuple[int, int] | None:
+        for i in indices:
+            rcols = e.right[i].sparse_cols()
+            t2_right = qt.bimodule.right[i]
+            for s in range(e.dim):
+                lhs = _apply_sparse(conn.nabla, rcols[s])
+                rhs = _lincomb(((ONE, _apply_sparse(t2_right, ncols[s])),
+                                (ONE, qt.pure_sparse({s: ONE}, dcols[i]))))
+                if lhs != rhs:
+                    return (s, i)
+        return None
+
+    return calc.algebra.first_failure(pairs, calc.validated)
 
 
 def is_connection(calc: Calculus, conn: Connection) -> bool:
@@ -127,8 +133,11 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
     def unknown(j: int, out_a: int, in_e: int) -> int:
         return j * width + out_a * nE + in_e
 
-    # right-linearity of each splitting component: S_j R_a == R_a S_j
-    linear = commutator_rows((alg.right_basis_matrix(i), e.right[i]) for i in range(nA))
+    # right-linearity of each splitting component: S_j R_a == R_a S_j; the
+    # rows for the generators span the rows for all of A once the calculus
+    # validated, so the system has the same RREF and solution
+    linear = commutator_rows((alg.right_basis_matrix(i), e.right[i])
+                             for i in alg.basis_indices(calc.validated))
     rows = [{j * width + k: v for k, v in row.items()} for j in range(n) for row in linear]
     rhs = [ZERO] * len(rows)
     # reconstruction through the frame
@@ -179,15 +188,23 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
 
 
 def torsion(calc: Calculus, conn: Connection) -> Matrix:
-    """wedge after the connection plus d; right-linear for honest connections."""
+    """wedge after the connection plus d; right-linear for honest connections,
+    which the algebra's generators decide on a validated calculus."""
     t = calc.wedge_q @ conn.nabla + calc.d1
     e = calc.one_forms
     w2 = calc.two_forms
-    for i in range(calc.algebra.dim):
-        if t @ e.right[i] != w2.right[i] @ t:
-            raise NotRightLinearError(
-                "torsion of a malformed connection is not right-linear",
-                witness=calc.algebra.labels[i])
+
+    def nonlinear(indices: Sequence[int]) -> int | None:
+        for i in indices:
+            if t @ e.right[i] != w2.right[i] @ t:
+                return i
+        return None
+
+    bad = calc.algebra.first_failure(nonlinear, calc.validated)
+    if bad is not None:
+        raise NotRightLinearError(
+            "torsion of a malformed connection is not right-linear",
+            witness=calc.algebra.labels[bad])
     return t
 
 

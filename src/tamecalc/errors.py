@@ -65,10 +65,6 @@ class NonUniqueSolutionError(EngineError):
     code = "NonUniqueSolution"
 
 
-class InconsistentMetricError(EngineError):
-    code = "InconsistentMetric"
-
-
 class CenterMismatchError(EngineError):
     code = "CenterMismatch"
 

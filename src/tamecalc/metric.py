@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Sequence
 
 from .bimodule import HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
@@ -86,7 +87,8 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
 
     Accepts the metric either on plain tensor coordinates (dim E^2 columns,
     lifted by checking it kills the relations) or directly on quotient
-    coordinates.
+    coordinates.  Bilinearity needs only the algebra's generators once the
+    calculus validated.
     """
     qt = calc.tensor_square
     alg = calc.algebra
@@ -107,11 +109,17 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
                      f"metric has {g_in.cols} columns; expected {qt.ambient_dim} (plain) "
                      f"or {qt.dim} (quotient)")
 
-    for i in range(alg.dim):
-        if g @ qt.bimodule.left[i] != alg.left_basis_matrix(i) @ g:
-            return _fail("NotBilinear", "metric is not left-linear", alg.labels[i])
-        if g @ qt.bimodule.right[i] != alg.right_basis_matrix(i) @ g:
-            return _fail("NotBilinear", "metric is not right-linear", alg.labels[i])
+    def unbilinear(indices: Sequence[int]) -> MetricOutcome | None:
+        for i in indices:
+            if g @ qt.bimodule.left[i] != alg.left_basis_matrix(i) @ g:
+                return _fail("NotBilinear", "metric is not left-linear", alg.labels[i])
+            if g @ qt.bimodule.right[i] != alg.right_basis_matrix(i) @ g:
+                return _fail("NotBilinear", "metric is not right-linear", alg.labels[i])
+        return None
+
+    failure = alg.first_failure(unbilinear, calc.validated)
+    if failure is not None:
+        return failure
 
     if g @ cert.sigma != g:
         for j in range(qt.dim):

@@ -6,7 +6,9 @@ kernel went sparse: the full-reduction elimination, the dense matrix
 arithmetic, and the connection-layer formulas.  The equivalence tests hold
 the sparse kernels to these.  hom_kernel is the Hom space as the exact
 kernel of the right-linearity rows, the oracle for the construction from
-the images of the central generators.
+the images of the central generators.  validate_calculus_reference states
+every calculus axiom as a matrix identity over the whole algebra basis,
+the oracle for the checks that run over the algebra's generators.
 """
 
 from tamecalc.linalg import (
@@ -18,6 +20,7 @@ from tamecalc.linalg import (
     basis_vector,
     commutator_rows,
     kernel_rows,
+    kronecker,
     vec_to_sparse,
     zero_vector,
 )
@@ -230,3 +233,101 @@ def graded_leibniz_dense(calc) -> str | None:
             if lhs != rhs:
                 return f"d(w.a) != dw.a - w^da at (a={alg.labels[i]}, w={s})"
     return None
+
+
+# -- the calculus axioms over the whole algebra basis --------------------------------
+
+def _action(actions, a: Vector, dim: int) -> Matrix:
+    """sum_k a_k actions[k]."""
+    out = Matrix.zeros(dim, dim)
+    for k, c in vec_to_sparse(a).items():
+        out = out + actions[k].scale(c)
+    return out
+
+
+def bimodule_axioms_reference(b) -> str | None:
+    """The message of the first failing bimodule axiom, every basis pair
+    (i, j) in order, or None."""
+    alg = b.algebra
+    ident = Matrix.identity(b.dim)
+    if _action(b.left, alg.unit, b.dim) != ident:
+        return "bimodule: unit does not act as identity on the left"
+    if _action(b.right, alg.unit, b.dim) != ident:
+        return "bimodule: unit does not act as identity on the right"
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            prod = alg.mul[i][j]
+            if _action(b.left, prod, b.dim) != b.left[i] @ b.left[j]:
+                return f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})"
+            if _action(b.right, prod, b.dim) != b.right[j] @ b.right[i]:
+                return f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})"
+            if b.left[i] @ b.right[j] != b.right[j] @ b.left[i]:
+                return f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})"
+    return None
+
+
+def validate_calculus_reference(calc) -> list[tuple[str, bool, str | None]]:
+    """(name, ok, witness) of every item validate_calculus reports, each
+    identity checked over the whole algebra basis on dense vectors or whole
+    matrices."""
+    alg, e, w2 = calc.algebra, calc.one_forms, calc.two_forms
+    nA, nE = alg.dim, e.dim
+    w = calc.wedge_plain
+
+    def d0_leibniz():
+        for i in range(nA):
+            for j in range(nA):
+                lhs = calc.d0.apply(alg.mul[i][j])
+                rhs = tuple(x + y for x, y in zip(e.right[j].apply(calc.d0.col(i)),
+                                                  e.left[i].apply(calc.d0.col(j))))
+                if lhs != rhs:
+                    return f"d(ab) != da.b + a.db at basis pair ({alg.labels[i]}, {alg.labels[j]})"
+        return None
+
+    def d_squared():
+        return None if (calc.d1 @ calc.d0).is_zero() else "d1 . d0 != 0"
+
+    def wedge_middle_linear():
+        rows = commutator_rows((e.right[i].transpose(), e.left[i]) for i in range(nA))
+        relations = Subspace(nE * nE, rows)
+        if (w @ Matrix.from_sparse_cols(relations.rows, nE * nE)).is_zero():
+            return None
+        return "wedge does not vanish on the (x)_A relation subspace"
+
+    def wedge_bimodule_map():
+        eye = Matrix.identity(nE)
+        for i in range(nA):
+            left = ((w @ kronecker(e.left[i], eye)).sparse_cols(),
+                    (w2.left[i] @ w).sparse_cols())
+            right = ((w @ kronecker(eye, e.right[i])).sparse_cols(),
+                     (w2.right[i] @ w).sparse_cols())
+            for s in range(nE):
+                for t in range(nE):
+                    if left[0][s * nE + t] != left[1][s * nE + t]:
+                        return f"wedge(a e (x) f) != a wedge(e (x) f) at (a={alg.labels[i]}, {s}, {t})"
+                    if right[0][s * nE + t] != right[1][s * nE + t]:
+                        return f"wedge(e (x) f a) != wedge(e (x) f) a at (a={alg.labels[i]}, {s}, {t})"
+        return None
+
+    def spanned_by_da_b():
+        cols = [e.right[j].apply(calc.d0.col(i)) for i in range(nA) for j in range(nA)]
+        if Subspace(nE, cols).dim != nE:
+            return "one-forms are not the right-linear span of {da.b}"
+        return None
+
+    def wedge_surjective():
+        return None if w.rank() == w2.dim else "wedge does not reach all of the two-forms"
+
+    checks = (
+        ("one_forms_bimodule_axioms", lambda: bimodule_axioms_reference(e)),
+        ("two_forms_bimodule_axioms", lambda: bimodule_axioms_reference(w2)),
+        ("d0_leibniz", d0_leibniz),
+        ("d_squared_zero", d_squared),
+        ("wedge_middle_linear", wedge_middle_linear),
+        ("wedge_bimodule_map", wedge_bimodule_map),
+        ("graded_leibniz", lambda: graded_leibniz_dense(calc)),
+        ("one_forms_spanned_by_exact_forms", spanned_by_da_b),
+        ("wedge_surjective", wedge_surjective),
+    )
+    return [(name, witness is None, witness) for name, witness in
+            ((name, fn()) for name, fn in checks)]

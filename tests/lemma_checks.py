@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
 from tamecalc.connection import Geometry, covariant_derivative
-from tamecalc.errors import InconsistentMetricError
+from tamecalc.errors import EngineError
 from tamecalc.linalg import (
     LinAlgError,
     Matrix,
@@ -21,6 +21,12 @@ from tamecalc.linalg import (
     vec_to_sparse,
     zero_vector,
 )
+
+
+class InconsistentMetricError(EngineError):
+    """The squared metric on the tensor square is not a valid pairing."""
+
+    code = "InconsistentMetric"
 
 
 def pair(qt, phi: Matrix, psi: Matrix, x: Vector) -> Vector:

@@ -414,3 +414,27 @@ def test_abelian_torus_4_spec_and_check_report_match_golden(capsys, tmp_path):
     code, out = run(capsys, ["check", str(spec_path), "--json"])
     assert code == 0
     assert _report_digest(json.loads(out)) == GOLDEN_TORUS4_CHECK
+
+
+# -- exit contract ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command, target", [
+    ("connect", "tamecalc.connection.solve_sparse"),
+    ("check", "tamecalc.bimodule.solve_sparse"),
+])
+def test_escaped_linalg_error_exits_one_without_traceback(workdir, capsys, tmp_path,
+                                                          monkeypatch, command, target):
+    from tamecalc.linalg import LinAlgError
+
+    def broken_solver(*args, **kwargs):
+        raise LinAlgError("rhs length does not match the system")
+
+    monkeypatch.setattr(target, broken_solver)
+    argv = [command, str(workdir / "fuzzy.json")]
+    if command == "connect":
+        argv += ["--out", str(tmp_path / "never.json")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "LinAlgError: rhs length does not match the system\n"
+    assert not (tmp_path / "never.json").exists()

@@ -6,6 +6,7 @@ specs, its oracle check must still read tables through E*, and every name
 its span recorder wraps must still resolve.
 """
 
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -61,3 +62,29 @@ def test_oracle_reader_and_hom_layer_resolve():
     assert {"hom_A", "dual_module"} <= set(attrs)
     for name in attrs:
         assert callable(getattr(bimodule, name)), name
+
+
+def test_traced_stage_names_resolve():
+    # the traced breakdown reads these layers; a renamed target would leave
+    # its metric at zero without failing the benchmark
+    spans = _load("spans")
+    layers = {name: (modname, attrs) for name, modname, attrs in spans.SPANS}
+    for layer, modname, name in (
+            ("algebra.validate", "tamecalc.algebra", "Algebra.validate"),
+            ("bimodule.tensor_square", "tamecalc.bimodule", "tensor_over_A"),
+            ("calculus.validate", "tamecalc.calculus", "validate_calculus"),
+            ("calculus.symmetry", "tamecalc.calculus", "build_symmetry"),
+            ("metric.validate", "tamecalc.metric", "validate_metric")):
+        assert layers[layer][0] == modname
+        assert name in layers[layer][1], name
+        module = importlib.import_module(modname)
+        if "." in name:
+            cls, meth = name.split(".")
+            assert callable(vars(getattr(module, cls))[meth]), name
+        else:
+            assert callable(getattr(module, name)), name
+    modname, attrs = spans.COUNTED
+    assert modname == "tamecalc.connection"
+    for name in ("leibniz_witness", "torsion"):
+        assert name in attrs
+        assert callable(getattr(connection, name)), name
