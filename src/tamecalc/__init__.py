@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .algebra import Algebra
 from .bimodule import Bimodule, hom_A, is_centered, module_center, tensor_over_A
-from .calculus import Calculus, build_symmetry, q_inverse_apply, validate_calculus
+from .calculus import Calculus, build_symmetry, validate_calculus
 from .connection import (
     Connection,
     Geometry,
@@ -52,7 +52,6 @@ __all__ = [
     "lie_bracket",
     "module_center",
     "nabla_zero",
-    "q_inverse_apply",
     "qi",
     "tensor_over_A",
     "torsion",

@@ -4,10 +4,11 @@ A bimodule is a K-space with one left-action and one right-action matrix per
 algebra basis element.  Tensor products over the algebra are materialized as
 quotients of the plain tensor space by the middle-linearity relations, with
 explicit project/section matrices.  Right-linear maps out of a centered
-bimodule are built one way, from the images of its central generators
-(`CentralGenerators`); Hom spaces are spanned by those maps.  These
-constructions carry the one-forms, two-forms and their tensor squares for
-the rest of the engine.
+bimodule have one constructor, `CentralGenerators`: such a map is fixed by
+its images of the central generators z_j, and a right-linear identity holds
+once it holds on the z_j.  Each bimodule decides once whether it is centered
+and keeps one `central_generators`, which the tameness certificate, its Hom
+spaces and the connection layer share.
 
 A bimodule records in `validated` that its axioms hold over a validated
 algebra, or that it was built from bimodules that did.  Then the bimodule
@@ -79,6 +80,16 @@ class Bimodule:
     def zero(algebra: Algebra) -> "Bimodule":
         z = Matrix.zeros(0, 0)
         return Bimodule(algebra, 0, [z] * algebra.dim, [z] * algebra.dim)
+
+    @cached_property
+    def centered(self) -> "CenteredReport":
+        """is_centered, decided once per bimodule."""
+        return is_centered(self)
+
+    @cached_property
+    def central_generators(self) -> "CentralGenerators":
+        """Raises ContractViolationError when the bimodule is not centered."""
+        return CentralGenerators(self)
 
     def left_action(self, a: Vector) -> Matrix:
         return Matrix.from_sparse_rows(self._action_rows(self.left, a), self.dim)
@@ -318,7 +329,7 @@ class CentralGenerators:
     """
 
     def __init__(self, source: Bimodule):
-        rep = is_centered(source)
+        rep = source.centered
         if not rep.ok:
             raise ContractViolationError(
                 "hom_A: the source is not generated by its center as a right module",
@@ -389,7 +400,7 @@ class HomModule:
             raise ContractViolationError("hom_A: source and target over different algebras")
         self.source = source
         self.target = target
-        self.generators = gens = CentralGenerators(source)
+        self.generators = gens = source.central_generators
         nunk = gens.center.dim * target.dim
         self.flat = Subspace(source.dim * target.dim,
                              [_flatten(gens.right_linear(target, v))

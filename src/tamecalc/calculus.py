@@ -29,7 +29,6 @@ from .algebra import Algebra
 from .bimodule import (
     Bimodule,
     QuotientTensor,
-    is_centered,
     tensor_over_A,
 )
 from .errors import ContractViolationError, InternalInconsistencyError
@@ -335,7 +334,7 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
     """
     e = calc.one_forms
     qt = calc.tensor_square
-    rep = is_centered(e)
+    rep = e.centered
     if not rep.ok:
         return _fail("NotCentered",
                      "the center of the one-forms does not generate them as a right module",
@@ -422,8 +421,3 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         flags=flags,
     )
     return SymmetryOutcome(cert, None)
-
-
-def q_inverse_apply(cert: TamenessCertificate, w: Vector) -> Vector:
-    """The unique preimage of a two-form in the complement of ker(wedge)."""
-    return cert.q_inverse.apply(w)

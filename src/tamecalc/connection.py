@@ -16,6 +16,10 @@ and two independent routes to the Levi-Civita connection:
   by its images of the central generators of the one-forms.
 
 Exact equality of the two routes is the engine's own strongest self-test.
+
+A right-linear map out of the one-forms (a Grassmann splitting, a Leibniz
+perturbation) is fixed by its images of the central generators z_i, and a
+connection (Grassmann, reconstructed) by nabla(z_i) and the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .bimodule import pair_apply
+from .bimodule import Bimodule, pair_apply
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     BracketNotCentralError,
@@ -50,13 +54,11 @@ from .linalg import (
     _axpy,
     _lincomb,
     _product_rows,
-    commutator_rows,
     solve_sparse,
     solve_through,
     sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
-    zero_vector,
 )
 from .metric import Metric, VectorFieldModule, delta_of, g_of_forms, vector_fields
 
@@ -69,14 +71,6 @@ class Connection:
 
     def of(self, omega: Vector) -> Vector:
         return self.nabla.apply(omega)
-
-
-@dataclass(frozen=True)
-class FramePresentation:
-    generators: tuple[Vector, ...]
-    splitting: tuple[Matrix, ...]          # one A-valued functional per generator
-    idempotent: tuple[tuple[Vector, ...], ...]   # p[i][j] = s_i(Phi_j) in A
-    idempotent_check: bool
 
 
 Table = tuple  # Table[p][q] = coordinates of the derivative of X_q along X_p
@@ -110,81 +104,80 @@ def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
     return calc.algebra.first_failure(pairs, calc.validated)
 
 
-def is_connection(calc: Calculus, conn: Connection) -> bool:
-    return leibniz_witness(calc, conn) is None
-
-
-def grassmann(calc: Calculus, cert: TamenessCertificate,
-              frame: tuple[Vector, ...] | None = None) -> tuple[Connection, FramePresentation]:
-    """The connection of a right-linear splitting through the given frame.
-
-    The default frame is the central basis of the one-forms, which is
-    right-total whenever the calculus is tame; a splitting exists exactly
-    when the module is projective over the chosen generators.
-    """
-    e = calc.one_forms
-    alg = calc.algebra
+def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Connection:
+    """The connection sending each central generator z_r of the one-forms to
+    the sparse images[r], extended by the Leibniz rule:
+    z_r . a_s -> images[r] . a_s + z_r (x) d a_s."""
     qt = calc.tensor_square
-    gens = tuple(frame) if frame is not None else cert.central_basis
-    n = len(gens)
-    nA, nE = alg.dim, e.dim
-    width = nA * nE
+    gens = calc.one_forms.central_generators
+    dcols = calc.d0.sparse_cols()
+    values = [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
+                        (ONE, qt.pure_sparse(z, dcols[s]))))
+              for w, z in zip(images, gens.center.rows) for s in range(calc.algebra.dim)]
+    return Connection(gens.extend(values, qt.dim))
 
-    def unknown(j: int, out_a: int, in_e: int) -> int:
-        return j * width + out_a * nE + in_e
 
-    # right-linearity of each splitting component: S_j R_a == R_a S_j; the
-    # rows for the generators span the rows for all of A once the calculus
-    # validated, so the system has the same RREF and solution
-    linear = commutator_rows((alg.right_basis_matrix(i), e.right[i])
-                             for i in alg.basis_indices(calc.validated))
-    rows = [{j * width + k: v for k, v in row.items()} for j in range(n) for row in linear]
+def frame_splitting(calc: Calculus,
+                    frame: Sequence[Vector]) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+    """Maps S_j in E* with sum_j g_j . S_j(e) == e for the frame g_j, any
+    elements of E; entry [j][i] is S_j(z_i) in A, sparse, for the central
+    generators z_i.  The unknowns are those images, at (j * k + i) * dim A:
+    they satisfy the generators' relations, and sum_j g_j . S_j(z_i) == z_i,
+    which is enough because e -> sum_j g_j . S_j(e) is right-linear."""
+    e = calc.one_forms
+    gens = e.central_generators
+    zs = gens.center.rows
+    frame_sparse = [vec_to_sparse(g) for g in frame]
+    n, k, nA = len(frame_sparse), len(zs), calc.algebra.dim
+    width = k * nA
+
+    # each S_j is right-linear: its images respect the generators' relations
+    linear = gens.relation_rows(Bimodule.regular(calc.algebra))
+    rows = [{j * width + u: v for u, v in row.items()} for j in range(n) for row in linear]
     rhs = [ZERO] * len(rows)
-    # reconstruction through the frame
-    rgen = [[e.right[a].apply(gens[j]) for a in range(nA)] for j in range(n)]
-    for k in range(nE):
-        for c in range(nE):
-            row = {}
-            for j in range(n):
-                for a in range(nA):
-                    v = rgen[j][a][c]
-                    if not v.is_zero():
-                        row[unknown(j, a, k)] = v
-            rows.append(row)
-            rhs.append(ONE if c == k else ZERO)
+    # sum_j g_j . S_j(z_i) == z_i, where g_j . a_s carries S_j(z_i)'s
+    # coordinate s
+    translates = [[_apply_sparse(e.right[s], g) for s in range(nA)] for g in frame_sparse]
+    for i, z in enumerate(zs):
+        recon: list[dict[int, Scalar]] = [{} for _ in range(e.dim)]
+        for j in range(n):
+            for s in range(nA):
+                for c, v in translates[j][s].items():
+                    recon[c][j * width + i * nA + s] = v
+        rows.extend(recon)
+        rhs.extend(z.get(c, ZERO) for c in range(e.dim))
 
     (sol,), _ = solve_sparse(rows, n * width, [rhs])
     if sol is None:
         raise NoSplittingError(
             "no right-linear splitting through the chosen frame generators",
-            witness=[f"frame size {n}", f"one-forms dim {nE}"])
-    splitting = tuple(
-        Matrix(nA, nE, [[sol[unknown(j, c, k)] for k in range(nE)] for c in range(nA)])
-        for j in range(n))
+            witness=[f"frame size {n}", f"one-forms dim {e.dim}"])
+    return tuple(tuple(vec_to_sparse(sol[(j * k + i) * nA:(j * k + i + 1) * nA])
+                       for i in range(k)) for j in range(n))
 
-    # nabla(e_k) = sum_j gens[j] (x) d(S_j e_k)
-    gen_sparse = [vec_to_sparse(g) for g in gens]
-    split_cols = [s.sparse_cols() for s in splitting]
-    cols = [_lincomb((ONE, qt.pure_sparse(gen_sparse[j], _apply_sparse(calc.d0, split_cols[j][k])))
-                     for j in range(n))
-            for k in range(nE)]
-    conn = Connection(Matrix.from_sparse_cols(cols, qt.dim))
+
+def grassmann(calc: Calculus, cert: TamenessCertificate,
+              frame: tuple[Vector, ...] | None = None) -> Connection:
+    """The connection of a right-linear splitting through the given frame.
+
+    The default frame is the central basis of the one-forms, which is
+    right-total whenever the calculus is tame.  The connection sends each
+    central generator z_i to sum_j g_j (x) d(S_j(z_i)) and extends by the
+    Leibniz rule, which gives sum_j g_j (x) d(S_j e) on every e because
+    sum_j g_j . S_j(z_i) == z_i.
+    """
+    frame = frame if frame is not None else cert.central_basis
+    splitting = frame_splitting(calc, frame)
+    qt = calc.tensor_square
+    frame_sparse = [vec_to_sparse(g) for g in frame]
+    conn = leibniz_extension(calc, [
+        _lincomb((ONE, qt.pure_sparse(g, _apply_sparse(calc.d0, image)))
+                 for g, image in zip(frame_sparse, images_of_z))
+        for images_of_z in zip(*splitting)])
     bad = leibniz_witness(calc, conn)
     if bad is not None:
         raise InternalInconsistencyError(f"Grassmann connection fails Leibniz at {bad}")
-
-    idem = tuple(tuple(splitting[i].apply(gens[j]) for j in range(n)) for i in range(n))
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            acc = zero_vector(nA)
-            for k in range(n):
-                acc = tuple(x + y for x, y in zip(acc, alg.multiply(idem[i][k], idem[k][j])))
-            if acc != idem[i][j]:
-                ok = False
-    frame_p = FramePresentation(generators=gens, splitting=splitting,
-                                idempotent=idem, idempotent_check=ok)
-    return conn, frame_p
+    return conn
 
 
 def torsion(calc: Calculus, conn: Connection) -> Matrix:
@@ -211,7 +204,7 @@ def torsion(calc: Calculus, conn: Connection) -> Matrix:
 def nabla_zero(calc: Calculus, cert: TamenessCertificate,
                frame: tuple[Vector, ...] | None = None) -> Connection:
     """Kill the Grassmann torsion through the wedge inverse on the complement."""
-    gr, _ = grassmann(calc, cert, frame)
+    gr = grassmann(calc, cert, frame)
     t = torsion(calc, gr)
     conn = Connection(gr.nabla - cert.q_inverse @ t)
     if not torsion(calc, conn).is_zero():
@@ -688,9 +681,7 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
     Solved through the separating family of field pairs on central
     one-forms, then extended to everything by the Leibniz rule.
     """
-    calc = geo.calc
-    qt = calc.tensor_square
-    nA = calc.algebra.dim
+    nA = geo.calc.algebra.dim
     n = geo.fields.count
     e_star = geo.metric.e_star
     ws = []
@@ -708,12 +699,7 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
         if w is None:
             raise SystemSingularError("reconstruction system has no solution")
         ws.append(vec_to_sparse(w))
-    # the Leibniz extension: z_r . a_s -> w_r . a_s + z_r (x) d a_s
-    dcols = calc.d0.sparse_cols()
-    values = [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
-                        (ONE, qt.pure_sparse(z, dcols[s]))))
-              for w, z in zip(ws, geo.cert.center_one_forms.rows) for s in range(nA)]
-    return Connection(geo.generators.extend(values, qt.dim))
+    return leibniz_extension(geo.calc, ws)
 
 
 def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:

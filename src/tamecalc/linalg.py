@@ -619,9 +619,10 @@ def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int,
 def commutator_rows(pairs: Iterable[tuple[Matrix, Matrix]]) -> list[dict[int, Scalar]]:
     """Sparse rows of X -> A X - X B for each pair (A, B), X flattened row-major.
 
-    Their common kernel is the space of X with A X == X B for every pair,
-    which is how right-linearity constraints are posed.  Read as vectors,
-    the rows span the images of X -> A^T X - X B^T.  Zero rows are dropped.
+    Their common kernel is the space of X with A X == X B for every pair.
+    Read as vectors, the rows span the images of X -> A^T X - X B^T, which
+    is how QuotientTensor poses its middle-linearity relations.  Zero rows
+    are dropped.
     """
     rows = []
     for a, b in pairs:

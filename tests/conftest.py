@@ -1,6 +1,10 @@
 """Shared geometry fixtures: built once per session, everything downstream
 is read-only."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from dense_reference import from_rows
@@ -67,6 +71,17 @@ def fuzzy_geo(fuzzy_preset):
 @pytest.fixture(scope="session")
 def torus_geo(torus_preset):
     return _geometry(torus_preset)
+
+
+@pytest.fixture(scope="session")
+def fuzzy3_calc():
+    """The fuzzy sphere N = 3 of the benchmark inputs: A = M_3, dim E = 27."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return build_chevalley(module.fuzzy_sphere_chevalley(3))
 
 
 def truncated_line_spec() -> ChevalleySpec:

@@ -5,8 +5,9 @@ entry grids and whole action matrices, as the engine computed it before the
 kernel went sparse: the full-reduction elimination, the dense matrix
 arithmetic, and the connection-layer formulas.  The equivalence tests hold
 the sparse kernels to these.  hom_kernel is the Hom space as the exact
-kernel of the right-linearity rows, the oracle for the construction from
-the images of the central generators.  validate_calculus_reference states
+kernel of the right-linearity rows, and grassmann_reference the Grassmann
+connection solved over whole splitting matrices: the oracles for the
+constructions from the images of the central generators.  validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
 the oracle for the checks that run over the algebra's generators.
 """
@@ -21,6 +22,7 @@ from tamecalc.linalg import (
     commutator_rows,
     kernel_rows,
     kronecker,
+    solve_sparse,
     vec_to_sparse,
     zero_vector,
 )
@@ -205,6 +207,44 @@ def leibniz_witness_dense(calc, conn) -> tuple[int, int] | None:
             if lhs != tuple(x + y for x, y in zip(rhs, extra)):
                 return (s, i)
     return None
+
+
+def grassmann_reference(calc, frame) -> Matrix:
+    """The Grassmann connection of a frame g_j, solved over whole splitting
+    matrices: each S_j: E -> A is dim A * dim E unknowns with
+    S_j R_a == R_a S_j for every basis element a, and
+    sum_j g_j . S_j(e_k) == e_k on every basis vector e_k.  Then
+    nabla(e_k) = sum_j g_j (x) d(S_j e_k)."""
+    e = calc.one_forms
+    alg = calc.algebra
+    qt = calc.tensor_square
+    n, nA, nE = len(frame), alg.dim, e.dim
+    width = nA * nE
+
+    def unknown(j, a, k):
+        return j * width + a * nE + k
+
+    linear = commutator_rows((alg.right_basis_matrix(i), e.right[i]) for i in range(nA))
+    rows = [{j * width + u: v for u, v in row.items()} for j in range(n) for row in linear]
+    rhs = [ZERO] * len(rows)
+    translates = [[e.right[a].apply(g) for a in range(nA)] for g in frame]
+    for k in range(nE):
+        for c in range(nE):
+            rows.append({unknown(j, a, k): translates[j][a][c]
+                         for j in range(n) for a in range(nA)
+                         if not translates[j][a][c].is_zero()})
+            rhs.append(ONE if c == k else ZERO)
+    (sol,), _ = solve_sparse(rows, n * width, [rhs])
+    assert sol is not None, "no splitting through the frame"
+    cols = []
+    for k in range(nE):
+        col = zero_vector(qt.dim)
+        for j in range(n):
+            s_jk = tuple(sol[unknown(j, a, k)] for a in range(nA))
+            term = pure_dense(qt, frame[j], calc.d0.apply(s_jk))
+            col = tuple(x + y for x, y in zip(col, term))
+        cols.append(col)
+    return Matrix.from_cols(cols, qt.dim)
 
 
 def graded_leibniz_dense(calc) -> str | None:

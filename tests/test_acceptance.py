@@ -96,7 +96,7 @@ def test_criterion_4_condition_equivalences(fuzzy_geo, torus_geo):
     # assertion; the verdict values are pinned on top of that.
     cases = 0
     for geo in (fuzzy_geo, torus_geo):
-        gr, _ = grassmann(geo.calc, geo.cert)
+        gr = grassmann(geo.calc, geo.cert)
         n0 = geo.nabla0
         lc_conn = levi_civita_koszul(geo).connection
         conns = [gr, n0, lc_conn]
@@ -183,7 +183,7 @@ def test_criterion_8_identity_suite(fuzzy_geo, torus_geo, line_geo):
         assert all(checks), checks
         count += len(checks)
     # the commutative fixture exercises the center-sensitive identities
-    conn, _ = grassmann(line_geo.calc, line_geo.cert)
+    conn = grassmann(line_geo.calc, line_geo.cert)
     assert lc.covariant_derivative_axioms(line_geo, conn)
     assert lc.t_tilde_right_center_linear(line_geo, conn)
     count += 2

@@ -14,7 +14,6 @@ from tamecalc.builders import (
 from tamecalc.calculus import (
     Calculus,
     build_symmetry,
-    q_inverse_apply,
     validate_calculus,
 )
 from tamecalc.linalg import (
@@ -276,13 +275,13 @@ def test_certificate_operator_identities(fuzzy_cert):
 
 def test_q_inverse_on_zero(fuzzy_cert):
     w2 = fuzzy_cert.calculus.two_forms.dim
-    assert vec_is_zero(q_inverse_apply(fuzzy_cert, zero_vector(w2)))
+    assert vec_is_zero(fuzzy_cert.q_inverse.apply(zero_vector(w2)))
 
 
 def test_q_inverse_inverts_wedge_on_complement(fuzzy_cert):
     wedge_q = fuzzy_cert.calculus.wedge_q
     for f in fuzzy_cert.complement_f.basis:
-        assert q_inverse_apply(fuzzy_cert, wedge_q.apply(f)) == f
+        assert fuzzy_cert.q_inverse.apply(wedge_q.apply(f)) == f
 
 
 def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
@@ -292,7 +291,7 @@ def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
     w = wedge_of(fuzzy, theta[0], theta[1])
     expect = tuple(HALF * (a - b) for a, b in
                    zip(qt.pure(theta[0], theta[1]), qt.pure(theta[1], theta[0])))
-    assert q_inverse_apply(fuzzy_cert, w) == expect
+    assert fuzzy_cert.q_inverse.apply(w) == expect
 
 
 def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert):
@@ -305,7 +304,7 @@ def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert):
     wedge_q = fuzzy.wedge_q
     for j in range(n):
         gamma = basis_vector(n, j)
-        assert one_minus_p.apply(gamma) == q_inverse_apply(cert, wedge_q.apply(gamma))
+        assert one_minus_p.apply(gamma) == cert.q_inverse.apply(wedge_q.apply(gamma))
 
 
 def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert):
@@ -325,5 +324,5 @@ def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert):
                          vec_to_sparse(tuple(qi(2) * x for x in one_minus_p.apply(gamma))))
         rhs = pair_apply(qt, phi, psi,
                          vec_to_sparse(tuple(qi(2) * x for x in
-                                             q_inverse_apply(cert, fuzzy.wedge_q.apply(gamma)))))
+                                             cert.q_inverse.apply(fuzzy.wedge_q.apply(gamma)))))
         assert lhs == rhs

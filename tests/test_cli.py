@@ -227,6 +227,29 @@ def test_connect_with_frame_override(workdir, capsys, tmp_path):
     assert a1["nabla"] == a2["nabla"]
 
 
+@pytest.mark.parametrize("command", ["check", "connect"])
+def test_one_forms_are_tested_for_centeredness_once(workdir, capsys, tmp_path, monkeypatch,
+                                                    command):
+    # the tameness certificate, E* and the connection layer share one
+    # decision and one set of central generators
+    from tamecalc import bimodule
+
+    calls = []
+    real = bimodule.is_centered
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(bimodule, "is_centered", counted)
+    argv = [command, str(workdir / "fuzzy.json")]
+    if command == "connect":
+        argv += ["--out", str(tmp_path / "conn.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_connect_with_non_spanning_frame_fails(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
@@ -260,7 +283,7 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     from tamecalc.calculus import build_symmetry
 
     cert = build_symmetry(spec.calculus).certificate
-    conn, _ = grassmann(spec.calculus, cert)
+    conn = grassmann(spec.calculus, cert)
     art = tmp_path / "grassmann.json"
     art.write_text(dumps_canonical(connection_to_json(
         conn.nabla, [], {}, input_digest(workdir / "fuzzy.json"))))

@@ -5,10 +5,11 @@ import hashlib
 import pytest
 
 import lemma_checks as lc
-from dense_reference import from_rows, hom_kernel
+from dense_reference import from_rows, grassmann_reference, hom_kernel
 from perturbations import random_leibniz_perturbation
 from tamecalc.bimodule import Bimodule, dual_module, hom_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
+from tamecalc.calculus import build_symmetry
 from tamecalc.connection import (
     Connection,
     Geometry,
@@ -17,8 +18,8 @@ from tamecalc.connection import (
     compat_witnesses,
     covariant_derivative,
     covariant_table,
+    frame_splitting,
     grassmann,
-    is_connection,
     koszul_rhs,
     leibniz_witness,
     levi_civita_direct,
@@ -48,29 +49,56 @@ def fuzzy_lc(fuzzy_geo):
 
 # -- Grassmann and the reference connection ------------------------------------
 
+def _splitting(calc, frame):
+    """The solved splitting S_j: E -> A, each built from its images of the
+    central generators."""
+    gens = calc.one_forms.central_generators
+    regular = Bimodule.regular(calc.algebra)
+    nA = calc.algebra.dim
+    return [gens.right_linear(regular, {i * nA + s: v for i, image in enumerate(images)
+                                         for s, v in image.items()})
+            for images in frame_splitting(calc, frame)]
+
+
+def _is_idempotent(calc, frame, splitting) -> bool:
+    """sum_k S_i(g_k) S_k(g_j) == S_i(g_j) for every pair of frame indices."""
+    alg = calc.algebra
+    p = [[s.apply(g) for g in frame] for s in splitting]
+    n = len(frame)
+    for i in range(n):
+        for j in range(n):
+            acc = zero_vector(alg.dim)
+            for k in range(n):
+                acc = tuple(x + y for x, y in zip(acc, alg.multiply(p[i][k], p[k][j])))
+            if acc != p[i][j]:
+                return False
+    return True
+
+
 def test_grassmann_splitting_is_coordinate_map(fuzzy_geo):
     geo = fuzzy_geo
-    conn, frame = grassmann(geo.calc, geo.cert)
+    frame = geo.cert.central_basis
+    splitting = _splitting(geo.calc, frame)
     unit = geo.calc.algebra.unit
-    for j, gen in enumerate(frame.generators):
-        for k in range(len(frame.generators)):
+    for j, gen in enumerate(frame):
+        for k in range(len(frame)):
             want = unit if j == k else zero_vector(4)
-            assert frame.splitting[k].apply(gen) == want
-    assert frame.idempotent_check
+            assert splitting[k].apply(gen) == want
+    assert _is_idempotent(geo.calc, frame, splitting)
 
 
 def test_grassmann_vanishes_on_frame(fuzzy_geo):
-    conn, frame = grassmann(fuzzy_geo.calc, fuzzy_geo.cert)
-    for gen in frame.generators:
+    conn = grassmann(fuzzy_geo.calc, fuzzy_geo.cert)
+    for gen in fuzzy_geo.cert.central_basis:
         assert vec_is_zero(conn.of(gen))
 
 
 def test_grassmann_leibniz_on_translates(fuzzy_geo):
     geo = fuzzy_geo
-    conn, frame = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.cert)
     e = geo.calc.one_forms
     qt = geo.calc.tensor_square
-    for gen in frame.generators:
+    for gen in geo.cert.central_basis:
         for i in range(4):
             lhs = conn.of(e.right[i].apply(gen))
             assert lhs == qt.pure(gen, geo.calc.d0.col(i))
@@ -80,35 +108,36 @@ def test_grassmann_of_exact_form(fuzzy_geo):
     # dU expands over the frame with coefficients ad_k(U), so its image is
     # the sum of theta_k (x) d(ad_k(U)).
     geo = fuzzy_geo
-    conn, frame = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.cert)
+    splitting = _splitting(geo.calc, geo.cert.central_basis)
     alg = geo.calc.algebra
     qt = geo.calc.tensor_square
     u = basis_vector(4, 1)
     du = geo.calc.d0.apply(u)
     want = zero_vector(qt.dim)
-    for k, gen in enumerate(frame.generators):
-        coeff = frame.splitting[k].apply(du)
+    for k, gen in enumerate(geo.cert.central_basis):
+        coeff = splitting[k].apply(du)
         want = tuple(x + y for x, y in
                      zip(want, qt.pure(gen, geo.calc.d0.apply(coeff))))
     assert conn.of(du) == want
     # and the coefficients really are the inner-derivation values
     ads = [alg.ad(basis_vector(4, g)) for g in (1, 2, 3)]
     for k in range(3):
-        assert frame.splitting[k].apply(du) == ads[k].apply(u)
+        assert splitting[k].apply(du) == ads[k].apply(u)
 
 
 def test_torsion_of_grassmann_is_d_on_frame(fuzzy_geo):
     geo = fuzzy_geo
-    conn, frame = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.cert)
     t = torsion(geo.calc, conn)
-    for gen in frame.generators:
+    for gen in geo.cert.central_basis:
         assert t.apply(gen) == geo.calc.d1.apply(gen)
     assert not t.is_zero()
 
 
 def test_torsion_of_grassmann_vanishes_on_torus(torus_geo):
     geo = torus_geo
-    conn, _ = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.cert)
     assert torsion(geo.calc, conn).is_zero()
 
 
@@ -116,12 +145,12 @@ def test_nabla_zero_is_torsionless(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
         n0 = nabla_zero(geo.calc, geo.cert)
         assert torsion(geo.calc, n0).is_zero()
-        assert is_connection(geo.calc, n0)
+        assert leibniz_witness(geo.calc, n0) is None
 
 
 def test_nabla_zero_equals_grassmann_on_torus(torus_geo):
     geo = torus_geo
-    gr, _ = grassmann(geo.calc, geo.cert)
+    gr = grassmann(geo.calc, geo.cert)
     assert nabla_zero(geo.calc, geo.cert).nabla == gr.nabla
 
 
@@ -134,11 +163,19 @@ def test_nabla_zero_corrects_frame_torsion(fuzzy_geo):
 
 
 # sha256 of the reference connection of the two small presets, default
-# metric and frame; the Grassmann splitting's rows reach no artifact, since
-# the Levi-Civita connection is unique, so they are pinned here
+# metric and frame, and of three overcomplete frames, where the splitting is
+# not unique and these pin the particular solution; the Grassmann
+# splitting's rows reach no artifact, since the Levi-Civita connection is
+# unique, so they are pinned here
 GOLDEN_REFERENCE = {
     "matrix-derivations": "ff9d9cc4bc3a5fccfa322d6cec25d867f835b06bb2cb9e698d3a8ae1f88a22a8",
     "abelian-torus": "bc99d58755a86530c87f27b57ad408e2b059aba3c46cc4bb5ec7ac45ac7b7889",
+    "fuzzy-sphere-3 translate":
+        "d248687ce626ba6fc4311a539f978a9a4d25bc1b2822dbde643f1213798521ff",
+    "matrix-derivations translate":
+        "c7e5f89f0310d8a254a2747ee5530fdbcd56b04b60d6139faff740ff9909d541",
+    "abelian-torus all-translates":
+        "79f66a0e64d12e1fd323e27422c205fbf13d587f1792228d5e2a332170593f17",
 }
 
 
@@ -146,6 +183,82 @@ def test_reference_connection_matches_golden_digests(fuzzy_geo, torus_geo):
     for name, geo in (("matrix-derivations", fuzzy_geo), ("abelian-torus", torus_geo)):
         text = dumps_canonical(matrix_to_json(geo.nabla0.nabla))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE[name], name
+
+
+@pytest.fixture(scope="module")
+def fuzzy3_cert(fuzzy3_calc):
+    return build_symmetry(fuzzy3_calc).certificate
+
+
+def _frame_case(request, preset: str, frame_name: str):
+    """(calc, cert, frame): the central basis, or it with a translate
+    z_0 . a_1, every z_i . a_1, or z_0 + z_1 prepended."""
+    if preset == "fuzzy-sphere-3":
+        calc = request.getfixturevalue("fuzzy3_calc")
+        cert = request.getfixturevalue("fuzzy3_cert")
+    else:
+        geo = request.getfixturevalue({"matrix-derivations": "fuzzy_geo",
+                                       "abelian-torus": "torus_geo",
+                                       "truncated-line": "line_geo"}[preset])
+        calc, cert = geo.calc, geo.cert
+    e = calc.one_forms
+    z = list(cert.central_basis)
+    prepended = {
+        "default": [],
+        "translate": [e.right[1].apply(z[0])],
+        "all-translates": [e.right[1].apply(zi) for zi in z],
+        "sum": [tuple(a + b for a, b in zip(z[0], z[1]))],
+    }[frame_name]
+    return calc, cert, tuple(prepended + z)
+
+
+# on the truncated line E is not free on its central generators, so the
+# splitting's images must respect their relations
+FRAME_CASES = [(preset, frame_name)
+               for preset in ("matrix-derivations", "abelian-torus", "fuzzy-sphere-3",
+                              "truncated-line")
+               for frame_name in ("default", "translate", "all-translates", "sum")]
+
+
+@pytest.mark.parametrize("preset, frame_name", [
+    ("fuzzy-sphere-3", "translate"),
+    ("matrix-derivations", "translate"),
+    ("abelian-torus", "all-translates"),
+])
+def test_reference_connection_on_overcomplete_frames_matches_golden_digests(
+        request, preset, frame_name):
+    calc, cert, frame = _frame_case(request, preset, frame_name)
+    text = dumps_canonical(matrix_to_json(nabla_zero(calc, cert, frame).nabla))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_REFERENCE[f"{preset} {frame_name}"]
+
+
+@pytest.mark.parametrize("preset, frame_name", FRAME_CASES)
+def test_grassmann_matches_whole_matrix_reference(request, preset, frame_name):
+    calc, cert, frame = _frame_case(request, preset, frame_name)
+    assert grassmann(calc, cert, frame).nabla == grassmann_reference(calc, frame)
+
+
+@pytest.mark.parametrize("preset, frame_name", FRAME_CASES)
+def test_grassmann_splitting_reconstructs_and_is_idempotent(request, preset, frame_name):
+    # solved on the central generators only, the splitting still
+    # reconstructs every basis vector
+    calc, cert, frame = _frame_case(request, preset, frame_name)
+    e = calc.one_forms
+    splitting = _splitting(calc, frame)
+    for k in range(e.dim):
+        total = zero_vector(e.dim)
+        for g, s in zip(frame, splitting):
+            total = tuple(x + y for x, y in
+                          zip(total, e.right_action(s.col(k)).apply(g)))
+        assert total == basis_vector(e.dim, k)
+    assert _is_idempotent(calc, frame, splitting)
+
+
+def test_one_central_generators_per_one_forms(fuzzy_geo):
+    geo = fuzzy_geo
+    assert geo.generators is geo.metric.e_star.generators
+    assert geo.generators is geo.calc.one_forms.central_generators
 
 
 def test_zero_map_is_not_a_connection(fuzzy_geo, torus_geo):
@@ -364,7 +477,7 @@ def test_levi_civita_is_torsionless_and_compatible(fuzzy_geo, fuzzy_lc):
 
 def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):
     geo = fuzzy_geo
-    gr, _ = grassmann(geo.calc, geo.cert)
+    gr = grassmann(geo.calc, geo.cert)
     verdicts = certify(geo, gr)
     assert not verdicts.ok
     assert verdicts.leibniz is None
@@ -390,7 +503,7 @@ def test_flat_connection_with_varying_metric_incompatible(line_geo):
     # the exact forms of this calculus do not pin a bracket, so only the
     # compatibility half of the certification applies
     geo = line_geo
-    gr, _ = grassmann(geo.calc, geo.cert)
+    gr = grassmann(geo.calc, geo.cert)
     assert compat_witnesses(geo, gr, covariant_table(geo, gr))
 
 
@@ -406,7 +519,7 @@ def test_certify_stops_at_leibniz(fuzzy_geo):
 
 def test_reconstruction_round_trip(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
-        for conn in (nabla_zero(geo.calc, geo.cert), grassmann(geo.calc, geo.cert)[0]):
+        for conn in (nabla_zero(geo.calc, geo.cert), grassmann(geo.calc, geo.cert)):
             table = covariant_table(geo, conn)
             rebuilt = reconstruct_from_table(geo, table)
             assert rebuilt.nabla == conn.nabla
@@ -428,7 +541,7 @@ def test_perturbations_are_connections_and_deterministic(fuzzy_geo):
     a = random_leibniz_perturbation(geo, 42)
     b = random_leibniz_perturbation(geo, 42)
     assert a.nabla == b.nabla
-    assert is_connection(geo.calc, a)
+    assert leibniz_witness(geo.calc, a) is None
     assert a.nabla != random_leibniz_perturbation(geo, 43).nabla
 
 

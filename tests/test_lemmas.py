@@ -79,7 +79,7 @@ def test_covariant_derivative_axioms(geo):
 
 def test_covariant_derivative_axioms_on_commutative_fixture(line_geo):
     # the center here is the whole algebra, so the module rules bite
-    conn, _ = grassmann(line_geo.calc, line_geo.cert)
+    conn = grassmann(line_geo.calc, line_geo.cert)
     assert lc.covariant_derivative_axioms(line_geo, conn)
 
 
@@ -88,7 +88,7 @@ def test_reconstruction_data_center_linear(geo):
 
 
 def test_reconstruction_data_center_linear_commutative(line_geo):
-    conn, _ = grassmann(line_geo.calc, line_geo.cert)
+    conn = grassmann(line_geo.calc, line_geo.cert)
     assert lc.t_tilde_right_center_linear(line_geo, conn)
 
 
