@@ -6,9 +6,12 @@ quotients of the plain tensor space by the middle-linearity relations, with
 explicit project/section matrices.  Right-linear maps out of a centered
 bimodule have one constructor, `CentralGenerators`: such a map is fixed by
 its images of the central generators z_j, and a right-linear identity holds
-once it holds on the z_j.  Each bimodule decides once whether it is centered
-and keeps one `central_generators`, which the tameness certificate, its Hom
-spaces and the connection layer share.
+once it holds on the z_j.  It is given its family of central elements:
+each bimodule decides once whether it is centered and keeps one
+`central_generators` over the RREF basis of its center, which the tameness
+certificate, its Hom spaces and the connection layer share; the tameness
+certificate takes E (x)_A E over the central tensors and the vector fields
+take E* over the X_p.
 
 A bimodule records in `validated` that its axioms hold over a validated
 algebra, or that it was built from bimodules that did.  Then the bimodule
@@ -27,6 +30,7 @@ from typing import Sequence
 from .algebra import Algebra
 from .errors import ContractViolationError, InternalInconsistencyError
 from .linalg import (
+    ColumnSolver,
     Matrix,
     ONE,
     Scalar,
@@ -40,7 +44,6 @@ from .linalg import (
     basis_vector,
     commutator_rows,
     kernel_rows,
-    solve_sparse,
     sparse_to_vec,
     vec_to_sparse,
 )
@@ -88,8 +91,14 @@ class Bimodule:
 
     @cached_property
     def central_generators(self) -> "CentralGenerators":
-        """Raises ContractViolationError when the bimodule is not centered."""
-        return CentralGenerators(self)
+        """Over the RREF basis of the center; raises ContractViolationError
+        when the bimodule is not centered."""
+        rep = self.centered
+        if not rep.ok:
+            raise ContractViolationError(
+                "hom_A: the source is not generated by its center as a right module",
+                witness=rep.witness)
+        return CentralGenerators(self, rep.center.rows)
 
     def left_action(self, a: Vector) -> Matrix:
         return Matrix.from_sparse_rows(self._action_rows(self.left, a), self.dim)
@@ -319,34 +328,28 @@ def tensor_over_A(e: Bimodule, f: Bimodule) -> QuotientTensor:
 # ---------------------------------------------------------------------------
 
 class CentralGenerators:
-    """A centered bimodule as a right module over its central basis z_1..z_k.
+    """A bimodule as a right module over a family of central elements z_j.
 
     A right-linear map out of it is fixed by the images f_j of the z_j: it
     sends z_j . a to f_j . a.  Images (f_1..f_k) in a bimodule F come from a
     right-linear map exactly when sum_j f_j . w_j == 0 for every relation
     sum_j z_j . w_j == 0, and there are no relations when the module is free
-    on the z_j.  Unknown j * dim F + f is coordinate f of f_j.
+    on the z_j.  spans records whether the z_j . a_s span the source; the
+    maps are defined only then.  Unknown j * dim F + f is coordinate f of f_j.
     """
 
-    def __init__(self, source: Bimodule):
-        rep = source.centered
-        if not rep.ok:
-            raise ContractViolationError(
-                "hom_A: the source is not generated by its center as a right module",
-                witness=rep.witness)
+    def __init__(self, source: Bimodule, zs: Sequence[dict[int, Scalar]]):
         nA = source.algebra.dim
         self.source = source
-        self.center = rep.center
-        # the spanning family z_j . a_s, column j * nA + s
-        span = Matrix.from_sparse_cols([_apply_sparse(source.right[s], z)
-                                        for z in rep.center.rows for s in range(nA)], source.dim)
+        self.zs = tuple(zs)
+        # the spanning family z_j . a_s, column j * nA + s; one elimination
+        # gives its relations and a decomposition of each basis vector
+        solver = ColumnSolver(Matrix.from_sparse_cols(
+            [_apply_sparse(source.right[s], z) for z in self.zs for s in range(nA)], source.dim))
+        self.spans = solver.rank == source.dim
         # the coefficients w of each relation sum w_(j,s) z_j . a_s == 0
-        self.relations = kernel_rows(span.sparse_rows(), span.cols)
-        # one decomposition of each basis vector over the spanning family,
-        # from one elimination
-        sols, _ = solve_sparse(span.sparse_rows(), span.cols,
-                               [basis_vector(source.dim, t) for t in range(source.dim)])
-        self._through = [vec_to_sparse(x) for x in sols]
+        self.relations = solver.kernel_rows
+        self._through = solver.solution_map
 
     def relation_rows(self, target: Bimodule) -> list[dict[int, Scalar]]:
         """sum_j f_j . w_j == 0 as rows on the images in target, one per
@@ -363,26 +366,33 @@ class CentralGenerators:
                 rows.append({off + f: v for off, act in blocks for f, v in act[y].items()})
         return rows
 
-    def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix:
-        """The linear map sending z_j . a_s to the sparse values[j * nA + s];
-        raises when the values break a relation among the z_j . a_s."""
+    def decompose(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """Sparse coefficients w with v == sum w_(j,s) z_j . a_s, at j * nA + s."""
+        return _apply_sparse(self._through, v)
+
+    def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix | None:
+        """The linear map sending z_j . a_s to the sparse values[j * nA + s],
+        or None when the values break a relation among the z_j . a_s."""
         for w in self.relations:
             if _lincomb((c, values[i]) for i, c in w.items()):
-                raise InternalInconsistencyError(
-                    "values break a relation among the central generators")
+                return None
         return Matrix.from_sparse_cols(
-            [_lincomb((c, values[i]) for i, c in through.items()) for through in self._through],
-            out_dim)
+            [_lincomb((c, values[i]) for i, c in through.items())
+             for through in self._through.sparse_cols()], out_dim)
 
     def right_linear(self, target: Bimodule, images: dict[int, Scalar]) -> Matrix:
         """The right-linear map source -> target sending z_j to f_j, from
         sparse images that satisfy relation_rows(target)."""
         nA, nt = self.source.algebra.dim, target.dim
-        f_of: list[dict[int, Scalar]] = [{} for _ in range(self.center.dim)]
+        f_of: list[dict[int, Scalar]] = [{} for _ in self.zs]
         for u, c in images.items():
             j, f = divmod(u, nt)
             f_of[j][f] = c
-        return self.extend([_apply_sparse(target.right[s], f) for f in f_of for s in range(nA)], nt)
+        m = self.extend([_apply_sparse(target.right[s], f) for f in f_of for s in range(nA)], nt)
+        if m is None:
+            raise InternalInconsistencyError(
+                "values break a relation among the central generators")
+        return m
 
 
 class HomModule:
@@ -401,7 +411,7 @@ class HomModule:
         self.source = source
         self.target = target
         self.generators = gens = source.central_generators
-        nunk = gens.center.dim * target.dim
+        nunk = len(gens.zs) * target.dim
         self.flat = Subspace(source.dim * target.dim,
                              [_flatten(gens.right_linear(target, v))
                               for v in kernel_rows(gens.relation_rows(target), nunk)])

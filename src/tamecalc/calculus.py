@@ -2,13 +2,16 @@
 
 A calculus is (one-forms E, two-forms, d0, d1, wedge).  The wedge is given
 on the plain tensor space of E (x)_K E and must factor through E (x)_A E.
-Tameness is certified constructively: the candidate symmetry sigma is the
-flip on central tensors extended right-linearly; the construction succeeds
-exactly when the flip respects every linear relation among the spanning
-tensors, and the certificate then packages sigma, the symmetrizer, the
-complement of ker(wedge) and the inverse of the wedge on that complement.
-Failures are returned as data, never raised: the check command is a
-diagnostic tool.
+Tameness is certified constructively.  E (x)_A E is taken over its central
+tensors pi(z_p (x) z_q) as one `CentralGenerators`, the certificate's
+`spanning`; sigma, the metric and the compatibility map are each fixed by
+their values on it.  The candidate symmetry sigma is the flip on central
+tensors extended right-linearly; the construction succeeds exactly when the
+central tensors span and the flip respects every linear relation among
+their right translates, and the certificate then packages sigma, the
+symmetrizer, the complement of ker(wedge) and the inverse of the wedge on
+that complement.  Failures are returned as data, never raised: the check
+command is a diagnostic tool.
 
 The axioms that read "for every a in A" run over the algebra's generators
 (`Algebra.first_failure`) once the axioms before them passed on a validated
@@ -23,11 +26,13 @@ it the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .algebra import Algebra
 from .bimodule import (
     Bimodule,
+    CentralGenerators,
     QuotientTensor,
     tensor_over_A,
 )
@@ -42,7 +47,6 @@ from .linalg import (
     Vector,
     _apply_sparse,
     _lincomb,
-    solve_through,
     vec_to_sparse,
 )
 
@@ -65,22 +69,16 @@ class Calculus:
         self.d0 = d0
         self.d1 = d1
         self.wedge_plain = wedge_plain
-        self._tensor_square: QuotientTensor | None = None
-        self._wedge_q: Matrix | None = None
         self.validated = False
 
-    @property
+    @cached_property
     def tensor_square(self) -> QuotientTensor:
-        if self._tensor_square is None:
-            self._tensor_square = tensor_over_A(self.one_forms, self.one_forms)
-        return self._tensor_square
+        return tensor_over_A(self.one_forms, self.one_forms)
 
-    @property
+    @cached_property
     def wedge_q(self) -> Matrix:
         """The wedge on quotient coordinates of E (x)_A E."""
-        if self._wedge_q is None:
-            self._wedge_q = self.wedge_plain @ self.tensor_square.section
-        return self._wedge_q
+        return self.wedge_plain @ self.tensor_square.section
 
     def wedge_terms(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar],
                     c: Scalar = ONE) -> list[tuple[Scalar, dict[int, Scalar]]]:
@@ -259,17 +257,6 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CentralSpanning:
-    """The family pi(z_p (x) z_q) . a_r indexed by (p, q, r), with caches;
-    the tensors are sparse quotient coordinates."""
-
-    zbasis: tuple[Vector, ...]
-    pures: tuple[tuple[dict[int, Scalar], ...], ...]      # pures[p][q] = pi(z_p (x) z_q)
-    triples: tuple[tuple[int, int, int], ...]
-    columns: tuple[dict[int, Scalar], ...]
-
-
-@dataclass(frozen=True)
 class TamenessCertificate:
     calculus: Calculus
     tensor_square: QuotientTensor
@@ -279,7 +266,7 @@ class TamenessCertificate:
     kernel_wedge: Subspace
     complement_f: Subspace
     q_inverse: Matrix
-    spanning: CentralSpanning
+    spanning: CentralGenerators   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
     flags: dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -308,29 +295,13 @@ def _fail(condition: str, detail: str, witness=None) -> SymmetryOutcome:
     return SymmetryOutcome(None, TamenessFailure(condition, detail, witness))
 
 
-def central_spanning(calc: Calculus, zbasis: tuple[Vector, ...]) -> CentralSpanning:
-    qt = calc.tensor_square
-    nz = len(zbasis)
-    nA = calc.algebra.dim
-    zs = [vec_to_sparse(z) for z in zbasis]
-    pures = tuple(tuple(qt.pure_sparse(zs[p], zs[q]) for q in range(nz)) for p in range(nz))
-    triples = []
-    columns = []
-    for p in range(nz):
-        for q in range(nz):
-            for r in range(nA):
-                triples.append((p, q, r))
-                columns.append(_apply_sparse(qt.bimodule.right[r], pures[p][q]))
-    return CentralSpanning(zbasis, pures, tuple(triples), tuple(columns))
-
-
 def build_symmetry(calc: Calculus) -> SymmetryOutcome:
     """Construct the tameness certificate or a structured refusal.
 
-    The symmetry is pinned on the spanning set pi(z_p (x) z_q) . a_r by
-    flipping the central legs; right-linear extension exists iff the flip
-    preserves every linear relation among those columns, which is a single
-    kernel-inclusion computation.
+    E (x)_A E is taken over its central tensors pi(z_p (x) z_q), and the
+    symmetry is the right-linear map that flips their legs.  It exists iff
+    the tensors span and the flip preserves every linear relation among
+    their right translates.
     """
     e = calc.one_forms
     qt = calc.tensor_square
@@ -339,21 +310,20 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         return _fail("NotCentered",
                      "the center of the one-forms does not generate them as a right module",
                      rep.witness)
-    span = central_spanning(calc, rep.center.basis)
-    flipped = [_apply_sparse(qt.bimodule.right[r], span.pures[q][p]) for (p, q, r) in span.triples]
-
-    if qt.dim == 0:
-        sigma = Matrix.zeros(0, 0)
-    else:
-        try:
-            sigma = solve_through(span.columns, flipped, out_dim=qt.dim, in_dim=qt.dim)
-        except LinAlgError:
-            raise InternalInconsistencyError(
-                "central tensors fail to span the tensor square of a centered module")
-        if sigma is None:
-            return _fail("FlipNotWellDefined",
-                         "flipping central tensors is incompatible with a linear relation "
-                         "among the spanning tensors")
+    zs = rep.center.rows
+    span = CentralGenerators(qt.bimodule, [qt.pure_sparse(zp, zq) for zp in zs for zq in zs])
+    if not span.spans:
+        return _fail("CentralTensorsDoNotSpan",
+                     "the tensors of central one-forms do not generate the tensor square "
+                     "as a right module")
+    k = len(zs)
+    sigma = span.extend([_apply_sparse(qt.bimodule.right[r], span.zs[q * k + p])
+                         for p in range(k) for q in range(k) for r in range(calc.algebra.dim)],
+                        qt.dim)
+    if sigma is None:
+        return _fail("FlipNotWellDefined",
+                     "flipping central tensors is incompatible with a linear relation "
+                     "among the spanning tensors")
 
     flags = {"centered": True, "sigma_well_defined": True}
     if not (sigma @ sigma == Matrix.identity(qt.dim)):

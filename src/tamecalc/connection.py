@@ -55,7 +55,6 @@ from .linalg import (
     _lincomb,
     _product_rows,
     solve_sparse,
-    solve_through,
     sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
@@ -113,8 +112,11 @@ def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Co
     dcols = calc.d0.sparse_cols()
     values = [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
                         (ONE, qt.pure_sparse(z, dcols[s]))))
-              for w, z in zip(images, gens.center.rows) for s in range(calc.algebra.dim)]
-    return Connection(gens.extend(values, qt.dim))
+              for w, z in zip(images, gens.zs) for s in range(calc.algebra.dim)]
+    nabla = gens.extend(values, qt.dim)
+    if nabla is None:
+        raise InternalInconsistencyError("values break a relation among the central generators")
+    return Connection(nabla)
 
 
 def frame_splitting(calc: Calculus,
@@ -126,7 +128,7 @@ def frame_splitting(calc: Calculus,
     which is enough because e -> sum_j g_j . S_j(e) is right-linear."""
     e = calc.one_forms
     gens = e.central_generators
-    zs = gens.center.rows
+    zs = gens.zs
     frame_sparse = [vec_to_sparse(g) for g in frame]
     n, k, nA = len(frame_sparse), len(zs), calc.algebra.dim
     width = k * nA
@@ -237,23 +239,14 @@ class Geometry:
         self.field_forms = tuple(metric.form_of(vec_to_sparse(x)) for x in self.fields.basis)
         self._duals: dict[Vector, DualElement] = {}
         self._sigma_pure: dict[tuple[int, int], dict[int, Scalar]] = {}
-        self._leg_sigma: list[Matrix] | None = None
-        self._leg_plain: list[Matrix] | None = None
-        self._lie_table: list[list[Vector]] | None = None
-        self._bracket_solver: ColumnSolver | None = None
-        self._field_solver: ColumnSolver | None = None
-        self._recon_solver: ColumnSolver | None = None
-        self._nabla0: Connection | None = None
         # the one-forms over their central generators, shared with E*
         self.generators = metric.e_star.generators
 
     # -- simple accessors ---------------------------------------------------
 
-    @property
+    @cached_property
     def nabla0(self) -> Connection:
-        if self._nabla0 is None:
-            self._nabla0 = nabla_zero(self.calc, self.cert, self.frame)
-        return self._nabla0
+        return nabla_zero(self.calc, self.cert, self.frame)
 
     def dual(self, phi: Vector) -> DualElement:
         """phi with what the connection layer reads off it, kept per element."""
@@ -278,11 +271,10 @@ class Geometry:
         return g_of_forms(self.g_plain, self.calc.one_forms.dim, u, w)
 
     @cached_property
-    def g_central(self) -> dict[tuple[int, int], dict[int, Scalar]]:
-        """g(z_p (x) z_q) on the central pairs, sparse in the algebra."""
-        pures = self.cert.spanning.pures
-        return {(p, q): _apply_sparse(self.metric.g, pure)
-                for p, row in enumerate(pures) for q, pure in enumerate(row)}
+    def g_central(self) -> list[dict[int, Scalar]]:
+        """g(z_p (x) z_q) on the central tensors, sparse in the algebra, by
+        their index p * k + q in the certificate's spanning family."""
+        return [_apply_sparse(self.metric.g, z) for z in self.cert.spanning.zs]
 
     @cached_property
     def field_gram(self) -> list[list[dict[int, Scalar]]]:
@@ -311,12 +303,11 @@ class Geometry:
         e = self.calc.one_forms
         return e.act_left(self.g_plain.sparse_cols()[s * e.dim + u], {v: ONE})
 
-    def leg_sigma(self, q: int) -> Matrix:
-        """As a matrix in w: contract g over legs 1-2 of sigma_23(w (x) z_q)."""
-        if self._leg_sigma is None:
-            self._leg_sigma = [self._build_leg_sigma(qq)
-                               for qq in range(len(self.cert.central_basis))]
-        return self._leg_sigma[q]
+    @cached_property
+    def leg_sigma(self) -> list[Matrix]:
+        """Entry q, as a matrix in w: contract g over legs 1-2 of
+        sigma_23(w (x) z_q)."""
+        return [self._build_leg_sigma(q) for q in range(len(self.cert.central_basis))]
 
     def _build_leg_sigma(self, q: int) -> Matrix:
         qt = self.calc.tensor_square
@@ -332,12 +323,10 @@ class Geometry:
             cols.append(_lincomb(terms))
         return Matrix.from_sparse_cols(cols, e_dim)
 
-    def leg_plain(self, p: int) -> Matrix:
-        """As a matrix in w: contract g over legs 1-2 of z_p (x) w."""
-        if self._leg_plain is None:
-            self._leg_plain = [self._build_leg_plain(pp)
-                               for pp in range(len(self.cert.central_basis))]
-        return self._leg_plain[p]
+    @cached_property
+    def leg_plain(self) -> list[Matrix]:
+        """Entry p, as a matrix in w: contract g over legs 1-2 of z_p (x) w."""
+        return [self._build_leg_plain(p) for p in range(len(self.cert.central_basis))]
 
     def _build_leg_plain(self, p: int) -> Matrix:
         qt = self.calc.tensor_square
@@ -354,66 +343,57 @@ class Geometry:
 
     # -- brackets -------------------------------------------------------------
 
-    @property
+    @cached_property
     def bracket_solver(self) -> ColumnSolver:
         """Recovers a dual element from its values on the exact one-forms."""
-        if self._bracket_solver is None:
-            e_star = self.metric.e_star
-            nA = self.calc.algebra.dim
-            # row (i, c): the values phi(d a_i)_c of every dual basis element
-            rows: list[dict[int, Scalar]] = [{} for _ in range(nA * nA)]
-            for m, phi in enumerate(e_star.basis):
-                for c, row in enumerate(_product_rows(phi, self.calc.d0)):
-                    for i, v in row.items():
-                        rows[i * nA + c][m] = v
-            solver = ColumnSolver(Matrix.from_sparse_rows(rows, e_star.dim))
-            if solver.rank != e_star.dim:
-                raise BracketUnsolvableError(
-                    "values on exact one-forms do not pin a dual element; "
-                    "the exact forms do not span")
-            self._bracket_solver = solver
-        return self._bracket_solver
+        e_star = self.metric.e_star
+        nA = self.calc.algebra.dim
+        # row (i, c): the values phi(d a_i)_c of every dual basis element
+        rows: list[dict[int, Scalar]] = [{} for _ in range(nA * nA)]
+        for m, phi in enumerate(e_star.basis):
+            for c, row in enumerate(_product_rows(phi, self.calc.d0)):
+                for i, v in row.items():
+                    rows[i * nA + c][m] = v
+        solver = ColumnSolver(Matrix.from_sparse_rows(rows, e_star.dim))
+        if solver.rank != e_star.dim:
+            raise BracketUnsolvableError(
+                "values on exact one-forms do not pin a dual element; "
+                "the exact forms do not span")
+        return solver
 
-    @property
+    @cached_property
     def field_solver(self) -> ColumnSolver:
-        if self._field_solver is None:
-            self._field_solver = ColumnSolver(
-                Matrix.from_cols(list(self.fields.basis), self.metric.e_star.dim))
-        return self._field_solver
+        return ColumnSolver(Matrix.from_cols(list(self.fields.basis), self.metric.e_star.dim))
 
-    @property
+    @cached_property
     def lie_table(self) -> list[list[Vector]]:
-        if self._lie_table is None:
-            n = self.fields.count
-            self._lie_table = [[lie_bracket(self, self.fields.basis[p], self.fields.basis[q])
-                                for q in range(n)] for p in range(n)]
-        return self._lie_table
+        n = self.fields.count
+        return [[lie_bracket(self, self.fields.basis[p], self.fields.basis[q])
+                 for q in range(n)] for p in range(n)]
 
     # -- reconstruction ---------------------------------------------------------
 
-    @property
+    @cached_property
     def recon_solver(self) -> ColumnSolver:
         """The stacked pairings (X_p (x) X_q) as equations on tensor classes."""
-        if self._recon_solver is None:
-            qt = self.calc.tensor_square
-            nA = self.calc.algebra.dim
-            n = self.fields.count
-            # row ((p, q), c): coordinate c of (X_p (x) X_q)(e_y), over y
-            rows: list[dict[int, Scalar]] = [{} for _ in range(n * n * nA)]
-            for p in range(n):
-                for q in range(n):
-                    base = (p * n + q) * nA
-                    for y in range(qt.dim):
-                        val = pair_apply(qt, self.fields.maps[p], self.fields.maps[q], {y: ONE})
-                        for c, v in val.items():
-                            rows[base + c][y] = v
-            solver = ColumnSolver(Matrix.from_sparse_rows(rows, qt.dim))
-            if solver.rank != qt.dim:
-                raise SystemSingularError(
-                    "field pairings do not separate the tensor square",
-                    witness=solver.rank)
-            self._recon_solver = solver
-        return self._recon_solver
+        qt = self.calc.tensor_square
+        nA = self.calc.algebra.dim
+        n = self.fields.count
+        # row ((p, q), c): coordinate c of (X_p (x) X_q)(e_y), over y
+        rows: list[dict[int, Scalar]] = [{} for _ in range(n * n * nA)]
+        for p in range(n):
+            for q in range(n):
+                base = (p * n + q) * nA
+                for y in range(qt.dim):
+                    val = pair_apply(qt, self.fields.maps[p], self.fields.maps[q], {y: ONE})
+                    for c, v in val.items():
+                        rows[base + c][y] = v
+        solver = ColumnSolver(Matrix.from_sparse_rows(rows, qt.dim))
+        if solver.rank != qt.dim:
+            raise SystemSingularError(
+                "field pairings do not separate the tensor square",
+                witness=solver.rank)
+        return solver
 
 
 class DualElement:
@@ -511,21 +491,18 @@ def lie_bracket(geo: Geometry, x: Vector, y: Vector) -> Vector:
 def bracket_general(geo: Geometry, x: Vector, phi: Vector) -> Vector:
     """[x, phi] for a field x and arbitrary dual phi.
 
-    phi decomposes over the right-total family {X_p . a}; the bracket is the
-    sum of [x, X_p] a_p plus delta_x(a_p) X_p, and does not depend on the
-    decomposition.
+    phi decomposes over the right-total family {X_p . a} of E*'s central
+    generators; the bracket is the sum of [x, X_p] a_p plus delta_x(a_p) X_p,
+    and does not depend on the decomposition.
     """
     lam = geo.field_solver.solve(x)
     if lam is None:
         raise ContractViolationError("bracket_general: first argument is not a vector field")
-    dec = geo.fields.span_solver.solve(phi)
-    if dec is None:
-        raise InternalInconsistencyError("dual element escaped the field span")
     nA = geo.calc.algebra.dim
     e_star = geo.metric.e_star
     dx = geo.dual(x).delta
     a_of: dict[int, dict[int, Scalar]] = {}
-    for pos, c in vec_to_sparse(dec).items():
+    for pos, c in geo.fields.generators.decompose(vec_to_sparse(phi)).items():
         p, r = divmod(pos, nA)
         a_of.setdefault(p, {})[r] = c
     lam_sparse = vec_to_sparse(lam)
@@ -589,30 +566,29 @@ def torsion_witnesses(geo: Geometry, conn: Connection,
 
 
 def compat_values(geo: Geometry, conn: Connection) -> list[dict[int, Scalar]]:
-    """The compatibility one-form on each spanning triple (p, q, r), the
-    class of z_p (x) z_q . a_r, sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r,
-    where pi0(p, q) contracts g against sigma_23(nabla z_p (x) z_q) and
-    z_p (x) nabla z_q."""
+    """The compatibility one-form on each member of the certificate's
+    spanning family, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
+    sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r, where pi0(p, q)
+    contracts g against sigma_23(nabla z_p (x) z_q) and z_p (x) nabla z_q."""
     e = geo.calc.one_forms
     images = [_apply_sparse(conn.nabla, z) for z in geo.cert.center_one_forms.rows]
     dcols = geo.calc.d0.sparse_cols()
-    pi0: dict[tuple[int, int], dict[int, Scalar]] = {}
+    k = len(images)
     values = []
-    for p, q, r in geo.cert.spanning.triples:
-        base = pi0.get((p, q))
-        if base is None:
-            base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma(q), images[p])),
-                             (ONE, _apply_sparse(geo.leg_plain(p), images[q]))))
-            pi0[(p, q)] = base
-        values.append(_lincomb(((ONE, _apply_sparse(e.right[r], base)),
-                                (ONE, e.act_left(geo.g_central[(p, q)], dcols[r])))))
+    for j, g_pq in enumerate(geo.g_central):
+        p, q = divmod(j, k)
+        base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma[q], images[p])),
+                         (ONE, _apply_sparse(geo.leg_plain[p], images[q]))))
+        values.extend(_lincomb(((ONE, _apply_sparse(e.right[r], base)),
+                                (ONE, e.act_left(g_pq, dcols[r]))))
+                      for r in range(geo.calc.algebra.dim))
     return values
 
 
 def pi_g_matrix(geo: Geometry, conn: Connection) -> Matrix:
-    """The compatibility map on the whole tensor square, by spanning solve."""
-    m = solve_through(geo.cert.spanning.columns, compat_values(geo, conn),
-                      out_dim=geo.calc.one_forms.dim, in_dim=geo.calc.tensor_square.dim)
+    """The compatibility map on the whole tensor square, fixed by its values
+    on the central tensors."""
+    m = geo.cert.spanning.extend(compat_values(geo, conn), geo.calc.one_forms.dim)
     if m is None:
         raise InternalInconsistencyError("compatibility map is not well-defined")
     return m
@@ -757,7 +733,6 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     t2 = calc.tensor_square.bimodule
     nt = t2.dim
     n0 = geo.nabla0
-    span = geo.cert.spanning
     nz = len(geo.cert.central_basis)
     nunk = nz * nt
 
@@ -765,12 +740,12 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
         return {j * nt + f: v for f, v in row.items()}
 
     # lam[(p, q)]: the compatibility one-form on (z_p, z_q) as a map of the
-    # unknowns, leg_sigma(q) f_p + leg_plain(p) f_q
+    # unknowns, leg_sigma[q] f_p + leg_plain[p] f_q
     lam: dict[tuple[int, int], Matrix] = {}
     for p in range(nz):
         for q in range(nz):
-            sig = geo.leg_sigma(q).sparse_rows()
-            pla = geo.leg_plain(p).sparse_rows()
+            sig = geo.leg_sigma[q].sparse_rows()
+            pla = geo.leg_plain[p].sparse_rows()
             lrows = []
             for c in range(e.dim):
                 row = shifted(p, sig[c])
@@ -780,11 +755,14 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
 
     rows: list[dict[int, Scalar]] = []
     rhs: list[Scalar] = []
-    for (p, q, r), value in zip(span.triples, compat_values(geo, n0)):
-        gval = _apply_sparse(alg.right_basis_matrix(r), geo.g_central[(p, q)])
-        residual = _lincomb(((ONE, _apply_sparse(calc.d0, gval)), (-ONE, value)))
-        rows.extend(_product_rows(e.right[r], lam[(p, q)]))
-        rhs.extend(sparse_to_vec(residual, e.dim))
+    values = compat_values(geo, n0)
+    for j, g_pq in enumerate(geo.g_central):
+        for r in range(alg.dim):
+            gval = _apply_sparse(alg.right_basis_matrix(r), g_pq)
+            residual = _lincomb(((ONE, _apply_sparse(calc.d0, gval)),
+                                 (-ONE, values[j * alg.dim + r])))
+            rows.extend(_product_rows(e.right[r], lam[divmod(j, nz)]))
+            rhs.extend(sparse_to_vec(residual, e.dim))
     # torsion stays zero: the wedge kills every generator image, hence alpha
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):

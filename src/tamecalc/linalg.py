@@ -604,6 +604,12 @@ def _apply_sparse(m: Matrix, v: dict[int, Scalar]) -> dict[int, Scalar]:
 def kernel_rows(rows: Iterable[dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:
     """Kernel basis (sparse) of the system {row . x = 0 for each row}."""
     pivots, _ = _rref(iter(rows), ncols)
+    return _kernel_of(pivots, ncols)
+
+
+def _kernel_of(pivots: dict[int, dict[int, Scalar]], ncols: int) -> list[dict[int, Scalar]]:
+    """The kernel basis that RREF pivot rows give, one vector per free column
+    below ncols; entries at or beyond ncols (augmented columns) are ignored."""
     free = [j for j in range(ncols) if j not in pivots]
     out = []
     for f in free:
@@ -684,6 +690,10 @@ def solve_through(span_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
     raises if the columns do not span the domain (the map would be
     underdetermined).  Columns may be dense or sparse; in_dim, the domain
     dimension, is read off the first dense span column when not given.
+
+    The engine has no caller: a map out of a centered bimodule is fixed by
+    `bimodule.CentralGenerators.extend`.  This stays as the tests' oracle for
+    it, and because the benchmark's span recorder wraps it.
     """
     if len(span_cols) != len(value_cols):
         raise LinAlgError("solve_through: span/value length mismatch")
@@ -708,7 +718,7 @@ class ColumnSolver:
 
     Eliminates once with an identity augmentation; each solve is then a
     sparse substitution.  Free variables are pinned to zero so solutions
-    are canonical.
+    are canonical.  The same pivots give a kernel basis of M.
     """
 
     def __init__(self, m: Matrix):
@@ -724,6 +734,8 @@ class ColumnSolver:
                         for c, prow in pivots.items()}
         self._leftovers = [{j - n: v for j, v in row.items()} for row in leftovers]
         self.rank = len(pivots)
+        # a sparse kernel basis of M
+        self.kernel_rows = _kernel_of(pivots, n)
 
     def solve(self, b: Sequence[Scalar]) -> Vector | None:
         if len(b) != self.m.rows:
@@ -746,8 +758,15 @@ class ColumnSolver:
             x[c] = acc
         return tuple(x)
 
+    @property
+    def solution_map(self) -> "Matrix":
+        """The matrix P with solve(b) == P b for every b that has a solution;
+        column t is the canonical solution of M x = e_t when M's columns span."""
+        return Matrix.from_sparse_rows([self._pivots.get(c, {}) for c in range(self.m.cols)],
+                                       self.m.rows)
+
     def kernel(self) -> Subspace:
-        return self.m.kernel()
+        return Subspace(self.m.cols, self.kernel_rows)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

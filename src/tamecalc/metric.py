@@ -4,7 +4,10 @@ A metric is a bilinear symmetric map on the tensor square of the one-forms
 whose one-leg contraction V_g identifies the one-forms with their dual.
 Pulling the center of the one-forms through V_g produces the vector fields,
 which act on the algebra by derivations; the pairing they inherit drives
-the Koszul machinery in the connection module.
+the Koszul machinery in the connection module.  E* is taken over the
+fields X_p = V_g(z_p) as one `CentralGenerators`, through which the general
+bracket decomposes a dual element.  The seeded metric is fixed, like sigma,
+by its values on the central tensors of the tameness certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .bimodule import HomModule, dual_module, module_center
+from .bimodule import CentralGenerators, HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     CenterMismatchError,
@@ -21,7 +24,6 @@ from .errors import (
     InternalInconsistencyError,
 )
 from .linalg import (
-    ColumnSolver,
     LinAlgError,
     Matrix,
     ONE,
@@ -32,7 +34,6 @@ from .linalg import (
     _lincomb,
     basis_vector,
     qi,
-    solve_through,
     sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
@@ -167,7 +168,7 @@ class VectorFieldModule:
     maps: tuple[Matrix, ...]
     deltas: tuple[Matrix, ...]
     center_dual: Subspace              # Z(E*) in E* coordinates
-    span_solver: ColumnSolver          # decomposes E* over {X_p . a_r}
+    generators: CentralGenerators      # E* over the X_p
 
     @property
     def count(self) -> int:
@@ -195,14 +196,13 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
         if not alg.is_derivation(d):
             raise InternalInconsistencyError(
                 f"vector field {p} does not act as a derivation")
-    cols = [_apply_sparse(e_star.bimodule.right[r], x) for x in forms for r in range(alg.dim)]
-    solver = ColumnSolver(Matrix.from_sparse_cols(cols, e_star.dim))
-    if solver.rank != e_star.dim:
+    generators = CentralGenerators(e_star.bimodule, forms)
+    if not generators.spans:
         raise InternalInconsistencyError(
             "vector fields are not right-total in the dual module")
     return VectorFieldModule(
         basis=basis, maps=maps, deltas=deltas, center_dual=center_dual,
-        span_solver=solver)
+        generators=generators)
 
 
 def delta_of(calc: Calculus, metric: Metric, phi: Vector) -> Matrix:
@@ -244,7 +244,6 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
     draws are discarded.
     """
     rng = Random(seed)
-    qt = calc.tensor_square
     alg = calc.algebra
     zc_alg = alg.center()
     nz = len(cert.central_basis)
@@ -260,10 +259,10 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
                     vec = tuple(x + c * y for x, y in zip(vec, zb))
                 coeff[p][q] = vec
                 coeff[q][p] = vec
-        value_cols = []
-        for (p, q, r) in cert.spanning.triples:
-            value_cols.append(alg.right_basis_matrix(r).apply(coeff[p][q]))
-        g = solve_through(cert.spanning.columns, value_cols, out_dim=alg.dim, in_dim=qt.dim)
+        # g(pi(z_p (x) z_q) . a_r) = coeff[p][q] a_r
+        values = [_apply_sparse(alg.right_basis_matrix(r), vec_to_sparse(coeff[p][q]))
+                  for p in range(nz) for q in range(nz) for r in range(alg.dim)]
+        g = cert.spanning.extend(values, alg.dim)
         if g is None:
             continue
         outcome = validate_metric(calc, cert, g)

@@ -5,9 +5,11 @@ entry grids and whole action matrices, as the engine computed it before the
 kernel went sparse: the full-reduction elimination, the dense matrix
 arithmetic, and the connection-layer formulas.  The equivalence tests hold
 the sparse kernels to these.  hom_kernel is the Hom space as the exact
-kernel of the right-linearity rows, and grassmann_reference the Grassmann
-connection solved over whole splitting matrices: the oracles for the
-constructions from the images of the central generators.  validate_calculus_reference states
+kernel of the right-linearity rows, grassmann_reference the Grassmann
+connection solved over whole splitting matrices, and through_central_tensors
+a map on E (x)_A E solved from its values on the central tensors by
+solve_through: the oracles for the constructions from the images of the
+central generators.  validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
 the oracle for the checks that run over the algebra's generators.
 """
@@ -23,6 +25,7 @@ from tamecalc.linalg import (
     kernel_rows,
     kronecker,
     solve_sparse,
+    solve_through,
     vec_to_sparse,
     zero_vector,
 )
@@ -153,6 +156,17 @@ def hom_kernel(source, target) -> Subspace:
     n = source.dim * target.dim
     rows = commutator_rows((target.right[i], source.right[i]) for i in range(source.algebra.dim))
     return Subspace(n, kernel_rows(rows, n))
+
+
+def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
+    """The map on E (x)_A E sending pi(z_p (x) z_q) . a_r to values[(p, q, r)]
+    (triples in lexicographic order), solved by solve_through over those
+    columns; None when the values break a relation among them."""
+    qt = calc.tensor_square
+    zs = calc.one_forms.centered.center.basis
+    cols = [qt.bimodule.right[r].apply(qt.pure(zp, zq))
+            for zp in zs for zq in zs for r in range(calc.algebra.dim)]
+    return solve_through(cols, values, out_dim=out_dim, in_dim=qt.dim)
 
 
 # -- connection-layer kernels ------------------------------------------------------

@@ -266,7 +266,7 @@ def fields_equal_dual_center(geo: Geometry) -> bool:
 
 
 def fields_right_total(geo: Geometry) -> bool:
-    if geo.fields.span_solver.rank != geo.metric.e_star.dim:
+    if not geo.fields.generators.spans:
         return False
     # right multiplication by central algebra elements stays inside
     zc = geo.calc.algebra.center()

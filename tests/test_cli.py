@@ -250,6 +250,66 @@ def test_one_forms_are_tested_for_centeredness_once(workdir, capsys, tmp_path, m
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, built", [("check", 2), ("connect", 3), ("verify", 3)])
+def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monkeypatch,
+                                                command, built):
+    # E, E (x)_A E and E* each get one CentralGenerators (E* only once
+    # there are vector fields), and no map is solved from scratch
+    import sys
+
+    from tamecalc import bimodule, linalg
+
+    artifact = tmp_path / "conn.json"
+    if command == "verify":
+        assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(artifact)]) == 0
+        capsys.readouterr()
+    families, solves = [], []
+    real_init = bimodule.CentralGenerators.__init__
+    real_solve = linalg.solve_through
+
+    def counted_init(self, source, zs):
+        families.append(source)
+        real_init(self, source, zs)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bimodule.CentralGenerators, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tamecalc" and getattr(module, "solve_through", None) is real_solve:
+            monkeypatch.setattr(module, "solve_through", counted_solve)
+    argv = [command, str(workdir / "fuzzy.json")]
+    if command == "connect":
+        argv += ["--out", str(artifact)]
+    if command == "verify":
+        argv += [str(artifact)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(families) == built
+    assert solves == []
+
+
+def test_check_reports_central_tensors_that_do_not_span(workdir, capsys, tmp_path):
+    # a one-form action that breaks associativity leaves E centered, but the
+    # central tensors no longer span its tensor square: the report still
+    # names the failing axiom
+    spec = json.loads((workdir / "torus.json").read_text())
+    spec["one_forms"]["left"][2][0][1] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out = run(capsys, ["check", str(bad), "--json"])
+    assert code == 1
+    report = json.loads(out)
+    validate_report_schema(report)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["one_forms_bimodule_axioms"]["witness"] == \
+        "bimodule: (ab)e != a(be) at basis pair (1, 5)"
+    assert not checks["tame_certificate"]["ok"]
+    assert checks["tame_certificate"]["witness"].startswith("CentralTensorsDoNotSpan: ")
+    assert report["summary"] == {"calculus_valid": False, "tame": False, "metric_valid": False}
+
+
 def test_connect_with_non_spanning_frame_fails(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
@@ -443,7 +503,7 @@ def test_abelian_torus_4_spec_and_check_report_match_golden(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, target", [
     ("connect", "tamecalc.connection.solve_sparse"),
-    ("check", "tamecalc.bimodule.solve_sparse"),
+    ("check", "tamecalc.bimodule.ColumnSolver"),
 ])
 def test_escaped_linalg_error_exits_one_without_traceback(workdir, capsys, tmp_path,
                                                           monkeypatch, command, target):

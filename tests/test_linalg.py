@@ -378,6 +378,19 @@ def test_solve_through_reproduces_random_map(m, data):
     assert got == target
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_matrices, st.data())
+def test_column_solver_kernel_and_solution_map_come_from_its_pivots(m, data):
+    from tamecalc.linalg import ColumnSolver
+
+    solver = ColumnSolver(m)
+    assert solver.kernel_rows == kernel_rows(m.sparse_rows(), m.cols)
+    assert solver.kernel() == m.kernel()
+    x = tuple(data.draw(scalars) for _ in range(m.cols))
+    b = m.apply(x)
+    assert solver.solution_map.apply(b) == solver.solve(b)
+
+
 # -- right-linearity constraint rows -----------------------------------------
 
 def _flat(x):

@@ -10,6 +10,7 @@ from tamecalc.linalg import (
     ZERO,
     basis_vector,
     vec_is_zero,
+    vec_to_sparse,
     zero_vector,
 )
 from tamecalc.metric import (
@@ -67,20 +68,17 @@ def test_zero_metric_rejected(fuzzy):
 
 
 def test_asymmetric_metric_rejected(fuzzy):
-    # Bilinear (built through the spanning solve) but with an antisymmetric
-    # defect between theta_1 and theta_2, so g sigma != g.
-    from tamecalc.linalg import solve_through
-
+    # Bilinear (fixed by its values on the central tensors) but with an
+    # antisymmetric defect between theta_1 and theta_2, so g sigma != g.
     p, cert = fuzzy
     alg = p.calculus.algebra
     unit = alg.unit
     coeff = [[unit if i == j else zero_vector(4) for j in range(3)] for i in range(3)]
     coeff[0][1] = unit
     coeff[1][0] = tuple(-x for x in unit)
-    values = [alg.right_basis_matrix(r).apply(coeff[pp][qq])
-              for (pp, qq, r) in cert.spanning.triples]
-    g = solve_through(cert.spanning.columns, values, out_dim=4,
-                      in_dim=p.calculus.tensor_square.dim)
+    values = [vec_to_sparse(alg.right_basis_matrix(r).apply(coeff[pp][qq]))
+              for pp in range(3) for qq in range(3) for r in range(alg.dim)]
+    g = cert.spanning.extend(values, alg.dim)
     outcome = validate_metric(p.calculus, cert, g)
     assert not outcome.ok
     assert outcome.failure.reason == "NotSymmetric"
@@ -180,7 +178,8 @@ def test_fields_values_on_central_forms_are_central(fuzzy, fuzzy_metric, fuzzy_f
 
 
 def test_fields_are_right_total(fuzzy, fuzzy_fields):
-    assert fuzzy_fields.span_solver.rank == 12
+    assert fuzzy_fields.generators.spans
+    assert fuzzy_fields.generators.source.dim == 12
 
 
 def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric):
