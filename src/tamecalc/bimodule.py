@@ -89,16 +89,17 @@ class Bimodule:
         """is_centered, decided once per bimodule."""
         return is_centered(self)
 
-    @cached_property
+    @property
     def central_generators(self) -> "CentralGenerators":
-        """Over the RREF basis of the center; raises ContractViolationError
-        when the bimodule is not centered."""
+        """Over the RREF basis of the center, the family that decided
+        centeredness; raises ContractViolationError when the bimodule is
+        not centered."""
         rep = self.centered
         if not rep.ok:
             raise ContractViolationError(
                 "hom_A: the source is not generated by its center as a right module",
                 witness=rep.witness)
-        return CentralGenerators(self, rep.center.rows)
+        return rep.generators
 
     def left_action(self, a: Vector) -> Matrix:
         return Matrix.from_sparse_rows(self._action_rows(self.left, a), self.dim)
@@ -187,17 +188,24 @@ class CenteredReport:
     ok: bool
     center: Subspace
     witness: Vector | None  # a direction missing from the right span of the center
+    generators: "CentralGenerators"   # over center.rows; spans == ok
 
 
 def is_centered(e: Bimodule) -> CenteredReport:
-    """Does the center generate e as a right module?"""
+    """Does the center generate e as a right module?
+
+    The CentralGenerators over the center's RREF basis decide it with their
+    one elimination of the z_j . a_s.  Only when they do not span is the
+    span built as a Subspace, whose first complement position names the
+    missing basis direction."""
     zc = module_center(e)
+    gens = CentralGenerators(e, zc.rows)
+    if gens.spans:
+        return CenteredReport(True, zc, None, gens)
     span = Subspace(e.dim, [_apply_sparse(e.right[r], z) for z in zc.rows
                             for r in range(e.algebra.dim)])
-    if span.dim == e.dim:
-        return CenteredReport(True, zc, None)
     missing = span.complement_positions()[0]
-    return CenteredReport(False, zc, basis_vector(e.dim, missing))
+    return CenteredReport(False, zc, basis_vector(e.dim, missing), gens)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .bimodule import (
     Bimodule,
     CentralGenerators,
     QuotientTensor,
+    _tensor_left_apply,
+    _tensor_right_apply,
     tensor_over_A,
 )
 from .errors import ContractViolationError, InternalInconsistencyError
@@ -47,6 +49,7 @@ from .linalg import (
     Vector,
     _apply_sparse,
     _lincomb,
+    _product_rows,
     vec_to_sparse,
 )
 
@@ -177,12 +180,26 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
         return None
 
     def wedge_bimodule_map():
-        # W (L_a (x) 1) == L_a W and W (1 (x) R_a) == R_a W on sparse
-        # columns, where column s*nE + t of W is wedge(e_s (x) e_t)
+        # W (L_a (x) 1) == L_a W and W (1 (x) R_a) == R_a W, compared per a
+        # as whole sparse products: row y of W (L_a (x) 1) is (L_a^T (x) 1)
+        # applied to row y of W.  Only where they differ is the witness
+        # searched on sparse columns, where column s*nE + t of W is
+        # wedge(e_s (x) e_t), in (s, t) order, so it is the first failing
+        # pair of the first failing a.
         w = calc.wedge_plain.sparse_cols()
+        w_rows = calc.wedge_plain.sparse_rows()
+
+        def holds(i: int) -> bool:
+            lt, rt = e.left[i].transpose(), e.right[i].transpose()
+            return ([_tensor_left_apply(lt, nE, row) for row in w_rows]
+                    == _product_rows(w2.left[i], calc.wedge_plain)
+                    and [_tensor_right_apply(rt, nE, row) for row in w_rows]
+                    == _product_rows(w2.right[i], calc.wedge_plain))
 
         def actions(indices: Sequence[int]) -> str | None:
             for i in indices:
+                if holds(i):
+                    continue
                 le, lw = e.left[i].sparse_cols(), w2.left[i].sparse_cols()
                 re, rw = e.right[i].sparse_cols(), w2.right[i].sparse_cols()
                 for s in range(nE):

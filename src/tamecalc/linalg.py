@@ -7,7 +7,8 @@ with gcd(re_num, im_num, den) == 1.  There is no floating point anywhere.
 
 Matrices and row reduction keep rows as zero-free {column: Scalar} dicts;
 the systems produced by structure constants are very sparse and this is
-what makes desk-scale examples run in seconds.  Echelon bases are fully
+what makes desk-scale examples run in seconds.  Products and sums run row
+by row over the nonzeros only, so an empty row or term costs no work.  Echelon bases are fully
 reduced (RREF) so that a subspace has exactly one representation and
 equality of subspaces is equality of bases.
 """
@@ -222,12 +223,20 @@ def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: in
 
 
 def _lincomb(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Scalar]:
-    """Sparse sum of coef * row over the given terms, zeros dropped."""
-    out: dict[int, Scalar] = {}
+    """Sparse sum of coef * row over the given terms, zeros dropped.
+
+    Empty rows and zero coefficients are skipped; the first remaining term
+    is copied (scaled) rather than added into an empty dict, with the keys
+    in the order adding it would give."""
+    out: dict[int, Scalar] | None = None
     for coef, row in terms:
-        if not coef.is_zero():
+        if not row or coef.is_zero():
+            continue
+        if out is None:
+            out = dict(row) if coef == ONE else {c: coef * v for c, v in row.items()}
+        else:
             _axpy(out, coef, row, -1)
-    return out
+    return {} if out is None else out
 
 
 def _eliminate(row: dict[int, Scalar], pivots: dict[int, dict[int, Scalar]]) -> dict[int, Scalar]:
@@ -582,17 +591,23 @@ class Matrix:
 
 
 def _combination_rows(terms: Iterable[tuple[Scalar, Matrix]], nrows: int) -> list[dict[int, Scalar]]:
-    """Sparse rows of sum c_i M_i over the (c_i, M_i) terms, each M_i with nrows rows."""
-    mats = [(c, m.sparse_rows()) for c, m in terms]
-    return [_lincomb((c, rows[r]) for c, rows in mats) for r in range(nrows)]
+    """Sparse rows of sum c_i M_i over the (c_i, M_i) terms, each M_i with
+    nrows rows.  Only the rows that some term with a nonzero coefficient
+    has nonempty are summed; the others are {}."""
+    mats = [(c, m.sparse_rows()) for c, m in terms if not c.is_zero()]
+    live = {r for _, rows in mats for r, row in enumerate(rows) if row}
+    return [_lincomb((c, rows[r]) for c, rows in mats) if r in live else {}
+            for r in range(nrows)]
 
 
 def _product_rows(a: Matrix, b: Matrix) -> list[dict[int, Scalar]]:
-    """Sparse rows of a @ b."""
+    """Sparse rows of a @ b, row by row over the nonzeros of a (Gustavson):
+    an empty row of a gives {} without a sum."""
     if a.cols != b.rows:
         raise LinAlgError(f"matmul shape mismatch: {a.cols} vs {b.rows}")
     brows = b.sparse_rows()
-    return [_lincomb((v, brows[k]) for k, v in row.items()) for row in a.sparse_rows()]
+    return [_lincomb((v, brows[k]) for k, v in row.items()) if row else {}
+            for row in a.sparse_rows()]
 
 
 def _apply_sparse(m: Matrix, v: dict[int, Scalar]) -> dict[int, Scalar]:
@@ -628,17 +643,21 @@ def commutator_rows(pairs: Iterable[tuple[Matrix, Matrix]]) -> list[dict[int, Sc
     Their common kernel is the space of X with A X == X B for every pair.
     Read as vectors, the rows span the images of X -> A^T X - X B^T, which
     is how QuotientTensor poses its middle-linearity relations.  Zero rows
-    are dropped.
+    are dropped: the row of (r, c) can be nonzero only when row r of A or
+    column c of B is, so only those pairs are visited, in (r, c) order.
     """
     rows = []
     for a, b in pairs:
         n = b.rows
         a_rows = a.sparse_rows()
         minus_b_cols = [{k: -v for k, v in col.items()} for col in b.sparse_cols()]
+        live_cols = [c for c in range(n) if minus_b_cols[c]]
         for r in range(a.rows):
-            for c in range(n):
-                row = {k * n + c: v for k, v in a_rows[r].items()}
-                _axpy(row, ONE, {r * n + k: v for k, v in minus_b_cols[c].items()}, -1)
+            a_row = a_rows[r]
+            for c in (range(n) if a_row else live_cols):
+                row = {k * n + c: v for k, v in a_row.items()}
+                if minus_b_cols[c]:
+                    _axpy(row, ONE, {r * n + k: v for k, v in minus_b_cols[c].items()}, -1)
                 if row:
                     rows.append(row)
     return rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .bimodule import CentralGenerators, HomModule, dual_module, module_center
+from .bimodule import Bimodule, CentralGenerators, HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     CenterMismatchError,
@@ -30,9 +30,11 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
+    ZERO,
     _apply_sparse,
     _lincomb,
     basis_vector,
+    kernel_rows,
     qi,
     sparse_to_vec,
     vec_is_zero,
@@ -240,7 +242,11 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
 
     Coefficients on central generator pairs are drawn from the center of the
     algebra (symmetrically), which makes the candidate automatically bilinear
-    and symmetric; invertibility of V_g is then checked exactly and failing
+    and symmetric.  The integer draws are coordinates in a kernel basis of
+    the conditions that the relations among the central tensors put on the
+    coefficients, so every draw extends to a map on the tensor square; on a
+    free E there are no conditions and the draws are the coefficients
+    themselves.  Invertibility of V_g is then checked exactly and failing
     draws are discarded.
     """
     rng = Random(seed)
@@ -249,22 +255,32 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
     nz = len(cert.central_basis)
     if nz == 0:
         raise ContractViolationError("random_metric needs at least one central one-form")
+    # unknown u = (p, q, b), p <= q, is the coefficient of center basis
+    # element b in g(pi(z_p (x) z_q)); lift sends it to the coordinates of
+    # the images g(pi(z_p (x) z_q)) and g(pi(z_q (x) z_p)) it sets, on which
+    # the relation rows of the central tensors are posed
+    unknowns = [(p, q, b) for p in range(nz) for q in range(p, nz) for b in range(zc_alg.dim)]
+    nimages = nz * nz * alg.dim
+    lift = Matrix.from_sparse_cols(
+        [{j * alg.dim + y: v for j in (p * nz + q, q * nz + p) for y, v in zc_alg.rows[b].items()}
+         for p, q, b in unknowns], nimages)
+    relations = Matrix.from_sparse_rows(
+        cert.spanning.relation_rows(Bimodule.regular(alg)), nimages)
+    kernel = kernel_rows((relations @ lift).sparse_rows(), len(unknowns))
     for _ in range(attempts):
+        x = _lincomb([(qi(rng.randint(-3, 3)), k) for k in kernel])
         coeff: list[list[Vector]] = [[zero_vector(alg.dim)] * nz for _ in range(nz)]
-        for p in range(nz):
-            for q in range(p, nz):
-                vec = zero_vector(alg.dim)
-                for zb in zc_alg.basis:
-                    c = qi(rng.randint(-3, 3))
-                    vec = tuple(x + c * y for x, y in zip(vec, zb))
-                coeff[p][q] = vec
-                coeff[q][p] = vec
+        for u, (p, q, b) in enumerate(unknowns):
+            c = x.get(u, ZERO)
+            coeff[p][q] = coeff[q][p] = tuple(v + c * y for v, y in
+                                              zip(coeff[p][q], zc_alg.basis[b]))
         # g(pi(z_p (x) z_q) . a_r) = coeff[p][q] a_r
         values = [_apply_sparse(alg.right_basis_matrix(r), vec_to_sparse(coeff[p][q]))
                   for p in range(nz) for q in range(nz) for r in range(alg.dim)]
         g = cert.spanning.extend(values, alg.dim)
         if g is None:
-            continue
+            raise InternalInconsistencyError(
+                "a seeded metric breaks a relation among the central tensors")
         outcome = validate_metric(calc, cert, g)
         if not outcome.ok:
             continue

@@ -254,7 +254,9 @@ def test_one_forms_are_tested_for_centeredness_once(workdir, capsys, tmp_path, m
 def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monkeypatch,
                                                 command, built):
     # E, E (x)_A E and E* each get one CentralGenerators (E* only once
-    # there are vector fields), and no map is solved from scratch
+    # there are vector fields), no map is solved from scratch, and no
+    # family z_j . a_s is eliminated a second time as a Subspace (centeredness
+    # is read off E's CentralGenerators)
     import sys
 
     from tamecalc import bimodule, linalg
@@ -263,22 +265,34 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
     if command == "verify":
         assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(artifact)]) == 0
         capsys.readouterr()
-    families, solves = [], []
+    families, solves, spans = [], [], []
     real_init = bimodule.CentralGenerators.__init__
     real_solve = linalg.solve_through
 
     def counted_init(self, source, zs):
-        families.append(source)
+        zs = list(zs)
+        families.append([linalg._apply_sparse(source.right[s], z)
+                         for z in zs for s in range(source.algebra.dim)])
         real_init(self, source, zs)
 
     def counted_solve(*args, **kwargs):
         solves.append(args)
         return real_solve(*args, **kwargs)
 
+    class RecordedSubspace(linalg.Subspace):
+        def __init__(self, ambient_dim, vectors=()):
+            vectors = list(vectors)
+            spans.append(vectors)
+            super().__init__(ambient_dim, vectors)
+
     monkeypatch.setattr(bimodule.CentralGenerators, "__init__", counted_init)
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "tamecalc" and getattr(module, "solve_through", None) is real_solve:
+        if name.split(".")[0] != "tamecalc":
+            continue
+        if getattr(module, "solve_through", None) is real_solve:
             monkeypatch.setattr(module, "solve_through", counted_solve)
+        if module is not linalg and getattr(module, "Subspace", None) is linalg.Subspace:
+            monkeypatch.setattr(module, "Subspace", RecordedSubspace)
     argv = [command, str(workdir / "fuzzy.json")]
     if command == "connect":
         argv += ["--out", str(artifact)]
@@ -288,6 +302,7 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
     capsys.readouterr()
     assert len(families) == built
     assert solves == []
+    assert spans and not any(vectors == family for vectors in spans for family in families)
 
 
 def test_check_reports_central_tensors_that_do_not_span(workdir, capsys, tmp_path):

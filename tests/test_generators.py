@@ -30,6 +30,7 @@ from tamecalc.linalg import (
     Matrix,
     Scalar,
     Subspace,
+    _lincomb,
     basis_vector,
     commutator_rows,
     qi,
@@ -247,6 +248,35 @@ def test_generator_failure_reruns_for_the_first_pair(part, a, entry, witness):
     report = [(item.name, item.ok, item.witness) for item in validate_calculus(broken)]
     assert report == validate_calculus_reference(broken)
     assert (f"{part}_bimodule_axioms", False, witness) in report
+
+
+@pytest.mark.parametrize("calc_index", [0, 1])
+@pytest.mark.parametrize("row, s, t", [(0, 0, 0), (0, 0, 1), (3, 7, 4), (4, 3, 9), (2, 6, 0)])
+@pytest.mark.parametrize("through_quotient", [False, True])
+def test_wedge_failure_is_named_as_the_reference_names_it(calc_index, row, s, t,
+                                                          through_quotient):
+    # the wedge's bimodule-map axiom is compared as whole sparse products
+    # and the witness searched only where they differ; a wedge entry bumped
+    # at (s, t) fails middle-linearity first, so the axiom runs over the
+    # whole basis.  Bumped through the quotient (plus the project row of
+    # the class of e_s (x) e_t) it stays middle-linear, and the axiom runs
+    # on the generators first.  The report names what the reference names.
+    calc = CALCULI[calc_index]
+    ne = calc.one_forms.dim
+    if through_quotient:
+        project = calc.tensor_square.project
+        q = min(project.sparse_cols()[s * ne + t])
+        rows = list(calc.wedge_plain.sparse_rows())
+        rows[row] = _lincomb(((ONE, rows[row]), (ONE, project.sparse_rows()[q])))
+        wedge = Matrix.from_sparse_rows(rows, ne * ne)
+    else:
+        wedge = _bumped(calc.wedge_plain, row, s * ne + t, ONE)
+    broken = Calculus(calc.algebra, calc.one_forms, calc.two_forms, calc.d0, calc.d1, wedge)
+    report = [(item.name, item.ok, item.witness) for item in validate_calculus(broken)]
+    assert report == validate_calculus_reference(broken)
+    items = {name: (ok, witness) for name, ok, witness in report}
+    assert items["wedge_middle_linear"][0] == through_quotient
+    assert not items["wedge_bimodule_map"][0]
 
 
 def test_connection_checks_match_on_a_validated_calculus():

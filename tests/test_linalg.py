@@ -259,6 +259,23 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def grids(n, m):
+    """n x m matrices, dense or mostly zero: each row of a sparse grid is
+    empty or has one or two entries, each 1 or another nonzero scalar, so
+    empty rows and columns and single-entry rows are common, as in the
+    structure constants."""
+    dense = st.lists(st.lists(scalars, min_size=m, max_size=m), min_size=n, max_size=n)
+    value = st.one_of(st.just(ONE), scalars.filter(lambda x: x != ONE and not x.is_zero()))
+    row = st.dictionaries(st.integers(min_value=0, max_value=m - 1), value, max_size=2)
+    sparse = st.lists(row.map(lambda r: [r.get(j, ZERO) for j in range(m)]),
+                      min_size=n, max_size=n)
+    return st.one_of(dense, sparse).map(from_rows)
+
+
+dense_or_sparse = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.integers(min_value=1, max_value=4).flatmap(lambda m: grids(n, m)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices, st.data())
 def test_solve_residual_is_exactly_zero(m, data):
@@ -295,20 +312,22 @@ def dense_product(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices, st.data())
+@given(dense_or_sparse, st.data())
 def test_sparse_products_match_dense_loops(a, data):
     cols = data.draw(st.integers(min_value=1, max_value=4))
-    b = from_rows([[data.draw(scalars) for _ in range(cols)] for _ in range(a.cols)])
+    b = data.draw(grids(a.cols, cols))
+    b_rows = [dict(r) for r in b.sparse_rows()]
     want = dense_product(a, b)
     assert (a @ b).entries == tuple(map(tuple, want))
     assert _product_rows(a, b) == [vec_to_sparse(r) for r in want]
+    # the sums copy the rows of b, never add into them
+    assert list(b.sparse_rows()) == b_rows
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices, st.data())
+@given(dense_or_sparse, st.data())
 def test_combination_rows_match_dense_sum(m, data):
-    mats = [m] + [from_rows([[data.draw(scalars) for _ in range(m.cols)]
-                             for _ in range(m.rows)]) for _ in range(2)]
+    mats = [m] + [data.draw(grids(m.rows, m.cols)) for _ in range(2)]
     coefs = [data.draw(scalars) for _ in mats]
     want = Matrix.zeros(m.rows, m.cols)
     for c, x in zip(coefs, mats):
@@ -419,7 +438,7 @@ def test_commutator_rows_span_transposed_images(data):
     n = data.draw(st.integers(min_value=1, max_value=3))
 
     def square(k):
-        return from_rows([[data.draw(scalars) for _ in range(k)] for _ in range(k)])
+        return data.draw(grids(k, k))
 
     pairs = [(square(m), square(n)) for _ in range(2)]
     images = []
@@ -428,6 +447,19 @@ def test_commutator_rows_span_transposed_images(data):
             x = Matrix(m, n, [basis_vector(m * n, pos)[r * n:(r + 1) * n] for r in range(m)])
             images.append(_flat(a.transpose() @ x - x @ b.transpose()))
     assert Subspace(m * n, commutator_rows(pairs)) == Subspace(m * n, images)
+    # the same rows in the same order as the loop over every (r, c)
+    dense = []
+    for a, b in pairs:
+        for r in range(m):
+            for c in range(n):
+                row = [ZERO] * (m * n)
+                for k in range(m):
+                    row[k * n + c] += a.entries[r][k]
+                for k in range(n):
+                    row[r * n + k] -= b.entries[k][c]
+                if not vec_is_zero(row):
+                    dense.append(vec_to_sparse(row))
+    assert commutator_rows(pairs) == dense
 
 
 def test_kronecker_shape_and_values():
