@@ -26,7 +26,7 @@ from .connection import (
     torsion,
 )
 from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi
-from .metric import g_tilde, validate_metric, vector_fields
+from .metric import validate_metric, vector_fields
 
 __all__ = [
     "Algebra",
@@ -41,7 +41,6 @@ __all__ = [
     "build_symmetry",
     "certify",
     "covariant_derivative",
-    "g_tilde",
     "grassmann",
     "hom_A",
     "is_centered",

@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     ZERO,
     _apply_sparse,
-    _combination_rows,
     _lincomb,
     basis_vector,
     kernel_rows,
@@ -76,10 +75,6 @@ class Algebra:
             m = Matrix.from_sparse_cols([row[i] for row in self.sparse_mul], self.dim)
             self._right[i] = m
         return m
-
-    def left_mult(self, a: Vector) -> Matrix:
-        terms = ((c, self.left_basis_matrix(i)) for i, c in vec_to_sparse(a).items())
-        return Matrix.from_sparse_rows(_combination_rows(terms, self.dim), self.dim)
 
     @cached_property
     def sparse_mul(self) -> tuple[tuple[dict[int, Scalar], ...], ...]:

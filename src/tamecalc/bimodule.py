@@ -101,12 +101,6 @@ class Bimodule:
                 witness=rep.witness)
         return rep.generators
 
-    def left_action(self, a: Vector) -> Matrix:
-        return Matrix.from_sparse_rows(self._action_rows(self.left, a), self.dim)
-
-    def right_action(self, a: Vector) -> Matrix:
-        return Matrix.from_sparse_rows(self._action_rows(self.right, a), self.dim)
-
     def _action_rows(self, actions: Sequence[Matrix], a: Vector) -> list[dict[int, Scalar]]:
         return _combination_rows(((c, actions[i]) for i, c in vec_to_sparse(a).items()), self.dim)
 
@@ -460,23 +454,23 @@ class HomModule:
                 "hom module is not closed under the bimodule actions")
         return c
 
-    def coords_of(self, m: Matrix) -> Vector | None:
-        """Coordinates of the map m in this basis, or None if m is not in it."""
-        c = self.sparse_coords_of(m)
-        return None if c is None else sparse_to_vec(c, self.dim)
-
     def sparse_coords_of(self, m: Matrix) -> dict[int, Scalar] | None:
-        """coords_of, sparse (basis index -> coefficient), read off the
-        sparse rows of m."""
+        """Sparse coordinates (basis index -> coefficient) of the map m in
+        this basis, read off the sparse rows of m, or None if m is not in it."""
         return self.flat.coordinates_sparse(_flatten(m))
 
-    def matrix_of(self, coords: Vector) -> Matrix:
-        terms = ((c, self.basis[s]) for s, c in vec_to_sparse(coords).items())
+    def matrix_of(self, coords: dict[int, Scalar]) -> Matrix:
+        """The map with the given sparse coordinates."""
+        terms = ((c, self.basis[s]) for s, c in coords.items())
         return Matrix.from_sparse_rows(_combination_rows(terms, self.target.dim), self.source.dim)
 
+    def value_sparse(self, coords: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The map with sparse coordinates coords, evaluated on a sparse v."""
+        return _act(self.basis, coords, v)
+
     def value(self, coords: Vector, v: Vector) -> Vector:
-        """Evaluate the map with the given coordinates on v."""
-        return sparse_to_vec(_act(self.basis, vec_to_sparse(coords), vec_to_sparse(v)),
+        """value_sparse on dense coordinates and a dense v, with a dense value."""
+        return sparse_to_vec(self.value_sparse(vec_to_sparse(coords), vec_to_sparse(v)),
                              self.target.dim)
 
     def __repr__(self) -> str:

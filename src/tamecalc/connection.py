@@ -56,10 +56,9 @@ from .linalg import (
     _product_rows,
     solve_sparse,
     sparse_to_vec,
-    vec_is_zero,
     vec_to_sparse,
 )
-from .metric import Metric, VectorFieldModule, delta_of, g_of_forms, vector_fields
+from .metric import Metric, g_of_forms, vector_fields
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,8 @@ class Connection:
 
     nabla: Matrix
 
-    def of(self, omega: Vector) -> Vector:
-        return self.nabla.apply(omega)
 
-
-Table = tuple  # Table[p][q] = coordinates of the derivative of X_q along X_p
+Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q along X_p
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +223,16 @@ class Geometry:
     """
 
     def __init__(self, calc: Calculus, cert: TamenessCertificate, metric: Metric,
-                 fields: VectorFieldModule | None = None,
                  frame: tuple[Vector, ...] | None = None):
         self.calc = calc
         self.cert = cert
         self.metric = metric
         self.frame = frame
-        self.fields = fields if fields is not None else vector_fields(calc, cert, metric)
-        self.g_plain = metric.g_plain(calc)
+        self.fields = vector_fields(calc, cert, metric)
         # V_g^{-1} X_p, by field index
-        self.field_forms = tuple(metric.form_of(vec_to_sparse(x)) for x in self.fields.basis)
-        self._duals: dict[Vector, DualElement] = {}
+        self.field_forms = tuple(metric.form_of(x) for x in self.fields.basis)
+        self._duals: dict[frozenset, DualElement] = {}
         self._sigma_pure: dict[tuple[int, int], dict[int, Scalar]] = {}
-        # the one-forms over their central generators, shared with E*
-        self.generators = metric.e_star.generators
 
     # -- simple accessors ---------------------------------------------------
 
@@ -248,27 +240,19 @@ class Geometry:
     def nabla0(self) -> Connection:
         return nabla_zero(self.calc, self.cert, self.frame)
 
-    def dual(self, phi: Vector) -> DualElement:
-        """phi with what the connection layer reads off it, kept per element."""
-        got = self._duals.get(phi)
+    def dual(self, phi: dict[int, Scalar]) -> DualElement:
+        """The sparse dual element phi with what the connection layer reads
+        off it, kept per element whatever the order of its keys."""
+        key = frozenset(phi.items())
+        got = self._duals.get(key)
         if got is None:
             got = DualElement(self, phi)
-            self._duals[phi] = got
+            self._duals[key] = got
         return got
-
-    def delta(self, phi: Vector, a: Vector) -> Vector:
-        """phi(da): the derivation action when phi is a vector field."""
-        return sparse_to_vec(_apply_sparse(self.dual(phi).delta, vec_to_sparse(a)),
-                             self.calc.algebra.dim)
-
-    def gt(self, phi: Vector, psi: Vector) -> Vector:
-        """g_tilde(phi, psi) through the memoised V_g^{-1} images."""
-        return sparse_to_vec(self.pair_forms(self.dual(phi).form, self.dual(psi).form),
-                             self.calc.algebra.dim)
 
     def pair_forms(self, u: dict[int, Scalar], w: dict[int, Scalar]) -> dict[int, Scalar]:
         """g(u (x) w) for sparse one-forms, sparse in the algebra."""
-        return g_of_forms(self.g_plain, self.calc.one_forms.dim, u, w)
+        return g_of_forms(self.metric.g_plain, self.calc.one_forms.dim, u, w)
 
     @cached_property
     def g_central(self) -> list[dict[int, Scalar]]:
@@ -284,7 +268,7 @@ class Geometry:
     @cached_property
     def lie_forms(self) -> list[list[dict[int, Scalar]]]:
         """V_g^{-1} [X_p, X_q], by field indices."""
-        return [[self.metric.form_of(vec_to_sparse(b)) for b in row] for row in self.lie_table]
+        return [[self.metric.form_of(b) for b in row] for row in self.lie_table]
 
     # -- pairing legs for the compatibility map ------------------------------
 
@@ -301,7 +285,7 @@ class Geometry:
     def _left_of_g(self, s: int, u: int, v: int) -> dict[int, Scalar]:
         """g(class of e_s (x) e_u) acting on e_v from the left, sparse."""
         e = self.calc.one_forms
-        return e.act_left(self.g_plain.sparse_cols()[s * e.dim + u], {v: ONE})
+        return e.act_left(self.metric.g_plain.sparse_cols()[s * e.dim + u], {v: ONE})
 
     @cached_property
     def leg_sigma(self) -> list[Matrix]:
@@ -363,10 +347,10 @@ class Geometry:
 
     @cached_property
     def field_solver(self) -> ColumnSolver:
-        return ColumnSolver(Matrix.from_cols(list(self.fields.basis), self.metric.e_star.dim))
+        return ColumnSolver(Matrix.from_sparse_cols(self.fields.basis, self.metric.e_star.dim))
 
     @cached_property
-    def lie_table(self) -> list[list[Vector]]:
+    def lie_table(self) -> list[list[dict[int, Scalar]]]:
         n = self.fields.count
         return [[lie_bracket(self, self.fields.basis[p], self.fields.basis[q])
                  for q in range(n)] for p in range(n)]
@@ -400,7 +384,7 @@ class DualElement:
     """One dual element phi and what the connection layer reads off it, each
     built on first use; Geometry.dual keeps one per element."""
 
-    def __init__(self, geo: Geometry, phi: Vector):
+    def __init__(self, geo: Geometry, phi: dict[int, Scalar]):
         self.geo = geo
         self.phi = phi
         self._bracket_forms: dict[int, dict[int, Scalar]] = {}
@@ -408,20 +392,19 @@ class DualElement:
     @cached_property
     def form(self) -> dict[int, Scalar]:
         """V_g^{-1} phi, a sparse one-form."""
-        return self.geo.metric.form_of(vec_to_sparse(self.phi))
+        return self.geo.metric.form_of(self.phi)
 
     @cached_property
     def delta(self) -> Matrix:
-        """The map a -> phi(da)."""
-        return delta_of(self.geo.calc, self.geo.metric, self.phi)
+        """The map a -> phi(da), a derivation exactly when phi is central."""
+        return self.geo.metric.e_star.matrix_of(self.phi) @ self.geo.calc.d0
 
     def bracket_form(self, p: int) -> dict[int, Scalar]:
         """V_g^{-1} [X_p, phi], bracketed once per field index."""
         got = self._bracket_forms.get(p)
         if got is None:
             geo = self.geo
-            bracket = bracket_general(geo, geo.fields.basis[p], self.phi)
-            got = geo.metric.form_of(vec_to_sparse(bracket))
+            got = geo.metric.form_of(bracket_general(geo, geo.fields.basis[p], self.phi))
             self._bracket_forms[p] = got
         return got
 
@@ -430,9 +413,10 @@ class DualElement:
 # Covariant derivative and brackets
 # ---------------------------------------------------------------------------
 
-def covariant_derivative(geo: Geometry, conn: Connection, field: Vector,
-                         direction: Vector) -> Vector:
-    """The derivative of `field` along `direction`, as a dual element.
+def covariant_derivative(geo: Geometry, conn: Connection, field: dict[int, Scalar],
+                         direction: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The derivative of `field` along `direction`, both sparse dual
+    elements, as a sparse dual element.
 
     Pointwise on one-forms w this is direction(d(field(w))) minus the
     pairing of field (x) direction against the connection of w; the pairing
@@ -454,7 +438,7 @@ def covariant_derivative(geo: Geometry, conn: Connection, field: Vector,
         cols.append(_lincomb(((ONE, _apply_sparse(delta_dir, fcols[i])),
                               (-ONE, second))))
     functional = Matrix.from_sparse_cols(cols, geo.calc.algebra.dim)
-    coords = e_star.coords_of(functional)
+    coords = e_star.sparse_coords_of(functional)
     if coords is None:
         raise InternalInconsistencyError("covariant derivative is not right-linear")
     return coords
@@ -468,18 +452,17 @@ def covariant_table(geo: Geometry, conn: Connection) -> Table:
         for p in range(n))
 
 
-def lie_bracket(geo: Geometry, x: Vector, y: Vector) -> Vector:
-    """The unique dual element whose derivation is the commutator of the two."""
+def lie_bracket(geo: Geometry, x: dict[int, Scalar], y: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The unique dual element whose derivation is the commutator of the
+    two fields, all sparse."""
     if not geo.fields.contains(x) or not geo.fields.contains(y):
         raise ContractViolationError("lie_bracket arguments must be vector fields")
     dx = geo.dual(x).delta
     dy = geo.dual(y).delta
     comm = dx @ dy - dy @ dx
     nA = geo.calc.algebra.dim
-    rhs = [ZERO] * (nA * nA)        # entry (i, c) is comm[c][i]
-    for c, row in enumerate(comm.sparse_rows()):
-        for i, v in row.items():
-            rhs[i * nA + c] = v
+    # entry (i, c) is comm[c][i]
+    rhs = {i * nA + c: v for c, row in enumerate(comm.sparse_rows()) for i, v in row.items()}
     z = geo.bracket_solver.solve(rhs)
     if z is None:
         raise BracketUnsolvableError("no dual element matches the commutator")
@@ -488,8 +471,9 @@ def lie_bracket(geo: Geometry, x: Vector, y: Vector) -> Vector:
     return z
 
 
-def bracket_general(geo: Geometry, x: Vector, phi: Vector) -> Vector:
-    """[x, phi] for a field x and arbitrary dual phi.
+def bracket_general(geo: Geometry, x: dict[int, Scalar],
+                    phi: dict[int, Scalar]) -> dict[int, Scalar]:
+    """[x, phi] for a field x and arbitrary dual phi, all sparse.
 
     phi decomposes over the right-total family {X_p . a} of E*'s central
     generators; the bracket is the sum of [x, X_p] a_p plus delta_x(a_p) X_p,
@@ -502,18 +486,16 @@ def bracket_general(geo: Geometry, x: Vector, phi: Vector) -> Vector:
     e_star = geo.metric.e_star
     dx = geo.dual(x).delta
     a_of: dict[int, dict[int, Scalar]] = {}
-    for pos, c in geo.fields.generators.decompose(vec_to_sparse(phi)).items():
+    for pos, c in geo.fields.generators.decompose(phi).items():
         p, r = divmod(pos, nA)
         a_of.setdefault(p, {})[r] = c
-    lam_sparse = vec_to_sparse(lam)
     terms = []
     for p, a_p in a_of.items():
-        bracket_xp = _lincomb((lm, vec_to_sparse(geo.lie_table[m][p]))
-                              for m, lm in lam_sparse.items())
+        bracket_xp = _lincomb((lm, geo.lie_table[m][p]) for m, lm in lam.items())
         terms.append((ONE, e_star.bimodule.act_right(a_p, bracket_xp)))
         dxa = _apply_sparse(dx, a_p)
-        terms.append((ONE, e_star.bimodule.act_left(dxa, vec_to_sparse(geo.fields.basis[p]))))
-    return sparse_to_vec(_lincomb(terms), e_star.dim)
+        terms.append((ONE, e_star.bimodule.act_left(dxa, geo.fields.basis[p])))
+    return _lincomb(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +535,8 @@ def torsion_witnesses(geo: Geometry, conn: Connection,
     witnesses = []
     for p in range(n):
         for q in range(p + 1, n):
-            diff = tuple(a - b - c for a, b, c in
-                         zip(table[p][q], table[q][p], geo.lie_table[p][q]))
-            if not vec_is_zero(diff):
+            if _lincomb(((ONE, table[p][q]), (-ONE, table[q][p]),
+                         (-ONE, geo.lie_table[p][q]))):
                 witnesses.append((p, q))
     cov_ok = not witnesses
     form_ok = torsion(geo.calc, conn).is_zero()
@@ -623,8 +604,8 @@ def compat_witnesses(geo: Geometry, conn: Connection,
 # The Koszul route
 # ---------------------------------------------------------------------------
 
-def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
-    """The six-term right-hand side for x = X_p, y = X_q and any dual z:
+def koszul_rhs(geo: Geometry, p: int, q: int, z: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The six-term right-hand side for x = X_p, y = X_q and any sparse dual z:
     x g(y, z) + y g(x, z) - z g(x, y) - g(y, [x, z]) - g([y, x], z)
     + g(x, [z, y]), with g the pairing g_tilde and a field acting through
     its derivation."""
@@ -639,7 +620,7 @@ def koszul_rhs(geo: Geometry, p: int, q: int, z: Vector) -> Vector:
         (-ONE, geo.pair_forms(geo.lie_forms[q][p], zd.form)),
         (-ONE, geo.pair_forms(fx, zd.bracket_form(q))),      # [z, y] = -[y, z]
     )
-    return sparse_to_vec(_lincomb(terms), geo.calc.algebra.dim)
+    return _lincomb(terms)
 
 
 @dataclass(frozen=True)
@@ -661,20 +642,21 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
     n = geo.fields.count
     e_star = geo.metric.e_star
     ws = []
-    for z in geo.cert.central_basis:
-        rhs = []
+    for z in geo.cert.center_one_forms.rows:
+        rhs: dict[int, Scalar] = {}
         for p in range(n):
-            xp_of_z = _apply_sparse(geo.fields.maps[p], vec_to_sparse(z))
+            xp_of_z = _apply_sparse(geo.fields.maps[p], z)
             for q in range(n):
-                first = sparse_to_vec(_apply_sparse(geo.fields.deltas[q], xp_of_z), nA)
-                second = e_star.value(table[q][p], z)
+                value = _lincomb(((ONE, _apply_sparse(geo.fields.deltas[q], xp_of_z)),
+                                  (-ONE, e_star.value_sparse(table[q][p], z))))
                 # row order matches recon_solver: p outer, q inner, then the
                 # algebra coordinate
-                rhs.extend(a - b for a, b in zip(first, second))
+                base = (p * n + q) * nA
+                rhs.update((base + c, v) for c, v in value.items())
         w = geo.recon_solver.solve(rhs)
         if w is None:
             raise SystemSingularError("reconstruction system has no solution")
-        ws.append(vec_to_sparse(w))
+        ws.append(w)
     return leibniz_extension(geo.calc, ws)
 
 
@@ -682,21 +664,17 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
     """Read the covariant-derivative table off the Koszul formula, then
     rebuild the connection and certify its defining properties exactly."""
     n = geo.fields.count
-    e = geo.calc.one_forms
     e_star = geo.metric.e_star
     nA = geo.calc.algebra.dim
+    v_g_cols = geo.metric.v_g.sparse_cols()
     table = []
     in_fields = True
     for p in range(n):
         row = []
         for q in range(n):
-            cols = []
-            for i in range(e.dim):
-                z = geo.metric.v_g.col(i)
-                val = koszul_rhs(geo, p, q, z)
-                cols.append(tuple(HALF * v for v in val))
-            functional = Matrix.from_cols(cols, nA)
-            coords = e_star.coords_of(functional)
+            cols = [{c: HALF * v for c, v in koszul_rhs(geo, p, q, z).items()} for z in v_g_cols]
+            functional = Matrix.from_sparse_cols(cols, nA)
+            coords = e_star.sparse_coords_of(functional)
             if coords is None:
                 raise InternalInconsistencyError("Koszul values are not right-linear")
             if not geo.fields.contains(coords):
@@ -733,7 +711,8 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     t2 = calc.tensor_square.bimodule
     nt = t2.dim
     n0 = geo.nabla0
-    nz = len(geo.cert.central_basis)
+    gens = e.central_generators
+    nz = len(gens.zs)
     nunk = nz * nt
 
     def shifted(j: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
@@ -767,7 +746,7 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):
         rows.extend(shifted(j, row) for row in wedge)
-    rows.extend(geo.generators.relation_rows(t2))
+    rows.extend(gens.relation_rows(t2))
     rhs.extend([ZERO] * (len(rows) - len(rhs)))
 
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
@@ -777,6 +756,6 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    conn = Connection(n0.nabla + geo.generators.right_linear(t2, vec_to_sparse(sol)))
+    conn = Connection(n0.nabla + gens.right_linear(t2, vec_to_sparse(sol)))
     return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)

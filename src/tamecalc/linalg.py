@@ -16,7 +16,7 @@ equality of subspaces is equality of bases.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Sequence
@@ -92,9 +92,6 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.rn, -self.im, self.dn)
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.rn, -self.im, self.dn)
 
     def inverse(self) -> "Scalar":
         n = self.rn * self.rn + self.im * self.im
@@ -382,22 +379,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace(self.ambient_dim, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        # x = sum a_k u_k = sum b_l v_l: kernel of [U^T | -V^T].
-        k = self.dim
-        rows: dict[int, dict[int, Scalar]] = {}
-        for j, r in enumerate(self.rows):
-            for i, a in r.items():
-                rows.setdefault(i, {})[j] = a
-        for j, r in enumerate(other.rows):
-            for i, b in r.items():
-                rows.setdefault(i, {})[k + j] = -b
-        null = kernel_rows([rows[i] for i in sorted(rows)], k + other.dim)
-        return Subspace(self.ambient_dim,
-                        [_lincomb((c, self.rows[j]) for j, c in w.items() if j < k)
-                         for w in null])
 
     def complement_positions(self) -> list[int]:
         """Coordinate positions whose standard vectors complement this subspace."""
@@ -735,9 +716,11 @@ def solve_through(span_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
 class ColumnSolver:
     """Reusable solver for M x = b with fixed M and many later b's.
 
-    Eliminates once with an identity augmentation; each solve is then a
-    sparse substitution.  Free variables are pinned to zero so solutions
-    are canonical.  The same pivots give a kernel basis of M.
+    Eliminates once with an identity augmentation; each solve of a sparse
+    b is then a check against the rows that eliminated to zero and one
+    sparse product with the solution map.  Free variables are pinned to
+    zero so solutions are canonical.  The same pivots give a kernel basis
+    of M.
     """
 
     def __init__(self, m: Matrix):
@@ -756,28 +739,20 @@ class ColumnSolver:
         # a sparse kernel basis of M
         self.kernel_rows = _kernel_of(pivots, n)
 
-    def solve(self, b: Sequence[Scalar]) -> Vector | None:
-        if len(b) != self.m.rows:
-            raise LinAlgError("ColumnSolver: rhs dimension mismatch")
+    def solve(self, b: dict[int, Scalar]) -> dict[int, Scalar] | None:
+        """The canonical solution of M x = b for a sparse b, sparse, or None
+        when b is not in M's column space."""
         for row in self._leftovers:
             acc = ZERO
             for i, v in row.items():
-                x = b[i]
-                if not x.is_zero():
+                x = b.get(i)
+                if x is not None:
                     acc = acc + v * x
             if not acc.is_zero():
                 return None
-        x = [ZERO] * self.m.cols
-        for c, comb in self._pivots.items():
-            acc = ZERO
-            for i, v in comb.items():
-                bi = b[i]
-                if not bi.is_zero():
-                    acc = acc + v * bi
-            x[c] = acc
-        return tuple(x)
+        return _apply_sparse(self.solution_map, b)
 
-    @property
+    @cached_property
     def solution_map(self) -> "Matrix":
         """The matrix P with solve(b) == P b for every b that has a solution;
         column t is the canonical solution of M x = e_t when M's columns span."""

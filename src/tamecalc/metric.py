@@ -6,8 +6,10 @@ Pulling the center of the one-forms through V_g produces the vector fields,
 which act on the algebra by derivations; the pairing they inherit drives
 the Koszul machinery in the connection module.  E* is taken over the
 fields X_p = V_g(z_p) as one `CentralGenerators`, through which the general
-bracket decomposes a dual element.  The seeded metric is fixed, like sigma,
-by its values on the central tensors of the tameness certificate.
+bracket decomposes a dual element.  A dual element, a vector field
+included, is a zero-free sparse dict of E* coordinates.  The seeded metric
+is fixed, like sigma, by its values on the central tensors of the tameness
+certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
 from .linalg import (
     LinAlgError,
     Matrix,
-    ONE,
     Scalar,
     Subspace,
     Vector,
@@ -36,7 +37,6 @@ from .linalg import (
     basis_vector,
     kernel_rows,
     qi,
-    sparse_to_vec,
     vec_is_zero,
     vec_to_sparse,
     zero_vector,
@@ -48,16 +48,10 @@ class Metric:
     """A validated metric: quotient-coordinate form plus both legs of V_g."""
 
     g: Matrix                 # A-coords <- tensor-square quotient coords
+    g_plain: Matrix           # A-coords <- plain tensor coords, g @ project
     e_star: HomModule         # Hom_A(E, A)
     v_g: Matrix               # E* coords <- E coords
     v_g_inv: Matrix
-
-    def g_plain(self, calc: Calculus) -> Matrix:
-        return self.g @ calc.tensor_square.project
-
-    def functional(self, coords: Vector) -> Matrix:
-        """The dual element with the given coordinates, as a map E -> A."""
-        return self.e_star.matrix_of(coords)
 
     def form_of(self, phi: dict[int, Scalar]) -> dict[int, Scalar]:
         """V_g^{-1} phi as a sparse one-form, for sparse dual coordinates."""
@@ -135,10 +129,13 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     if e_star.dim != e.dim:
         return _fail("VgNotInvertible",
                      f"dual module has dimension {e_star.dim}, one-forms {e.dim}")
+    # column i * dim E + j of g_plain is g(pi(e_i (x) e_j)), so V_g(e_i) is
+    # the dual element whose values are the i-th run of dim E columns
+    g_plain = g @ qt.project
+    g_cols = g_plain.sparse_cols()
     cols = []
     for i in range(e.dim):
-        functional = Matrix.from_sparse_cols(
-            [_apply_sparse(g, qt.pure_sparse({i: ONE}, {j: ONE})) for j in range(e.dim)], alg.dim)
+        functional = Matrix.from_sparse_cols(g_cols[i * e.dim:(i + 1) * e.dim], alg.dim)
         coords = e_star.sparse_coords_of(functional)
         if coords is None:
             raise InternalInconsistencyError(
@@ -151,7 +148,8 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
         kernel = v_g.kernel()
         return _fail("VgNotInvertible", "V_g has a nontrivial kernel",
                      kernel.basis[0] if kernel.dim else None)
-    return MetricOutcome(Metric(g=g, e_star=e_star, v_g=v_g, v_g_inv=v_g_inv), None)
+    return MetricOutcome(Metric(g=g, g_plain=g_plain, e_star=e_star, v_g=v_g,
+                                v_g_inv=v_g_inv), None)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +160,12 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
 class VectorFieldModule:
     """X(A): the image of the central one-forms under V_g.
 
-    basis[p] are E*-coordinates of X_p = V_g(z_p); maps[p] the same elements
-    as concrete functionals; deltas[p] the derivation a -> X_p(da).
+    basis[p] are the sparse E*-coordinates of X_p = V_g(z_p); maps[p] the
+    same elements as concrete functionals; deltas[p] the derivation
+    a -> X_p(da).
     """
 
-    basis: tuple[Vector, ...]
+    basis: tuple[dict[int, Scalar], ...]
     maps: tuple[Matrix, ...]
     deltas: tuple[Matrix, ...]
     center_dual: Subspace              # Z(E*) in E* coordinates
@@ -176,17 +175,17 @@ class VectorFieldModule:
     def count(self) -> int:
         return len(self.basis)
 
-    def contains(self, phi: Vector) -> bool:
-        return self.center_dual.contains_vector(phi)
+    def contains(self, phi: dict[int, Scalar]) -> bool:
+        """Is the sparse dual element phi a vector field (central in E*)?"""
+        return not self.center_dual._residual(dict(phi))
 
 
 def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> VectorFieldModule:
     """Build X(A) = V_g(Z(E)), certify it equals Z(E*), attach derivations."""
     alg = calc.algebra
     e_star = metric.e_star
-    forms = [_apply_sparse(metric.v_g, z) for z in cert.center_one_forms.rows]
-    basis = tuple(sparse_to_vec(x, e_star.dim) for x in forms)
-    image = Subspace(e_star.dim, forms)
+    basis = tuple(_apply_sparse(metric.v_g, z) for z in cert.center_one_forms.rows)
+    image = Subspace(e_star.dim, basis)
     center_dual = module_center(e_star.bimodule)
     if image != center_dual:
         raise CenterMismatchError(
@@ -198,7 +197,7 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
         if not alg.is_derivation(d):
             raise InternalInconsistencyError(
                 f"vector field {p} does not act as a derivation")
-    generators = CentralGenerators(e_star.bimodule, forms)
+    generators = CentralGenerators(e_star.bimodule, basis)
     if not generators.spans:
         raise InternalInconsistencyError(
             "vector fields are not right-total in the dual module")
@@ -207,22 +206,9 @@ def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> 
         generators=generators)
 
 
-def delta_of(calc: Calculus, metric: Metric, phi: Vector) -> Matrix:
-    """The map a -> phi(da) for any dual element (a derivation iff central)."""
-    return metric.e_star.matrix_of(phi) @ calc.d0
-
-
 # ---------------------------------------------------------------------------
 # The induced pairing on the dual
 # ---------------------------------------------------------------------------
-
-def g_tilde(calc: Calculus, metric: Metric, phi: Vector, psi: Vector) -> Vector:
-    """g(V_g^{-1} phi (x) V_g^{-1} psi) for dual coordinates phi, psi."""
-    g_plain = metric.g_plain(calc)
-    return sparse_to_vec(g_of_forms(g_plain, calc.one_forms.dim,
-                                    metric.form_of(vec_to_sparse(phi)),
-                                    metric.form_of(vec_to_sparse(psi))), g_plain.rows)
-
 
 def g_of_forms(g_plain: Matrix, e_dim: int, u: dict[int, Scalar],
                w: dict[int, Scalar]) -> dict[int, Scalar]:

@@ -248,18 +248,22 @@ def load_frame_override(path: str | Path, ne: int) -> tuple[Vector, ...]:
 # Connection artifacts
 # ---------------------------------------------------------------------------
 
-def connection_to_json(nabla: Matrix, table: Sequence[Sequence[Vector]],
+def connection_to_json(nabla: Matrix, table: Sequence[Sequence[dict[int, Scalar]]],
                        checks: dict[str, bool], spec_digest: str) -> dict:
+    """The artifact, with each sparse table entry written as a dense vector
+    of E* coordinates (dim E* == dim E, the columns of nabla)."""
     return {
         "schema": "tamecalc.connection.v1",
         "input_digest": spec_digest,
         "nabla": matrix_to_json(nabla),
-        "table": [[vector_to_json(entry) for entry in row] for row in table],
+        "table": [[vector_to_json(sparse_to_vec(entry, nabla.cols)) for entry in row]
+                  for row in table],
         "checks": dict(sorted(checks.items())),
     }
 
 
-def connection_from_json(obj: Any, t2_dim: int, ne: int) -> tuple[Matrix, list[list[Vector]] | None]:
+def connection_from_json(obj: Any, t2_dim: int,
+                         ne: int) -> tuple[Matrix, list[list[dict[int, Scalar]]] | None]:
     _require(isinstance(obj, dict), "connection: expected a JSON object")
     _require("nabla" in obj, "connection: missing value matrix")
     nabla = matrix_from_json(obj["nabla"], t2_dim, ne, "connection.nabla")
@@ -271,6 +275,6 @@ def connection_from_json(obj: Any, t2_dim: int, ne: int) -> tuple[Matrix, list[l
         for i, row in enumerate(raw):
             _require(isinstance(row, list) and len(row) == len(raw),
                      "connection.table: expected a square table")
-            table.append([vector_from_json(v, ne, f"connection.table[{i}][{j}]")
+            table.append([_sparse_from_json(v, ne, f"connection.table[{i}][{j}]")
                           for j, v in enumerate(row)])
     return nabla, table

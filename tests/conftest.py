@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dense_reference import from_rows
+from dense_reference import from_rows, left_mult
 from tamecalc.algebra import Algebra
 from tamecalc.builders import (
     ChevalleySpec,
@@ -73,15 +73,20 @@ def torus_geo(torus_preset):
     return _geometry(torus_preset)
 
 
-@pytest.fixture(scope="session")
-def fuzzy3_calc():
-    """The fuzzy sphere N = 3 of the benchmark inputs: A = M_3, dim E = 27."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+def load_perfbench(name: str):
+    """The benchmark's module perfbench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # its dataclasses look their module up
     spec.loader.exec_module(module)
-    return build_chevalley(module.fuzzy_sphere_chevalley(3))
+    return module
+
+
+@pytest.fixture(scope="session")
+def fuzzy3_calc():
+    """The fuzzy sphere N = 3 of the benchmark inputs: A = M_3, dim E = 27."""
+    return build_chevalley(load_perfbench("inputs").fuzzy_sphere_chevalley(3))
 
 
 def truncated_line_spec() -> ChevalleySpec:
@@ -107,7 +112,7 @@ def line_geo():
     cert = build_symmetry(calc).certificate
     alg = calc.algebra
     e0, e1 = basis_vector(3, 0), basis_vector(3, 1)
-    weight = alg.left_mult(tuple(x + y for x, y in zip(e0, e1)))
+    weight = left_mult(alg, tuple(x + y for x, y in zip(e0, e1)))
     entries = [[ZERO] * 9 for _ in range(3)]
     for alpha in range(3):
         for beta in range(3):

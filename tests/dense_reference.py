@@ -11,15 +11,20 @@ a map on E (x)_A E solved from its values on the central tensors by
 solve_through: the oracles for the constructions from the images of the
 central generators.  validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
-the oracle for the checks that run over the algebra's generators.
+the oracle for the checks that run over the algebra's generators.  The
+dense forms that only tests read live here too: the action matrix of an
+algebra element on a bimodule, left multiplication in the algebra, the
+intersection of subspaces and the complex conjugate.
 """
 
 from tamecalc.linalg import (
     Matrix,
     ONE,
     ZERO,
+    Scalar,
     Subspace,
     Vector,
+    _lincomb,
     basis_vector,
     commutator_rows,
     kernel_rows,
@@ -75,6 +80,46 @@ def rref_full(rows, stop_col):
                 _subtract(p2, coef, newrow, c)
         pivots[c] = newrow
     return pivots, leftovers
+
+
+# -- dense forms of what the engine keeps sparse -------------------------------------
+
+def conjugate(x: Scalar) -> Scalar:
+    """The complex conjugate of a Gaussian rational."""
+    return Scalar(x.rn, -x.im, x.dn)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u intersected with v: x = sum a_k u_k = sum b_l v_l is the kernel of
+    [U^T | -V^T]."""
+    assert u.ambient_dim == v.ambient_dim
+    k = u.dim
+    rows = {}
+    for j, r in enumerate(u.rows):
+        for i, a in r.items():
+            rows.setdefault(i, {})[j] = a
+    for j, r in enumerate(v.rows):
+        for i, b in r.items():
+            rows.setdefault(i, {})[k + j] = -b
+    null = kernel_rows([rows[i] for i in sorted(rows)], k + v.dim)
+    return Subspace(u.ambient_dim,
+                    [_lincomb((c, u.rows[j]) for j, c in w.items() if j < k) for w in null])
+
+
+def left_action(b, a: Vector) -> Matrix:
+    """The action matrix of a dense algebra element a on the bimodule b from
+    the left."""
+    return _action(b.left, a, b.dim)
+
+
+def right_action(b, a: Vector) -> Matrix:
+    """The action matrix of a on b from the right."""
+    return _action(b.right, a, b.dim)
+
+
+def left_mult(alg, a: Vector) -> Matrix:
+    """The matrix of x -> a x on the algebra."""
+    return _action([alg.left_basis_matrix(i) for i in range(alg.dim)], a, alg.dim)
 
 
 # -- dense matrices ---------------------------------------------------------------

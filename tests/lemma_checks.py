@@ -9,13 +9,17 @@ square (the one builder of (E (x)_A E)*) and the classical bracket identity.
 
 from dataclasses import dataclass
 
+from dense_reference import left_action, right_action
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
 from tamecalc.connection import Geometry, covariant_derivative
 from tamecalc.errors import EngineError
 from tamecalc.linalg import (
     LinAlgError,
     Matrix,
+    ONE,
     Vector,
+    _apply_sparse,
+    _lincomb,
     basis_vector,
     sparse_to_vec,
     vec_to_sparse,
@@ -32,6 +36,17 @@ class InconsistentMetricError(EngineError):
 def pair(qt, phi: Matrix, psi: Matrix, x: Vector) -> Vector:
     """pair_apply on a dense class, with a dense value."""
     return sparse_to_vec(pair_apply(qt, phi, psi, vec_to_sparse(x)), qt.left_factor.algebra.dim)
+
+
+def gt(geo: Geometry, phi: dict, psi: dict) -> Vector:
+    """g(V_g^{-1} phi (x) V_g^{-1} psi) for sparse dual elements, dense."""
+    return sparse_to_vec(geo.pair_forms(geo.dual(phi).form, geo.dual(psi).form),
+                         geo.calc.algebra.dim)
+
+
+def v_g_map(metric, z: Vector) -> Matrix:
+    """V_g(z) for a dense one-form z, as a map E -> A."""
+    return metric.e_star.matrix_of(vec_to_sparse(metric.v_g.apply(z)))
 
 
 # -- the squared metric on the tensor square --------------------------------------
@@ -61,7 +76,7 @@ def metric_square(calc, cert, metric) -> MetricSquare:
     alg = calc.algebra
     e = calc.one_forms
     g = metric.g
-    g_plain = metric.g_plain(calc)
+    g_plain = metric.g_plain
 
     # pair_values[x][y] on quotient basis classes: lift both legs, contract
     # the middle with g, close with g again.
@@ -93,11 +108,11 @@ def metric_square(calc, cert, metric) -> MetricSquare:
     cols = []
     for x in range(qt.dim):
         functional = Matrix.from_cols([values[x][y] for y in range(qt.dim)], alg.dim)
-        coords = t2_star.coords_of(functional)
+        coords = t2_star.sparse_coords_of(functional)
         if coords is None:
             raise InconsistentMetricError("squared pairing is not right-linear in its second slot")
         cols.append(coords)
-    v_g2 = Matrix.from_cols(cols, t2_star.dim)
+    v_g2 = Matrix.from_sparse_cols(cols, t2_star.dim)
     try:
         v_g2_inv = v_g2.inverse()
     except LinAlgError:
@@ -131,16 +146,16 @@ def classical_bracket_check(geo: Geometry) -> bool:
     n0 = geo.nabla0
     n = geo.fields.count
     maps = geo.fields.maps
+    estar = geo.metric.e_star
     if not antisymmetrized_reference_kills_exact_forms(geo):
         return False
     for p in range(n):
         for q in range(n):
-            br = geo.lie_table[p][q]
+            br = estar.matrix_of(geo.lie_table[p][q])
             for s in range(e.dim):
-                xi = basis_vector(e.dim, s)
-                lhs = geo.metric.e_star.value(br, xi)
-                t1 = geo.metric.e_star.value(geo.fields.basis[p], calc.d0.apply(maps[q].col(s)))
-                t2 = geo.metric.e_star.value(geo.fields.basis[q], calc.d0.apply(maps[p].col(s)))
+                lhs = br.col(s)
+                t1 = maps[p].apply(calc.d0.apply(maps[q].col(s)))
+                t2 = maps[q].apply(calc.d0.apply(maps[p].col(s)))
                 w = n0.nabla.col(s)
                 t3 = pair(qt, maps[p], maps[q], w)
                 t4 = pair(qt, maps[q], maps[p], w)
@@ -212,9 +227,9 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
     qt = geo.calc.tensor_square
     fixed = geo.cert.kernel_wedge  # the symmetrizer fixes exactly ker(wedge)
     for z1 in geo.cert.central_basis:
-        phi1 = geo.metric.functional(geo.metric.v_g.apply(z1))
+        phi1 = v_g_map(geo.metric, z1)
         for z2 in geo.cert.central_basis:
-            phi2 = geo.metric.functional(geo.metric.v_g.apply(z2))
+            phi2 = v_g_map(geo.metric, z2)
             for xi in fixed.basis:
                 lhs = pair(qt, phi1, phi2, xi)
                 rhs = pair(qt, phi2, phi1, xi)
@@ -238,9 +253,9 @@ def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSqu
     """V_g(w) (x) V_g(h) against the squared contraction of h (x) w, on
     central pairs."""
     for zw in cert.central_basis:
-        phi_w = metric.functional(metric.v_g.apply(zw))
+        phi_w = v_g_map(metric, zw)
         for zh in cert.central_basis:
-            phi_h = metric.functional(metric.v_g.apply(zh))
+            phi_h = v_g_map(metric, zh)
             target = qt.pure(zh, zw)
             for y in range(qt.dim):
                 ey = basis_vector(qt.dim, y)
@@ -272,7 +287,7 @@ def fields_right_total(geo: Geometry) -> bool:
     zc = geo.calc.algebra.center()
     for x in geo.fields.basis:
         for a in zc.basis:
-            xa = geo.metric.e_star.bimodule.right_action(a).apply(x)
+            xa = _apply_sparse(right_action(geo.metric.e_star.bimodule, a), x)
             if not geo.fields.contains(xa):
                 return False
     return True
@@ -288,7 +303,7 @@ def derivation_exactly_on_fields(geo: Geometry, noncentral_samples: int = 4) -> 
     count = 0
     for p in range(geo.fields.count):
         for i in range(alg.dim):
-            phi = geo.metric.e_star.bimodule.right[i].apply(geo.fields.basis[p])
+            phi = _apply_sparse(geo.metric.e_star.bimodule.right[i], geo.fields.basis[p])
             if geo.fields.contains(phi):
                 continue
             d = geo.metric.e_star.matrix_of(phi) @ geo.calc.d0
@@ -326,23 +341,19 @@ def covariant_derivative_axioms(geo: Geometry, conn) -> bool:
             base = covariant_derivative(geo, conn, x, y)
             for p2 in range(n):
                 x2 = geo.fields.basis[p2]
-                lhs = covariant_derivative(
-                    geo, conn, tuple(a + b for a, b in zip(x, x2)), y)
-                rhs = tuple(a + b for a, b in zip(
-                    base, covariant_derivative(geo, conn, x2, y)))
+                lhs = covariant_derivative(geo, conn, _lincomb(((ONE, x), (ONE, x2))), y)
+                rhs = _lincomb(((ONE, base), (ONE, covariant_derivative(geo, conn, x2, y))))
                 if lhs != rhs:
                     return False
             for a in zc.basis:
-                ya = estar.bimodule.right_action(a).apply(y)
-                lhs = covariant_derivative(geo, conn, x, ya)
-                if lhs != estar.bimodule.right_action(a).apply(base):
+                ra = right_action(estar.bimodule, a)
+                lhs = covariant_derivative(geo, conn, x, _apply_sparse(ra, y))
+                if lhs != _apply_sparse(ra, base):
                     return False
-                xa = estar.bimodule.right_action(a).apply(x)
-                lhs = covariant_derivative(geo, conn, xa, y)
-                da = geo.delta(y, a)
-                want = tuple(u + v for u, v in zip(
-                    estar.bimodule.right_action(a).apply(base),
-                    estar.bimodule.left_action(da).apply(x)))
+                lhs = covariant_derivative(geo, conn, _apply_sparse(ra, x), y)
+                da = geo.dual(y).delta.apply(a)
+                want = _lincomb(((ONE, _apply_sparse(ra, base)),
+                                 (ONE, _apply_sparse(left_action(estar.bimodule, da), x))))
                 if lhs != want:
                     return False
     return True
@@ -355,22 +366,22 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
     zc = geo.calc.algebra.center()
     ne = geo.calc.one_forms.dim
 
-    def t_tilde(eta: Vector, theta_coords: Vector, omega: Vector) -> Vector:
+    def t_tilde(eta: Vector, theta_coords: dict, omega: Vector) -> Vector:
         # delta_{V_g(eta)} of g(theta (x) omega) minus the derivative of
         # V_g(theta) along V_g(eta), evaluated at omega
-        y = geo.metric.v_g.apply(eta)
-        theta_form = geo.metric.v_g_inv.apply(theta_coords)
+        y = vec_to_sparse(geo.metric.v_g.apply(eta))
+        theta_form = geo.metric.v_g_inv.apply(sparse_to_vec(theta_coords, estar.dim))
         gval = geo.metric.g.apply(qt.pure(theta_form, omega))
         der = covariant_derivative(geo, conn, theta_coords, y)
-        first = geo.delta(y, gval)
-        second = estar.value(der, omega)
+        first = geo.dual(y).delta.apply(gval)
+        second = estar.matrix_of(der).apply(omega)
         return tuple(a - b for a, b in zip(first, second))
 
     for eta in geo.cert.central_basis:
         for z in geo.cert.central_basis:
-            theta = geo.metric.v_g.apply(z)
+            theta = vec_to_sparse(geo.metric.v_g.apply(z))
             for a in zc.basis:
-                theta_a = estar.bimodule.right_action(a).apply(theta)
+                theta_a = _apply_sparse(right_action(estar.bimodule, a), theta)
                 for s in range(ne):
                     omega = basis_vector(ne, s)
                     lhs = t_tilde(eta, theta_a, omega)
@@ -386,11 +397,10 @@ def dual_pairing_central_and_symmetric(geo: Geometry) -> bool:
     ne = geo.metric.e_star.dim
     for x in geo.fields.basis:
         for y in geo.fields.basis:
-            if not zc.contains_vector(geo.gt(x, y)):
+            if not zc.contains_vector(gt(geo, x, y)):
                 return False
         for j in range(ne):
-            psi = basis_vector(ne, j)
-            if geo.gt(x, psi) != geo.gt(psi, x):
+            if gt(geo, x, {j: ONE}) != gt(geo, {j: ONE}, x):
                 return False
     return True
 
@@ -401,13 +411,13 @@ def delta_translation_identity(geo: Geometry) -> bool:
     estar = geo.metric.e_star
     for x in geo.fields.basis:
         for y in geo.fields.basis:
-            gxy = geo.gt(x, y)
+            gxy = gt(geo, x, y)
             for z in geo.fields.basis:
-                base = geo.delta(z, gxy)
+                base = geo.dual(z).delta.apply(gxy)
                 for i in range(alg.dim):
-                    za = estar.bimodule.right[i].apply(z)
+                    za = _apply_sparse(estar.bimodule.right[i], z)
                     lhs = alg.multiply(base, basis_vector(alg.dim, i))
-                    if lhs != geo.delta(za, gxy):
+                    if lhs != geo.dual(za).delta.apply(gxy):
                         return False
     return True
 
@@ -415,10 +425,8 @@ def delta_translation_identity(geo: Geometry) -> bool:
 def pairing_evaluation_identity(geo: Geometry) -> bool:
     estar = geo.metric.e_star
     for i in range(estar.dim):
-        phi = basis_vector(estar.dim, i)
-        phim = estar.matrix_of(phi)
+        phim = estar.matrix_of({i: ONE})
         for j in range(estar.dim):
-            psi = basis_vector(estar.dim, j)
-            if phim.apply(geo.metric.v_g_inv.apply(psi)) != geo.gt(phi, psi):
+            if phim.apply(geo.metric.v_g_inv.col(j)) != gt(geo, {i: ONE}, {j: ONE}):
                 return False
     return True

@@ -315,7 +315,7 @@ def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert):
     estar = dual_module(fuzzy.one_forms)
     zdual = module_center(estar.bimodule)
     phi = estar.basis[0]
-    psi = estar.matrix_of(zdual.basis[0])
+    psi = estar.matrix_of(zdual.rows[0])
     n = qt.dim
     one_minus_p = Matrix.identity(n) - cert.p_sym
     for j in (0, 13, 29):

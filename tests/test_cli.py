@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRAM_3, constant_metric_plain
+from conftest import GRAM_3, constant_metric_plain, load_perfbench
+from tamecalc import bimodule
 from tamecalc.builders import matrix_derivations_chevalley
 from tamecalc.cli import main
 from tamecalc.connection import grassmann
+from tamecalc.linalg import ONE, Matrix, _lincomb
 from tamecalc.specfile import (
     connection_to_json,
     dumps_canonical,
@@ -512,6 +514,66 @@ def test_abelian_torus_4_spec_and_check_report_match_golden(capsys, tmp_path):
     code, out = run(capsys, ["check", str(spec_path), "--json"])
     assert code == 0
     assert _report_digest(json.loads(out)) == GOLDEN_TORUS4_CHECK
+
+
+# -- which actions of the tensor square are read ----------------------------------
+
+class RecordedReads(tuple):
+    """A tuple of action matrices that logs the index of every read."""
+
+    def __new__(cls, items, log):
+        obj = super().__new__(cls, items)
+        obj.log = log
+        return obj
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.fixture(scope="module")
+def fuzzy3_input(tmp_path_factory):
+    inputs = load_perfbench("inputs")
+    return inputs.write_input("fuzzy-sphere-3", {"A3": inputs.BASES["A3"]},
+                              tmp_path_factory.mktemp("fuzzy3"))
+
+
+def test_tensor_square_left_actions_are_read_on_generators(fuzzy3_input, capsys, tmp_path,
+                                                           monkeypatch):
+    # Only build_symmetry (sigma is a bimodule map) and validate_metric (g is
+    # bilinear) read the left actions of E (x)_A E, each through
+    # Algebra.first_failure: on a passing connect just the algebra's
+    # generators; the whole basis is read only to name a failure.
+    spec = load_spec(fuzzy3_input.spec_path)
+    qt = spec.calculus.tensor_square
+    gens = list(spec.calculus.algebra.generators)
+    assert len(gens) < spec.calculus.algebra.dim
+    # a metric that kills the relations but breaks bilinearity, at E11
+    g = spec.metric_plain @ qt.section
+    rows = [dict(r) for r in g.sparse_rows()]
+    rows[1] = _lincomb(((ONE, rows[1]), (ONE, {0: ONE})))
+    bad = tmp_path / "bad.metric.json"
+    bad.write_text(dumps_canonical({"metric": matrix_to_json(
+        Matrix.from_sparse_rows(rows, g.cols) @ qt.project)}), encoding="utf-8")
+
+    log: list[int] = []
+    init = bimodule.QuotientTensor.__init__
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        self.bimodule.left = RecordedReads(self.bimodule.left, log)
+
+    monkeypatch.setattr(bimodule.QuotientTensor, "__init__", recorded_init)
+    symmetry = [i for i in gens for _ in range(2)]     # sigma L_a and L_a sigma
+    assert main(["connect", str(fuzzy3_input.spec_path), "--metric",
+                 str(fuzzy3_input.metrics["A3"].path), "--out", str(tmp_path / "a.json")]) == 0
+    assert log == symmetry + gens
+    log.clear()
+    code, out = run(capsys, ["check", str(fuzzy3_input.spec_path), "--metric", str(bad)])
+    assert code == 1 and "NotBilinear: metric is not right-linear" in out
+    # the first generator fails, and the rerun over the whole basis stops
+    # at the same first element
+    assert log == symmetry + [0, 0]
 
 
 # -- exit contract ---------------------------------------------------------------

@@ -5,7 +5,14 @@ import hashlib
 import pytest
 
 import lemma_checks as lc
-from dense_reference import from_rows, grassmann_reference, hom_kernel
+from dense_reference import (
+    from_rows,
+    g_tilde_dense,
+    grassmann_reference,
+    hom_kernel,
+    left_action,
+    right_action,
+)
 from perturbations import random_leibniz_perturbation
 from tamecalc.bimodule import Bimodule, dual_module, hom_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
@@ -33,9 +40,14 @@ from tamecalc.connection import (
 from tamecalc.errors import YNotCentralError
 from tamecalc.linalg import (
     Matrix,
+    ONE,
+    _apply_sparse,
+    _lincomb,
     basis_vector,
     qi,
+    sparse_to_vec,
     vec_is_zero,
+    vec_to_sparse,
     zero_vector,
 )
 from tamecalc.metric import validate_metric
@@ -90,7 +102,7 @@ def test_grassmann_splitting_is_coordinate_map(fuzzy_geo):
 def test_grassmann_vanishes_on_frame(fuzzy_geo):
     conn = grassmann(fuzzy_geo.calc, fuzzy_geo.cert)
     for gen in fuzzy_geo.cert.central_basis:
-        assert vec_is_zero(conn.of(gen))
+        assert vec_is_zero(conn.nabla.apply(gen))
 
 
 def test_grassmann_leibniz_on_translates(fuzzy_geo):
@@ -100,7 +112,7 @@ def test_grassmann_leibniz_on_translates(fuzzy_geo):
     qt = geo.calc.tensor_square
     for gen in geo.cert.central_basis:
         for i in range(4):
-            lhs = conn.of(e.right[i].apply(gen))
+            lhs = conn.nabla.apply(e.right[i].apply(gen))
             assert lhs == qt.pure(gen, geo.calc.d0.col(i))
 
 
@@ -119,7 +131,7 @@ def test_grassmann_of_exact_form(fuzzy_geo):
         coeff = splitting[k].apply(du)
         want = tuple(x + y for x, y in
                      zip(want, qt.pure(gen, geo.calc.d0.apply(coeff))))
-    assert conn.of(du) == want
+    assert conn.nabla.apply(du) == want
     # and the coefficients really are the inner-derivation values
     ads = [alg.ad(basis_vector(4, g)) for g in (1, 2, 3)]
     for k in range(3):
@@ -159,7 +171,7 @@ def test_nabla_zero_corrects_frame_torsion(fuzzy_geo):
     n0 = nabla_zero(geo.calc, geo.cert)
     for z in geo.cert.central_basis:
         want = tuple(-x for x in geo.cert.q_inverse.apply(geo.calc.d1.apply(z)))
-        assert n0.of(z) == want
+        assert n0.nabla.apply(z) == want
 
 
 # sha256 of the reference connection of the two small presets, default
@@ -250,15 +262,14 @@ def test_grassmann_splitting_reconstructs_and_is_idempotent(request, preset, fra
         total = zero_vector(e.dim)
         for g, s in zip(frame, splitting):
             total = tuple(x + y for x, y in
-                          zip(total, e.right_action(s.col(k)).apply(g)))
+                          zip(total, right_action(e, s.col(k)).apply(g)))
         assert total == basis_vector(e.dim, k)
     assert _is_idempotent(calc, frame, splitting)
 
 
 def test_one_central_generators_per_one_forms(fuzzy_geo):
     geo = fuzzy_geo
-    assert geo.generators is geo.metric.e_star.generators
-    assert geo.generators is geo.calc.one_forms.central_generators
+    assert geo.metric.e_star.generators is geo.calc.one_forms.central_generators
 
 
 def test_zero_map_is_not_a_connection(fuzzy_geo, torus_geo):
@@ -288,7 +299,7 @@ def test_leibniz_witness_order_on_changed_entry(fuzzy_geo, torus_geo):
 
 def test_covariant_derivative_direction_must_be_field(fuzzy_geo, fuzzy_lc):
     geo = fuzzy_geo
-    shifted = geo.metric.e_star.bimodule.right[1].apply(geo.fields.basis[0])
+    shifted = _apply_sparse(geo.metric.e_star.bimodule.right[1], geo.fields.basis[0])
     with pytest.raises(YNotCentralError):
         covariant_derivative(geo, fuzzy_lc.connection, geo.fields.basis[0], shifted)
 
@@ -297,23 +308,21 @@ def test_flat_connection_has_zero_table(torus_geo):
     geo = torus_geo
     n0 = nabla_zero(geo.calc, geo.cert)
     table = covariant_table(geo, n0)
-    for row in table:
-        for entry in row:
-            assert vec_is_zero(entry)
+    assert all(entry == {} for row in table for entry in row)
 
 
 # -- Lie brackets ----------------------------------------------------------------
 
 def test_bracket_with_itself_vanishes(fuzzy_geo):
     for x in fuzzy_geo.fields.basis:
-        assert vec_is_zero(lie_bracket(fuzzy_geo, x, x))
+        assert lie_bracket(fuzzy_geo, x, x) == {}
 
 
 def test_torus_brackets_vanish(torus_geo):
     n = torus_geo.fields.count
     for p in range(n):
         for q in range(n):
-            assert vec_is_zero(torus_geo.lie_table[p][q])
+            assert torus_geo.lie_table[p][q] == {}
 
 
 def test_fuzzy_brackets_match_ad_commutators(fuzzy_geo):
@@ -324,7 +333,7 @@ def test_fuzzy_brackets_match_ad_commutators(fuzzy_geo):
     expected_pairs = {(0, 1): (2, qi(2)), (0, 2): (1, qi(2)), (1, 2): (0, qi(-2))}
     for (p, q), (r, c) in expected_pairs.items():
         got = geo.lie_table[p][q]
-        want = tuple(c * v for v in geo.fields.basis[r])
+        want = {k: c * v for k, v in geo.fields.basis[r].items()}
         assert got == want
         # and the derivation of the bracket is the ad of the commutator
         dz = geo.metric.e_star.matrix_of(got) @ geo.calc.d0
@@ -346,12 +355,14 @@ def test_bracket_general_translation_formula(fuzzy_geo):
         for j in range(3):
             y = geo.fields.basis[j]
             for a_idx in range(4):
-                a = basis_vector(4, a_idx)
-                phi = estar.bimodule.right[a_idx].apply(y)
+                phi = _apply_sparse(estar.bimodule.right[a_idx], y)
                 got = bracket_general(geo, x, phi)
-                t1 = estar.bimodule.right[a_idx].apply(lie_bracket(geo, x, y))
-                t2 = estar.bimodule.left_action(geo.delta(x, a)).apply(y)
-                assert got == tuple(u + v for u, v in zip(t1, t2))
+                t1 = estar.bimodule.right[a_idx].apply(
+                    sparse_to_vec(lie_bracket(geo, x, y), estar.dim))
+                # delta_x(a) is column a of the derivation matrix of x
+                t2 = left_action(estar.bimodule, geo.fields.deltas[i].col(a_idx)).apply(
+                    sparse_to_vec(y, estar.dim))
+                assert got == vec_to_sparse(tuple(u + v for u, v in zip(t1, t2)))
 
 
 def test_dual_decomposition_is_unique_here(fuzzy_geo, torus_geo):
@@ -359,6 +370,31 @@ def test_dual_decomposition_is_unique_here(fuzzy_geo, torus_geo):
     # backing the general bracket has no freedom to vary
     assert fuzzy_geo.fields.generators.relations == []
     assert torus_geo.fields.generators.relations == []
+
+
+def test_dual_memo_does_not_depend_on_key_order(fuzzy_geo):
+    geo = fuzzy_geo
+    phi = {0: ONE, 5: qi(2), 9: qi(-1, 1)}
+    reordered = dict(reversed(list(phi.items())))
+    assert list(phi) != list(reordered)
+    assert geo.dual(phi) is geo.dual(reordered)
+    assert geo.dual(phi) is not geo.dual({0: ONE, 5: qi(2)})
+
+
+def test_tables_store_no_zeros(fuzzy_geo, torus_geo):
+    # with no stored zero, dict equality of two entries is equality of the
+    # dual elements: what certify's `verdicts.table != table` and verify's
+    # table_matches_connection compare
+    for geo in (fuzzy_geo, torus_geo):
+        tables = [geo.lie_table, levi_civita_koszul(geo).table,
+                  covariant_table(geo, grassmann(geo.calc, geo.cert))]
+        for table in tables:
+            for row in table:
+                for entry in row:
+                    assert all(not v.is_zero() for v in entry.values())
+        # the Lie and Levi-Civita tables are not zero on the curved preset
+        if geo is fuzzy_geo:
+            assert all(any(entry for row in table for entry in row) for table in tables[:2])
 
 
 # -- Koszul data ------------------------------------------------------------------
@@ -369,20 +405,18 @@ def test_koszul_rhs_vanishes_on_torus(torus_geo):
     for p in range(n):
         for q in range(n):
             for z in geo.fields.basis:
-                assert vec_is_zero(koszul_rhs(geo, p, q, z))
+                assert koszul_rhs(geo, p, q, z) == {}
 
 
 def test_koszul_rhs_golden_triple(fuzzy_geo):
     geo = fuzzy_geo
     x3 = geo.fields.basis[2]
     got = koszul_rhs(geo, 0, 1, x3)
-    assert got == tuple(qi(2) * v for v in geo.calc.algebra.unit)
+    assert got == vec_to_sparse(tuple(qi(2) * v for v in geo.calc.algebra.unit))
 
 
 def test_koszul_rhs_zero_argument(fuzzy_geo):
-    geo = fuzzy_geo
-    z = zero_vector(12)
-    assert vec_is_zero(koszul_rhs(geo, 0, 1, z))
+    assert koszul_rhs(fuzzy_geo, 0, 1, {}) == {}
 
 
 # -- Levi-Civita, both routes ------------------------------------------------------
@@ -390,18 +424,18 @@ def test_koszul_rhs_zero_argument(fuzzy_geo):
 def test_golden_covariant_value(fuzzy_lc, fuzzy_geo):
     # (LC_{X_1} X_2)(theta_3) = 1, rederived through the direct solver below
     geo = fuzzy_geo
-    theta3 = basis_vector(12, 8)
-    val = geo.metric.e_star.value(fuzzy_lc.table[0][1], theta3)
-    assert val == geo.calc.algebra.unit
+    theta3 = {8: ONE}
+    val = geo.metric.e_star.value_sparse(fuzzy_lc.table[0][1], theta3)
+    assert val == vec_to_sparse(geo.calc.algebra.unit)
 
 
 def test_direct_solver_confirms_golden(fuzzy_geo):
     geo = fuzzy_geo
     direct = levi_civita_direct(geo)
     assert direct.kernel_dim == 0
-    theta3 = basis_vector(12, 8)
-    val = geo.metric.e_star.value(covariant_table(geo, direct.connection)[0][1], theta3)
-    assert val == geo.calc.algebra.unit
+    theta3 = {8: ONE}
+    val = geo.metric.e_star.value_sparse(covariant_table(geo, direct.connection)[0][1], theta3)
+    assert val == vec_to_sparse(geo.calc.algebra.unit)
 
 
 def test_generator_images_give_the_hom_space(fuzzy_geo, torus_geo, line_geo):
@@ -413,9 +447,10 @@ def test_generator_images_give_the_hom_space(fuzzy_geo, torus_geo, line_geo):
         e = geo.calc.one_forms
         t2 = geo.calc.tensor_square.bimodule
         reg = Bimodule.regular(geo.calc.algebra)
-        assert geo.generators is geo.metric.e_star.generators
-        assert geo.generators.zs == geo.cert.center_one_forms.rows
-        assert len(geo.generators.relation_rows(t2)) == relations * t2.dim
+        gens = e.central_generators
+        assert gens is geo.metric.e_star.generators
+        assert gens.zs == geo.cert.center_one_forms.rows
+        assert len(gens.relation_rows(t2)) == relations * t2.dim
         for source, target in ((e, reg), (e, t2), (t2, reg)):
             assert hom_A(source, target).flat == hom_kernel(source, target)
     torus4 = preset_abelian_torus(4).calculus.one_forms
@@ -448,10 +483,8 @@ def test_torus_levi_civita_is_flat(torus_geo):
     geo = torus_geo
     kz = levi_civita_koszul(geo)
     for z in geo.cert.central_basis:
-        assert vec_is_zero(kz.connection.of(z))
-    for row in kz.table:
-        for entry in row:
-            assert vec_is_zero(entry)
+        assert vec_is_zero(kz.connection.nabla.apply(z))
+    assert all(entry == {} for row in kz.table for entry in row)
     # the direct solver finds the zero perturbation: the reference
     # connection is already the answer here
     assert levi_civita_direct(geo).connection.nabla == geo.nabla0.nabla
@@ -592,7 +625,7 @@ def christoffel_oracle(brackets, gram):
 def scalar_brackets(geo):
     """Field brackets as scalar coefficient arrays over the field basis."""
     n = geo.fields.count
-    fields_matrix = Matrix.from_cols(list(geo.fields.basis), geo.metric.e_star.dim)
+    fields_matrix = Matrix.from_sparse_cols(geo.fields.basis, geo.metric.e_star.dim)
     from tamecalc.linalg import ColumnSolver
 
     solver = ColumnSolver(fields_matrix)
@@ -601,7 +634,7 @@ def scalar_brackets(geo):
         for q in range(n):
             coeffs = solver.solve(geo.lie_table[p][q])
             assert coeffs is not None
-            out[p][q] = coeffs
+            out[p][q] = sparse_to_vec(coeffs, n)
     return out
 
 
@@ -615,9 +648,7 @@ def test_table_matches_classical_christoffel_oracle(fuzzy_geo):
     gamma = christoffel_oracle(scalar_brackets(geo), gram)
     for p in range(n):
         for q in range(n):
-            want = zero_vector(geo.metric.e_star.dim)
-            for r, c in enumerate(gamma[(p, q)]):
-                want = tuple(u + c * v for u, v in zip(want, geo.fields.basis[r]))
+            want = _lincomb(zip(gamma[(p, q)], geo.fields.basis))
             assert table[p][q] == want
 
 
@@ -633,10 +664,12 @@ def test_table_matches_oracle_for_seeded_constant_metrics(fuzzy_geo):
         geo = Geometry(geo0.calc, geo0.cert, metric)
         n = geo.fields.count
         gram = []
+        ne = geo.metric.e_star.dim
         for p in range(n):
             row = []
             for q in range(n):
-                val = geo.gt(geo.fields.basis[p], geo.fields.basis[q])
+                val = g_tilde_dense(geo.calc, geo.metric, sparse_to_vec(geo.fields.basis[p], ne),
+                                    sparse_to_vec(geo.fields.basis[q], ne))
                 # constant metric: the pairing is a multiple of the unit
                 unit_coord = val[0]
                 assert val == tuple(unit_coord * u for u in geo.calc.algebra.unit)
@@ -646,7 +679,4 @@ def test_table_matches_oracle_for_seeded_constant_metrics(fuzzy_geo):
         gamma = christoffel_oracle(scalar_brackets(geo), gram)
         for p in range(n):
             for q in range(n):
-                want = zero_vector(geo.metric.e_star.dim)
-                for r, c in enumerate(gamma[(p, q)]):
-                    want = tuple(u + c * v for u, v in zip(want, geo.fields.basis[r]))
-                assert table[p][q] == want
+                assert table[p][q] == _lincomb(zip(gamma[(p, q)], geo.fields.basis))

@@ -8,18 +8,13 @@ from tamecalc.linalg import (
     ONE,
     Subspace,
     ZERO,
+    _apply_sparse,
     basis_vector,
     vec_is_zero,
     vec_to_sparse,
     zero_vector,
 )
-from tamecalc.metric import (
-    delta_of,
-    g_tilde,
-    random_metric,
-    validate_metric,
-    vector_fields,
-)
+from tamecalc.metric import random_metric, validate_metric, vector_fields
 
 
 @pytest.fixture(scope="module")
@@ -182,14 +177,15 @@ def test_fields_are_right_total(fuzzy, fuzzy_fields):
     assert fuzzy_fields.generators.source.dim == 12
 
 
-def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric):
+def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric, fuzzy_geo):
     p, cert = fuzzy
     alg = p.calculus.algebra
     fields = vector_fields(p.calculus, cert, fuzzy_metric)
     # X_1 . U is right-total material but not central, so its delta fails Leibniz.
-    phi = fuzzy_metric.e_star.bimodule.right[1].apply(fields.basis[0])
+    phi = _apply_sparse(fuzzy_metric.e_star.bimodule.right[1], fields.basis[0])
     assert not fields.contains(phi)
-    assert not alg.is_derivation(delta_of(p.calculus, fuzzy_metric, phi))
+    assert not alg.is_derivation(fuzzy_geo.dual(phi).delta)
+    assert all(alg.is_derivation(fuzzy_geo.dual(x).delta) for x in fields.basis)
 
 
 # -- metric square ---------------------------------------------------------------
@@ -240,45 +236,33 @@ def test_metric_square_invertible(fuzzy_square):
 
 # -- g-tilde ---------------------------------------------------------------------
 
-def test_g_tilde_euclidean_on_fields(fuzzy, fuzzy_metric, fuzzy_fields):
+def test_g_tilde_euclidean_on_fields(fuzzy, fuzzy_geo, fuzzy_fields):
     p, cert = fuzzy
     unit = p.calculus.algebra.unit
     for i in range(3):
         for j in range(3):
-            got = g_tilde(p.calculus, fuzzy_metric, fuzzy_fields.basis[i],
-                          fuzzy_fields.basis[j])
+            got = lc.gt(fuzzy_geo, fuzzy_fields.basis[i], fuzzy_fields.basis[j])
             assert got == (unit if i == j else zero_vector(4))
 
 
-def test_g_tilde_zero_argument(fuzzy, fuzzy_metric, fuzzy_fields):
-    assert vec_is_zero(g_tilde(p_calc(fuzzy), fuzzy_metric, fuzzy_fields.basis[0],
-                               zero_vector(12)))
+def test_g_tilde_zero_argument(fuzzy_geo, fuzzy_fields):
+    assert vec_is_zero(lc.gt(fuzzy_geo, fuzzy_fields.basis[0], {}))
 
 
-def p_calc(fuzzy):
-    return fuzzy[0].calculus
-
-
-def test_g_tilde_evaluation_identity(fuzzy, fuzzy_metric):
+def test_g_tilde_evaluation_identity(fuzzy_geo, fuzzy_metric):
     # phi(V_g^{-1} psi) = g~(phi (x) psi) for arbitrary dual pairs
-    p, cert = fuzzy
     m = fuzzy_metric
     for i in (0, 3, 7, 11):
-        phi = basis_vector(12, i)
-        phim = m.e_star.matrix_of(phi)
+        phim = m.e_star.matrix_of({i: ONE})
         for j in (0, 5, 9):
-            psi = basis_vector(12, j)
-            lhs = phim.apply(m.v_g_inv.apply(psi))
-            assert lhs == g_tilde(p.calculus, m, phi, psi)
+            lhs = phim.apply(m.v_g_inv.col(j))
+            assert lhs == lc.gt(fuzzy_geo, {i: ONE}, {j: ONE})
 
 
-def test_g_tilde_symmetric_when_one_leg_is_field(fuzzy, fuzzy_metric, fuzzy_fields):
-    p, cert = fuzzy
+def test_g_tilde_symmetric_when_one_leg_is_field(fuzzy_geo, fuzzy_fields):
     for x in fuzzy_fields.basis:
         for j in (0, 5, 9):
-            psi = basis_vector(12, j)
-            assert g_tilde(p.calculus, fuzzy_metric, x, psi) == \
-                g_tilde(p.calculus, fuzzy_metric, psi, x)
+            assert lc.gt(fuzzy_geo, x, {j: ONE}) == lc.gt(fuzzy_geo, {j: ONE}, x)
 
 
 # -- seeded metrics ---------------------------------------------------------------

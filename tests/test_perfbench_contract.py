@@ -7,27 +7,18 @@ its span recorder wraps must still resolve.
 """
 
 import importlib
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
+from fractions import Fraction
 
+from conftest import load_perfbench
 from tamecalc import bimodule, connection, linalg
-from tamecalc.specfile import load_spec
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from tamecalc.bimodule import dual_module
+from tamecalc.linalg import ONE, ZERO, Scalar, basis_vector
+from tamecalc.specfile import connection_to_json, load_spec
 
 
 def test_benchmark_input_writer_produces_loadable_specs(tmp_path):
-    inputs = _load("inputs")
+    inputs = load_perfbench("inputs")
     written = inputs.write_input("abelian-torus-2", {"g0": inputs.BASES["A2"]}, tmp_path)
     spec = load_spec(written.spec_path)
     assert spec.calculus.one_forms.dim == written.calculus.one_forms.dim == 18
@@ -56,7 +47,7 @@ def test_oracle_reader_and_hom_layer_resolve():
     assert len(params) == 1
     assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     assert callable(vars(bimodule.HomModule)["value"])
-    layers = {name: (modname, attrs) for name, modname, attrs in _load("spans").SPANS}
+    layers = {name: (modname, attrs) for name, modname, attrs in load_perfbench("spans").SPANS}
     modname, attrs = layers["bimodule.hom"]
     assert modname == "tamecalc.bimodule"
     assert {"hom_A", "dual_module"} <= set(attrs)
@@ -64,10 +55,30 @@ def test_oracle_reader_and_hom_layer_resolve():
         assert callable(getattr(bimodule, name)), name
 
 
+def test_oracle_reader_evaluates_dense_coordinates(fuzzy_geo):
+    # read_table is the benchmark's one dense E* edge: it indexes
+    # Algebra.unit, builds dense thetas and evaluates dense artifact
+    # coordinates through HomModule.value, which must answer densely
+    calc = fuzzy_geo.calc
+    unit = calc.algebra.unit
+    assert isinstance(unit, tuple) and len(unit) == calc.algebra.dim
+    assert all(isinstance(u, Scalar) for u in unit) and unit[0] == ONE
+    e_star = dual_module(calc.one_forms)
+    coords = tuple(ONE if k == 8 else ZERO for k in range(e_star.dim))
+    value = e_star.value(coords, basis_vector(calc.one_forms.dim, 8))
+    assert isinstance(value, tuple) and len(value) == calc.algebra.dim
+    assert value == e_star.basis[8].apply(basis_vector(calc.one_forms.dim, 8))
+    # and it reads a real artifact table: (nabla_{X_1} X_2)(theta^3) = 1
+    koszul = connection.levi_civita_koszul(fuzzy_geo)
+    artifact = connection_to_json(koszul.connection.nabla, koszul.table, {}, "sha256:" + "0" * 64)
+    read = load_perfbench("run").read_table(artifact["table"], calc)
+    assert read is not None and read[0][1] == [Fraction(0), Fraction(0), Fraction(1)]
+
+
 def test_traced_stage_names_resolve():
     # the traced breakdown reads these layers; a renamed target would leave
     # its metric at zero without failing the benchmark
-    spans = _load("spans")
+    spans = load_perfbench("spans")
     layers = {name: (modname, attrs) for name, modname, attrs in spans.SPANS}
     for layer, modname, name in (
             ("algebra.validate", "tamecalc.algebra", "Algebra.validate"),

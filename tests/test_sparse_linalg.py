@@ -99,7 +99,7 @@ def test_solvers_match_reference_elimination(system, data):
 
     def run():
         solver = ColumnSolver(m)
-        return (solve_sparse(coeff, ncols, rhs), [solver.solve(b) for b in rhs],
+        return (solve_sparse(coeff, ncols, rhs), [solver.solve(vec_to_sparse(b)) for b in rhs],
                 solver.rank, kernel_rows(coeff, ncols))
 
     got = run()
