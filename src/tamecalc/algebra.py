@@ -24,10 +24,8 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
-    ZERO,
     _apply_sparse,
     _lincomb,
-    basis_vector,
     kernel_rows,
     vec_to_sparse,
 )
@@ -81,26 +79,19 @@ class Algebra:
         """The structure constants as sparse vectors: sparse_mul[i][j] is b_i b_j."""
         return tuple(tuple(vec_to_sparse(v) for v in row) for row in self.mul)
 
-    def multiply(self, a: Vector, b: Vector) -> Vector:
-        table = self.sparse_mul
-        out = [ZERO] * self.dim
-        b_sparse = vec_to_sparse(b)
-        for i, ca in vec_to_sparse(a).items():
-            for j, cb in b_sparse.items():
-                c = ca * cb
-                for k, s in table[i][j].items():
-                    out[k] = out[k] + c * s
-        return tuple(out)
-
-    def commutator(self, a: Vector, b: Vector) -> Vector:
-        ab = self.multiply(a, b)
-        ba = self.multiply(b, a)
-        return tuple(x - y for x, y in zip(ab, ba))
+    @cached_property
+    def sparse_unit(self) -> dict[int, Scalar]:
+        """The unit as a sparse vector."""
+        return vec_to_sparse(self.unit)
 
     def ad(self, a: Vector) -> Matrix:
-        """Inner derivation x -> a*x - x*a."""
-        return Matrix.from_cols(
-            [self.commutator(a, basis_vector(self.dim, j)) for j in range(self.dim)],
+        """Inner derivation x -> a*x - x*a of a dense element a; column j is
+        sum_i a_i (b_i b_j - b_j b_i)."""
+        table = self.sparse_mul
+        terms = [(c, i) for i, c in vec_to_sparse(a).items()]
+        return Matrix.from_sparse_cols(
+            [_lincomb([*((c, table[i][j]) for c, i in terms),
+                       *((-c, table[j][i]) for c, i in terms)]) for j in range(self.dim)],
             self.dim)
 
     # -- generators ---------------------------------------------------------
@@ -113,7 +104,7 @@ class Algebra:
         the span of the unit closed under right multiplication by them."""
         table = self.sparse_mul
         kept: list[int] = []
-        span = Subspace(self.dim, [self.unit])
+        span = Subspace(self.dim, [self.sparse_unit])
         for i in range(self.dim):
             if not span._residual({i: ONE}):
                 continue
@@ -157,13 +148,15 @@ class Algebra:
         triple.  Given the unit laws, the c with (ab)c = a(bc) for all a, b
         form a unital subalgebra, so the generators decide associativity."""
         n = self.dim
+        mul = self.sparse_mul
+        unit = self.sparse_unit
         for i in range(n):
-            e = basis_vector(n, i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
+            e = {i: ONE}
+            if (_lincomb((c, mul[u][i]) for u, c in unit.items()) != e
+                    or _lincomb((c, mul[i][u]) for u, c in unit.items()) != e):
                 raise ContractViolationError(
                     f"unit law fails on basis element {self.labels[i]}", witness=i)
         # (b_i b_j) b_k and b_i (b_j b_k) as sparse sums over the table
-        mul = self.sparse_mul
 
         def associativity(lasts: Sequence[int]) -> ContractViolationError | None:
             for i in range(n):
@@ -215,7 +208,7 @@ class Algebra:
                         return (i, j)
             return None
 
-        unit_ok = not _apply_sparse(delta, vec_to_sparse(self.unit))
+        unit_ok = not _apply_sparse(delta, self.sparse_unit)
         return self.first_failure(leibniz, self.validated and unit_ok) is None
 
     def __repr__(self) -> str:

@@ -36,7 +36,6 @@ from .linalg import (
     Scalar,
     Subspace,
     Vector,
-    ZERO,
     _apply_sparse,
     _combination_rows,
     _lincomb,
@@ -101,8 +100,9 @@ class Bimodule:
                 witness=rep.witness)
         return rep.generators
 
-    def _action_rows(self, actions: Sequence[Matrix], a: Vector) -> list[dict[int, Scalar]]:
-        return _combination_rows(((c, actions[i]) for i, c in vec_to_sparse(a).items()), self.dim)
+    def _action_rows(self, actions: Sequence[Matrix], a: dict[int, Scalar]) -> list[dict[int, Scalar]]:
+        """The sparse rows of the action of a sparse algebra element."""
+        return _combination_rows(((c, actions[i]) for i, c in a.items()), self.dim)
 
     def act_left(self, a: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
         """a . v for sparse a and v, without building the action of a."""
@@ -121,16 +121,16 @@ class Bimodule:
         alg = self.algebra
         n = alg.dim
         ident = [{i: ONE} for i in range(self.dim)]
-        if self._action_rows(self.left, alg.unit) != ident:
+        if self._action_rows(self.left, alg.sparse_unit) != ident:
             raise ContractViolationError("bimodule: unit does not act as identity on the left")
-        if self._action_rows(self.right, alg.unit) != ident:
+        if self._action_rows(self.right, alg.sparse_unit) != ident:
             raise ContractViolationError("bimodule: unit does not act as identity on the right")
 
         def axioms(gens: Sequence[int]) -> ContractViolationError | None:
             # (ab)e with a, e(ab) with b and (ae)b with a in gens
             for i in range(n):
                 for j in range(n):
-                    prod = alg.mul[i][j]
+                    prod = alg.sparse_mul[i][j]
                     if i in gens and self._action_rows(self.left, prod) != \
                             _product_rows(self.left[i], self.left[j]):
                         return ContractViolationError(
@@ -276,13 +276,9 @@ class QuotientTensor:
     def _project_sparse(self, svec: dict[int, Scalar]) -> dict[int, Scalar]:
         return _lincomb((c, self._project_cols[j]) for j, c in svec.items())
 
-    def pure(self, e_vec: Vector, f_vec: Vector) -> Vector:
-        """Quotient coordinates of the class of e (x) f."""
-        return sparse_to_vec(self.pure_sparse(vec_to_sparse(e_vec), vec_to_sparse(f_vec)),
-                             self.dim)
-
     def pure_sparse(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar]) -> dict[int, Scalar]:
-        """pure on sparse factors, with sparse quotient coordinates."""
+        """Sparse quotient coordinates of the class of e (x) f, for sparse
+        factors."""
         fdim = self.right_factor.dim
         return self._project_sparse({s * fdim + t: a * b
                                      for s, a in e_vec.items() for t, b in f_vec.items()})
@@ -292,28 +288,16 @@ class QuotientTensor:
         does not send to zero, or None when m factors through the quotient.
 
         m kills the relations exactly when m == (m @ section) @ project; the
-        relation rows are searched only when it does not."""
+        relation rows are applied, as sparse vectors, only when it does not."""
         if m == (m @ self.section) @ self.project:
             return None
-        mrows = [r for r in m.sparse_rows() if r]
-        for rel in self.relations.rows:
-            for mrow in mrows:
-                acc = ZERO
-                for c, v in rel.items():
-                    a = mrow.get(c)
-                    if a is not None:
-                        acc = acc + a * v
-                if not acc.is_zero():
-                    return sparse_to_vec(rel, self.ambient_dim)
-        return None
-
-    def lift(self, x: Vector) -> dict[int, Scalar]:
-        """The canonical plain-tensor representative of a quotient class,
-        sparse: section only includes the free positions."""
-        return self.lift_sparse(vec_to_sparse(x))
+        return next((sparse_to_vec(rel, self.ambient_dim) for rel in self.relations.rows
+                     if _apply_sparse(m, rel)), None)
 
     def lift_sparse(self, x: dict[int, Scalar]) -> dict[int, Scalar]:
-        """lift of a class given by sparse quotient coordinates."""
+        """The canonical plain-tensor representative of a class given by
+        sparse quotient coordinates, sparse: section only includes the free
+        positions."""
         return {self._free[q]: c for q, c in x.items()}
 
     def __repr__(self) -> str:

@@ -46,11 +46,9 @@ from .linalg import (
     ONE,
     Scalar,
     Subspace,
-    Vector,
     _apply_sparse,
     _lincomb,
     _product_rows,
-    vec_to_sparse,
 )
 
 
@@ -166,7 +164,7 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
             return None
 
         # the unit is in the subalgebra exactly when d(1) == 0
-        unit_ok = not _apply_sparse(calc.d0, vec_to_sparse(alg.unit))
+        unit_ok = not _apply_sparse(calc.d0, alg.sparse_unit)
         return alg.first_failure(pairs, ready() and unit_ok)
 
     def d_squared():
@@ -286,10 +284,6 @@ class TamenessCertificate:
     spanning: CentralGenerators   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
     flags: dict[str, bool] = field(default_factory=dict)
 
-    @property
-    def central_basis(self) -> tuple[Vector, ...]:
-        return self.center_one_forms.basis
-
 
 @dataclass(frozen=True)
 class TamenessFailure:
@@ -367,16 +361,14 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
     ran_p = p_sym.column_space()
     flags["psym_projects_onto_ker_wedge"] = ran_p == kernel_wedge
     if not flags["psym_projects_onto_ker_wedge"]:
+        # the first basis row of either space outside the other, searched on
+        # copies of the sparse rows; the witness is its dense basis vector
         witness = None
-        for b in ran_p.basis:
-            if not kernel_wedge.contains_vector(b):
-                witness = b
+        for space, other in ((ran_p, kernel_wedge), (kernel_wedge, ran_p)):
+            k = next((k for k, row in enumerate(space.rows) if other._residual(dict(row))), None)
+            if k is not None:
+                witness = space.basis[k]
                 break
-        if witness is None:
-            for b in kernel_wedge.basis:
-                if not ran_p.contains_vector(b):
-                    witness = b
-                    break
         return _fail("PsymRangeMismatch",
                      "the symmetrizer image differs from the kernel of the wedge", witness)
 

@@ -40,6 +40,7 @@ from .specfile import (
     load_frame_override,
     load_spec,
     save_spec,
+    write_file,
 )
 
 EXIT_OK = 0
@@ -151,7 +152,11 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, metric_path: str | N
 
 def cmd_gen(args) -> int:
     maker = PRESETS[args.preset]
-    preset = maker(args.n)
+    try:
+        preset = maker(args.n)
+    except ContractViolationError as exc:
+        # a size the preset does not ship is bad input, not a failed check
+        raise SpecFileError(f"{args.preset} --n {args.n}: {exc}")
     spec = SpecData(name=preset.name, calculus=preset.calculus,
                     metric_plain=preset.metric_plain)
     out = args.out or f"{preset.name}.json"
@@ -205,7 +210,7 @@ def cmd_connect(args) -> int:
 
     out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
     artifact = connection_to_json(conn.nabla, koszul.table, checks, input_digest(args.spec))
-    Path(out).write_text(dumps_canonical(artifact), encoding="utf-8")
+    write_file(out, dumps_canonical(artifact))
     rb.summary["artifact"] = out
     code = EXIT_OK if all(checks.values()) else EXIT_MATH
     emit(rb.finish(code), args.json)

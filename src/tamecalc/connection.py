@@ -48,15 +48,11 @@ from .linalg import (
     Matrix,
     ONE,
     Scalar,
-    Vector,
-    ZERO,
     _apply_sparse,
     _axpy,
     _lincomb,
     _product_rows,
     solve_sparse,
-    sparse_to_vec,
-    vec_to_sparse,
 )
 from .metric import Metric, g_of_forms, vector_fields
 
@@ -115,48 +111,54 @@ def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Co
     return Connection(nabla)
 
 
-def frame_splitting(calc: Calculus,
-                    frame: Sequence[Vector]) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+def frame_splitting(calc: Calculus, frame: Sequence[dict[int, Scalar]]
+                    ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
     """Maps S_j in E* with sum_j g_j . S_j(e) == e for the frame g_j, any
-    elements of E; entry [j][i] is S_j(z_i) in A, sparse, for the central
-    generators z_i.  The unknowns are those images, at (j * k + i) * dim A:
-    they satisfy the generators' relations, and sum_j g_j . S_j(z_i) == z_i,
-    which is enough because e -> sum_j g_j . S_j(e) is right-linear."""
+    sparse elements of E; entry [j][i] is S_j(z_i) in A, sparse, for the
+    central generators z_i.  The unknowns are those images, at
+    (j * k + i) * dim A: they satisfy the generators' relations, and
+    sum_j g_j . S_j(z_i) == z_i, which is enough because
+    e -> sum_j g_j . S_j(e) is right-linear."""
     e = calc.one_forms
     gens = e.central_generators
     zs = gens.zs
-    frame_sparse = [vec_to_sparse(g) for g in frame]
-    n, k, nA = len(frame_sparse), len(zs), calc.algebra.dim
+    n, k, nA = len(frame), len(zs), calc.algebra.dim
     width = k * nA
 
     # each S_j is right-linear: its images respect the generators' relations
     linear = gens.relation_rows(Bimodule.regular(calc.algebra))
     rows = [{j * width + u: v for u, v in row.items()} for j in range(n) for row in linear]
-    rhs = [ZERO] * len(rows)
+    rhs: dict[int, Scalar] = {}
     # sum_j g_j . S_j(z_i) == z_i, where g_j . a_s carries S_j(z_i)'s
     # coordinate s
-    translates = [[_apply_sparse(e.right[s], g) for s in range(nA)] for g in frame_sparse]
+    translates = [[_apply_sparse(e.right[s], g) for s in range(nA)] for g in frame]
     for i, z in enumerate(zs):
         recon: list[dict[int, Scalar]] = [{} for _ in range(e.dim)]
         for j in range(n):
             for s in range(nA):
                 for c, v in translates[j][s].items():
                     recon[c][j * width + i * nA + s] = v
+        rhs.update((len(rows) + c, v) for c, v in z.items())
         rows.extend(recon)
-        rhs.extend(z.get(c, ZERO) for c in range(e.dim))
 
     (sol,), _ = solve_sparse(rows, n * width, [rhs])
     if sol is None:
         raise NoSplittingError(
             "no right-linear splitting through the chosen frame generators",
             witness=[f"frame size {n}", f"one-forms dim {e.dim}"])
-    return tuple(tuple(vec_to_sparse(sol[(j * k + i) * nA:(j * k + i + 1) * nA])
-                       for i in range(k)) for j in range(n))
+    # unknown (j * k + i) * nA + s is coordinate s of S_j(z_i)
+    images: list[list[dict[int, Scalar]]] = [[{} for _ in range(k)] for _ in range(n)]
+    for u, v in sol.items():
+        ji, s = divmod(u, nA)
+        j, i = divmod(ji, k)
+        images[j][i][s] = v
+    return tuple(map(tuple, images))
 
 
 def grassmann(calc: Calculus, cert: TamenessCertificate,
-              frame: tuple[Vector, ...] | None = None) -> Connection:
-    """The connection of a right-linear splitting through the given frame.
+              frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
+    """The connection of a right-linear splitting through the given sparse
+    frame.
 
     The default frame is the central basis of the one-forms, which is
     right-total whenever the calculus is tame.  The connection sends each
@@ -164,13 +166,12 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
     Leibniz rule, which gives sum_j g_j (x) d(S_j e) on every e because
     sum_j g_j . S_j(z_i) == z_i.
     """
-    frame = frame if frame is not None else cert.central_basis
+    frame = frame if frame is not None else cert.center_one_forms.rows
     splitting = frame_splitting(calc, frame)
     qt = calc.tensor_square
-    frame_sparse = [vec_to_sparse(g) for g in frame]
     conn = leibniz_extension(calc, [
         _lincomb((ONE, qt.pure_sparse(g, _apply_sparse(calc.d0, image)))
-                 for g, image in zip(frame_sparse, images_of_z))
+                 for g, image in zip(frame, images_of_z))
         for images_of_z in zip(*splitting)])
     bad = leibniz_witness(calc, conn)
     if bad is not None:
@@ -200,7 +201,7 @@ def torsion(calc: Calculus, conn: Connection) -> Matrix:
 
 
 def nabla_zero(calc: Calculus, cert: TamenessCertificate,
-               frame: tuple[Vector, ...] | None = None) -> Connection:
+               frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
     """Kill the Grassmann torsion through the wedge inverse on the complement."""
     gr = grassmann(calc, cert, frame)
     t = torsion(calc, gr)
@@ -223,7 +224,7 @@ class Geometry:
     """
 
     def __init__(self, calc: Calculus, cert: TamenessCertificate, metric: Metric,
-                 frame: tuple[Vector, ...] | None = None):
+                 frame: Sequence[dict[int, Scalar]] | None = None):
         self.calc = calc
         self.cert = cert
         self.metric = metric
@@ -291,7 +292,7 @@ class Geometry:
     def leg_sigma(self) -> list[Matrix]:
         """Entry q, as a matrix in w: contract g over legs 1-2 of
         sigma_23(w (x) z_q)."""
-        return [self._build_leg_sigma(q) for q in range(len(self.cert.central_basis))]
+        return [self._build_leg_sigma(q) for q in range(len(self.cert.center_one_forms.rows))]
 
     def _build_leg_sigma(self, q: int) -> Matrix:
         qt = self.calc.tensor_square
@@ -310,7 +311,7 @@ class Geometry:
     @cached_property
     def leg_plain(self) -> list[Matrix]:
         """Entry p, as a matrix in w: contract g over legs 1-2 of z_p (x) w."""
-        return [self._build_leg_plain(p) for p in range(len(self.cert.central_basis))]
+        return [self._build_leg_plain(p) for p in range(len(self.cert.center_one_forms.rows))]
 
     def _build_leg_plain(self, p: int) -> Matrix:
         qt = self.calc.tensor_square
@@ -733,21 +734,20 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
             lam[(p, q)] = Matrix.from_sparse_rows(lrows, nunk)
 
     rows: list[dict[int, Scalar]] = []
-    rhs: list[Scalar] = []
+    rhs: dict[int, Scalar] = {}
     values = compat_values(geo, n0)
     for j, g_pq in enumerate(geo.g_central):
         for r in range(alg.dim):
             gval = _apply_sparse(alg.right_basis_matrix(r), g_pq)
             residual = _lincomb(((ONE, _apply_sparse(calc.d0, gval)),
                                  (-ONE, values[j * alg.dim + r])))
+            rhs.update((len(rows) + c, v) for c, v in residual.items())
             rows.extend(_product_rows(e.right[r], lam[divmod(j, nz)]))
-            rhs.extend(sparse_to_vec(residual, e.dim))
     # torsion stays zero: the wedge kills every generator image, hence alpha
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):
         rows.extend(shifted(j, row) for row in wedge)
     rows.extend(gens.relation_rows(t2))
-    rhs.extend([ZERO] * (len(rows) - len(rhs)))
 
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
     if sol is None:
@@ -756,6 +756,6 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    conn = Connection(n0.nabla + gens.right_linear(t2, vec_to_sparse(sol)))
+    conn = Connection(n0.nabla + gens.right_linear(t2, sol))
     return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)

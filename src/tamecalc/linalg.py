@@ -123,7 +123,6 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-TWO = Scalar(2)
 HALF = Scalar(1, 0, 2)
 I = Scalar(0, 1)
 
@@ -156,7 +155,11 @@ def scalar_from_json(obj: int | str | dict) -> Scalar:
         extra = set(obj) - {"re", "im"}
         if extra:
             raise LinAlgError(f"unknown scalar fields {sorted(extra)}")
-        return Scalar.from_fractions(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
+        parts = [obj.get(k, 0) for k in ("re", "im")]
+        for x in parts:
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise LinAlgError(f"scalar field is not a string or an integer: {x!r}")
+        return Scalar.from_fractions(Fraction(parts[0]), Fraction(parts[1]))
     raise LinAlgError(f"not a scalar: {obj!r}")
 
 
@@ -182,10 +185,6 @@ def zero_vector(n: int) -> Vector:
 
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 def vec_to_sparse(u: Sequence[Scalar]) -> dict[int, Scalar]:
@@ -368,9 +367,6 @@ class Subspace:
             return None
         return {self._index[c]: v for c, v in removed.items()}
 
-    def contains_vector(self, v: Sequence[Scalar]) -> bool:
-        return not self._residual(vec_to_sparse(v))
-
     def contains(self, other: "Subspace") -> bool:
         """True iff other is a subspace of self."""
         self._check_ambient(other)
@@ -460,25 +456,12 @@ class Matrix:
                 out[i][j] = v
         return Matrix._of(rows, len(sparse), out, sparse)
 
-    @staticmethod
-    def from_cols(cols: Sequence[Sequence[Scalar]], nrows: int | None = None) -> "Matrix":
-        if nrows is None:
-            if not cols:
-                raise LinAlgError("from_cols needs nrows when there are no columns")
-            nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
-            raise LinAlgError("entry grid does not match declared shape")
-        return Matrix.from_sparse_cols([vec_to_sparse(c) for c in cols], nrows)
-
     # -- access -------------------------------------------------------------
 
     @property
     def entries(self) -> tuple[Vector, ...]:
         """The dense rows, built on every read."""
         return tuple(sparse_to_vec(r, self.cols) for r in self._rows)
-
-    def col(self, j: int) -> Vector:
-        return sparse_to_vec(self.sparse_cols()[j], self.rows)
 
     def sparse_rows(self) -> tuple[dict[int, Scalar], ...]:
         return self._rows
@@ -564,11 +547,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise LinAlgError("inverse of a non-square matrix")
-        sols, _ = solve_sparse(self._rows, self.cols,
-                               [basis_vector(self.rows, i) for i in range(self.rows)])
+        sols, _ = solve_sparse(self._rows, self.cols, [{i: ONE} for i in range(self.rows)])
         if any(s is None for s in sols):
             raise LinAlgError("matrix is singular")
-        return Matrix.from_cols(sols, self.cols)
+        return Matrix.from_sparse_cols(sols, self.cols)
 
 
 def _combination_rows(terms: Iterable[tuple[Scalar, Matrix]], nrows: int) -> list[dict[int, Scalar]]:
@@ -645,37 +627,36 @@ def commutator_rows(pairs: Iterable[tuple[Matrix, Matrix]]) -> list[dict[int, Sc
 
 
 def solve_sparse(rows: Sequence[dict[int, Scalar]], ncols: int,
-                 rhs_list: Sequence[Sequence[Scalar]]) -> tuple[list[Vector | None], int]:
-    """Solve a sparse row system for several right-hand sides with one
-    elimination, each augmented as one extra column.
+                 rhs_list: Sequence[dict[int, Scalar]]
+                 ) -> tuple[list[dict[int, Scalar] | None], int]:
+    """Solve a sparse row system for several sparse right-hand sides
+    ({row: Scalar}) with one elimination, each augmented as one extra column.
 
-    Returns one particular solution per right-hand side (None when that
-    system is inconsistent) and the rank of the coefficient part.  Free
-    variables are pinned to zero, which makes every solution canonical and
-    reruns deterministic.
+    Returns one particular solution per right-hand side, a zero-free
+    {column: Scalar} dict (None when that system is inconsistent), and the
+    rank of the coefficient part.  Free variables are pinned to zero, which
+    makes every solution canonical and reruns deterministic.
     """
-    if any(len(b) != len(rows) for b in rhs_list):
-        raise LinAlgError(f"solve_sparse: rhs length differs from {len(rows)} rows")
-    aug = []
-    for i, row in enumerate(rows):
-        r = dict(row)
-        for t, b in enumerate(rhs_list):
-            if not b[i].is_zero():
-                r[ncols + t] = b[i]
-        aug.append(r)
+    aug = [dict(row) for row in rows]
+    for t, b in enumerate(rhs_list):
+        for i, v in b.items():
+            if not 0 <= i < len(aug):
+                raise LinAlgError(f"solve_sparse: rhs row {i} outside {len(aug)} rows")
+            aug[i][ncols + t] = v
     pivots, leftovers = _rref(aug, ncols)
     bad = {c - ncols for row in leftovers for c in row}
-    out: list[Vector | None] = []
+    order = sorted(pivots)
+    out: list[dict[int, Scalar] | None] = []
     for t in range(len(rhs_list)):
         if t in bad:
             out.append(None)
             continue
-        x = [ZERO] * ncols
-        for c, prow in pivots.items():
-            v = prow.get(ncols + t)
+        x = {}
+        for c in order:
+            v = pivots[c].get(ncols + t)
             if v is not None:
                 x[c] = v
-        out.append(tuple(x))
+        out.append(x)
     return out, len(pivots)
 
 
@@ -700,7 +681,7 @@ def solve_through(span_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
     if in_dim is None:
         in_dim = len(span_cols[0]) if span_cols else 0
     # Transposed system: span^T  M^T = value^T, one RHS per output coordinate.
-    rhs = [[ZERO] * len(value_cols) for _ in range(out_dim)]
+    rhs: list[dict[int, Scalar]] = [{} for _ in range(out_dim)]
     for j, v in enumerate(value_cols):
         for i, x in (v if isinstance(v, dict) else vec_to_sparse(v)).items():
             rhs[i][j] = x
@@ -710,7 +691,7 @@ def solve_through(span_cols: Sequence[Sequence[Scalar] | dict[int, Scalar]],
         raise LinAlgError("solve_through: columns do not span the domain")
     if any(s is None for s in sols):
         return None
-    return Matrix(out_dim, in_dim, sols)
+    return Matrix.from_sparse_rows(sols, in_dim)
 
 
 class ColumnSolver:

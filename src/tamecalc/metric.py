@@ -7,39 +7,25 @@ which act on the algebra by derivations; the pairing they inherit drives
 the Koszul machinery in the connection module.  E* is taken over the
 fields X_p = V_g(z_p) as one `CentralGenerators`, through which the general
 bracket decomposes a dual element.  A dual element, a vector field
-included, is a zero-free sparse dict of E* coordinates.  The seeded metric
-is fixed, like sigma, by its values on the central tensors of the tameness
-certificate.
+included, is a zero-free sparse dict of E* coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
-from .bimodule import Bimodule, CentralGenerators, HomModule, dual_module, module_center
+from .bimodule import CentralGenerators, HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
-from .errors import (
-    CenterMismatchError,
-    ContractViolationError,
-    InternalInconsistencyError,
-)
+from .errors import CenterMismatchError, InternalInconsistencyError
 from .linalg import (
     LinAlgError,
     Matrix,
     Scalar,
     Subspace,
-    Vector,
-    ZERO,
     _apply_sparse,
     _lincomb,
     basis_vector,
-    kernel_rows,
-    qi,
-    vec_is_zero,
-    vec_to_sparse,
-    zero_vector,
 )
 
 
@@ -118,12 +104,12 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     if failure is not None:
         return failure
 
-    if g @ cert.sigma != g:
-        for j in range(qt.dim):
-            col = basis_vector(qt.dim, j)
-            if g.apply(cert.sigma.apply(col)) != g.apply(col):
-                return _fail("NotSymmetric", "g(sigma(x)) != g(x)", col)
-        raise InternalInconsistencyError("matrix inequality without a witness column")
+    g_sigma = g @ cert.sigma
+    if g_sigma != g:
+        # column j of g sigma is g(sigma(e_j)): the first that differs names e_j
+        j = next(j for j, (a, b) in enumerate(zip(g_sigma.sparse_cols(), g.sparse_cols()))
+                 if a != b)
+        return _fail("NotSymmetric", "g(sigma(x)) != g(x)", basis_vector(qt.dim, j))
 
     e_star = dual_module(e)
     if e_star.dim != e.dim:
@@ -216,64 +202,3 @@ def g_of_forms(g_plain: Matrix, e_dim: int, u: dict[int, Scalar],
     of u_s w_t times column s * e_dim + t of the metric on plain tensors."""
     cols = g_plain.sparse_cols()
     return _lincomb((a * b, cols[s * e_dim + t]) for s, a in u.items() for t, b in w.items())
-
-
-# ---------------------------------------------------------------------------
-# Seeded metric generator for the exercise suites
-# ---------------------------------------------------------------------------
-
-def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
-                  attempts: int = 64) -> Matrix:
-    """A deterministic, seeded, valid, non-Euclidean metric on quotient coords.
-
-    Coefficients on central generator pairs are drawn from the center of the
-    algebra (symmetrically), which makes the candidate automatically bilinear
-    and symmetric.  The integer draws are coordinates in a kernel basis of
-    the conditions that the relations among the central tensors put on the
-    coefficients, so every draw extends to a map on the tensor square; on a
-    free E there are no conditions and the draws are the coefficients
-    themselves.  Invertibility of V_g is then checked exactly and failing
-    draws are discarded.
-    """
-    rng = Random(seed)
-    alg = calc.algebra
-    zc_alg = alg.center()
-    nz = len(cert.central_basis)
-    if nz == 0:
-        raise ContractViolationError("random_metric needs at least one central one-form")
-    # unknown u = (p, q, b), p <= q, is the coefficient of center basis
-    # element b in g(pi(z_p (x) z_q)); lift sends it to the coordinates of
-    # the images g(pi(z_p (x) z_q)) and g(pi(z_q (x) z_p)) it sets, on which
-    # the relation rows of the central tensors are posed
-    unknowns = [(p, q, b) for p in range(nz) for q in range(p, nz) for b in range(zc_alg.dim)]
-    nimages = nz * nz * alg.dim
-    lift = Matrix.from_sparse_cols(
-        [{j * alg.dim + y: v for j in (p * nz + q, q * nz + p) for y, v in zc_alg.rows[b].items()}
-         for p, q, b in unknowns], nimages)
-    relations = Matrix.from_sparse_rows(
-        cert.spanning.relation_rows(Bimodule.regular(alg)), nimages)
-    kernel = kernel_rows((relations @ lift).sparse_rows(), len(unknowns))
-    for _ in range(attempts):
-        x = _lincomb([(qi(rng.randint(-3, 3)), k) for k in kernel])
-        coeff: list[list[Vector]] = [[zero_vector(alg.dim)] * nz for _ in range(nz)]
-        for u, (p, q, b) in enumerate(unknowns):
-            c = x.get(u, ZERO)
-            coeff[p][q] = coeff[q][p] = tuple(v + c * y for v, y in
-                                              zip(coeff[p][q], zc_alg.basis[b]))
-        # g(pi(z_p (x) z_q) . a_r) = coeff[p][q] a_r
-        values = [_apply_sparse(alg.right_basis_matrix(r), vec_to_sparse(coeff[p][q]))
-                  for p in range(nz) for q in range(nz) for r in range(alg.dim)]
-        g = cert.spanning.extend(values, alg.dim)
-        if g is None:
-            raise InternalInconsistencyError(
-                "a seeded metric breaks a relation among the central tensors")
-        outcome = validate_metric(calc, cert, g)
-        if not outcome.ok:
-            continue
-        euclidean = all(
-            (coeff[p][q] == alg.unit if p == q else vec_is_zero(coeff[p][q]))
-            for p in range(nz) for q in range(nz))
-        if euclidean:
-            continue
-        return g
-    raise ContractViolationError(f"no valid metric found in {attempts} seeded draws")

@@ -38,7 +38,7 @@ class SpecData:
     name: str
     calculus: Calculus
     metric_plain: Matrix
-    frame: tuple[Vector, ...] | None = None
+    frame: tuple[dict[int, Scalar], ...] | None = None   # sparse one-forms
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,8 @@ def spec_to_json(spec: SpecData) -> dict:
         "metric": matrix_to_json(spec.metric_plain),
     }
     if spec.frame is not None:
-        out["frame"] = [vector_to_json(v) for v in spec.frame]
+        ne = calc.one_forms.dim
+        out["frame"] = [vector_to_json(sparse_to_vec(v, ne)) for v in spec.frame]
     return out
 
 
@@ -188,7 +189,7 @@ def spec_from_json(obj: Any) -> SpecData:
     if "frame" in obj:
         fr = obj["frame"]
         _require(isinstance(fr, list) and fr, "spec.frame: expected a nonempty list")
-        frame = tuple(vector_from_json(v, ne, f"spec.frame[{i}]")
+        frame = tuple(_sparse_from_json(v, ne, f"spec.frame[{i}]")
                       for i, v in enumerate(fr))
     name = obj.get("name")
     return SpecData(name=name if isinstance(name, str) else "unnamed",
@@ -199,8 +200,16 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path}: {exc}")
+
+
 def save_spec(spec: SpecData, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(spec_to_json(spec)), encoding="utf-8")
+    write_file(path, dumps_canonical(spec_to_json(spec)))
 
 
 def load_json(path: str | Path) -> Any:
@@ -236,12 +245,14 @@ def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
     return matrix_from_json(obj, na, ne * ne, "metric override")
 
 
-def load_frame_override(path: str | Path, ne: int) -> tuple[Vector, ...]:
+def load_frame_override(path: str | Path, ne: int) -> tuple[dict[int, Scalar], ...]:
+    """A frame override file, a bare list or {"frame": list}, as sparse
+    one-forms."""
     obj = load_json(path)
     if isinstance(obj, dict) and "frame" in obj:
         obj = obj["frame"]
     _require(isinstance(obj, list) and obj, "frame override: expected a nonempty list")
-    return tuple(vector_from_json(v, ne, f"frame[{i}]") for i, v in enumerate(obj))
+    return tuple(_sparse_from_json(v, ne, f"frame[{i}]") for i, v in enumerate(obj))
 
 
 # ---------------------------------------------------------------------------

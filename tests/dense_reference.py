@@ -31,6 +31,7 @@ from tamecalc.linalg import (
     kronecker,
     solve_sparse,
     solve_through,
+    sparse_to_vec,
     vec_to_sparse,
     zero_vector,
 )
@@ -122,7 +123,46 @@ def left_mult(alg, a: Vector) -> Matrix:
     return _action([alg.left_basis_matrix(i) for i in range(alg.dim)], a, alg.dim)
 
 
+def commutator(alg, a: Vector, b: Vector) -> Vector:
+    """a b - b a for dense algebra elements."""
+    return tuple(x - y for x, y in zip(multiply_dense(alg, a, b), multiply_dense(alg, b, a)))
+
+
+def pure(qt, e_vec: Vector, f_vec: Vector) -> Vector:
+    """Dense quotient coordinates of the class of e (x) f, through the
+    engine's sparse pure_sparse."""
+    return sparse_to_vec(qt.pure_sparse(vec_to_sparse(e_vec), vec_to_sparse(f_vec)), qt.dim)
+
+
+def lift(qt, x: Vector) -> dict:
+    """The sparse canonical plain-tensor representative of a dense class."""
+    return qt.lift_sparse(vec_to_sparse(x))
+
+
+def vec_is_zero(u: Vector) -> bool:
+    return all(a.is_zero() for a in u)
+
+
+def contains_vector(space: Subspace, v: Vector) -> bool:
+    """Is the dense vector v in the subspace?"""
+    return not space._residual(vec_to_sparse(v))
+
+
 # -- dense matrices ---------------------------------------------------------------
+
+def col(m: Matrix, j: int) -> Vector:
+    """Column j of m as a dense vector."""
+    return sparse_to_vec(m.sparse_cols()[j], m.rows)
+
+
+def from_cols(cols, nrows: int | None = None) -> Matrix:
+    """The matrix with the given dense columns; nrows is read off the first
+    column when not given."""
+    if nrows is None:
+        nrows = len(cols[0])
+    assert all(len(c) == nrows for c in cols), "entry grid does not match declared shape"
+    return Matrix.from_sparse_cols([vec_to_sparse(c) for c in cols], nrows)
+
 
 def from_rows(entries) -> Matrix:
     """The matrix with the given dense rows."""
@@ -209,7 +249,7 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
     columns; None when the values break a relation among them."""
     qt = calc.tensor_square
     zs = calc.one_forms.centered.center.basis
-    cols = [qt.bimodule.right[r].apply(qt.pure(zp, zq))
+    cols = [qt.bimodule.right[r].apply(pure(qt, zp, zq))
             for zp in zs for zq in zs for r in range(calc.algebra.dim)]
     return solve_through(cols, values, out_dim=out_dim, in_dim=qt.dim)
 
@@ -248,7 +288,7 @@ def pair_apply_dense(qt, phi: Matrix, psi: Matrix, x: Vector) -> Vector:
     out = zero_vector(alg.dim)
     for idx, c in vec_to_sparse(rep).items():
         s, t = divmod(idx, fdim)
-        prod = multiply_dense(alg, phi.col(s), psi.col(t))
+        prod = multiply_dense(alg, col(phi, s), col(psi, t))
         out = tuple(u + c * v for u, v in zip(out, prod))
     return out
 
@@ -260,9 +300,9 @@ def leibniz_witness_dense(calc, conn) -> tuple[int, int] | None:
     qt = calc.tensor_square
     for i in range(calc.algebra.dim):
         for s in range(e.dim):
-            lhs = conn.nabla.apply(e.right[i].col(s))
-            rhs = qt.bimodule.right[i].apply(conn.nabla.col(s))
-            extra = pure_dense(qt, basis_vector(e.dim, s), calc.d0.col(i))
+            lhs = conn.nabla.apply(col(e.right[i], s))
+            rhs = qt.bimodule.right[i].apply(col(conn.nabla, s))
+            extra = pure_dense(qt, basis_vector(e.dim, s), col(calc.d0, i))
             if lhs != tuple(x + y for x, y in zip(rhs, extra)):
                 return (s, i)
     return None
@@ -293,8 +333,9 @@ def grassmann_reference(calc, frame) -> Matrix:
                          for j in range(n) for a in range(nA)
                          if not translates[j][a][c].is_zero()})
             rhs.append(ONE if c == k else ZERO)
-    (sol,), _ = solve_sparse(rows, n * width, [rhs])
+    (sol,), _ = solve_sparse(rows, n * width, [vec_to_sparse(rhs)])
     assert sol is not None, "no splitting through the frame"
+    sol = sparse_to_vec(sol, n * width)
     cols = []
     for k in range(nE):
         col = zero_vector(qt.dim)
@@ -303,7 +344,7 @@ def grassmann_reference(calc, frame) -> Matrix:
             term = pure_dense(qt, frame[j], calc.d0.apply(s_jk))
             col = tuple(x + y for x, y in zip(col, term))
         cols.append(col)
-    return Matrix.from_cols(cols, qt.dim)
+    return from_cols(cols, qt.dim)
 
 
 def graded_leibniz_dense(calc) -> str | None:
@@ -312,17 +353,17 @@ def graded_leibniz_dense(calc) -> str | None:
     alg, e, w2 = calc.algebra, calc.one_forms, calc.two_forms
     nA, nE = alg.dim, e.dim
     for i in range(nA):
-        da = calc.d0.col(i)
+        da = col(calc.d0, i)
         for j in range(nA):
             lhs = calc.d1.apply(e.right[j].apply(da))
-            rhs = tuple(-x for x in wedge_of(calc, da, calc.d0.col(j)))
+            rhs = tuple(-x for x in wedge_of(calc, da, col(calc.d0, j)))
             if lhs != rhs:
                 return f"d(da.b) != -da^db at ({alg.labels[i]}, {alg.labels[j]})"
     for i in range(nA):
-        da = calc.d0.col(i)
+        da = col(calc.d0, i)
         for s in range(nE):
             es = basis_vector(nE, s)
-            ds = calc.d1.col(s)
+            ds = col(calc.d1, s)
             lhs = calc.d1.apply(e.left[i].apply(es))
             rhs = tuple(x + y for x, y in zip(wedge_of(calc, da, es), w2.left[i].apply(ds)))
             if lhs != rhs:
@@ -377,8 +418,8 @@ def validate_calculus_reference(calc) -> list[tuple[str, bool, str | None]]:
         for i in range(nA):
             for j in range(nA):
                 lhs = calc.d0.apply(alg.mul[i][j])
-                rhs = tuple(x + y for x, y in zip(e.right[j].apply(calc.d0.col(i)),
-                                                  e.left[i].apply(calc.d0.col(j))))
+                rhs = tuple(x + y for x, y in zip(e.right[j].apply(col(calc.d0, i)),
+                                                  e.left[i].apply(col(calc.d0, j))))
                 if lhs != rhs:
                     return f"d(ab) != da.b + a.db at basis pair ({alg.labels[i]}, {alg.labels[j]})"
         return None
@@ -409,7 +450,7 @@ def validate_calculus_reference(calc) -> list[tuple[str, bool, str | None]]:
         return None
 
     def spanned_by_da_b():
-        cols = [e.right[j].apply(calc.d0.col(i)) for i in range(nA) for j in range(nA)]
+        cols = [e.right[j].apply(col(calc.d0, i)) for i in range(nA) for j in range(nA)]
         if Subspace(nE, cols).dim != nE:
             return "one-forms are not the right-linear span of {da.b}"
         return None

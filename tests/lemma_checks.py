@@ -9,7 +9,16 @@ square (the one builder of (E (x)_A E)*) and the classical bracket identity.
 
 from dataclasses import dataclass
 
-from dense_reference import left_action, right_action
+from dense_reference import (
+    col,
+    contains_vector,
+    from_cols,
+    left_action,
+    lift,
+    multiply_dense,
+    pure,
+    right_action,
+)
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
 from tamecalc.connection import Geometry, covariant_derivative
 from tamecalc.errors import EngineError
@@ -80,7 +89,7 @@ def metric_square(calc, cert, metric) -> MetricSquare:
 
     # pair_values[x][y] on quotient basis classes: lift both legs, contract
     # the middle with g, close with g again.
-    lifted = [qt.lift(basis_vector(qt.dim, x)) for x in range(qt.dim)]
+    lifted = [lift(qt, basis_vector(qt.dim, x)) for x in range(qt.dim)]
     values: list[list[Vector]] = []
     for x in range(qt.dim):
         row: list[Vector] = []
@@ -90,12 +99,12 @@ def metric_square(calc, cert, metric) -> MetricSquare:
                 s, t = divmod(sx, e.dim)
                 for sy, cy in lifted[y].items():
                     u, v = divmod(sy, e.dim)
-                    mid = g_plain.col(t * e.dim + u)
+                    mid = col(g_plain, t * e.dim + u)
                     inner = zero_vector(e.dim)
                     for i, c in vec_to_sparse(mid).items():
-                        lc = e.left[i].col(v)
+                        lc = col(e.left[i], v)
                         inner = tuple(p + c * q for p, q in zip(inner, lc))
-                    val = g.apply(qt.pure(basis_vector(e.dim, s), inner))
+                    val = g.apply(pure(qt, basis_vector(e.dim, s), inner))
                     c = cx * cy
                     acc = tuple(p + c * q for p, q in zip(acc, val))
             row.append(acc)
@@ -107,7 +116,7 @@ def metric_square(calc, cert, metric) -> MetricSquare:
             f"dual of the tensor square has dimension {t2_star.dim}, expected {qt.dim}")
     cols = []
     for x in range(qt.dim):
-        functional = Matrix.from_cols([values[x][y] for y in range(qt.dim)], alg.dim)
+        functional = from_cols([values[x][y] for y in range(qt.dim)], alg.dim)
         coords = t2_star.sparse_coords_of(functional)
         if coords is None:
             raise InconsistentMetricError("squared pairing is not right-linear in its second slot")
@@ -153,10 +162,10 @@ def classical_bracket_check(geo: Geometry) -> bool:
         for q in range(n):
             br = estar.matrix_of(geo.lie_table[p][q])
             for s in range(e.dim):
-                lhs = br.col(s)
-                t1 = maps[p].apply(calc.d0.apply(maps[q].col(s)))
-                t2 = maps[q].apply(calc.d0.apply(maps[p].col(s)))
-                w = n0.nabla.col(s)
+                lhs = col(br, s)
+                t1 = maps[p].apply(calc.d0.apply(col(maps[q], s)))
+                t2 = maps[q].apply(calc.d0.apply(col(maps[p], s)))
+                w = col(n0.nabla, s)
                 t3 = pair(qt, maps[p], maps[q], w)
                 t4 = pair(qt, maps[q], maps[p], w)
                 rhs = tuple(a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4))
@@ -171,12 +180,12 @@ def classical_bracket_check(geo: Geometry) -> bool:
 def sigma_flips_one_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     ne = geo.calc.one_forms.dim
-    for z in geo.cert.central_basis:
+    for z in geo.cert.center_one_forms.basis:
         for s in range(ne):
             e = basis_vector(ne, s)
-            if geo.cert.sigma.apply(qt.pure(z, e)) != qt.pure(e, z):
+            if geo.cert.sigma.apply(pure(qt, z, e)) != pure(qt, e, z):
                 return False
-            if geo.cert.sigma.apply(qt.pure(e, z)) != qt.pure(z, e):
+            if geo.cert.sigma.apply(pure(qt, e, z)) != pure(qt, z, e):
                 return False
     return True
 
@@ -185,10 +194,10 @@ def metric_symmetric_one_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     ne = geo.calc.one_forms.dim
     g = geo.metric.g
-    for z in geo.cert.central_basis:
+    for z in geo.cert.center_one_forms.basis:
         for s in range(ne):
             e = basis_vector(ne, s)
-            if g.apply(qt.pure(z, e)) != g.apply(qt.pure(e, z)):
+            if g.apply(pure(qt, z, e)) != g.apply(pure(qt, e, z)):
                 return False
     return True
 
@@ -197,9 +206,9 @@ def central_pair_values_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     zc = geo.calc.algebra.center()
     g = geo.metric.g
-    for z1 in geo.cert.central_basis:
-        for z2 in geo.cert.central_basis:
-            if not zc.contains_vector(g.apply(qt.pure(z1, z2))):
+    for z1 in geo.cert.center_one_forms.basis:
+        for z2 in geo.cert.center_one_forms.basis:
+            if not contains_vector(zc, g.apply(pure(qt, z1, z2))):
                 return False
     return True
 
@@ -210,13 +219,13 @@ def central_scalar_differentials_central(geo: Geometry) -> bool:
     zc_alg = geo.calc.algebra.center()
     ze = geo.cert.center_one_forms
     for f in zc_alg.basis:
-        if not ze.contains_vector(geo.calc.d0.apply(f)):
+        if not contains_vector(ze, geo.calc.d0.apply(f)):
             return False
     qt = geo.calc.tensor_square
-    for z1 in geo.cert.central_basis:
-        for z2 in geo.cert.central_basis:
-            val = geo.metric.g.apply(qt.pure(z1, z2))
-            if not ze.contains_vector(geo.calc.d0.apply(val)):
+    for z1 in geo.cert.center_one_forms.basis:
+        for z2 in geo.cert.center_one_forms.basis:
+            val = geo.metric.g.apply(pure(qt, z1, z2))
+            if not contains_vector(ze, geo.calc.d0.apply(val)):
                 return False
     return True
 
@@ -226,9 +235,9 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
     by the symmetry."""
     qt = geo.calc.tensor_square
     fixed = geo.cert.kernel_wedge  # the symmetrizer fixes exactly ker(wedge)
-    for z1 in geo.cert.central_basis:
+    for z1 in geo.cert.center_one_forms.basis:
         phi1 = v_g_map(geo.metric, z1)
-        for z2 in geo.cert.central_basis:
+        for z2 in geo.cert.center_one_forms.basis:
             phi2 = v_g_map(geo.metric, z2)
             for xi in fixed.basis:
                 lhs = pair(qt, phi1, phi2, xi)
@@ -252,11 +261,11 @@ def squared_pairing_symmetrizer_hops(geo: Geometry, square: MetricSquare) -> boo
 def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSquare) -> bool:
     """V_g(w) (x) V_g(h) against the squared contraction of h (x) w, on
     central pairs."""
-    for zw in cert.central_basis:
+    for zw in cert.center_one_forms.basis:
         phi_w = v_g_map(metric, zw)
-        for zh in cert.central_basis:
+        for zh in cert.center_one_forms.basis:
             phi_h = v_g_map(metric, zh)
-            target = qt.pure(zh, zw)
+            target = pure(qt, zh, zw)
             for y in range(qt.dim):
                 ey = basis_vector(qt.dim, y)
                 if pair(qt, phi_w, phi_h, ey) != square.pairing(target, ey):
@@ -267,8 +276,8 @@ def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSqu
 def fields_values_on_central_forms_central(geo: Geometry) -> bool:
     zc = geo.calc.algebra.center()
     for m in geo.fields.maps:
-        for z in geo.cert.central_basis:
-            if not zc.contains_vector(m.apply(z)):
+        for z in geo.cert.center_one_forms.basis:
+            if not contains_vector(zc, m.apply(z)):
                 return False
     return True
 
@@ -319,7 +328,7 @@ def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     n0 = geo.nabla0
     for i in range(geo.calc.algebra.dim):
-        w = n0.nabla.apply(geo.calc.d0.col(i))
+        w = n0.nabla.apply(col(geo.calc.d0, i))
         for p in range(geo.fields.count):
             for q in range(geo.fields.count):
                 fw = pair(qt, geo.fields.maps[p], geo.fields.maps[q], w)
@@ -371,14 +380,14 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
         # V_g(theta) along V_g(eta), evaluated at omega
         y = vec_to_sparse(geo.metric.v_g.apply(eta))
         theta_form = geo.metric.v_g_inv.apply(sparse_to_vec(theta_coords, estar.dim))
-        gval = geo.metric.g.apply(qt.pure(theta_form, omega))
+        gval = geo.metric.g.apply(pure(qt, theta_form, omega))
         der = covariant_derivative(geo, conn, theta_coords, y)
         first = geo.dual(y).delta.apply(gval)
         second = estar.matrix_of(der).apply(omega)
         return tuple(a - b for a, b in zip(first, second))
 
-    for eta in geo.cert.central_basis:
-        for z in geo.cert.central_basis:
+    for eta in geo.cert.center_one_forms.basis:
+        for z in geo.cert.center_one_forms.basis:
             theta = vec_to_sparse(geo.metric.v_g.apply(z))
             for a in zc.basis:
                 theta_a = _apply_sparse(right_action(estar.bimodule, a), theta)
@@ -386,7 +395,7 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
                     omega = basis_vector(ne, s)
                     lhs = t_tilde(eta, theta_a, omega)
                     base = t_tilde(eta, theta, omega)
-                    rhs = geo.calc.algebra.multiply(base, a)
+                    rhs = multiply_dense(geo.calc.algebra, base, a)
                     if lhs != rhs:
                         return False
     return True
@@ -397,7 +406,7 @@ def dual_pairing_central_and_symmetric(geo: Geometry) -> bool:
     ne = geo.metric.e_star.dim
     for x in geo.fields.basis:
         for y in geo.fields.basis:
-            if not zc.contains_vector(gt(geo, x, y)):
+            if not contains_vector(zc, gt(geo, x, y)):
                 return False
         for j in range(ne):
             if gt(geo, x, {j: ONE}) != gt(geo, {j: ONE}, x):
@@ -416,7 +425,7 @@ def delta_translation_identity(geo: Geometry) -> bool:
                 base = geo.dual(z).delta.apply(gxy)
                 for i in range(alg.dim):
                     za = _apply_sparse(estar.bimodule.right[i], z)
-                    lhs = alg.multiply(base, basis_vector(alg.dim, i))
+                    lhs = multiply_dense(alg, base, basis_vector(alg.dim, i))
                     if lhs != geo.dual(za).delta.apply(gxy):
                         return False
     return True
@@ -427,6 +436,6 @@ def pairing_evaluation_identity(geo: Geometry) -> bool:
     for i in range(estar.dim):
         phim = estar.matrix_of({i: ONE})
         for j in range(estar.dim):
-            if phim.apply(geo.metric.v_g_inv.col(j)) != gt(geo, {i: ONE}, {j: ONE}):
+            if phim.apply(col(geo.metric.v_g_inv, j)) != gt(geo, {i: ONE}, {j: ONE}):
                 return False
     return True

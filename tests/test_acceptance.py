@@ -7,7 +7,8 @@ the wall-clock budgets.  Run with -s to see one PASS line per criterion.
 import time
 
 import lemma_checks as lc
-from perturbations import random_leibniz_perturbation
+from dense_reference import vec_is_zero
+from perturbations import random_leibniz_perturbation, random_metric
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import build_symmetry, validate_calculus
 from tamecalc.cli import main
@@ -22,8 +23,8 @@ from tamecalc.connection import (
     reconstruct_from_table,
     torsion,
 )
-from tamecalc.linalg import ONE, _lincomb, qi, vec_is_zero, vec_to_sparse
-from tamecalc.metric import random_metric, validate_metric
+from tamecalc.linalg import ONE, _lincomb, qi, vec_to_sparse
+from tamecalc.metric import validate_metric
 
 
 def report(criterion: int, message: str) -> None:
@@ -132,7 +133,7 @@ def test_criterion_5_lie_algebra_structure(fuzzy_geo):
 def test_criterion_6_flat_baseline(torus_geo):
     geo = torus_geo
     kz = levi_civita_koszul(geo)
-    for z in geo.cert.central_basis:
+    for z in geo.cert.center_one_forms.basis:
         assert vec_is_zero(kz.connection.nabla.apply(z))
     assert all(entry == {} for row in kz.table for entry in row)
     report(6, "abelian preset: connection vanishes on the frame, table is zero")

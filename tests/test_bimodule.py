@@ -4,7 +4,15 @@ import hashlib
 
 import pytest
 
-from dense_reference import left_action, right_action
+from dense_reference import (
+    contains_vector,
+    from_cols,
+    left_action,
+    lift,
+    multiply_dense,
+    pure,
+    right_action,
+)
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import (
     Bimodule,
@@ -152,7 +160,7 @@ def test_project_section_round_trip(fuzzy_calc):
     for j in range(0, qt.ambient_dim, 17):
         x = basis_vector(qt.ambient_dim, j)
         diff = tuple(a - b for a, b in zip(qt.section.apply(qt.project.apply(x)), x))
-        assert qt.relations.contains_vector(diff)
+        assert contains_vector(qt.relations, diff)
 
 
 def _digest(matrices):
@@ -203,8 +211,8 @@ def test_middle_linearity_in_the_quotient(fuzzy_calc):
             for t in (0, 7):
                 ea = e.right[i].apply(basis_vector(e.dim, s))
                 af = e.left[i].apply(basis_vector(e.dim, t))
-                lhs = qt.pure(ea, basis_vector(e.dim, t))
-                rhs = qt.pure(basis_vector(e.dim, s), af)
+                lhs = pure(qt, ea, basis_vector(e.dim, t))
+                rhs = pure(qt, basis_vector(e.dim, s), af)
                 assert lhs == rhs
 
 
@@ -221,12 +229,12 @@ def test_tensor_associativity_on_triples():
         for j in range(alg.dim):
             for k in range(alg.dim):
                 a, b, c = (basis_vector(alg.dim, m) for m in (i, j, k))
-                lhs = left_assoc.pure(t2.pure(a, b), c)
-                rhs = right_assoc.pure(a, t2.pure(b, c))
+                lhs = pure(left_assoc, pure(t2, a, b), c)
+                rhs = pure(right_assoc, a, pure(t2, b, c))
                 # both equal the class of abc under the unit identifications
-                abc = alg.multiply(alg.multiply(a, b), c)
-                assert lhs == left_assoc.pure(t2.pure(abc, alg.unit), alg.unit)
-                assert rhs == right_assoc.pure(abc, t2.pure(alg.unit, alg.unit))
+                abc = multiply_dense(alg, multiply_dense(alg, a, b), c)
+                assert lhs == pure(left_assoc, pure(t2, abc, alg.unit), alg.unit)
+                assert rhs == pure(right_assoc, abc, pure(t2, alg.unit, alg.unit))
 
 
 # -- hom modules --------------------------------------------------------------
@@ -282,7 +290,7 @@ def test_hom_actions_match_pointwise_rule(fuzzy_calc):
             ta = h.matrix_of(vec_to_sparse(h.bimodule.right[i].apply(coords)))
             for j in (0, 5, 11):
                 f = basis_vector(e.dim, j)
-                assert at.apply(f) == alg.multiply(basis_vector(alg.dim, i), t.apply(f))
+                assert at.apply(f) == multiply_dense(alg, basis_vector(alg.dim, i), t.apply(f))
                 assert ta.apply(f) == t.apply(e.left[i].apply(f))
 
 
@@ -298,7 +306,7 @@ def test_chevalley_dual_generators_are_central(fuzzy_calc):
     z = module_center(fuzzy_calc.one_forms)
     for j in range(3):
         theta_j = basis_vector(12, j * 4)  # phi_{j, alpha=unit}
-        assert z.contains_vector(theta_j)
+        assert contains_vector(z, theta_j)
     assert z.dim == 3
 
 
@@ -351,7 +359,7 @@ def test_quotient_center_contains_central_pure_tensors(fuzzy_calc):
     ze = module_center(fuzzy_calc.one_forms)
     for z1 in ze.basis:
         for z2 in ze.basis:
-            assert zt.contains_vector(qt.pure(z1, z2))
+            assert contains_vector(zt, pure(qt, z1, z2))
 
 
 # -- decomposition and pairing ------------------------------------------------
@@ -372,11 +380,11 @@ def central_decomposition(qt, x):
         raise ContractViolationError(
             "central_decomposition: right factor is not centered", witness=rep.witness)
     zbasis = list(rep.center.basis)
-    solver = ColumnSolver(Matrix.from_cols(right_span_columns(f, zbasis), f.dim))
+    solver = ColumnSolver(from_cols(right_span_columns(f, zbasis), f.dim))
     nA = f.algebra.dim
     fdim = f.dim
     firsts = {}
-    for idx, c in qt.lift(x).items():
+    for idx, c in lift(qt, x).items():
         s, t = divmod(idx, fdim)
         rep_t = solver.solve({t: ONE})
         assert rep_t is not None, "centered module failed to span itself"
@@ -397,7 +405,7 @@ def test_central_decomposition_round_trip(fuzzy_calc):
         pieces = central_decomposition(qt, x)
         rebuilt = zero_vector(qt.dim)
         for first, central in pieces:
-            rebuilt = tuple(a + b for a, b in zip(rebuilt, qt.pure(first, central)))
+            rebuilt = tuple(a + b for a, b in zip(rebuilt, pure(qt, first, central)))
         assert rebuilt == x
 
 
@@ -406,6 +414,6 @@ def test_pair_apply_on_regular_tensor(fuzzy):
     reg = Bimodule.regular(alg)
     qt = tensor_over_A(reg, reg)
     ident = Matrix.identity(4)  # the identity functional A -> A
-    x = qt.pure(basis_vector(4, 1), basis_vector(4, 2))  # class of U (x) V
+    x = pure(qt, basis_vector(4, 1), basis_vector(4, 2))  # class of U (x) V
     got = pair_apply(qt, ident, ident, vec_to_sparse(x))
     assert got == {3: ONE}  # U * V = W

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dense_reference import from_rows, wedge_of
+from dense_reference import col, from_rows, pure, vec_is_zero, wedge_of
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, dual_module, module_center, pair_apply
 from tamecalc.builders import (
@@ -25,7 +25,6 @@ from tamecalc.linalg import (
     basis_vector,
     qi,
     sparse_to_vec,
-    vec_is_zero,
     vec_to_sparse,
     zero_vector,
 )
@@ -83,7 +82,7 @@ def test_d1_matches_direct_formula_oracle(fuzzy_spec, fuzzy):
     pairs = [(0, 1), (0, 2), (1, 2)]
     for j in range(nL):
         for alpha in range(nA):
-            col = fuzzy.d1.col(j * nA + alpha)
+            d1_col = col(fuzzy.d1, j * nA + alpha)
 
             def phi(vec_l):  # the functional phi_{j, alpha} on L coordinates
                 out = zero_vector(nA)
@@ -97,7 +96,7 @@ def test_d1_matches_direct_formula_oracle(fuzzy_spec, fuzzy):
                 val = tuple(x - y for x, y in zip(
                     val, fuzzy_spec.actions[q].apply(phi(basis_vector(nL, p)))))
                 val = tuple(x - y for x, y in zip(val, phi(fuzzy_spec.brackets[p][q])))
-                assert col[m * nA:(m + 1) * nA] == val
+                assert d1_col[m * nA:(m + 1) * nA] == val
 
 
 def test_tampered_d1_reports_graded_leibniz(fuzzy):
@@ -134,7 +133,7 @@ def test_wedge_of_matches_plain_tensor_product(fuzzy):
     # wedge(e (x) f) is the wedge matrix applied to the Kronecker coordinates
     n = fuzzy.one_forms.dim
     for i, j in ((0, 1), (1, 3), (2, 2)):
-        e_vec, f_vec = fuzzy.d0.col(i), fuzzy.d0.col(j)
+        e_vec, f_vec = col(fuzzy.d0, i), col(fuzzy.d0, j)
         plain = tuple(e_vec[s] * f_vec[t] for s in range(n) for t in range(n))
         got = _lincomb(fuzzy.wedge_terms(vec_to_sparse(e_vec), vec_to_sparse(f_vec)))
         assert sparse_to_vec(got, fuzzy.two_forms.dim) == fuzzy.wedge_plain.apply(plain)
@@ -211,7 +210,9 @@ def test_wedge_kernel_mismatch_is_reported(fuzzy):
     outcome = build_symmetry(broken)
     assert not outcome.ok
     assert outcome.failure.condition == "PsymRangeMismatch"
-    assert outcome.failure.witness is not None
+    # the symmetrizer image lies in the kernel (everything), so the witness
+    # is the first kernel basis vector outside the image
+    assert outcome.failure.witness == basis_vector(36, 4)
 
 
 def test_oversized_two_forms_break_wedge_inverse(fuzzy):
@@ -246,20 +247,20 @@ def _block_diag(m):
 
 def test_sigma_flips_central_tensors(fuzzy_cert):
     qt = fuzzy_cert.tensor_square
-    for z1 in fuzzy_cert.central_basis:
-        for z2 in fuzzy_cert.central_basis:
-            assert fuzzy_cert.sigma.apply(qt.pure(z1, z2)) == qt.pure(z2, z1)
+    for z1 in fuzzy_cert.center_one_forms.basis:
+        for z2 in fuzzy_cert.center_one_forms.basis:
+            assert fuzzy_cert.sigma.apply(pure(qt, z1, z2)) == pure(qt, z2, z1)
 
 
 def test_sigma_flips_with_one_central_factor(fuzzy_cert):
     # the flip persists when only one leg is central
     qt = fuzzy_cert.tensor_square
     e_dim = fuzzy_cert.calculus.one_forms.dim
-    for z in fuzzy_cert.central_basis:
+    for z in fuzzy_cert.center_one_forms.basis:
         for s in (0, 5, 11):
             e = basis_vector(e_dim, s)
-            assert fuzzy_cert.sigma.apply(qt.pure(z, e)) == qt.pure(e, z)
-            assert fuzzy_cert.sigma.apply(qt.pure(e, z)) == qt.pure(z, e)
+            assert fuzzy_cert.sigma.apply(pure(qt, z, e)) == pure(qt, e, z)
+            assert fuzzy_cert.sigma.apply(pure(qt, e, z)) == pure(qt, z, e)
 
 
 def test_certificate_operator_identities(fuzzy_cert):
@@ -290,7 +291,7 @@ def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
     theta = [basis_vector(12, j * 4) for j in range(3)]
     w = wedge_of(fuzzy, theta[0], theta[1])
     expect = tuple(HALF * (a - b) for a, b in
-                   zip(qt.pure(theta[0], theta[1]), qt.pure(theta[1], theta[0])))
+                   zip(pure(qt, theta[0], theta[1]), pure(qt, theta[1], theta[0])))
     assert fuzzy_cert.q_inverse.apply(w) == expect
 
 

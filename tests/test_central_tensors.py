@@ -9,12 +9,13 @@ solved by solve_through over the translates pi(z_p (x) z_q) . a_r.
 
 import pytest
 
-from dense_reference import through_central_tensors
+from dense_reference import pure, through_central_tensors
+from perturbations import random_metric
 from tamecalc.bimodule import CentralGenerators
 from tamecalc.calculus import build_symmetry
 from tamecalc.connection import Geometry, compat_values, levi_civita_direct, pi_g_matrix
 from tamecalc.linalg import ONE, Matrix, _apply_sparse, vec_to_sparse
-from tamecalc.metric import random_metric, validate_metric
+from tamecalc.metric import validate_metric
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +44,8 @@ def test_family_is_the_central_tensors(geo):
 def test_sigma_matches_solve_through(geo):
     calc = geo.calc
     qt = calc.tensor_square
-    zs = geo.cert.central_basis
-    flipped = [qt.bimodule.right[r].apply(qt.pure(zq, zp))
+    zs = geo.cert.center_one_forms.basis
+    flipped = [qt.bimodule.right[r].apply(pure(qt, zq, zp))
                for zp in zs for zq in zs for r in range(calc.algebra.dim)]
     assert geo.cert.sigma == through_central_tensors(calc, flipped, qt.dim)
 
@@ -87,7 +88,7 @@ def test_seeded_metric_on_a_module_that_is_not_free(line_geo, seed):
     g = random_metric(calc, cert, seed)
     assert validate_metric(calc, cert, g).ok
     # g(z_p (x) z_q) is not 1 on the diagonal and 0 off it
-    k = len(cert.central_basis)
+    k = len(cert.center_one_forms.basis)
     unit = vec_to_sparse(alg.unit)
     on_central = [_apply_sparse(g, z) for z in cert.spanning.zs]
     assert on_central != [unit if p == q else {} for p in range(k) for q in range(k)]

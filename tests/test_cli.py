@@ -23,6 +23,7 @@ from tamecalc.specfile import (
     input_digest,
     load_spec,
     matrix_to_json,
+    save_spec,
 )
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" /
@@ -160,12 +161,12 @@ def test_connect_torus_flat(workdir, capsys):
     spec = load_spec(workdir / "torus.json")
     from tamecalc.calculus import build_symmetry
     from tamecalc.specfile import connection_from_json
-    from tamecalc.linalg import vec_is_zero
+    from dense_reference import vec_is_zero
 
     cert = build_symmetry(spec.calculus).certificate
     nabla, _ = connection_from_json(obj, spec.calculus.tensor_square.dim,
                                     spec.calculus.one_forms.dim)
-    for z in cert.central_basis:
+    for z in cert.center_one_forms.basis:
         assert vec_is_zero(nabla.apply(z))
 
 
@@ -214,7 +215,7 @@ def test_connect_with_frame_override(workdir, capsys, tmp_path):
 
     cert = build_symmetry(spec.calculus).certificate
     e = spec.calculus.one_forms
-    gens = list(cert.central_basis)
+    gens = list(cert.center_one_forms.basis)
     gens.append(e.right[1].apply(gens[0]))  # redundant translate
     override = tmp_path / "frame.json"
     override.write_text(json.dumps({"frame": [vector_to_json(v) for v in gens]}))
@@ -227,6 +228,41 @@ def test_connect_with_frame_override(workdir, capsys, tmp_path):
     a1 = json.loads(art1.read_text())
     a2 = json.loads(art2.read_text())
     assert a1["nabla"] == a2["nabla"]
+
+
+def _overcomplete_frame(spec):
+    """The central basis of the one-forms and one right translate of its
+    first element, as dense JSON vectors."""
+    from tamecalc.calculus import build_symmetry
+    from tamecalc.specfile import vector_to_json
+
+    cert = build_symmetry(spec.calculus).certificate
+    gens = list(cert.center_one_forms.basis)
+    gens.append(spec.calculus.one_forms.right[1].apply(gens[0]))
+    return [vector_to_json(v) for v in gens]
+
+
+def test_spec_with_frame_saves_back_byte_identical(workdir, tmp_path):
+    obj = json.loads((workdir / "fuzzy.json").read_text())
+    obj["frame"] = _overcomplete_frame(load_spec(workdir / "fuzzy.json"))
+    src = tmp_path / "framed.json"
+    src.write_text(dumps_canonical(obj))
+    out = tmp_path / "saved.json"
+    save_spec(load_spec(src), out)
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_overcomplete_frame_writes_the_default_artifact(workdir, capsys, tmp_path):
+    # the Levi-Civita connection does not depend on the reference frame, so
+    # the whole artifact, table and checks included, is byte-identical
+    override = tmp_path / "frame.json"
+    override.write_text(json.dumps({"frame": _overcomplete_frame(load_spec(workdir / "fuzzy.json"))}))
+    default, framed = tmp_path / "default.json", tmp_path / "framed.json"
+    assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(default)]) == 0
+    assert main(["connect", str(workdir / "fuzzy.json"), "--frame", str(override),
+                 "--out", str(framed)]) == 0
+    capsys.readouterr()
+    assert framed.read_bytes() == default.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["check", "connect"])
@@ -335,7 +371,7 @@ def test_connect_with_non_spanning_frame_fails(workdir, capsys, tmp_path):
     cert = build_symmetry(spec.calculus).certificate
     override = tmp_path / "bad-frame.json"
     override.write_text(json.dumps(
-        {"frame": [vector_to_json(cert.central_basis[0])]}))
+        {"frame": [vector_to_json(cert.center_one_forms.basis[0])]}))
     code = main(["connect", str(workdir / "fuzzy.json"), "--frame", str(override),
                  "--out", str(tmp_path / "never.json")])
     capsys.readouterr()
@@ -433,6 +469,65 @@ def test_verify_malformed_artifact_exits_two(workdir, capsys, tmp_path):
     art = tmp_path / "malformed.json"
     art.write_text(json.dumps({"nabla": [["0", "0"]]}))
     assert main(["verify", str(workdir / "fuzzy.json"), str(art)]) == 2
+
+
+def _input_error(capsys) -> str:
+    """The one stderr line of a command refused as bad input."""
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    return err
+
+
+# a scalar object's fields must be strings or integers: a list or null used
+# to end in a TypeError traceback, a float or a bool to load silently
+MALFORMED_SCALARS = [{"re": [1]}, {"re": None}, {"re": 0.1}, {"im": True}]
+
+
+@pytest.mark.parametrize("scalar", MALFORMED_SCALARS, ids=["list", "null", "float", "bool"])
+def test_malformed_scalar_object_in_spec_exits_two(workdir, capsys, tmp_path, scalar):
+    obj = json.loads((workdir / "fuzzy.json").read_text())
+    obj["d0"][1][0] = scalar
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    assert "spec.d0[1]: bad scalar" in _input_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def fuzzy_artifact(workdir):
+    art = workdir / "fuzzy.scalars.connection.json"
+    assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(art)]) == 0
+    return json.loads(art.read_text())
+
+
+@pytest.mark.parametrize("scalar", MALFORMED_SCALARS, ids=["list", "null", "float", "bool"])
+def test_malformed_scalar_object_in_verify_table_exits_two(workdir, fuzzy_artifact, capsys,
+                                                           tmp_path, scalar):
+    obj = json.loads(json.dumps(fuzzy_artifact))
+    obj["table"][0][1][8] = scalar
+    bad = tmp_path / "bad.connection.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["verify", str(workdir / "fuzzy.json"), str(bad)]) == 2
+    assert "connection.table[0][1]: bad scalar" in _input_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["gen", "connect"])
+def test_unwritable_out_path_exits_two(workdir, capsys, tmp_path, command):
+    out = tmp_path / "missing" / "dir" / "x.json"
+    if command == "gen":
+        argv = ["gen", "abelian-torus", "--n", "2", "--out", str(out)]
+    else:
+        argv = ["connect", str(workdir / "fuzzy.json"), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"cannot write {out}" in _input_error(capsys)
+
+
+def test_gen_of_an_unshipped_size_exits_two(capsys, tmp_path):
+    out = tmp_path / "torus3.json"
+    assert main(["gen", "abelian-torus", "--n", "3", "--out", str(out)]) == 2
+    assert "abelian-torus --n 3" in _input_error(capsys)
+    assert not out.exists()
 
 
 # -- full round trip -------------------------------------------------------------

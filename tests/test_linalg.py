@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import conjugate, from_rows, intersect, row_space
+from dense_reference import col, conjugate, from_rows, intersect, row_space, vec_is_zero
 from tamecalc.linalg import (
     I,
     ONE,
@@ -29,7 +29,6 @@ from tamecalc.linalg import (
     solve_sparse,
     solve_through,
     sparse_to_vec,
-    vec_is_zero,
     vec_to_sparse,
 )
 
@@ -119,46 +118,50 @@ def test_scalar_fraction_views():
 # -- solve ------------------------------------------------------------------
 
 def solve(m, b):
-    """One right-hand side through solve_sparse: the particular solution or None."""
+    """One sparse right-hand side through solve_sparse: the sparse particular
+    solution or None."""
     (x,), _ = solve_sparse(m.sparse_rows(), m.cols, [b])
     return x
 
 
 def test_solve_one_by_one_zero_rhs():
     m = mat([[1]])
-    assert solve(m, (ZERO,)) == (ZERO,)
+    assert solve(m, {}) == {}
+    assert solve(m, {0: qi(3)}) == {0: qi(3)}
     assert m.kernel().dim == 0
 
 
 def test_solve_zero_matrix_full_kernel():
     m = mat([[0]])
-    assert solve(m, (ZERO,)) == (ZERO,)
+    assert solve(m, {}) == {}
     assert m.kernel().basis == ((ONE,),)
 
 
 def test_solve_complex_rank_one_kernel():
     # Hand row-reduction over Q(i): row2 = i*row1, kernel spanned by (-i, 1).
     m = mat([[1, I], [I, -1]])
-    (x,), rank = solve_sparse(m.sparse_rows(), m.cols, [(ZERO, ZERO)])
-    assert x == (ZERO, ZERO)
+    (x,), rank = solve_sparse(m.sparse_rows(), m.cols, [{}])
+    assert x == {}
     assert rank == m.rank() == 1
     assert m.kernel() == Subspace(2, [(-I, ONE)])
 
 
 def test_solve_no_solution():
     m = mat([[1, 1], [1, 1]])
-    assert solve(m, (qi(1), qi(2))) is None
+    assert solve(m, {0: qi(1), 1: qi(2)}) is None
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(LinAlgError):
-        solve(mat([[1, 0]]), (ONE, ONE))
+    # a right-hand-side row outside the system's rows is refused
+    for row in (1, 5, -1):
+        with pytest.raises(LinAlgError):
+            solve(mat([[1, 0]]), {0: ONE, row: ONE})
 
 
 def test_solve_sparse_mixed_rhs():
     m = mat([[1, 0], [0, 0]])
-    got, rank = solve_sparse(m.sparse_rows(), m.cols, [(ONE, ZERO), (ZERO, ONE)])
-    assert got[0] == (ONE, ZERO)
+    got, rank = solve_sparse(m.sparse_rows(), m.cols, [{0: ONE}, {1: ONE}])
+    assert got[0] == {0: ONE}
     assert got[1] is None
     assert rank == 1
 
@@ -282,9 +285,10 @@ dense_or_sparse = st.integers(min_value=1, max_value=4).flatmap(
 def test_solve_residual_is_exactly_zero(m, data):
     x = tuple(data.draw(scalars) for _ in range(m.cols))
     b = m.apply(x)
-    got = solve(m, b)
+    got = solve(m, vec_to_sparse(b))
     assert got is not None
-    assert vec_is_zero(tuple(u - v for u, v in zip(m.apply(got), b)))
+    assert all(not v.is_zero() for v in got.values())
+    assert vec_is_zero(tuple(u - v for u, v in zip(m.apply(sparse_to_vec(got, m.cols)), b)))
     for k in m.kernel().basis:
         assert vec_is_zero(m.apply(k))
 
@@ -381,7 +385,7 @@ def test_column_solver_matches_one_shot_solve(m, data):
     assert m.apply(sparse_to_vec(got, m.cols)) == b
     # an unreachable rhs is refused exactly when the one-shot solve refuses it
     b2 = tuple(data.draw(scalars) for _ in range(m.rows))
-    assert (solver.solve(vec_to_sparse(b2)) is None) == (solve(m, b2) is None)
+    assert (solver.solve(vec_to_sparse(b2)) is None) == (solve(m, vec_to_sparse(b2)) is None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,7 +396,7 @@ def test_solve_through_reproduces_random_map(m, data):
     target = from_rows(
         [[data.draw(scalars) for _ in range(m.rows)] for _ in range(out_dim)])
     # append the standard basis so the columns always span the domain
-    cols = [m.col(j) for j in range(m.cols)]
+    cols = [col(m, j) for j in range(m.cols)]
     cols += [basis_vector(m.rows, i) for i in range(m.rows)]
     values = [target.apply(c) for c in cols]
     got = solve_through(cols, values, out_dim=out_dim)

@@ -1,8 +1,12 @@
 """Metrics, V_g, the vector-field module, the squared metric, g-tilde."""
 
+from random import Random
+
 import pytest
 
 import lemma_checks as lc
+from dense_reference import col, contains_vector, pure, vec_is_zero
+from perturbations import random_metric
 from tamecalc.linalg import (
     Matrix,
     ONE,
@@ -10,11 +14,10 @@ from tamecalc.linalg import (
     ZERO,
     _apply_sparse,
     basis_vector,
-    vec_is_zero,
     vec_to_sparse,
     zero_vector,
 )
-from tamecalc.metric import random_metric, validate_metric, vector_fields
+from tamecalc.metric import validate_metric, vector_fields
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +54,7 @@ def test_euclidean_metric_values_on_generators(fuzzy, fuzzy_metric):
     unit = p.calculus.algebra.unit
     for i in range(3):
         for j in range(3):
-            got = fuzzy_metric.g.apply(qt.pure(theta[i], theta[j]))
+            got = fuzzy_metric.g.apply(pure(qt, theta[i], theta[j]))
             assert got == (unit if i == j else zero_vector(4))
 
 
@@ -77,6 +80,24 @@ def test_asymmetric_metric_rejected(fuzzy):
     outcome = validate_metric(p.calculus, cert, g)
     assert not outcome.ok
     assert outcome.failure.reason == "NotSymmetric"
+    # the witness is the first quotient basis vector where g sigma and g differ
+    assert outcome.failure.witness == basis_vector(p.calculus.tensor_square.dim, 4)
+
+
+def test_seeded_nonsymmetric_metric_witness(fuzzy):
+    # a constant metric on the frame one-forms with c_01 != c_10, rescaled
+    # by a seed: symmetric nowhere off the diagonal, so the first column of
+    # g sigma - g names the failure
+    from conftest import constant_metric_plain
+    from tamecalc.builders import matrix_derivations_chevalley
+
+    p, cert = fuzzy
+    k = Random(5).choice((2, -3, 5))
+    c = [[k * x for x in row] for row in ((2, 1, -1), (-1, 3, 1), (-1, 1, 2))]
+    g = constant_metric_plain(matrix_derivations_chevalley(2), c)
+    outcome = validate_metric(p.calculus, cert, g)
+    assert outcome.failure.reason == "NotSymmetric"
+    assert outcome.failure.witness == basis_vector(p.calculus.tensor_square.dim, 4)
 
 
 def fuzzy_euclidean_quotient(p, cert):
@@ -168,8 +189,8 @@ def test_fields_values_on_central_forms_are_central(fuzzy, fuzzy_metric, fuzzy_f
     p, cert = fuzzy
     zc = p.calculus.algebra.center()
     for m in fuzzy_fields.maps:
-        for z in cert.central_basis:
-            assert zc.contains_vector(m.apply(z))
+        for z in cert.center_one_forms.basis:
+            assert contains_vector(zc, m.apply(z))
 
 
 def test_fields_are_right_total(fuzzy, fuzzy_fields):
@@ -204,10 +225,10 @@ def test_metric_square_euclidean_values(fuzzy, fuzzy_metric, fuzzy_square):
     theta = [basis_vector(12, j * 4) for j in range(3)]
     for i in range(3):
         for j in range(3):
-            x = qt.pure(theta[i], theta[j])
+            x = pure(qt, theta[i], theta[j])
             for k in range(3):
                 for l in range(3):
-                    y = qt.pure(theta[k], theta[l])
+                    y = pure(qt, theta[k], theta[l])
                     got = fuzzy_square.pairing(x, y)
                     want = unit if (j == k and i == l) else zero_vector(4)
                     assert got == want
@@ -255,7 +276,7 @@ def test_g_tilde_evaluation_identity(fuzzy_geo, fuzzy_metric):
     for i in (0, 3, 7, 11):
         phim = m.e_star.matrix_of({i: ONE})
         for j in (0, 5, 9):
-            lhs = phim.apply(m.v_g_inv.col(j))
+            lhs = phim.apply(col(m.v_g_inv, j))
             assert lhs == lc.gt(fuzzy_geo, {i: ONE}, {j: ONE})
 
 

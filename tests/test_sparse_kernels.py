@@ -123,3 +123,21 @@ def test_leibniz_witness_matches_dense_reference(geometries, hom_bases, data):
         assert got == leibniz_witness_dense(geo.calc, conn)
         if not breaks:
             assert got is None
+
+
+def test_engine_modules_import_no_dense_vector_helpers():
+    # between the spec loader and the artifact writer a vector is a
+    # zero-free sparse dict; the calculus, metric and connection layers
+    # import no dense vector type or converter
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    dense = {"Vector", "vec_to_sparse", "sparse_to_vec", "zero_vector", "vec_is_zero"}
+    src = Path(tamecalc.__file__).parent
+    for name in ("calculus.py", "connection.py", "metric.py"):
+        tree = ast.parse((src / name).read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & dense, (name, imported & dense)

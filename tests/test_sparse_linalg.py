@@ -13,7 +13,14 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import DenseMatrix, from_rows, graded_leibniz_dense, kronecker_dense, rref_full
+from dense_reference import (
+    DenseMatrix,
+    from_cols,
+    from_rows,
+    graded_leibniz_dense,
+    kronecker_dense,
+    rref_full,
+)
 from tamecalc import linalg
 from tamecalc.bimodule import Bimodule
 from tamecalc.builders import abelian_torus_chevalley, build_chevalley, matrix_derivations_chevalley
@@ -92,14 +99,15 @@ def test_solvers_match_reference_elimination(system, data):
     rows, ncols, _ = system
     coeff = zero_free([{c: v for c, v in r.items() if c < ncols} for r in rows])
     n = len(coeff)
-    rhs = [tuple(data.draw(scalars) for _ in range(n)) for _ in range(data.draw(st.integers(0, 3)))]
+    rhs = [vec_to_sparse(tuple(data.draw(scalars) for _ in range(n)))
+           for _ in range(data.draw(st.integers(0, 3)))]
     m = Matrix.from_sparse_rows(coeff, ncols)
     x = tuple(data.draw(scalars) for _ in range(ncols))
-    rhs.append(m.apply(x))                                  # always consistent
+    rhs.append(vec_to_sparse(m.apply(x)))                   # always consistent
 
     def run():
         solver = ColumnSolver(m)
-        return (solve_sparse(coeff, ncols, rhs), [solver.solve(vec_to_sparse(b)) for b in rhs],
+        return (solve_sparse(coeff, ncols, rhs), [solver.solve(b) for b in rhs],
                 solver.rank, kernel_rows(coeff, ncols))
 
     got = run()
@@ -120,7 +128,7 @@ def test_constructors_store_no_zeros_and_agree(grid):
         Matrix(rows, cols, entries),
         Matrix.from_sparse_rows([vec_to_sparse(r) for r in entries], cols),
         Matrix.from_sparse_cols([vec_to_sparse(c) for c in dense_cols], rows),
-        Matrix.from_cols(dense_cols, rows),
+        from_cols(dense_cols, rows),
     ]
     want = tuple(tuple(r) for r in entries)
     for m in built:
