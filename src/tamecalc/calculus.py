@@ -113,9 +113,6 @@ class CalculusReport:
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def failures(self) -> list[CheckItem]:
-        return [item for item in self.items if not item.ok]
-
     def __iter__(self) -> Iterator[CheckItem]:
         return iter(self.items)
 

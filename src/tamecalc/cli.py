@@ -31,10 +31,10 @@ from .linalg import LinAlgError
 from .metric import validate_metric
 from .specfile import (
     SpecData,
+    check_writable,
     connection_from_json,
     connection_to_json,
     dumps_canonical,
-    input_digest,
     load_json,
     load_metric_override,
     load_frame_override,
@@ -53,6 +53,7 @@ class ReportBuilder:
         self.command = command
         self.path = path
         self.seed = seed
+        self.digest: str | None = None   # the spec's, set by run_structure_checks
         self.checks: list[dict] = []
         self.summary: dict = {}
         self.t0 = time.monotonic()
@@ -75,7 +76,7 @@ class ReportBuilder:
             "version": __version__,
             "command": self.command,
             "input": self.path,
-            "input_digest": input_digest(self.path) if self.path else None,
+            "input_digest": self.digest,
             "seed": self.seed,
             "checks": self.checks,
             "summary": self.summary,
@@ -106,6 +107,7 @@ def emit(report: dict, as_json: bool) -> None:
 
 def run_structure_checks(spec: SpecData, rb: ReportBuilder, metric_path: str | None):
     """Algebra, calculus, tameness and metric validation; returns what passed."""
+    rb.digest = spec.digest
     calc = spec.calculus
     try:
         calc.algebra.validate()
@@ -185,6 +187,8 @@ def cmd_connect(args) -> int:
     frame = spec.frame
     if args.frame is not None:
         frame = load_frame_override(args.frame, spec.calculus.one_forms.dim)
+    out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
+    check_writable(out)
     geo = Geometry(spec.calculus, cert, metric, frame=frame)
     try:
         koszul = levi_civita_koszul(geo)
@@ -208,8 +212,7 @@ def cmd_connect(args) -> int:
         rb.add(name, ok)
     rb.summary["levi_civita"] = all(checks.values())
 
-    out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
-    artifact = connection_to_json(conn.nabla, koszul.table, checks, input_digest(args.spec))
+    artifact = connection_to_json(conn.nabla, koszul.table, checks, spec.digest)
     write_file(out, dumps_canonical(artifact))
     rb.summary["artifact"] = out
     code = EXIT_OK if all(checks.values()) else EXIT_MATH
@@ -226,7 +229,7 @@ def cmd_verify(args) -> int:
         return EXIT_MATH
 
     calc = spec.calculus
-    obj = load_json(args.connection)
+    obj, _ = load_json(args.connection)
     nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
     verdicts = certify(Geometry(calc, cert, metric), Connection(nabla))
 
@@ -244,7 +247,7 @@ def cmd_verify(args) -> int:
     if table is not None:
         rb.add("table_matches_connection", tuple(map(tuple, table)) == verdicts.table)
     if "input_digest" in obj:
-        rb.add("input_digest_matches", obj["input_digest"] == input_digest(args.spec))
+        rb.add("input_digest_matches", obj["input_digest"] == spec.digest)
     rb.summary["torsionless"] = not tw
     rb.summary["compatible"] = not cw
     code = EXIT_OK if rb.ok else EXIT_MATH

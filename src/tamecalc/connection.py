@@ -705,44 +705,40 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     A perturbation alpha is right-linear, so the images f_j = alpha(z_j) of
     the central generators fix it; they are the unknowns, f_j at
     j * dim(E (x)_A E), and alpha is rebuilt from them once at the end.
+    Every constraint sits on generators: compatibility on each central
+    tensor, dim E rows apiece; torsion on each f_j, dim Omega^2 rows
+    apiece; and the relations among the z_j.
     """
     calc = geo.calc
-    e = calc.one_forms
-    alg = calc.algebra
     t2 = calc.tensor_square.bimodule
     nt = t2.dim
     n0 = geo.nabla0
-    gens = e.central_generators
+    gens = calc.one_forms.central_generators
     nz = len(gens.zs)
     nunk = nz * nt
 
     def shifted(j: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
         return {j * nt + f: v for f, v in row.items()}
 
-    # lam[(p, q)]: the compatibility one-form on (z_p, z_q) as a map of the
-    # unknowns, leg_sigma[q] f_p + leg_plain[p] f_q
-    lam: dict[tuple[int, int], Matrix] = {}
-    for p in range(nz):
-        for q in range(nz):
-            sig = geo.leg_sigma[q].sparse_rows()
-            pla = geo.leg_plain[p].sparse_rows()
-            lrows = []
-            for c in range(e.dim):
-                row = shifted(p, sig[c])
-                _axpy(row, ONE, shifted(q, pla[c]), -1)
-                lrows.append(row)
-            lam[(p, q)] = Matrix.from_sparse_rows(lrows, nunk)
-
+    # compatibility once per central tensor pi(z_p (x) z_q): Pi_g(nabla) and
+    # d o g obey the same Leibniz rule, so their defect is right-linear and
+    # vanishes once it vanishes on the tensors, which span.  Row c of block
+    # (p, q) is leg_sigma[q] f_p + leg_plain[p] f_q; its right-hand side is
+    # d g(z_p (x) z_q) minus the same contraction of nabla0.
+    images = [_apply_sparse(n0.nabla, z) for z in gens.zs]
     rows: list[dict[int, Scalar]] = []
     rhs: dict[int, Scalar] = {}
-    values = compat_values(geo, n0)
     for j, g_pq in enumerate(geo.g_central):
-        for r in range(alg.dim):
-            gval = _apply_sparse(alg.right_basis_matrix(r), g_pq)
-            residual = _lincomb(((ONE, _apply_sparse(calc.d0, gval)),
-                                 (-ONE, values[j * alg.dim + r])))
-            rhs.update((len(rows) + c, v) for c, v in residual.items())
-            rows.extend(_product_rows(e.right[r], lam[divmod(j, nz)]))
+        p, q = divmod(j, nz)
+        sig, pla = geo.leg_sigma[q], geo.leg_plain[p]
+        residual = _lincomb(((ONE, _apply_sparse(calc.d0, g_pq)),
+                             (-ONE, _apply_sparse(sig, images[p])),
+                             (-ONE, _apply_sparse(pla, images[q]))))
+        rhs.update((len(rows) + c, v) for c, v in residual.items())
+        for srow, prow in zip(sig.sparse_rows(), pla.sparse_rows()):
+            row = shifted(p, srow)
+            _axpy(row, ONE, shifted(q, prow), -1)
+            rows.append(row)
     # torsion stays zero: the wedge kills every generator image, hence alpha
     wedge = calc.wedge_q.sparse_rows()
     for j in range(nz):

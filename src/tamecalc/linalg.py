@@ -367,23 +367,9 @@ class Subspace:
             return None
         return {self._index[c]: v for c, v in removed.items()}
 
-    def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self."""
-        self._check_ambient(other)
-        return not any(self._residual(dict(r)) for r in other.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.rows + other.rows)
-
     def complement_positions(self) -> list[int]:
         """Coordinate positions whose standard vectors complement this subspace."""
         return [j for j in range(self.ambient_dim) if j not in self._pivots]
-
-    def _check_ambient(self, other: "Subspace") -> None:
-        if self.ambient_dim != other.ambient_dim:
-            raise LinAlgError(
-                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace)
@@ -739,9 +725,6 @@ class ColumnSolver:
         column t is the canonical solution of M x = e_t when M's columns span."""
         return Matrix.from_sparse_rows([self._pivots.get(c, {}) for c in range(self.m.cols)],
                                        self.m.rows)
-
-    def kernel(self) -> Subspace:
-        return Subspace(self.m.cols, self.kernel_rows)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

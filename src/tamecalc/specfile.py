@@ -10,9 +10,11 @@ failures are left for the check pipeline to report (exit 1).
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -39,6 +41,7 @@ class SpecData:
     calculus: Calculus
     metric_plain: Matrix
     frame: tuple[dict[int, Scalar], ...] | None = None   # sparse one-forms
+    digest: str | None = None   # input_digest of the file it was loaded from
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +211,45 @@ def write_file(path: str | Path, text: str) -> None:
         raise SpecFileError(f"cannot write {path}: {exc}")
 
 
+def check_writable(path: str | Path) -> None:
+    """Refuse, before any work, an output path whose directory write_file
+    would refuse, with the error that writing would raise."""
+    p = Path(path)
+    for bad, code in ((p.is_dir(), errno.EISDIR), (not p.parent.exists(), errno.ENOENT),
+                      (not p.parent.is_dir(), errno.ENOTDIR),
+                      (not os.access(p.parent, os.W_OK), errno.EACCES)):
+        if bad:
+            raise SpecFileError(f"cannot write {path}: {OSError(code, os.strerror(code), str(p))}")
+
+
 def save_spec(spec: SpecData, path: str | Path) -> None:
     write_file(path, dumps_canonical(spec_to_json(spec)))
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | Path) -> tuple[Any, str]:
+    """The parsed file and its input_digest, from one read; every way the
+    file can be unreadable, undecodable or not JSON is bad input."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
     except OSError as exc:
         raise SpecFileError(f"cannot read {p}: {exc}")
+    digest = input_digest(data)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        text = data.decode("utf-8")
+        del data   # the parse's peak memory holds the text, not the bytes too
+        return json.loads(text), digest
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, nested too deep
         raise SpecFileError(f"{p}: invalid JSON ({exc})")
 
 
 def load_spec(path: str | Path) -> SpecData:
-    return spec_from_json(load_json(path))
+    obj, digest = load_json(path)
+    return replace(spec_from_json(obj), digest=digest)
 
 
-def input_digest(path: str | Path) -> str:
-    h = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"sha256:{h}"
+def input_digest(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
@@ -239,7 +258,7 @@ def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
     Plain-tensor coordinates (ne^2 columns) are expected, matching the spec
     file's own metric block.
     """
-    obj = load_json(path)
+    obj, _ = load_json(path)
     if isinstance(obj, dict) and "metric" in obj:
         obj = obj["metric"]
     return matrix_from_json(obj, na, ne * ne, "metric override")
@@ -248,7 +267,7 @@ def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
 def load_frame_override(path: str | Path, ne: int) -> tuple[dict[int, Scalar], ...]:
     """A frame override file, a bare list or {"frame": list}, as sparse
     one-forms."""
-    obj = load_json(path)
+    obj, _ = load_json(path)
     if isinstance(obj, dict) and "frame" in obj:
         obj = obj["frame"]
     _require(isinstance(obj, list) and obj, "frame override: expected a nonempty list")

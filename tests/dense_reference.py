@@ -9,15 +9,23 @@ kernel of the right-linearity rows, grassmann_reference the Grassmann
 connection solved over whole splitting matrices, and through_central_tensors
 a map on E (x)_A E solved from its values on the central tensors by
 solve_through: the oracles for the constructions from the images of the
-central generators.  validate_calculus_reference states
+central generators.  direct_system_reference is the direct route's
+system with compatibility posed on every right translate of the central
+tensors, the oracle for posing it once per tensor.
+validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
 the oracle for the checks that run over the algebra's generators.  The
 dense forms that only tests read live here too: the action matrix of an
 algebra element on a bimodule, left multiplication in the algebra, the
-intersection of subspaces and the complex conjugate.
+sum, intersection and containment of subspaces, the kernel of a
+ColumnSolver, the failed items of a calculus report and the complex
+conjugate.
 """
 
+from tamecalc.connection import compat_values
 from tamecalc.linalg import (
+    ColumnSolver,
+    LinAlgError,
     Matrix,
     ONE,
     ZERO,
@@ -105,6 +113,32 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     null = kernel_rows([rows[i] for i in sorted(rows)], k + v.dim)
     return Subspace(u.ambient_dim,
                     [_lincomb((c, u.rows[j]) for j, c in w.items() if j < k) for w in null])
+
+
+def check_ambient(u: Subspace, v: Subspace) -> None:
+    if u.ambient_dim != v.ambient_dim:
+        raise LinAlgError(f"ambient mismatch: {u.ambient_dim} vs {v.ambient_dim}")
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    check_ambient(u, v)
+    return Subspace(u.ambient_dim, u.rows + v.rows)
+
+
+def subspace_contains(u: Subspace, v: Subspace) -> bool:
+    """True iff v is a subspace of u."""
+    check_ambient(u, v)
+    return not any(u._residual(dict(r)) for r in v.rows)
+
+
+def solver_kernel(solver: ColumnSolver) -> Subspace:
+    """The kernel of the solver's matrix, from the solver's own pivots."""
+    return Subspace(solver.m.cols, solver.kernel_rows)
+
+
+def failures(report) -> list:
+    """The failed items of a CalculusReport."""
+    return [item for item in report if not item.ok]
 
 
 def left_action(b, a: Vector) -> Matrix:
@@ -255,6 +289,46 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
 
 
 # -- connection-layer kernels ------------------------------------------------------
+
+def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
+    """The direct route's constraint system (rows, unknowns, right-hand side)
+    with compatibility posed on every right translate pi(z_p (x) z_q) . a_r
+    of the central tensors: the k^2 dim A blocks, each the map
+    f -> leg_sigma[q] f_p + leg_plain[p] f_q right-multiplied by a_r, with
+    d(g(z_p (x) z_q) a_r) minus compat_values of nabla0 on the right.  The
+    torsion and relation rows are the route's own."""
+    calc = geo.calc
+    e = calc.one_forms
+    alg = calc.algebra
+    t2 = calc.tensor_square.bimodule
+    gens = e.central_generators
+    nz, nt = len(gens.zs), t2.dim
+    nunk = nz * nt
+
+    def shifted(j, row):
+        return {j * nt + f: v for f, v in row.items()}
+
+    lam = {}
+    for p in range(nz):
+        for q in range(nz):
+            sig = geo.leg_sigma[q].sparse_rows()
+            pla = geo.leg_plain[p].sparse_rows()
+            lam[(p, q)] = Matrix.from_sparse_rows(
+                [_lincomb(((ONE, shifted(p, sig[c])), (ONE, shifted(q, pla[c]))))
+                 for c in range(e.dim)], nunk)
+    rows, rhs = [], {}
+    values = compat_values(geo, geo.nabla0)
+    for j, g_pq in enumerate(geo.g_central):
+        for r in range(alg.dim):
+            gval = alg.right_basis_matrix(r).apply(sparse_to_vec(g_pq, alg.dim))
+            residual = _lincomb(((ONE, vec_to_sparse(calc.d0.apply(gval))),
+                                 (-ONE, values[j * alg.dim + r])))
+            rhs.update((len(rows) + c, v) for c, v in residual.items())
+            rows.extend((e.right[r] @ lam[divmod(j, nz)]).sparse_rows())
+    for j in range(nz):
+        rows.extend(shifted(j, row) for row in calc.wedge_q.sparse_rows())
+    rows.extend(gens.relation_rows(t2))
+    return rows, nunk, rhs
 
 
 def pure_dense(qt, e_vec: Vector, f_vec: Vector) -> Vector:

@@ -4,17 +4,22 @@ The tameness certificate keeps E (x)_A E as one `CentralGenerators` over the
 central tensors pi(z_p (x) z_q); sigma, the compatibility map Pi_g and the
 seeded metric are each extended from their values on it.  These tests hold
 every such map to `dense_reference.through_central_tensors`, the same map
-solved by solve_through over the translates pi(z_p (x) z_q) . a_r.
+solved by solve_through over the translates pi(z_p (x) z_q) . a_r, and the
+direct route's compatibility rows, posed once per central tensor, to the
+system posed on every translate.
 """
 
 import pytest
 
-from dense_reference import pure, through_central_tensors
+from conftest import load_perfbench
+from dense_reference import direct_system_reference, pure, through_central_tensors
 from perturbations import random_metric
+from tamecalc import connection
 from tamecalc.bimodule import CentralGenerators
+from tamecalc.builders import build_chevalley
 from tamecalc.calculus import build_symmetry
 from tamecalc.connection import Geometry, compat_values, levi_civita_direct, pi_g_matrix
-from tamecalc.linalg import ONE, Matrix, _apply_sparse, vec_to_sparse
+from tamecalc.linalg import ONE, Matrix, _apply_sparse, solve_sparse, vec_to_sparse
 from tamecalc.metric import validate_metric
 
 
@@ -118,3 +123,57 @@ def test_flip_breaking_a_relation_is_reported(fuzzy_preset, monkeypatch):
     outcome = build_symmetry(fuzzy_preset.calculus)
     assert not outcome.ok
     assert outcome.failure.condition == "FlipNotWellDefined"
+
+
+@pytest.fixture(scope="module")
+def fuzzy2_calc():
+    """The fuzzy sphere N = 2 of the benchmark inputs: A = M_2, dim E = 12."""
+    return build_chevalley(load_perfbench("inputs").fuzzy_sphere_chevalley(2))
+
+
+def _seeded_geo(calc, seed):
+    cert = build_symmetry(calc).certificate
+    return Geometry(calc, cert, validate_metric(calc, cert, random_metric(calc, cert, seed)).metric)
+
+
+# (fixture, seed of random_metric); None keeps the fixture's own metric.
+# fuzzy_geo is matrix-derivations-2, torus_geo abelian-torus-2, and
+# line_geo, over K[x]/(x^3), the one E with relations among its z_j.
+DIRECT_CASES = [("fuzzy_geo", None), ("fuzzy_geo", 1), ("fuzzy2_calc", 2), ("fuzzy2_calc", 7),
+                ("fuzzy3_geo", None), ("torus_geo", None), ("torus_geo", 4),
+                ("line_geo", None), ("line_geo", 5)]
+
+
+@pytest.mark.parametrize("fixture, seed", DIRECT_CASES)
+def test_direct_compatibility_once_per_central_tensor(request, monkeypatch, fixture, seed):
+    got = request.getfixturevalue(fixture)
+    if isinstance(got, Geometry):
+        geo = got if seed is None else _seeded_geo(got.calc, seed)
+    else:
+        geo = _seeded_geo(got, seed)
+    geo.nabla0   # the reference connection's own solve is not recorded
+    systems = []
+
+    def recording(rows, ncols, rhs):
+        result = solve_sparse(rows, ncols, rhs)
+        systems.append((rows, ncols, result))
+        return result
+
+    monkeypatch.setattr(connection, "solve_sparse", recording)
+    direct = levi_civita_direct(geo)
+    (rows, ncols, ((sol,), rank)), = systems
+    ref_rows, ref_ncols, ref_rhs = direct_system_reference(geo)
+    (ref_sol,), ref_rank = solve_sparse(ref_rows, ref_ncols, [ref_rhs])
+    assert ncols == ref_ncols
+    assert rank == ref_rank == ncols
+    assert sol is not None and sol == ref_sol
+    assert direct.kernel_dim == 0
+    # k^2 dim E compatibility rows, k dim Omega^2 torsion rows, then the
+    # relations among the z_j
+    calc = geo.calc
+    gens = calc.one_forms.central_generators
+    k = len(gens.zs)
+    compat = k * k * calc.one_forms.dim
+    assert len(rows) == compat + k * calc.two_forms.dim + len(gens.relation_rows(
+        calc.tensor_square.bimodule))
+    assert len(ref_rows) == calc.algebra.dim * compat + len(rows) - compat

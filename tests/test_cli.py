@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GRAM_3, constant_metric_plain, load_perfbench
-from tamecalc import bimodule
+from tamecalc import bimodule, cli
 from tamecalc.builders import matrix_derivations_chevalley
 from tamecalc.cli import main
 from tamecalc.connection import grassmann
@@ -399,7 +399,7 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     conn = grassmann(spec.calculus, cert)
     art = tmp_path / "grassmann.json"
     art.write_text(dumps_canonical(connection_to_json(
-        conn.nabla, [], {}, input_digest(workdir / "fuzzy.json"))))
+        conn.nabla, [], {}, input_digest((workdir / "fuzzy.json").read_bytes()))))
     code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(art)])
     assert code == 1
     report = json.loads(out)
@@ -512,15 +512,83 @@ def test_malformed_scalar_object_in_verify_table_exits_two(workdir, fuzzy_artifa
     assert "connection.table[0][1]: bad scalar" in _input_error(capsys)
 
 
-@pytest.mark.parametrize("command", ["gen", "connect"])
-def test_unwritable_out_path_exits_two(workdir, capsys, tmp_path, command):
+@pytest.mark.parametrize("command", ["gen", "connect", "connect-to-directory"])
+def test_unwritable_out_path_exits_two(workdir, capsys, tmp_path, monkeypatch, command):
+    # connect refuses the path before either Levi-Civita route runs
+    def solver(geo):
+        raise AssertionError("a solver ran before --out was checked")
+
+    monkeypatch.setattr(cli, "levi_civita_koszul", solver)
+    monkeypatch.setattr(cli, "levi_civita_direct", solver)
     out = tmp_path / "missing" / "dir" / "x.json"
     if command == "gen":
         argv = ["gen", "abelian-torus", "--n", "2", "--out", str(out)]
     else:
+        if command == "connect-to-directory":
+            out = tmp_path
         argv = ["connect", str(workdir / "fuzzy.json"), "--out", str(out)]
     assert main(argv) == 2
-    assert f"cannot write {out}" in _input_error(capsys)
+    assert f"cannot write {out}: " in _input_error(capsys)
+
+
+# bytes that are not UTF-8, and arrays nested past the JSON parser's
+# recursion limit: both used to end in a traceback
+UNPARSABLE = {"not-utf8": b"\xff\xfe{}", "too-deep": b"[" * 100000 + b"]" * 100000}
+
+
+@pytest.mark.parametrize("kind", ["spec", "metric", "frame", "artifact"])
+@pytest.mark.parametrize("content", sorted(UNPARSABLE))
+def test_unparsable_file_exits_two(workdir, capsys, tmp_path, kind, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNPARSABLE[content])
+    spec = str(workdir / "fuzzy.json")
+    argv = {"spec": ["check", str(bad)],
+            "metric": ["check", spec, "--metric", str(bad)],
+            "frame": ["connect", spec, "--frame", str(bad), "--out", str(tmp_path / "x.json")],
+            "artifact": ["verify", spec, str(bad)]}[kind]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {bad}: invalid JSON (")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "connect", "verify"])
+def test_each_command_reads_the_spec_once(workdir, capsys, tmp_path, monkeypatch, command):
+    # one read of the spec is parsed and hashed; the report and the
+    # artifact carry that read's digest
+    import builtins
+
+    spec = workdir / "fuzzy.json"
+    artifact = tmp_path / "conn.json"
+    if command == "verify":
+        assert main(["connect", str(spec), "--out", str(artifact)]) == 0
+        capsys.readouterr()
+    digest = "sha256:" + hashlib.sha256(spec.read_bytes()).hexdigest()
+    reads = []
+
+    def counted(real):
+        def wrapper(target, *args, **kwargs):
+            if str(target) == str(spec):
+                reads.append(real.__name__)
+            return real(target, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Path, "read_bytes", counted(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    argv = [command, str(spec), "--json"]
+    if command == "connect":
+        argv += ["--out", str(artifact)]
+    if command == "verify":
+        argv += [str(artifact)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert reads == ["read_bytes"]
+    assert report["input_digest"] == digest
+    if command != "check":
+        assert json.loads(artifact.read_text())["input_digest"] == digest
 
 
 def test_gen_of_an_unshipped_size_exits_two(capsys, tmp_path):
