@@ -1,8 +1,8 @@
 """Finite-dimensional associative unital algebras over Q(i).
 
 An algebra is given by structure constants: mul[i][j] is the coordinate
-vector of basis_i * basis_j.  Elements are coordinate vectors.  The center
-and the derivation test reduce to exact kernels.
+vector of basis_i * basis_j.  Elements are coordinate vectors.  The
+derivation test compares sparse sums over the structure constants.
 
 Most axioms of the engine read "for every a in A" and are linear in a.
 Once the axioms they rest on hold, the elements where such an identity
@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     _apply_sparse,
     _lincomb,
-    kernel_rows,
     vec_to_sparse,
 )
 
@@ -177,15 +176,7 @@ class Algebra:
             raise failure
         self.validated = True
 
-    # -- center and derivations ---------------------------------------------
-
-    def center(self) -> Subspace:
-        """Exact basis of {z : z b = b z for every basis b}."""
-        rows = []
-        for i in range(self.dim):
-            d = self.left_basis_matrix(i) - self.right_basis_matrix(i)
-            rows.extend(d.sparse_rows())
-        return Subspace(self.dim, kernel_rows(rows, self.dim))
+    # -- derivations --------------------------------------------------------
 
     def is_derivation(self, delta: Matrix) -> bool:
         """Leibniz test delta(ab) = delta(a) b + a delta(b) on all basis pairs.

@@ -1,8 +1,10 @@
 """Command-line surface: gen, check, connect, verify.
 
 Exit codes: 0 success, 1 mathematical failure, 2 unreadable or malformed
-input.  A linear-algebra failure that escapes a command (a singular or
-inconsistent system on an accepted spec) exits 1 with one line on stderr.
+input.  Every input file is read, and connect's --out checked, before the
+first check runs, so bad input exits 2 even where a check would fail.  A
+linear-algebra failure that escapes a command (a singular or inconsistent
+system on an accepted spec) exits 1 with one line on stderr.
 Reports go to stdout, human-readable by default, machine-readable with
 --json; the connect artifact written to disk contains no timing, so reruns
 on the same input are byte-identical.
@@ -27,7 +29,7 @@ from .connection import (
     levi_civita_koszul,
 )
 from .errors import ContractViolationError, EngineError, SpecFileError
-from .linalg import LinAlgError
+from .linalg import LinAlgError, Matrix
 from .metric import validate_metric
 from .specfile import (
     SpecData,
@@ -105,8 +107,18 @@ def emit(report: dict, as_json: bool) -> None:
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def run_structure_checks(spec: SpecData, rb: ReportBuilder, metric_path: str | None):
-    """Algebra, calculus, tameness and metric validation; returns what passed."""
+def read_metric(spec: SpecData, metric_path: str | None) -> Matrix:
+    """The metric to check: the spec's own, or the --metric file's."""
+    if metric_path is None:
+        return spec.metric_plain
+    calc = spec.calculus
+    return load_metric_override(metric_path, calc.one_forms.dim, calc.algebra.dim)
+
+
+def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
+    """Algebra, calculus, tameness and validation of the metric g_in on plain
+    tensor coordinates; returns what passed.  Every input file is read
+    before it runs."""
     rb.digest = spec.digest
     calc = spec.calculus
     try:
@@ -136,9 +148,6 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, metric_path: str | N
         return None, None
     cert = outcome.certificate
 
-    g_in = spec.metric_plain
-    if metric_path is not None:
-        g_in = load_metric_override(metric_path, calc.one_forms.dim, calc.algebra.dim)
     m_out = validate_metric(calc, cert, g_in)
     if m_out.ok:
         rb.add("metric_valid", True)
@@ -170,7 +179,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     rb = ReportBuilder("check", args.spec, args.seed)
     spec = load_spec(args.spec)
-    cert, metric = run_structure_checks(spec, rb, args.metric)
+    cert, metric = run_structure_checks(spec, rb, read_metric(spec, args.metric))
     code = EXIT_OK if (rb.ok and metric is not None) else EXIT_MATH
     emit(rb.finish(code), args.json)
     return code
@@ -179,16 +188,17 @@ def cmd_check(args) -> int:
 def cmd_connect(args) -> int:
     rb = ReportBuilder("connect", args.spec, args.seed)
     spec = load_spec(args.spec)
-    cert, metric = run_structure_checks(spec, rb, args.metric)
-    if cert is None or metric is None or not rb.ok:
-        emit(rb.finish(EXIT_MATH), args.json)
-        return EXIT_MATH
-
+    g_in = read_metric(spec, args.metric)
     frame = spec.frame
     if args.frame is not None:
         frame = load_frame_override(args.frame, spec.calculus.one_forms.dim)
     out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
     check_writable(out)
+    cert, metric = run_structure_checks(spec, rb, g_in)
+    if cert is None or metric is None or not rb.ok:
+        emit(rb.finish(EXIT_MATH), args.json)
+        return EXIT_MATH
+
     geo = Geometry(spec.calculus, cert, metric, frame=frame)
     try:
         koszul = levi_civita_koszul(geo)
@@ -223,13 +233,14 @@ def cmd_connect(args) -> int:
 def cmd_verify(args) -> int:
     rb = ReportBuilder("verify", args.spec, args.seed)
     spec = load_spec(args.spec)
-    cert, metric = run_structure_checks(spec, rb, args.metric)
+    g_in = read_metric(spec, args.metric)
+    obj, _ = load_json(args.connection)
+    cert, metric = run_structure_checks(spec, rb, g_in)
     if cert is None or metric is None or not rb.ok:
         emit(rb.finish(EXIT_MATH), args.json)
         return EXIT_MATH
 
     calc = spec.calculus
-    obj, _ = load_json(args.connection)
     nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
     verdicts = certify(Geometry(calc, cert, metric), Connection(nabla))
 

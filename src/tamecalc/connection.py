@@ -3,17 +3,20 @@
 A connection is stored by its value matrix on a basis of the one-forms,
 with the Leibniz rule as a checked invariant.  The module provides the
 Grassmann connection of a frame, the torsionless reference connection, the
-covariant derivative on vector fields, the Lie bracket, one certification
-(`certify`) that reads torsion and metric compatibility off a single
-covariant table and cross-checks each against its form-level formulation,
-and two independent routes to the Levi-Civita connection:
+covariant derivative on vector fields, the Lie bracket, the Levi-Civita
+conditions stated once on generators (`Geometry.conditions`: torsion on
+each central generator of the one-forms, compatibility on each central
+tensor), one certification (`certify`) that reads torsion and metric
+compatibility off a single covariant table and cross-checks each against
+its defect in those conditions, and two independent routes to the
+Levi-Civita connection:
 
 * a Koszul route that reads every covariant derivative off the
   six-term formula and reconstructs the connection through the
   separating family of field pairs, and
-* a direct route that solves the torsionless + compatible constraints
-  over all Leibniz perturbations of the reference connection, each fixed
-  by its images of the central generators of the one-forms.
+* a direct route that solves the same conditions over all Leibniz
+  perturbations of the reference connection, each fixed by its images of
+  the central generators of the one-forms.
 
 Exact equality of the two routes is the engine's own strongest self-test.
 
@@ -166,7 +169,7 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
     Leibniz rule, which gives sum_j g_j (x) d(S_j e) on every e because
     sum_j g_j . S_j(z_i) == z_i.
     """
-    frame = frame if frame is not None else cert.center_one_forms.rows
+    frame = frame if frame is not None else calc.one_forms.central_generators.zs
     splitting = frame_splitting(calc, frame)
     qt = calc.tensor_square
     conn = leibniz_extension(calc, [
@@ -233,7 +236,6 @@ class Geometry:
         # V_g^{-1} X_p, by field index
         self.field_forms = tuple(metric.form_of(x) for x in self.fields.basis)
         self._duals: dict[frozenset, DualElement] = {}
-        self._sigma_pure: dict[tuple[int, int], dict[int, Scalar]] = {}
 
     # -- simple accessors ---------------------------------------------------
 
@@ -273,16 +275,6 @@ class Geometry:
 
     # -- pairing legs for the compatibility map ------------------------------
 
-    def _sigma_pure_lift(self, t: int, q: int) -> dict[int, Scalar]:
-        key = (t, q)
-        got = self._sigma_pure.get(key)
-        if got is None:
-            qt = self.calc.tensor_square
-            z = self.cert.center_one_forms.rows[q]
-            got = qt.lift_sparse(_apply_sparse(self.cert.sigma, qt.pure_sparse({t: ONE}, z)))
-            self._sigma_pure[key] = got
-        return got
-
     def _left_of_g(self, s: int, u: int, v: int) -> dict[int, Scalar]:
         """g(class of e_s (x) e_u) acting on e_v from the left, sparse."""
         e = self.calc.one_forms
@@ -292,17 +284,21 @@ class Geometry:
     def leg_sigma(self) -> list[Matrix]:
         """Entry q, as a matrix in w: contract g over legs 1-2 of
         sigma_23(w (x) z_q)."""
-        return [self._build_leg_sigma(q) for q in range(len(self.cert.center_one_forms.rows))]
+        return [self._build_leg_sigma(z) for z in self.calc.one_forms.central_generators.zs]
 
-    def _build_leg_sigma(self, q: int) -> Matrix:
+    def _build_leg_sigma(self, z: dict[int, Scalar]) -> Matrix:
         qt = self.calc.tensor_square
         e_dim = self.calc.one_forms.dim
+        lifts: dict[int, dict[int, Scalar]] = {}   # t -> lift of sigma(e_t (x) z)
         cols = []
         for y in range(qt.dim):
             terms = []
             for idx, c in qt.lift_sparse({y: ONE}).items():
                 s, t = divmod(idx, e_dim)
-                for uv, c2 in self._sigma_pure_lift(t, q).items():
+                if t not in lifts:
+                    lifts[t] = qt.lift_sparse(
+                        _apply_sparse(self.cert.sigma, qt.pure_sparse({t: ONE}, z)))
+                for uv, c2 in lifts[t].items():
                     u, v = divmod(uv, e_dim)
                     terms.append((c * c2, self._left_of_g(s, u, v)))
             cols.append(_lincomb(terms))
@@ -311,12 +307,11 @@ class Geometry:
     @cached_property
     def leg_plain(self) -> list[Matrix]:
         """Entry p, as a matrix in w: contract g over legs 1-2 of z_p (x) w."""
-        return [self._build_leg_plain(p) for p in range(len(self.cert.center_one_forms.rows))]
+        return [self._build_leg_plain(z) for z in self.calc.one_forms.central_generators.zs]
 
-    def _build_leg_plain(self, p: int) -> Matrix:
+    def _build_leg_plain(self, zp: dict[int, Scalar]) -> Matrix:
         qt = self.calc.tensor_square
         e_dim = self.calc.one_forms.dim
-        zp = self.cert.center_one_forms.rows[p]
         cols = []
         for y in range(qt.dim):
             terms = []
@@ -325,6 +320,35 @@ class Geometry:
                 terms.extend((c * cz, self._left_of_g(s, u, v)) for s, cz in zp.items())
             cols.append(_lincomb(terms))
         return Matrix.from_sparse_cols(cols, e_dim)
+
+    @cached_property
+    def conditions(self) -> Conditions:
+        """Compatibility on each central tensor, then torsion on each central
+        generator, as rows over the generator images."""
+        calc = self.calc
+        nt = calc.tensor_square.dim
+        zs = calc.one_forms.central_generators.zs
+        nz = len(zs)
+
+        def shifted(j: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
+            return {j * nt + f: v for f, v in row.items()}
+
+        rows: list[dict[int, Scalar]] = []
+        constant: dict[int, Scalar] = {}
+        for j, g_pq in enumerate(self.g_central):
+            p, q = divmod(j, nz)
+            constant.update((len(rows) + c, -v) for c, v in _apply_sparse(calc.d0, g_pq).items())
+            for srow, prow in zip(self.leg_sigma[q].sparse_rows(),
+                                  self.leg_plain[p].sparse_rows()):
+                row = shifted(p, srow)
+                _axpy(row, ONE, shifted(q, prow), -1)
+                rows.append(row)
+        ncompat = len(rows)
+        wedge = calc.wedge_q.sparse_rows()
+        for j, z in enumerate(zs):
+            constant.update((len(rows) + c, v) for c, v in _apply_sparse(calc.d1, z).items())
+            rows.extend(shifted(j, row) for row in wedge)
+        return Conditions(Matrix.from_sparse_rows(rows, nz * nt), constant, ncompat)
 
     # -- brackets -------------------------------------------------------------
 
@@ -500,6 +524,39 @@ def bracket_general(geo: Geometry, x: dict[int, Scalar],
 
 
 # ---------------------------------------------------------------------------
+# The Levi-Civita conditions on generators
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Conditions:
+    """Torsion and compatibility, each stated once on generators, as an
+    affine map of a connection's images f_j = nabla(z_j) of the central
+    generators of the one-forms, f_j at j * dim(E (x)_A E): the defect is
+    linear . f + constant.
+
+    Rows below ncompat hold compatibility, dim E per central tensor
+    pi(z_p (x) z_q) in the order of geo.g_central:
+    leg_sigma[q] f_p + leg_plain[p] f_q - d g(z_p (x) z_q).  The rest hold
+    torsion, dim Omega^2 per z_j: W f_j + d1 z_j for the wedge W.
+    """
+
+    linear: Matrix
+    constant: dict[int, Scalar]
+    ncompat: int
+
+
+def defects(geo: Geometry, conn: Connection) -> dict[int, Scalar]:
+    """The defect of conn in the Levi-Civita conditions, sparse over their
+    rows; a Leibniz connection with no defect is torsionless and compatible."""
+    nt = geo.calc.tensor_square.dim
+    images: dict[int, Scalar] = {}
+    for j, z in enumerate(geo.calc.one_forms.central_generators.zs):
+        images.update((j * nt + y, v) for y, v in _apply_sparse(conn.nabla, z).items())
+    cond = geo.conditions
+    return _lincomb(((ONE, _apply_sparse(cond.linear, images)), (ONE, cond.constant)))
+
+
+# ---------------------------------------------------------------------------
 # Torsion and compatibility in covariant form
 # ---------------------------------------------------------------------------
 
@@ -518,68 +575,39 @@ class Verdicts:
 
 
 def certify(geo: Geometry, conn: Connection) -> Verdicts:
-    """Leibniz first, then torsion and compatibility off one covariant table."""
+    """Leibniz first, then torsion and compatibility off one covariant table,
+    each cross-checked against its defect on the central generators.
+
+    The calculus and the metric must be validated, as every command has
+    them before it certifies.  Once Leibniz holds, both defects are
+    right-linear, so they vanish exactly when they vanish on the central
+    generators z_j and the central tensors pi(z_p (x) z_q), which span."""
     bad = leibniz_witness(geo.calc, conn)
     if bad is not None:
         return Verdicts(leibniz=bad)
     table = covariant_table(geo, conn)
-    return Verdicts(leibniz=None, table=table,
-                    torsion_witnesses=torsion_witnesses(geo, conn, table),
-                    compat_witnesses=compat_witnesses(geo, conn, table))
+    tw, cw = torsion_witnesses(geo, table), compat_witnesses(geo, table)
+    defect = defects(geo, conn)
+    ncompat = geo.conditions.ncompat
+    for name, cov_ok, form_ok in (("torsion", not tw, all(i < ncompat for i in defect)),
+                                  ("compatibility", not cw, all(i >= ncompat for i in defect))):
+        if cov_ok != form_ok:
+            raise InternalInconsistencyError(
+                f"{name} verdicts disagree: covariant {cov_ok}, form-level {form_ok}")
+    return Verdicts(leibniz=None, table=table, torsion_witnesses=tw, compat_witnesses=cw)
 
 
-def torsion_witnesses(geo: Geometry, conn: Connection,
-                      table: Table) -> tuple[tuple[int, int], ...]:
-    """Pairs p < q with nabla_p X_q - nabla_q X_p != [X_p, X_q], cross-checked
-    against the form-level torsion; the pair (q, p) is the negative of (p, q)."""
+def torsion_witnesses(geo: Geometry, table: Table) -> tuple[tuple[int, int], ...]:
+    """Pairs p < q with nabla_p X_q - nabla_q X_p != [X_p, X_q]; the pair
+    (q, p) is the negative of (p, q)."""
     n = geo.fields.count
-    witnesses = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            if _lincomb(((ONE, table[p][q]), (-ONE, table[q][p]),
-                         (-ONE, geo.lie_table[p][q]))):
-                witnesses.append((p, q))
-    cov_ok = not witnesses
-    form_ok = torsion(geo.calc, conn).is_zero()
-    if cov_ok != form_ok:
-        raise InternalInconsistencyError(
-            f"torsion verdicts disagree: covariant {cov_ok}, form-level {form_ok}")
-    return tuple(witnesses)
+    return tuple((p, q) for p in range(n) for q in range(p + 1, n)
+                 if _lincomb(((ONE, table[p][q]), (-ONE, table[q][p]),
+                              (-ONE, geo.lie_table[p][q]))))
 
 
-def compat_values(geo: Geometry, conn: Connection) -> list[dict[int, Scalar]]:
-    """The compatibility one-form on each member of the certificate's
-    spanning family, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
-    sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r, where pi0(p, q)
-    contracts g against sigma_23(nabla z_p (x) z_q) and z_p (x) nabla z_q."""
-    e = geo.calc.one_forms
-    images = [_apply_sparse(conn.nabla, z) for z in geo.cert.center_one_forms.rows]
-    dcols = geo.calc.d0.sparse_cols()
-    k = len(images)
-    values = []
-    for j, g_pq in enumerate(geo.g_central):
-        p, q = divmod(j, k)
-        base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma[q], images[p])),
-                         (ONE, _apply_sparse(geo.leg_plain[p], images[q]))))
-        values.extend(_lincomb(((ONE, _apply_sparse(e.right[r], base)),
-                                (ONE, e.act_left(g_pq, dcols[r]))))
-                      for r in range(geo.calc.algebra.dim))
-    return values
-
-
-def pi_g_matrix(geo: Geometry, conn: Connection) -> Matrix:
-    """The compatibility map on the whole tensor square, fixed by its values
-    on the central tensors."""
-    m = geo.cert.spanning.extend(compat_values(geo, conn), geo.calc.one_forms.dim)
-    if m is None:
-        raise InternalInconsistencyError("compatibility map is not well-defined")
-    return m
-
-
-def compat_witnesses(geo: Geometry, conn: Connection,
-                     table: Table) -> tuple[tuple[int, int, int], ...]:
-    """Triples (y, z, x) with Y g(Z, X) != g(nabla_Y Z, X) + g(Z, nabla_Y X),
-    cross-checked against the form-level compatibility map."""
+def compat_witnesses(geo: Geometry, table: Table) -> tuple[tuple[int, int, int], ...]:
+    """Triples (y, z, x) with Y g(Z, X) != g(nabla_Y Z, X) + g(Z, nabla_Y X)."""
     n = geo.fields.count
     forms = geo.field_forms
     table_forms = [[geo.dual(entry).form for entry in row] for row in table]
@@ -593,11 +621,6 @@ def compat_witnesses(geo: Geometry, conn: Connection,
                                 (ONE, geo.pair_forms(table_forms[yp][xp], forms[zp]))))
                 if lhs != rhs:
                     witnesses.append((yp, zp, xp))
-    cov_ok = not witnesses
-    form_ok = pi_g_matrix(geo, conn) == geo.calc.d0 @ geo.metric.g
-    if cov_ok != form_ok:
-        raise InternalInconsistencyError(
-            f"compatibility verdicts disagree: covariant {cov_ok}, form-level {form_ok}")
     return tuple(witnesses)
 
 
@@ -643,7 +666,7 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
     n = geo.fields.count
     e_star = geo.metric.e_star
     ws = []
-    for z in geo.cert.center_one_forms.rows:
+    for z in geo.calc.one_forms.central_generators.zs:
         rhs: dict[int, Scalar] = {}
         for p in range(n):
             xp_of_z = _apply_sparse(geo.fields.maps[p], z)
@@ -705,45 +728,17 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     A perturbation alpha is right-linear, so the images f_j = alpha(z_j) of
     the central generators fix it; they are the unknowns, f_j at
     j * dim(E (x)_A E), and alpha is rebuilt from them once at the end.
-    Every constraint sits on generators: compatibility on each central
-    tensor, dim E rows apiece; torsion on each f_j, dim Omega^2 rows
-    apiece; and the relations among the z_j.
+    The constraints are the Levi-Civita conditions that certify reads,
+    posed on alpha with the defect of the reference connection on the
+    right, and the relations among the z_j.
     """
-    calc = geo.calc
-    t2 = calc.tensor_square.bimodule
-    nt = t2.dim
-    n0 = geo.nabla0
-    gens = calc.one_forms.central_generators
-    nz = len(gens.zs)
-    nunk = nz * nt
-
-    def shifted(j: int, row: dict[int, Scalar]) -> dict[int, Scalar]:
-        return {j * nt + f: v for f, v in row.items()}
-
-    # compatibility once per central tensor pi(z_p (x) z_q): Pi_g(nabla) and
-    # d o g obey the same Leibniz rule, so their defect is right-linear and
-    # vanishes once it vanishes on the tensors, which span.  Row c of block
-    # (p, q) is leg_sigma[q] f_p + leg_plain[p] f_q; its right-hand side is
-    # d g(z_p (x) z_q) minus the same contraction of nabla0.
-    images = [_apply_sparse(n0.nabla, z) for z in gens.zs]
-    rows: list[dict[int, Scalar]] = []
-    rhs: dict[int, Scalar] = {}
-    for j, g_pq in enumerate(geo.g_central):
-        p, q = divmod(j, nz)
-        sig, pla = geo.leg_sigma[q], geo.leg_plain[p]
-        residual = _lincomb(((ONE, _apply_sparse(calc.d0, g_pq)),
-                             (-ONE, _apply_sparse(sig, images[p])),
-                             (-ONE, _apply_sparse(pla, images[q]))))
-        rhs.update((len(rows) + c, v) for c, v in residual.items())
-        for srow, prow in zip(sig.sparse_rows(), pla.sparse_rows()):
-            row = shifted(p, srow)
-            _axpy(row, ONE, shifted(q, prow), -1)
-            rows.append(row)
-    # torsion stays zero: the wedge kills every generator image, hence alpha
-    wedge = calc.wedge_q.sparse_rows()
-    for j in range(nz):
-        rows.extend(shifted(j, row) for row in wedge)
-    rows.extend(gens.relation_rows(t2))
+    t2 = geo.calc.tensor_square.bimodule
+    gens = geo.calc.one_forms.central_generators
+    nunk = len(gens.zs) * t2.dim
+    # the conditions are affine in the generator images, so the defect of
+    # nabla0 + alpha is defects(nabla0) + linear . (alpha(z_j))_j
+    rhs = {i: -v for i, v in defects(geo, geo.nabla0).items()}
+    rows = [*geo.conditions.linear.sparse_rows(), *gens.relation_rows(t2)]
 
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
     if sol is None:
@@ -752,6 +747,6 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    conn = Connection(n0.nabla + gens.right_linear(t2, sol))
+    conn = Connection(geo.nabla0.nabla + gens.right_linear(t2, sol))
     return LeviCivitaResult(connection=conn, table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)

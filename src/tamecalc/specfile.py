@@ -136,7 +136,7 @@ def _bimodule_to_json(b: Bimodule) -> dict:
 
 def _bimodule_from_json(obj: Any, alg: Algebra, where: str) -> Bimodule:
     _require(isinstance(obj, dict), f"{where}: expected an object")
-    _require(isinstance(obj.get("dim"), int) and obj["dim"] >= 0,
+    _require(type(obj.get("dim")) is int and obj["dim"] >= 0,   # true and false are not
              f"{where}.dim: expected a nonnegative integer")
     dim = obj["dim"]
     for side in ("left", "right"):
@@ -158,7 +158,7 @@ def spec_from_json(obj: Any) -> SpecData:
              f'spec.field: expected "{FIELD_TAG}"')
     a = obj.get("algebra")
     _require(isinstance(a, dict), "spec.algebra: expected an object")
-    _require(isinstance(a.get("dim"), int) and a["dim"] >= 1,
+    _require(type(a.get("dim")) is int and a["dim"] >= 1,   # true and false are not
              "spec.algebra.dim: expected a positive integer")
     dim = a["dim"]
     labels = a.get("basis")

@@ -11,18 +11,22 @@ a map on E (x)_A E solved from its values on the central tensors by
 solve_through: the oracles for the constructions from the images of the
 central generators.  direct_system_reference is the direct route's
 system with compatibility posed on every right translate of the central
-tensors, the oracle for posing it once per tensor.
+tensors, the oracle for posing it once per tensor.  compat_values and
+pi_g_matrix evaluate the compatibility map Pi_g on every right translate of
+the central tensors and extend it over the whole tensor square, and
+levi_civita_verdicts_reference reads torsion off the full matrix
+wedge o nabla + d1 and compatibility off Pi_g == d o g: the oracles for
+the Levi-Civita conditions posed once per central generator and tensor.
 validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
 the oracle for the checks that run over the algebra's generators.  The
 dense forms that only tests read live here too: the action matrix of an
-algebra element on a bimodule, left multiplication in the algebra, the
-sum, intersection and containment of subspaces, the kernel of a
-ColumnSolver, the failed items of a calculus report and the complex
-conjugate.
+algebra element on a bimodule, left multiplication in the algebra and
+its center, the sum, intersection and containment of subspaces, the
+kernel of a ColumnSolver, the failed items of a calculus report and the
+complex conjugate.
 """
 
-from tamecalc.connection import compat_values
 from tamecalc.linalg import (
     ColumnSolver,
     LinAlgError,
@@ -32,6 +36,7 @@ from tamecalc.linalg import (
     Scalar,
     Subspace,
     Vector,
+    _apply_sparse,
     _lincomb,
     basis_vector,
     commutator_rows,
@@ -155,6 +160,15 @@ def right_action(b, a: Vector) -> Matrix:
 def left_mult(alg, a: Vector) -> Matrix:
     """The matrix of x -> a x on the algebra."""
     return _action([alg.left_basis_matrix(i) for i in range(alg.dim)], a, alg.dim)
+
+
+def center(alg) -> Subspace:
+    """Exact basis of {z : z b = b z for every basis b}."""
+    rows = []
+    for i in range(alg.dim):
+        d = alg.left_basis_matrix(i) - alg.right_basis_matrix(i)
+        rows.extend(d.sparse_rows())
+    return Subspace(alg.dim, kernel_rows(rows, alg.dim))
 
 
 def commutator(alg, a: Vector, b: Vector) -> Vector:
@@ -289,6 +303,42 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
 
 
 # -- connection-layer kernels ------------------------------------------------------
+
+def compat_values(geo, conn) -> list[dict]:
+    """The compatibility one-form on each member of the certificate's
+    spanning family, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
+    sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r, where pi0(p, q)
+    contracts g against sigma_23(nabla z_p (x) z_q) and z_p (x) nabla z_q."""
+    e = geo.calc.one_forms
+    images = [_apply_sparse(conn.nabla, z) for z in e.central_generators.zs]
+    dcols = geo.calc.d0.sparse_cols()
+    k = len(images)
+    values = []
+    for j, g_pq in enumerate(geo.g_central):
+        p, q = divmod(j, k)
+        base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma[q], images[p])),
+                         (ONE, _apply_sparse(geo.leg_plain[p], images[q]))))
+        values.extend(_lincomb(((ONE, _apply_sparse(e.right[r], base)),
+                                (ONE, e.act_left(g_pq, dcols[r]))))
+                      for r in range(geo.calc.algebra.dim))
+    return values
+
+
+def pi_g_matrix(geo, conn) -> Matrix:
+    """The compatibility map Pi_g on the whole tensor square, extended from
+    its values on every right translate of the central tensors."""
+    m = geo.cert.spanning.extend(compat_values(geo, conn), geo.calc.one_forms.dim)
+    assert m is not None, "compatibility map is not well-defined"
+    return m
+
+
+def levi_civita_verdicts_reference(geo, conn) -> tuple[bool, bool]:
+    """(torsionless, compatible) of a Leibniz connection, read off whole
+    maps: wedge o nabla + d1 == 0 and Pi_g == d o g."""
+    calc = geo.calc
+    return ((calc.wedge_q @ conn.nabla + calc.d1).is_zero(),
+            pi_g_matrix(geo, conn) == calc.d0 @ geo.metric.g)
+
 
 def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
     """The direct route's constraint system (rows, unknowns, right-hand side)

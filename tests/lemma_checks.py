@@ -10,6 +10,7 @@ square (the one builder of (E (x)_A E)*) and the classical bracket identity.
 from dataclasses import dataclass
 
 from dense_reference import (
+    center,
     col,
     contains_vector,
     from_cols,
@@ -204,7 +205,7 @@ def metric_symmetric_one_central(geo: Geometry) -> bool:
 
 def central_pair_values_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     g = geo.metric.g
     for z1 in geo.cert.center_one_forms.basis:
         for z2 in geo.cert.center_one_forms.basis:
@@ -216,7 +217,7 @@ def central_pair_values_central(geo: Geometry) -> bool:
 def central_scalar_differentials_central(geo: Geometry) -> bool:
     """df lands in the center of the one-forms for central f, and so do the
     differentials of metric values on central pairs."""
-    zc_alg = geo.calc.algebra.center()
+    zc_alg = center(geo.calc.algebra)
     ze = geo.cert.center_one_forms
     for f in zc_alg.basis:
         if not contains_vector(ze, geo.calc.d0.apply(f)):
@@ -274,7 +275,7 @@ def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSqu
 
 
 def fields_values_on_central_forms_central(geo: Geometry) -> bool:
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     for m in geo.fields.maps:
         for z in geo.cert.center_one_forms.basis:
             if not contains_vector(zc, m.apply(z)):
@@ -293,7 +294,7 @@ def fields_right_total(geo: Geometry) -> bool:
     if not geo.fields.generators.spans:
         return False
     # right multiplication by central algebra elements stays inside
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     for x in geo.fields.basis:
         for a in zc.basis:
             xa = _apply_sparse(right_action(geo.metric.e_star.bimodule, a), x)
@@ -341,7 +342,7 @@ def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
 def covariant_derivative_axioms(geo: Geometry, conn) -> bool:
     """Additivity in both slots and the two module rules over the center."""
     estar = geo.metric.e_star
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     n = geo.fields.count
     for p in range(n):
         x = geo.fields.basis[p]
@@ -372,7 +373,7 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
     """The reconstruction data is right-linear over the algebra center."""
     estar = geo.metric.e_star
     qt = geo.calc.tensor_square
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     ne = geo.calc.one_forms.dim
 
     def t_tilde(eta: Vector, theta_coords: dict, omega: Vector) -> Vector:
@@ -402,7 +403,7 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
 
 
 def dual_pairing_central_and_symmetric(geo: Geometry) -> bool:
-    zc = geo.calc.algebra.center()
+    zc = center(geo.calc.algebra)
     ne = geo.metric.e_star.dim
     for x in geo.fields.basis:
         for y in geo.fields.basis:

@@ -4,19 +4,20 @@ A seeded metric is fixed, like sigma, by its values on the central tensors
 of the tameness certificate, drawn from the center of the algebra.  The
 perturbation shifts are drawn over the basis of hom_A(E, E (x)_A E), the
 right-linear maps built from the images of the central generators of the
-one-forms.  That construction is checked against the kernel construction
-dense_reference.hom_kernel.
+one-forms, or over the part of it that the wedge kills.  That construction
+is checked against the kernel construction dense_reference.hom_kernel.
 """
 
 from random import Random
 
-from dense_reference import vec_is_zero
+from dense_reference import center, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
 from tamecalc.calculus import Calculus, TamenessCertificate
 from tamecalc.connection import Connection, Geometry
 from tamecalc.errors import ContractViolationError, InternalInconsistencyError
 from tamecalc.linalg import (
     Matrix,
+    Scalar,
     Vector,
     ZERO,
     _apply_sparse,
@@ -47,6 +48,28 @@ def random_leibniz_perturbation(geo: Geometry, seed: int) -> Connection:
             return Connection(geo.nabla0.nabla + alpha)
 
 
+def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
+    """The reference connection plus a seeded right-linear shift alpha with
+    wedge o alpha == 0, drawn over a kernel basis of alpha -> wedge o alpha
+    on hom_A(E, E (x)_A E): torsionless, and compatible only by accident."""
+    rng = Random(seed)
+    hom = hom_A(geo.calc.one_forms, geo.calc.tensor_square.bimodule)
+    ne = geo.calc.one_forms.dim
+    rows: dict[int, dict[int, Scalar]] = {}
+    for s, h in enumerate(hom.basis):
+        for r, row in enumerate((geo.calc.wedge_q @ h).sparse_rows()):
+            for c, v in row.items():
+                rows.setdefault(r * ne + c, {})[s] = v
+    kernel = kernel_rows(list(rows.values()), hom.dim)
+    x = {}
+    while kernel and not x:
+        x = _lincomb([(qi(rng.randint(-2, 2)), k) for k in kernel])
+    alpha = Matrix.zeros(geo.calc.tensor_square.dim, ne)
+    for s, c in x.items():
+        alpha = alpha + hom.basis[s].scale(c)
+    return Connection(geo.nabla0.nabla + alpha)
+
+
 def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
                   attempts: int = 64) -> Matrix:
     """A deterministic, seeded, valid, non-Euclidean metric on quotient coords.
@@ -62,7 +85,7 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
     """
     rng = Random(seed)
     alg = calc.algebra
-    zc_alg = alg.center()
+    zc_alg = center(alg)
     nz = len(cert.center_one_forms.rows)
     if nz == 0:
         raise ContractViolationError("random_metric needs at least one central one-form")

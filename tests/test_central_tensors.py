@@ -6,19 +6,34 @@ seeded metric are each extended from their values on it.  These tests hold
 every such map to `dense_reference.through_central_tensors`, the same map
 solved by solve_through over the translates pi(z_p (x) z_q) . a_r, and the
 direct route's compatibility rows, posed once per central tensor, to the
-system posed on every translate.
+system posed on every translate.  The Levi-Civita conditions that certify
+and the direct route read, torsion on each central generator and
+compatibility on each central tensor, are held to the whole maps
+wedge o nabla + d1 and Pi_g - d o g.
 """
 
 import pytest
 
 from conftest import load_perfbench
-from dense_reference import direct_system_reference, pure, through_central_tensors
-from perturbations import random_metric
+from dense_reference import (
+    compat_values,
+    direct_system_reference,
+    levi_civita_verdicts_reference,
+    pi_g_matrix,
+    pure,
+    through_central_tensors,
+)
+from perturbations import (
+    random_leibniz_perturbation,
+    random_metric,
+    random_torsionless_perturbation,
+)
 from tamecalc import connection
 from tamecalc.bimodule import CentralGenerators
 from tamecalc.builders import build_chevalley
 from tamecalc.calculus import build_symmetry
-from tamecalc.connection import Geometry, compat_values, levi_civita_direct, pi_g_matrix
+from tamecalc.connection import Geometry, certify, defects, grassmann, levi_civita_direct
+from tamecalc.errors import InternalInconsistencyError
 from tamecalc.linalg import ONE, Matrix, _apply_sparse, solve_sparse, vec_to_sparse
 from tamecalc.metric import validate_metric
 
@@ -177,3 +192,100 @@ def test_direct_compatibility_once_per_central_tensor(request, monkeypatch, fixt
     assert len(rows) == compat + k * calc.two_forms.dim + len(gens.relation_rows(
         calc.tensor_square.bimodule))
     assert len(ref_rows) == calc.algebra.dim * compat + len(rows) - compat
+
+
+# -- the Levi-Civita conditions on generators ------------------------------------
+
+def generator_verdicts(geo, conn) -> tuple[bool, bool]:
+    """(torsionless, compatible) as the conditions on generators read them."""
+    ncompat = geo.conditions.ncompat
+    rows = defects(geo, conn)
+    return all(i < ncompat for i in rows), all(i >= ncompat for i in rows)
+
+
+@pytest.fixture(scope="module")
+def fuzzy2_geo(fuzzy2_calc):
+    return _seeded_geo(fuzzy2_calc, 2)
+
+
+def _verdict_cases(geo):
+    cases = {"levi-civita": levi_civita_direct(geo).connection, "reference": geo.nabla0,
+             "grassmann": grassmann(geo.calc, geo.cert)}
+    cases.update((f"perturbed-{seed}", random_leibniz_perturbation(geo, seed))
+                 for seed in range(1, 4))
+    cases.update((f"torsionless-{seed}", random_torsionless_perturbation(geo, seed))
+                 for seed in range(1, 3))
+    return cases
+
+
+# line_geo, over K[x]/(x^3), has no bracket on its fields, so certify's
+# covariant table cannot be read there; its generator verdicts still are
+@pytest.mark.parametrize("fixture, covariant", [
+    ("fuzzy_geo", True), ("fuzzy2_geo", True), ("fuzzy3_geo", True), ("torus_geo", True),
+    ("line_geo", False)])
+def test_generator_verdicts_match_whole_maps(request, fixture, covariant):
+    geo = request.getfixturevalue(fixture)
+    seen = set()
+    for name, conn in _verdict_cases(geo).items():
+        want = levi_civita_verdicts_reference(geo, conn)
+        assert generator_verdicts(geo, conn) == want, name
+        if covariant:
+            # certify raises if its covariant verdicts and these disagree
+            verdicts = certify(geo, conn)
+            assert (not verdicts.torsion_witnesses, not verdicts.compat_witnesses) == want, name
+        seen.add(want)
+    assert levi_civita_verdicts_reference(geo, levi_civita_direct(geo).connection) == (True, True)
+    # the torsionless draws keep torsion zero; a compatible one is an accident
+    assert (True, False) in seen
+
+
+def test_both_mixed_verdicts_on_matrix_derivations(fuzzy_geo):
+    # the reference connection is torsionless but not compatible, the
+    # Grassmann connection compatible but not torsionless
+    geo = fuzzy_geo
+    gr = grassmann(geo.calc, geo.cert)
+    assert levi_civita_verdicts_reference(geo, geo.nabla0) == (True, False)
+    assert levi_civita_verdicts_reference(geo, gr) == (False, True)
+    assert generator_verdicts(geo, geo.nabla0) == (True, False)
+    assert generator_verdicts(geo, gr) == (False, True)
+
+
+@pytest.mark.parametrize("condition", ["torsion", "compatibility"])
+@pytest.mark.parametrize("side", ["covariant", "generators"])
+def test_certify_raises_when_the_verdicts_disagree(fuzzy_geo, monkeypatch, condition, side):
+    # the Grassmann connection fails only torsion, the reference connection
+    # only compatibility; hiding that failure from one side must raise
+    geo = fuzzy_geo
+    conn = grassmann(geo.calc, geo.cert) if condition == "torsion" else geo.nabla0
+    if side == "generators":
+        monkeypatch.setattr(connection, "defects", lambda geo, conn: {})
+    else:
+        witnesses = "torsion_witnesses" if condition == "torsion" else "compat_witnesses"
+        monkeypatch.setattr(connection, witnesses, lambda geo, table: ())
+    with pytest.raises(InternalInconsistencyError, match=f"{condition} verdicts disagree"):
+        certify(geo, conn)
+
+
+def test_certify_reads_the_conditions_on_generators_only(fuzzy3_geo, monkeypatch):
+    # on a fresh geometry, certify neither forms the whole torsion matrix
+    # nor extends a map over the central tensors
+    geo = Geometry(fuzzy3_geo.calc, fuzzy3_geo.cert, fuzzy3_geo.metric)
+    conns = [levi_civita_direct(fuzzy3_geo).connection, fuzzy3_geo.nabla0,
+             grassmann(geo.calc, geo.cert)]
+    real = CentralGenerators.extend
+    extended = []
+
+    def recording(self, values, out_dim):
+        if self is geo.cert.spanning:
+            extended.append(out_dim)
+        return real(self, values, out_dim)
+
+    def torsion(calc, conn):
+        raise AssertionError("certify formed the whole torsion matrix")
+
+    monkeypatch.setattr(CentralGenerators, "extend", recording)
+    monkeypatch.setattr(connection, "torsion", torsion)
+    verdicts = [certify(geo, conn) for conn in conns]
+    assert extended == []
+    assert [(not v.torsion_witnesses, not v.compat_witnesses) for v in verdicts] == [
+        (True, True), (True, False), (False, True)]

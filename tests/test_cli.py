@@ -15,7 +15,7 @@ from conftest import GRAM_3, constant_metric_plain, load_perfbench
 from tamecalc import bimodule, cli
 from tamecalc.builders import matrix_derivations_chevalley
 from tamecalc.cli import main
-from tamecalc.connection import grassmann
+from tamecalc.connection import grassmann, nabla_zero
 from tamecalc.linalg import ONE, Matrix, _lincomb
 from tamecalc.specfile import (
     connection_to_json,
@@ -411,6 +411,30 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     assert by_name["torsion_zero_covariant"]["witness"]
 
 
+def test_verify_reference_connection_is_torsionless_but_not_compatible(workdir, capsys,
+                                                                      tmp_path):
+    # on matrix-derivations-2 the reference connection passes both torsion
+    # checks and fails only compatibility
+    spec = load_spec(workdir / "fuzzy.json")
+    from tamecalc.calculus import build_symmetry
+
+    cert = build_symmetry(spec.calculus).certificate
+    conn = nabla_zero(spec.calculus, cert)
+    art = tmp_path / "reference.json"
+    art.write_text(dumps_canonical(connection_to_json(conn.nabla, [], {}, spec.digest)))
+    code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(art)])
+    assert code == 1
+    report = json.loads(out)
+    validate_report_schema(report)
+    failed = {c["name"] for c in report["checks"] if not c["ok"]}
+    assert failed == {"compatibility_covariant"}
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["torsion_zero_form"]["ok"] and by_name["torsion_zero_covariant"]["ok"]
+    assert by_name["compatibility_covariant"]["witness"].startswith("failing field triples")
+    assert report["summary"]["torsionless"] is True
+    assert report["summary"]["compatible"] is False
+
+
 def test_verify_zero_map_fails_leibniz(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     t2_dim = spec.calculus.tensor_square.dim
@@ -473,7 +497,10 @@ def test_verify_malformed_artifact_exits_two(workdir, capsys, tmp_path):
 
 def _input_error(capsys) -> str:
     """The one stderr line of a command refused as bad input."""
-    err = capsys.readouterr().err
+    return _input_error_line(capsys.readouterr().err)
+
+
+def _input_error_line(err: str) -> str:
     assert err.startswith("input error: ") and err.count("\n") == 1, err
     return err
 
@@ -589,6 +616,92 @@ def test_each_command_reads_the_spec_once(workdir, capsys, tmp_path, monkeypatch
     assert report["input_digest"] == digest
     if command != "check":
         assert json.loads(artifact.read_text())["input_digest"] == digest
+
+
+def _trivial_spec() -> dict:
+    """A = Q(i) with zero one- and two-forms, which check accepts."""
+    return {"field": "Q(i)", "name": "trivial",
+            "algebra": {"dim": 1, "basis": ["1"], "unit": ["1"], "mul": [[["1"]]]},
+            "one_forms": {"dim": 0, "left": [[]], "right": [[]]},
+            "two_forms": {"dim": 0, "left": [[]], "right": [[]]},
+            "d0": [], "d1": [], "wedge": [], "metric": [[]]}
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("algebra", True, "spec.algebra.dim: expected a positive integer"),
+    ("one_forms", False, "spec.one_forms.dim: expected a nonnegative integer"),
+    ("two_forms", False, "spec.two_forms.dim: expected a nonnegative integer")])
+def test_boolean_dimension_exits_two(capsys, tmp_path, block, value, message):
+    # true == 1 and false == 0 in Python; a JSON boolean is still no dimension
+    good = tmp_path / "trivial.json"
+    good.write_text(json.dumps(_trivial_spec()))
+    assert main(["check", str(good)]) == 0
+    capsys.readouterr()
+    obj = _trivial_spec()
+    obj[block]["dim"] = value
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["check", str(bad)]) == 2
+    assert message in _input_error(capsys)
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    paths = {"missing": tmp_path / "missing.json", "garbled": tmp_path / "garbled.json",
+             "shape": tmp_path / "shape.json", "empty": tmp_path / "empty.json",
+             "unwritable": tmp_path / "no" / "dir" / "x.json"}
+    paths["garbled"].write_text("{not json")
+    paths["shape"].write_text(json.dumps([["1"]]))
+    paths["empty"].write_text(json.dumps([]))
+    return paths
+
+
+# (argv after the spec, the bad file the error names)
+READ_BEFORE_CHECKS = {
+    "check-metric-missing": (["check", "--metric", "{missing}"], "missing"),
+    "check-metric-shape": (["check", "--metric", "{shape}"], "shape"),
+    "connect-metric-garbled": (["connect", "--metric", "{garbled}", "--out", "{out}"], "garbled"),
+    "verify-metric-missing": (["verify", "{out}", "--metric", "{missing}"], "missing"),
+    "connect-frame-missing": (["connect", "--frame", "{missing}", "--out", "{out}"], "missing"),
+    "connect-frame-empty": (["connect", "--frame", "{empty}", "--out", "{out}"], "empty"),
+    "verify-artifact-missing": (["verify", "{missing}"], "missing"),
+    "verify-artifact-garbled": (["verify", "{garbled}"], "garbled"),
+    "connect-out-unwritable": (["connect", "--out", "{unwritable}"], "unwritable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_BEFORE_CHECKS))
+def test_input_files_are_read_before_any_check(workdir, capsys, tmp_path, monkeypatch,
+                                               bad_inputs, case):
+    def checked(calc):
+        raise AssertionError("a check ran before every input file was read")
+
+    monkeypatch.setattr(cli, "validate_calculus", checked)
+    args, named = READ_BEFORE_CHECKS[case]
+    paths = {**bad_inputs, "out": tmp_path / "x.json"}
+    command, *rest = [a.format(**paths) for a in args]
+    capsys.readouterr()
+    assert main([command, str(workdir / "fuzzy.json"), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _input_error_line(captured.err)
+    if named in ("shape", "empty"):
+        assert ("metric override" if named == "shape" else "frame override") in err
+    else:
+        assert str(bad_inputs[named]) in err
+
+
+def test_bad_input_file_outranks_a_failing_check(workdir, capsys, tmp_path):
+    # a spec that fails the algebra axioms with a missing --metric exits 2;
+    # it exited 1, because the metric file was read only after the checks
+    obj = json.loads((workdir / "fuzzy.json").read_text())
+    obj["algebra"]["mul"][1][1] = obj["algebra"]["mul"][1][2]
+    broken = tmp_path / "bad-algebra.json"
+    broken.write_text(json.dumps(obj))
+    assert main(["check", str(broken)]) == 1
+    capsys.readouterr()
+    assert main(["check", str(broken), "--metric", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in _input_error(capsys)
 
 
 def test_gen_of_an_unshipped_size_exits_two(capsys, tmp_path):

@@ -528,7 +528,7 @@ def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):
 def test_reference_connection_passes_torsion_everywhere(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
         n0 = nabla_zero(geo.calc, geo.cert)
-        assert torsion_witnesses(geo, n0, covariant_table(geo, n0)) == ()
+        assert torsion_witnesses(geo, covariant_table(geo, n0)) == ()
 
 
 def test_torus_reference_connection_is_compatible(torus_geo):
@@ -543,7 +543,7 @@ def test_flat_connection_with_varying_metric_incompatible(line_geo):
     # compatibility half of the certification applies
     geo = line_geo
     gr = grassmann(geo.calc, geo.cert)
-    assert compat_witnesses(geo, gr, covariant_table(geo, gr))
+    assert compat_witnesses(geo, covariant_table(geo, gr))
 
 
 def test_certify_stops_at_leibniz(fuzzy_geo):

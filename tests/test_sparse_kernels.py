@@ -141,3 +141,50 @@ def test_engine_modules_import_no_dense_vector_helpers():
         imported = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not imported & dense, (name, imported & dense)
+
+
+# Defined in src/ but called only by the benchmark under perfbench/, which
+# wraps them by name; no engine code calls them.
+BENCHMARK_PINNED = {"solve_through", "Subspace.reduce", "Subspace.coordinates", "Matrix.apply"}
+
+
+def test_every_definition_in_src_has_a_caller():
+    # a function or method no other src/ code names is dead, unless the
+    # package exports it or the benchmark pins it; special methods are
+    # called by the language
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    src = Path(tamecalc.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    defined = []   # (module, qualified name, name)
+
+    def collect(module, node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((module, f"{cls}.{child.name}" if cls else child.name, child.name))
+                collect(module, child)
+            elif isinstance(child, ast.ClassDef):
+                collect(module, child, child.name)
+            else:
+                collect(module, child, cls)
+
+    named = set()
+    for module, tree in trees.items():
+        collect(module, tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    dead = [(module, qual) for module, qual, name in defined
+            if name not in named and name not in tamecalc.__all__
+            and qual not in BENCHMARK_PINNED
+            and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []
+    # the pinned names are still defined, and still have no engine caller
+    qualified = {qual for _, qual, _ in defined}
+    assert BENCHMARK_PINNED <= qualified
+    assert not {qual.split(".")[-1] for qual in BENCHMARK_PINNED} & named
