@@ -13,7 +13,6 @@ on the same input are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -91,7 +90,7 @@ class ReportBuilder:
 
 def emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(dumps_canonical(report))
         return
     for c in report["checks"]:
         mark = "ok  " if c["ok"] else "FAIL"

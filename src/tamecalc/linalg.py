@@ -188,7 +188,7 @@ def basis_vector(n: int, i: int) -> Vector:
 
 
 def vec_to_sparse(u: Sequence[Scalar]) -> dict[int, Scalar]:
-    return {j: a for j, a in enumerate(u) if not a.is_zero()}
+    return {j: a for j, a in enumerate(u) if a.rn or a.im}
 
 
 def sparse_to_vec(s: dict[int, Scalar], n: int) -> Vector:

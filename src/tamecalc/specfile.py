@@ -6,6 +6,11 @@ coordinates, and the metric.  Scalars travel as exact strings ("3/2") or
 {"re", "im"} objects, so files round-trip bit for bit and fixtures diff
 cleanly.  Shape problems raise SpecFileError (CLI exit 2); mathematical
 failures are left for the check pipeline to report (exit 1).
+
+Every file tamecalc writes, and every --json report, is dumps_canonical's
+text: `json.dumps(value, indent=2, sort_keys=True)` plus one newline
+(ASCII escapes, sorted keys), so the standard library reproduces any of
+them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -60,17 +66,13 @@ def _sparse_from_json(obj: Any, n: int, where: str) -> dict[int, Scalar]:
     """A JSON vector parsed straight into a zero-free sparse vector."""
     if not isinstance(obj, list) or len(obj) != n:
         raise SpecFileError(f"{where}: expected a vector of length {n}")
-    out = {}
+    if obj.count("0") == n:   # a zero row, most rows of a dense spec
+        return {}
     try:
-        for j, x in enumerate(obj):
-            if x == "0":
-                continue
-            v = scalar_from_json(x)
-            if not v.is_zero():
-                out[j] = v
+        parsed = {j: scalar_from_json(x) for j, x in enumerate(obj) if x != "0"}
     except (LinAlgError, ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"{where}: bad scalar ({exc})")
-    return out
+    return {j: v for j, v in parsed.items() if v.rn or v.im}
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -199,8 +201,39 @@ def spec_from_json(obj: Any) -> SpecData:
                     calculus=calc, metric_plain=metric, frame=frame)
 
 
-def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dumps_canonical(obj: Any) -> str:
+    """Exactly `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`.  json's
+    C encoder is off whenever `indent` is set, so the stdlib call steps a
+    Python generator once per scalar; here each run of strings, most of a
+    dense matrix row, is escaped and joined in C.  A dict key that is not a
+    str raises TypeError (from the sort or the escape) rather than being
+    written some other way."""
+    return _encode(obj, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj: Any, nl: str) -> str:
+    """obj's text under the indent that nl (a newline and the enclosing
+    indent) sets; leaves other than strings go to json.dumps."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(f"{_escape(k)}: {_encode(obj[k], inner)}" for k in sorted(obj))
+        return f"{{{inner}{body}{nl}}}"   # one copy of body, where + makes three
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = sep.join(sep.join(map(_escape, run)) if kind is str
+                        else sep.join(_encode(x, inner) for x in run)
+                        for kind, run in groupby(obj, type))
+        return f"[{inner}{body}{nl}]"
+    return json.dumps(obj)
 
 
 def write_file(path: str | Path, text: str) -> None:

@@ -792,6 +792,38 @@ def test_abelian_torus_4_spec_and_check_report_match_golden(capsys, tmp_path):
     assert _report_digest(json.loads(out)) == GOLDEN_TORUS4_CHECK
 
 
+def test_files_are_written_without_the_stdlib_indent_encoder(capsys, tmp_path, monkeypatch):
+    """json.dumps(indent=...) steps json.encoder._make_iterencode; the
+    canonical writer never reaches it, for a spec, an artifact or a report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib indent encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    spec_path = tmp_path / "abelian-torus-4.json"
+    assert main(["gen", "abelian-torus", "--n", "4", "--out", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(spec_path.read_bytes()).hexdigest() == GOLDEN_TORUS4_SPEC
+    code, out = run(capsys, ["check", str(spec_path), "--json"])
+    assert code == 0 and json.loads(out)["ok"]
+    small, art = tmp_path / "matrix-derivations-2.json", tmp_path / "md2.connection.json"
+    assert main(["gen", "matrix-derivations", "--n", "2", "--out", str(small)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, ["connect", str(small), "--json", "--out", str(art)])
+    assert code == 0 and json.loads(out)["ok"]
+    assert hashlib.sha256(art.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS["matrix-derivations"]
+
+
+@pytest.mark.parametrize("command", ["check", "connect"])
+@pytest.mark.parametrize("spec", ["fuzzy.json", "torus.json"])
+def test_json_report_bytes_are_the_stdlib_form(workdir, capsys, tmp_path, command, spec):
+    argv = [command, str(workdir / spec), "--json"]
+    if command == "connect":
+        argv += ["--out", str(tmp_path / "artifact.json")]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 # -- which actions of the tensor square are read ----------------------------------
 
 class RecordedReads(tuple):
