@@ -36,7 +36,7 @@ class Algebra:
     """Associative unital algebra via structure constants.
 
     The constructor checks shapes only; call validate() to certify
-    associativity and the unit laws (the commands and the builders do).
+    associativity and the unit laws (the commands do, the builders do not).
     `validated` records that it passed.
     """
 

@@ -29,10 +29,6 @@ class SpecFileError(EngineError):
     code = "SpecFileError"
 
 
-class InvalidActionError(EngineError):
-    code = "InvalidAction"
-
-
 class NoSplittingError(EngineError):
     code = "NoSplitting"
 

@@ -34,7 +34,7 @@ class Metric:
     """A validated metric: quotient-coordinate form plus both legs of V_g."""
 
     g: Matrix                 # A-coords <- tensor-square quotient coords
-    g_plain: Matrix           # A-coords <- plain tensor coords, g @ project
+    g_plain: Matrix           # A-coords <- plain tensor coords, the input
     e_star: HomModule         # Hom_A(E, A)
     v_g: Matrix               # E* coords <- E coords
     v_g_inv: Matrix
@@ -68,29 +68,24 @@ def _fail(reason: str, detail: str, witness=None) -> MetricOutcome:
 def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> MetricOutcome:
     """Check bilinearity, symmetry and invertibility; build both legs of V_g.
 
-    Accepts the metric either on plain tensor coordinates (dim E^2 columns,
-    lifted by checking it kills the relations) or directly on quotient
-    coordinates.  Bilinearity needs only the algebra's generators once the
-    calculus validated.
+    g_in is the metric on plain tensor coordinates (dim E^2 columns), as
+    every spec, metric file and builder gives it; once it kills the relations
+    its quotient form is g_in @ section.  Bilinearity needs only the
+    algebra's generators once the calculus validated.
     """
     qt = calc.tensor_square
     alg = calc.algebra
     e = calc.one_forms
     if g_in.rows != alg.dim:
         return _fail("NotBilinear", f"metric must be valued in the algebra ({alg.dim} rows)")
-    if g_in.cols == qt.ambient_dim:
-        unkilled = qt.first_unkilled(g_in)
-        if unkilled is not None:
-            return _fail("NotBilinear",
-                         "metric on plain tensors does not kill the (x)_A relations",
-                         unkilled)
-        g = g_in @ qt.section
-    elif g_in.cols == qt.dim:
-        g = g_in
-    else:
+    if g_in.cols != qt.ambient_dim:
         return _fail("NotBilinear",
-                     f"metric has {g_in.cols} columns; expected {qt.ambient_dim} (plain) "
-                     f"or {qt.dim} (quotient)")
+                     f"metric has {g_in.cols} columns; expected {qt.ambient_dim} (plain)")
+    unkilled = qt.first_unkilled(g_in)
+    if unkilled is not None:
+        return _fail("NotBilinear",
+                     "metric on plain tensors does not kill the (x)_A relations", unkilled)
+    g = g_in @ qt.section
 
     def unbilinear(indices: Sequence[int]) -> MetricOutcome | None:
         for i in indices:
@@ -115,10 +110,9 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     if e_star.dim != e.dim:
         return _fail("VgNotInvertible",
                      f"dual module has dimension {e_star.dim}, one-forms {e.dim}")
-    # column i * dim E + j of g_plain is g(pi(e_i (x) e_j)), so V_g(e_i) is
+    # column i * dim E + j of g_in is g(pi(e_i (x) e_j)), so V_g(e_i) is
     # the dual element whose values are the i-th run of dim E columns
-    g_plain = g @ qt.project
-    g_cols = g_plain.sparse_cols()
+    g_cols = g_in.sparse_cols()
     cols = []
     for i in range(e.dim):
         functional = Matrix.from_sparse_cols(g_cols[i * e.dim:(i + 1) * e.dim], alg.dim)
@@ -134,7 +128,7 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
         kernel = v_g.kernel()
         return _fail("VgNotInvertible", "V_g has a nontrivial kernel",
                      kernel.basis[0] if kernel.dim else None)
-    return MetricOutcome(Metric(g=g, g_plain=g_plain, e_star=e_star, v_g=v_g,
+    return MetricOutcome(Metric(g=g, g_plain=g_in, e_star=e_star, v_g=v_g,
                                 v_g_inv=v_g_inv), None)
 
 

@@ -53,14 +53,26 @@ GRAM_3 = ((2, 1, -1), (1, 3, 1), (-1, 1, 2))
 GRAM_2 = ((2, 1), (1, -1))
 
 
+def certified(x):
+    """x (a calculus or a Lie datum) with its algebra certified, as `check`
+    does before it reads the calculus: the builders leave certification to
+    the commands, and the checks over the algebra's generators need it."""
+    x.algebra.validate()
+    return x
+
+
 @pytest.fixture(scope="session")
 def fuzzy_preset():
-    return preset_matrix_derivations(2)
+    preset = preset_matrix_derivations(2)
+    certified(preset.calculus)
+    return preset
 
 
 @pytest.fixture(scope="session")
 def torus_preset():
-    return preset_abelian_torus(2)
+    preset = preset_abelian_torus(2)
+    certified(preset.calculus)
+    return preset
 
 
 @pytest.fixture(scope="session")

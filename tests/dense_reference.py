@@ -19,7 +19,10 @@ wedge o nabla + d1 and compatibility off Pi_g == d o g: the oracles for
 the Levi-Civita conditions posed once per central generator and tensor.
 validate_calculus_reference states
 every calculus axiom as a matrix identity over the whole algebra basis,
-the oracle for the checks that run over the algebra's generators.  The
+the oracle for the checks that run over the algebra's generators.
+lie_table_failure states antisymmetry and Jacobi for a table of bracket
+constants, which no command checks: the complex reads [X_p, X_q] only for
+p < q.  The
 dense forms that only tests read live here too: the action matrix of an
 algebra element on a bimodule, left multiplication in the algebra and
 its center, the sum, intersection and containment of subspaces, the
@@ -595,3 +598,29 @@ def validate_calculus_reference(calc) -> list[tuple[str, bool, str | None]]:
     )
     return [(name, witness is None, witness) for name, witness in
             ((name, fn()) for name, fn in checks)]
+
+
+def lie_table_failure(brackets) -> tuple[int, ...] | None:
+    """The first (i, j) where the dense bracket table is not antisymmetric,
+    else the first (i, j, k) where [[X_i, X_j], X_k] + cyclic != 0, else
+    None.  brackets[i][j] is the coordinate vector of [X_i, X_j]."""
+    n = len(brackets)
+    for i in range(n):
+        for j in range(n):
+            if brackets[i][j] != tuple(-x for x in brackets[j][i]):
+                return (i, j)
+
+    def bracket(u: Vector, k: int) -> Vector:
+        out = [ZERO] * n
+        for m, c in enumerate(u):
+            for r, x in enumerate(brackets[m][k]):
+                out[r] = out[r] + c * x
+        return tuple(out)
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                terms = [bracket(brackets[a][b], c) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+                if not vec_is_zero(tuple(sum(xs, ZERO) for xs in zip(*terms))):
+                    return (i, j, k)
+    return None

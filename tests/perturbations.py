@@ -72,7 +72,8 @@ def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
 
 def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
                   attempts: int = 64) -> Matrix:
-    """A deterministic, seeded, valid, non-Euclidean metric on quotient coords.
+    """A deterministic, seeded, valid, non-Euclidean metric on plain tensor
+    coordinates, the form `validate_metric` takes.
 
     Coefficients on central generator pairs are drawn from the center of the
     algebra (symmetrically), which makes the candidate automatically bilinear
@@ -115,6 +116,7 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
         if g is None:
             raise InternalInconsistencyError(
                 "a seeded metric breaks a relation among the central tensors")
+        g = g @ calc.tensor_square.project
         outcome = validate_metric(calc, cert, g)
         if not outcome.ok:
             continue

@@ -7,6 +7,7 @@ multiplied as honest matrices.
 
 import pytest
 
+from conftest import certified
 from dense_reference import center, contains_vector, from_rows, multiply_dense
 from tamecalc.algebra import Algebra
 from tamecalc.builders import matrix_derivations_chevalley
@@ -22,7 +23,7 @@ from tamecalc.linalg import (
 
 @pytest.fixture(scope="module")
 def fuzzy():
-    return matrix_derivations_chevalley(2).algebra
+    return certified(matrix_derivations_chevalley(2)).algebra
 
 
 # Independent oracle: U, V, W=UV as 2x2 matrices; a coordinate vector

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from conftest import certified
 from dense_reference import (
     center,
     contains_vector,
@@ -40,7 +41,7 @@ from tamecalc.linalg import (
 
 @pytest.fixture(scope="module")
 def fuzzy():
-    return matrix_derivations_chevalley(2)
+    return certified(matrix_derivations_chevalley(2))
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.calculus import build_symmetry, validate_calculus
-from tamecalc.errors import ContractViolationError, InvalidActionError
+from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     Matrix,
     Subspace,
@@ -20,8 +20,8 @@ from tamecalc.linalg import (
 )
 from tamecalc.metric import validate_metric
 
-from conftest import truncated_line_spec
-from dense_reference import center
+from conftest import load_perfbench, truncated_line_spec
+from dense_reference import center, lie_table_failure
 
 
 def test_fuzzy_preset_dimensions(fuzzy_preset):
@@ -100,23 +100,76 @@ def test_torus_n4_builds():
     spec = abelian_torus_chevalley(4)
     assert spec.algebra.dim == 25
     assert spec.lie_dim == 2  # two torus directions at every size
-    spec.validate()
+    spec.algebra.validate()
+    assert validate_calculus(build_chevalley(spec)).ok
+
+
+def _failed_items(spec: ChevalleySpec) -> dict:
+    """Build spec, then certify it as `check` does: the algebra first, then
+    the calculus axioms.  The failed items, by name, with their witnesses."""
+    calc = build_chevalley(spec)
+    calc.algebra.validate()
+    return {item.name: item.witness for item in validate_calculus(calc) if not item.ok}
 
 
 def test_invalid_action_is_rejected():
+    # the identity is no derivation: d(1) = 1, so Leibniz fails at (1, 1)
     spec = truncated_line_spec()
     broken = ChevalleySpec(spec.algebra, 1, spec.brackets, (Matrix.identity(3),))
-    with pytest.raises(InvalidActionError):
-        build_chevalley(broken)
+    assert _failed_items(broken) == {
+        "d0_leibniz": "d(ab) != da.b + a.db at basis pair (1, 1)"}
 
 
 def test_non_representing_actions_are_rejected(fuzzy_preset):
+    # inner derivations with a zero bracket table: d1 d0 evaluates
+    # [X_p, X_q] - X_[p,q], which is not zero
     spec = matrix_derivations_chevalley(2)
     z3 = zero_vector(3)
     flat = tuple(tuple(z3 for _ in range(3)) for _ in range(3))
     broken = ChevalleySpec(spec.algebra, 3, flat, spec.actions)
-    with pytest.raises(InvalidActionError):
-        broken.validate()
+    failed = _failed_items(broken)
+    assert failed["d_squared_zero"] == "d1 . d0 != 0"
+    assert "d0_leibniz" not in failed
+
+
+def test_tables_of_the_wrong_size_are_refused():
+    spec = matrix_derivations_chevalley(2)
+    with pytest.raises(ContractViolationError):
+        ChevalleySpec(spec.algebra, 2, spec.brackets, spec.actions)
+    with pytest.raises(ContractViolationError):
+        ChevalleySpec(spec.algebra, 3, spec.brackets, spec.actions[:2])
+    with pytest.raises(ContractViolationError):
+        ChevalleySpec(spec.algebra, 3, spec.brackets[:2] + (spec.brackets[2][:2],), spec.actions)
+    with pytest.raises(ContractViolationError):
+        ChevalleySpec(spec.algebra, 1, ((zero_vector(1),),), (Matrix.identity(3),))
+
+
+SHIPPED = {
+    "matrix-derivations-2": lambda: matrix_derivations_chevalley(2),
+    "abelian-torus-2": lambda: abelian_torus_chevalley(2),
+    "abelian-torus-4": lambda: abelian_torus_chevalley(4),
+    "fuzzy-sphere-2": lambda: load_perfbench("inputs").fuzzy_sphere_chevalley(2),
+    "fuzzy-sphere-3": lambda: load_perfbench("inputs").fuzzy_sphere_chevalley(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_bracket_tables_are_lie_algebras(name):
+    # no command checks antisymmetry or Jacobi, so the tables are tested here
+    assert lie_table_failure(SHIPPED[name]().brackets) is None
+
+
+def test_lie_table_check_names_the_broken_identity():
+    # the helper itself: a table that is not antisymmetric, and an
+    # antisymmetric one whose Jacobi identity fails ([X_0, X_1] = X_0,
+    # [X_1, X_2] = X_1, [X_0, X_2] = 0)
+    one, z = qi(1), zero_vector(3)
+    e = [tuple(one if k == i else qi(0) for k in range(3)) for i in range(3)]
+    neg = [tuple(-x for x in v) for v in e]
+    lopsided = ((z, e[0], z), (e[0], z, z), (z, z, z))
+    assert lie_table_failure(lopsided) == (0, 1)
+    broken = ((z, e[0], z), (neg[0], z, e[1]), (z, neg[1], z))
+    assert lie_table_failure(broken) == (0, 1, 2)
 
 
 def test_wedge_kills_relations_by_construction(fuzzy_preset):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import certified
 from dense_reference import col, failures, from_rows, pure, vec_is_zero, wedge_of
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, dual_module, module_center, pair_apply
@@ -32,7 +33,7 @@ from tamecalc.linalg import (
 
 @pytest.fixture(scope="module")
 def fuzzy_spec():
-    return matrix_derivations_chevalley(2)
+    return certified(matrix_derivations_chevalley(2))
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ def test_truncated_line_calculus_axioms():
 
 
 def test_torus_calculus_passes():
-    calc = build_chevalley(abelian_torus_chevalley(2))
+    calc = build_chevalley(certified(abelian_torus_chevalley(2)))
     assert validate_calculus(calc).ok
     assert calc.algebra.dim == 9
     assert calc.one_forms.dim == 18

@@ -91,7 +91,7 @@ def test_seeded_metric_matches_solve_through(geo, line_geo, monkeypatch):
         return got
 
     monkeypatch.setattr(CentralGenerators, "extend", recording)
-    assert random_metric(calc, cert, 5) == calls[-1][2]
+    assert random_metric(calc, cert, 5) == calls[-1][2] @ calc.tensor_square.project
     for values, out_dim, got in calls:
         assert got is not None
         assert got == through_central_tensors(calc, values, out_dim)
@@ -106,11 +106,12 @@ def test_seeded_metric_on_a_module_that_is_not_free(line_geo, seed):
     calc, cert = line_geo.calc, line_geo.cert
     alg = calc.algebra
     g = random_metric(calc, cert, seed)
-    assert validate_metric(calc, cert, g).ok
+    outcome = validate_metric(calc, cert, g)
+    assert outcome.ok
     # g(z_p (x) z_q) is not 1 on the diagonal and 0 off it
     k = len(cert.center_one_forms.basis)
     unit = vec_to_sparse(alg.unit)
-    on_central = [_apply_sparse(g, z) for z in cert.spanning.zs]
+    on_central = [_apply_sparse(outcome.metric.g, z) for z in cert.spanning.zs]
     assert on_central != [unit if p == q else {} for p in range(k) for q in range(k)]
     assert g == random_metric(calc, cert, seed)
 

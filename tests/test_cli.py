@@ -11,13 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRAM_3, constant_metric_plain, load_perfbench
-from tamecalc import bimodule, cli
-from tamecalc.builders import matrix_derivations_chevalley
+from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
+from tamecalc import algebra, bimodule, calculus, cli
+from tamecalc.builders import (
+    ChevalleySpec,
+    build_chevalley,
+    euclidean_metric_plain,
+    matrix_derivations_chevalley,
+)
 from tamecalc.cli import main
 from tamecalc.connection import grassmann, nabla_zero
-from tamecalc.linalg import ONE, Matrix, _lincomb
+from tamecalc.linalg import ONE, Matrix, _lincomb, zero_vector
 from tamecalc.specfile import (
+    SpecData,
     connection_to_json,
     dumps_canonical,
     input_digest,
@@ -811,6 +817,53 @@ def test_files_are_written_without_the_stdlib_indent_encoder(capsys, tmp_path, m
     code, out = run(capsys, ["connect", str(small), "--json", "--out", str(art)])
     assert code == 0 and json.loads(out)["ok"]
     assert hashlib.sha256(art.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS["matrix-derivations"]
+
+
+def test_gen_certifies_nothing(capsys, tmp_path, monkeypatch):
+    """Builders build and `check` certifies: with every certification
+    patched to raise, `gen` still writes the pinned spec."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen certified the calculus")
+
+    monkeypatch.setattr(algebra.Algebra, "validate", refuse)
+    monkeypatch.setattr(bimodule.Bimodule, "validate", refuse)
+    monkeypatch.setattr(calculus, "validate_calculus", refuse)
+    monkeypatch.setattr(cli, "validate_calculus", refuse)
+    spec_path = tmp_path / "abelian-torus-4.json"
+    assert main(["gen", "abelian-torus", "--n", "4", "--out", str(spec_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(spec_path.read_bytes()).hexdigest() == GOLDEN_TORUS4_SPEC
+
+
+def _identity_action():
+    spec = truncated_line_spec()
+    return ChevalleySpec(spec.algebra, 1, spec.brackets, (Matrix.identity(3),))
+
+
+def _zero_brackets():
+    spec = matrix_derivations_chevalley(2)
+    flat = tuple(tuple(zero_vector(3) for _ in range(3)) for _ in range(3))
+    return ChevalleySpec(spec.algebra, 3, flat, spec.actions)
+
+
+@pytest.mark.parametrize("broken, named", [(_identity_action, "d0_leibniz"),
+                                           (_zero_brackets, "d_squared_zero")])
+def test_broken_lie_datum_fails_a_named_check(capsys, tmp_path, broken, named):
+    # an action that is no derivation, or actions that do not represent the
+    # bracket, reach `check` through a spec file: exit 1, the named item,
+    # no traceback
+    spec = broken()
+    path = tmp_path / "broken-lie.json"
+    save_spec(SpecData(name="broken-lie", calculus=build_chevalley(spec),
+                       metric_plain=euclidean_metric_plain(spec)), path)
+    code = main(["check", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["exit_code"] == 1
+    failed = {c["name"] for c in report["checks"] if not c["ok"]}
+    assert named in failed
 
 
 @pytest.mark.parametrize("command", ["check", "connect"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import truncated_line_spec
+from conftest import certified, truncated_line_spec
 from dense_reference import (
     contains_vector,
     from_rows,
@@ -113,7 +113,7 @@ def test_generated_relations_and_center_equal_the_full_basis(name):
     maker = {"matrix-derivations-2": lambda: preset_matrix_derivations(2),
              "abelian-torus-2": lambda: preset_abelian_torus(2),
              "abelian-torus-4": lambda: preset_abelian_torus(4)}[name]
-    e = maker().calculus.one_forms
+    e = certified(maker().calculus).one_forms
     e.validate()
     assert e.validated and len(e.algebra.generators) < e.algebra.dim
     qt = tensor_over_A(e, e)
@@ -145,7 +145,8 @@ def test_d0_leibniz_checks_the_unit():
 
 # -- bumped calculi against the full-basis reference --------------------------------
 
-CALCULI = [preset_matrix_derivations(2).calculus, preset_abelian_torus(2).calculus]
+CALCULI = [certified(preset_matrix_derivations(2).calculus),
+           certified(preset_abelian_torus(2).calculus)]
 scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 2)).filter(
     lambda x: not x.is_zero())
 
@@ -289,7 +290,7 @@ def test_connection_checks_match_on_a_validated_calculus():
     # leibniz_witness and torsion run over the generators once the calculus
     # validated; they name what the whole-basis scan names
     for preset in (preset_matrix_derivations(2), preset_abelian_torus(2)):
-        calc = preset.calculus
+        calc = certified(preset.calculus)
         unchecked = Calculus(calc.algebra, calc.one_forms, calc.two_forms,
                              calc.d0, calc.d1, calc.wedge_plain)
         assert validate_calculus(calc).ok and calc.validated and not unchecked.validated

@@ -77,7 +77,7 @@ def test_asymmetric_metric_rejected(fuzzy):
     values = [vec_to_sparse(alg.right_basis_matrix(r).apply(coeff[pp][qq]))
               for pp in range(3) for qq in range(3) for r in range(alg.dim)]
     g = cert.spanning.extend(values, alg.dim)
-    outcome = validate_metric(p.calculus, cert, g)
+    outcome = validate_metric(p.calculus, cert, g @ p.calculus.tensor_square.project)
     assert not outcome.ok
     assert outcome.failure.reason == "NotSymmetric"
     # the witness is the first quotient basis vector where g sigma and g differ
@@ -105,13 +105,26 @@ def fuzzy_euclidean_quotient(p, cert):
 
 
 def test_non_bilinear_rejected(fuzzy):
+    # bumped on quotient coordinates and fed on plain tensors, so it kills
+    # the relations and fails on the action of the first generator
     p, cert = fuzzy
     g = fuzzy_euclidean_quotient(p, cert)
     rows = [list(r) for r in g.entries]
     rows[1][0] = rows[1][0] + ONE  # breaks left-linearity, keeps shape
-    outcome = validate_metric(p.calculus, cert, Matrix(4, 36, rows))
+    outcome = validate_metric(p.calculus, cert,
+                              Matrix(4, 36, rows) @ p.calculus.tensor_square.project)
     assert not outcome.ok
-    assert outcome.failure.reason in ("NotBilinear", "NotSymmetric")
+    assert outcome.failure.reason == "NotBilinear"
+    assert outcome.failure.detail == "metric is not left-linear"
+
+
+def test_metric_on_quotient_coordinates_rejected(fuzzy):
+    # the metric is taken on plain tensors only: any other column count,
+    # the quotient's included, is a named refusal
+    p, cert = fuzzy
+    outcome = validate_metric(p.calculus, cert, fuzzy_euclidean_quotient(p, cert))
+    assert outcome.failure.reason == "NotBilinear"
+    assert outcome.failure.detail == "metric has 36 columns; expected 144 (plain)"
 
 
 def test_plain_matrix_not_killing_relations_rejected(fuzzy):
@@ -295,7 +308,7 @@ def test_random_metric_is_valid_and_deterministic(fuzzy):
     assert g1 == g2
     outcome = validate_metric(p.calculus, cert, g1)
     assert outcome.ok
-    assert g1 != fuzzy_euclidean_quotient(p, cert)
+    assert g1 != p.metric_plain
 
 
 def test_random_metric_varies_with_seed(fuzzy):

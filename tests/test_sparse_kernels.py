@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAM_2, GRAM_3, constant_metric_plain
+from conftest import GRAM_2, GRAM_3, certified, constant_metric_plain
 from dense_reference import (
     g_tilde_dense,
     leibniz_witness_dense,
@@ -29,7 +29,7 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _constant_geometry(spec, gram):
-    calc = build_chevalley(spec)
+    calc = build_chevalley(certified(spec))
     cert = build_symmetry(calc).certificate
     metric = validate_metric(calc, cert, constant_metric_plain(spec, gram)).metric
     return Geometry(calc, cert, metric)
@@ -188,3 +188,25 @@ def test_every_definition_in_src_has_a_caller():
     qualified = {qual for _, qual, _ in defined}
     assert BENCHMARK_PINNED <= qualified
     assert not {qual.split(".")[-1] for qual in BENCHMARK_PINNED} & named
+
+
+def test_certification_runs_only_where_check_runs_it():
+    # builders build and `check` certifies: in src/, .validate() is called
+    # on the algebra in cli.run_structure_checks and on the two form
+    # bimodules in calculus.validate_calculus, and nowhere else
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    src = Path(tamecalc.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "validate"):
+                    sites.append((path.name, top.name, ast.unparse(node.func.value)))
+    assert sites == [("calculus.py", "validate_calculus", "e"),
+                     ("calculus.py", "validate_calculus", "w2"),
+                     ("cli.py", "run_structure_checks", "calc.algebra")]

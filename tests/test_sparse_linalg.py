@@ -13,6 +13,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import certified
 from dense_reference import (
     DenseMatrix,
     from_cols,
@@ -180,8 +181,8 @@ def test_matrix_json_matches_dense_rows(grid):
 
 # -- the graded Leibniz check ----------------------------------------------------------
 
-CALCULI = [build_chevalley(matrix_derivations_chevalley(2)),
-           build_chevalley(abelian_torus_chevalley(2))]
+CALCULI = [build_chevalley(certified(matrix_derivations_chevalley(2))),
+           build_chevalley(certified(abelian_torus_chevalley(2)))]
 
 
 def _bumped(m: Matrix, i: int, j: int, by: Scalar) -> Matrix:
