@@ -356,12 +356,16 @@ class CentralGenerators:
         """Sparse coefficients w with v == sum w_(j,s) z_j . a_s, at j * nA + s."""
         return _apply_sparse(self._through, v)
 
+    def relation_sums(self, values: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+        """sum w_(j,s) values[j * nA + s] for each relation w, sparse: all
+        zero exactly when the values respect the relations."""
+        return [_lincomb((c, values[i]) for i, c in w.items()) for w in self.relations]
+
     def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix | None:
         """The linear map sending z_j . a_s to the sparse values[j * nA + s],
         or None when the values break a relation among the z_j . a_s."""
-        for w in self.relations:
-            if _lincomb((c, values[i]) for i, c in w.items()):
-                return None
+        if any(self.relation_sums(values)):
+            return None
         return Matrix.from_sparse_cols(
             [_lincomb((c, values[i]) for i, c in through.items())
              for through in self._through.sparse_cols()], out_dim)

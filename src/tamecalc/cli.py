@@ -38,7 +38,6 @@ from .specfile import (
     dumps_canonical,
     load_json,
     load_metric_override,
-    load_frame_override,
     load_spec,
     save_spec,
     write_file,
@@ -188,9 +187,6 @@ def cmd_connect(args) -> int:
     rb = ReportBuilder("connect", args.spec, args.seed)
     spec = load_spec(args.spec)
     g_in = read_metric(spec, args.metric)
-    frame = spec.frame
-    if args.frame is not None:
-        frame = load_frame_override(args.frame, spec.calculus.one_forms.dim)
     out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
     check_writable(out)
     cert, metric = run_structure_checks(spec, rb, g_in)
@@ -198,7 +194,7 @@ def cmd_connect(args) -> int:
         emit(rb.finish(EXIT_MATH), args.json)
         return EXIT_MATH
 
-    geo = Geometry(spec.calculus, cert, metric, frame=frame)
+    geo = Geometry(spec.calculus, cert, metric)
     try:
         koszul = levi_civita_koszul(geo)
         direct = levi_civita_direct(geo)
@@ -296,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("connect", help="compute the Levi-Civita connection both ways")
     k.add_argument("spec")
     common(k)
-    k.add_argument("--frame", help="frame override file for the reference connection")
     k.add_argument("--out", help="artifact path (default <spec>.connection.json)")
     k.set_defaults(fn=cmd_connect)
 

@@ -14,15 +14,16 @@ Levi-Civita connection:
 * a Koszul route that reads every covariant derivative off the
   six-term formula and reconstructs the connection through the
   separating family of field pairs, and
-* a direct route that solves the same conditions over all Leibniz
-  perturbations of the reference connection, each fixed by its images of
-  the central generators of the one-forms.
+* a direct route that solves the same conditions for the connection's
+  images of the central generators of the one-forms.
 
 Exact equality of the two routes is the engine's own strongest self-test.
+Neither route uses the Grassmann or the reference connection; they are the
+paper's constructions, kept for their own sake and as test oracles.
 
-A right-linear map out of the one-forms (a Grassmann splitting, a Leibniz
-perturbation) is fixed by its images of the central generators z_i, and a
-connection (Grassmann, reconstructed) by nabla(z_i) and the Leibniz rule.
+A right-linear map out of the one-forms (a Grassmann splitting) is fixed by
+its images of the central generators z_i, and a connection (Grassmann,
+reconstructed, direct) by nabla(z_i) and the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -98,17 +99,25 @@ def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
     return calc.algebra.first_failure(pairs, calc.validated)
 
 
+def _leibniz_values(calc: Calculus, images: Sequence[dict[int, Scalar]]
+                    ) -> list[dict[int, Scalar]]:
+    """images[r] . a_s + z_r (x) d a_s at r * dim A + s, sparse: what the
+    Leibniz rule gives z_r . a_s when each central generator z_r of the
+    one-forms goes to images[r]."""
+    qt = calc.tensor_square
+    dcols = calc.d0.sparse_cols()
+    return [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
+                      (ONE, qt.pure_sparse(z, dcols[s]))))
+            for w, z in zip(images, calc.one_forms.central_generators.zs)
+            for s in range(calc.algebra.dim)]
+
+
 def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Connection:
     """The connection sending each central generator z_r of the one-forms to
     the sparse images[r], extended by the Leibniz rule:
     z_r . a_s -> images[r] . a_s + z_r (x) d a_s."""
-    qt = calc.tensor_square
-    gens = calc.one_forms.central_generators
-    dcols = calc.d0.sparse_cols()
-    values = [_lincomb(((ONE, _apply_sparse(qt.bimodule.right[s], w)),
-                        (ONE, qt.pure_sparse(z, dcols[s]))))
-              for w, z in zip(images, gens.zs) for s in range(calc.algebra.dim)]
-    nabla = gens.extend(values, qt.dim)
+    nabla = calc.one_forms.central_generators.extend(_leibniz_values(calc, images),
+                                                     calc.tensor_square.dim)
     if nabla is None:
         raise InternalInconsistencyError("values break a relation among the central generators")
     return Connection(nabla)
@@ -221,27 +230,21 @@ def nabla_zero(calc: Calculus, cert: TamenessCertificate,
 class Geometry:
     """Bundles a tame calculus with a validated metric and its vector fields.
 
-    Everything the connection-level solvers reuse (pairing legs, bracket
-    solver, reconstruction system) is cached here; all members are
-    effectively immutable once built.
+    Everything the connection-level solvers reuse (pairing legs, the
+    Levi-Civita conditions, bracket solver, reconstruction system) is cached
+    here; all members are effectively immutable once built.
     """
 
-    def __init__(self, calc: Calculus, cert: TamenessCertificate, metric: Metric,
-                 frame: Sequence[dict[int, Scalar]] | None = None):
+    def __init__(self, calc: Calculus, cert: TamenessCertificate, metric: Metric):
         self.calc = calc
         self.cert = cert
         self.metric = metric
-        self.frame = frame
         self.fields = vector_fields(calc, cert, metric)
         # V_g^{-1} X_p, by field index
         self.field_forms = tuple(metric.form_of(x) for x in self.fields.basis)
         self._duals: dict[frozenset, DualElement] = {}
 
     # -- simple accessors ---------------------------------------------------
-
-    @cached_property
-    def nabla0(self) -> Connection:
-        return nabla_zero(self.calc, self.cert, self.frame)
 
     def dual(self, phi: dict[int, Scalar]) -> DualElement:
         """The sparse dual element phi with what the connection layer reads
@@ -721,24 +724,28 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
 # ---------------------------------------------------------------------------
 
 def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
-    """Solve for the torsionless compatible connection among all Leibniz
-    perturbations of the reference connection; the constraint kernel must be
-    zero, which witnesses uniqueness.
+    """Solve for the torsionless compatible connection by its images
+    f_j = nabla(z_j) of the central generators of the one-forms; the
+    constraint kernel must be zero, which witnesses uniqueness.
 
-    A perturbation alpha is right-linear, so the images f_j = alpha(z_j) of
-    the central generators fix it; they are the unknowns, f_j at
-    j * dim(E (x)_A E), and alpha is rebuilt from them once at the end.
-    The constraints are the Levi-Civita conditions that certify reads,
-    posed on alpha with the defect of the reference connection on the
-    right, and the relations among the z_j.
+    The unknowns are the f_j, f_j at j * dim(E (x)_A E), and the Leibniz
+    rule builds nabla from them once at the end.  The constraints are the
+    Levi-Civita conditions that certify reads, and the relations among the
+    z_j: nabla is well defined only if each relation
+    sum w_(j,s) z_j . a_s == 0 goes to zero, that is
+    sum w_(j,s) f_j . a_s == -sum w_(j,s) z_j (x) d a_s.
     """
-    t2 = geo.calc.tensor_square.bimodule
-    gens = geo.calc.one_forms.central_generators
+    calc = geo.calc
+    t2 = calc.tensor_square.bimodule
+    gens = calc.one_forms.central_generators
+    cond = geo.conditions
     nunk = len(gens.zs) * t2.dim
-    # the conditions are affine in the generator images, so the defect of
-    # nabla0 + alpha is defects(nabla0) + linear . (alpha(z_j))_j
-    rhs = {i: -v for i, v in defects(geo, geo.nabla0).items()}
-    rows = [*geo.conditions.linear.sparse_rows(), *gens.relation_rows(t2)]
+    rows = [*cond.linear.sparse_rows(), *gens.relation_rows(t2)]
+    rhs = {i: -v for i, v in cond.constant.items()}
+    # each relation's Leibniz constant: its sum over nabla(z_j . a_s) with f = 0
+    constants = gens.relation_sums(_leibniz_values(calc, [{}] * len(gens.zs)))
+    for r, constant in enumerate(constants):
+        rhs.update((cond.linear.rows + r * t2.dim + y, -v) for y, v in constant.items())
 
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
     if sol is None:
@@ -747,6 +754,9 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     if kernel_dim:
         raise NonUniqueSolutionError(
             "constraint system has a nontrivial kernel", witness=kernel_dim)
-    conn = Connection(geo.nabla0.nabla + gens.right_linear(t2, sol))
-    return LeviCivitaResult(connection=conn, table=None,
+    images: list[dict[int, Scalar]] = [{} for _ in gens.zs]
+    for u, v in sol.items():
+        j, y = divmod(u, t2.dim)
+        images[j][y] = v
+    return LeviCivitaResult(connection=leibniz_extension(calc, images), table=None,
                             table_in_fields=True, kernel_dim=kernel_dim)

@@ -159,7 +159,7 @@ def scalar_from_json(obj: int | str | dict) -> Scalar:
         for x in parts:
             if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise LinAlgError(f"scalar field is not a string or an integer: {x!r}")
-        return Scalar.from_fractions(Fraction(parts[0]), Fraction(parts[1]))
+        return Scalar.from_fractions(_fraction(parts[0]), _fraction(parts[1]))
     raise LinAlgError(f"not a scalar: {obj!r}")
 
 
@@ -169,7 +169,16 @@ def _scalar_from_str(text: str) -> Scalar:
     (mostly "0") hundreds of thousands of times, and a Scalar is immutable,
     so every occurrence can share one instance.  Parse errors are raised,
     never cached."""
-    return Scalar.from_fractions(Fraction(text))
+    return Scalar.from_fractions(_fraction(text))
+
+
+def _fraction(x: int | str) -> Fraction:
+    """Fraction(x), refusing an exponent: Fraction expands 10**exp, so nine
+    characters ("1e3000000") would cost seconds and megabytes.  Digit
+    strings are already bounded by Python's int conversion limit."""
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise LinAlgError(f"exponents are not allowed: {x!r}")
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------

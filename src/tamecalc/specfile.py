@@ -46,7 +46,6 @@ class SpecData:
     name: str
     calculus: Calculus
     metric_plain: Matrix
-    frame: tuple[dict[int, Scalar], ...] | None = None   # sparse one-forms
     digest: str | None = None   # input_digest of the file it was loaded from
 
 
@@ -105,7 +104,7 @@ def _require(cond: bool, msg: str) -> None:
 def spec_to_json(spec: SpecData) -> dict:
     calc = spec.calculus
     alg = calc.algebra
-    out = {
+    return {
         "field": FIELD_TAG,
         "name": spec.name,
         "algebra": {
@@ -122,10 +121,6 @@ def spec_to_json(spec: SpecData) -> dict:
         "wedge": matrix_to_json(calc.wedge_plain),
         "metric": matrix_to_json(spec.metric_plain),
     }
-    if spec.frame is not None:
-        ne = calc.one_forms.dim
-        out["frame"] = [vector_to_json(sparse_to_vec(v, ne)) for v in spec.frame]
-    return out
 
 
 def _bimodule_to_json(b: Bimodule) -> dict:
@@ -190,15 +185,9 @@ def spec_from_json(obj: Any) -> SpecData:
         calc = Calculus(alg, one_forms, two_forms, d0, d1, wedge)
     except ContractViolationError as exc:
         raise SpecFileError(f"spec: {exc}")
-    frame = None
-    if "frame" in obj:
-        fr = obj["frame"]
-        _require(isinstance(fr, list) and fr, "spec.frame: expected a nonempty list")
-        frame = tuple(_sparse_from_json(v, ne, f"spec.frame[{i}]")
-                      for i, v in enumerate(fr))
     name = obj.get("name")
     return SpecData(name=name if isinstance(name, str) else "unnamed",
-                    calculus=calc, metric_plain=metric, frame=frame)
+                    calculus=calc, metric_plain=metric)
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -295,16 +284,6 @@ def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
     if isinstance(obj, dict) and "metric" in obj:
         obj = obj["metric"]
     return matrix_from_json(obj, na, ne * ne, "metric override")
-
-
-def load_frame_override(path: str | Path, ne: int) -> tuple[dict[int, Scalar], ...]:
-    """A frame override file, a bare list or {"frame": list}, as sparse
-    one-forms."""
-    obj, _ = load_json(path)
-    if isinstance(obj, dict) and "frame" in obj:
-        obj = obj["frame"]
-    _require(isinstance(obj, list) and obj, "frame override: expected a nonempty list")
-    return tuple(_sparse_from_json(v, ne, f"frame[{i}]") for i, v in enumerate(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,13 @@ a map on E (x)_A E solved from its values on the central tensors by
 solve_through: the oracles for the constructions from the images of the
 central generators.  direct_system_reference is the direct route's
 system with compatibility posed on every right translate of the central
-tensors, the oracle for posing it once per tensor.  compat_values and
-pi_g_matrix evaluate the compatibility map Pi_g on every right translate of
-the central tensors and extend it over the whole tensor square, and
+tensors and the relations' Leibniz constants (leibniz_constants) summed
+densely, the oracle for posing it once per tensor, and
+levi_civita_perturbation the route posed over the perturbations of the
+reference connection, the oracle for solving for nabla outright.
+compat_values and pi_g_matrix evaluate the compatibility map Pi_g on every
+right translate of the central tensors and extend it over the whole tensor
+square, and
 levi_civita_verdicts_reference reads torsion off the full matrix
 wedge o nabla + d1 and compatibility off Pi_g == d o g: the oracles for
 the Levi-Civita conditions posed once per central generator and tensor.
@@ -30,6 +34,7 @@ kernel of a ColumnSolver, the failed items of a calculus report and the
 complex conjugate.
 """
 
+from tamecalc.connection import Connection, defects, nabla_zero
 from tamecalc.linalg import (
     ColumnSolver,
     LinAlgError,
@@ -343,13 +348,33 @@ def levi_civita_verdicts_reference(geo, conn) -> tuple[bool, bool]:
             pi_g_matrix(geo, conn) == calc.d0 @ geo.metric.g)
 
 
+def leibniz_constants(calc) -> list[Vector]:
+    """sum w_(j,s) z_j (x) d a_s for each relation sum w_(j,s) z_j . a_s == 0
+    among the central generators z_j of the one-forms, dense: the Leibniz
+    rule sends the relation to sum w_(j,s) nabla(z_j) . a_s plus this
+    constant, so a connection's images must cancel it."""
+    qt = calc.tensor_square
+    gens = calc.one_forms.central_generators
+    nA, ne = calc.algebra.dim, calc.one_forms.dim
+    constants = []
+    for w in gens.relations:
+        total = zero_vector(qt.dim)
+        for pos, c in w.items():
+            j, s = divmod(pos, nA)
+            term = pure_dense(qt, sparse_to_vec(gens.zs[j], ne), col(calc.d0, s))
+            total = tuple(x + c * y for x, y in zip(total, term))
+        constants.append(total)
+    return constants
+
+
 def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
     """The direct route's constraint system (rows, unknowns, right-hand side)
-    with compatibility posed on every right translate pi(z_p (x) z_q) . a_r
-    of the central tensors: the k^2 dim A blocks, each the map
-    f -> leg_sigma[q] f_p + leg_plain[p] f_q right-multiplied by a_r, with
-    d(g(z_p (x) z_q) a_r) minus compat_values of nabla0 on the right.  The
-    torsion and relation rows are the route's own."""
+    over the images f_j = nabla(z_j), with compatibility posed on every
+    right translate pi(z_p (x) z_q) . a_r of the central tensors: the
+    k^2 dim A blocks, each the map f -> leg_sigma[q] f_p + leg_plain[p] f_q
+    right-multiplied by a_r, with d(g(z_p (x) z_q) a_r) minus
+    g(z_p (x) z_q) . d a_r on the right.  The torsion rows W f_j have
+    -d1 z_j on the right, and the relation rows minus leibniz_constants."""
     calc = geo.calc
     e = calc.one_forms
     alg = calc.algebra
@@ -370,18 +395,39 @@ def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
                 [_lincomb(((ONE, shifted(p, sig[c])), (ONE, shifted(q, pla[c]))))
                  for c in range(e.dim)], nunk)
     rows, rhs = [], {}
-    values = compat_values(geo, geo.nabla0)
     for j, g_pq in enumerate(geo.g_central):
+        g_dense = sparse_to_vec(g_pq, alg.dim)
         for r in range(alg.dim):
-            gval = alg.right_basis_matrix(r).apply(sparse_to_vec(g_pq, alg.dim))
-            residual = _lincomb(((ONE, vec_to_sparse(calc.d0.apply(gval))),
-                                 (-ONE, values[j * alg.dim + r])))
-            rhs.update((len(rows) + c, v) for c, v in residual.items())
+            gval = alg.right_basis_matrix(r).apply(g_dense)
+            g_dr = left_action(e, g_dense).apply(col(calc.d0, r))
+            residual = tuple(x - y for x, y in zip(calc.d0.apply(gval), g_dr))
+            rhs.update((len(rows) + c, v) for c, v in vec_to_sparse(residual).items())
             rows.extend((e.right[r] @ lam[divmod(j, nz)]).sparse_rows())
-    for j in range(nz):
+    for j, z in enumerate(gens.zs):
+        torsion = calc.d1.apply(sparse_to_vec(z, e.dim))
+        rhs.update((len(rows) + c, -v) for c, v in vec_to_sparse(torsion).items())
         rows.extend(shifted(j, row) for row in calc.wedge_q.sparse_rows())
+    for r, constant in enumerate(leibniz_constants(calc)):
+        rhs.update((len(rows) + r * nt + y, -v) for y, v in vec_to_sparse(constant).items())
     rows.extend(gens.relation_rows(t2))
     return rows, nunk, rhs
+
+
+def levi_civita_perturbation(geo) -> tuple[Connection, int]:
+    """The direct route posed over the Leibniz perturbations alpha of the
+    reference connection nabla0 = nabla_zero: the unknowns are the images
+    alpha(z_j), the rows those of the route, and the right-hand side the
+    defect of nabla0, negated, with nothing on the relation rows, since
+    alpha is right-linear.  The Levi-Civita connection nabla0 + alpha and
+    the system's rank."""
+    t2 = geo.calc.tensor_square.bimodule
+    gens = geo.calc.one_forms.central_generators
+    nabla0 = nabla_zero(geo.calc, geo.cert)
+    rhs = {i: -v for i, v in defects(geo, nabla0).items()}
+    rows = [*geo.conditions.linear.sparse_rows(), *gens.relation_rows(t2)]
+    (sol,), rank = solve_sparse(rows, len(gens.zs) * t2.dim, [rhs])
+    assert sol is not None, "no torsionless compatible perturbation"
+    return Connection(nabla0.nabla + gens.right_linear(t2, sol)), rank
 
 
 def pure_dense(qt, e_vec: Vector, f_vec: Vector) -> Vector:

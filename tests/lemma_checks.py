@@ -21,7 +21,7 @@ from dense_reference import (
     right_action,
 )
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
-from tamecalc.connection import Geometry, covariant_derivative
+from tamecalc.connection import Geometry, covariant_derivative, nabla_zero
 from tamecalc.errors import EngineError
 from tamecalc.linalg import (
     LinAlgError,
@@ -153,7 +153,7 @@ def classical_bracket_check(geo: Geometry) -> bool:
     calc = geo.calc
     e = calc.one_forms
     qt = calc.tensor_square
-    n0 = geo.nabla0
+    n0 = nabla_zero(geo.calc, geo.cert)
     n = geo.fields.count
     maps = geo.fields.maps
     estar = geo.metric.e_star
@@ -327,7 +327,7 @@ def derivation_exactly_on_fields(geo: Geometry, noncentral_samples: int = 4) -> 
 
 def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
-    n0 = geo.nabla0
+    n0 = nabla_zero(geo.calc, geo.cert)
     for i in range(geo.calc.algebra.dim):
         w = n0.nabla.apply(col(geo.calc.d0, i))
         for p in range(geo.fields.count):

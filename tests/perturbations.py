@@ -13,7 +13,7 @@ from random import Random
 from dense_reference import center, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
 from tamecalc.calculus import Calculus, TamenessCertificate
-from tamecalc.connection import Connection, Geometry
+from tamecalc.connection import Connection, Geometry, nabla_zero
 from tamecalc.errors import ContractViolationError, InternalInconsistencyError
 from tamecalc.linalg import (
     Matrix,
@@ -45,7 +45,7 @@ def random_leibniz_perturbation(geo: Geometry, seed: int) -> Connection:
                 nonzero = True
                 alpha = alpha + hom.basis[s].scale(qi(c))
         if nonzero or hom.dim == 0:
-            return Connection(geo.nabla0.nabla + alpha)
+            return Connection(nabla_zero(geo.calc, geo.cert).nabla + alpha)
 
 
 def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
@@ -67,7 +67,7 @@ def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
     alpha = Matrix.zeros(geo.calc.tensor_square.dim, ne)
     for s, c in x.items():
         alpha = alpha + hom.basis[s].scale(c)
-    return Connection(geo.nabla0.nabla + alpha)
+    return Connection(nabla_zero(geo.calc, geo.cert).nabla + alpha)
 
 
 def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,

@@ -20,6 +20,7 @@ from tamecalc.connection import (
     levi_civita_direct,
     levi_civita_koszul,
     lie_bracket,
+    nabla_zero,
     reconstruct_from_table,
     torsion,
 )
@@ -98,7 +99,7 @@ def test_criterion_4_condition_equivalences(fuzzy_geo, torus_geo):
     cases = 0
     for geo in (fuzzy_geo, torus_geo):
         gr = grassmann(geo.calc, geo.cert)
-        n0 = geo.nabla0
+        n0 = nabla_zero(geo.calc, geo.cert)
         lc_conn = levi_civita_koszul(geo).connection
         conns = [gr, n0, lc_conn]
         conns += [random_leibniz_perturbation(geo, seed) for seed in range(1, 6)]
@@ -155,6 +156,7 @@ def test_criterion_8_identity_suite(fuzzy_geo, torus_geo, line_geo):
     count = 0
     for geo in (fuzzy_geo, torus_geo):
         square = lc.metric_square(geo.calc, geo.cert, geo.metric)
+        n0 = nabla_zero(geo.calc, geo.cert)
         checks = [
             lc.sigma_flips_one_central(geo),
             lc.metric_symmetric_one_central(geo),
@@ -169,8 +171,8 @@ def test_criterion_8_identity_suite(fuzzy_geo, torus_geo, line_geo):
             lc.fields_right_total(geo),
             lc.derivation_exactly_on_fields(geo),
             lc.antisymmetrized_reference_kills_exact_forms(geo),
-            lc.covariant_derivative_axioms(geo, geo.nabla0),
-            lc.t_tilde_right_center_linear(geo, geo.nabla0),
+            lc.covariant_derivative_axioms(geo, n0),
+            lc.t_tilde_right_center_linear(geo, n0),
             lc.dual_pairing_central_and_symmetric(geo),
             lc.delta_translation_identity(geo),
             lc.pairing_evaluation_identity(geo),
@@ -188,7 +190,7 @@ def test_criterion_8_identity_suite(fuzzy_geo, torus_geo, line_geo):
 def test_criterion_9_reconstruction_round_trip(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
         lc_conn = levi_civita_koszul(geo).connection
-        for conn in (geo.nabla0, lc_conn):
+        for conn in (nabla_zero(geo.calc, geo.cert), lc_conn):
             table = covariant_table(geo, conn)
             assert reconstruct_from_table(geo, table).nabla == conn.nabla
     report(9, "table -> connection -> table closes exactly for the reference "

@@ -6,8 +6,9 @@ seeded metric are each extended from their values on it.  These tests hold
 every such map to `dense_reference.through_central_tensors`, the same map
 solved by solve_through over the translates pi(z_p (x) z_q) . a_r, and the
 direct route's compatibility rows, posed once per central tensor, to the
-system posed on every translate.  The Levi-Civita conditions that certify
-and the direct route read, torsion on each central generator and
+system posed on every translate, and its connection to the one solved as
+a perturbation of the reference connection.  The Levi-Civita conditions
+that certify and the direct route read, torsion on each central generator and
 compatibility on each central tensor, are held to the whole maps
 wedge o nabla + d1 and Pi_g - d o g.
 """
@@ -18,10 +19,13 @@ from conftest import load_perfbench
 from dense_reference import (
     compat_values,
     direct_system_reference,
+    leibniz_constants,
+    levi_civita_perturbation,
     levi_civita_verdicts_reference,
     pi_g_matrix,
     pure,
     through_central_tensors,
+    vec_is_zero,
 )
 from perturbations import (
     random_leibniz_perturbation,
@@ -32,7 +36,14 @@ from tamecalc import connection
 from tamecalc.bimodule import CentralGenerators
 from tamecalc.builders import build_chevalley
 from tamecalc.calculus import build_symmetry
-from tamecalc.connection import Geometry, certify, defects, grassmann, levi_civita_direct
+from tamecalc.connection import (
+    Geometry,
+    certify,
+    defects,
+    grassmann,
+    levi_civita_direct,
+    nabla_zero,
+)
 from tamecalc.errors import InternalInconsistencyError
 from tamecalc.linalg import ONE, Matrix, _apply_sparse, solve_sparse, vec_to_sparse
 from tamecalc.metric import validate_metric
@@ -72,7 +83,7 @@ def test_sigma_matches_solve_through(geo):
 
 def test_compatibility_map_matches_solve_through(geo):
     calc = geo.calc
-    for conn in (geo.nabla0, levi_civita_direct(geo).connection):
+    for conn in (nabla_zero(geo.calc, geo.cert), levi_civita_direct(geo).connection):
         want = through_central_tensors(calc, compat_values(geo, conn), calc.one_forms.dim)
         assert want is not None
         assert pi_g_matrix(geo, conn) == want
@@ -160,14 +171,16 @@ DIRECT_CASES = [("fuzzy_geo", None), ("fuzzy_geo", 1), ("fuzzy2_calc", 2), ("fuz
                 ("line_geo", None), ("line_geo", 5)]
 
 
-@pytest.mark.parametrize("fixture, seed", DIRECT_CASES)
-def test_direct_compatibility_once_per_central_tensor(request, monkeypatch, fixture, seed):
+def _direct_geo(request, fixture, seed):
     got = request.getfixturevalue(fixture)
     if isinstance(got, Geometry):
-        geo = got if seed is None else _seeded_geo(got.calc, seed)
-    else:
-        geo = _seeded_geo(got, seed)
-    geo.nabla0   # the reference connection's own solve is not recorded
+        return got if seed is None else _seeded_geo(got.calc, seed)
+    return _seeded_geo(got, seed)
+
+
+@pytest.mark.parametrize("fixture, seed", DIRECT_CASES)
+def test_direct_compatibility_once_per_central_tensor(request, monkeypatch, fixture, seed):
+    geo = _direct_geo(request, fixture, seed)
     systems = []
 
     def recording(rows, ncols, rhs):
@@ -184,15 +197,40 @@ def test_direct_compatibility_once_per_central_tensor(request, monkeypatch, fixt
     assert rank == ref_rank == ncols
     assert sol is not None and sol == ref_sol
     assert direct.kernel_dim == 0
-    # k^2 dim E compatibility rows, k dim Omega^2 torsion rows, then the
-    # relations among the z_j
+    # the unknowns are the images nabla(z_j), at j * dim(E (x)_A E)
     calc = geo.calc
     gens = calc.one_forms.central_generators
+    nt = calc.tensor_square.dim
+    assert sol == {j * nt + y: v for j, z in enumerate(gens.zs)
+                   for y, v in _apply_sparse(direct.connection.nabla, z).items()}
+    # k^2 dim E compatibility rows, k dim Omega^2 torsion rows, then the
+    # relations among the z_j
     k = len(gens.zs)
     compat = k * k * calc.one_forms.dim
     assert len(rows) == compat + k * calc.two_forms.dim + len(gens.relation_rows(
         calc.tensor_square.bimodule))
     assert len(ref_rows) == calc.algebra.dim * compat + len(rows) - compat
+
+
+@pytest.mark.parametrize("fixture, seed", DIRECT_CASES)
+def test_direct_route_matches_the_perturbation_oracle(request, fixture, seed):
+    # solving for nabla(z_j) outright gives the connection, and the rank,
+    # that solving for a perturbation of the reference connection gives
+    geo = _direct_geo(request, fixture, seed)
+    direct = levi_civita_direct(geo)
+    oracle, oracle_rank = levi_civita_perturbation(geo)
+    assert direct.connection.nabla == oracle.nabla
+    nunk = len(geo.calc.one_forms.central_generators.zs) * geo.calc.tensor_square.dim
+    assert nunk - direct.kernel_dim == oracle_rank
+
+
+def test_line_fixture_relations_have_leibniz_constants(line_geo):
+    # on K[x]/(x^3) the Leibniz rule puts a constant on some of the
+    # relations among the z_j, so the direct route's relation rows are
+    # not homogeneous there
+    constants = leibniz_constants(line_geo.calc)
+    assert len(constants) == len(line_geo.calc.one_forms.central_generators.relations) == 6
+    assert sum(not vec_is_zero(c) for c in constants) == 3
 
 
 # -- the Levi-Civita conditions on generators ------------------------------------
@@ -210,7 +248,8 @@ def fuzzy2_geo(fuzzy2_calc):
 
 
 def _verdict_cases(geo):
-    cases = {"levi-civita": levi_civita_direct(geo).connection, "reference": geo.nabla0,
+    cases = {"levi-civita": levi_civita_direct(geo).connection,
+             "reference": nabla_zero(geo.calc, geo.cert),
              "grassmann": grassmann(geo.calc, geo.cert)}
     cases.update((f"perturbed-{seed}", random_leibniz_perturbation(geo, seed))
                  for seed in range(1, 4))
@@ -244,10 +283,10 @@ def test_both_mixed_verdicts_on_matrix_derivations(fuzzy_geo):
     # the reference connection is torsionless but not compatible, the
     # Grassmann connection compatible but not torsionless
     geo = fuzzy_geo
-    gr = grassmann(geo.calc, geo.cert)
-    assert levi_civita_verdicts_reference(geo, geo.nabla0) == (True, False)
+    gr, n0 = grassmann(geo.calc, geo.cert), nabla_zero(geo.calc, geo.cert)
+    assert levi_civita_verdicts_reference(geo, n0) == (True, False)
     assert levi_civita_verdicts_reference(geo, gr) == (False, True)
-    assert generator_verdicts(geo, geo.nabla0) == (True, False)
+    assert generator_verdicts(geo, n0) == (True, False)
     assert generator_verdicts(geo, gr) == (False, True)
 
 
@@ -257,7 +296,7 @@ def test_certify_raises_when_the_verdicts_disagree(fuzzy_geo, monkeypatch, condi
     # the Grassmann connection fails only torsion, the reference connection
     # only compatibility; hiding that failure from one side must raise
     geo = fuzzy_geo
-    conn = grassmann(geo.calc, geo.cert) if condition == "torsion" else geo.nabla0
+    conn = (grassmann if condition == "torsion" else nabla_zero)(geo.calc, geo.cert)
     if side == "generators":
         monkeypatch.setattr(connection, "defects", lambda geo, conn: {})
     else:
@@ -271,7 +310,8 @@ def test_certify_reads_the_conditions_on_generators_only(fuzzy3_geo, monkeypatch
     # on a fresh geometry, certify neither forms the whole torsion matrix
     # nor extends a map over the central tensors
     geo = Geometry(fuzzy3_geo.calc, fuzzy3_geo.cert, fuzzy3_geo.metric)
-    conns = [levi_civita_direct(fuzzy3_geo).connection, fuzzy3_geo.nabla0,
+    conns = [levi_civita_direct(fuzzy3_geo).connection,
+             nabla_zero(fuzzy3_geo.calc, fuzzy3_geo.cert),
              grassmann(geo.calc, geo.cert)]
     real = CentralGenerators.extend
     extended = []

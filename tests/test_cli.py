@@ -212,63 +212,62 @@ def _scale2(x):
     return str(Fraction(x) * 2)
 
 
-def test_connect_with_frame_override(workdir, capsys, tmp_path):
-    # a frame of algebra-translates of the central generators still splits,
-    # and the unique connection is unchanged
+def test_connect_refuses_the_frame_option(workdir, capsys, tmp_path):
+    # the direct route solves for the connection itself and reads no
+    # reference frame, so --frame is an unknown option
+    frame = tmp_path / "frame.json"
+    frame.write_text("[]")
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", str(workdir / "fuzzy.json"), "--frame", str(frame),
+              "--out", str(tmp_path / "never.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frame" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_spec_frame_key_is_ignored(workdir, capsys, tmp_path):
+    # "frame" is no spec key: a spec carrying one, here a single central
+    # generator that splits nothing, loads, saves back without it and
+    # connects to the default connection
+    from tamecalc.calculus import build_symmetry
+    from tamecalc.specfile import vector_to_json
+
     spec = load_spec(workdir / "fuzzy.json")
-    from tamecalc.calculus import build_symmetry
-    from tamecalc.specfile import vector_to_json
-
     cert = build_symmetry(spec.calculus).certificate
-    e = spec.calculus.one_forms
-    gens = list(cert.center_one_forms.basis)
-    gens.append(e.right[1].apply(gens[0]))  # redundant translate
-    override = tmp_path / "frame.json"
-    override.write_text(json.dumps({"frame": [vector_to_json(v) for v in gens]}))
-    art1 = tmp_path / "f1.json"
-    art2 = tmp_path / "f2.json"
-    assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(art1)]) == 0
-    assert main(["connect", str(workdir / "fuzzy.json"), "--frame", str(override),
-                 "--out", str(art2)]) == 0
-    capsys.readouterr()
-    a1 = json.loads(art1.read_text())
-    a2 = json.loads(art2.read_text())
-    assert a1["nabla"] == a2["nabla"]
-
-
-def _overcomplete_frame(spec):
-    """The central basis of the one-forms and one right translate of its
-    first element, as dense JSON vectors."""
-    from tamecalc.calculus import build_symmetry
-    from tamecalc.specfile import vector_to_json
-
-    cert = build_symmetry(spec.calculus).certificate
-    gens = list(cert.center_one_forms.basis)
-    gens.append(spec.calculus.one_forms.right[1].apply(gens[0]))
-    return [vector_to_json(v) for v in gens]
-
-
-def test_spec_with_frame_saves_back_byte_identical(workdir, tmp_path):
     obj = json.loads((workdir / "fuzzy.json").read_text())
-    obj["frame"] = _overcomplete_frame(load_spec(workdir / "fuzzy.json"))
-    src = tmp_path / "framed.json"
-    src.write_text(dumps_canonical(obj))
-    out = tmp_path / "saved.json"
-    save_spec(load_spec(src), out)
-    assert out.read_bytes() == src.read_bytes()
-
-
-def test_overcomplete_frame_writes_the_default_artifact(workdir, capsys, tmp_path):
-    # the Levi-Civita connection does not depend on the reference frame, so
-    # the whole artifact, table and checks included, is byte-identical
-    override = tmp_path / "frame.json"
-    override.write_text(json.dumps({"frame": _overcomplete_frame(load_spec(workdir / "fuzzy.json"))}))
-    default, framed = tmp_path / "default.json", tmp_path / "framed.json"
+    obj["frame"] = [vector_to_json(cert.center_one_forms.basis[0])]
+    framed = tmp_path / "framed.json"
+    framed.write_text(dumps_canonical(obj))
+    saved = tmp_path / "saved.json"
+    save_spec(load_spec(framed), saved)
+    assert saved.read_bytes() == (workdir / "fuzzy.json").read_bytes()
+    default, art = tmp_path / "default.json", tmp_path / "framed.connection.json"
     assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(default)]) == 0
-    assert main(["connect", str(workdir / "fuzzy.json"), "--frame", str(override),
-                 "--out", str(framed)]) == 0
+    assert main(["connect", str(framed), "--out", str(art)]) == 0
     capsys.readouterr()
-    assert framed.read_bytes() == default.read_bytes()
+    a, b = json.loads(default.read_text()), json.loads(art.read_text())
+    assert a.pop("input_digest") != b.pop("input_digest")
+    assert a == b
+
+
+def test_connect_builds_no_reference_connection(workdir, capsys, tmp_path, monkeypatch,
+                                                line_geo):
+    # the direct route solves for nabla(z_j) outright: neither connect nor
+    # the route on K[x]/(x^3), whose generators have relations, builds a
+    # Grassmann splitting, the reference connection or a whole torsion
+    from tamecalc import connection
+    from tamecalc.connection import Geometry, levi_civita_direct
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference construction ran")
+
+    for name in ("nabla_zero", "grassmann", "frame_splitting", "torsion"):
+        monkeypatch.setattr(connection, name, refuse)
+    assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    geo = Geometry(line_geo.calc, line_geo.cert, line_geo.metric)
+    assert levi_civita_direct(geo).connection.nabla == \
+        levi_civita_direct(line_geo).connection.nabla
 
 
 @pytest.mark.parametrize("command", ["check", "connect"])
@@ -369,19 +368,18 @@ def test_check_reports_central_tensors_that_do_not_span(workdir, capsys, tmp_pat
     assert report["summary"] == {"calculus_valid": False, "tame": False, "metric_valid": False}
 
 
-def test_connect_with_non_spanning_frame_fails(workdir, capsys, tmp_path):
-    spec = load_spec(workdir / "fuzzy.json")
-    from tamecalc.calculus import build_symmetry
-    from tamecalc.specfile import vector_to_json
+def test_readme_documents_exactly_the_command_options():
+    # every --option of a subcommand is in README's command-line section,
+    # and that section names no option the parser lacks
+    import argparse
 
-    cert = build_symmetry(spec.calculus).certificate
-    override = tmp_path / "bad-frame.json"
-    override.write_text(json.dumps(
-        {"frame": [vector_to_json(cert.center_one_forms.basis[0])]}))
-    code = main(["connect", str(workdir / "fuzzy.json"), "--frame", str(override),
-                 "--out", str(tmp_path / "never.json")])
-    capsys.readouterr()
-    assert code == 1
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {opt for parser in sub.choices.values() for action in parser._actions
+              for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert documented == parsed
 
 
 # -- verify --------------------------------------------------------------------
@@ -545,6 +543,33 @@ def test_malformed_scalar_object_in_verify_table_exits_two(workdir, fuzzy_artifa
     assert "connection.table[0][1]: bad scalar" in _input_error(capsys)
 
 
+# Fraction expands 10**exp, so nine characters ("1e3000000") stalled the
+# loader for minutes; tamecalc writes no exponent and reads none
+@pytest.mark.parametrize("where", ["spec", "metric", "table"])
+@pytest.mark.parametrize("scalar", ["1e5", {"re": "1", "im": "2E3"}, "1e3000000"],
+                         ids=["bare", "field", "huge"])
+def test_scalar_with_an_exponent_exits_two(workdir, fuzzy_artifact, capsys, tmp_path,
+                                           where, scalar):
+    spec = workdir / "fuzzy.json"
+    bad = tmp_path / "bad.json"
+    if where == "spec":
+        obj = json.loads(spec.read_text())
+        obj["d0"][1][0] = scalar
+        argv, name = ["check", str(bad)], "spec.d0[1]"
+    elif where == "metric":
+        obj = {"metric": json.loads(spec.read_text())["metric"]}
+        obj["metric"][0][0] = scalar
+        argv, name = ["check", str(spec), "--metric", str(bad)], "metric override[0]"
+    else:
+        obj = json.loads(json.dumps(fuzzy_artifact))
+        obj["table"][0][1][8] = scalar
+        argv, name = ["verify", str(spec), str(bad)], "connection.table[0][1]"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{name}: bad scalar (exponents are not allowed: " in _input_error(capsys)
+
+
 @pytest.mark.parametrize("command", ["gen", "connect", "connect-to-directory"])
 def test_unwritable_out_path_exits_two(workdir, capsys, tmp_path, monkeypatch, command):
     # connect refuses the path before either Levi-Civita route runs
@@ -569,7 +594,7 @@ def test_unwritable_out_path_exits_two(workdir, capsys, tmp_path, monkeypatch, c
 UNPARSABLE = {"not-utf8": b"\xff\xfe{}", "too-deep": b"[" * 100000 + b"]" * 100000}
 
 
-@pytest.mark.parametrize("kind", ["spec", "metric", "frame", "artifact"])
+@pytest.mark.parametrize("kind", ["spec", "metric", "artifact"])
 @pytest.mark.parametrize("content", sorted(UNPARSABLE))
 def test_unparsable_file_exits_two(workdir, capsys, tmp_path, kind, content):
     bad = tmp_path / "bad.json"
@@ -577,7 +602,6 @@ def test_unparsable_file_exits_two(workdir, capsys, tmp_path, kind, content):
     spec = str(workdir / "fuzzy.json")
     argv = {"spec": ["check", str(bad)],
             "metric": ["check", spec, "--metric", str(bad)],
-            "frame": ["connect", spec, "--frame", str(bad), "--out", str(tmp_path / "x.json")],
             "artifact": ["verify", spec, str(bad)]}[kind]
     capsys.readouterr()
     assert main(argv) == 2
@@ -654,11 +678,9 @@ def test_boolean_dimension_exits_two(capsys, tmp_path, block, value, message):
 @pytest.fixture
 def bad_inputs(tmp_path):
     paths = {"missing": tmp_path / "missing.json", "garbled": tmp_path / "garbled.json",
-             "shape": tmp_path / "shape.json", "empty": tmp_path / "empty.json",
-             "unwritable": tmp_path / "no" / "dir" / "x.json"}
+             "shape": tmp_path / "shape.json", "unwritable": tmp_path / "no" / "dir" / "x.json"}
     paths["garbled"].write_text("{not json")
     paths["shape"].write_text(json.dumps([["1"]]))
-    paths["empty"].write_text(json.dumps([]))
     return paths
 
 
@@ -668,8 +690,6 @@ READ_BEFORE_CHECKS = {
     "check-metric-shape": (["check", "--metric", "{shape}"], "shape"),
     "connect-metric-garbled": (["connect", "--metric", "{garbled}", "--out", "{out}"], "garbled"),
     "verify-metric-missing": (["verify", "{out}", "--metric", "{missing}"], "missing"),
-    "connect-frame-missing": (["connect", "--frame", "{missing}", "--out", "{out}"], "missing"),
-    "connect-frame-empty": (["connect", "--frame", "{empty}", "--out", "{out}"], "empty"),
     "verify-artifact-missing": (["verify", "{missing}"], "missing"),
     "verify-artifact-garbled": (["verify", "{garbled}"], "garbled"),
     "connect-out-unwritable": (["connect", "--out", "{unwritable}"], "unwritable"),
@@ -691,8 +711,8 @@ def test_input_files_are_read_before_any_check(workdir, capsys, tmp_path, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     err = _input_error_line(captured.err)
-    if named in ("shape", "empty"):
-        assert ("metric override" if named == "shape" else "frame override") in err
+    if named == "shape":
+        assert "metric override" in err
     else:
         assert str(bad_inputs[named]) in err
 

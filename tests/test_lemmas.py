@@ -11,7 +11,7 @@ center is bigger than the scalars.
 import pytest
 
 import lemma_checks as lc
-from tamecalc.connection import grassmann
+from tamecalc.connection import grassmann, nabla_zero
 
 
 @pytest.fixture(scope="module", params=["fuzzy", "torus"])
@@ -74,7 +74,7 @@ def test_antisymmetrized_reference_kills_exact_forms(geo):
 
 
 def test_covariant_derivative_axioms(geo):
-    assert lc.covariant_derivative_axioms(geo, geo.nabla0)
+    assert lc.covariant_derivative_axioms(geo, nabla_zero(geo.calc, geo.cert))
 
 
 def test_covariant_derivative_axioms_on_commutative_fixture(line_geo):
@@ -84,7 +84,7 @@ def test_covariant_derivative_axioms_on_commutative_fixture(line_geo):
 
 
 def test_reconstruction_data_center_linear(geo):
-    assert lc.t_tilde_right_center_linear(geo, geo.nabla0)
+    assert lc.t_tilde_right_center_linear(geo, nabla_zero(geo.calc, geo.cert))
 
 
 def test_reconstruction_data_center_linear_commutative(line_geo):

@@ -21,7 +21,7 @@ from dense_reference import (
 from tamecalc.bimodule import hom_A, pair_apply
 from tamecalc.builders import abelian_torus_chevalley, build_chevalley, matrix_derivations_chevalley
 from tamecalc.calculus import build_symmetry
-from tamecalc.connection import Connection, Geometry, leibniz_witness
+from tamecalc.connection import Connection, Geometry, leibniz_witness, nabla_zero
 from tamecalc.linalg import Matrix, qi, sparse_to_vec, vec_to_sparse
 from tamecalc.metric import validate_metric
 
@@ -106,7 +106,7 @@ def test_leibniz_witness_matches_dense_reference(geometries, hom_bases, data):
     # a right-linear shift keeps the Leibniz rule; a changed entry of the
     # value matrix usually breaks it
     for geo, basis in zip(geometries, hom_bases):
-        nabla = geo.nabla0.nabla
+        nabla = nabla_zero(geo.calc, geo.cert).nabla
         shifts = data.draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
                                               st.integers(-2, 2)), max_size=3))
         for k, c in shifts:
