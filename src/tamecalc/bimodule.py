@@ -23,7 +23,6 @@ quotient basis, project and section, is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -177,12 +176,15 @@ def module_center(e: Bimodule) -> Subspace:
     return Subspace(e.dim, kernel_rows(rows, e.dim))
 
 
-@dataclass(frozen=True)
 class CenteredReport:
-    ok: bool
-    center: Subspace
-    witness: Vector | None  # a direction missing from the right span of the center
-    generators: "CentralGenerators"   # over center.rows; spans == ok
+    __slots__ = ("ok", "center", "witness", "generators")
+
+    def __init__(self, ok: bool, center: Subspace, witness: Vector | None,
+                 generators: CentralGenerators):
+        self.ok = ok
+        self.center = center
+        self.witness = witness          # a direction missing from the right span of the center
+        self.generators = generators    # over center.rows; spans == ok
 
 
 def is_centered(e: Bimodule) -> CenteredReport:

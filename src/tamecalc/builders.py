@@ -21,7 +21,6 @@ not represent the bracket `d_squared_zero` (d1 d0 is [X_p, X_q] - X_[p,q]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Algebra
@@ -41,7 +40,6 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class ChevalleySpec:
     """A Lie algebra L acting on A by derivations, by structure constants.
 
@@ -49,17 +47,16 @@ class ChevalleySpec:
     the matrix of X_i on A.  d1 reads brackets[p][q] for p < q only.
     """
 
-    algebra: Algebra
-    lie_dim: int
-    brackets: tuple[tuple[Vector, ...], ...]
-    actions: tuple[Matrix, ...]
+    __slots__ = ("algebra", "lie_dim", "brackets", "actions")
 
-    def __post_init__(self) -> None:
-        n, nA = self.lie_dim, self.algebra.dim
-        if (len(self.actions) != n or any((a.rows, a.cols) != (nA, nA) for a in self.actions)
-                or [len(r) for r in self.brackets] != [n] * n
-                or any(len(v) != n for r in self.brackets for v in r)):
+    def __init__(self, algebra: Algebra, lie_dim: int,
+                 brackets: tuple[tuple[Vector, ...], ...], actions: tuple[Matrix, ...]):
+        n, nA = lie_dim, algebra.dim
+        if (len(actions) != n or any((a.rows, a.cols) != (nA, nA) for a in actions)
+                or [len(r) for r in brackets] != [n] * n
+                or any(len(v) != n for r in brackets for v in r)):
             raise ContractViolationError("chevalley: bracket/action tables of wrong size")
+        self.algebra, self.lie_dim, self.brackets, self.actions = algebra, lie_dim, brackets, actions
 
 
 def build_chevalley(spec: ChevalleySpec) -> Calculus:
@@ -242,11 +239,11 @@ def abelian_torus_chevalley(n: int = 2) -> ChevalleySpec:
     return ChevalleySpec(alg, 2, brackets, actions)
 
 
-@dataclass(frozen=True)
 class Preset:
-    name: str
-    calculus: Calculus
-    metric_plain: Matrix
+    __slots__ = ("name", "calculus", "metric_plain")
+
+    def __init__(self, name: str, calculus: Calculus, metric_plain: Matrix):
+        self.name, self.calculus, self.metric_plain = name, calculus, metric_plain
 
 
 def preset_matrix_derivations(n: int = 2) -> Preset:

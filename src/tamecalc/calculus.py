@@ -25,7 +25,6 @@ it the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -98,16 +97,18 @@ class Calculus:
 # Validation report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CheckItem:
-    name: str
-    ok: bool
-    witness: str | None = None
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        self.name, self.ok, self.witness = name, ok, witness
 
 
-@dataclass(frozen=True)
 class CalculusReport:
-    items: tuple[CheckItem, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[CheckItem, ...]):
+        self.items = items
 
     @property
     def ok(self) -> bool:
@@ -268,31 +269,38 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 # Tameness certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TamenessCertificate:
-    calculus: Calculus
-    tensor_square: QuotientTensor
-    center_one_forms: Subspace
-    sigma: Matrix
-    p_sym: Matrix
-    kernel_wedge: Subspace
-    complement_f: Subspace
-    q_inverse: Matrix
-    spanning: CentralGenerators   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
-    flags: dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("calculus", "tensor_square", "center_one_forms", "sigma", "p_sym",
+                 "kernel_wedge", "complement_f", "q_inverse", "spanning", "flags")
+
+    def __init__(self, calculus: Calculus, tensor_square: QuotientTensor,
+                 center_one_forms: Subspace, sigma: Matrix, p_sym: Matrix,
+                 kernel_wedge: Subspace, complement_f: Subspace, q_inverse: Matrix,
+                 spanning: CentralGenerators, flags: dict[str, bool] | None = None):
+        self.calculus = calculus
+        self.tensor_square = tensor_square
+        self.center_one_forms = center_one_forms
+        self.sigma = sigma
+        self.p_sym = p_sym
+        self.kernel_wedge = kernel_wedge
+        self.complement_f = complement_f
+        self.q_inverse = q_inverse
+        self.spanning = spanning   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
+        self.flags = {} if flags is None else flags
 
 
-@dataclass(frozen=True)
 class TamenessFailure:
-    condition: str
-    detail: str
-    witness: object = None
+    __slots__ = ("condition", "detail", "witness")
+
+    def __init__(self, condition: str, detail: str, witness: object = None):
+        self.condition, self.detail, self.witness = condition, detail, witness
 
 
-@dataclass(frozen=True)
 class SymmetryOutcome:
-    certificate: TamenessCertificate | None
-    failure: TamenessFailure | None
+    __slots__ = ("certificate", "failure")
+
+    def __init__(self, certificate: TamenessCertificate | None, failure: TamenessFailure | None):
+        self.certificate, self.failure = certificate, failure
 
     @property
     def ok(self) -> bool:

@@ -1,7 +1,7 @@
 """Command-line surface: gen, check, connect, verify.
 
 Exit codes: 0 success, 1 mathematical failure, 2 unreadable or malformed
-input.  Every input file is read, and connect's --out checked, before the
+input, a bad command line included.  Every input file is read, and connect's --out checked, before the
 first check runs, so bad input exits 2 even where a check would fail.  A
 linear-algebra failure that escapes a command (a singular or inconsistent
 system on an accepted spec) exits 1 with one line on stderr.
@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .builders import PRESETS
 from .calculus import build_symmetry, validate_calculus
 from .connection import (
     Connection,
@@ -46,6 +45,7 @@ from .specfile import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+PRESET_NAMES = ("abelian-torus", "matrix-derivations")   # builders.PRESETS, imported by gen only
 
 
 class ReportBuilder:
@@ -160,6 +160,8 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    from .builders import PRESETS
+
     maker = PRESETS[args.preset]
     try:
         preset = maker(args.n)
@@ -265,8 +267,15 @@ def cmd_verify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is bad input: one `input error:` line, exit 2."""
+
+    def error(self, message):
+        raise SpecFileError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tamecalc",
         description="Exact tameness checks and Levi-Civita connections for "
                     "finite-dimensional differential calculi over Q(i).")
@@ -274,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a preset spec file")
-    g.add_argument("preset", choices=sorted(PRESETS))
+    g.add_argument("preset", choices=PRESET_NAMES)
     g.add_argument("--n", type=int, default=2, help="preset size parameter")
     g.add_argument("--out", help="output path (default <preset>-<n>.json)")
     g.set_defaults(fn=cmd_gen)
@@ -304,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SpecFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)

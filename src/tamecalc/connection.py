@@ -28,7 +28,6 @@ reconstructed, direct) by nabla(z_i) and the Leibniz rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -61,11 +60,13 @@ from .linalg import (
 from .metric import Metric, g_of_forms, vector_fields
 
 
-@dataclass(frozen=True)
 class Connection:
     """A linear map from one-forms to the tensor square, on basis columns."""
 
-    nabla: Matrix
+    __slots__ = ("nabla",)
+
+    def __init__(self, nabla: Matrix):
+        self.nabla = nabla
 
 
 Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q along X_p
@@ -530,7 +531,6 @@ def bracket_general(geo: Geometry, x: dict[int, Scalar],
 # The Levi-Civita conditions on generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Conditions:
     """Torsion and compatibility, each stated once on generators, as an
     affine map of a connection's images f_j = nabla(z_j) of the central
@@ -543,9 +543,10 @@ class Conditions:
     torsion, dim Omega^2 per z_j: W f_j + d1 z_j for the wedge W.
     """
 
-    linear: Matrix
-    constant: dict[int, Scalar]
-    ncompat: int
+    __slots__ = ("linear", "constant", "ncompat")
+
+    def __init__(self, linear: Matrix, constant: dict[int, Scalar], ncompat: int):
+        self.linear, self.constant, self.ncompat = linear, constant, ncompat
 
 
 def defects(geo: Geometry, conn: Connection) -> dict[int, Scalar]:
@@ -563,14 +564,21 @@ def defects(geo: Geometry, conn: Connection) -> dict[int, Scalar]:
 # Torsion and compatibility in covariant form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Verdicts:
     """What certify found; no table or witnesses when Leibniz fails."""
 
-    leibniz: tuple[int, int] | None
-    table: Table | None = None
-    torsion_witnesses: tuple[tuple[int, int], ...] = ()
-    compat_witnesses: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("leibniz", "table", "torsion_witnesses", "compat_witnesses")
+
+    def __init__(self, leibniz: tuple[int, int] | None, table: Table | None = None,
+                 torsion_witnesses: tuple[tuple[int, int], ...] = (),
+                 compat_witnesses: tuple[tuple[int, int, int], ...] = ()):
+        self.leibniz, self.table = leibniz, table
+        self.torsion_witnesses, self.compat_witnesses = torsion_witnesses, compat_witnesses
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdicts):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def ok(self) -> bool:
@@ -650,13 +658,16 @@ def koszul_rhs(geo: Geometry, p: int, q: int, z: dict[int, Scalar]) -> dict[int,
     return _lincomb(terms)
 
 
-@dataclass(frozen=True)
 class LeviCivitaResult:
-    connection: Connection
-    table: Table | None       # the Koszul route's table; None for the direct route
-    table_in_fields: bool
-    kernel_dim: int | None = None
-    verdicts: Verdicts | None = None
+    __slots__ = ("connection", "table", "table_in_fields", "kernel_dim", "verdicts")
+
+    def __init__(self, connection: Connection, table: Table | None, table_in_fields: bool,
+                 kernel_dim: int | None = None, verdicts: Verdicts | None = None):
+        self.connection = connection
+        self.table = table   # the Koszul route's table; None for the direct route
+        self.table_in_fields = table_in_fields
+        self.kernel_dim = kernel_dim
+        self.verdicts = verdicts
 
 
 def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:

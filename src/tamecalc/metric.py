@@ -12,7 +12,6 @@ included, is a zero-free sparse dict of E* coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bimodule import CentralGenerators, HomModule, dual_module, module_center
@@ -29,32 +28,36 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class Metric:
     """A validated metric: quotient-coordinate form plus both legs of V_g."""
 
-    g: Matrix                 # A-coords <- tensor-square quotient coords
-    g_plain: Matrix           # A-coords <- plain tensor coords, the input
-    e_star: HomModule         # Hom_A(E, A)
-    v_g: Matrix               # E* coords <- E coords
-    v_g_inv: Matrix
+    __slots__ = ("g", "g_plain", "e_star", "v_g", "v_g_inv")
+
+    def __init__(self, g: Matrix, g_plain: Matrix, e_star: HomModule, v_g: Matrix,
+                 v_g_inv: Matrix):
+        self.g = g                  # A-coords <- tensor-square quotient coords
+        self.g_plain = g_plain      # A-coords <- plain tensor coords, the input
+        self.e_star = e_star        # Hom_A(E, A)
+        self.v_g = v_g              # E* coords <- E coords
+        self.v_g_inv = v_g_inv
 
     def form_of(self, phi: dict[int, Scalar]) -> dict[int, Scalar]:
         """V_g^{-1} phi as a sparse one-form, for sparse dual coordinates."""
         return _apply_sparse(self.v_g_inv, phi)
 
 
-@dataclass(frozen=True)
 class MetricFailure:
-    reason: str               # NotBilinear | NotSymmetric | VgNotInvertible
-    detail: str
-    witness: object = None
+    __slots__ = ("reason", "detail", "witness")   # reason: NotBilinear | NotSymmetric | VgNotInvertible
+
+    def __init__(self, reason: str, detail: str, witness: object = None):
+        self.reason, self.detail, self.witness = reason, detail, witness
 
 
-@dataclass(frozen=True)
 class MetricOutcome:
-    metric: Metric | None
-    failure: MetricFailure | None
+    __slots__ = ("metric", "failure")
+
+    def __init__(self, metric: Metric | None, failure: MetricFailure | None):
+        self.metric, self.failure = metric, failure
 
     @property
     def ok(self) -> bool:
@@ -136,7 +139,6 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
 # Vector fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class VectorFieldModule:
     """X(A): the image of the central one-forms under V_g.
 
@@ -145,11 +147,16 @@ class VectorFieldModule:
     a -> X_p(da).
     """
 
-    basis: tuple[dict[int, Scalar], ...]
-    maps: tuple[Matrix, ...]
-    deltas: tuple[Matrix, ...]
-    center_dual: Subspace              # Z(E*) in E* coordinates
-    generators: CentralGenerators      # E* over the X_p
+    __slots__ = ("basis", "maps", "deltas", "center_dual", "generators")
+
+    def __init__(self, basis: tuple[dict[int, Scalar], ...], maps: tuple[Matrix, ...],
+                 deltas: tuple[Matrix, ...], center_dual: Subspace,
+                 generators: CentralGenerators):
+        self.basis = basis
+        self.maps = maps
+        self.deltas = deltas
+        self.center_dual = center_dual    # Z(E*) in E* coordinates
+        self.generators = generators      # E* over the X_p
 
     @property
     def count(self) -> int:

@@ -19,7 +19,6 @@ import errno
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Sequence
@@ -41,12 +40,13 @@ from .linalg import (
 FIELD_TAG = "Q(i)"
 
 
-@dataclass(frozen=True)
 class SpecData:
-    name: str
-    calculus: Calculus
-    metric_plain: Matrix
-    digest: str | None = None   # input_digest of the file it was loaded from
+    __slots__ = ("name", "calculus", "metric_plain", "digest")
+
+    def __init__(self, name: str, calculus: Calculus, metric_plain: Matrix,
+                 digest: str | None = None):
+        self.name, self.calculus, self.metric_plain = name, calculus, metric_plain
+        self.digest = digest   # input_digest of the file it was loaded from
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,8 @@ def load_json(path: str | Path) -> tuple[Any, str]:
 
 def load_spec(path: str | Path) -> SpecData:
     obj, digest = load_json(path)
-    return replace(spec_from_json(obj), digest=digest)
+    spec = spec_from_json(obj)
+    return SpecData(spec.name, spec.calculus, spec.metric_plain, digest)
 
 
 def input_digest(data: bytes) -> str:

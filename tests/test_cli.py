@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: gen, check, connect, verify.
 
 Everything runs in-process through cli.main so exit codes and stdout are
-asserted directly; artifacts land in tmp_path.
+asserted directly; artifacts land in tmp_path.  Only the process-start
+tests at the end run the command in a fresh interpreter.
 """
 
+import ast
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
 from tamecalc import algebra, bimodule, calculus, cli
 from tamecalc.builders import (
+    PRESETS,
     ChevalleySpec,
     build_chevalley,
     euclidean_metric_plain,
@@ -217,11 +223,9 @@ def test_connect_refuses_the_frame_option(workdir, capsys, tmp_path):
     # reference frame, so --frame is an unknown option
     frame = tmp_path / "frame.json"
     frame.write_text("[]")
-    with pytest.raises(SystemExit) as exc:
-        main(["connect", str(workdir / "fuzzy.json"), "--frame", str(frame),
-              "--out", str(tmp_path / "never.json")])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --frame" in capsys.readouterr().err
+    assert main(["connect", str(workdir / "fuzzy.json"), "--frame", str(frame),
+                 "--out", str(tmp_path / "never.json")]) == 2
+    assert "unrecognized arguments: --frame" in _input_error(capsys)
     assert not (tmp_path / "never.json").exists()
 
 
@@ -730,6 +734,36 @@ def test_bad_input_file_outranks_a_failing_check(workdir, capsys, tmp_path):
     assert "missing.json" in _input_error(capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check"], "tamecalc check: the following arguments are required: spec"),
+    (["gen", "abelian-torus", "--n", "x"], "tamecalc gen: argument --n: invalid int value"),
+    (["gen", "klein-bottle"], "tamecalc gen: argument preset: invalid choice: 'klein-bottle'"),
+    ([], "tamecalc: the following arguments are required: command"),
+])
+def test_bad_command_line_is_one_input_error(capsys, argv, message):
+    # argparse's own usage text would be two lines; bad input is one
+    assert main(argv) == 2
+    assert message in _input_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["gen", "--help"]])
+def test_help_and_version_exit_zero_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(("tamecalc 0.1.0", "usage: tamecalc")) and err == ""
+
+
+def test_gen_offers_exactly_the_shipped_presets():
+    # cli names the presets without importing builders; --help lists them sorted
+    import argparse
+
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    preset, = (a for a in sub.choices["gen"]._actions if a.dest == "preset")
+    assert list(preset.choices) == sorted(PRESETS)
+
+
 def test_gen_of_an_unshipped_size_exits_two(capsys, tmp_path):
     out = tmp_path / "torus3.json"
     assert main(["gen", "abelian-torus", "--n", "3", "--out", str(out)]) == 2
@@ -979,3 +1013,52 @@ def test_escaped_linalg_error_exits_one_without_traceback(workdir, capsys, tmp_p
     assert code == 1
     assert err == "LinAlgError: rhs length does not match the system\n"
     assert not (tmp_path / "never.json").exists()
+
+
+# -- process start ---------------------------------------------------------------
+
+# Runs `python -m tamecalc.cli ARGS`, then names on its last stderr line the
+# modules of START_UP_ONLY it imported.
+START_UP_ONLY = ("dataclasses", "inspect", "tamecalc.builders")
+RUN_CLI = f"""
+import runpy, sys
+try:
+    runpy.run_module("tamecalc.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("imported:", *sorted(set(sys.modules) & set({START_UP_ONLY!r})), file=sys.stderr)
+"""
+
+
+def _cli_process(argv, cwd) -> tuple[int, list[str]]:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("imported:"), proc.stderr
+    return proc.returncode, last.split()[1:]
+
+
+def test_only_gen_imports_builders_and_no_command_imports_dataclasses(tmp_path):
+    # where no bytecode is cached every command compiles what it imports:
+    # builders is gen's alone, and dataclasses (which imports inspect) no command's
+    torus4 = tmp_path / "abelian-torus-4.json"
+    assert _cli_process(["gen", "abelian-torus", "--n", "4", "--out", str(torus4)],
+                        tmp_path) == (0, ["tamecalc.builders"])
+    assert hashlib.sha256(torus4.read_bytes()).hexdigest() == GOLDEN_TORUS4_SPEC
+    spec, art = tmp_path / "matrix-derivations-2.json", tmp_path / "md2.connection.json"
+    assert main(["gen", "matrix-derivations", "--n", "2", "--out", str(spec)]) == 0
+    for argv in (["check", str(spec)], ["connect", str(spec), "--out", str(art)],
+                 ["verify", str(spec), str(art)]):
+        assert _cli_process(argv, tmp_path) == (0, []), argv
+    assert hashlib.sha256(art.read_bytes()).hexdigest() == GOLDEN_ARTIFACTS["matrix-derivations"]
+
+
+def test_no_module_in_src_imports_dataclasses():
+    # each @dataclass execs its generated methods when its module loads
+    src = Path(cli.__file__).resolve().parent.parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "dataclasses" for a in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "dataclasses", path

@@ -8,7 +8,11 @@ its span recorder wraps must still resolve.
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import load_perfbench
 from tamecalc import bimodule, connection, linalg
@@ -99,3 +103,15 @@ def test_traced_stage_names_resolve():
     for name in ("leibniz_witness", "torsion"):
         assert name in attrs
         assert callable(getattr(connection, name)), name
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # Tracer.install wraps only the modules `import tamecalc.cli` loads; a
+    # module the cli imported lazily would read 0 on every metric of its layers
+    spans = load_perfbench("spans")
+    traced = {modname for _, modname, _ in spans.SPANS} | {spans.COUNTED[0]}
+    assert "tamecalc.connection" in traced
+    env = dict(os.environ, PYTHONPATH=str(Path(connection.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", "import sys, tamecalc.cli; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert traced <= set(out.split())
