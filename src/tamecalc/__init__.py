@@ -17,13 +17,10 @@ from .connection import (
     Geometry,
     certify,
     covariant_derivative,
-    grassmann,
     koszul_rhs,
     levi_civita_direct,
     levi_civita_koszul,
     lie_bracket,
-    nabla_zero,
-    torsion,
 )
 from .linalg import Matrix, Scalar, Subspace, kernel_rows, qi
 from .metric import validate_metric, vector_fields
@@ -41,7 +38,6 @@ __all__ = [
     "build_symmetry",
     "certify",
     "covariant_derivative",
-    "grassmann",
     "hom_A",
     "is_centered",
     "kernel_rows",
@@ -50,10 +46,8 @@ __all__ = [
     "levi_civita_koszul",
     "lie_bracket",
     "module_center",
-    "nabla_zero",
     "qi",
     "tensor_over_A",
-    "torsion",
     "validate_calculus",
     "validate_metric",
     "vector_fields",

@@ -9,8 +9,8 @@ their values on it.  The candidate symmetry sigma is the flip on central
 tensors extended right-linearly; the construction succeeds exactly when the
 central tensors span and the flip respects every linear relation among
 their right translates, and the certificate then packages sigma, the
-symmetrizer, the complement of ker(wedge) and the inverse of the wedge on
-that complement.  Failures are returned as data, never raised: the check
+symmetrizer and the complement of ker(wedge), on which the wedge is checked
+invertible.  Failures are returned as data, never raised: the check
 command is a diagnostic tool.
 
 The axioms that read "for every a in A" run over the algebra's generators
@@ -40,7 +40,6 @@ from .bimodule import (
 from .errors import ContractViolationError, InternalInconsistencyError
 from .linalg import (
     HALF,
-    LinAlgError,
     Matrix,
     ONE,
     Scalar,
@@ -271,11 +270,11 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 
 class TamenessCertificate:
     __slots__ = ("calculus", "tensor_square", "center_one_forms", "sigma", "p_sym",
-                 "kernel_wedge", "complement_f", "q_inverse", "spanning", "flags")
+                 "kernel_wedge", "complement_f", "spanning", "flags")
 
     def __init__(self, calculus: Calculus, tensor_square: QuotientTensor,
                  center_one_forms: Subspace, sigma: Matrix, p_sym: Matrix,
-                 kernel_wedge: Subspace, complement_f: Subspace, q_inverse: Matrix,
+                 kernel_wedge: Subspace, complement_f: Subspace,
                  spanning: CentralGenerators, flags: dict[str, bool] | None = None):
         self.calculus = calculus
         self.tensor_square = tensor_square
@@ -284,7 +283,6 @@ class TamenessCertificate:
         self.p_sym = p_sym
         self.kernel_wedge = kernel_wedge
         self.complement_f = complement_f
-        self.q_inverse = q_inverse
         self.spanning = spanning   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
         self.flags = {} if flags is None else flags
 
@@ -382,16 +380,9 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
     if complement_f.dim != w2dim:
         return _fail("QNotInvertible",
                      f"complement has dimension {complement_f.dim}, two-forms {w2dim}")
-    if w2dim:
-        fcols = Matrix.from_sparse_cols(complement_f.rows, qt.dim)
-        wf = calc.wedge_q @ fcols
-        try:
-            q_inverse = fcols @ wf.inverse()
-        except LinAlgError:
-            return _fail("QNotInvertible",
-                         "wedge restricted to the complement is singular")
-    else:
-        q_inverse = Matrix.zeros(qt.dim, 0)
+    if (calc.wedge_q @ Matrix.from_sparse_cols(complement_f.rows, qt.dim)).rank() != w2dim:
+        return _fail("QNotInvertible",
+                     "wedge restricted to the complement is singular")
     cert = TamenessCertificate(
         calculus=calc,
         tensor_square=qt,
@@ -400,7 +391,6 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         p_sym=p_sym,
         kernel_wedge=kernel_wedge,
         complement_f=complement_f,
-        q_inverse=q_inverse,
         spanning=span,
         flags=flags,
     )

@@ -1,15 +1,15 @@
 """Connections on the one-forms and both Levi-Civita solvers.
 
 A connection is stored by its value matrix on a basis of the one-forms,
-with the Leibniz rule as a checked invariant.  The module provides the
-Grassmann connection of a frame, the torsionless reference connection, the
-covariant derivative on vector fields, the Lie bracket, the Levi-Civita
-conditions stated once on generators (`Geometry.conditions`: torsion on
-each central generator of the one-forms, compatibility on each central
-tensor), one certification (`certify`) that reads torsion and metric
-compatibility off a single covariant table and cross-checks each against
-its defect in those conditions, and two independent routes to the
-Levi-Civita connection:
+with the Leibniz rule as a checked invariant, and is fixed by its images
+nabla(z_i) of the central generators of the one-forms and that rule.  The
+module provides the covariant derivative on vector fields, the Lie bracket,
+the Levi-Civita conditions stated once on generators
+(`Geometry.conditions`: torsion on each central generator of the
+one-forms, compatibility on each central tensor), one certification
+(`certify`) that reads torsion and metric compatibility off a single
+covariant table and cross-checks each against its defect in those
+conditions, and two independent routes to the Levi-Civita connection:
 
 * a Koszul route that reads every covariant derivative off the
   six-term formula and reconstructs the connection through the
@@ -18,12 +18,6 @@ Levi-Civita connection:
   images of the central generators of the one-forms.
 
 Exact equality of the two routes is the engine's own strongest self-test.
-Neither route uses the Grassmann or the reference connection; they are the
-paper's constructions, kept for their own sake and as test oracles.
-
-A right-linear map out of the one-forms (a Grassmann splitting) is fixed by
-its images of the central generators z_i, and a connection (Grassmann,
-reconstructed, direct) by nabla(z_i) and the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .bimodule import Bimodule, pair_apply
+from .bimodule import pair_apply
 from .calculus import Calculus, TamenessCertificate
 from .errors import (
     BracketNotCentralError,
@@ -40,8 +34,6 @@ from .errors import (
     InternalInconsistencyError,
     NoSolutionError,
     NonUniqueSolutionError,
-    NoSplittingError,
-    NotRightLinearError,
     SystemSingularError,
     YNotCentralError,
 )
@@ -73,7 +65,7 @@ Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q al
 
 
 # ---------------------------------------------------------------------------
-# Leibniz validation, Grassmann and the torsionless reference connection
+# Leibniz validation and extension
 # ---------------------------------------------------------------------------
 
 def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
@@ -122,106 +114,6 @@ def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Co
     if nabla is None:
         raise InternalInconsistencyError("values break a relation among the central generators")
     return Connection(nabla)
-
-
-def frame_splitting(calc: Calculus, frame: Sequence[dict[int, Scalar]]
-                    ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
-    """Maps S_j in E* with sum_j g_j . S_j(e) == e for the frame g_j, any
-    sparse elements of E; entry [j][i] is S_j(z_i) in A, sparse, for the
-    central generators z_i.  The unknowns are those images, at
-    (j * k + i) * dim A: they satisfy the generators' relations, and
-    sum_j g_j . S_j(z_i) == z_i, which is enough because
-    e -> sum_j g_j . S_j(e) is right-linear."""
-    e = calc.one_forms
-    gens = e.central_generators
-    zs = gens.zs
-    n, k, nA = len(frame), len(zs), calc.algebra.dim
-    width = k * nA
-
-    # each S_j is right-linear: its images respect the generators' relations
-    linear = gens.relation_rows(Bimodule.regular(calc.algebra))
-    rows = [{j * width + u: v for u, v in row.items()} for j in range(n) for row in linear]
-    rhs: dict[int, Scalar] = {}
-    # sum_j g_j . S_j(z_i) == z_i, where g_j . a_s carries S_j(z_i)'s
-    # coordinate s
-    translates = [[_apply_sparse(e.right[s], g) for s in range(nA)] for g in frame]
-    for i, z in enumerate(zs):
-        recon: list[dict[int, Scalar]] = [{} for _ in range(e.dim)]
-        for j in range(n):
-            for s in range(nA):
-                for c, v in translates[j][s].items():
-                    recon[c][j * width + i * nA + s] = v
-        rhs.update((len(rows) + c, v) for c, v in z.items())
-        rows.extend(recon)
-
-    (sol,), _ = solve_sparse(rows, n * width, [rhs])
-    if sol is None:
-        raise NoSplittingError(
-            "no right-linear splitting through the chosen frame generators",
-            witness=[f"frame size {n}", f"one-forms dim {e.dim}"])
-    # unknown (j * k + i) * nA + s is coordinate s of S_j(z_i)
-    images: list[list[dict[int, Scalar]]] = [[{} for _ in range(k)] for _ in range(n)]
-    for u, v in sol.items():
-        ji, s = divmod(u, nA)
-        j, i = divmod(ji, k)
-        images[j][i][s] = v
-    return tuple(map(tuple, images))
-
-
-def grassmann(calc: Calculus, cert: TamenessCertificate,
-              frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
-    """The connection of a right-linear splitting through the given sparse
-    frame.
-
-    The default frame is the central basis of the one-forms, which is
-    right-total whenever the calculus is tame.  The connection sends each
-    central generator z_i to sum_j g_j (x) d(S_j(z_i)) and extends by the
-    Leibniz rule, which gives sum_j g_j (x) d(S_j e) on every e because
-    sum_j g_j . S_j(z_i) == z_i.
-    """
-    frame = frame if frame is not None else calc.one_forms.central_generators.zs
-    splitting = frame_splitting(calc, frame)
-    qt = calc.tensor_square
-    conn = leibniz_extension(calc, [
-        _lincomb((ONE, qt.pure_sparse(g, _apply_sparse(calc.d0, image)))
-                 for g, image in zip(frame, images_of_z))
-        for images_of_z in zip(*splitting)])
-    bad = leibniz_witness(calc, conn)
-    if bad is not None:
-        raise InternalInconsistencyError(f"Grassmann connection fails Leibniz at {bad}")
-    return conn
-
-
-def torsion(calc: Calculus, conn: Connection) -> Matrix:
-    """wedge after the connection plus d; right-linear for honest connections,
-    which the algebra's generators decide on a validated calculus."""
-    t = calc.wedge_q @ conn.nabla + calc.d1
-    e = calc.one_forms
-    w2 = calc.two_forms
-
-    def nonlinear(indices: Sequence[int]) -> int | None:
-        for i in indices:
-            if t @ e.right[i] != w2.right[i] @ t:
-                return i
-        return None
-
-    bad = calc.algebra.first_failure(nonlinear, calc.validated)
-    if bad is not None:
-        raise NotRightLinearError(
-            "torsion of a malformed connection is not right-linear",
-            witness=calc.algebra.labels[bad])
-    return t
-
-
-def nabla_zero(calc: Calculus, cert: TamenessCertificate,
-               frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
-    """Kill the Grassmann torsion through the wedge inverse on the complement."""
-    gr = grassmann(calc, cert, frame)
-    t = torsion(calc, gr)
-    conn = Connection(gr.nabla - cert.q_inverse @ t)
-    if not torsion(calc, conn).is_zero():
-        raise InternalInconsistencyError("reference connection kept nonzero torsion")
-    return conn
 
 
 # ---------------------------------------------------------------------------

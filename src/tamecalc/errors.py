@@ -29,14 +29,6 @@ class SpecFileError(EngineError):
     code = "SpecFileError"
 
 
-class NoSplittingError(EngineError):
-    code = "NoSplitting"
-
-
-class NotRightLinearError(EngineError):
-    code = "NotRightLinear"
-
-
 class YNotCentralError(EngineError):
     code = "YNotCentral"
 

@@ -15,6 +15,13 @@ tensors and the relations' Leibniz constants (leibniz_constants) summed
 densely, the oracle for posing it once per tensor, and
 levi_civita_perturbation the route posed over the perturbations of the
 reference connection, the oracle for solving for nabla outright.
+The paper's reference construction lives here too, since no command
+builds it: frame_splitting, the Grassmann connection grassmann of a
+frame, the whole-matrix torsion, and nabla_zero, which kills the
+Grassmann torsion through q_inverse, the wedge's inverse on the
+tameness certificate's complement of ker(wedge).  The tests read them as
+oracles and as connections that fail torsion (grassmann) or
+compatibility (nabla_zero).
 compat_values and pi_g_matrix evaluate the compatibility map Pi_g on every
 right translate of the central tensors and extend it over the whole tensor
 square, and
@@ -34,7 +41,12 @@ kernel of a ColumnSolver, the failed items of a calculus report and the
 complex conjugate.
 """
 
-from tamecalc.connection import Connection, defects, nabla_zero
+from typing import Sequence
+
+from tamecalc.bimodule import Bimodule
+from tamecalc.calculus import Calculus, TamenessCertificate
+from tamecalc.connection import Connection, defects, leibniz_extension, leibniz_witness
+from tamecalc.errors import EngineError, InternalInconsistencyError
 from tamecalc.linalg import (
     ColumnSolver,
     LinAlgError,
@@ -411,6 +423,127 @@ def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
         rhs.update((len(rows) + r * nt + y, -v) for y, v in vec_to_sparse(constant).items())
     rows.extend(gens.relation_rows(t2))
     return rows, nunk, rhs
+
+
+# -- the Grassmann and the torsionless reference connection -------------------------
+
+class NoSplittingError(EngineError):
+    code = "NoSplitting"
+
+
+class NotRightLinearError(EngineError):
+    code = "NotRightLinear"
+
+
+def q_inverse(calc: Calculus, cert: TamenessCertificate) -> Matrix:
+    """The inverse of the wedge on the certificate's complement of
+    ker(wedge), from the two-forms into the tensor square: F (W F)^-1 for
+    the complement's basis columns F, and no columns without two-forms."""
+    qt = calc.tensor_square
+    if not calc.two_forms.dim:
+        return Matrix.zeros(qt.dim, 0)
+    fcols = Matrix.from_sparse_cols(cert.complement_f.rows, qt.dim)
+    return fcols @ (calc.wedge_q @ fcols).inverse()
+
+
+def frame_splitting(calc: Calculus, frame: Sequence[dict[int, Scalar]]
+                    ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+    """Maps S_j in E* with sum_j g_j . S_j(e) == e for the frame g_j, any
+    sparse elements of E; entry [j][i] is S_j(z_i) in A, sparse, for the
+    central generators z_i.  The unknowns are those images, at
+    (j * k + i) * dim A: they satisfy the generators' relations, and
+    sum_j g_j . S_j(z_i) == z_i, which is enough because
+    e -> sum_j g_j . S_j(e) is right-linear."""
+    e = calc.one_forms
+    gens = e.central_generators
+    zs = gens.zs
+    n, k, nA = len(frame), len(zs), calc.algebra.dim
+    width = k * nA
+
+    # each S_j is right-linear: its images respect the generators' relations
+    linear = gens.relation_rows(Bimodule.regular(calc.algebra))
+    rows = [{j * width + u: v for u, v in row.items()} for j in range(n) for row in linear]
+    rhs: dict[int, Scalar] = {}
+    # sum_j g_j . S_j(z_i) == z_i, where g_j . a_s carries S_j(z_i)'s
+    # coordinate s
+    translates = [[_apply_sparse(e.right[s], g) for s in range(nA)] for g in frame]
+    for i, z in enumerate(zs):
+        recon: list[dict[int, Scalar]] = [{} for _ in range(e.dim)]
+        for j in range(n):
+            for s in range(nA):
+                for c, v in translates[j][s].items():
+                    recon[c][j * width + i * nA + s] = v
+        rhs.update((len(rows) + c, v) for c, v in z.items())
+        rows.extend(recon)
+
+    (sol,), _ = solve_sparse(rows, n * width, [rhs])
+    if sol is None:
+        raise NoSplittingError(
+            "no right-linear splitting through the chosen frame generators",
+            witness=[f"frame size {n}", f"one-forms dim {e.dim}"])
+    # unknown (j * k + i) * nA + s is coordinate s of S_j(z_i)
+    images: list[list[dict[int, Scalar]]] = [[{} for _ in range(k)] for _ in range(n)]
+    for u, v in sol.items():
+        ji, s = divmod(u, nA)
+        j, i = divmod(ji, k)
+        images[j][i][s] = v
+    return tuple(map(tuple, images))
+
+
+def grassmann(calc: Calculus, cert: TamenessCertificate,
+              frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
+    """The connection of a right-linear splitting through the given sparse
+    frame.
+
+    The default frame is the central basis of the one-forms, which is
+    right-total whenever the calculus is tame.  The connection sends each
+    central generator z_i to sum_j g_j (x) d(S_j(z_i)) and extends by the
+    Leibniz rule, which gives sum_j g_j (x) d(S_j e) on every e because
+    sum_j g_j . S_j(z_i) == z_i.
+    """
+    frame = frame if frame is not None else calc.one_forms.central_generators.zs
+    splitting = frame_splitting(calc, frame)
+    qt = calc.tensor_square
+    conn = leibniz_extension(calc, [
+        _lincomb((ONE, qt.pure_sparse(g, _apply_sparse(calc.d0, image)))
+                 for g, image in zip(frame, images_of_z))
+        for images_of_z in zip(*splitting)])
+    bad = leibniz_witness(calc, conn)
+    if bad is not None:
+        raise InternalInconsistencyError(f"Grassmann connection fails Leibniz at {bad}")
+    return conn
+
+
+def torsion(calc: Calculus, conn: Connection) -> Matrix:
+    """wedge after the connection plus d; right-linear for honest connections,
+    which the algebra's generators decide on a validated calculus."""
+    t = calc.wedge_q @ conn.nabla + calc.d1
+    e = calc.one_forms
+    w2 = calc.two_forms
+
+    def nonlinear(indices: Sequence[int]) -> int | None:
+        for i in indices:
+            if t @ e.right[i] != w2.right[i] @ t:
+                return i
+        return None
+
+    bad = calc.algebra.first_failure(nonlinear, calc.validated)
+    if bad is not None:
+        raise NotRightLinearError(
+            "torsion of a malformed connection is not right-linear",
+            witness=calc.algebra.labels[bad])
+    return t
+
+
+def nabla_zero(calc: Calculus, cert: TamenessCertificate,
+               frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
+    """Kill the Grassmann torsion through the wedge inverse on the complement."""
+    gr = grassmann(calc, cert, frame)
+    t = torsion(calc, gr)
+    conn = Connection(gr.nabla - q_inverse(calc, cert) @ t)
+    if not torsion(calc, conn).is_zero():
+        raise InternalInconsistencyError("reference connection kept nonzero torsion")
+    return conn
 
 
 def levi_civita_perturbation(geo) -> tuple[Connection, int]:

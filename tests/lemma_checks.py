@@ -17,11 +17,12 @@ from dense_reference import (
     left_action,
     lift,
     multiply_dense,
+    nabla_zero,
     pure,
     right_action,
 )
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
-from tamecalc.connection import Geometry, covariant_derivative, nabla_zero
+from tamecalc.connection import Geometry, covariant_derivative
 from tamecalc.errors import EngineError
 from tamecalc.linalg import (
     LinAlgError,

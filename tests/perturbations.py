@@ -10,10 +10,10 @@ is checked against the kernel construction dense_reference.hom_kernel.
 
 from random import Random
 
-from dense_reference import center, vec_is_zero
+from dense_reference import center, nabla_zero, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
 from tamecalc.calculus import Calculus, TamenessCertificate
-from tamecalc.connection import Connection, Geometry, nabla_zero
+from tamecalc.connection import Connection, Geometry
 from tamecalc.errors import ContractViolationError, InternalInconsistencyError
 from tamecalc.linalg import (
     Matrix,

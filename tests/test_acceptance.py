@@ -7,7 +7,7 @@ the wall-clock budgets.  Run with -s to see one PASS line per criterion.
 import time
 
 import lemma_checks as lc
-from dense_reference import failures, vec_is_zero
+from dense_reference import failures, grassmann, nabla_zero, torsion, vec_is_zero
 from perturbations import random_leibniz_perturbation, random_metric
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import build_symmetry, validate_calculus
@@ -16,13 +16,10 @@ from tamecalc.connection import (
     Geometry,
     certify,
     covariant_table,
-    grassmann,
     levi_civita_direct,
     levi_civita_koszul,
     lie_bracket,
-    nabla_zero,
     reconstruct_from_table,
-    torsion,
 )
 from tamecalc.linalg import ONE, _lincomb, qi, vec_to_sparse
 from tamecalc.metric import validate_metric

@@ -8,14 +8,19 @@ import lemma_checks as lc
 from dense_reference import (
     col,
     commutator,
+    frame_splitting,
     from_rows,
     g_tilde_dense,
+    grassmann,
     grassmann_reference,
     hom_kernel,
     left_action,
     multiply_dense,
+    nabla_zero,
     pure,
+    q_inverse,
     right_action,
+    torsion,
     vec_is_zero,
 )
 from perturbations import random_leibniz_perturbation
@@ -30,16 +35,12 @@ from tamecalc.connection import (
     compat_witnesses,
     covariant_derivative,
     covariant_table,
-    frame_splitting,
-    grassmann,
     koszul_rhs,
     leibniz_witness,
     levi_civita_direct,
     levi_civita_koszul,
     lie_bracket,
-    nabla_zero,
     reconstruct_from_table,
-    torsion,
     torsion_witnesses,
 )
 from tamecalc.errors import YNotCentralError
@@ -173,8 +174,9 @@ def test_nabla_zero_equals_grassmann_on_torus(torus_geo):
 def test_nabla_zero_corrects_frame_torsion(fuzzy_geo):
     geo = fuzzy_geo
     n0 = nabla_zero(geo.calc, geo.cert)
+    q_inv = q_inverse(geo.calc, geo.cert)
     for z in geo.cert.center_one_forms.basis:
-        want = tuple(-x for x in geo.cert.q_inverse.apply(geo.calc.d1.apply(z)))
+        want = tuple(-x for x in q_inv.apply(geo.calc.d1.apply(z)))
         assert n0.nabla.apply(z) == want
 
 

@@ -18,18 +18,21 @@ from hypothesis import strategies as st
 
 from conftest import certified, truncated_line_spec
 from dense_reference import (
+    NotRightLinearError,
     contains_vector,
     from_rows,
     leibniz_witness_dense,
     multiply_dense,
+    nabla_zero,
+    torsion,
     validate_calculus_reference,
 )
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, module_center, tensor_over_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import Calculus, build_symmetry, validate_calculus
-from tamecalc.connection import Connection, leibniz_witness, nabla_zero, torsion
-from tamecalc.errors import ContractViolationError, NotRightLinearError
+from tamecalc.connection import Connection, leibniz_witness
+from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     ONE,
     ZERO,

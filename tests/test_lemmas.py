@@ -11,7 +11,7 @@ center is bigger than the scalars.
 import pytest
 
 import lemma_checks as lc
-from tamecalc.connection import grassmann, nabla_zero
+from dense_reference import grassmann, nabla_zero
 
 
 @pytest.fixture(scope="module", params=["fuzzy", "torus"])

@@ -8,6 +8,7 @@ its span recorder wraps must still resolve.
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -100,9 +101,38 @@ def test_traced_stage_names_resolve():
             assert callable(getattr(module, name)), name
     modname, attrs = spans.COUNTED
     assert modname == "tamecalc.connection"
-    for name in ("leibniz_witness", "torsion"):
-        assert name in attrs
-        assert callable(getattr(connection, name)), name
+    assert "leibniz_witness" in attrs
+    assert callable(connection.leibniz_witness)
+
+
+# Names the span recorder wraps that the engine no longer has: their metrics
+# read 0 in every traced pass.  connection.reference wraps nabla_zero and
+# COUNTED names torsion, both oracles in tests/dense_reference.py.
+STALE_TRACED_NAMES = {
+    "tamecalc.cli.check_compat_cov",
+    "tamecalc.cli.check_torsionless_cov",
+    "tamecalc.cli.leibniz_witness",
+    "tamecalc.cli.torsion",
+    "tamecalc.connection.nabla_zero",
+    "tamecalc.connection.pi_g_matrix",
+    "tamecalc.connection.torsion",
+    "tamecalc.linalg.solve",
+    "tamecalc.linalg.solve_many",
+}
+
+
+def test_traced_install_leaves_only_the_stale_names_unwrapped():
+    # install() monkeypatches tamecalc, so it runs in a fresh interpreter; a
+    # rename that would silently zero one more traced metric fails here
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    env = dict(os.environ, PYTHONPATH=str(Path(connection.__file__).resolve().parent.parent))
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import spans; "
+            "t = spans.Tracer(); t.install(); print(json.dumps(t.unwrapped))")
+    out = subprocess.run([sys.executable, "-c", code, str(perfbench)], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    unwrapped = json.loads(out)
+    assert len(unwrapped) == len(set(unwrapped))
+    assert set(unwrapped) == STALE_TRACED_NAMES
 
 
 def test_importing_the_cli_loads_every_traced_module():
