@@ -13,7 +13,6 @@ from .algebra import Algebra
 from .bimodule import Bimodule, hom_A, is_centered, module_center, tensor_over_A
 from .calculus import Calculus, build_symmetry, validate_calculus
 from .connection import (
-    Connection,
     Geometry,
     certify,
     covariant_derivative,
@@ -29,7 +28,6 @@ __all__ = [
     "Algebra",
     "Bimodule",
     "Calculus",
-    "Connection",
     "Geometry",
     "Matrix",
     "Scalar",

@@ -8,10 +8,12 @@ tensors pi(z_p (x) z_q) as one `CentralGenerators`, the certificate's
 their values on it.  The candidate symmetry sigma is the flip on central
 tensors extended right-linearly; the construction succeeds exactly when the
 central tensors span and the flip respects every linear relation among
-their right translates, and the certificate then packages sigma, the
-symmetrizer and the complement of ker(wedge), on which the wedge is checked
-invertible.  Failures are returned as data, never raised: the check
-command is a diagnostic tool.
+their right translates.  The certificate holds what later layers read:
+the center of the one-forms, sigma and the spanning central tensors.  The
+symmetrizer must project onto ker(wedge), and its kernel, the complement,
+must have the dimension of the two-forms, on which the wedge is then
+invertible.  A failed condition comes back as a `Refusal`, never raised:
+the check command is a diagnostic tool.
 
 The axioms that read "for every a in A" run over the algebra's generators
 (`Algebra.first_failure`) once the axioms before them passed on a validated
@@ -37,7 +39,7 @@ from .bimodule import (
     _tensor_right_apply,
     tensor_over_A,
 )
-from .errors import ContractViolationError, InternalInconsistencyError
+from .errors import ContractViolationError, InternalInconsistencyError, Refusal
 from .linalg import (
     HALF,
     Matrix,
@@ -269,47 +271,15 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 # ---------------------------------------------------------------------------
 
 class TamenessCertificate:
-    __slots__ = ("calculus", "tensor_square", "center_one_forms", "sigma", "p_sym",
-                 "kernel_wedge", "complement_f", "spanning", "flags")
+    __slots__ = ("center_one_forms", "sigma", "spanning")
 
-    def __init__(self, calculus: Calculus, tensor_square: QuotientTensor,
-                 center_one_forms: Subspace, sigma: Matrix, p_sym: Matrix,
-                 kernel_wedge: Subspace, complement_f: Subspace,
-                 spanning: CentralGenerators, flags: dict[str, bool] | None = None):
-        self.calculus = calculus
-        self.tensor_square = tensor_square
+    def __init__(self, center_one_forms: Subspace, sigma: Matrix, spanning: CentralGenerators):
         self.center_one_forms = center_one_forms
         self.sigma = sigma
-        self.p_sym = p_sym
-        self.kernel_wedge = kernel_wedge
-        self.complement_f = complement_f
         self.spanning = spanning   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
-        self.flags = {} if flags is None else flags
 
 
-class TamenessFailure:
-    __slots__ = ("condition", "detail", "witness")
-
-    def __init__(self, condition: str, detail: str, witness: object = None):
-        self.condition, self.detail, self.witness = condition, detail, witness
-
-
-class SymmetryOutcome:
-    __slots__ = ("certificate", "failure")
-
-    def __init__(self, certificate: TamenessCertificate | None, failure: TamenessFailure | None):
-        self.certificate, self.failure = certificate, failure
-
-    @property
-    def ok(self) -> bool:
-        return self.certificate is not None
-
-
-def _fail(condition: str, detail: str, witness=None) -> SymmetryOutcome:
-    return SymmetryOutcome(None, TamenessFailure(condition, detail, witness))
-
-
-def build_symmetry(calc: Calculus) -> SymmetryOutcome:
+def build_symmetry(calc: Calculus) -> TamenessCertificate | Refusal:
     """Construct the tameness certificate or a structured refusal.
 
     E (x)_A E is taken over its central tensors pi(z_p (x) z_q), and the
@@ -321,28 +291,25 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
     qt = calc.tensor_square
     rep = e.centered
     if not rep.ok:
-        return _fail("NotCentered",
-                     "the center of the one-forms does not generate them as a right module",
-                     rep.witness)
+        return Refusal("NotCentered",
+                       "the center of the one-forms does not generate them as a right module",
+                       rep.witness)
     zs = rep.center.rows
     span = CentralGenerators(qt.bimodule, [qt.pure_sparse(zp, zq) for zp in zs for zq in zs])
     if not span.spans:
-        return _fail("CentralTensorsDoNotSpan",
-                     "the tensors of central one-forms do not generate the tensor square "
-                     "as a right module")
+        return Refusal("CentralTensorsDoNotSpan",
+                       "the tensors of central one-forms do not generate the tensor square "
+                       "as a right module")
     k = len(zs)
     sigma = span.extend([_apply_sparse(qt.bimodule.right[r], span.zs[q * k + p])
                          for p in range(k) for q in range(k) for r in range(calc.algebra.dim)],
                         qt.dim)
     if sigma is None:
-        return _fail("FlipNotWellDefined",
-                     "flipping central tensors is incompatible with a linear relation "
-                     "among the spanning tensors")
-
-    flags = {"centered": True, "sigma_well_defined": True}
+        return Refusal("FlipNotWellDefined",
+                       "flipping central tensors is incompatible with a linear relation "
+                       "among the spanning tensors")
     if not (sigma @ sigma == Matrix.identity(qt.dim)):
         raise InternalInconsistencyError("flip extension failed to be an involution")
-    flags["sigma_involution"] = True
 
     def commutes(indices: Sequence[int]) -> int | None:
         for i in indices:
@@ -353,17 +320,15 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
         return None
 
     unbilinear = calc.algebra.first_failure(commutes, calc.validated)
-    flags["sigma_bilinear"] = unbilinear is None
     if unbilinear is not None:
-        return _fail("SigmaNotBilinear",
-                     "the central flip extends right-linearly but is not a bimodule map",
-                     calc.algebra.labels[unbilinear])
+        return Refusal("SigmaNotBilinear",
+                       "the central flip extends right-linearly but is not a bimodule map",
+                       calc.algebra.labels[unbilinear])
 
     p_sym = (Matrix.identity(qt.dim) + sigma).scale(HALF)
     kernel_wedge = calc.wedge_q.kernel()
     ran_p = p_sym.column_space()
-    flags["psym_projects_onto_ker_wedge"] = ran_p == kernel_wedge
-    if not flags["psym_projects_onto_ker_wedge"]:
+    if ran_p != kernel_wedge:
         # the first basis row of either space outside the other, searched on
         # copies of the sparse rows; the witness is its dense basis vector
         witness = None
@@ -372,26 +337,15 @@ def build_symmetry(calc: Calculus) -> SymmetryOutcome:
             if k is not None:
                 witness = space.basis[k]
                 break
-        return _fail("PsymRangeMismatch",
-                     "the symmetrizer image differs from the kernel of the wedge", witness)
+        return Refusal("PsymRangeMismatch",
+                       "the symmetrizer image differs from the kernel of the wedge", witness)
 
-    complement_f = p_sym.kernel()
+    # p_sym is a projection onto ker W, so its kernel, the complement of
+    # ker W, has dimension qt.dim - dim ker W, and W is injective on it:
+    # W is invertible there exactly when that dimension is dim Omega^2
+    complement_dim = qt.dim - kernel_wedge.dim
     w2dim = calc.two_forms.dim
-    if complement_f.dim != w2dim:
-        return _fail("QNotInvertible",
-                     f"complement has dimension {complement_f.dim}, two-forms {w2dim}")
-    if (calc.wedge_q @ Matrix.from_sparse_cols(complement_f.rows, qt.dim)).rank() != w2dim:
-        return _fail("QNotInvertible",
-                     "wedge restricted to the complement is singular")
-    cert = TamenessCertificate(
-        calculus=calc,
-        tensor_square=qt,
-        center_one_forms=rep.center,
-        sigma=sigma,
-        p_sym=p_sym,
-        kernel_wedge=kernel_wedge,
-        complement_f=complement_f,
-        spanning=span,
-        flags=flags,
-    )
-    return SymmetryOutcome(cert, None)
+    if complement_dim != w2dim:
+        return Refusal("QNotInvertible",
+                       f"complement has dimension {complement_dim}, two-forms {w2dim}")
+    return TamenessCertificate(center_one_forms=rep.center, sigma=sigma, spanning=span)

@@ -1,15 +1,16 @@
 """Connections on the one-forms and both Levi-Civita solvers.
 
-A connection is stored by its value matrix on a basis of the one-forms,
-with the Leibniz rule as a checked invariant, and is fixed by its images
-nabla(z_i) of the central generators of the one-forms and that rule.  The
-module provides the covariant derivative on vector fields, the Lie bracket,
-the Levi-Civita conditions stated once on generators
-(`Geometry.conditions`: torsion on each central generator of the
-one-forms, compatibility on each central tensor), one certification
-(`certify`) that reads torsion and metric compatibility off a single
-covariant table and cross-checks each against its defect in those
-conditions, and two independent routes to the Levi-Civita connection:
+A connection is passed as its value matrix nabla, from one-form
+coordinates to tensor-square coordinates, with the Leibniz rule as a
+checked invariant; it is fixed by its images nabla(z_i) of the central
+generators of the one-forms and that rule.  The module provides the
+covariant derivative on vector fields, the Lie bracket, the Levi-Civita
+conditions stated once on generators (`Geometry.conditions`: torsion on
+each central generator of the one-forms, compatibility on each central
+tensor), one certification (`certify`) that reads torsion and metric
+compatibility off a single covariant table and cross-checks each against
+its defect in those conditions, and two independent routes to the
+Levi-Civita connection:
 
 * a Koszul route that reads every covariant derivative off the
   six-term formula and reconstructs the connection through the
@@ -17,7 +18,9 @@ conditions, and two independent routes to the Levi-Civita connection:
 * a direct route that solves the same conditions for the connection's
   images of the central generators of the one-forms.
 
-Exact equality of the two routes is the engine's own strongest self-test.
+Each route returns nabla itself (the Koszul route with its table) and
+raises when its result fails certification or is not unique.  Exact
+equality of the two routes is the engine's own strongest self-test.
 """
 
 from __future__ import annotations
@@ -52,15 +55,6 @@ from .linalg import (
 from .metric import Metric, g_of_forms, vector_fields
 
 
-class Connection:
-    """A linear map from one-forms to the tensor square, on basis columns."""
-
-    __slots__ = ("nabla",)
-
-    def __init__(self, nabla: Matrix):
-        self.nabla = nabla
-
-
 Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q along X_p
 
 
@@ -68,13 +62,13 @@ Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q al
 # Leibniz validation and extension
 # ---------------------------------------------------------------------------
 
-def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
+def leibniz_witness(calc: Calculus, nabla: Matrix) -> tuple[int, int] | None:
     """First basis pair (s, i) with nabla(e_s . a_i) != nabla(e_s) . a_i +
     e_s (x) d a_i, algebra index outer, or None; compared on sparse columns.
     On a validated calculus the algebra's generators decide it."""
     e = calc.one_forms
     qt = calc.tensor_square
-    ncols = conn.nabla.sparse_cols()
+    ncols = nabla.sparse_cols()
     dcols = calc.d0.sparse_cols()
 
     def pairs(indices: Sequence[int]) -> tuple[int, int] | None:
@@ -82,7 +76,7 @@ def leibniz_witness(calc: Calculus, conn: Connection) -> tuple[int, int] | None:
             rcols = e.right[i].sparse_cols()
             t2_right = qt.bimodule.right[i]
             for s in range(e.dim):
-                lhs = _apply_sparse(conn.nabla, rcols[s])
+                lhs = _apply_sparse(nabla, rcols[s])
                 rhs = _lincomb(((ONE, _apply_sparse(t2_right, ncols[s])),
                                 (ONE, qt.pure_sparse({s: ONE}, dcols[i]))))
                 if lhs != rhs:
@@ -105,7 +99,7 @@ def _leibniz_values(calc: Calculus, images: Sequence[dict[int, Scalar]]
             for s in range(calc.algebra.dim)]
 
 
-def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Connection:
+def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Matrix:
     """The connection sending each central generator z_r of the one-forms to
     the sparse images[r], extended by the Leibniz rule:
     z_r . a_s -> images[r] . a_s + z_r (x) d a_s."""
@@ -113,7 +107,7 @@ def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Co
                                                      calc.tensor_square.dim)
     if nabla is None:
         raise InternalInconsistencyError("values break a relation among the central generators")
-    return Connection(nabla)
+    return nabla
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,7 @@ class DualElement:
 # Covariant derivative and brackets
 # ---------------------------------------------------------------------------
 
-def covariant_derivative(geo: Geometry, conn: Connection, field: dict[int, Scalar],
+def covariant_derivative(geo: Geometry, nabla: Matrix, field: dict[int, Scalar],
                          direction: dict[int, Scalar]) -> dict[int, Scalar]:
     """The derivative of `field` along `direction`, both sparse dual
     elements, as a sparse dual element.
@@ -352,7 +346,7 @@ def covariant_derivative(geo: Geometry, conn: Connection, field: dict[int, Scala
     dm = e_star.matrix_of(direction)
     delta_dir = geo.dual(direction).delta
     fcols = fm.sparse_cols()
-    ncols = conn.nabla.sparse_cols()
+    ncols = nabla.sparse_cols()
     cols = []
     for i in range(e.dim):
         second = pair_apply(qt, fm, dm, ncols[i])
@@ -365,10 +359,10 @@ def covariant_derivative(geo: Geometry, conn: Connection, field: dict[int, Scala
     return coords
 
 
-def covariant_table(geo: Geometry, conn: Connection) -> Table:
+def covariant_table(geo: Geometry, nabla: Matrix) -> Table:
     n = geo.fields.count
     return tuple(
-        tuple(covariant_derivative(geo, conn, geo.fields.basis[q], geo.fields.basis[p])
+        tuple(covariant_derivative(geo, nabla, geo.fields.basis[q], geo.fields.basis[p])
               for q in range(n))
         for p in range(n))
 
@@ -441,13 +435,13 @@ class Conditions:
         self.linear, self.constant, self.ncompat = linear, constant, ncompat
 
 
-def defects(geo: Geometry, conn: Connection) -> dict[int, Scalar]:
-    """The defect of conn in the Levi-Civita conditions, sparse over their
+def defects(geo: Geometry, nabla: Matrix) -> dict[int, Scalar]:
+    """The defect of nabla in the Levi-Civita conditions, sparse over their
     rows; a Leibniz connection with no defect is torsionless and compatible."""
     nt = geo.calc.tensor_square.dim
     images: dict[int, Scalar] = {}
     for j, z in enumerate(geo.calc.one_forms.central_generators.zs):
-        images.update((j * nt + y, v) for y, v in _apply_sparse(conn.nabla, z).items())
+        images.update((j * nt + y, v) for y, v in _apply_sparse(nabla, z).items())
     cond = geo.conditions
     return _lincomb(((ONE, _apply_sparse(cond.linear, images)), (ONE, cond.constant)))
 
@@ -477,7 +471,7 @@ class Verdicts:
         return self.leibniz is None and not self.torsion_witnesses and not self.compat_witnesses
 
 
-def certify(geo: Geometry, conn: Connection) -> Verdicts:
+def certify(geo: Geometry, nabla: Matrix) -> Verdicts:
     """Leibniz first, then torsion and compatibility off one covariant table,
     each cross-checked against its defect on the central generators.
 
@@ -485,12 +479,12 @@ def certify(geo: Geometry, conn: Connection) -> Verdicts:
     them before it certifies.  Once Leibniz holds, both defects are
     right-linear, so they vanish exactly when they vanish on the central
     generators z_j and the central tensors pi(z_p (x) z_q), which span."""
-    bad = leibniz_witness(geo.calc, conn)
+    bad = leibniz_witness(geo.calc, nabla)
     if bad is not None:
         return Verdicts(leibniz=bad)
-    table = covariant_table(geo, conn)
+    table = covariant_table(geo, nabla)
     tw, cw = torsion_witnesses(geo, table), compat_witnesses(geo, table)
-    defect = defects(geo, conn)
+    defect = defects(geo, nabla)
     ncompat = geo.conditions.ncompat
     for name, cov_ok, form_ok in (("torsion", not tw, all(i < ncompat for i in defect)),
                                   ("compatibility", not cw, all(i >= ncompat for i in defect))):
@@ -550,19 +544,7 @@ def koszul_rhs(geo: Geometry, p: int, q: int, z: dict[int, Scalar]) -> dict[int,
     return _lincomb(terms)
 
 
-class LeviCivitaResult:
-    __slots__ = ("connection", "table", "table_in_fields", "kernel_dim", "verdicts")
-
-    def __init__(self, connection: Connection, table: Table | None, table_in_fields: bool,
-                 kernel_dim: int | None = None, verdicts: Verdicts | None = None):
-        self.connection = connection
-        self.table = table   # the Koszul route's table; None for the direct route
-        self.table_in_fields = table_in_fields
-        self.kernel_dim = kernel_dim
-        self.verdicts = verdicts
-
-
-def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
+def reconstruct_from_table(geo: Geometry, table: Table) -> Matrix:
     """The unique connection whose covariant derivatives match the table.
 
     Solved through the separating family of field pairs on central
@@ -590,15 +572,15 @@ def reconstruct_from_table(geo: Geometry, table: Table) -> Connection:
     return leibniz_extension(geo.calc, ws)
 
 
-def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
+def levi_civita_koszul(geo: Geometry) -> tuple[Matrix, Table]:
     """Read the covariant-derivative table off the Koszul formula, then
-    rebuild the connection and certify its defining properties exactly."""
+    rebuild the connection and certify its defining properties exactly;
+    (nabla, table), or a raise when the certification fails."""
     n = geo.fields.count
     e_star = geo.metric.e_star
     nA = geo.calc.algebra.dim
     v_g_cols = geo.metric.v_g.sparse_cols()
     table = []
-    in_fields = True
     for p in range(n):
         row = []
         for q in range(n):
@@ -607,29 +589,27 @@ def levi_civita_koszul(geo: Geometry) -> LeviCivitaResult:
             coords = e_star.sparse_coords_of(functional)
             if coords is None:
                 raise InternalInconsistencyError("Koszul values are not right-linear")
-            if not geo.fields.contains(coords):
-                in_fields = False
             row.append(coords)
         table.append(tuple(row))
     table = tuple(table)
-    conn = reconstruct_from_table(geo, table)
+    nabla = reconstruct_from_table(geo, table)
 
-    verdicts = certify(geo, conn)
+    verdicts = certify(geo, nabla)
     if not verdicts.ok or verdicts.table != table:
         raise InternalInconsistencyError(
             "Koszul connection fails certification or does not regenerate its table")
-    return LeviCivitaResult(connection=conn, table=table, table_in_fields=in_fields,
-                            verdicts=verdicts)
+    return nabla, table
 
 
 # ---------------------------------------------------------------------------
 # The direct route
 # ---------------------------------------------------------------------------
 
-def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
+def levi_civita_direct(geo: Geometry) -> Matrix:
     """Solve for the torsionless compatible connection by its images
     f_j = nabla(z_j) of the central generators of the one-forms; the
-    constraint kernel must be zero, which witnesses uniqueness.
+    constraint kernel must be zero, which witnesses uniqueness, or it
+    raises.
 
     The unknowns are the f_j, f_j at j * dim(E (x)_A E), and the Leibniz
     rule builds nabla from them once at the end.  The constraints are the
@@ -653,13 +633,11 @@ def levi_civita_direct(geo: Geometry) -> LeviCivitaResult:
     (sol,), rank = solve_sparse(rows, nunk, [rhs])
     if sol is None:
         raise NoSolutionError("no torsionless compatible connection exists")
-    kernel_dim = nunk - rank
-    if kernel_dim:
+    if rank != nunk:
         raise NonUniqueSolutionError(
-            "constraint system has a nontrivial kernel", witness=kernel_dim)
+            "constraint system has a nontrivial kernel", witness=nunk - rank)
     images: list[dict[int, Scalar]] = [{} for _ in gens.zs]
     for u, v in sol.items():
         j, y = divmod(u, t2.dim)
         images[j][y] = v
-    return LeviCivitaResult(connection=leibniz_extension(calc, images), table=None,
-                            table_in_fields=True, kernel_dim=kernel_dim)
+    return leibniz_extension(calc, images)

@@ -1,12 +1,23 @@
 """Structured errors shared across the engine.
 
 Mathematical *diagnoses* (a calculus failing a tameness condition, a metric
-failing symmetry) are returned as report data, not raised; exceptions are
-reserved for broken inputs and for situations the theory rules out, which
-therefore signal corrupted data or an implementation bug.
+failing symmetry) come back as one `Refusal` value, not raised; exceptions
+are reserved for broken inputs and for situations the theory rules out,
+which therefore signal corrupted data or an implementation bug.
 """
 
 from __future__ import annotations
+
+
+class Refusal:
+    """A refused check: the condition that failed, a one-line detail and an
+    optional witness.  `build_symmetry` and `validate_metric` return it in
+    place of their certificate or metric."""
+
+    __slots__ = ("condition", "detail", "witness")
+
+    def __init__(self, condition: str, detail: str, witness: object = None):
+        self.condition, self.detail, self.witness = condition, detail, witness
 
 
 class EngineError(Exception):

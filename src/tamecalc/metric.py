@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .bimodule import CentralGenerators, HomModule, dual_module, module_center
 from .calculus import Calculus, TamenessCertificate
-from .errors import CenterMismatchError, InternalInconsistencyError
+from .errors import CenterMismatchError, InternalInconsistencyError, Refusal
 from .linalg import (
     LinAlgError,
     Matrix,
@@ -46,29 +46,7 @@ class Metric:
         return _apply_sparse(self.v_g_inv, phi)
 
 
-class MetricFailure:
-    __slots__ = ("reason", "detail", "witness")   # reason: NotBilinear | NotSymmetric | VgNotInvertible
-
-    def __init__(self, reason: str, detail: str, witness: object = None):
-        self.reason, self.detail, self.witness = reason, detail, witness
-
-
-class MetricOutcome:
-    __slots__ = ("metric", "failure")
-
-    def __init__(self, metric: Metric | None, failure: MetricFailure | None):
-        self.metric, self.failure = metric, failure
-
-    @property
-    def ok(self) -> bool:
-        return self.metric is not None
-
-
-def _fail(reason: str, detail: str, witness=None) -> MetricOutcome:
-    return MetricOutcome(None, MetricFailure(reason, detail, witness))
-
-
-def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> MetricOutcome:
+def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> Metric | Refusal:
     """Check bilinearity, symmetry and invertibility; build both legs of V_g.
 
     g_in is the metric on plain tensor coordinates (dim E^2 columns), as
@@ -80,22 +58,22 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     alg = calc.algebra
     e = calc.one_forms
     if g_in.rows != alg.dim:
-        return _fail("NotBilinear", f"metric must be valued in the algebra ({alg.dim} rows)")
+        return Refusal("NotBilinear", f"metric must be valued in the algebra ({alg.dim} rows)")
     if g_in.cols != qt.ambient_dim:
-        return _fail("NotBilinear",
-                     f"metric has {g_in.cols} columns; expected {qt.ambient_dim} (plain)")
+        return Refusal("NotBilinear",
+                       f"metric has {g_in.cols} columns; expected {qt.ambient_dim} (plain)")
     unkilled = qt.first_unkilled(g_in)
     if unkilled is not None:
-        return _fail("NotBilinear",
-                     "metric on plain tensors does not kill the (x)_A relations", unkilled)
+        return Refusal("NotBilinear",
+                       "metric on plain tensors does not kill the (x)_A relations", unkilled)
     g = g_in @ qt.section
 
-    def unbilinear(indices: Sequence[int]) -> MetricOutcome | None:
+    def unbilinear(indices: Sequence[int]) -> Refusal | None:
         for i in indices:
             if g @ qt.bimodule.left[i] != alg.left_basis_matrix(i) @ g:
-                return _fail("NotBilinear", "metric is not left-linear", alg.labels[i])
+                return Refusal("NotBilinear", "metric is not left-linear", alg.labels[i])
             if g @ qt.bimodule.right[i] != alg.right_basis_matrix(i) @ g:
-                return _fail("NotBilinear", "metric is not right-linear", alg.labels[i])
+                return Refusal("NotBilinear", "metric is not right-linear", alg.labels[i])
         return None
 
     failure = alg.first_failure(unbilinear, calc.validated)
@@ -107,12 +85,12 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
         # column j of g sigma is g(sigma(e_j)): the first that differs names e_j
         j = next(j for j, (a, b) in enumerate(zip(g_sigma.sparse_cols(), g.sparse_cols()))
                  if a != b)
-        return _fail("NotSymmetric", "g(sigma(x)) != g(x)", basis_vector(qt.dim, j))
+        return Refusal("NotSymmetric", "g(sigma(x)) != g(x)", basis_vector(qt.dim, j))
 
     e_star = dual_module(e)
     if e_star.dim != e.dim:
-        return _fail("VgNotInvertible",
-                     f"dual module has dimension {e_star.dim}, one-forms {e.dim}")
+        return Refusal("VgNotInvertible",
+                       f"dual module has dimension {e_star.dim}, one-forms {e.dim}")
     # column i * dim E + j of g_in is g(pi(e_i (x) e_j)), so V_g(e_i) is
     # the dual element whose values are the i-th run of dim E columns
     g_cols = g_in.sparse_cols()
@@ -129,10 +107,9 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
         v_g_inv = v_g.inverse()
     except LinAlgError:
         kernel = v_g.kernel()
-        return _fail("VgNotInvertible", "V_g has a nontrivial kernel",
-                     kernel.basis[0] if kernel.dim else None)
-    return MetricOutcome(Metric(g=g, g_plain=g_in, e_star=e_star, v_g=v_g,
-                                v_g_inv=v_g_inv), None)
+        return Refusal("VgNotInvertible", "V_g has a nontrivial kernel",
+                       kernel.basis[0] if kernel.dim else None)
+    return Metric(g=g, g_plain=g_in, e_star=e_star, v_g=v_g, v_g_inv=v_g_inv)
 
 
 # ---------------------------------------------------------------------------

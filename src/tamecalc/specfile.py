@@ -288,7 +288,7 @@ def load_metric_override(path: str | Path, ne: int, na: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Connection artifacts
+# The connect artifact
 # ---------------------------------------------------------------------------
 
 def connection_to_json(nabla: Matrix, table: Sequence[Sequence[dict[int, Scalar]]],

@@ -19,9 +19,13 @@ The paper's reference construction lives here too, since no command
 builds it: frame_splitting, the Grassmann connection grassmann of a
 frame, the whole-matrix torsion, and nabla_zero, which kills the
 Grassmann torsion through q_inverse, the wedge's inverse on the
-tameness certificate's complement of ker(wedge).  The tests read them as
-oracles and as connections that fail torsion (grassmann) or
-compatibility (nabla_zero).
+complement of ker(wedge), the kernel of the symmetrizer of the tameness
+certificate's sigma.  The tests read them as oracles and as connections
+that fail torsion (grassmann) or compatibility (nabla_zero).  A
+connection is its value matrix nabla, as in the engine.
+CertificateParts recomputes what build_symmetry checks and the
+certificate does not keep: the symmetrizer, ker(wedge), the complement
+and the five tameness flags.
 compat_values and pi_g_matrix evaluate the compatibility map Pi_g on every
 right translate of the central tensors and extend it over the whole tensor
 square, and
@@ -41,14 +45,16 @@ kernel of a ColumnSolver, the failed items of a calculus report and the
 complex conjugate.
 """
 
+from functools import cached_property
 from typing import Sequence
 
 from tamecalc.bimodule import Bimodule
 from tamecalc.calculus import Calculus, TamenessCertificate
-from tamecalc.connection import Connection, defects, leibniz_extension, leibniz_witness
+from tamecalc.connection import defects, leibniz_extension, leibniz_witness
 from tamecalc.errors import EngineError, InternalInconsistencyError
 from tamecalc.linalg import (
     ColumnSolver,
+    HALF,
     LinAlgError,
     Matrix,
     ONE,
@@ -324,13 +330,13 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
 
 # -- connection-layer kernels ------------------------------------------------------
 
-def compat_values(geo, conn) -> list[dict]:
+def compat_values(geo, nabla) -> list[dict]:
     """The compatibility one-form on each member of the certificate's
     spanning family, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
     sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r, where pi0(p, q)
     contracts g against sigma_23(nabla z_p (x) z_q) and z_p (x) nabla z_q."""
     e = geo.calc.one_forms
-    images = [_apply_sparse(conn.nabla, z) for z in e.central_generators.zs]
+    images = [_apply_sparse(nabla, z) for z in e.central_generators.zs]
     dcols = geo.calc.d0.sparse_cols()
     k = len(images)
     values = []
@@ -344,20 +350,20 @@ def compat_values(geo, conn) -> list[dict]:
     return values
 
 
-def pi_g_matrix(geo, conn) -> Matrix:
+def pi_g_matrix(geo, nabla) -> Matrix:
     """The compatibility map Pi_g on the whole tensor square, extended from
     its values on every right translate of the central tensors."""
-    m = geo.cert.spanning.extend(compat_values(geo, conn), geo.calc.one_forms.dim)
+    m = geo.cert.spanning.extend(compat_values(geo, nabla), geo.calc.one_forms.dim)
     assert m is not None, "compatibility map is not well-defined"
     return m
 
 
-def levi_civita_verdicts_reference(geo, conn) -> tuple[bool, bool]:
+def levi_civita_verdicts_reference(geo, nabla) -> tuple[bool, bool]:
     """(torsionless, compatible) of a Leibniz connection, read off whole
     maps: wedge o nabla + d1 == 0 and Pi_g == d o g."""
     calc = geo.calc
-    return ((calc.wedge_q @ conn.nabla + calc.d1).is_zero(),
-            pi_g_matrix(geo, conn) == calc.d0 @ geo.metric.g)
+    return ((calc.wedge_q @ nabla + calc.d1).is_zero(),
+            pi_g_matrix(geo, nabla) == calc.d0 @ geo.metric.g)
 
 
 def leibniz_constants(calc) -> list[Vector]:
@@ -425,6 +431,52 @@ def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
     return rows, nunk, rhs
 
 
+# -- what the tameness certificate does not store -----------------------------------
+
+def symmetrizer(calc: Calculus, cert: TamenessCertificate) -> Matrix:
+    """p_sym = (1 + sigma) / 2, a projection onto ker(wedge) on a certificate."""
+    return (Matrix.identity(calc.tensor_square.dim) + cert.sigma).scale(HALF)
+
+
+class CertificateParts:
+    """The tensor square, the symmetrizer p_sym = (1 + sigma) / 2, ker(wedge),
+    the complement ker(p_sym) and the five tameness flags of a certificate,
+    recomputed from its sigma on first read: build_symmetry checks them and
+    keeps none."""
+
+    def __init__(self, calc: Calculus, cert: TamenessCertificate):
+        self.calculus = calc
+        self.cert = cert
+        self.tensor_square = calc.tensor_square
+
+    @cached_property
+    def p_sym(self) -> Matrix:
+        return symmetrizer(self.calculus, self.cert)
+
+    @cached_property
+    def kernel_wedge(self) -> Subspace:
+        return self.calculus.wedge_q.kernel()
+
+    @cached_property
+    def complement_f(self) -> Subspace:
+        return self.p_sym.kernel()
+
+    @cached_property
+    def flags(self) -> dict[str, bool]:
+        qt, sigma = self.tensor_square, self.cert.sigma
+        zs = self.cert.center_one_forms.rows
+        flips = all(_apply_sparse(sigma, qt.pure_sparse(zp, zq)) == qt.pure_sparse(zq, zp)
+                    for zp in zs for zq in zs)
+        actions = [*qt.bimodule.left, *qt.bimodule.right]
+        return {
+            "centered": self.calculus.one_forms.centered.ok,
+            "sigma_well_defined": flips,
+            "sigma_involution": sigma @ sigma == Matrix.identity(qt.dim),
+            "sigma_bilinear": all(sigma @ m == m @ sigma for m in actions),
+            "psym_projects_onto_ker_wedge": self.p_sym.column_space() == self.kernel_wedge,
+        }
+
+
 # -- the Grassmann and the torsionless reference connection -------------------------
 
 class NoSplittingError(EngineError):
@@ -436,13 +488,14 @@ class NotRightLinearError(EngineError):
 
 
 def q_inverse(calc: Calculus, cert: TamenessCertificate) -> Matrix:
-    """The inverse of the wedge on the certificate's complement of
-    ker(wedge), from the two-forms into the tensor square: F (W F)^-1 for
-    the complement's basis columns F, and no columns without two-forms."""
+    """The inverse of the wedge on the complement of ker(wedge), the kernel
+    of the symmetrizer of the certificate's sigma, from the two-forms into
+    the tensor square: F (W F)^-1 for the complement's basis columns F, and
+    no columns without two-forms."""
     qt = calc.tensor_square
     if not calc.two_forms.dim:
         return Matrix.zeros(qt.dim, 0)
-    fcols = Matrix.from_sparse_cols(cert.complement_f.rows, qt.dim)
+    fcols = Matrix.from_sparse_cols(symmetrizer(calc, cert).kernel().rows, qt.dim)
     return fcols @ (calc.wedge_q @ fcols).inverse()
 
 
@@ -491,7 +544,7 @@ def frame_splitting(calc: Calculus, frame: Sequence[dict[int, Scalar]]
 
 
 def grassmann(calc: Calculus, cert: TamenessCertificate,
-              frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
+              frame: Sequence[dict[int, Scalar]] | None = None) -> Matrix:
     """The connection of a right-linear splitting through the given sparse
     frame.
 
@@ -504,20 +557,20 @@ def grassmann(calc: Calculus, cert: TamenessCertificate,
     frame = frame if frame is not None else calc.one_forms.central_generators.zs
     splitting = frame_splitting(calc, frame)
     qt = calc.tensor_square
-    conn = leibniz_extension(calc, [
+    nabla = leibniz_extension(calc, [
         _lincomb((ONE, qt.pure_sparse(g, _apply_sparse(calc.d0, image)))
                  for g, image in zip(frame, images_of_z))
         for images_of_z in zip(*splitting)])
-    bad = leibniz_witness(calc, conn)
+    bad = leibniz_witness(calc, nabla)
     if bad is not None:
         raise InternalInconsistencyError(f"Grassmann connection fails Leibniz at {bad}")
-    return conn
+    return nabla
 
 
-def torsion(calc: Calculus, conn: Connection) -> Matrix:
+def torsion(calc: Calculus, nabla: Matrix) -> Matrix:
     """wedge after the connection plus d; right-linear for honest connections,
     which the algebra's generators decide on a validated calculus."""
-    t = calc.wedge_q @ conn.nabla + calc.d1
+    t = calc.wedge_q @ nabla + calc.d1
     e = calc.one_forms
     w2 = calc.two_forms
 
@@ -536,17 +589,16 @@ def torsion(calc: Calculus, conn: Connection) -> Matrix:
 
 
 def nabla_zero(calc: Calculus, cert: TamenessCertificate,
-               frame: Sequence[dict[int, Scalar]] | None = None) -> Connection:
+               frame: Sequence[dict[int, Scalar]] | None = None) -> Matrix:
     """Kill the Grassmann torsion through the wedge inverse on the complement."""
     gr = grassmann(calc, cert, frame)
-    t = torsion(calc, gr)
-    conn = Connection(gr.nabla - q_inverse(calc, cert) @ t)
-    if not torsion(calc, conn).is_zero():
+    nabla = gr - q_inverse(calc, cert) @ torsion(calc, gr)
+    if not torsion(calc, nabla).is_zero():
         raise InternalInconsistencyError("reference connection kept nonzero torsion")
-    return conn
+    return nabla
 
 
-def levi_civita_perturbation(geo) -> tuple[Connection, int]:
+def levi_civita_perturbation(geo) -> tuple[Matrix, int]:
     """The direct route posed over the Leibniz perturbations alpha of the
     reference connection nabla0 = nabla_zero: the unknowns are the images
     alpha(z_j), the rows those of the route, and the right-hand side the
@@ -560,7 +612,7 @@ def levi_civita_perturbation(geo) -> tuple[Connection, int]:
     rows = [*geo.conditions.linear.sparse_rows(), *gens.relation_rows(t2)]
     (sol,), rank = solve_sparse(rows, len(gens.zs) * t2.dim, [rhs])
     assert sol is not None, "no torsionless compatible perturbation"
-    return Connection(nabla0.nabla + gens.right_linear(t2, sol)), rank
+    return nabla0 + gens.right_linear(t2, sol), rank
 
 
 def pure_dense(qt, e_vec: Vector, f_vec: Vector) -> Vector:
@@ -599,15 +651,15 @@ def pair_apply_dense(qt, phi: Matrix, psi: Matrix, x: Vector) -> Vector:
     return out
 
 
-def leibniz_witness_dense(calc, conn) -> tuple[int, int] | None:
+def leibniz_witness_dense(calc, nabla) -> tuple[int, int] | None:
     """First (s, i), algebra index outer, with
     nabla(e_s . a_i) != nabla(e_s) . a_i + e_s (x) d a_i."""
     e = calc.one_forms
     qt = calc.tensor_square
     for i in range(calc.algebra.dim):
         for s in range(e.dim):
-            lhs = conn.nabla.apply(col(e.right[i], s))
-            rhs = qt.bimodule.right[i].apply(col(conn.nabla, s))
+            lhs = nabla.apply(col(e.right[i], s))
+            rhs = qt.bimodule.right[i].apply(col(nabla, s))
             extra = pure_dense(qt, basis_vector(e.dim, s), col(calc.d0, i))
             if lhs != tuple(x + y for x, y in zip(rhs, extra)):
                 return (s, i)

@@ -10,6 +10,7 @@ square (the one builder of (E (x)_A E)*) and the classical bracket identity.
 from dataclasses import dataclass
 
 from dense_reference import (
+    CertificateParts,
     center,
     col,
     contains_vector,
@@ -20,6 +21,7 @@ from dense_reference import (
     nabla_zero,
     pure,
     right_action,
+    symmetrizer,
 )
 from tamecalc.bimodule import Bimodule, HomModule, hom_A, pair_apply
 from tamecalc.connection import Geometry, covariant_derivative
@@ -167,7 +169,7 @@ def classical_bracket_check(geo: Geometry) -> bool:
                 lhs = col(br, s)
                 t1 = maps[p].apply(calc.d0.apply(col(maps[q], s)))
                 t2 = maps[q].apply(calc.d0.apply(col(maps[p], s)))
-                w = col(n0.nabla, s)
+                w = col(n0, s)
                 t3 = pair(qt, maps[p], maps[q], w)
                 t4 = pair(qt, maps[q], maps[p], w)
                 rhs = tuple(a - b + c - d for a, b, c, d in zip(t1, t2, t3, t4))
@@ -236,7 +238,8 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
     """Swapping the two contracted central legs is invisible on vectors fixed
     by the symmetry."""
     qt = geo.calc.tensor_square
-    fixed = geo.cert.kernel_wedge  # the symmetrizer fixes exactly ker(wedge)
+    # the symmetrizer fixes exactly ker(wedge)
+    fixed = CertificateParts(geo.calc, geo.cert).kernel_wedge
     for z1 in geo.cert.center_one_forms.basis:
         phi1 = v_g_map(geo.metric, z1)
         for z2 in geo.cert.center_one_forms.basis:
@@ -251,10 +254,11 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
 
 def squared_pairing_symmetrizer_hops(geo: Geometry, square: MetricSquare) -> bool:
     n = geo.calc.tensor_square.dim
+    p_sym = symmetrizer(geo.calc, geo.cert)
     for x in range(n):
-        px = geo.cert.p_sym.apply(basis_vector(n, x))
+        px = p_sym.apply(basis_vector(n, x))
         for y in range(n):
-            py = geo.cert.p_sym.apply(basis_vector(n, y))
+            py = p_sym.apply(basis_vector(n, y))
             if square.pairing(px, basis_vector(n, y)) != square.pairing(basis_vector(n, x), py):
                 return False
     return True
@@ -330,7 +334,7 @@ def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     n0 = nabla_zero(geo.calc, geo.cert)
     for i in range(geo.calc.algebra.dim):
-        w = n0.nabla.apply(col(geo.calc.d0, i))
+        w = n0.apply(col(geo.calc.d0, i))
         for p in range(geo.fields.count):
             for q in range(geo.fields.count):
                 fw = pair(qt, geo.fields.maps[p], geo.fields.maps[q], w)

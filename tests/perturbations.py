@@ -13,8 +13,8 @@ from random import Random
 from dense_reference import center, nabla_zero, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
 from tamecalc.calculus import Calculus, TamenessCertificate
-from tamecalc.connection import Connection, Geometry
-from tamecalc.errors import ContractViolationError, InternalInconsistencyError
+from tamecalc.connection import Geometry
+from tamecalc.errors import ContractViolationError, InternalInconsistencyError, Refusal
 from tamecalc.linalg import (
     Matrix,
     Scalar,
@@ -30,7 +30,7 @@ from tamecalc.linalg import (
 from tamecalc.metric import validate_metric
 
 
-def random_leibniz_perturbation(geo: Geometry, seed: int) -> Connection:
+def random_leibniz_perturbation(geo: Geometry, seed: int) -> Matrix:
     """The reference connection plus a nonzero seeded right-linear shift."""
     rng = Random(seed)
     hom = hom_A(geo.calc.one_forms, geo.calc.tensor_square.bimodule)
@@ -45,10 +45,10 @@ def random_leibniz_perturbation(geo: Geometry, seed: int) -> Connection:
                 nonzero = True
                 alpha = alpha + hom.basis[s].scale(qi(c))
         if nonzero or hom.dim == 0:
-            return Connection(nabla_zero(geo.calc, geo.cert).nabla + alpha)
+            return nabla_zero(geo.calc, geo.cert) + alpha
 
 
-def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
+def random_torsionless_perturbation(geo: Geometry, seed: int) -> Matrix:
     """The reference connection plus a seeded right-linear shift alpha with
     wedge o alpha == 0, drawn over a kernel basis of alpha -> wedge o alpha
     on hom_A(E, E (x)_A E): torsionless, and compatible only by accident."""
@@ -67,7 +67,7 @@ def random_torsionless_perturbation(geo: Geometry, seed: int) -> Connection:
     alpha = Matrix.zeros(geo.calc.tensor_square.dim, ne)
     for s, c in x.items():
         alpha = alpha + hom.basis[s].scale(c)
-    return Connection(nabla_zero(geo.calc, geo.cert).nabla + alpha)
+    return nabla_zero(geo.calc, geo.cert) + alpha
 
 
 def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
@@ -117,8 +117,7 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
             raise InternalInconsistencyError(
                 "a seeded metric breaks a relation among the central tensors")
         g = g @ calc.tensor_square.project
-        outcome = validate_metric(calc, cert, g)
-        if not outcome.ok:
+        if isinstance(validate_metric(calc, cert, g), Refusal):
             continue
         euclidean = all(
             (coeff[p][q] == alg.unit if p == q else vec_is_zero(coeff[p][q]))

@@ -3,7 +3,16 @@
 import pytest
 
 from conftest import certified
-from dense_reference import col, failures, from_rows, pure, q_inverse, vec_is_zero, wedge_of
+from dense_reference import (
+    CertificateParts,
+    col,
+    failures,
+    from_rows,
+    pure,
+    q_inverse,
+    vec_is_zero,
+    wedge_of,
+)
 from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, dual_module, module_center, pair_apply
 from tamecalc.builders import (
@@ -17,6 +26,7 @@ from tamecalc.calculus import (
     build_symmetry,
     validate_calculus,
 )
+from tamecalc.errors import Refusal
 from tamecalc.linalg import (
     HALF,
     Matrix,
@@ -43,9 +53,14 @@ def fuzzy(fuzzy_spec):
 
 @pytest.fixture(scope="module")
 def fuzzy_cert(fuzzy):
-    outcome = build_symmetry(fuzzy)
-    assert outcome.ok, outcome.failure
-    return outcome.certificate
+    cert = build_symmetry(fuzzy)
+    assert not isinstance(cert, Refusal), cert.detail
+    return cert
+
+
+@pytest.fixture(scope="module")
+def fuzzy_parts(fuzzy, fuzzy_cert):
+    return CertificateParts(fuzzy, fuzzy_cert)
 
 
 def truncated_line_chevalley():
@@ -170,22 +185,22 @@ def test_torus_calculus_passes():
 
 # -- tameness certificate -------------------------------------------------------
 
-def test_fuzzy_certificate_dimensions(fuzzy_cert):
-    assert fuzzy_cert.kernel_wedge.dim == 24
-    assert fuzzy_cert.complement_f.dim == 12
-    assert fuzzy_cert.tensor_square.dim == 36
-    assert all(fuzzy_cert.flags.values())
+def test_fuzzy_certificate_dimensions(fuzzy_parts):
+    assert fuzzy_parts.kernel_wedge.dim == 24
+    assert fuzzy_parts.complement_f.dim == 12
+    assert fuzzy_parts.tensor_square.dim == 36
+    assert all(fuzzy_parts.flags.values())
 
 
 def test_truncated_line_certificate_is_trivial():
     calc = build_chevalley(truncated_line_chevalley())
-    outcome = build_symmetry(calc)
-    assert outcome.ok
-    cert = outcome.certificate
-    n = cert.tensor_square.dim
+    cert = build_symmetry(calc)
+    assert not isinstance(cert, Refusal)
+    parts = CertificateParts(calc, cert)
+    n = parts.tensor_square.dim
     assert cert.sigma == Matrix.identity(n)
-    assert cert.p_sym == Matrix.identity(n)
-    assert cert.complement_f.dim == 0
+    assert parts.p_sym == Matrix.identity(n)
+    assert parts.complement_f.dim == 0
 
 
 def test_not_centered_is_reported():
@@ -197,10 +212,10 @@ def test_not_centered_is_reported():
     twisted = Bimodule(alg, 2, [reg.left[0], -reg.left[1]], list(reg.right))
     calc = Calculus(alg, twisted, Bimodule.zero(alg),
                     Matrix.zeros(2, 2), Matrix.zeros(0, 2), Matrix.zeros(0, 4))
-    outcome = build_symmetry(calc)
-    assert not outcome.ok
-    assert outcome.failure.condition == "NotCentered"
-    assert outcome.failure.witness is not None
+    refusal = build_symmetry(calc)
+    assert isinstance(refusal, Refusal)
+    assert refusal.condition == "NotCentered"
+    assert refusal.witness is not None
 
 
 def test_wedge_kernel_mismatch_is_reported(fuzzy):
@@ -208,12 +223,12 @@ def test_wedge_kernel_mismatch_is_reported(fuzzy):
     # the symmetric part, so the symmetrizer image cannot match
     broken = Calculus(fuzzy.algebra, fuzzy.one_forms, fuzzy.two_forms,
                       fuzzy.d0, fuzzy.d1, Matrix.zeros(12, 144))
-    outcome = build_symmetry(broken)
-    assert not outcome.ok
-    assert outcome.failure.condition == "PsymRangeMismatch"
+    refusal = build_symmetry(broken)
+    assert isinstance(refusal, Refusal)
+    assert refusal.condition == "PsymRangeMismatch"
     # the symmetrizer image lies in the kernel (everything), so the witness
     # is the first kernel basis vector outside the image
-    assert outcome.failure.witness == basis_vector(36, 4)
+    assert refusal.witness == basis_vector(36, 4)
 
 
 def test_oversized_two_forms_break_wedge_inverse(fuzzy):
@@ -231,9 +246,11 @@ def test_oversized_two_forms_break_wedge_inverse(fuzzy):
                   [list(r) for r in fuzzy.d1.entries]
                   + [[ZERO] * 12 for _ in range(w2.dim)])
     broken = Calculus(fuzzy.algebra, fuzzy.one_forms, double, fuzzy.d0, d1_2, wedge2)
-    outcome = build_symmetry(broken)
-    assert not outcome.ok
-    assert outcome.failure.condition == "QNotInvertible"
+    refusal = build_symmetry(broken)
+    assert isinstance(refusal, Refusal)
+    assert refusal.condition == "QNotInvertible"
+    # counted: the complement of ker(wedge) in the 36-dimensional square
+    assert refusal.detail == "complement has dimension 12, two-forms 24"
 
 
 def _block_diag(m):
@@ -246,17 +263,17 @@ def _block_diag(m):
     return Matrix(2 * n, 2 * n, out)
 
 
-def test_sigma_flips_central_tensors(fuzzy_cert):
-    qt = fuzzy_cert.tensor_square
+def test_sigma_flips_central_tensors(fuzzy, fuzzy_cert):
+    qt = fuzzy.tensor_square
     for z1 in fuzzy_cert.center_one_forms.basis:
         for z2 in fuzzy_cert.center_one_forms.basis:
             assert fuzzy_cert.sigma.apply(pure(qt, z1, z2)) == pure(qt, z2, z1)
 
 
-def test_sigma_flips_with_one_central_factor(fuzzy_cert):
+def test_sigma_flips_with_one_central_factor(fuzzy, fuzzy_cert):
     # the flip persists when only one leg is central
-    qt = fuzzy_cert.tensor_square
-    e_dim = fuzzy_cert.calculus.one_forms.dim
+    qt = fuzzy.tensor_square
+    e_dim = fuzzy.one_forms.dim
     for z in fuzzy_cert.center_one_forms.basis:
         for s in (0, 5, 11):
             e = basis_vector(e_dim, s)
@@ -264,33 +281,33 @@ def test_sigma_flips_with_one_central_factor(fuzzy_cert):
             assert fuzzy_cert.sigma.apply(pure(qt, e, z)) == pure(qt, z, e)
 
 
-def test_certificate_operator_identities(fuzzy_cert):
-    cert = fuzzy_cert
-    n = cert.tensor_square.dim
-    wedge_q = cert.calculus.wedge_q
+def test_certificate_operator_identities(fuzzy_cert, fuzzy_parts):
+    cert, parts = fuzzy_cert, fuzzy_parts
+    n = parts.tensor_square.dim
+    wedge_q = parts.calculus.wedge_q
     assert cert.sigma @ cert.sigma == Matrix.identity(n)
-    assert cert.p_sym @ cert.p_sym == cert.p_sym
-    assert (wedge_q @ cert.p_sym).is_zero()
-    q_inv = q_inverse(cert.calculus, cert)
-    assert wedge_q @ q_inv == Matrix.identity(cert.calculus.two_forms.dim)
-    assert (cert.p_sym @ q_inv).is_zero()  # preimages avoid ker(wedge)
+    assert parts.p_sym @ parts.p_sym == parts.p_sym
+    assert (wedge_q @ parts.p_sym).is_zero()
+    q_inv = q_inverse(parts.calculus, cert)
+    assert wedge_q @ q_inv == Matrix.identity(parts.calculus.two_forms.dim)
+    assert (parts.p_sym @ q_inv).is_zero()  # preimages avoid ker(wedge)
 
 
 def test_q_inverse_on_zero(fuzzy, fuzzy_cert):
-    w2 = fuzzy_cert.calculus.two_forms.dim
+    w2 = fuzzy.two_forms.dim
     assert vec_is_zero(q_inverse(fuzzy, fuzzy_cert).apply(zero_vector(w2)))
 
 
-def test_q_inverse_inverts_wedge_on_complement(fuzzy, fuzzy_cert):
-    wedge_q = fuzzy_cert.calculus.wedge_q
+def test_q_inverse_inverts_wedge_on_complement(fuzzy, fuzzy_cert, fuzzy_parts):
+    wedge_q = fuzzy.wedge_q
     q_inv = q_inverse(fuzzy, fuzzy_cert)
-    for f in fuzzy_cert.complement_f.basis:
+    for f in fuzzy_parts.complement_f.basis:
         assert q_inv.apply(wedge_q.apply(f)) == f
 
 
 def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
     # theta_1 ^ theta_2 pulls back to (theta_1 (x) theta_2 - theta_2 (x) theta_1)/2
-    qt = fuzzy_cert.tensor_square
+    qt = fuzzy.tensor_square
     theta = [basis_vector(12, j * 4) for j in range(3)]
     w = wedge_of(fuzzy, theta[0], theta[1])
     expect = tuple(HALF * (a - b) for a, b in
@@ -298,13 +315,13 @@ def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
     assert q_inverse(fuzzy, fuzzy_cert).apply(w) == expect
 
 
-def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert):
+def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert, fuzzy_parts):
     # (1 - P_sym) gamma and the canonical preimage of wedge(gamma) agree,
     # so functionals paired against a two-form do not see the preimage choice.
     cert = fuzzy_cert
-    qt = cert.tensor_square
+    qt = fuzzy_parts.tensor_square
     n = qt.dim
-    one_minus_p = Matrix.identity(n) - cert.p_sym
+    one_minus_p = Matrix.identity(n) - fuzzy_parts.p_sym
     wedge_q = fuzzy.wedge_q
     q_inv = q_inverse(fuzzy, cert)
     for j in range(n):
@@ -312,17 +329,17 @@ def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert):
         assert one_minus_p.apply(gamma) == q_inv.apply(wedge_q.apply(gamma))
 
 
-def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert):
+def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert, fuzzy_parts):
     # (phi (x) psi) applied to twice the antisymmetrized gamma equals the
     # pairing against the canonical preimage of wedge(gamma), psi central.
     cert = fuzzy_cert
-    qt = cert.tensor_square
+    qt = fuzzy_parts.tensor_square
     estar = dual_module(fuzzy.one_forms)
     zdual = module_center(estar.bimodule)
     phi = estar.basis[0]
     psi = estar.matrix_of(zdual.rows[0])
     n = qt.dim
-    one_minus_p = Matrix.identity(n) - cert.p_sym
+    one_minus_p = Matrix.identity(n) - fuzzy_parts.p_sym
     q_inv = q_inverse(fuzzy, cert)
     for j in (0, 13, 29):
         gamma = basis_vector(n, j)

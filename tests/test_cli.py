@@ -175,7 +175,7 @@ def test_connect_torus_flat(workdir, capsys):
     from tamecalc.specfile import connection_from_json
     from dense_reference import vec_is_zero
 
-    cert = build_symmetry(spec.calculus).certificate
+    cert = build_symmetry(spec.calculus)
     nabla, _ = connection_from_json(obj, spec.calculus.tensor_square.dim,
                                     spec.calculus.one_forms.dim)
     for z in cert.center_one_forms.basis:
@@ -237,7 +237,7 @@ def test_spec_frame_key_is_ignored(workdir, capsys, tmp_path):
     from tamecalc.specfile import vector_to_json
 
     spec = load_spec(workdir / "fuzzy.json")
-    cert = build_symmetry(spec.calculus).certificate
+    cert = build_symmetry(spec.calculus)
     obj = json.loads((workdir / "fuzzy.json").read_text())
     obj["frame"] = [vector_to_json(cert.center_one_forms.basis[0])]
     framed = tmp_path / "framed.json"
@@ -267,8 +267,8 @@ def test_connect_builds_no_reference_connection(workdir, capsys, tmp_path, line_
     assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(tmp_path / "c.json")]) == 0
     capsys.readouterr()
     geo = Geometry(line_geo.calc, line_geo.cert, line_geo.metric)
-    assert levi_civita_direct(geo).connection.nabla == \
-        levi_civita_direct(line_geo).connection.nabla
+    assert levi_civita_direct(geo) == \
+        levi_civita_direct(line_geo)
 
 
 @pytest.mark.parametrize("command", ["check", "connect"])
@@ -383,6 +383,15 @@ def test_readme_documents_exactly_the_command_options():
     assert documented == parsed
 
 
+def test_readme_library_example_runs():
+    # the one fenced python block of README's library section runs as
+    # written; it asserts its own results
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    block, = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 # -- verify --------------------------------------------------------------------
 
 def test_verify_levi_civita_artifact(workdir, capsys):
@@ -400,11 +409,11 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    cert = build_symmetry(spec.calculus).certificate
+    cert = build_symmetry(spec.calculus)
     conn = grassmann(spec.calculus, cert)
     art = tmp_path / "grassmann.json"
     art.write_text(dumps_canonical(connection_to_json(
-        conn.nabla, [], {}, input_digest((workdir / "fuzzy.json").read_bytes()))))
+        conn, [], {}, input_digest((workdir / "fuzzy.json").read_bytes()))))
     code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(art)])
     assert code == 1
     report = json.loads(out)
@@ -423,10 +432,10 @@ def test_verify_reference_connection_is_torsionless_but_not_compatible(workdir, 
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    cert = build_symmetry(spec.calculus).certificate
+    cert = build_symmetry(spec.calculus)
     conn = nabla_zero(spec.calculus, cert)
     art = tmp_path / "reference.json"
-    art.write_text(dumps_canonical(connection_to_json(conn.nabla, [], {}, spec.digest)))
+    art.write_text(dumps_canonical(connection_to_json(conn, [], {}, spec.digest)))
     code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(art)])
     assert code == 1
     report = json.loads(out)
@@ -1010,6 +1019,53 @@ def test_escaped_linalg_error_exits_one_without_traceback(workdir, capsys, tmp_p
     assert code == 1
     assert err == "LinAlgError: rhs length does not match the system\n"
     assert not (tmp_path / "never.json").exists()
+
+
+def _connect_refused(workdir, capsys, tmp_path) -> dict:
+    art = tmp_path / "never.json"
+    code, out = run(capsys, ["connect", str(workdir / "fuzzy.json"), "--out", str(art), "--json"])
+    assert code == 1
+    assert not art.exists()
+    report = json.loads(out)
+    validate_report_schema(report)
+    return {c["name"]: c for c in report["checks"] if not c["ok"]}
+
+
+@pytest.mark.parametrize("verdicts", [
+    {"leibniz": (0, 1)},
+    {"leibniz": None, "table": (), "torsion_witnesses": ((0, 1),)},
+    {"leibniz": None, "table": (), "compat_witnesses": ((0, 0, 0),)},
+], ids=["leibniz", "torsion", "compatibility"])
+def test_connect_writes_its_certified_checks_only_when_they_hold(workdir, capsys, tmp_path,
+                                                                 monkeypatch, verdicts):
+    # the artifact's leibniz, torsion_zero and compatibility are written
+    # True: the Koszul route raises unless certify passes its connection
+    from tamecalc import connection
+
+    monkeypatch.setattr(connection, "certify", lambda geo, nabla: connection.Verdicts(**verdicts))
+    failed = _connect_refused(workdir, capsys, tmp_path)
+    assert list(failed) == ["solver_InternalInconsistency"]
+    assert failed["solver_InternalInconsistency"]["witness"] == \
+        "Koszul connection fails certification or does not regenerate its table"
+
+
+def test_connect_writes_a_zero_kernel_only_when_it_is_zero(workdir, capsys, tmp_path,
+                                                           monkeypatch):
+    # the artifact's uniqueness_kernel_zero is written True: the direct
+    # route raises unless its system has full rank
+    from tamecalc import connection
+
+    real = connection.solve_sparse
+
+    def one_short(rows, ncols, rhs):
+        solutions, rank = real(rows, ncols, rhs)
+        return solutions, rank - 1
+
+    monkeypatch.setattr(connection, "solve_sparse", one_short)
+    failed = _connect_refused(workdir, capsys, tmp_path)
+    assert list(failed) == ["solver_NonUniqueSolution"]
+    assert failed["solver_NonUniqueSolution"]["witness"] == \
+        "constraint system has a nontrivial kernel"
 
 
 # -- process start ---------------------------------------------------------------

@@ -31,7 +31,7 @@ from tamecalc.algebra import Algebra
 from tamecalc.bimodule import Bimodule, module_center, tensor_over_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import Calculus, build_symmetry, validate_calculus
-from tamecalc.connection import Connection, leibniz_witness
+from tamecalc.connection import leibniz_witness
 from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     ONE,
@@ -297,10 +297,10 @@ def test_connection_checks_match_on_a_validated_calculus():
         unchecked = Calculus(calc.algebra, calc.one_forms, calc.two_forms,
                              calc.d0, calc.d1, calc.wedge_plain)
         assert validate_calculus(calc).ok and calc.validated and not unchecked.validated
-        cert = build_symmetry(calc).certificate
-        n0 = nabla_zero(calc, cert).nabla
+        cert = build_symmetry(calc)
+        n0 = nabla_zero(calc, cert)
         for r, c in ((0, 0), (0, 6), (7, 4), (3, 1)):
-            broken = Connection(_bumped(n0, r, c, ONE))
+            broken = _bumped(n0, r, c, ONE)
             assert leibniz_witness(calc, broken) == leibniz_witness_dense(calc, broken)
             assert leibniz_witness(unchecked, broken) == leibniz_witness_dense(calc, broken)
             witnesses = []

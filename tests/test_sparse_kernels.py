@@ -22,7 +22,7 @@ from dense_reference import (
 from tamecalc.bimodule import hom_A, pair_apply
 from tamecalc.builders import abelian_torus_chevalley, build_chevalley, matrix_derivations_chevalley
 from tamecalc.calculus import build_symmetry
-from tamecalc.connection import Connection, Geometry, leibniz_witness
+from tamecalc.connection import Geometry, leibniz_witness
 from tamecalc.linalg import Matrix, qi, sparse_to_vec, vec_to_sparse
 from tamecalc.metric import validate_metric
 
@@ -31,8 +31,8 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 def _constant_geometry(spec, gram):
     calc = build_chevalley(certified(spec))
-    cert = build_symmetry(calc).certificate
-    metric = validate_metric(calc, cert, constant_metric_plain(spec, gram)).metric
+    cert = build_symmetry(calc)
+    metric = validate_metric(calc, cert, constant_metric_plain(spec, gram))
     return Geometry(calc, cert, metric)
 
 
@@ -107,7 +107,7 @@ def test_leibniz_witness_matches_dense_reference(geometries, hom_bases, data):
     # a right-linear shift keeps the Leibniz rule; a changed entry of the
     # value matrix usually breaks it
     for geo, basis in zip(geometries, hom_bases):
-        nabla = nabla_zero(geo.calc, geo.cert).nabla
+        nabla = nabla_zero(geo.calc, geo.cert)
         shifts = data.draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
                                               st.integers(-2, 2)), max_size=3))
         for k, c in shifts:
@@ -119,9 +119,8 @@ def test_leibniz_witness_matches_dense_reference(geometries, hom_bases, data):
             entries = [list(r) for r in nabla.entries]
             entries[i][j] = entries[i][j] + qi(data.draw(st.sampled_from((-1, 1, 2))))
             nabla = Matrix(nabla.rows, nabla.cols, entries)
-        conn = Connection(nabla)
-        got = leibniz_witness(geo.calc, conn)
-        assert got == leibniz_witness_dense(geo.calc, conn)
+        got = leibniz_witness(geo.calc, nabla)
+        assert got == leibniz_witness_dense(geo.calc, nabla)
         if not breaks:
             assert got is None
 
@@ -193,6 +192,39 @@ def test_every_definition_in_src_has_a_caller():
     qualified = {qual for _, qual, _ in defined}
     assert BENCHMARK_PINNED | LIBRARY_HOOKS <= qualified
     assert not {qual.split(".")[-1] for qual in BENCHMARK_PINNED} & named
+
+
+def test_every_stored_field_in_src_is_read():
+    # each __slots__ name, and each self.x an __init__ sets, is read as an
+    # attribute by some src/ code: a field no caller reads is carried for
+    # nothing, so drop it, or compute it in the test that wants it
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    src = Path(tamecalc.__file__).parent
+    stored = []   # (module, Class.field)
+    read = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in item.targets)):
+                    stored.extend((path.name, node.name, elt.value) for elt in item.value.elts)
+                elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    stored.extend((path.name, node.name, target.attr)
+                                  for target in ast.walk(item)
+                                  if isinstance(target, ast.Attribute)
+                                  and isinstance(target.ctx, ast.Store)
+                                  and isinstance(target.value, ast.Name)
+                                  and target.value.id == "self")
+    assert sorted({field for field in stored if field[2] not in read}) == []
 
 
 def test_certification_runs_only_where_check_runs_it():
