@@ -10,7 +10,7 @@ Gaussian-rational arithmetic.
 __version__ = "0.1.0"
 
 from .algebra import Algebra
-from .bimodule import Bimodule, hom_A, is_centered, module_center, tensor_over_A
+from .bimodule import Bimodule, hom_A, module_center, tensor_over_A
 from .calculus import Calculus, build_symmetry, validate_calculus
 from .connection import (
     Geometry,
@@ -37,7 +37,6 @@ __all__ = [
     "certify",
     "covariant_derivative",
     "hom_A",
-    "is_centered",
     "kernel_rows",
     "koszul_rhs",
     "levi_civita_direct",

@@ -6,12 +6,12 @@ quotients of the plain tensor space by the middle-linearity relations, with
 explicit project/section matrices.  Right-linear maps out of a centered
 bimodule have one constructor, `CentralGenerators`: such a map is fixed by
 its images of the central generators z_j, and a right-linear identity holds
-once it holds on the z_j.  It is given its family of central elements:
-each bimodule decides once whether it is centered and keeps one
-`central_generators` over the RREF basis of its center, which the tameness
-certificate, its Hom spaces and the connection layer share; the tameness
-certificate takes E (x)_A E over the central tensors and the vector fields
-take E* over the X_p.
+once it holds on the z_j.  It is given its family of central elements.
+Each bimodule keeps one `central_generators` over the RREF basis of its
+center, whose `spans` is the decision whether it is centered; the symmetry,
+the Hom spaces, the vector fields and the connection layer all read the
+center there.  `build_symmetry` takes E (x)_A E over the central tensors
+and the vector fields take E* over the X_p.
 
 A bimodule records in `validated` that its axioms hold over a validated
 algebra, or that it was built from bimodules that did.  Then the bimodule
@@ -83,21 +83,10 @@ class Bimodule:
         return Bimodule(algebra, 0, [z] * algebra.dim, [z] * algebra.dim)
 
     @cached_property
-    def centered(self) -> "CenteredReport":
-        """is_centered, decided once per bimodule."""
-        return is_centered(self)
-
-    @property
     def central_generators(self) -> "CentralGenerators":
-        """Over the RREF basis of the center, the family that decided
-        centeredness; raises ContractViolationError when the bimodule is
-        not centered."""
-        rep = self.centered
-        if not rep.ok:
-            raise ContractViolationError(
-                "hom_A: the source is not generated by its center as a right module",
-                witness=rep.witness)
-        return rep.generators
+        """The bimodule over the RREF basis of its center; its `spans` says
+        whether the bimodule is centered."""
+        return CentralGenerators(self, module_center(self).rows)
 
     def _action_rows(self, actions: Sequence[Matrix], a: dict[int, Scalar]) -> list[dict[int, Scalar]]:
         """The sparse rows of the action of a sparse algebra element."""
@@ -176,32 +165,13 @@ def module_center(e: Bimodule) -> Subspace:
     return Subspace(e.dim, kernel_rows(rows, e.dim))
 
 
-class CenteredReport:
-    __slots__ = ("ok", "center", "witness", "generators")
-
-    def __init__(self, ok: bool, center: Subspace, witness: Vector | None,
-                 generators: CentralGenerators):
-        self.ok = ok
-        self.center = center
-        self.witness = witness          # a direction missing from the right span of the center
-        self.generators = generators    # over center.rows; spans == ok
-
-
-def is_centered(e: Bimodule) -> CenteredReport:
-    """Does the center generate e as a right module?
-
-    The CentralGenerators over the center's RREF basis decide it with their
-    one elimination of the z_j . a_s.  Only when they do not span is the
-    span built as a Subspace, whose first complement position names the
-    missing basis direction."""
-    zc = module_center(e)
-    gens = CentralGenerators(e, zc.rows)
-    if gens.spans:
-        return CenteredReport(True, zc, None, gens)
-    span = Subspace(e.dim, [_apply_sparse(e.right[r], z) for z in zc.rows
+def missing_direction(e: Bimodule) -> Vector:
+    """For a bimodule that is not centered, the first basis direction
+    outside the right span of its center: the first complement position of
+    the z_j . a_s, built as a Subspace only on this failure."""
+    span = Subspace(e.dim, [_apply_sparse(e.right[r], z) for z in e.central_generators.zs
                             for r in range(e.algebra.dim)])
-    missing = span.complement_positions()[0]
-    return CenteredReport(False, zc, basis_vector(e.dim, missing), gens)
+    return basis_vector(e.dim, span.complement_positions()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +227,9 @@ class QuotientTensor:
         # vector, which leaves it on the free positions; section: include
         # the free positions.
         pos = {f_: q for q, f_ in enumerate(free)}
-        self._project_cols = [{pos[c]: v for c, v in self.relations._residual({j: ONE}).items()}
-                              for j in range(self.ambient_dim)]
-        self.project = Matrix.from_sparse_cols(self._project_cols, self.dim)
+        self.project = Matrix.from_sparse_cols(
+            [{pos[c]: v for c, v in self.relations._residual({j: ONE}).items()}
+             for j in range(self.ambient_dim)], self.dim)
         self.section = Matrix.from_sparse_cols([{f_: ONE} for f_ in free], self.ambient_dim)
 
         left = []
@@ -276,7 +246,8 @@ class QuotientTensor:
         self.bimodule = Bimodule(alg, self.dim, left, right)._derived(e, f)
 
     def _project_sparse(self, svec: dict[int, Scalar]) -> dict[int, Scalar]:
-        return _lincomb((c, self._project_cols[j]) for j, c in svec.items())
+        cols = self.project.sparse_cols()
+        return _lincomb((c, cols[j]) for j, c in svec.items())
 
     def pure_sparse(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar]) -> dict[int, Scalar]:
         """Sparse quotient coordinates of the class of e (x) f, for sparse
@@ -403,6 +374,10 @@ class HomModule:
         self.source = source
         self.target = target
         self.generators = gens = source.central_generators
+        if not gens.spans:
+            raise ContractViolationError(
+                "hom_A: the source is not generated by its center as a right module",
+                witness=missing_direction(source))
         nunk = len(gens.zs) * target.dim
         self.flat = Subspace(source.dim * target.dim,
                              [_flatten(gens.right_linear(target, v))

@@ -1,19 +1,16 @@
-"""Differential calculi and the constructive tameness certificate.
+"""Differential calculi and the constructive tameness check.
 
 A calculus is (one-forms E, two-forms, d0, d1, wedge).  The wedge is given
 on the plain tensor space of E (x)_K E and must factor through E (x)_A E.
-Tameness is certified constructively.  E (x)_A E is taken over its central
-tensors pi(z_p (x) z_q) as one `CentralGenerators`, the certificate's
-`spanning`; sigma, the metric and the compatibility map are each fixed by
-their values on it.  The candidate symmetry sigma is the flip on central
-tensors extended right-linearly; the construction succeeds exactly when the
-central tensors span and the flip respects every linear relation among
-their right translates.  The certificate holds what later layers read:
-the center of the one-forms, sigma and the spanning central tensors.  The
-symmetrizer must project onto ker(wedge), and its kernel, the complement,
-must have the dimension of the two-forms, on which the wedge is then
-invertible.  A failed condition comes back as a `Refusal`, never raised:
-the check command is a diagnostic tool.
+A calculus is tame when its central flip extends to a bimodule symmetry
+sigma, and `build_symmetry` returns that sigma.  E (x)_A E is taken over its
+central tensors pi(z_p (x) z_q) as one `CentralGenerators`; sigma is the
+flip on them extended right-linearly, and exists exactly when they span
+and the flip respects every linear relation among their right translates.
+The symmetrizer must project onto ker(wedge), and its kernel, the
+complement, must have the dimension of the two-forms, on which the wedge
+is then invertible.  A failed condition comes back as a `Refusal`, never
+raised: the check command is a diagnostic tool.
 
 The axioms that read "for every a in A" run over the algebra's generators
 (`Algebra.first_failure`) once the axioms before them passed on a validated
@@ -37,6 +34,7 @@ from .bimodule import (
     QuotientTensor,
     _tensor_left_apply,
     _tensor_right_apply,
+    missing_direction,
     tensor_over_A,
 )
 from .errors import ContractViolationError, InternalInconsistencyError, Refusal
@@ -267,34 +265,26 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
 
 
 # ---------------------------------------------------------------------------
-# Tameness certificate
+# Tameness: the symmetry sigma
 # ---------------------------------------------------------------------------
 
-class TamenessCertificate:
-    __slots__ = ("center_one_forms", "sigma", "spanning")
+def build_symmetry(calc: Calculus) -> Matrix | Refusal:
+    """The bimodule symmetry sigma of the tensor square, or a structured
+    refusal.
 
-    def __init__(self, center_one_forms: Subspace, sigma: Matrix, spanning: CentralGenerators):
-        self.center_one_forms = center_one_forms
-        self.sigma = sigma
-        self.spanning = spanning   # E (x)_A E over the pi(z_p (x) z_q), j = p * k + q
-
-
-def build_symmetry(calc: Calculus) -> TamenessCertificate | Refusal:
-    """Construct the tameness certificate or a structured refusal.
-
-    E (x)_A E is taken over its central tensors pi(z_p (x) z_q), and the
-    symmetry is the right-linear map that flips their legs.  It exists iff
-    the tensors span and the flip preserves every linear relation among
-    their right translates.
+    E (x)_A E is taken over its central tensors pi(z_p (x) z_q), and sigma
+    is the right-linear map that flips their legs.  It exists iff the
+    tensors span and the flip preserves every linear relation among their
+    right translates.
     """
     e = calc.one_forms
     qt = calc.tensor_square
-    rep = e.centered
-    if not rep.ok:
+    gens = e.central_generators
+    if not gens.spans:
         return Refusal("NotCentered",
                        "the center of the one-forms does not generate them as a right module",
-                       rep.witness)
-    zs = rep.center.rows
+                       missing_direction(e))
+    zs = gens.zs
     span = CentralGenerators(qt.bimodule, [qt.pure_sparse(zp, zq) for zp in zs for zq in zs])
     if not span.spans:
         return Refusal("CentralTensorsDoNotSpan",
@@ -348,4 +338,4 @@ def build_symmetry(calc: Calculus) -> TamenessCertificate | Refusal:
     if complement_dim != w2dim:
         return Refusal("QNotInvertible",
                        f"complement has dimension {complement_dim}, two-forms {w2dim}")
-    return TamenessCertificate(center_one_forms=rep.center, sigma=sigma, spanning=span)
+    return sigma

@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 PRESET_NAMES = ("abelian-torus", "matrix-derivations")   # builders.PRESETS, imported by gen only
-# what a tameness certificate establishes, each true whenever build_symmetry returns one
+# what tameness establishes, each true whenever build_symmetry returns sigma
 TAMENESS_CHECKS = ("tameness_centered", "tameness_psym_projects_onto_ker_wedge",
                    "tameness_sigma_bilinear", "tameness_sigma_involution",
                    "tameness_sigma_well_defined")
@@ -130,23 +130,23 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
         rb.add(item.name, item.ok, item.witness)
     rb.summary["calculus_valid"] = calc_report.ok
 
-    cert = build_symmetry(calc)
-    rb.summary["tame"] = not isinstance(cert, Refusal)
-    if isinstance(cert, Refusal):
-        rb.add("tame_certificate", False, f"{cert.condition}: {cert.detail}")
+    sigma = build_symmetry(calc)
+    rb.summary["tame"] = not isinstance(sigma, Refusal)
+    if isinstance(sigma, Refusal):
+        rb.add("tame_certificate", False, f"{sigma.condition}: {sigma.detail}")
         rb.summary["metric_valid"] = False
         return None, None
     rb.add("tame_certificate", True)
     for name in TAMENESS_CHECKS:
         rb.add(name, True)
 
-    metric = validate_metric(calc, cert, g_in)
+    metric = validate_metric(calc, sigma, g_in)
     rb.summary["metric_valid"] = not isinstance(metric, Refusal)
     if isinstance(metric, Refusal):
         rb.add("metric_valid", False, f"{metric.condition}: {metric.detail}")
-        return cert, None
+        return sigma, None
     rb.add("metric_valid", True)
-    return cert, metric
+    return sigma, metric
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def cmd_gen(args) -> int:
 def cmd_check(args) -> int:
     rb = ReportBuilder("check", args.spec, args.seed)
     spec = load_spec(args.spec)
-    cert, metric = run_structure_checks(spec, rb, read_metric(spec, args.metric))
+    _, metric = run_structure_checks(spec, rb, read_metric(spec, args.metric))
     code = EXIT_OK if (rb.ok and metric is not None) else EXIT_MATH
     emit(rb.finish(code), args.json)
     return code
@@ -185,12 +185,12 @@ def cmd_connect(args) -> int:
     g_in = read_metric(spec, args.metric)
     out = args.out or str(Path(args.spec).with_suffix("")) + ".connection.json"
     check_writable(out)
-    cert, metric = run_structure_checks(spec, rb, g_in)
-    if cert is None or metric is None or not rb.ok:
+    sigma, metric = run_structure_checks(spec, rb, g_in)
+    if metric is None or not rb.ok:
         emit(rb.finish(EXIT_MATH), args.json)
         return EXIT_MATH
 
-    geo = Geometry(spec.calculus, cert, metric)
+    geo = Geometry(spec.calculus, sigma, metric)
     try:
         nabla, table = levi_civita_koszul(geo)
         direct = levi_civita_direct(geo)
@@ -226,14 +226,15 @@ def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     g_in = read_metric(spec, args.metric)
     obj, _ = load_json(args.connection)
-    cert, metric = run_structure_checks(spec, rb, g_in)
-    if cert is None or metric is None or not rb.ok:
+    sigma, metric = run_structure_checks(spec, rb, g_in)
+    # the artifact's shape is checked whether or not the checks passed
+    calc = spec.calculus
+    nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
+    if metric is None or not rb.ok:
         emit(rb.finish(EXIT_MATH), args.json)
         return EXIT_MATH
 
-    calc = spec.calculus
-    nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
-    verdicts = certify(Geometry(calc, cert, metric), nabla)
+    verdicts = certify(Geometry(calc, sigma, metric), nabla)
 
     rb.add("leibniz", verdicts.leibniz is None, verdicts.leibniz)
     rb.summary["valid_connection"] = verdicts.leibniz is None

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bimodule import pair_apply
-from .calculus import Calculus, TamenessCertificate
+from .calculus import Calculus
 from .errors import (
     BracketNotCentralError,
     BracketUnsolvableError,
@@ -122,13 +122,13 @@ class Geometry:
     here; all members are effectively immutable once built.
     """
 
-    def __init__(self, calc: Calculus, cert: TamenessCertificate, metric: Metric):
+    def __init__(self, calc: Calculus, sigma: Matrix, metric: Metric):
         self.calc = calc
-        self.cert = cert
+        self.sigma = sigma
         self.metric = metric
-        self.fields = vector_fields(calc, cert, metric)
-        # V_g^{-1} X_p, by field index
-        self.field_forms = tuple(metric.form_of(x) for x in self.fields.basis)
+        self.fields = vector_fields(calc, metric)
+        # V_g^{-1} X_p, by field index: X_p = V_g(z_p), so the central generator z_p
+        self.field_forms = calc.one_forms.central_generators.zs
         self._duals: dict[frozenset, DualElement] = {}
 
     # -- simple accessors ---------------------------------------------------
@@ -148,14 +148,8 @@ class Geometry:
         return g_of_forms(self.metric.g_plain, self.calc.one_forms.dim, u, w)
 
     @cached_property
-    def g_central(self) -> list[dict[int, Scalar]]:
-        """g(z_p (x) z_q) on the central tensors, sparse in the algebra, by
-        their index p * k + q in the certificate's spanning family."""
-        return [_apply_sparse(self.metric.g, z) for z in self.cert.spanning.zs]
-
-    @cached_property
     def field_gram(self) -> list[list[dict[int, Scalar]]]:
-        """g_tilde(X_p, X_q), sparse, by field indices."""
+        """g_tilde(X_p, X_q) = g(z_p (x) z_q), sparse, by field indices."""
         return [[self.pair_forms(u, w) for w in self.field_forms] for u in self.field_forms]
 
     @cached_property
@@ -187,7 +181,7 @@ class Geometry:
                 s, t = divmod(idx, e_dim)
                 if t not in lifts:
                     lifts[t] = qt.lift_sparse(
-                        _apply_sparse(self.cert.sigma, qt.pure_sparse({t: ONE}, z)))
+                        _apply_sparse(self.sigma, qt.pure_sparse({t: ONE}, z)))
                 for uv, c2 in lifts[t].items():
                     u, v = divmod(uv, e_dim)
                     terms.append((c * c2, self._left_of_g(s, u, v)))
@@ -225,14 +219,15 @@ class Geometry:
 
         rows: list[dict[int, Scalar]] = []
         constant: dict[int, Scalar] = {}
-        for j, g_pq in enumerate(self.g_central):
-            p, q = divmod(j, nz)
-            constant.update((len(rows) + c, -v) for c, v in _apply_sparse(calc.d0, g_pq).items())
-            for srow, prow in zip(self.leg_sigma[q].sparse_rows(),
-                                  self.leg_plain[p].sparse_rows()):
-                row = shifted(p, srow)
-                _axpy(row, ONE, shifted(q, prow), -1)
-                rows.append(row)
+        for p, grams in enumerate(self.field_gram):
+            for q, g_pq in enumerate(grams):
+                constant.update((len(rows) + c, -v)
+                                for c, v in _apply_sparse(calc.d0, g_pq).items())
+                for srow, prow in zip(self.leg_sigma[q].sparse_rows(),
+                                      self.leg_plain[p].sparse_rows()):
+                    row = shifted(p, srow)
+                    _axpy(row, ONE, shifted(q, prow), -1)
+                    rows.append(row)
         ncompat = len(rows)
         wedge = calc.wedge_q.sparse_rows()
         for j, z in enumerate(zs):
@@ -424,7 +419,7 @@ class Conditions:
     linear . f + constant.
 
     Rows below ncompat hold compatibility, dim E per central tensor
-    pi(z_p (x) z_q) in the order of geo.g_central:
+    pi(z_p (x) z_q), at p * k + q for k central generators:
     leg_sigma[q] f_p + leg_plain[p] f_q - d g(z_p (x) z_q).  The rest hold
     torsion, dim Omega^2 per z_j: W f_j + d1 z_j for the wedge W.
     """

@@ -2,12 +2,14 @@
 
 A metric is a bilinear symmetric map on the tensor square of the one-forms
 whose one-leg contraction V_g identifies the one-forms with their dual.
-Pulling the center of the one-forms through V_g produces the vector fields,
-which act on the algebra by derivations; the pairing they inherit drives
-the Koszul machinery in the connection module.  E* is taken over the
-fields X_p = V_g(z_p) as one `CentralGenerators`, through which the general
-bracket decomposes a dual element.  A dual element, a vector field
-included, is a zero-free sparse dict of E* coordinates.
+Pulling the central generators z_p of the one-forms through V_g produces
+the vector fields X_p = V_g(z_p), which act on the algebra by derivations;
+the pairing they inherit, g_tilde(X_p, X_q) = g(z_p (x) z_q), drives the
+Koszul machinery in the connection module.  E* is taken over the X_p as
+one `CentralGenerators`, through which the general bracket decomposes a
+dual element.  A dual element, a vector field included, is a zero-free
+sparse dict of E* coordinates.  A `Metric` keeps g only on plain tensor
+coordinates, the form every input gives.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bimodule import CentralGenerators, HomModule, dual_module, module_center
-from .calculus import Calculus, TamenessCertificate
+from .calculus import Calculus
 from .errors import CenterMismatchError, InternalInconsistencyError, Refusal
 from .linalg import (
     LinAlgError,
@@ -29,13 +31,11 @@ from .linalg import (
 
 
 class Metric:
-    """A validated metric: quotient-coordinate form plus both legs of V_g."""
+    """A validated metric: its plain-coordinate form plus both legs of V_g."""
 
-    __slots__ = ("g", "g_plain", "e_star", "v_g", "v_g_inv")
+    __slots__ = ("g_plain", "e_star", "v_g", "v_g_inv")
 
-    def __init__(self, g: Matrix, g_plain: Matrix, e_star: HomModule, v_g: Matrix,
-                 v_g_inv: Matrix):
-        self.g = g                  # A-coords <- tensor-square quotient coords
+    def __init__(self, g_plain: Matrix, e_star: HomModule, v_g: Matrix, v_g_inv: Matrix):
         self.g_plain = g_plain      # A-coords <- plain tensor coords, the input
         self.e_star = e_star        # Hom_A(E, A)
         self.v_g = v_g              # E* coords <- E coords
@@ -46,7 +46,7 @@ class Metric:
         return _apply_sparse(self.v_g_inv, phi)
 
 
-def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> Metric | Refusal:
+def validate_metric(calc: Calculus, sigma: Matrix, g_in: Matrix) -> Metric | Refusal:
     """Check bilinearity, symmetry and invertibility; build both legs of V_g.
 
     g_in is the metric on plain tensor coordinates (dim E^2 columns), as
@@ -80,7 +80,7 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
     if failure is not None:
         return failure
 
-    g_sigma = g @ cert.sigma
+    g_sigma = g @ sigma
     if g_sigma != g:
         # column j of g sigma is g(sigma(e_j)): the first that differs names e_j
         j = next(j for j, (a, b) in enumerate(zip(g_sigma.sparse_cols(), g.sparse_cols()))
@@ -109,7 +109,7 @@ def validate_metric(calc: Calculus, cert: TamenessCertificate, g_in: Matrix) -> 
         kernel = v_g.kernel()
         return Refusal("VgNotInvertible", "V_g has a nontrivial kernel",
                        kernel.basis[0] if kernel.dim else None)
-    return Metric(g=g, g_plain=g_in, e_star=e_star, v_g=v_g, v_g_inv=v_g_inv)
+    return Metric(g_plain=g_in, e_star=e_star, v_g=v_g, v_g_inv=v_g_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +144,11 @@ class VectorFieldModule:
         return not self.center_dual._residual(dict(phi))
 
 
-def vector_fields(calc: Calculus, cert: TamenessCertificate, metric: Metric) -> VectorFieldModule:
+def vector_fields(calc: Calculus, metric: Metric) -> VectorFieldModule:
     """Build X(A) = V_g(Z(E)), certify it equals Z(E*), attach derivations."""
     alg = calc.algebra
     e_star = metric.e_star
-    basis = tuple(_apply_sparse(metric.v_g, z) for z in cert.center_one_forms.rows)
+    basis = tuple(_apply_sparse(metric.v_g, z) for z in calc.one_forms.central_generators.zs)
     image = Subspace(e_star.dim, basis)
     center_dual = module_center(e_star.bimodule)
     if image != center_dual:

@@ -22,9 +22,9 @@ from tamecalc.metric import validate_metric
 
 
 def _geometry(preset):
-    cert = build_symmetry(preset.calculus)
-    metric = validate_metric(preset.calculus, cert, preset.metric_plain)
-    return Geometry(preset.calculus, cert, metric)
+    sigma = build_symmetry(preset.calculus)
+    metric = validate_metric(preset.calculus, sigma, preset.metric_plain)
+    return Geometry(preset.calculus, sigma, metric)
 
 
 def constant_metric_plain(spec: ChevalleySpec, c) -> Matrix:
@@ -121,7 +121,7 @@ def truncated_line_spec() -> ChevalleySpec:
 def line_geo():
     """The commutative fixture with the non-constant metric (1 + x) a b."""
     calc = build_chevalley(truncated_line_spec())
-    cert = build_symmetry(calc)
+    sigma = build_symmetry(calc)
     alg = calc.algebra
     e0, e1 = basis_vector(3, 0), basis_vector(3, 1)
     weight = left_mult(alg, tuple(x + y for x, y in zip(e0, e1)))
@@ -131,5 +131,5 @@ def line_geo():
             val = weight.apply(alg.mul[alpha][beta])
             for gamma in range(3):
                 entries[gamma][alpha * 3 + beta] = val[gamma]
-    metric = validate_metric(calc, cert, Matrix(3, 9, entries))
-    return Geometry(calc, cert, metric)
+    metric = validate_metric(calc, sigma, Matrix(3, 9, entries))
+    return Geometry(calc, sigma, metric)

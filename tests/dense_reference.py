@@ -20,12 +20,14 @@ builds it: frame_splitting, the Grassmann connection grassmann of a
 frame, the whole-matrix torsion, and nabla_zero, which kills the
 Grassmann torsion through q_inverse, the wedge's inverse on the
 complement of ker(wedge), the kernel of the symmetrizer of the tameness
-certificate's sigma.  The tests read them as oracles and as connections
+symmetry sigma.  The tests read them as oracles and as connections
 that fail torsion (grassmann) or compatibility (nabla_zero).  A
 connection is its value matrix nabla, as in the engine.
-CertificateParts recomputes what build_symmetry checks and the
-certificate does not keep: the symmetrizer, ker(wedge), the complement
-and the five tameness flags.
+CertificateParts recomputes what build_symmetry checks and does not
+return with sigma: the center of the one-forms, the central tensors, the
+symmetrizer, ker(wedge), the complement and the five tameness flags;
+quotient_metric is the metric on quotient coordinates, which a Metric
+does not keep.
 compat_values and pi_g_matrix evaluate the compatibility map Pi_g on every
 right translate of the central tensors and extend it over the whole tensor
 square, and
@@ -48,8 +50,8 @@ complex conjugate.
 from functools import cached_property
 from typing import Sequence
 
-from tamecalc.bimodule import Bimodule
-from tamecalc.calculus import Calculus, TamenessCertificate
+from tamecalc.bimodule import Bimodule, CentralGenerators, module_center
+from tamecalc.calculus import Calculus
 from tamecalc.connection import defects, leibniz_extension, leibniz_witness
 from tamecalc.errors import EngineError, InternalInconsistencyError
 from tamecalc.linalg import (
@@ -322,7 +324,7 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
     (triples in lexicographic order), solved by solve_through over those
     columns; None when the values break a relation among them."""
     qt = calc.tensor_square
-    zs = calc.one_forms.centered.center.basis
+    zs = module_center(calc.one_forms).basis
     cols = [qt.bimodule.right[r].apply(pure(qt, zp, zq))
             for zp in zs for zq in zs for r in range(calc.algebra.dim)]
     return solve_through(cols, values, out_dim=out_dim, in_dim=qt.dim)
@@ -331,8 +333,8 @@ def through_central_tensors(calc, values, out_dim: int) -> Matrix | None:
 # -- connection-layer kernels ------------------------------------------------------
 
 def compat_values(geo, nabla) -> list[dict]:
-    """The compatibility one-form on each member of the certificate's
-    spanning family, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
+    """The compatibility one-form on each right translate of the central
+    tensors, the class of z_p (x) z_q . a_r at (p * k + q) * dim A + r,
     sparse: pi0(p, q) . a_r + g(z_p (x) z_q) . d a_r, where pi0(p, q)
     contracts g against sigma_23(nabla z_p (x) z_q) and z_p (x) nabla z_q."""
     e = geo.calc.one_forms
@@ -340,7 +342,7 @@ def compat_values(geo, nabla) -> list[dict]:
     dcols = geo.calc.d0.sparse_cols()
     k = len(images)
     values = []
-    for j, g_pq in enumerate(geo.g_central):
+    for j, g_pq in enumerate(central_gram(geo)):
         p, q = divmod(j, k)
         base = _lincomb(((ONE, _apply_sparse(geo.leg_sigma[q], images[p])),
                          (ONE, _apply_sparse(geo.leg_plain[p], images[q]))))
@@ -353,7 +355,8 @@ def compat_values(geo, nabla) -> list[dict]:
 def pi_g_matrix(geo, nabla) -> Matrix:
     """The compatibility map Pi_g on the whole tensor square, extended from
     its values on every right translate of the central tensors."""
-    m = geo.cert.spanning.extend(compat_values(geo, nabla), geo.calc.one_forms.dim)
+    spanning = CertificateParts(geo.calc, geo.sigma).spanning
+    m = spanning.extend(compat_values(geo, nabla), geo.calc.one_forms.dim)
     assert m is not None, "compatibility map is not well-defined"
     return m
 
@@ -363,7 +366,7 @@ def levi_civita_verdicts_reference(geo, nabla) -> tuple[bool, bool]:
     maps: wedge o nabla + d1 == 0 and Pi_g == d o g."""
     calc = geo.calc
     return ((calc.wedge_q @ nabla + calc.d1).is_zero(),
-            pi_g_matrix(geo, nabla) == calc.d0 @ geo.metric.g)
+            pi_g_matrix(geo, nabla) == calc.d0 @ quotient_metric(calc, geo.metric))
 
 
 def leibniz_constants(calc) -> list[Vector]:
@@ -413,7 +416,7 @@ def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
                 [_lincomb(((ONE, shifted(p, sig[c])), (ONE, shifted(q, pla[c]))))
                  for c in range(e.dim)], nunk)
     rows, rhs = [], {}
-    for j, g_pq in enumerate(geo.g_central):
+    for j, g_pq in enumerate(central_gram(geo)):
         g_dense = sparse_to_vec(g_pq, alg.dim)
         for r in range(alg.dim):
             gval = alg.right_basis_matrix(r).apply(g_dense)
@@ -431,27 +434,56 @@ def direct_system_reference(geo) -> tuple[list[dict], int, dict]:
     return rows, nunk, rhs
 
 
-# -- what the tameness certificate does not store -----------------------------------
+# -- what build_symmetry does not return ---------------------------------------------
 
-def symmetrizer(calc: Calculus, cert: TamenessCertificate) -> Matrix:
-    """p_sym = (1 + sigma) / 2, a projection onto ker(wedge) on a certificate."""
-    return (Matrix.identity(calc.tensor_square.dim) + cert.sigma).scale(HALF)
+def symmetrizer(calc: Calculus, sigma: Matrix) -> Matrix:
+    """p_sym = (1 + sigma) / 2, a projection onto ker(wedge) for a tame sigma."""
+    return (Matrix.identity(calc.tensor_square.dim) + sigma).scale(HALF)
+
+
+def quotient_metric(calc: Calculus, metric) -> Matrix:
+    """The metric on quotient coordinates of the tensor square."""
+    return metric.g_plain @ calc.tensor_square.section
+
+
+def central_gram(geo) -> list[dict]:
+    """g(z_p (x) z_q) at p * k + q, sparse: the quotient metric on the
+    central tensors, which the engine reads as g_tilde(X_p, X_q)."""
+    g = quotient_metric(geo.calc, geo.metric)
+    return [_apply_sparse(g, z) for z in CertificateParts(geo.calc, geo.sigma).spanning.zs]
+
+
+def central_basis(calc: Calculus) -> tuple[Vector, ...]:
+    """The dense RREF basis of the center of the one-forms, as
+    CertificateParts.center_one_forms holds it."""
+    return module_center(calc.one_forms).basis
 
 
 class CertificateParts:
-    """The tensor square, the symmetrizer p_sym = (1 + sigma) / 2, ker(wedge),
-    the complement ker(p_sym) and the five tameness flags of a certificate,
-    recomputed from its sigma on first read: build_symmetry checks them and
-    keeps none."""
+    """The center of the one-forms, the central tensors as one
+    CentralGenerators, the tensor square, the symmetrizer
+    p_sym = (1 + sigma) / 2, ker(wedge), the complement ker(p_sym) and the
+    five tameness flags of a calculus with symmetry sigma, recomputed on
+    first read: build_symmetry checks them and returns only sigma."""
 
-    def __init__(self, calc: Calculus, cert: TamenessCertificate):
+    def __init__(self, calc: Calculus, sigma: Matrix):
         self.calculus = calc
-        self.cert = cert
+        self.sigma = sigma
         self.tensor_square = calc.tensor_square
 
     @cached_property
+    def center_one_forms(self) -> Subspace:
+        return module_center(self.calculus.one_forms)
+
+    @cached_property
+    def spanning(self) -> CentralGenerators:
+        """E (x)_A E over the pi(z_p (x) z_q), j = p * k + q."""
+        qt, zs = self.tensor_square, self.center_one_forms.rows
+        return CentralGenerators(qt.bimodule, [qt.pure_sparse(zp, zq) for zp in zs for zq in zs])
+
+    @cached_property
     def p_sym(self) -> Matrix:
-        return symmetrizer(self.calculus, self.cert)
+        return symmetrizer(self.calculus, self.sigma)
 
     @cached_property
     def kernel_wedge(self) -> Subspace:
@@ -463,13 +495,14 @@ class CertificateParts:
 
     @cached_property
     def flags(self) -> dict[str, bool]:
-        qt, sigma = self.tensor_square, self.cert.sigma
-        zs = self.cert.center_one_forms.rows
+        qt, sigma = self.tensor_square, self.sigma
+        e, zs = self.calculus.one_forms, self.center_one_forms.rows
         flips = all(_apply_sparse(sigma, qt.pure_sparse(zp, zq)) == qt.pure_sparse(zq, zp)
                     for zp in zs for zq in zs)
         actions = [*qt.bimodule.left, *qt.bimodule.right]
+        translates = [_apply_sparse(e.right[r], z) for z in zs for r in range(e.algebra.dim)]
         return {
-            "centered": self.calculus.one_forms.centered.ok,
+            "centered": Subspace(e.dim, translates).dim == e.dim,
             "sigma_well_defined": flips,
             "sigma_involution": sigma @ sigma == Matrix.identity(qt.dim),
             "sigma_bilinear": all(sigma @ m == m @ sigma for m in actions),
@@ -487,15 +520,15 @@ class NotRightLinearError(EngineError):
     code = "NotRightLinear"
 
 
-def q_inverse(calc: Calculus, cert: TamenessCertificate) -> Matrix:
+def q_inverse(calc: Calculus, sigma: Matrix) -> Matrix:
     """The inverse of the wedge on the complement of ker(wedge), the kernel
-    of the symmetrizer of the certificate's sigma, from the two-forms into
+    of the symmetrizer of sigma, from the two-forms into
     the tensor square: F (W F)^-1 for the complement's basis columns F, and
     no columns without two-forms."""
     qt = calc.tensor_square
     if not calc.two_forms.dim:
         return Matrix.zeros(qt.dim, 0)
-    fcols = Matrix.from_sparse_cols(symmetrizer(calc, cert).kernel().rows, qt.dim)
+    fcols = Matrix.from_sparse_cols(symmetrizer(calc, sigma).kernel().rows, qt.dim)
     return fcols @ (calc.wedge_q @ fcols).inverse()
 
 
@@ -543,7 +576,7 @@ def frame_splitting(calc: Calculus, frame: Sequence[dict[int, Scalar]]
     return tuple(map(tuple, images))
 
 
-def grassmann(calc: Calculus, cert: TamenessCertificate,
+def grassmann(calc: Calculus, sigma: Matrix,
               frame: Sequence[dict[int, Scalar]] | None = None) -> Matrix:
     """The connection of a right-linear splitting through the given sparse
     frame.
@@ -588,11 +621,11 @@ def torsion(calc: Calculus, nabla: Matrix) -> Matrix:
     return t
 
 
-def nabla_zero(calc: Calculus, cert: TamenessCertificate,
+def nabla_zero(calc: Calculus, sigma: Matrix,
                frame: Sequence[dict[int, Scalar]] | None = None) -> Matrix:
     """Kill the Grassmann torsion through the wedge inverse on the complement."""
-    gr = grassmann(calc, cert, frame)
-    nabla = gr - q_inverse(calc, cert) @ torsion(calc, gr)
+    gr = grassmann(calc, sigma, frame)
+    nabla = gr - q_inverse(calc, sigma) @ torsion(calc, gr)
     if not torsion(calc, nabla).is_zero():
         raise InternalInconsistencyError("reference connection kept nonzero torsion")
     return nabla
@@ -607,7 +640,7 @@ def levi_civita_perturbation(geo) -> tuple[Matrix, int]:
     the system's rank."""
     t2 = geo.calc.tensor_square.bimodule
     gens = geo.calc.one_forms.central_generators
-    nabla0 = nabla_zero(geo.calc, geo.cert)
+    nabla0 = nabla_zero(geo.calc, geo.sigma)
     rhs = {i: -v for i, v in defects(geo, nabla0).items()}
     rows = [*geo.conditions.linear.sparse_rows(), *gens.relation_rows(t2)]
     (sol,), rank = solve_sparse(rows, len(gens.zs) * t2.dim, [rhs])
@@ -625,7 +658,7 @@ def g_tilde_dense(calc, metric, phi: Vector, psi: Vector) -> Vector:
     """g(V_g^{-1} phi (x) V_g^{-1} psi) through two dense applies."""
     u = metric.v_g_inv.apply(phi)
     w = metric.v_g_inv.apply(psi)
-    return metric.g.apply(pure_dense(calc.tensor_square, u, w))
+    return quotient_metric(calc, metric).apply(pure_dense(calc.tensor_square, u, w))
 
 
 def multiply_dense(alg, a: Vector, b: Vector) -> Vector:

@@ -1,0 +1,272 @@
+"""Byte-identical outputs: a manifest of what every command writes.
+
+Each case runs `tamecalc.cli.main` in process, in a fresh directory and on
+relative paths, on inputs built with `tamecalc.builders` and
+`perfbench/inputs.write_input`.  It records the sha256 of stdout (with the
+`timing_ms` value masked), of stderr and of every file the command wrote,
+and the exit code.  The manifest `digests.json` next to this file pins them:
+
+    python tests/digests.py --write    # regenerate digests.json
+    python tests/digests.py --check    # print each moved or missing key
+
+`--check` also names each key the manifest lacks, and exits 1 on any
+difference.  The tier-1 tests check the cases marked small (everything but
+fuzzy-sphere-3 and abelian-torus-4) against the same manifest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = Path(__file__).resolve().parent / "digests.json"
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from tamecalc import cli, specfile  # noqa: E402
+
+TIMING = re.compile(r'"timing_ms": [-+0-9.eE]+')
+MD2, AT2 = "matrix-derivations-2", "abelian-torus-2"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _quiet_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+# -- inputs, as file texts ---------------------------------------------------------
+
+@cache
+def preset_text(preset: str, n: int) -> str:
+    from tamecalc.builders import PRESETS
+
+    p = PRESETS[preset](n)
+    return specfile.dumps_canonical(specfile.spec_to_json(specfile.SpecData(
+        name=p.name, calculus=p.calculus, metric_plain=p.metric_plain)))
+
+
+def _perfbench_inputs():
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "inputs.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module   # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@cache
+def bench_texts(calculus: str, base: str) -> tuple[str, str]:
+    """The spec text and the `base` metric text of one benchmark input."""
+    inputs = _perfbench_inputs()
+    with tempfile.TemporaryDirectory() as d:
+        made = inputs.write_input(calculus, {base: inputs.BASES[base]}, Path(d))
+        return made.spec_path.read_text(), made.metrics[base].path.read_text()
+
+
+def _bumped(text: str, *path) -> str:
+    """The spec text with the scalar at path raised by one."""
+    root = obj = json.loads(text)
+    *outer, last = path
+    for key in outer:
+        obj = obj[key]
+    obj[last] = str(Fraction(obj[last]) + 1)
+    return specfile.dumps_canonical(root)
+
+
+# -- cases ------------------------------------------------------------------------------
+#
+# A case writes its inputs into the current directory and returns the argv
+# of the one recorded run.
+
+def _spec(name: str, text: str) -> str:
+    Path(name).write_text(text)
+    return name
+
+
+def _generated(preset: str) -> str:
+    kind, n = preset.rsplit("-", 1)
+    return _spec(f"{preset}.json", preset_text(kind, int(n)))
+
+
+def _bench(calculus: str, base: str) -> list[str]:
+    spec, metric = bench_texts(calculus, base)
+    _spec(f"{calculus}.json", spec)
+    _spec(f"{calculus}.{base}.metric.json", metric)
+    return [f"{calculus}.json", "--metric", f"{calculus}.{base}.metric.json"]
+
+
+def _connected(spec_args: list[str]) -> str:
+    """Connect quietly and return the artifact path, for a verify case."""
+    if _quiet_main(["connect", *spec_args, "--out", "input.connection.json"]) != 0:
+        raise RuntimeError(f"connect {spec_args} failed while preparing a case")
+    return "input.connection.json"
+
+
+def _command_case(command: str, as_json: bool, inputs):
+    def case() -> list[str]:
+        spec_args = inputs()
+        flag = ["--json"] if as_json else []
+        if command == "connect":
+            return ["connect", *spec_args, *flag, "--out", "out.connection.json"]
+        if command == "verify":
+            spec, *rest = spec_args
+            return ["verify", spec, _connected(spec_args), *rest, *flag]
+        return [command, *spec_args, *flag]
+    return case
+
+
+def _bumped_case(command: str, path, preset: str = "matrix-derivations"):
+    def case() -> list[str]:
+        spec = _spec("bumped.json", _bumped(preset_text(preset, 2), *path))
+        out = ["--out", "out.connection.json"] if command == "connect" else []
+        return [command, spec, *out]
+    return case
+
+
+def _bumped_nabla() -> list[str]:
+    spec = _generated(MD2)
+    art = _connected([spec])
+    Path(art).write_text(_bumped(Path(art).read_text(), "nabla", 0, 1))
+    return ["verify", spec, art]
+
+
+def _malformed_artifact(artifact: dict):
+    # the spec fails a check, the artifact is malformed: bad input wins
+    def case() -> list[str]:
+        obj = json.loads(preset_text("matrix-derivations", 2))
+        obj["wedge"][0][1] = "7"
+        spec = _spec("broken-wedge.json", specfile.dumps_canonical(obj))
+        Path("artifact.json").write_text(json.dumps(artifact))
+        return ["verify", spec, "artifact.json"]
+    return case
+
+
+BUMPS = {
+    "wedge": ("wedge", 0, 1),
+    "d0": ("d0", 1, 0),
+    "d1": ("d1", 0, 0),
+    "metric": ("metric", 0, 0),
+    "one-form-left": ("one_forms", "left", 1, 0, 1),
+    "one-form-right": ("one_forms", "right", 1, 0, 1),
+    "two-form-left": ("two_forms", "left", 1, 0, 1),
+}
+
+
+def cases() -> dict[str, tuple[bool, object]]:
+    """Case name -> (small, the case)."""
+    out: dict[str, tuple[bool, object]] = {}
+    for preset, n in (("matrix-derivations", 2), ("abelian-torus", 2), ("abelian-torus", 4)):
+        out[f"gen/{preset}-{n}"] = (n == 2, lambda p=preset, n=n: [
+            "gen", p, "--n", str(n), "--out", f"{p}-{n}.json"])
+    inputs = {MD2: (True, lambda: [_generated(MD2)]),
+              AT2: (True, lambda: [_generated(AT2)]),
+              f"{MD2}.A3": (True, lambda: _bench(MD2, "A3")),
+              f"{AT2}.A2": (True, lambda: _bench(AT2, "A2")),
+              "fuzzy-sphere-3.A3": (False, lambda: _bench("fuzzy-sphere-3", "A3"))}
+    for label, (small, make) in inputs.items():
+        for command in ("check", "connect", "verify"):
+            for as_json in (False, True):
+                name = f"{command}{'-json' if as_json else ''}/{label}"
+                out[name] = (small, _command_case(command, as_json, make))
+    out["check-json/abelian-torus-4"] = (False, lambda: [
+        "check", _spec("abelian-torus-4.json", preset_text("abelian-torus", 4)), "--json"])
+    for command in ("check", "connect"):
+        out[f"refuse-{command}/fuzzy-sphere-3.asym3"] = (
+            False, _command_case(command, False, lambda: _bench("fuzzy-sphere-3", "asym3")))
+        for label, path in BUMPS.items():
+            out[f"refuse-{command}/{MD2}.{label}"] = (True, _bumped_case(command, path))
+        # E stays centered, its central tensors no longer span
+        out[f"refuse-{command}/{AT2}.one-form-left"] = (True, _bumped_case(
+            command, ("one_forms", "left", 2, 0, 1), "abelian-torus"))
+    out[f"refuse-verify/{MD2}.nabla"] = (True, _bumped_nabla)
+    out[f"verify/{MD2}.broken-wedge.empty-artifact"] = (True, _malformed_artifact({}))
+    out[f"verify/{MD2}.broken-wedge.one-entry-artifact"] = (
+        True, _malformed_artifact({"nabla": [["1"]]}))
+    return out
+
+
+# -- running ------------------------------------------------------------------------------
+
+def run_case(name: str, case) -> dict[str, object]:
+    """The digests of one case, by key: exit code, stdout, stderr, files."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            argv = case()
+            before = {p.name: p.read_bytes() for p in Path(".").iterdir()}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            written = {p.name: p.read_bytes() for p in Path(".").iterdir()
+                       if before.get(p.name) != p.read_bytes()}
+        finally:
+            os.chdir(cwd)
+    got: dict[str, object] = {
+        f"{name}/exit": code,
+        f"{name}/stdout": _sha(TIMING.sub('"timing_ms": 0', out.getvalue()).encode()),
+        f"{name}/stderr": _sha(err.getvalue().encode()),
+    }
+    for fname, data in sorted(written.items()):
+        got[f"{name}/file/{fname}"] = _sha(data)
+    return got
+
+
+def compute(small_only: bool = False) -> dict[str, object]:
+    got: dict[str, object] = {}
+    for name, (small, case) in cases().items():
+        if small or not small_only:
+            got.update(run_case(name, case))
+    return got
+
+
+def case_of(key: str) -> str:
+    """The case name of a manifest key."""
+    if "/file/" in key:
+        return key.split("/file/")[0]
+    return key.rsplit("/", 1)[0]
+
+
+def differences(got: dict[str, object], manifest: dict[str, object],
+                small_only: bool = False) -> list[str]:
+    """Each key of the manifest that moved or is missing, and each new key."""
+    if small_only:
+        names = {name for name, (small, _) in cases().items() if small}
+        manifest = {k: v for k, v in manifest.items() if case_of(k) in names}
+    lines = [f"moved: {k}: {manifest[k]} -> {got[k]}" for k in sorted(manifest)
+             if k in got and got[k] != manifest[k]]
+    lines += [f"missing: {k}" for k in sorted(manifest) if k not in got]
+    lines += [f"new: {k}" for k in sorted(got) if k not in manifest]
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        MANIFEST.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+        return 0
+    if argv == ["--check"]:
+        lines = differences(compute(), json.loads(MANIFEST.read_text()))
+        print("\n".join(lines) if lines else "all digests equal")
+        return 1 if lines else 0
+    print(__doc__.split("\n\n")[2], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from dense_reference import (
     CertificateParts,
     center,
+    central_basis,
     col,
     contains_vector,
     from_cols,
@@ -20,6 +21,7 @@ from dense_reference import (
     multiply_dense,
     nabla_zero,
     pure,
+    quotient_metric,
     right_action,
     symmetrizer,
 )
@@ -83,12 +85,12 @@ class MetricSquare:
         return out
 
 
-def metric_square(calc, cert, metric) -> MetricSquare:
+def metric_square(calc, sigma, metric) -> MetricSquare:
     """Extend the metric to two-fold tensors and certify it stays invertible."""
     qt = calc.tensor_square
     alg = calc.algebra
     e = calc.one_forms
-    g = metric.g
+    g = quotient_metric(calc, metric)
     g_plain = metric.g_plain
 
     # pair_values[x][y] on quotient basis classes: lift both legs, contract
@@ -142,7 +144,8 @@ def metric_square(calc, cert, metric) -> MetricSquare:
 
     # V_g(w) (x) V_g(h) must agree with the squared contraction of h (x) w
     # on central pairs; anything else means the inputs are inconsistent.
-    if not squared_contraction_matches_field_tensor(metric, cert, qt, square):
+    zs = CertificateParts(calc, sigma).center_one_forms.basis
+    if not squared_contraction_matches_field_tensor(metric, zs, qt, square):
         raise InconsistentMetricError(
             "tensor of contractions disagrees with the squared metric on central pairs")
     return square
@@ -156,7 +159,7 @@ def classical_bracket_check(geo: Geometry) -> bool:
     calc = geo.calc
     e = calc.one_forms
     qt = calc.tensor_square
-    n0 = nabla_zero(geo.calc, geo.cert)
+    n0 = nabla_zero(geo.calc, geo.sigma)
     n = geo.fields.count
     maps = geo.fields.maps
     estar = geo.metric.e_star
@@ -184,12 +187,12 @@ def classical_bracket_check(geo: Geometry) -> bool:
 def sigma_flips_one_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     ne = geo.calc.one_forms.dim
-    for z in geo.cert.center_one_forms.basis:
+    for z in central_basis(geo.calc):
         for s in range(ne):
             e = basis_vector(ne, s)
-            if geo.cert.sigma.apply(pure(qt, z, e)) != pure(qt, e, z):
+            if geo.sigma.apply(pure(qt, z, e)) != pure(qt, e, z):
                 return False
-            if geo.cert.sigma.apply(pure(qt, e, z)) != pure(qt, z, e):
+            if geo.sigma.apply(pure(qt, e, z)) != pure(qt, z, e):
                 return False
     return True
 
@@ -197,8 +200,8 @@ def sigma_flips_one_central(geo: Geometry) -> bool:
 def metric_symmetric_one_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     ne = geo.calc.one_forms.dim
-    g = geo.metric.g
-    for z in geo.cert.center_one_forms.basis:
+    g = quotient_metric(geo.calc, geo.metric)
+    for z in central_basis(geo.calc):
         for s in range(ne):
             e = basis_vector(ne, s)
             if g.apply(pure(qt, z, e)) != g.apply(pure(qt, e, z)):
@@ -209,9 +212,10 @@ def metric_symmetric_one_central(geo: Geometry) -> bool:
 def central_pair_values_central(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
     zc = center(geo.calc.algebra)
-    g = geo.metric.g
-    for z1 in geo.cert.center_one_forms.basis:
-        for z2 in geo.cert.center_one_forms.basis:
+    g = quotient_metric(geo.calc, geo.metric)
+    zs = central_basis(geo.calc)
+    for z1 in zs:
+        for z2 in zs:
             if not contains_vector(zc, g.apply(pure(qt, z1, z2))):
                 return False
     return True
@@ -221,14 +225,15 @@ def central_scalar_differentials_central(geo: Geometry) -> bool:
     """df lands in the center of the one-forms for central f, and so do the
     differentials of metric values on central pairs."""
     zc_alg = center(geo.calc.algebra)
-    ze = geo.cert.center_one_forms
+    ze = CertificateParts(geo.calc, geo.sigma).center_one_forms
     for f in zc_alg.basis:
         if not contains_vector(ze, geo.calc.d0.apply(f)):
             return False
     qt = geo.calc.tensor_square
-    for z1 in geo.cert.center_one_forms.basis:
-        for z2 in geo.cert.center_one_forms.basis:
-            val = geo.metric.g.apply(pure(qt, z1, z2))
+    g = quotient_metric(geo.calc, geo.metric)
+    for z1 in ze.basis:
+        for z2 in ze.basis:
+            val = g.apply(pure(qt, z1, z2))
             if not contains_vector(ze, geo.calc.d0.apply(val)):
                 return False
     return True
@@ -239,10 +244,11 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
     by the symmetry."""
     qt = geo.calc.tensor_square
     # the symmetrizer fixes exactly ker(wedge)
-    fixed = CertificateParts(geo.calc, geo.cert).kernel_wedge
-    for z1 in geo.cert.center_one_forms.basis:
+    parts = CertificateParts(geo.calc, geo.sigma)
+    fixed = parts.kernel_wedge
+    for z1 in parts.center_one_forms.basis:
         phi1 = v_g_map(geo.metric, z1)
-        for z2 in geo.cert.center_one_forms.basis:
+        for z2 in parts.center_one_forms.basis:
             phi2 = v_g_map(geo.metric, z2)
             for xi in fixed.basis:
                 lhs = pair(qt, phi1, phi2, xi)
@@ -254,7 +260,7 @@ def squared_pairing_on_fixed_vectors_symmetric(geo: Geometry, square: MetricSqua
 
 def squared_pairing_symmetrizer_hops(geo: Geometry, square: MetricSquare) -> bool:
     n = geo.calc.tensor_square.dim
-    p_sym = symmetrizer(geo.calc, geo.cert)
+    p_sym = symmetrizer(geo.calc, geo.sigma)
     for x in range(n):
         px = p_sym.apply(basis_vector(n, x))
         for y in range(n):
@@ -264,12 +270,12 @@ def squared_pairing_symmetrizer_hops(geo: Geometry, square: MetricSquare) -> boo
     return True
 
 
-def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSquare) -> bool:
+def squared_contraction_matches_field_tensor(metric, zs, qt, square: MetricSquare) -> bool:
     """V_g(w) (x) V_g(h) against the squared contraction of h (x) w, on
-    central pairs."""
-    for zw in cert.center_one_forms.basis:
+    central pairs of the dense central one-forms zs."""
+    for zw in zs:
         phi_w = v_g_map(metric, zw)
-        for zh in cert.center_one_forms.basis:
+        for zh in zs:
             phi_h = v_g_map(metric, zh)
             target = pure(qt, zh, zw)
             for y in range(qt.dim):
@@ -282,7 +288,7 @@ def squared_contraction_matches_field_tensor(metric, cert, qt, square: MetricSqu
 def fields_values_on_central_forms_central(geo: Geometry) -> bool:
     zc = center(geo.calc.algebra)
     for m in geo.fields.maps:
-        for z in geo.cert.center_one_forms.basis:
+        for z in central_basis(geo.calc):
             if not contains_vector(zc, m.apply(z)):
                 return False
     return True
@@ -332,7 +338,7 @@ def derivation_exactly_on_fields(geo: Geometry, noncentral_samples: int = 4) -> 
 
 def antisymmetrized_reference_kills_exact_forms(geo: Geometry) -> bool:
     qt = geo.calc.tensor_square
-    n0 = nabla_zero(geo.calc, geo.cert)
+    n0 = nabla_zero(geo.calc, geo.sigma)
     for i in range(geo.calc.algebra.dim):
         w = n0.apply(col(geo.calc.d0, i))
         for p in range(geo.fields.count):
@@ -380,20 +386,22 @@ def t_tilde_right_center_linear(geo: Geometry, conn) -> bool:
     qt = geo.calc.tensor_square
     zc = center(geo.calc.algebra)
     ne = geo.calc.one_forms.dim
+    g = quotient_metric(geo.calc, geo.metric)
 
     def t_tilde(eta: Vector, theta_coords: dict, omega: Vector) -> Vector:
         # delta_{V_g(eta)} of g(theta (x) omega) minus the derivative of
         # V_g(theta) along V_g(eta), evaluated at omega
         y = vec_to_sparse(geo.metric.v_g.apply(eta))
         theta_form = geo.metric.v_g_inv.apply(sparse_to_vec(theta_coords, estar.dim))
-        gval = geo.metric.g.apply(pure(qt, theta_form, omega))
+        gval = g.apply(pure(qt, theta_form, omega))
         der = covariant_derivative(geo, conn, theta_coords, y)
         first = geo.dual(y).delta.apply(gval)
         second = estar.matrix_of(der).apply(omega)
         return tuple(a - b for a, b in zip(first, second))
 
-    for eta in geo.cert.center_one_forms.basis:
-        for z in geo.cert.center_one_forms.basis:
+    zs = central_basis(geo.calc)
+    for eta in zs:
+        for z in zs:
             theta = vec_to_sparse(geo.metric.v_g.apply(z))
             for a in zc.basis:
                 theta_a = _apply_sparse(right_action(estar.bimodule, a), theta)

@@ -1,7 +1,7 @@
 """Seeded test inputs: metrics and Leibniz perturbations.
 
 A seeded metric is fixed, like sigma, by its values on the central tensors
-of the tameness certificate, drawn from the center of the algebra.  The
+of the tensor square, drawn from the center of the algebra.  The
 perturbation shifts are drawn over the basis of hom_A(E, E (x)_A E), the
 right-linear maps built from the images of the central generators of the
 one-forms, or over the part of it that the wedge kills.  That construction
@@ -10,9 +10,9 @@ is checked against the kernel construction dense_reference.hom_kernel.
 
 from random import Random
 
-from dense_reference import center, nabla_zero, vec_is_zero
+from dense_reference import CertificateParts, center, nabla_zero, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
-from tamecalc.calculus import Calculus, TamenessCertificate
+from tamecalc.calculus import Calculus
 from tamecalc.connection import Geometry
 from tamecalc.errors import ContractViolationError, InternalInconsistencyError, Refusal
 from tamecalc.linalg import (
@@ -45,7 +45,7 @@ def random_leibniz_perturbation(geo: Geometry, seed: int) -> Matrix:
                 nonzero = True
                 alpha = alpha + hom.basis[s].scale(qi(c))
         if nonzero or hom.dim == 0:
-            return nabla_zero(geo.calc, geo.cert) + alpha
+            return nabla_zero(geo.calc, geo.sigma) + alpha
 
 
 def random_torsionless_perturbation(geo: Geometry, seed: int) -> Matrix:
@@ -67,10 +67,10 @@ def random_torsionless_perturbation(geo: Geometry, seed: int) -> Matrix:
     alpha = Matrix.zeros(geo.calc.tensor_square.dim, ne)
     for s, c in x.items():
         alpha = alpha + hom.basis[s].scale(c)
-    return nabla_zero(geo.calc, geo.cert) + alpha
+    return nabla_zero(geo.calc, geo.sigma) + alpha
 
 
-def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
+def random_metric(calc: Calculus, sigma: Matrix, seed: int,
                   attempts: int = 64) -> Matrix:
     """A deterministic, seeded, valid, non-Euclidean metric on plain tensor
     coordinates, the form `validate_metric` takes.
@@ -87,7 +87,8 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
     rng = Random(seed)
     alg = calc.algebra
     zc_alg = center(alg)
-    nz = len(cert.center_one_forms.rows)
+    spanning = CertificateParts(calc, sigma).spanning
+    nz = len(calc.one_forms.central_generators.zs)
     if nz == 0:
         raise ContractViolationError("random_metric needs at least one central one-form")
     # unknown u = (p, q, b), p <= q, is the coefficient of center basis
@@ -100,7 +101,7 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
         [{j * alg.dim + y: v for j in (p * nz + q, q * nz + p) for y, v in zc_alg.rows[b].items()}
          for p, q, b in unknowns], nimages)
     relations = Matrix.from_sparse_rows(
-        cert.spanning.relation_rows(Bimodule.regular(alg)), nimages)
+        spanning.relation_rows(Bimodule.regular(alg)), nimages)
     kernel = kernel_rows((relations @ lift).sparse_rows(), len(unknowns))
     for _ in range(attempts):
         x = _lincomb([(qi(rng.randint(-3, 3)), k) for k in kernel])
@@ -112,12 +113,12 @@ def random_metric(calc: Calculus, cert: TamenessCertificate, seed: int,
         # g(pi(z_p (x) z_q) . a_r) = coeff[p][q] a_r
         values = [_apply_sparse(alg.right_basis_matrix(r), vec_to_sparse(coeff[p][q]))
                   for p in range(nz) for q in range(nz) for r in range(alg.dim)]
-        g = cert.spanning.extend(values, alg.dim)
+        g = spanning.extend(values, alg.dim)
         if g is None:
             raise InternalInconsistencyError(
                 "a seeded metric breaks a relation among the central tensors")
         g = g @ calc.tensor_square.project
-        if isinstance(validate_metric(calc, cert, g), Refusal):
+        if isinstance(validate_metric(calc, sigma, g), Refusal):
             continue
         euclidean = all(
             (coeff[p][q] == alg.unit if p == q else vec_is_zero(coeff[p][q]))

@@ -20,7 +20,7 @@ from tamecalc.bimodule import (
     Bimodule,
     dual_module,
     hom_A,
-    is_centered,
+    missing_direction,
     module_center,
     pair_apply,
     tensor_over_A,
@@ -271,12 +271,11 @@ def test_hom_from_a_source_that_is_not_centered_raises():
     one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
     e = Bimodule(alg, 1, [one, zero], [zero, one])
     e.validate()
-    rep = is_centered(e)
-    assert not rep.ok and rep.witness == basis_vector(1, 0)
+    assert not e.central_generators.spans and missing_direction(e) == basis_vector(1, 0)
     for build in (lambda: hom_A(e, Bimodule.regular(alg)), lambda: dual_module(e)):
         with pytest.raises(ContractViolationError) as err:
             build()
-        assert err.value.witness == rep.witness
+        assert err.value.witness == missing_direction(e)
 
 
 def test_hom_actions_match_pointwise_rule(fuzzy_calc):
@@ -325,12 +324,11 @@ def test_center_with_counit_twisted_left_action():
 
 
 def test_regular_bimodule_is_centered(fuzzy):
-    rep = is_centered(Bimodule.regular(fuzzy.algebra))
-    assert rep.ok and rep.witness is None
+    assert Bimodule.regular(fuzzy.algebra).central_generators.spans
 
 
 def test_free_module_with_central_basis_is_centered(fuzzy_calc):
-    assert is_centered(fuzzy_calc.one_forms).ok
+    assert fuzzy_calc.one_forms.central_generators.spans
 
 
 def test_sign_twisted_module_is_not_centered():
@@ -340,9 +338,8 @@ def test_sign_twisted_module_is_not_centered():
     # invariants beyond scalars, and the center collapses to zero.
     twisted = Bimodule(alg, 2, [reg.left[0], -reg.left[1]], list(reg.right))
     twisted.validate()
-    rep = is_centered(twisted)
-    assert not rep.ok
-    assert rep.witness is not None
+    assert not twisted.central_generators.spans
+    assert missing_direction(twisted) is not None
 
 
 def test_centered_module_central_elements_commute_with_algebra_center(fuzzy_calc):
@@ -377,11 +374,10 @@ def central_decomposition(qt, x):
     Possible exactly when F is centered; fails loudly otherwise.
     """
     f = qt.right_factor
-    rep = is_centered(f)
-    if not rep.ok:
+    if not f.central_generators.spans:
         raise ContractViolationError(
-            "central_decomposition: right factor is not centered", witness=rep.witness)
-    zbasis = list(rep.center.basis)
+            "central_decomposition: right factor is not centered", witness=missing_direction(f))
+    zbasis = list(module_center(f).basis)
     solver = ColumnSolver(from_cols(right_span_columns(f, zbasis), f.dim))
     nA = f.algebra.dim
     fdim = f.dim

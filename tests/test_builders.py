@@ -77,9 +77,9 @@ def test_torus_preset_properties(torus_preset, torus_geo):
 def test_every_builder_output_is_tame(fuzzy_preset, torus_preset):
     for preset in (fuzzy_preset, torus_preset):
         assert validate_calculus(preset.calculus).ok
-        cert = build_symmetry(preset.calculus)
-        assert not isinstance(cert, Refusal), cert.detail
-        m = validate_metric(preset.calculus, cert, preset.metric_plain)
+        sigma = build_symmetry(preset.calculus)
+        assert not isinstance(sigma, Refusal), sigma.detail
+        m = validate_metric(preset.calculus, sigma, preset.metric_plain)
         assert not isinstance(m, Refusal), m.detail
 
 

@@ -52,15 +52,15 @@ def fuzzy(fuzzy_spec):
 
 
 @pytest.fixture(scope="module")
-def fuzzy_cert(fuzzy):
-    cert = build_symmetry(fuzzy)
-    assert not isinstance(cert, Refusal), cert.detail
-    return cert
+def fuzzy_sigma(fuzzy):
+    sigma = build_symmetry(fuzzy)
+    assert not isinstance(sigma, Refusal), sigma.detail
+    return sigma
 
 
 @pytest.fixture(scope="module")
-def fuzzy_parts(fuzzy, fuzzy_cert):
-    return CertificateParts(fuzzy, fuzzy_cert)
+def fuzzy_parts(fuzzy, fuzzy_sigma):
+    return CertificateParts(fuzzy, fuzzy_sigma)
 
 
 def truncated_line_chevalley():
@@ -194,11 +194,11 @@ def test_fuzzy_certificate_dimensions(fuzzy_parts):
 
 def test_truncated_line_certificate_is_trivial():
     calc = build_chevalley(truncated_line_chevalley())
-    cert = build_symmetry(calc)
-    assert not isinstance(cert, Refusal)
-    parts = CertificateParts(calc, cert)
+    sigma = build_symmetry(calc)
+    assert not isinstance(sigma, Refusal)
+    parts = CertificateParts(calc, sigma)
     n = parts.tensor_square.dim
-    assert cert.sigma == Matrix.identity(n)
+    assert sigma == Matrix.identity(n)
     assert parts.p_sym == Matrix.identity(n)
     assert parts.complement_f.dim == 0
 
@@ -263,76 +263,76 @@ def _block_diag(m):
     return Matrix(2 * n, 2 * n, out)
 
 
-def test_sigma_flips_central_tensors(fuzzy, fuzzy_cert):
+def test_sigma_flips_central_tensors(fuzzy, fuzzy_sigma, fuzzy_parts):
     qt = fuzzy.tensor_square
-    for z1 in fuzzy_cert.center_one_forms.basis:
-        for z2 in fuzzy_cert.center_one_forms.basis:
-            assert fuzzy_cert.sigma.apply(pure(qt, z1, z2)) == pure(qt, z2, z1)
+    for z1 in fuzzy_parts.center_one_forms.basis:
+        for z2 in fuzzy_parts.center_one_forms.basis:
+            assert fuzzy_sigma.apply(pure(qt, z1, z2)) == pure(qt, z2, z1)
 
 
-def test_sigma_flips_with_one_central_factor(fuzzy, fuzzy_cert):
+def test_sigma_flips_with_one_central_factor(fuzzy, fuzzy_sigma, fuzzy_parts):
     # the flip persists when only one leg is central
     qt = fuzzy.tensor_square
     e_dim = fuzzy.one_forms.dim
-    for z in fuzzy_cert.center_one_forms.basis:
+    for z in fuzzy_parts.center_one_forms.basis:
         for s in (0, 5, 11):
             e = basis_vector(e_dim, s)
-            assert fuzzy_cert.sigma.apply(pure(qt, z, e)) == pure(qt, e, z)
-            assert fuzzy_cert.sigma.apply(pure(qt, e, z)) == pure(qt, z, e)
+            assert fuzzy_sigma.apply(pure(qt, z, e)) == pure(qt, e, z)
+            assert fuzzy_sigma.apply(pure(qt, e, z)) == pure(qt, z, e)
 
 
-def test_certificate_operator_identities(fuzzy_cert, fuzzy_parts):
-    cert, parts = fuzzy_cert, fuzzy_parts
+def test_certificate_operator_identities(fuzzy_sigma, fuzzy_parts):
+    sigma, parts = fuzzy_sigma, fuzzy_parts
     n = parts.tensor_square.dim
     wedge_q = parts.calculus.wedge_q
-    assert cert.sigma @ cert.sigma == Matrix.identity(n)
+    assert sigma @ sigma == Matrix.identity(n)
     assert parts.p_sym @ parts.p_sym == parts.p_sym
     assert (wedge_q @ parts.p_sym).is_zero()
-    q_inv = q_inverse(parts.calculus, cert)
+    q_inv = q_inverse(parts.calculus, sigma)
     assert wedge_q @ q_inv == Matrix.identity(parts.calculus.two_forms.dim)
     assert (parts.p_sym @ q_inv).is_zero()  # preimages avoid ker(wedge)
 
 
-def test_q_inverse_on_zero(fuzzy, fuzzy_cert):
+def test_q_inverse_on_zero(fuzzy, fuzzy_sigma):
     w2 = fuzzy.two_forms.dim
-    assert vec_is_zero(q_inverse(fuzzy, fuzzy_cert).apply(zero_vector(w2)))
+    assert vec_is_zero(q_inverse(fuzzy, fuzzy_sigma).apply(zero_vector(w2)))
 
 
-def test_q_inverse_inverts_wedge_on_complement(fuzzy, fuzzy_cert, fuzzy_parts):
+def test_q_inverse_inverts_wedge_on_complement(fuzzy, fuzzy_sigma, fuzzy_parts):
     wedge_q = fuzzy.wedge_q
-    q_inv = q_inverse(fuzzy, fuzzy_cert)
+    q_inv = q_inverse(fuzzy, fuzzy_sigma)
     for f in fuzzy_parts.complement_f.basis:
         assert q_inv.apply(wedge_q.apply(f)) == f
 
 
-def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_cert):
+def test_q_inverse_of_theta_wedge_theta(fuzzy, fuzzy_sigma):
     # theta_1 ^ theta_2 pulls back to (theta_1 (x) theta_2 - theta_2 (x) theta_1)/2
     qt = fuzzy.tensor_square
     theta = [basis_vector(12, j * 4) for j in range(3)]
     w = wedge_of(fuzzy, theta[0], theta[1])
     expect = tuple(HALF * (a - b) for a, b in
                    zip(pure(qt, theta[0], theta[1]), pure(qt, theta[1], theta[0])))
-    assert q_inverse(fuzzy, fuzzy_cert).apply(w) == expect
+    assert q_inverse(fuzzy, fuzzy_sigma).apply(w) == expect
 
 
-def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_cert, fuzzy_parts):
+def test_antisymmetrizer_equals_canonical_wedge_preimage(fuzzy, fuzzy_sigma, fuzzy_parts):
     # (1 - P_sym) gamma and the canonical preimage of wedge(gamma) agree,
     # so functionals paired against a two-form do not see the preimage choice.
-    cert = fuzzy_cert
+    sigma = fuzzy_sigma
     qt = fuzzy_parts.tensor_square
     n = qt.dim
     one_minus_p = Matrix.identity(n) - fuzzy_parts.p_sym
     wedge_q = fuzzy.wedge_q
-    q_inv = q_inverse(fuzzy, cert)
+    q_inv = q_inverse(fuzzy, sigma)
     for j in range(n):
         gamma = basis_vector(n, j)
         assert one_minus_p.apply(gamma) == q_inv.apply(wedge_q.apply(gamma))
 
 
-def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert, fuzzy_parts):
+def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_sigma, fuzzy_parts):
     # (phi (x) psi) applied to twice the antisymmetrized gamma equals the
     # pairing against the canonical preimage of wedge(gamma), psi central.
-    cert = fuzzy_cert
+    sigma = fuzzy_sigma
     qt = fuzzy_parts.tensor_square
     estar = dual_module(fuzzy.one_forms)
     zdual = module_center(estar.bimodule)
@@ -340,7 +340,7 @@ def test_pairing_of_two_form_preimage_identity(fuzzy, fuzzy_cert, fuzzy_parts):
     psi = estar.matrix_of(zdual.rows[0])
     n = qt.dim
     one_minus_p = Matrix.identity(n) - fuzzy_parts.p_sym
-    q_inv = q_inverse(fuzzy, cert)
+    q_inv = q_inverse(fuzzy, sigma)
     for j in (0, 13, 29):
         gamma = basis_vector(n, j)
         lhs = pair_apply(qt, phi, psi,

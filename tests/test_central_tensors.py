@@ -17,6 +17,8 @@ import pytest
 
 from conftest import load_perfbench
 from dense_reference import (
+    CertificateParts,
+    central_basis,
     compat_values,
     direct_system_reference,
     grassmann,
@@ -26,6 +28,7 @@ from dense_reference import (
     nabla_zero,
     pi_g_matrix,
     pure,
+    quotient_metric,
     through_central_tensors,
     vec_is_zero,
 )
@@ -51,9 +54,9 @@ from tamecalc.metric import validate_metric
 
 @pytest.fixture(scope="module")
 def fuzzy3_geo(fuzzy3_calc):
-    cert = build_symmetry(fuzzy3_calc)
-    metric = validate_metric(fuzzy3_calc, cert, random_metric(fuzzy3_calc, cert, 3))
-    return Geometry(fuzzy3_calc, cert, metric)
+    sigma = build_symmetry(fuzzy3_calc)
+    metric = validate_metric(fuzzy3_calc, sigma, random_metric(fuzzy3_calc, sigma, 3))
+    return Geometry(fuzzy3_calc, sigma, metric)
 
 
 @pytest.fixture(params=["fuzzy", "torus", "fuzzy3", "line"])
@@ -64,26 +67,27 @@ def geo(request):
 
 
 def test_family_is_the_central_tensors(geo):
-    cert = geo.cert
+    parts = CertificateParts(geo.calc, geo.sigma)
     qt = geo.calc.tensor_square
-    zs = cert.center_one_forms.rows
-    assert cert.spanning.source is qt.bimodule
-    assert cert.spanning.spans
-    assert cert.spanning.zs == tuple(qt.pure_sparse(zp, zq) for zp in zs for zq in zs)
+    zs = geo.calc.one_forms.central_generators.zs
+    assert zs == parts.center_one_forms.rows
+    assert parts.spanning.source is qt.bimodule
+    assert parts.spanning.spans
+    assert parts.spanning.zs == tuple(qt.pure_sparse(zp, zq) for zp in zs for zq in zs)
 
 
 def test_sigma_matches_solve_through(geo):
     calc = geo.calc
     qt = calc.tensor_square
-    zs = geo.cert.center_one_forms.basis
+    zs = central_basis(calc)
     flipped = [qt.bimodule.right[r].apply(pure(qt, zq, zp))
                for zp in zs for zq in zs for r in range(calc.algebra.dim)]
-    assert geo.cert.sigma == through_central_tensors(calc, flipped, qt.dim)
+    assert geo.sigma == through_central_tensors(calc, flipped, qt.dim)
 
 
 def test_compatibility_map_matches_solve_through(geo):
     calc = geo.calc
-    for conn in (nabla_zero(geo.calc, geo.cert), levi_civita_direct(geo)):
+    for conn in (nabla_zero(geo.calc, geo.sigma), levi_civita_direct(geo)):
         want = through_central_tensors(calc, compat_values(geo, conn), calc.one_forms.dim)
         assert want is not None
         assert pi_g_matrix(geo, conn) == want
@@ -91,18 +95,18 @@ def test_compatibility_map_matches_solve_through(geo):
 
 def test_seeded_metric_matches_solve_through(geo, line_geo, monkeypatch):
     # every draw that random_metric extends, kept or discarded
-    calc, cert = geo.calc, geo.cert
+    calc, sigma = geo.calc, geo.sigma
     real = CentralGenerators.extend
     calls = []
 
     def recording(self, values, out_dim):
         got = real(self, values, out_dim)
-        if self is cert.spanning:
+        if self.source is calc.tensor_square.bimodule:
             calls.append((values, out_dim, got))
         return got
 
     monkeypatch.setattr(CentralGenerators, "extend", recording)
-    assert random_metric(calc, cert, 5) == calls[-1][2] @ calc.tensor_square.project
+    assert random_metric(calc, sigma, 5) == calls[-1][2] @ calc.tensor_square.project
     for values, out_dim, got in calls:
         assert got is not None
         assert got == through_central_tensors(calc, values, out_dim)
@@ -114,24 +118,26 @@ def test_seeded_metric_on_a_module_that_is_not_free(line_geo, seed):
     # draws live in the kernel of the conditions they put on the
     # coefficients, so each seed gives a valid metric that is not the
     # Euclidean one
-    calc, cert = line_geo.calc, line_geo.cert
+    calc, sigma = line_geo.calc, line_geo.sigma
     alg = calc.algebra
-    g = random_metric(calc, cert, seed)
-    outcome = validate_metric(calc, cert, g)
+    g = random_metric(calc, sigma, seed)
+    outcome = validate_metric(calc, sigma, g)
     assert not isinstance(outcome, Refusal)
     # g(z_p (x) z_q) is not 1 on the diagonal and 0 off it
-    k = len(cert.center_one_forms.basis)
+    k = len(calc.one_forms.central_generators.zs)
     unit = vec_to_sparse(alg.unit)
-    on_central = [_apply_sparse(outcome.g, z) for z in cert.spanning.zs]
+    g_quotient = quotient_metric(calc, outcome)
+    on_central = [_apply_sparse(g_quotient, z)
+                  for z in CertificateParts(calc, sigma).spanning.zs]
     assert on_central != [unit if p == q else {} for p in range(k) for q in range(k)]
-    assert g == random_metric(calc, cert, seed)
+    assert g == random_metric(calc, sigma, seed)
 
 
 def test_line_fixture_tensor_relations_refuse_breaking_values(line_geo):
     # 3 * 3 central tensors times dim A = 3 translates span the 3-dimensional
     # tensor square with 24 relations; values breaking one give no map
     calc = line_geo.calc
-    span = line_geo.cert.spanning
+    span = CertificateParts(calc, line_geo.sigma).spanning
     assert calc.tensor_square.dim == 3
     assert len(span.zs) * calc.algebra.dim == 27
     assert len(span.relations) == 24
@@ -159,8 +165,8 @@ def fuzzy2_calc():
 
 
 def _seeded_geo(calc, seed):
-    cert = build_symmetry(calc)
-    return Geometry(calc, cert, validate_metric(calc, cert, random_metric(calc, cert, seed)))
+    sigma = build_symmetry(calc)
+    return Geometry(calc, sigma, validate_metric(calc, sigma, random_metric(calc, sigma, seed)))
 
 
 # (fixture, seed of random_metric); None keeps the fixture's own metric.
@@ -248,8 +254,8 @@ def fuzzy2_geo(fuzzy2_calc):
 
 def _verdict_cases(geo):
     cases = {"levi-civita": levi_civita_direct(geo),
-             "reference": nabla_zero(geo.calc, geo.cert),
-             "grassmann": grassmann(geo.calc, geo.cert)}
+             "reference": nabla_zero(geo.calc, geo.sigma),
+             "grassmann": grassmann(geo.calc, geo.sigma)}
     cases.update((f"perturbed-{seed}", random_leibniz_perturbation(geo, seed))
                  for seed in range(1, 4))
     cases.update((f"torsionless-{seed}", random_torsionless_perturbation(geo, seed))
@@ -282,7 +288,7 @@ def test_both_mixed_verdicts_on_matrix_derivations(fuzzy_geo):
     # the reference connection is torsionless but not compatible, the
     # Grassmann connection compatible but not torsionless
     geo = fuzzy_geo
-    gr, n0 = grassmann(geo.calc, geo.cert), nabla_zero(geo.calc, geo.cert)
+    gr, n0 = grassmann(geo.calc, geo.sigma), nabla_zero(geo.calc, geo.sigma)
     assert levi_civita_verdicts_reference(geo, n0) == (True, False)
     assert levi_civita_verdicts_reference(geo, gr) == (False, True)
     assert generator_verdicts(geo, n0) == (True, False)
@@ -295,7 +301,7 @@ def test_certify_raises_when_the_verdicts_disagree(fuzzy_geo, monkeypatch, condi
     # the Grassmann connection fails only torsion, the reference connection
     # only compatibility; hiding that failure from one side must raise
     geo = fuzzy_geo
-    conn = (grassmann if condition == "torsion" else nabla_zero)(geo.calc, geo.cert)
+    conn = (grassmann if condition == "torsion" else nabla_zero)(geo.calc, geo.sigma)
     if side == "generators":
         monkeypatch.setattr(connection, "defects", lambda geo, conn: {})
     else:
@@ -308,15 +314,15 @@ def test_certify_raises_when_the_verdicts_disagree(fuzzy_geo, monkeypatch, condi
 def test_certify_reads_the_conditions_on_generators_only(fuzzy3_geo, monkeypatch):
     # on a fresh geometry, certify neither forms the whole torsion matrix
     # (the engine has none to form) nor extends a map over the central tensors
-    geo = Geometry(fuzzy3_geo.calc, fuzzy3_geo.cert, fuzzy3_geo.metric)
+    geo = Geometry(fuzzy3_geo.calc, fuzzy3_geo.sigma, fuzzy3_geo.metric)
     conns = [levi_civita_direct(fuzzy3_geo),
-             nabla_zero(fuzzy3_geo.calc, fuzzy3_geo.cert),
-             grassmann(geo.calc, geo.cert)]
+             nabla_zero(fuzzy3_geo.calc, fuzzy3_geo.sigma),
+             grassmann(geo.calc, geo.sigma)]
     real = CentralGenerators.extend
     extended = []
 
     def recording(self, values, out_dim):
-        if self is geo.cert.spanning:
+        if self.source is geo.calc.tensor_square.bimodule:
             extended.append(out_dim)
         return real(self, values, out_dim)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
-from dense_reference import grassmann, nabla_zero
+from dense_reference import central_basis, grassmann, nabla_zero
 from tamecalc import algebra, bimodule, calculus, cli
 from tamecalc.builders import (
     PRESETS,
@@ -171,14 +171,12 @@ def test_connect_torus_flat(workdir, capsys):
     # each generator block sum against the unit coordinates; spot-check by
     # applying to the first central basis vector through the spec data
     spec = load_spec(workdir / "torus.json")
-    from tamecalc.calculus import build_symmetry
     from tamecalc.specfile import connection_from_json
     from dense_reference import vec_is_zero
 
-    cert = build_symmetry(spec.calculus)
     nabla, _ = connection_from_json(obj, spec.calculus.tensor_square.dim,
                                     spec.calculus.one_forms.dim)
-    for z in cert.center_one_forms.basis:
+    for z in central_basis(spec.calculus):
         assert vec_is_zero(nabla.apply(z))
 
 
@@ -233,13 +231,11 @@ def test_spec_frame_key_is_ignored(workdir, capsys, tmp_path):
     # "frame" is no spec key: a spec carrying one, here a single central
     # generator that splits nothing, loads, saves back without it and
     # connects to the default connection
-    from tamecalc.calculus import build_symmetry
     from tamecalc.specfile import vector_to_json
 
     spec = load_spec(workdir / "fuzzy.json")
-    cert = build_symmetry(spec.calculus)
     obj = json.loads((workdir / "fuzzy.json").read_text())
-    obj["frame"] = [vector_to_json(cert.center_one_forms.basis[0])]
+    obj["frame"] = [vector_to_json(central_basis(spec.calculus)[0])]
     framed = tmp_path / "framed.json"
     framed.write_text(dumps_canonical(obj))
     saved = tmp_path / "saved.json"
@@ -266,32 +262,49 @@ def test_connect_builds_no_reference_connection(workdir, capsys, tmp_path, line_
         assert not hasattr(connection, name), name
     assert main(["connect", str(workdir / "fuzzy.json"), "--out", str(tmp_path / "c.json")]) == 0
     capsys.readouterr()
-    geo = Geometry(line_geo.calc, line_geo.cert, line_geo.metric)
+    geo = Geometry(line_geo.calc, line_geo.sigma, line_geo.metric)
     assert levi_civita_direct(geo) == \
         levi_civita_direct(line_geo)
+
+
+def _one_form_centers(monkeypatch):
+    """Record every module_center call made from tamecalc; the returned
+    function counts those on the one-forms of the spec the command loaded."""
+    import sys
+
+    from tamecalc import bimodule
+
+    specs, centers = [], []
+    real_load, real_center = cli.load_spec, bimodule.module_center
+
+    def loaded(path):
+        specs.append(real_load(path))
+        return specs[-1]
+
+    def counted(e):
+        centers.append(e)
+        return real_center(e)
+
+    monkeypatch.setattr(cli, "load_spec", loaded)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tamecalc" and \
+                getattr(module, "module_center", None) is real_center:
+            monkeypatch.setattr(module, "module_center", counted)
+    return lambda: sum(e is spec.calculus.one_forms for spec in specs for e in centers)
 
 
 @pytest.mark.parametrize("command", ["check", "connect"])
 def test_one_forms_are_tested_for_centeredness_once(workdir, capsys, tmp_path, monkeypatch,
                                                     command):
-    # the tameness certificate, E* and the connection layer share one
-    # decision and one set of central generators
-    from tamecalc import bimodule
-
-    calls = []
-    real = bimodule.is_centered
-
-    def counted(e):
-        calls.append(e)
-        return real(e)
-
-    monkeypatch.setattr(bimodule, "is_centered", counted)
+    # the symmetry, E* and the connection layer share one decision, the
+    # `spans` of the one-forms' central generators, and one center of E
+    one_form_centers = _one_form_centers(monkeypatch)
     argv = [command, str(workdir / "fuzzy.json")]
     if command == "connect":
         argv += ["--out", str(tmp_path / "conn.json")]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert one_form_centers() == 1
 
 
 @pytest.mark.parametrize("command, built", [("check", 2), ("connect", 3), ("verify", 3)])
@@ -300,7 +313,7 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
     # E, E (x)_A E and E* each get one CentralGenerators (E* only once
     # there are vector fields), no map is solved from scratch, and no
     # family z_j . a_s is eliminated a second time as a Subspace (centeredness
-    # is read off E's CentralGenerators)
+    # is read off E's CentralGenerators, over the one center of E)
     import sys
 
     from tamecalc import bimodule, linalg
@@ -330,6 +343,7 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
             super().__init__(ambient_dim, vectors)
 
     monkeypatch.setattr(bimodule.CentralGenerators, "__init__", counted_init)
+    one_form_centers = _one_form_centers(monkeypatch)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "tamecalc":
             continue
@@ -345,6 +359,7 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
     assert main(argv) == 0
     capsys.readouterr()
     assert len(families) == built
+    assert one_form_centers() == 1
     assert solves == []
     assert spans and not any(vectors == family for vectors in spans for family in families)
 
@@ -409,8 +424,8 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    cert = build_symmetry(spec.calculus)
-    conn = grassmann(spec.calculus, cert)
+    sigma = build_symmetry(spec.calculus)
+    conn = grassmann(spec.calculus, sigma)
     art = tmp_path / "grassmann.json"
     art.write_text(dumps_canonical(connection_to_json(
         conn, [], {}, input_digest((workdir / "fuzzy.json").read_bytes()))))
@@ -432,8 +447,8 @@ def test_verify_reference_connection_is_torsionless_but_not_compatible(workdir, 
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    cert = build_symmetry(spec.calculus)
-    conn = nabla_zero(spec.calculus, cert)
+    sigma = build_symmetry(spec.calculus)
+    conn = nabla_zero(spec.calculus, sigma)
     art = tmp_path / "reference.json"
     art.write_text(dumps_canonical(connection_to_json(conn, [], {}, spec.digest)))
     code, out = run(capsys, ["verify", "--json", str(workdir / "fuzzy.json"), str(art)])
@@ -507,6 +522,26 @@ def test_verify_malformed_artifact_exits_two(workdir, capsys, tmp_path):
     art = tmp_path / "malformed.json"
     art.write_text(json.dumps({"nabla": [["0", "0"]]}))
     assert main(["verify", str(workdir / "fuzzy.json"), str(art)]) == 2
+
+
+@pytest.mark.parametrize("artifact, message", [
+    ({}, "connection: missing value matrix"),
+    ({"nabla": [["1"]]}, "connection.nabla: expected 36 rows"),
+], ids=["empty", "one-entry"])
+def test_verify_checks_the_artifact_shape_when_a_check_fails(workdir, capsys, tmp_path,
+                                                            artifact, message):
+    # a spec that fails wedge_middle_linear and a malformed artifact: the
+    # artifact is parsed whether or not the checks pass, so bad input wins
+    obj = json.loads((workdir / "fuzzy.json").read_text())
+    obj["wedge"][0][1] = "7"
+    spec = tmp_path / "broken-wedge.json"
+    spec.write_text(json.dumps(obj))
+    art = tmp_path / "artifact.json"
+    art.write_text(json.dumps(artifact))
+    assert main(["verify", str(spec), str(art)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in _input_error_line(captured.err)
 
 
 def _input_error(capsys) -> str:
@@ -823,6 +858,16 @@ def test_connect_artifact_with_dense_inverse_metric_matches_golden(capsys, tmp_p
                  "--out", str(art_path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(art_path.read_bytes()).hexdigest() == GOLDEN_DENSE_INVERSE
+
+
+def test_small_preset_outputs_match_the_digest_manifest():
+    # tests/digests.py pins what every command prints, exits with and
+    # writes; its cases on the two small presets run here
+    import digests
+
+    manifest = json.loads(digests.MANIFEST.read_text())
+    assert digests.differences(digests.compute(small_only=True), manifest,
+                               small_only=True) == []
 
 
 def test_spec_files_round_trip_exactly(workdir):

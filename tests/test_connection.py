@@ -6,6 +6,8 @@ import pytest
 
 import lemma_checks as lc
 from dense_reference import (
+    CertificateParts,
+    central_basis,
     col,
     commutator,
     direct_system_reference,
@@ -97,7 +99,7 @@ def _is_idempotent(calc, frame, splitting) -> bool:
 
 def test_grassmann_splitting_is_coordinate_map(fuzzy_geo):
     geo = fuzzy_geo
-    frame = geo.cert.center_one_forms.basis
+    frame = central_basis(geo.calc)
     splitting = _splitting(geo.calc, frame)
     unit = geo.calc.algebra.unit
     for j, gen in enumerate(frame):
@@ -108,17 +110,17 @@ def test_grassmann_splitting_is_coordinate_map(fuzzy_geo):
 
 
 def test_grassmann_vanishes_on_frame(fuzzy_geo):
-    conn = grassmann(fuzzy_geo.calc, fuzzy_geo.cert)
-    for gen in fuzzy_geo.cert.center_one_forms.basis:
+    conn = grassmann(fuzzy_geo.calc, fuzzy_geo.sigma)
+    for gen in central_basis(fuzzy_geo.calc):
         assert vec_is_zero(conn.apply(gen))
 
 
 def test_grassmann_leibniz_on_translates(fuzzy_geo):
     geo = fuzzy_geo
-    conn = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.sigma)
     e = geo.calc.one_forms
     qt = geo.calc.tensor_square
-    for gen in geo.cert.center_one_forms.basis:
+    for gen in central_basis(geo.calc):
         for i in range(4):
             lhs = conn.apply(e.right[i].apply(gen))
             assert lhs == pure(qt, gen, col(geo.calc.d0, i))
@@ -128,14 +130,14 @@ def test_grassmann_of_exact_form(fuzzy_geo):
     # dU expands over the frame with coefficients ad_k(U), so its image is
     # the sum of theta_k (x) d(ad_k(U)).
     geo = fuzzy_geo
-    conn = grassmann(geo.calc, geo.cert)
-    splitting = _splitting(geo.calc, geo.cert.center_one_forms.basis)
+    conn = grassmann(geo.calc, geo.sigma)
+    splitting = _splitting(geo.calc, central_basis(geo.calc))
     alg = geo.calc.algebra
     qt = geo.calc.tensor_square
     u = basis_vector(4, 1)
     du = geo.calc.d0.apply(u)
     want = zero_vector(qt.dim)
-    for k, gen in enumerate(geo.cert.center_one_forms.basis):
+    for k, gen in enumerate(central_basis(geo.calc)):
         coeff = splitting[k].apply(du)
         want = tuple(x + y for x, y in
                      zip(want, pure(qt, gen, geo.calc.d0.apply(coeff))))
@@ -148,37 +150,37 @@ def test_grassmann_of_exact_form(fuzzy_geo):
 
 def test_torsion_of_grassmann_is_d_on_frame(fuzzy_geo):
     geo = fuzzy_geo
-    conn = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.sigma)
     t = torsion(geo.calc, conn)
-    for gen in geo.cert.center_one_forms.basis:
+    for gen in central_basis(geo.calc):
         assert t.apply(gen) == geo.calc.d1.apply(gen)
     assert not t.is_zero()
 
 
 def test_torsion_of_grassmann_vanishes_on_torus(torus_geo):
     geo = torus_geo
-    conn = grassmann(geo.calc, geo.cert)
+    conn = grassmann(geo.calc, geo.sigma)
     assert torsion(geo.calc, conn).is_zero()
 
 
 def test_nabla_zero_is_torsionless(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
-        n0 = nabla_zero(geo.calc, geo.cert)
+        n0 = nabla_zero(geo.calc, geo.sigma)
         assert torsion(geo.calc, n0).is_zero()
         assert leibniz_witness(geo.calc, n0) is None
 
 
 def test_nabla_zero_equals_grassmann_on_torus(torus_geo):
     geo = torus_geo
-    gr = grassmann(geo.calc, geo.cert)
-    assert nabla_zero(geo.calc, geo.cert) == gr
+    gr = grassmann(geo.calc, geo.sigma)
+    assert nabla_zero(geo.calc, geo.sigma) == gr
 
 
 def test_nabla_zero_corrects_frame_torsion(fuzzy_geo):
     geo = fuzzy_geo
-    n0 = nabla_zero(geo.calc, geo.cert)
-    q_inv = q_inverse(geo.calc, geo.cert)
-    for z in geo.cert.center_one_forms.basis:
+    n0 = nabla_zero(geo.calc, geo.sigma)
+    q_inv = q_inverse(geo.calc, geo.sigma)
+    for z in central_basis(geo.calc):
         want = tuple(-x for x in q_inv.apply(geo.calc.d1.apply(z)))
         assert n0.apply(z) == want
 
@@ -202,35 +204,35 @@ GOLDEN_REFERENCE = {
 
 def test_reference_connection_matches_golden_digests(fuzzy_geo, torus_geo):
     for name, geo in (("matrix-derivations", fuzzy_geo), ("abelian-torus", torus_geo)):
-        text = dumps_canonical(matrix_to_json(nabla_zero(geo.calc, geo.cert)))
+        text = dumps_canonical(matrix_to_json(nabla_zero(geo.calc, geo.sigma)))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REFERENCE[name], name
 
 
 @pytest.fixture(scope="module")
-def fuzzy3_cert(fuzzy3_calc):
+def fuzzy3_sigma(fuzzy3_calc):
     return build_symmetry(fuzzy3_calc)
 
 
 def _frame_case(request, preset: str, frame_name: str):
-    """(calc, cert, frame): the central basis, or it with a translate
+    """(calc, sigma, frame): the central basis, or it with a translate
     z_0 . a_1, every z_i . a_1, or z_0 + z_1 prepended, as dense vectors."""
     if preset == "fuzzy-sphere-3":
         calc = request.getfixturevalue("fuzzy3_calc")
-        cert = request.getfixturevalue("fuzzy3_cert")
+        sigma = request.getfixturevalue("fuzzy3_sigma")
     else:
         geo = request.getfixturevalue({"matrix-derivations": "fuzzy_geo",
                                        "abelian-torus": "torus_geo",
                                        "truncated-line": "line_geo"}[preset])
-        calc, cert = geo.calc, geo.cert
+        calc, sigma = geo.calc, geo.sigma
     e = calc.one_forms
-    z = list(cert.center_one_forms.basis)
+    z = list(central_basis(calc))
     prepended = {
         "default": [],
         "translate": [e.right[1].apply(z[0])],
         "all-translates": [e.right[1].apply(zi) for zi in z],
         "sum": [tuple(a + b for a, b in zip(z[0], z[1]))],
     }[frame_name]
-    return calc, cert, tuple(prepended + z)
+    return calc, sigma, tuple(prepended + z)
 
 
 # on the truncated line E is not free on its central generators, so the
@@ -248,25 +250,25 @@ FRAME_CASES = [(preset, frame_name)
 ])
 def test_reference_connection_on_overcomplete_frames_matches_golden_digests(
         request, preset, frame_name):
-    calc, cert, frame = _frame_case(request, preset, frame_name)
+    calc, sigma, frame = _frame_case(request, preset, frame_name)
     sparse_frame = [vec_to_sparse(g) for g in frame]
-    text = dumps_canonical(matrix_to_json(nabla_zero(calc, cert, sparse_frame)))
+    text = dumps_canonical(matrix_to_json(nabla_zero(calc, sigma, sparse_frame)))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         GOLDEN_REFERENCE[f"{preset} {frame_name}"]
 
 
 @pytest.mark.parametrize("preset, frame_name", FRAME_CASES)
 def test_grassmann_matches_whole_matrix_reference(request, preset, frame_name):
-    calc, cert, frame = _frame_case(request, preset, frame_name)
+    calc, sigma, frame = _frame_case(request, preset, frame_name)
     sparse_frame = [vec_to_sparse(g) for g in frame]
-    assert grassmann(calc, cert, sparse_frame) == grassmann_reference(calc, frame)
+    assert grassmann(calc, sigma, sparse_frame) == grassmann_reference(calc, frame)
 
 
 @pytest.mark.parametrize("preset, frame_name", FRAME_CASES)
 def test_grassmann_splitting_reconstructs_and_is_idempotent(request, preset, frame_name):
     # solved on the central generators only, the splitting still
     # reconstructs every basis vector
-    calc, cert, frame = _frame_case(request, preset, frame_name)
+    calc, sigma, frame = _frame_case(request, preset, frame_name)
     e = calc.one_forms
     splitting = _splitting(calc, frame)
     for k in range(e.dim):
@@ -298,7 +300,7 @@ def test_leibniz_witness_order_on_changed_entry(fuzzy_geo, torus_geo):
     # matrix-derivations-2 the one-form index outer would give (4, 2))
     for geo, entry, want in ((fuzzy_geo, (0, 6), (6, 1)), (fuzzy_geo, (7, 4), (4, 1)),
                              (torus_geo, (0, 6), (6, 1)), (torus_geo, (7, 4), (3, 1))):
-        n0 = nabla_zero(geo.calc, geo.cert)
+        n0 = nabla_zero(geo.calc, geo.sigma)
         entries = [list(r) for r in n0.entries]
         r, c = entry
         entries[r][c] = entries[r][c] + qi(1)
@@ -317,7 +319,7 @@ def test_covariant_derivative_direction_must_be_field(fuzzy_geo, fuzzy_lc):
 
 def test_flat_connection_has_zero_table(torus_geo):
     geo = torus_geo
-    n0 = nabla_zero(geo.calc, geo.cert)
+    n0 = nabla_zero(geo.calc, geo.sigma)
     table = covariant_table(geo, n0)
     assert all(entry == {} for row in table for entry in row)
 
@@ -398,7 +400,7 @@ def test_tables_store_no_zeros(fuzzy_geo, torus_geo):
     # table_matches_connection compare
     for geo in (fuzzy_geo, torus_geo):
         tables = [geo.lie_table, levi_civita_koszul(geo)[1],
-                  covariant_table(geo, grassmann(geo.calc, geo.cert))]
+                  covariant_table(geo, grassmann(geo.calc, geo.sigma))]
         for table in tables:
             for row in table:
                 for entry in row:
@@ -462,7 +464,7 @@ def test_generator_images_give_the_hom_space(fuzzy_geo, torus_geo, line_geo):
         reg = Bimodule.regular(geo.calc.algebra)
         gens = e.central_generators
         assert gens is geo.metric.e_star.generators
-        assert gens.zs == geo.cert.center_one_forms.rows
+        assert gens.zs == CertificateParts(geo.calc, geo.sigma).center_one_forms.rows
         assert len(gens.relation_rows(t2)) == relations * t2.dim
         for source, target in ((e, reg), (e, t2), (t2, reg)):
             assert hom_A(source, target).flat == hom_kernel(source, target)
@@ -496,19 +498,19 @@ def test_route_equality_euclidean(fuzzy_geo, torus_geo):
 def test_torus_levi_civita_is_flat(torus_geo):
     geo = torus_geo
     kz, table = levi_civita_koszul(geo)
-    for z in geo.cert.center_one_forms.basis:
+    for z in central_basis(geo.calc):
         assert vec_is_zero(kz.apply(z))
     assert all(entry == {} for row in table for entry in row)
     # the direct solver finds the zero perturbation: the reference
     # connection is already the answer here
-    assert levi_civita_direct(geo) == nabla_zero(geo.calc, geo.cert)
+    assert levi_civita_direct(geo) == nabla_zero(geo.calc, geo.sigma)
 
 
 def test_scaled_metric_same_connection(fuzzy_geo):
     geo = fuzzy_geo
     p = preset_matrix_derivations(2)
-    doubled = validate_metric(geo.calc, geo.cert, p.metric_plain.scale(qi(2)))
-    geo2 = Geometry(geo.calc, geo.cert, doubled)
+    doubled = validate_metric(geo.calc, geo.sigma, p.metric_plain.scale(qi(2)))
+    geo2 = Geometry(geo.calc, geo.sigma, doubled)
     kz, _ = levi_civita_koszul(geo2)
     assert kz == levi_civita_koszul(geo)[0]
     assert levi_civita_direct(geo2) == kz
@@ -525,7 +527,7 @@ def test_levi_civita_is_torsionless_and_compatible(fuzzy_geo, fuzzy_lc):
 
 def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):
     geo = fuzzy_geo
-    gr = grassmann(geo.calc, geo.cert)
+    gr = grassmann(geo.calc, geo.sigma)
     verdicts = certify(geo, gr)
     assert not verdicts.ok
     assert verdicts.leibniz is None
@@ -536,14 +538,14 @@ def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):
 
 def test_reference_connection_passes_torsion_everywhere(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
-        n0 = nabla_zero(geo.calc, geo.cert)
+        n0 = nabla_zero(geo.calc, geo.sigma)
         assert torsion_witnesses(geo, covariant_table(geo, n0)) == ()
 
 
 def test_torus_reference_connection_is_compatible(torus_geo):
     # the reference connection is already Levi-Civita on the flat preset
     geo = torus_geo
-    n0 = nabla_zero(geo.calc, geo.cert)
+    n0 = nabla_zero(geo.calc, geo.sigma)
     assert certify(geo, n0).ok
 
 
@@ -551,7 +553,7 @@ def test_flat_connection_with_varying_metric_incompatible(line_geo):
     # the exact forms of this calculus do not pin a bracket, so only the
     # compatibility half of the certification applies
     geo = line_geo
-    gr = grassmann(geo.calc, geo.cert)
+    gr = grassmann(geo.calc, geo.sigma)
     assert compat_witnesses(geo, covariant_table(geo, gr))
 
 
@@ -567,7 +569,7 @@ def test_certify_stops_at_leibniz(fuzzy_geo):
 
 def test_reconstruction_round_trip(fuzzy_geo, torus_geo):
     for geo in (fuzzy_geo, torus_geo):
-        for conn in (nabla_zero(geo.calc, geo.cert), grassmann(geo.calc, geo.cert)):
+        for conn in (nabla_zero(geo.calc, geo.sigma), grassmann(geo.calc, geo.sigma)):
             table = covariant_table(geo, conn)
             rebuilt = reconstruct_from_table(geo, table)
             assert rebuilt == conn
@@ -576,7 +578,7 @@ def test_reconstruction_round_trip(fuzzy_geo, torus_geo):
 def test_perturbation_changes_table(fuzzy_geo):
     # equal tables force equal connections, so a nonzero shift must show up
     geo = fuzzy_geo
-    n0 = nabla_zero(geo.calc, geo.cert)
+    n0 = nabla_zero(geo.calc, geo.sigma)
     base = covariant_table(geo, n0)
     for seed in (1, 2, 3):
         pert = random_leibniz_perturbation(geo, seed)
@@ -676,9 +678,9 @@ def test_table_matches_oracle_for_seeded_constant_metrics(fuzzy_geo):
 
     geo0 = fuzzy_geo
     for seed in (5, 17):
-        g = random_metric(geo0.calc, geo0.cert, seed)
-        metric = validate_metric(geo0.calc, geo0.cert, g)
-        geo = Geometry(geo0.calc, geo0.cert, metric)
+        g = random_metric(geo0.calc, geo0.sigma, seed)
+        metric = validate_metric(geo0.calc, geo0.sigma, g)
+        geo = Geometry(geo0.calc, geo0.sigma, metric)
         n = geo.fields.count
         gram = []
         ne = geo.metric.e_star.dim

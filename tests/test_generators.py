@@ -297,8 +297,8 @@ def test_connection_checks_match_on_a_validated_calculus():
         unchecked = Calculus(calc.algebra, calc.one_forms, calc.two_forms,
                              calc.d0, calc.d1, calc.wedge_plain)
         assert validate_calculus(calc).ok and calc.validated and not unchecked.validated
-        cert = build_symmetry(calc)
-        n0 = nabla_zero(calc, cert)
+        sigma = build_symmetry(calc)
+        n0 = nabla_zero(calc, sigma)
         for r, c in ((0, 0), (0, 6), (7, 4), (3, 1)):
             broken = _bumped(n0, r, c, ONE)
             assert leibniz_witness(calc, broken) == leibniz_witness_dense(calc, broken)

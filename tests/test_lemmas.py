@@ -11,7 +11,7 @@ center is bigger than the scalars.
 import pytest
 
 import lemma_checks as lc
-from dense_reference import grassmann, nabla_zero
+from dense_reference import central_basis, grassmann, nabla_zero
 
 
 @pytest.fixture(scope="module", params=["fuzzy", "torus"])
@@ -21,7 +21,7 @@ def geo(request, fuzzy_geo, torus_geo):
 
 @pytest.fixture(scope="module")
 def square(geo):
-    return lc.metric_square(geo.calc, geo.cert, geo.metric)
+    return lc.metric_square(geo.calc, geo.sigma, geo.metric)
 
 
 def test_symmetry_flips_with_one_central_leg(geo):
@@ -42,7 +42,7 @@ def test_differentials_of_central_scalars_are_central(geo):
 
 def test_squared_metric_contraction_matches_field_tensor(geo, square):
     assert lc.squared_contraction_matches_field_tensor(
-        geo.metric, geo.cert, geo.calc.tensor_square, square)
+        geo.metric, central_basis(geo.calc), geo.calc.tensor_square, square)
 
 
 def test_squared_metric_symmetric_on_fixed_vectors(geo, square):
@@ -74,21 +74,21 @@ def test_antisymmetrized_reference_kills_exact_forms(geo):
 
 
 def test_covariant_derivative_axioms(geo):
-    assert lc.covariant_derivative_axioms(geo, nabla_zero(geo.calc, geo.cert))
+    assert lc.covariant_derivative_axioms(geo, nabla_zero(geo.calc, geo.sigma))
 
 
 def test_covariant_derivative_axioms_on_commutative_fixture(line_geo):
     # the center here is the whole algebra, so the module rules bite
-    conn = grassmann(line_geo.calc, line_geo.cert)
+    conn = grassmann(line_geo.calc, line_geo.sigma)
     assert lc.covariant_derivative_axioms(line_geo, conn)
 
 
 def test_reconstruction_data_center_linear(geo):
-    assert lc.t_tilde_right_center_linear(geo, nabla_zero(geo.calc, geo.cert))
+    assert lc.t_tilde_right_center_linear(geo, nabla_zero(geo.calc, geo.sigma))
 
 
 def test_reconstruction_data_center_linear_commutative(line_geo):
-    conn = grassmann(line_geo.calc, line_geo.cert)
+    conn = grassmann(line_geo.calc, line_geo.sigma)
     assert lc.t_tilde_right_center_linear(line_geo, conn)
 
 

@@ -5,7 +5,18 @@ from random import Random
 import pytest
 
 import lemma_checks as lc
-from dense_reference import center, col, contains_vector, pure, symmetrizer, vec_is_zero
+from conftest import GRAM_3, constant_metric_plain, load_perfbench
+from dense_reference import (
+    CertificateParts,
+    center,
+    central_basis,
+    col,
+    contains_vector,
+    pure,
+    quotient_metric,
+    symmetrizer,
+    vec_is_zero,
+)
 from perturbations import random_metric
 from tamecalc.linalg import (
     Matrix,
@@ -17,13 +28,15 @@ from tamecalc.linalg import (
     vec_to_sparse,
     zero_vector,
 )
+from tamecalc.calculus import build_symmetry
+from tamecalc.connection import Geometry
 from tamecalc.errors import Refusal
 from tamecalc.metric import validate_metric, vector_fields
 
 
 @pytest.fixture(scope="module")
 def fuzzy(fuzzy_preset, fuzzy_geo):
-    return fuzzy_preset, fuzzy_geo.cert
+    return fuzzy_preset, fuzzy_geo.sigma
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +51,7 @@ def fuzzy_fields(fuzzy_geo):
 
 @pytest.fixture(scope="module")
 def torus(torus_preset, torus_geo):
-    return torus_preset, torus_geo.cert, torus_geo.metric
+    return torus_preset, torus_geo.sigma, torus_geo.metric
 
 
 # -- validation ---------------------------------------------------------------
@@ -49,19 +62,19 @@ def test_euclidean_metric_is_valid(fuzzy_metric):
 
 
 def test_euclidean_metric_values_on_generators(fuzzy, fuzzy_metric):
-    p, cert = fuzzy
+    p, sigma = fuzzy
     qt = p.calculus.tensor_square
     theta = [basis_vector(12, j * 4) for j in range(3)]
     unit = p.calculus.algebra.unit
     for i in range(3):
         for j in range(3):
-            got = fuzzy_metric.g.apply(pure(qt, theta[i], theta[j]))
+            got = quotient_metric(p.calculus, fuzzy_metric).apply(pure(qt, theta[i], theta[j]))
             assert got == (unit if i == j else zero_vector(4))
 
 
 def test_zero_metric_rejected(fuzzy):
-    p, cert = fuzzy
-    outcome = validate_metric(p.calculus, cert, Matrix.zeros(4, 144))
+    p, sigma = fuzzy
+    outcome = validate_metric(p.calculus, sigma, Matrix.zeros(4, 144))
     assert isinstance(outcome, Refusal)
     assert outcome.condition == "VgNotInvertible"
 
@@ -69,7 +82,7 @@ def test_zero_metric_rejected(fuzzy):
 def test_asymmetric_metric_rejected(fuzzy):
     # Bilinear (fixed by its values on the central tensors) but with an
     # antisymmetric defect between theta_1 and theta_2, so g sigma != g.
-    p, cert = fuzzy
+    p, sigma = fuzzy
     alg = p.calculus.algebra
     unit = alg.unit
     coeff = [[unit if i == j else zero_vector(4) for j in range(3)] for i in range(3)]
@@ -77,8 +90,8 @@ def test_asymmetric_metric_rejected(fuzzy):
     coeff[1][0] = tuple(-x for x in unit)
     values = [vec_to_sparse(alg.right_basis_matrix(r).apply(coeff[pp][qq]))
               for pp in range(3) for qq in range(3) for r in range(alg.dim)]
-    g = cert.spanning.extend(values, alg.dim)
-    outcome = validate_metric(p.calculus, cert, g @ p.calculus.tensor_square.project)
+    g = CertificateParts(p.calculus, sigma).spanning.extend(values, alg.dim)
+    outcome = validate_metric(p.calculus, sigma, g @ p.calculus.tensor_square.project)
     assert isinstance(outcome, Refusal)
     assert outcome.condition == "NotSymmetric"
     # the witness is the first quotient basis vector where g sigma and g differ
@@ -92,27 +105,27 @@ def test_seeded_nonsymmetric_metric_witness(fuzzy):
     from conftest import constant_metric_plain
     from tamecalc.builders import matrix_derivations_chevalley
 
-    p, cert = fuzzy
+    p, sigma = fuzzy
     k = Random(5).choice((2, -3, 5))
     c = [[k * x for x in row] for row in ((2, 1, -1), (-1, 3, 1), (-1, 1, 2))]
     g = constant_metric_plain(matrix_derivations_chevalley(2), c)
-    outcome = validate_metric(p.calculus, cert, g)
+    outcome = validate_metric(p.calculus, sigma, g)
     assert outcome.condition == "NotSymmetric"
     assert outcome.witness == basis_vector(p.calculus.tensor_square.dim, 4)
 
 
-def fuzzy_euclidean_quotient(p, cert):
+def fuzzy_euclidean_quotient(p, sigma):
     return p.metric_plain @ p.calculus.tensor_square.section
 
 
 def test_non_bilinear_rejected(fuzzy):
     # bumped on quotient coordinates and fed on plain tensors, so it kills
     # the relations and fails on the action of the first generator
-    p, cert = fuzzy
-    g = fuzzy_euclidean_quotient(p, cert)
+    p, sigma = fuzzy
+    g = fuzzy_euclidean_quotient(p, sigma)
     rows = [list(r) for r in g.entries]
     rows[1][0] = rows[1][0] + ONE  # breaks left-linearity, keeps shape
-    outcome = validate_metric(p.calculus, cert,
+    outcome = validate_metric(p.calculus, sigma,
                               Matrix(4, 36, rows) @ p.calculus.tensor_square.project)
     assert isinstance(outcome, Refusal)
     assert outcome.condition == "NotBilinear"
@@ -122,33 +135,33 @@ def test_non_bilinear_rejected(fuzzy):
 def test_metric_on_quotient_coordinates_rejected(fuzzy):
     # the metric is taken on plain tensors only: any other column count,
     # the quotient's included, is a named refusal
-    p, cert = fuzzy
-    outcome = validate_metric(p.calculus, cert, fuzzy_euclidean_quotient(p, cert))
+    p, sigma = fuzzy
+    outcome = validate_metric(p.calculus, sigma, fuzzy_euclidean_quotient(p, sigma))
     assert outcome.condition == "NotBilinear"
     assert outcome.detail == "metric has 36 columns; expected 144 (plain)"
 
 
 def test_plain_matrix_not_killing_relations_rejected(fuzzy):
-    p, cert = fuzzy
+    p, sigma = fuzzy
     qt = p.calculus.tensor_square
     rel = qt.relations.basis[0]
     rows = [list(r) for r in p.metric_plain.entries]
     for col, v in enumerate(rel):
         rows[0][col] = rows[0][col] + v
-    outcome = validate_metric(p.calculus, cert, Matrix(4, 144, rows))
+    outcome = validate_metric(p.calculus, sigma, Matrix(4, 144, rows))
     assert isinstance(outcome, Refusal)
     assert outcome.condition == "NotBilinear"
 
 
 def test_plain_metric_names_the_first_unkilled_relation(fuzzy):
     # relation 3 is the first one the tampered metric does not kill
-    p, cert = fuzzy
+    p, sigma = fuzzy
     qt = p.calculus.tensor_square
     rel = qt.relations.basis[3]
     rows = [list(r) for r in p.metric_plain.entries]
     for col, v in enumerate(rel):
         rows[0][col] = rows[0][col] + v
-    outcome = validate_metric(p.calculus, cert, Matrix(4, 144, rows))
+    outcome = validate_metric(p.calculus, sigma, Matrix(4, 144, rows))
     assert outcome.condition == "NotBilinear"
     assert outcome.detail == "metric on plain tensors does not kill the (x)_A relations"
     want = [ZERO] * 144
@@ -159,7 +172,7 @@ def test_plain_metric_names_the_first_unkilled_relation(fuzzy):
 # -- vector fields --------------------------------------------------------------
 
 def test_fuzzy_vector_fields_are_inner_derivations(fuzzy, fuzzy_fields):
-    p, cert = fuzzy
+    p, sigma = fuzzy
     alg = p.calculus.algebra
     assert fuzzy_fields.count == 3
     # delta_{X_k} = ad of the k-th generator: the derivation-based picture.
@@ -170,7 +183,7 @@ def test_fuzzy_vector_fields_are_inner_derivations(fuzzy, fuzzy_fields):
 def test_fuzzy_fields_match_all_derivations(fuzzy, fuzzy_fields):
     # X(A) is isomorphic to Der(A) here: every derivation of the matrix
     # algebra is inner, spanned by ad U, ad V, ad W.
-    p, cert = fuzzy
+    p, sigma = fuzzy
     alg = p.calculus.algebra
     ad_span = Subspace(16, [tuple(x for row in alg.ad(basis_vector(4, k)).entries
                                   for x in row) for k in range(4)])
@@ -181,8 +194,8 @@ def test_fuzzy_fields_match_all_derivations(fuzzy, fuzzy_fields):
 
 
 def test_torus_fields_rank_two(torus):
-    p, cert, metric = torus
-    fields = vector_fields(p.calculus, cert, metric)
+    p, sigma, metric = torus
+    fields = vector_fields(p.calculus, metric)
     assert fields.count == 2
     # commuting derivations
     d1, d2 = fields.deltas
@@ -200,10 +213,10 @@ def test_field_count_is_center_times_lie_dimension(fuzzy_geo, torus_geo, line_ge
 
 def test_fields_values_on_central_forms_are_central(fuzzy, fuzzy_metric, fuzzy_fields):
     # X(eta) lands in the center of the algebra for central eta.
-    p, cert = fuzzy
+    p, sigma = fuzzy
     zc = center(p.calculus.algebra)
     for m in fuzzy_fields.maps:
-        for z in cert.center_one_forms.basis:
+        for z in central_basis(p.calculus):
             assert contains_vector(zc, m.apply(z))
 
 
@@ -213,9 +226,9 @@ def test_fields_are_right_total(fuzzy, fuzzy_fields):
 
 
 def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric, fuzzy_geo):
-    p, cert = fuzzy
+    p, sigma = fuzzy
     alg = p.calculus.algebra
-    fields = vector_fields(p.calculus, cert, fuzzy_metric)
+    fields = vector_fields(p.calculus, fuzzy_metric)
     # X_1 . U is right-total material but not central, so its delta fails Leibniz.
     phi = _apply_sparse(fuzzy_metric.e_star.bimodule.right[1], fields.basis[0])
     assert not fields.contains(phi)
@@ -227,13 +240,13 @@ def test_delta_of_noncentral_dual_is_not_derivation(fuzzy, fuzzy_metric, fuzzy_g
 
 @pytest.fixture(scope="module")
 def fuzzy_square(fuzzy, fuzzy_metric):
-    p, cert = fuzzy
-    return lc.metric_square(p.calculus, cert, fuzzy_metric)
+    p, sigma = fuzzy
+    return lc.metric_square(p.calculus, sigma, fuzzy_metric)
 
 
 def test_metric_square_euclidean_values(fuzzy, fuzzy_metric, fuzzy_square):
     # g2((theta_i (x) theta_j) (x) (theta_k (x) theta_l)) = delta_jk delta_il
-    p, cert = fuzzy
+    p, sigma = fuzzy
     qt = p.calculus.tensor_square
     unit = p.calculus.algebra.unit
     theta = [basis_vector(12, j * 4) for j in range(3)]
@@ -254,8 +267,8 @@ def test_metric_square_of_zero(fuzzy_square):
 
 def test_metric_square_symmetrizer_identity(fuzzy, fuzzy_square):
     # the symmetrizer can hop across the squared pairing
-    p, cert = fuzzy
-    p_sym = symmetrizer(p.calculus, cert)
+    p, sigma = fuzzy
+    p_sym = symmetrizer(p.calculus, sigma)
     n = 36
     for x in range(0, n, 7):
         px = p_sym.apply(basis_vector(n, x))
@@ -273,7 +286,7 @@ def test_metric_square_invertible(fuzzy_square):
 # -- g-tilde ---------------------------------------------------------------------
 
 def test_g_tilde_euclidean_on_fields(fuzzy, fuzzy_geo, fuzzy_fields):
-    p, cert = fuzzy
+    p, sigma = fuzzy
     unit = p.calculus.algebra.unit
     for i in range(3):
         for j in range(3):
@@ -304,15 +317,43 @@ def test_g_tilde_symmetric_when_one_leg_is_field(fuzzy_geo, fuzzy_fields):
 # -- seeded metrics ---------------------------------------------------------------
 
 def test_random_metric_is_valid_and_deterministic(fuzzy):
-    p, cert = fuzzy
-    g1 = random_metric(p.calculus, cert, seed=7)
-    g2 = random_metric(p.calculus, cert, seed=7)
+    p, sigma = fuzzy
+    g1 = random_metric(p.calculus, sigma, seed=7)
+    g2 = random_metric(p.calculus, sigma, seed=7)
     assert g1 == g2
-    outcome = validate_metric(p.calculus, cert, g1)
+    outcome = validate_metric(p.calculus, sigma, g1)
     assert not isinstance(outcome, Refusal)
     assert g1 != p.metric_plain
 
 
 def test_random_metric_varies_with_seed(fuzzy):
-    p, cert = fuzzy
-    assert random_metric(p.calculus, cert, seed=1) != random_metric(p.calculus, cert, seed=2)
+    p, sigma = fuzzy
+    assert random_metric(p.calculus, sigma, seed=1) != random_metric(p.calculus, sigma, seed=2)
+
+
+# -- the fields are the central generators through V_g -----------------------------
+
+@pytest.fixture(scope="module")
+def fuzzy3_a3_geo(fuzzy3_calc):
+    """fuzzy-sphere-3 under the benchmark's constant metric A3 (GRAM_3)."""
+    spec = load_perfbench("inputs").fuzzy_sphere_chevalley(3)
+    sigma = build_symmetry(fuzzy3_calc)
+    metric = validate_metric(fuzzy3_calc, sigma, constant_metric_plain(spec, GRAM_3))
+    return Geometry(fuzzy3_calc, sigma, metric)
+
+
+@pytest.mark.parametrize("name", ["fuzzy_geo", "torus_geo", "fuzzy3_a3_geo", "line_geo"])
+def test_fields_pull_back_to_the_central_generators(request, name):
+    # X_p = V_g(z_p), so V_g^{-1} X_p is z_p itself, and g_tilde(X_p, X_q)
+    # is the metric on the central tensor pi(z_p (x) z_q) through the
+    # quotient, whatever pair_forms computes
+    geo = request.getfixturevalue(name)
+    qt = geo.calc.tensor_square
+    zs = geo.calc.one_forms.central_generators.zs
+    g = geo.metric.g_plain @ qt.section
+    assert geo.fields.count == len(zs)
+    for p, x in enumerate(geo.fields.basis):
+        assert geo.metric.form_of(x) == zs[p]
+    for p, zp in enumerate(zs):
+        for q, zq in enumerate(zs):
+            assert geo.field_gram[p][q] == _apply_sparse(g, qt.pure_sparse(zp, zq))

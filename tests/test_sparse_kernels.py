@@ -31,9 +31,9 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 def _constant_geometry(spec, gram):
     calc = build_chevalley(certified(spec))
-    cert = build_symmetry(calc)
-    metric = validate_metric(calc, cert, constant_metric_plain(spec, gram))
-    return Geometry(calc, cert, metric)
+    sigma = build_symmetry(calc)
+    metric = validate_metric(calc, sigma, constant_metric_plain(spec, gram))
+    return Geometry(calc, sigma, metric)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_leibniz_witness_matches_dense_reference(geometries, hom_bases, data):
     # a right-linear shift keeps the Leibniz rule; a changed entry of the
     # value matrix usually breaks it
     for geo, basis in zip(geometries, hom_bases):
-        nabla = nabla_zero(geo.calc, geo.cert)
+        nabla = nabla_zero(geo.calc, geo.sigma)
         shifts = data.draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
                                               st.integers(-2, 2)), max_size=3))
         for k, c in shifts:
