@@ -21,7 +21,7 @@ from . import __version__
 from .calculus import build_symmetry, validate_calculus
 from .connection import Geometry, certify, levi_civita_direct, levi_civita_koszul
 from .errors import ContractViolationError, EngineError, Refusal, SpecFileError
-from .linalg import LinAlgError, Matrix
+from .linalg import LinAlgError, Matrix, vec_to_sparse
 from .metric import validate_metric
 from .specfile import (
     SpecData,
@@ -111,6 +111,18 @@ def read_metric(spec: SpecData, metric_path: str | None) -> Matrix:
     return load_metric_override(metric_path, calc.one_forms.dim, calc.algebra.dim)
 
 
+def refusal_text(refusal: Refusal) -> str:
+    """A refused check's report witness: condition and detail, then the
+    refusal's own witness, a vector written sparse (index: value)."""
+    text = f"{refusal.condition}: {refusal.detail}"
+    w = refusal.witness
+    if w is None:
+        return text
+    if isinstance(w, tuple):
+        w = "{" + ", ".join(f"{j}: {v}" for j, v in vec_to_sparse(w).items()) + "}"
+    return f"{text}; witness {w}"
+
+
 def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
     """Algebra, calculus, tameness and validation of the metric g_in on plain
     tensor coordinates; returns what passed.  Every input file is read
@@ -133,7 +145,7 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
     sigma = build_symmetry(calc)
     rb.summary["tame"] = not isinstance(sigma, Refusal)
     if isinstance(sigma, Refusal):
-        rb.add("tame_certificate", False, f"{sigma.condition}: {sigma.detail}")
+        rb.add("tame_certificate", False, refusal_text(sigma))
         rb.summary["metric_valid"] = False
         return None, None
     rb.add("tame_certificate", True)
@@ -143,7 +155,7 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
     metric = validate_metric(calc, sigma, g_in)
     rb.summary["metric_valid"] = not isinstance(metric, Refusal)
     if isinstance(metric, Refusal):
-        rb.add("metric_valid", False, f"{metric.condition}: {metric.detail}")
+        rb.add("metric_valid", False, refusal_text(metric))
         return sigma, None
     rb.add("metric_valid", True)
     return sigma, metric

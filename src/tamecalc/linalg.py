@@ -5,6 +5,13 @@ linear systems over this field, so all arithmetic here is exact: a scalar is
 re + im*i with re, im rational, stored over a common positive denominator
 with gcd(re_num, im_num, den) == 1.  There is no floating point anywhere.
 
+Scalars are interned: each value has one live object, held weakly by the
+intern table, so equality and hashing are identity and the table shrinks
+as scalars die.  A run meets few distinct values and repeats the same
+products and sums many times, so `*` and `+` are memoized by operand pair
+in two tables that are emptied when they reach MEMO_CAP entries.  The
+kernels test `is ZERO` and `is ONE`.
+
 Matrices and row reduction keep rows as zero-free {column: Scalar} dicts;
 the systems produced by structure constants are very sparse and this is
 what makes desk-scale examples run in seconds.  Products and sums run row
@@ -20,6 +27,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Sequence
+from weakref import KeyedRef
 
 
 class LinAlgError(ValueError):
@@ -31,27 +39,42 @@ class LinAlgError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(i), immutable and canonical.
+    """An element of Q(i), immutable, canonical and interned.
 
     Internally (rn + im*i) / dn with integer rn, im, dn, dn > 0 and
-    gcd(rn, im, dn) == 1.
+    gcd(rn, im, dn) == 1.  Scalar(rn, im, dn) returns the one live instance
+    of that value, so equal scalars are the same object: equality and
+    hashing are the interpreter's identity checks.
     """
 
-    __slots__ = ("rn", "im", "dn")
+    __slots__ = ("rn", "im", "dn", "__weakref__")
 
-    def __init__(self, rn: int, im: int = 0, dn: int = 1):
-        if dn == 0:
-            raise LinAlgError("scalar with zero denominator")
-        if dn < 0:
+    def __new__(cls, rn: int, im: int = 0, dn: int = 1) -> "Scalar":
+        if dn <= 0:
+            if dn == 0:
+                raise LinAlgError("scalar with zero denominator")
             rn, im, dn = -rn, -im, -dn
         g = gcd(rn, im, dn)
         if g > 1:
             rn //= g
             im //= g
             dn //= g
-        self.rn = rn
-        self.im = im
-        self.dn = dn
+        key = (rn, im, dn)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            s = ref()
+            if s is not None:
+                return s
+        s = object.__new__(cls)
+        s.rn = rn
+        s.im = im
+        s.dn = dn
+        _INTERNED[key] = KeyedRef(s, _forget, key)
+        return s
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the intern table
+        return Scalar, (self.rn, self.im, self.dn)
 
     # -- constructors -------------------------------------------------------
 
@@ -74,21 +97,35 @@ class Scalar:
         return Fraction(self.im, self.dn)
 
     def is_zero(self) -> bool:
-        return self.rn == 0 and self.im == 0
+        return self is ZERO
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, o: "Scalar") -> "Scalar":
-        ad, od = self.dn, o.dn
-        return Scalar(self.rn * od + o.rn * ad, self.im * od + o.im * ad, ad * od)
+        key = (self, o)
+        s = _SUMS.get(key)
+        if s is None:
+            ad, od = self.dn, o.dn
+            s = Scalar(self.rn * od + o.rn * ad, self.im * od + o.im * ad, ad * od)
+            if len(_SUMS) >= MEMO_CAP:
+                _SUMS.clear()
+            _SUMS[key] = s
+        return s
 
     def __sub__(self, o: "Scalar") -> "Scalar":
         ad, od = self.dn, o.dn
         return Scalar(self.rn * od - o.rn * ad, self.im * od - o.im * ad, ad * od)
 
     def __mul__(self, o: "Scalar") -> "Scalar":
-        return Scalar(self.rn * o.rn - self.im * o.im,
-                      self.rn * o.im + self.im * o.rn, self.dn * o.dn)
+        key = (self, o)
+        p = _PRODUCTS.get(key)
+        if p is None:
+            p = Scalar(self.rn * o.rn - self.im * o.im,
+                       self.rn * o.im + self.im * o.rn, self.dn * o.dn)
+            if len(_PRODUCTS) >= MEMO_CAP:
+                _PRODUCTS.clear()
+            _PRODUCTS[key] = p
+        return p
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.rn, -self.im, self.dn)
@@ -102,14 +139,6 @@ class Scalar:
     def __truediv__(self, o: "Scalar") -> "Scalar":
         return self * o.inverse()
 
-    # -- comparison ---------------------------------------------------------
-
-    def __eq__(self, o: object) -> bool:
-        return isinstance(o, Scalar) and self.rn == o.rn and self.im == o.im and self.dn == o.dn
-
-    def __hash__(self) -> int:
-        return hash((self.rn, self.im, self.dn))
-
     def __repr__(self) -> str:
         if self.im == 0:
             return f"{Fraction(self.rn, self.dn)}"
@@ -118,7 +147,25 @@ class Scalar:
         return f"({Fraction(self.rn, self.dn)}+{Fraction(self.im, self.dn)}i)"
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self is not ZERO
+
+
+# (rn, im, dn) -> a weak reference to its one live Scalar; an entry goes
+# when its scalar dies, so the table holds only the live values
+_INTERNED: dict[tuple[int, int, int], KeyedRef] = {}
+
+
+def _forget(ref: KeyedRef) -> None:
+    # a new instance of the value may already hold the key
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+# (a, b) -> a * b and a + b, keyed on the operands' identities; each table
+# is emptied when it reaches MEMO_CAP entries
+MEMO_CAP = 1 << 14
+_PRODUCTS: dict[tuple[Scalar, Scalar], Scalar] = {}
+_SUMS: dict[tuple[Scalar, Scalar], Scalar] = {}
 
 
 ZERO = Scalar(0)
@@ -166,9 +213,8 @@ def scalar_from_json(obj: int | str | dict) -> Scalar:
 @lru_cache(maxsize=None)
 def _scalar_from_str(text: str) -> Scalar:
     """Parse once per distinct string: spec files repeat a handful of values
-    (mostly "0") hundreds of thousands of times, and a Scalar is immutable,
-    so every occurrence can share one instance.  Parse errors are raised,
-    never cached."""
+    (mostly "0") hundreds of thousands of times, and each parse builds
+    Fractions.  Parse errors are raised, never cached."""
     return Scalar.from_fractions(_fraction(text))
 
 
@@ -197,7 +243,7 @@ def basis_vector(n: int, i: int) -> Vector:
 
 
 def vec_to_sparse(u: Sequence[Scalar]) -> dict[int, Scalar]:
-    return {j: a for j, a in enumerate(u) if a.rn or a.im}
+    return {j: a for j, a in enumerate(u) if a is not ZERO}
 
 
 def sparse_to_vec(s: dict[int, Scalar], n: int) -> Vector:
@@ -211,7 +257,7 @@ def sparse_to_vec(s: dict[int, Scalar], n: int) -> Vector:
 def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: int) -> None:
     """row += coef * src in place, over every column of src except skip;
     coef is nonzero, so only a column row already has can cancel."""
-    unit = coef == ONE
+    unit = coef is ONE
     for cc, v in src.items():
         if cc == skip:
             continue
@@ -221,7 +267,7 @@ def _axpy(row: dict[int, Scalar], coef: Scalar, src: dict[int, Scalar], skip: in
             row[cc] = x
         else:
             nv = cur + x
-            if nv.is_zero():
+            if nv is ZERO:
                 del row[cc]
             else:
                 row[cc] = nv
@@ -235,10 +281,10 @@ def _lincomb(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Sca
     in the order adding it would give."""
     out: dict[int, Scalar] | None = None
     for coef, row in terms:
-        if not row or coef.is_zero():
+        if not row or coef is ZERO:
             continue
         if out is None:
-            out = dict(row) if coef == ONE else {c: coef * v for c, v in row.items()}
+            out = dict(row) if coef is ONE else {c: coef * v for c, v in row.items()}
         else:
             _axpy(out, coef, row, -1)
     return {} if out is None else out
@@ -273,7 +319,7 @@ def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, d
     pivots: dict[int, dict[int, Scalar]] = {}
     leftovers: list[dict[int, Scalar]] = []
     for raw in rows:
-        row = {c: v for c, v in raw.items() if not v.is_zero()}
+        row = {c: v for c, v in raw.items() if v is not ZERO}
         _reduce_echelon(row, pivots)
         if not row:
             continue
@@ -283,7 +329,7 @@ def _rref(rows: Iterable[dict[int, Scalar]], stop_col: int) -> tuple[dict[int, d
             continue
         c = min(elig)
         inv = row[c].inverse()
-        if inv == ONE:
+        if inv is ONE:
             pivots[c] = row
         else:
             newrow = {cc: v * inv for cc, v in row.items()}
@@ -480,7 +526,7 @@ class Matrix:
             acc = ZERO
             for j, a in row.items():
                 x = v[j]
-                if not x.is_zero():
+                if x is not ZERO:
                     acc = acc + a * x
             out[i] = acc
         return tuple(out)
@@ -505,7 +551,7 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, [{j: -a for j, a in r.items()} for r in self._rows])
 
     def scale(self, c: Scalar) -> "Matrix":
-        if c.is_zero():
+        if c is ZERO:
             return Matrix.zeros(self.rows, self.cols)
         return Matrix._of(self.rows, self.cols,
                           [{j: c * a for j, a in r.items()} for r in self._rows])
@@ -552,7 +598,7 @@ def _combination_rows(terms: Iterable[tuple[Scalar, Matrix]], nrows: int) -> lis
     """Sparse rows of sum c_i M_i over the (c_i, M_i) terms, each M_i with
     nrows rows.  Only the rows that some term with a nonzero coefficient
     has nonempty are summed; the others are {}."""
-    mats = [(c, m.sparse_rows()) for c, m in terms if not c.is_zero()]
+    mats = [(c, m.sparse_rows()) for c, m in terms if c is not ZERO]
     live = {r for _, rows in mats for r, row in enumerate(rows) if row}
     return [_lincomb((c, rows[r]) for c, rows in mats) if r in live else {}
             for r in range(nrows)]
@@ -724,7 +770,7 @@ class ColumnSolver:
                 x = b.get(i)
                 if x is not None:
                     acc = acc + v * x
-            if not acc.is_zero():
+            if acc is not ZERO:
                 return None
         return _apply_sparse(self.solution_map, b)
 

@@ -32,6 +32,7 @@ from .linalg import (
     Matrix,
     Scalar,
     Vector,
+    ZERO,
     scalar_from_json,
     scalar_to_json,
     sparse_to_vec,
@@ -71,7 +72,7 @@ def _sparse_from_json(obj: Any, n: int, where: str) -> dict[int, Scalar]:
         parsed = {j: scalar_from_json(x) for j, x in enumerate(obj) if x != "0"}
     except (LinAlgError, ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"{where}: bad scalar ({exc})")
-    return {j: v for j, v in parsed.items() if v.rn or v.im}
+    return {j: v for j, v in parsed.items() if v is not ZERO}
 
 
 def matrix_to_json(m: Matrix) -> list:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
-from dense_reference import central_basis, grassmann, nabla_zero
+from dense_reference import central_basis, grassmann, nabla_zero, pure, through_central_tensors
 from tamecalc import algebra, bimodule, calculus, cli
 from tamecalc.builders import (
     PRESETS,
@@ -27,12 +27,13 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.cli import main
-from tamecalc.linalg import ONE, Matrix, _lincomb, zero_vector
+from tamecalc.linalg import ONE, ZERO, Matrix, Subspace, _lincomb, basis_vector, qi, vec_to_sparse, zero_vector
 from tamecalc.specfile import (
     SpecData,
     connection_to_json,
     dumps_canonical,
     input_digest,
+    load_metric_override,
     load_spec,
     matrix_to_json,
     save_spec,
@@ -870,6 +871,90 @@ def test_small_preset_outputs_match_the_digest_manifest():
                                small_only=True) == []
 
 
+# -- refusal witnesses -------------------------------------------------------------
+#
+# A refused tameness or metric check names its witness in the report, a
+# vector written sparse.  Each refusal class of the digest manifest is run
+# on the manifest's input, and the witness is recomputed without the check.
+
+def _refused(capsys, tmp_path, spec_text: str, metric_text: str | None = None):
+    """check --json on the texts: the spec and the one failed refusal check."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text)
+    argv = ["check", str(spec_path), "--json"]
+    if metric_text is not None:
+        (tmp_path / "metric.json").write_text(metric_text)
+        argv += ["--metric", str(tmp_path / "metric.json")]
+    code, out = run(capsys, argv)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    failed = [name for name in ("tame_certificate", "metric_valid")
+              if name in checks and not checks[name]["ok"]]
+    assert len(failed) == 1
+    return load_spec(spec_path), checks[failed[0]]["witness"]
+
+
+def _sparse_witness(text: str, prefix: str) -> dict:
+    """The {index: value} vector after prefix, parsed back."""
+    assert text.startswith(prefix), text
+    body = text[len(prefix):]
+    assert body[0] == "{" and body[-1] == "}", body
+    pairs = (item.split(": ") for item in body[1:-1].split(", "))
+    return {int(j): qi(v) for j, v in pairs}
+
+
+def test_not_symmetric_names_the_first_column_sigma_moves(capsys, tmp_path):
+    import digests
+
+    spec, witness = _refused(capsys, tmp_path, *digests.bench_texts("fuzzy-sphere-3", "asym3"))
+    w = _sparse_witness(witness, "NotSymmetric: g(sigma(x)) != g(x); witness ")
+    calc = spec.calculus
+    g_in = load_metric_override(tmp_path / "metric.json", calc.one_forms.dim, calc.algebra.dim)
+    qt = calc.tensor_square
+    zs = central_basis(calc)
+    sigma = through_central_tensors(calc, [qt.bimodule.right[r].apply(pure(qt, zq, zp))
+                                           for zp in zs for zq in zs
+                                           for r in range(calc.algebra.dim)], qt.dim)
+    g = g_in @ qt.section
+    moved = [j for j, c in enumerate((g @ sigma - g).sparse_cols()) if c]
+    assert w == {moved[0]: ONE}
+
+
+def test_not_bilinear_names_the_first_relation_the_metric_keeps(capsys, tmp_path):
+    import digests
+
+    text = digests._bumped(digests.preset_text("matrix-derivations", 2), *digests.BUMPS["metric"])
+    spec, witness = _refused(capsys, tmp_path, text)
+    w = _sparse_witness(witness, "NotBilinear: metric on plain tensors does not kill "
+                                 "the (x)_A relations; witness ")
+    # e.a (x) f - e (x) a.f over every basis element a and basis vectors e, f
+    e = spec.calculus.one_forms
+    n = e.dim
+    rels = []
+    for r in range(e.algebra.dim):
+        for i in range(n):
+            for j in range(n):
+                ea = e.right[r].apply(basis_vector(n, i))
+                af = e.left[r].apply(basis_vector(n, j))
+                rels.append([(ea[s] if t == j else ZERO) - (af[t] if s == i else ZERO)
+                             for s in range(n) for t in range(n)])
+    g_in = spec.metric_plain
+    kept = [row for row in Subspace(n * n, rels).rows
+            if vec_to_sparse(g_in.apply(tuple(row.get(k, ZERO) for k in range(n * n))))]
+    assert w == kept[0]
+
+
+@pytest.mark.parametrize("preset, bump, condition", [
+    ("matrix-derivations", ("one_forms", "left", 1, 0, 1), "FlipNotWellDefined"),
+    ("abelian-torus", ("one_forms", "left", 2, 0, 1), "CentralTensorsDoNotSpan"),
+])
+def test_a_refusal_without_witness_names_none(capsys, tmp_path, preset, bump, condition):
+    import digests
+
+    _, witness = _refused(capsys, tmp_path, digests._bumped(digests.preset_text(preset, 2), *bump))
+    assert witness.startswith(f"{condition}: ") and "witness" not in witness
+
+
 def test_spec_files_round_trip_exactly(workdir):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.specfile import spec_from_json, spec_to_json
@@ -1127,10 +1212,14 @@ finally:
 """
 
 
-def _cli_process(argv, cwd) -> tuple[int, list[str]]:
+def _cli_run(argv, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _cli_process(argv, cwd) -> tuple[int, list[str]]:
+    proc = _cli_run(argv, cwd)
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("imported:"), proc.stderr
     return proc.returncode, last.split()[1:]
@@ -1160,3 +1249,25 @@ def test_no_module_in_src_imports_dataclasses():
                 assert all(a.name.split(".")[0] != "dataclasses" for a in node.names), path
             elif isinstance(node, ast.ImportFrom):
                 assert (node.module or "").split(".")[0] != "dataclasses", path
+
+
+def test_outputs_do_not_depend_on_object_addresses(tmp_path):
+    # scalars hash by identity, and addresses differ between processes: a
+    # scalar-keyed set or dict whose order reached an output would show here
+    inputs = load_perfbench("inputs")
+    made = inputs.write_input("fuzzy-sphere-2", {"A3": inputs.BASES["A3"]}, tmp_path)
+    spec, metric = str(made.spec_path), str(made.metrics["A3"].path)
+    art = tmp_path / "out.connection.json"
+    runs = []
+    for _ in range(2):
+        connect = _cli_run(["connect", spec, "--metric", metric, "--out", str(art), "--json"],
+                           tmp_path)
+        verify = _cli_run(["verify", spec, str(art), "--metric", metric, "--json"], tmp_path)
+        assert (connect.returncode, verify.returncode) == (0, 0), connect.stderr + verify.stderr
+        reports = []
+        for proc in (connect, verify):
+            report = json.loads(proc.stdout)
+            assert report["ok"] and report.pop("timing_ms") >= 0
+            reports.append(report)
+        runs.append((art.read_bytes(), reports))
+    assert runs[0] == runs[1]

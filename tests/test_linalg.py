@@ -57,10 +57,14 @@ def mat(rows):
 # -- scalars ----------------------------------------------------------------
 
 def test_scalar_canonical_form():
-    assert Scalar(2, 4, 6) == Scalar(1, 2, 3)
-    assert Scalar(1, 0, -2) == Scalar(-1, 0, 2)
-    assert Scalar(0, 0, 7) == ZERO
-    assert qi("1/3") + qi("2/3") == ONE
+    # equal values are one interned object
+    assert Scalar(2, 4, 6) is Scalar(1, 2, 3)
+    assert Scalar(1, 0, -2) is Scalar(-1, 0, 2)
+    assert Scalar(0, 0, 7) is ZERO
+    assert qi("1/3") + qi("2/3") is ONE
+    assert Scalar.from_fractions(Fraction(1, 3), Fraction(2, 3)) is Scalar(1, 2, 3)
+    with pytest.raises(LinAlgError):
+        Scalar(1, 0, 0)
 
 
 def test_scalar_division_and_conjugate():
