@@ -157,6 +157,52 @@ def _malformed_artifact(artifact: dict):
     return case
 
 
+def _zeroed(text: str, key: str) -> dict:
+    """The spec of text with every entry of its block key set to zero."""
+    obj = json.loads(text)
+    obj[key] = [["0"] * len(row) for row in obj[key]]
+    return obj
+
+
+def _zero_metric() -> list[str]:
+    # V_g is zero, so its kernel is everything: VgNotInvertible
+    metric = _zeroed(preset_text("matrix-derivations", 2), "metric")["metric"]
+    _spec("zero.metric.json", specfile.dumps_canonical({"metric": metric}))
+    return [_generated(MD2), "--metric", "zero.metric.json"]
+
+
+def _zero_wedge() -> list[str]:
+    # ker W is everything, the symmetrizer's range is not: PsymRangeMismatch
+    text = specfile.dumps_canonical(_zeroed(preset_text("matrix-derivations", 2), "wedge"))
+    return [_spec("zero-wedge.json", text)]
+
+
+def _twisted_line() -> list[str]:
+    # one-forms over K[x]/(x^2 - 1) with x acting by -1 on the left: the
+    # center is zero, so E is not centered (NotCentered)
+    from tamecalc.algebra import Algebra
+    from tamecalc.bimodule import Bimodule
+    from tamecalc.calculus import Calculus
+    from tamecalc.linalg import ONE, ZERO, Matrix
+
+    e0, e1 = (ONE, ZERO), (ZERO, ONE)
+    alg = Algebra(2, ("1", "x"), e0, [[e0, e1], [e1, e0]])
+    reg = Bimodule.regular(alg)
+    twisted = Bimodule(alg, 2, [reg.left[0], -reg.left[1]], list(reg.right))
+    calc = Calculus(alg, twisted, Bimodule.zero(alg),
+                    Matrix.zeros(2, 2), Matrix.zeros(0, 2), Matrix.zeros(0, 4))
+    specfile.save_spec(specfile.SpecData(name="twisted-line", calculus=calc,
+                                         metric_plain=Matrix.zeros(2, 4)), "twisted-line.json")
+    return ["twisted-line.json"]
+
+
+# the refusal classes no bumped preset reaches; no known input reaches
+# SigmaNotBilinear
+REFUSALS = {f"{MD2}.zero-metric": _zero_metric,
+            f"{MD2}.zero-wedge": _zero_wedge,
+            "twisted-line": _twisted_line}
+
+
 BUMPS = {
     "wedge": ("wedge", 0, 1),
     "d0": ("d0", 1, 0),
@@ -194,6 +240,10 @@ def cases() -> dict[str, tuple[bool, object]]:
         # E stays centered, its central tensors no longer span
         out[f"refuse-{command}/{AT2}.one-form-left"] = (True, _bumped_case(
             command, ("one_forms", "left", 2, 0, 1), "abelian-torus"))
+    for label, make in REFUSALS.items():
+        for as_json in (False, True):
+            out[f"refuse-check{'-json' if as_json else ''}/{label}"] = (
+                True, _command_case("check", as_json, make))
     out[f"refuse-verify/{MD2}.nabla"] = (True, _bumped_nabla)
     out[f"verify/{MD2}.broken-wedge.empty-artifact"] = (True, _malformed_artifact({}))
     out[f"verify/{MD2}.broken-wedge.one-entry-artifact"] = (

@@ -17,7 +17,14 @@ from pathlib import Path
 import pytest
 
 from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
-from dense_reference import central_basis, grassmann, nabla_zero, pure, through_central_tensors
+from dense_reference import (
+    central_basis,
+    grassmann,
+    nabla_zero,
+    pure,
+    symmetrizer,
+    through_central_tensors,
+)
 from tamecalc import algebra, bimodule, calculus, cli
 from tamecalc.builders import (
     PRESETS,
@@ -27,7 +34,18 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.cli import main
-from tamecalc.linalg import ONE, ZERO, Matrix, Subspace, _lincomb, basis_vector, qi, vec_to_sparse, zero_vector
+from tamecalc.linalg import (
+    ONE,
+    ZERO,
+    Matrix,
+    Subspace,
+    _lincomb,
+    basis_vector,
+    kernel_rows,
+    qi,
+    vec_to_sparse,
+    zero_vector,
+)
 from tamecalc.specfile import (
     SpecData,
     connection_to_json,
@@ -953,6 +971,67 @@ def test_a_refusal_without_witness_names_none(capsys, tmp_path, preset, bump, co
 
     _, witness = _refused(capsys, tmp_path, digests._bumped(digests.preset_text(preset, 2), *bump))
     assert witness.startswith(f"{condition}: ") and "witness" not in witness
+
+
+def _manifest_texts(monkeypatch, tmp_path, label: str) -> list[str]:
+    """The spec text, and the --metric text if any, of a manifest refusal
+    case, written by the case itself."""
+    import digests
+
+    monkeypatch.chdir(tmp_path)
+    args = digests.REFUSALS[label]()
+    return [Path(args[0]).read_text(), *(Path(a).read_text() for a in args[2:3])]
+
+
+def test_vg_not_invertible_names_the_first_kernel_vector(capsys, monkeypatch, tmp_path):
+    spec, witness = _refused(capsys, tmp_path,
+                             *_manifest_texts(monkeypatch, tmp_path, "matrix-derivations-2.zero-metric"))
+    w = _sparse_witness(witness, "VgNotInvertible: V_g has a nontrivial kernel; witness ")
+    # V_g(e_i) is the functional e_j -> g(e_i (x) e_j): its kernel is that of
+    # the matrix with row (j, c) holding g(e_i (x) e_j)_c over i, whatever
+    # basis E* is written in, and its RREF basis is canonical
+    calc = spec.calculus
+    n = calc.one_forms.dim
+    g_in = load_metric_override(tmp_path / "metric.json", n, calc.algebra.dim)
+    g_cols = g_in.sparse_cols()
+    rows = [{i: g_cols[i * n + j][c] for i in range(n) if c in g_cols[i * n + j]}
+            for j in range(n) for c in range(calc.algebra.dim)]
+    kernel = Subspace(n, kernel_rows(rows, n))
+    assert kernel.dim > 0 and w == kernel.rows[0]
+
+
+def test_psym_range_mismatch_names_a_vector_in_one_space_only(capsys, monkeypatch, tmp_path):
+    spec, witness = _refused(capsys, tmp_path,
+                             *_manifest_texts(monkeypatch, tmp_path, "matrix-derivations-2.zero-wedge"))
+    w = _sparse_witness(witness, "PsymRangeMismatch: the symmetrizer image differs from the "
+                                 "kernel of the wedge; witness ")
+    calc = spec.calculus
+    qt = calc.tensor_square
+    zs = central_basis(calc)
+    sigma = through_central_tensors(calc, [qt.bimodule.right[r].apply(pure(qt, zq, zp))
+                                           for zp in zs for zq in zs
+                                           for r in range(calc.algebra.dim)], qt.dim)
+    ran_p = Subspace(qt.dim, symmetrizer(calc, sigma).transpose().sparse_rows())
+    ker_w = Subspace(qt.dim, kernel_rows((calc.wedge_plain @ qt.section).sparse_rows(), qt.dim))
+    # the first RREF basis row of the range outside ker W, else of ker W
+    # outside the range
+    outside = [row for space, other in ((ran_p, ker_w), (ker_w, ran_p))
+               for row in space.rows if other._residual(dict(row))]
+    assert outside and w == outside[0]
+
+
+def test_not_centered_names_the_first_direction_outside_the_span(capsys, monkeypatch, tmp_path):
+    spec, witness = _refused(capsys, tmp_path,
+                             *_manifest_texts(monkeypatch, tmp_path, "twisted-line"))
+    w = _sparse_witness(witness, "NotCentered: the center of the one-forms does not generate "
+                                 "them as a right module; witness ")
+    # e_j is the first direction outside the right span of the center when
+    # the span, cut to coordinates 0..j, first has rank below j + 1
+    e = spec.calculus.one_forms
+    span = [e.right[r].apply(z) for z in central_basis(spec.calculus) for r in range(e.algebra.dim)]
+    j = next(j for j in range(e.dim)
+             if Subspace(j + 1, [v[:j + 1] for v in span]).dim < j + 1)
+    assert w == {j: ONE}
 
 
 def test_spec_files_round_trip_exactly(workdir):
