@@ -177,6 +177,23 @@ def _zero_wedge() -> list[str]:
     return [_spec("zero-wedge.json", text)]
 
 
+def _doubled_two_forms() -> list[str]:
+    # two copies of the two-forms, the wedge and d1 into the first: the
+    # complement of ker W is too small to carry them (QNotInvertible)
+    obj = json.loads(preset_text("matrix-derivations", 2))
+    w2 = obj["two_forms"]
+    n = w2["dim"]
+
+    def doubled(m: list) -> list:
+        return [row + ["0"] * n for row in m] + [["0"] * n + row for row in m]
+
+    obj["two_forms"] = {"dim": 2 * n, "left": [doubled(m) for m in w2["left"]],
+                        "right": [doubled(m) for m in w2["right"]]}
+    for key in ("d1", "wedge"):
+        obj[key] += [["0"] * len(obj[key][0]) for _ in range(n)]
+    return [_spec("doubled-two-forms.json", specfile.dumps_canonical(obj))]
+
+
 def _twisted_line() -> list[str]:
     # one-forms over K[x]/(x^2 - 1) with x acting by -1 on the left: the
     # center is zero, so E is not centered (NotCentered)
@@ -200,6 +217,7 @@ def _twisted_line() -> list[str]:
 # SigmaNotBilinear
 REFUSALS = {f"{MD2}.zero-metric": _zero_metric,
             f"{MD2}.zero-wedge": _zero_wedge,
+            f"{MD2}.doubled-two-forms": _doubled_two_forms,
             "twisted-line": _twisted_line}
 
 

@@ -1020,6 +1020,17 @@ def test_psym_range_mismatch_names_a_vector_in_one_space_only(capsys, monkeypatc
     assert outside and w == outside[0]
 
 
+def test_q_not_invertible_counts_the_complement_of_ker_wedge(capsys, monkeypatch, tmp_path):
+    spec, witness = _refused(capsys, tmp_path, *_manifest_texts(
+        monkeypatch, tmp_path, "matrix-derivations-2.doubled-two-forms"))
+    calc = spec.calculus
+    qt = calc.tensor_square
+    complement = qt.dim - len(kernel_rows((calc.wedge_plain @ qt.section).sparse_rows(), qt.dim))
+    assert complement != calc.two_forms.dim
+    assert witness == (f"QNotInvertible: complement has dimension {complement}, "
+                       f"two-forms {calc.two_forms.dim}")
+
+
 def test_not_centered_names_the_first_direction_outside_the_span(capsys, monkeypatch, tmp_path):
     spec, witness = _refused(capsys, tmp_path,
                              *_manifest_texts(monkeypatch, tmp_path, "twisted-line"))
