@@ -39,7 +39,6 @@ from .linalg import (
     _combination_rows,
     _lincomb,
     _product_rows,
-    basis_vector,
     commutator_rows,
     kernel_rows,
     sparse_to_vec,
@@ -165,13 +164,13 @@ def module_center(e: Bimodule) -> Subspace:
     return Subspace(e.dim, kernel_rows(rows, e.dim))
 
 
-def missing_direction(e: Bimodule) -> Vector:
+def missing_direction(e: Bimodule) -> dict[int, Scalar]:
     """For a bimodule that is not centered, the first basis direction
-    outside the right span of its center: the first complement position of
-    the z_j . a_s, built as a Subspace only on this failure."""
+    outside the right span of its center, sparse: the first complement
+    position of the z_j . a_s, built as a Subspace only on this failure."""
     span = Subspace(e.dim, [_apply_sparse(e.right[r], z) for z in e.central_generators.zs
                             for r in range(e.algebra.dim)])
-    return basis_vector(e.dim, span.complement_positions()[0])
+    return {span.complement_positions()[0]: ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -239,33 +238,29 @@ class QuotientTensor:
             rcols = []
             for f_ in free:
                 svec = {f_: ONE}
-                lcols.append(self._project_sparse(_tensor_left_apply(e.left[i], f.dim, svec)))
-                rcols.append(self._project_sparse(_tensor_right_apply(f.right[i], f.dim, svec)))
+                lcols.append(_apply_sparse(self.project, _tensor_left_apply(e.left[i], f.dim, svec)))
+                rcols.append(_apply_sparse(self.project, _tensor_right_apply(f.right[i], f.dim, svec)))
             left.append(Matrix.from_sparse_cols(lcols, self.dim))
             right.append(Matrix.from_sparse_cols(rcols, self.dim))
         self.bimodule = Bimodule(alg, self.dim, left, right)._derived(e, f)
-
-    def _project_sparse(self, svec: dict[int, Scalar]) -> dict[int, Scalar]:
-        cols = self.project.sparse_cols()
-        return _lincomb((c, cols[j]) for j, c in svec.items())
 
     def pure_sparse(self, e_vec: dict[int, Scalar], f_vec: dict[int, Scalar]) -> dict[int, Scalar]:
         """Sparse quotient coordinates of the class of e (x) f, for sparse
         factors."""
         fdim = self.right_factor.dim
-        return self._project_sparse({s * fdim + t: a * b
-                                     for s, a in e_vec.items() for t, b in f_vec.items()})
+        return _apply_sparse(self.project, {s * fdim + t: a * b
+                                            for s, a in e_vec.items() for t, b in f_vec.items()})
 
-    def first_unkilled(self, m: Matrix) -> Vector | None:
+    def first_unkilled(self, m: Matrix) -> dict[int, Scalar] | None:
         """The first relation basis vector that the plain-coordinate map m
-        does not send to zero, or None when m factors through the quotient.
+        does not send to zero, a copy of its sparse row, or None when m
+        factors through the quotient.
 
         m kills the relations exactly when m == (m @ section) @ project; the
         relation rows are applied, as sparse vectors, only when it does not."""
         if m == (m @ self.section) @ self.project:
             return None
-        return next((sparse_to_vec(rel, self.ambient_dim) for rel in self.relations.rows
-                     if _apply_sparse(m, rel)), None)
+        return next((dict(rel) for rel in self.relations.rows if _apply_sparse(m, rel)), None)
 
     def lift_sparse(self, x: dict[int, Scalar]) -> dict[int, Scalar]:
         """The canonical plain-tensor representative of a class given by

@@ -177,35 +177,24 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
     def wedge_bimodule_map():
         # W (L_a (x) 1) == L_a W and W (1 (x) R_a) == R_a W, compared per a
         # as whole sparse products: row y of W (L_a (x) 1) is (L_a^T (x) 1)
-        # applied to row y of W.  Only where they differ is the witness
-        # searched on sparse columns, where column s*nE + t of W is
-        # wedge(e_s (x) e_t), in (s, t) order, so it is the first failing
-        # pair of the first failing a.
-        w = calc.wedge_plain.sparse_cols()
+        # applied to row y of W.  Column s*nE + t of either side is its value
+        # on e_s (x) e_t, so the witness is the first column where a side
+        # differs, the left identity first, of the first failing a.
         w_rows = calc.wedge_plain.sparse_rows()
-
-        def holds(i: int) -> bool:
-            lt, rt = e.left[i].transpose(), e.right[i].transpose()
-            return ([_tensor_left_apply(lt, nE, row) for row in w_rows]
-                    == _product_rows(w2.left[i], calc.wedge_plain)
-                    and [_tensor_right_apply(rt, nE, row) for row in w_rows]
-                    == _product_rows(w2.right[i], calc.wedge_plain))
 
         def actions(indices: Sequence[int]) -> str | None:
             for i in indices:
-                if holds(i):
-                    continue
-                le, lw = e.left[i].sparse_cols(), w2.left[i].sparse_cols()
-                re, rw = e.right[i].sparse_cols(), w2.right[i].sparse_cols()
-                for s in range(nE):
-                    for t in range(nE):
-                        base = w[s * nE + t]
-                        lhs = _lincomb((a, w[u * nE + t]) for u, a in le[s].items())
-                        if lhs != _lincomb((c, lw[r]) for r, c in base.items()):
-                            return f"wedge(a e (x) f) != a wedge(e (x) f) at (a={alg.labels[i]}, {s}, {t})"
-                        rhs = _lincomb((a, w[s * nE + u]) for u, a in re[t].items())
-                        if rhs != _lincomb((c, rw[r]) for r, c in base.items()):
-                            return f"wedge(e (x) f a) != wedge(e (x) f) a at (a={alg.labels[i]}, {s}, {t})"
+                lt, rt = e.left[i].transpose(), e.right[i].transpose()
+                left = _differing_columns([_tensor_left_apply(lt, nE, row) for row in w_rows],
+                                          _product_rows(w2.left[i], calc.wedge_plain))
+                right = _differing_columns([_tensor_right_apply(rt, nE, row) for row in w_rows],
+                                           _product_rows(w2.right[i], calc.wedge_plain))
+                if left or right:
+                    col = min(left | right)
+                    s, t = divmod(col, nE)
+                    if col in left:
+                        return f"wedge(a e (x) f) != a wedge(e (x) f) at (a={alg.labels[i]}, {s}, {t})"
+                    return f"wedge(e (x) f a) != wedge(e (x) f) a at (a={alg.labels[i]}, {s}, {t})"
             return None
 
         return alg.first_failure(actions, ready())
@@ -264,6 +253,12 @@ def validate_calculus(calc: Calculus) -> CalculusReport:
     return CalculusReport(tuple(items))
 
 
+def _differing_columns(lhs: list[dict[int, Scalar]], rhs: list[dict[int, Scalar]]) -> set[int]:
+    """The columns where two matrices, given by their sparse rows, differ."""
+    return {k for a, b in zip(lhs, rhs) if a != b
+            for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
+
+
 # ---------------------------------------------------------------------------
 # Tameness: the symmetry sigma
 # ---------------------------------------------------------------------------
@@ -320,13 +315,9 @@ def build_symmetry(calc: Calculus) -> Matrix | Refusal:
     ran_p = p_sym.column_space()
     if ran_p != kernel_wedge:
         # the first basis row of either space outside the other, searched on
-        # copies of the sparse rows; the witness is its dense basis vector
-        witness = None
-        for space, other in ((ran_p, kernel_wedge), (kernel_wedge, ran_p)):
-            k = next((k for k, row in enumerate(space.rows) if other._residual(dict(row))), None)
-            if k is not None:
-                witness = space.basis[k]
-                break
+        # copies of the sparse rows, is the witness
+        witness = next(dict(row) for space, other in ((ran_p, kernel_wedge), (kernel_wedge, ran_p))
+                       for row in space.rows if other._residual(dict(row)))
         return Refusal("PsymRangeMismatch",
                        "the symmetrizer image differs from the kernel of the wedge", witness)
 

@@ -21,7 +21,7 @@ from . import __version__
 from .calculus import build_symmetry, validate_calculus
 from .connection import Geometry, certify, levi_civita_direct, levi_civita_koszul
 from .errors import ContractViolationError, EngineError, Refusal, SpecFileError
-from .linalg import LinAlgError, Matrix, vec_to_sparse
+from .linalg import LinAlgError, Matrix
 from .metric import validate_metric
 from .specfile import (
     SpecData,
@@ -113,13 +113,14 @@ def read_metric(spec: SpecData, metric_path: str | None) -> Matrix:
 
 def refusal_text(refusal: Refusal) -> str:
     """A refused check's report witness: condition and detail, then the
-    refusal's own witness, a vector written sparse (index: value)."""
+    refusal's own witness, a sparse vector written by index (index: value)
+    or the label it is."""
     text = f"{refusal.condition}: {refusal.detail}"
     w = refusal.witness
     if w is None:
         return text
-    if isinstance(w, tuple):
-        w = "{" + ", ".join(f"{j}: {v}" for j, v in vec_to_sparse(w).items()) + "}"
+    if isinstance(w, dict):
+        w = "{" + ", ".join(f"{j}: {v}" for j, v in sorted(w.items())) + "}"
     return f"{text}; witness {w}"
 
 

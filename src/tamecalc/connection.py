@@ -256,10 +256,6 @@ class Geometry:
         return solver
 
     @cached_property
-    def field_solver(self) -> ColumnSolver:
-        return ColumnSolver(Matrix.from_sparse_cols(self.fields.basis, self.metric.e_star.dim))
-
-    @cached_property
     def lie_table(self) -> list[list[dict[int, Scalar]]]:
         n = self.fields.count
         return [[lie_bracket(self, self.fields.basis[p], self.fields.basis[q])
@@ -314,7 +310,7 @@ class DualElement:
         got = self._bracket_forms.get(p)
         if got is None:
             geo = self.geo
-            got = geo.metric.form_of(bracket_general(geo, geo.fields.basis[p], self.phi))
+            got = geo.metric.form_of(bracket_general(geo, p, self.phi))
             self._bracket_forms[p] = got
         return got
 
@@ -381,30 +377,25 @@ def lie_bracket(geo: Geometry, x: dict[int, Scalar], y: dict[int, Scalar]) -> di
     return z
 
 
-def bracket_general(geo: Geometry, x: dict[int, Scalar],
-                    phi: dict[int, Scalar]) -> dict[int, Scalar]:
-    """[x, phi] for a field x and arbitrary dual phi, all sparse.
+def bracket_general(geo: Geometry, m: int, phi: dict[int, Scalar]) -> dict[int, Scalar]:
+    """[X_m, phi] for the field of index m and an arbitrary sparse dual phi,
+    sparse.
 
     phi decomposes over the right-total family {X_p . a} of E*'s central
-    generators; the bracket is the sum of [x, X_p] a_p plus delta_x(a_p) X_p,
-    and does not depend on the decomposition.
+    generators; the bracket is the sum of [X_m, X_p] a_p plus
+    delta_m(a_p) X_p, and does not depend on the decomposition.
     """
-    lam = geo.field_solver.solve(x)
-    if lam is None:
-        raise ContractViolationError("bracket_general: first argument is not a vector field")
     nA = geo.calc.algebra.dim
     e_star = geo.metric.e_star
-    dx = geo.dual(x).delta
+    delta = geo.fields.deltas[m]
     a_of: dict[int, dict[int, Scalar]] = {}
     for pos, c in geo.fields.generators.decompose(phi).items():
         p, r = divmod(pos, nA)
         a_of.setdefault(p, {})[r] = c
     terms = []
     for p, a_p in a_of.items():
-        bracket_xp = _lincomb((lm, geo.lie_table[m][p]) for m, lm in lam.items())
-        terms.append((ONE, e_star.bimodule.act_right(a_p, bracket_xp)))
-        dxa = _apply_sparse(dx, a_p)
-        terms.append((ONE, e_star.bimodule.act_left(dxa, geo.fields.basis[p])))
+        terms.append((ONE, e_star.bimodule.act_right(a_p, geo.lie_table[m][p])))
+        terms.append((ONE, e_star.bimodule.act_left(_apply_sparse(delta, a_p), geo.fields.basis[p])))
     return _lincomb(terms)
 
 

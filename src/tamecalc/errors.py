@@ -11,12 +11,13 @@ from __future__ import annotations
 
 class Refusal:
     """A refused check: the condition that failed, a one-line detail and an
-    optional witness.  `build_symmetry` and `validate_metric` return it in
-    place of their certificate or metric."""
+    optional witness, a zero-free sparse vector {index: value} or a basis
+    label.  `build_symmetry` and `validate_metric` return it in place of
+    their certificate or metric."""
 
     __slots__ = ("condition", "detail", "witness")
 
-    def __init__(self, condition: str, detail: str, witness: object = None):
+    def __init__(self, condition: str, detail: str, witness: dict | str | None = None):
         self.condition, self.detail, self.witness = condition, detail, witness
 
 

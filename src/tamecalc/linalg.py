@@ -144,7 +144,8 @@ class Scalar:
             return f"{Fraction(self.rn, self.dn)}"
         if self.rn == 0:
             return f"{Fraction(self.im, self.dn)}i"
-        return f"({Fraction(self.rn, self.dn)}+{Fraction(self.im, self.dn)}i)"
+        sign = "-" if self.im < 0 else "+"
+        return f"({Fraction(self.rn, self.dn)}{sign}{Fraction(abs(self.im), self.dn)}i)"
 
     def __bool__(self) -> bool:
         return self is not ZERO

@@ -22,11 +22,11 @@ from .errors import CenterMismatchError, InternalInconsistencyError, Refusal
 from .linalg import (
     LinAlgError,
     Matrix,
+    ONE,
     Scalar,
     Subspace,
     _apply_sparse,
     _lincomb,
-    basis_vector,
 )
 
 
@@ -85,7 +85,7 @@ def validate_metric(calc: Calculus, sigma: Matrix, g_in: Matrix) -> Metric | Ref
         # column j of g sigma is g(sigma(e_j)): the first that differs names e_j
         j = next(j for j, (a, b) in enumerate(zip(g_sigma.sparse_cols(), g.sparse_cols()))
                  if a != b)
-        return Refusal("NotSymmetric", "g(sigma(x)) != g(x)", basis_vector(qt.dim, j))
+        return Refusal("NotSymmetric", "g(sigma(x)) != g(x)", {j: ONE})
 
     e_star = dual_module(e)
     if e_star.dim != e.dim:
@@ -106,9 +106,9 @@ def validate_metric(calc: Calculus, sigma: Matrix, g_in: Matrix) -> Metric | Ref
     try:
         v_g_inv = v_g.inverse()
     except LinAlgError:
-        kernel = v_g.kernel()
+        # v_g is square, so it is singular: its kernel's first RREF row
         return Refusal("VgNotInvertible", "V_g has a nontrivial kernel",
-                       kernel.basis[0] if kernel.dim else None)
+                       dict(v_g.kernel().rows[0]))
     return Metric(g_plain=g_in, e_star=e_star, v_g=v_g, v_g_inv=v_g_inv)
 
 

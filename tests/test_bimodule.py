@@ -271,7 +271,7 @@ def test_hom_from_a_source_that_is_not_centered_raises():
     one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
     e = Bimodule(alg, 1, [one, zero], [zero, one])
     e.validate()
-    assert not e.central_generators.spans and missing_direction(e) == basis_vector(1, 0)
+    assert not e.central_generators.spans and missing_direction(e) == {0: ONE}
     for build in (lambda: hom_A(e, Bimodule.regular(alg)), lambda: dual_module(e)):
         with pytest.raises(ContractViolationError) as err:
             build()

@@ -34,10 +34,12 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.cli import main
+from tamecalc.errors import Refusal
 from tamecalc.linalg import (
     ONE,
     ZERO,
     Matrix,
+    Scalar,
     Subspace,
     _lincomb,
     basis_vector,
@@ -971,6 +973,38 @@ def test_a_refusal_without_witness_names_none(capsys, tmp_path, preset, bump, co
 
     _, witness = _refused(capsys, tmp_path, digests._bumped(digests.preset_text(preset, 2), *bump))
     assert witness.startswith(f"{condition}: ") and "witness" not in witness
+
+
+def test_every_manifest_refusal_witness_is_sparse_a_label_or_none(monkeypatch):
+    # each refusal the manifest's check cases reach, as the report gets it
+    import digests
+
+    seen: dict[str, list] = {}
+    report = cli.refusal_text
+
+    def record(refusal):
+        seen.setdefault(refusal.condition, []).append(refusal.witness)
+        return report(refusal)
+
+    monkeypatch.setattr(cli, "refusal_text", record)
+    for name, (_, case) in digests.cases().items():
+        if name.startswith("refuse-check/"):
+            digests.run_case(name, case)
+    # no known input reaches SigmaNotBilinear
+    assert set(seen) == {"NotCentered", "CentralTensorsDoNotSpan", "FlipNotWellDefined",
+                         "PsymRangeMismatch", "QNotInvertible", "NotBilinear", "NotSymmetric",
+                         "VgNotInvertible"}
+    for condition, witnesses in seen.items():
+        for w in witnesses:
+            assert w is None or isinstance(w, str) or (
+                type(w) is dict and w and all(type(j) is int and isinstance(v, Scalar)
+                                              and v is not ZERO for j, v in w.items())), (condition, w)
+
+
+def test_refusal_text_writes_a_complex_witness_by_index():
+    # written in index order, the negative imaginary part without "+-"
+    refusal = Refusal("C", "detail", {1: qi("1/2", "-1/2"), 0: qi("1/2", "1/2")})
+    assert cli.refusal_text(refusal) == "C: detail; witness {0: (1/2+1/2i), 1: (1/2-1/2i)}"
 
 
 def _manifest_texts(monkeypatch, tmp_path, label: str) -> list[str]:

@@ -356,7 +356,7 @@ def test_fuzzy_brackets_match_ad_commutators(fuzzy_geo):
 def test_bracket_general_extends_lie_bracket(fuzzy_geo):
     geo = fuzzy_geo
     x, y = geo.fields.basis[0], geo.fields.basis[1]
-    assert bracket_general(geo, x, y) == lie_bracket(geo, x, y)
+    assert bracket_general(geo, 0, y) == lie_bracket(geo, x, y)
 
 
 def test_bracket_general_translation_formula(fuzzy_geo):
@@ -369,7 +369,7 @@ def test_bracket_general_translation_formula(fuzzy_geo):
             y = geo.fields.basis[j]
             for a_idx in range(4):
                 phi = _apply_sparse(estar.bimodule.right[a_idx], y)
-                got = bracket_general(geo, x, phi)
+                got = bracket_general(geo, i, phi)
                 t1 = estar.bimodule.right[a_idx].apply(
                     sparse_to_vec(lie_bracket(geo, x, y), estar.dim))
                 # delta_x(a) is column a of the derivation matrix of x

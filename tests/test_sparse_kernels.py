@@ -134,13 +134,17 @@ def test_engine_modules_import_no_dense_vector_helpers():
 
     import tamecalc
 
-    dense = {"Vector", "vec_to_sparse", "sparse_to_vec", "zero_vector", "vec_is_zero"}
+    dense = {"Vector", "vec_to_sparse", "sparse_to_vec", "zero_vector", "vec_is_zero",
+             "basis_vector"}
     src = Path(tamecalc.__file__).parent
-    for name in ("calculus.py", "connection.py", "metric.py"):
+    # bimodule keeps the dense helpers of the benchmark-pinned HomModule.value,
+    # but builds no witness as a dense basis vector
+    for name, forbidden in (("calculus.py", dense), ("connection.py", dense),
+                            ("metric.py", dense), ("bimodule.py", {"basis_vector"})):
         tree = ast.parse((src / name).read_text())
         imported = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert not imported & dense, (name, imported & dense)
+        assert not imported & forbidden, (name, imported & forbidden)
 
 
 # Defined in src/ but called only by the benchmark under perfbench/, which
