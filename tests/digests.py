@@ -79,14 +79,19 @@ def bench_texts(calculus: str, base: str) -> tuple[str, str]:
         return made.spec_path.read_text(), made.metrics[base].path.read_text()
 
 
-def _bumped(text: str, *path) -> str:
-    """The spec text with the scalar at path raised by one."""
+def _edited(text: str, change, *path) -> str:
+    """The spec text with the value at path replaced by change(value)."""
     root = obj = json.loads(text)
     *outer, last = path
     for key in outer:
         obj = obj[key]
-    obj[last] = str(Fraction(obj[last]) + 1)
+    obj[last] = change(obj[last])
     return specfile.dumps_canonical(root)
+
+
+def _bumped(text: str, *path) -> str:
+    """The spec text with the scalar at path raised by one."""
+    return _edited(text, lambda x: str(Fraction(x) + 1), *path)
 
 
 # -- cases ------------------------------------------------------------------------------
@@ -143,6 +148,24 @@ def _bumped_nabla() -> list[str]:
     spec = _generated(MD2)
     art = _connected([spec])
     Path(art).write_text(_bumped(Path(art).read_text(), "nabla", 0, 1))
+    return ["verify", spec, art]
+
+
+def _shifted_nabla() -> list[str]:
+    # nabla plus the map e -> pi(e (x) z_0), right-linear because z_0 is
+    # central: Leibniz still holds, compatibility no longer does
+    from tamecalc.linalg import ONE, Matrix
+
+    spec = _generated(MD2)
+    art = _connected([spec])
+    calc = specfile.load_spec(spec).calculus
+    qt, ne = calc.tensor_square, calc.one_forms.dim
+    z0 = calc.one_forms.central_generators.zs[0]
+    shift = Matrix.from_sparse_cols([qt.pure_sparse({j: ONE}, z0) for j in range(ne)], qt.dim)
+    obj = json.loads(Path(art).read_text())
+    nabla = specfile.matrix_from_json(obj["nabla"], qt.dim, ne, "nabla")
+    obj["nabla"] = specfile.matrix_to_json(nabla + shift)
+    Path(art).write_text(specfile.dumps_canonical(obj))
     return ["verify", spec, art]
 
 
@@ -213,6 +236,70 @@ def _twisted_line() -> list[str]:
     return ["twisted-line.json"]
 
 
+def _conjugated_right() -> list[str]:
+    # P R_a P^-1 with P = I + E_01 is still a right action, but no longer
+    # commutes with the left one: (a e) b != a (e b)
+    from tamecalc.bimodule import Bimodule
+    from tamecalc.builders import preset_matrix_derivations
+    from tamecalc.calculus import Calculus
+    from tamecalc.linalg import ONE, Matrix
+
+    preset = preset_matrix_derivations(2)
+    calc, e = preset.calculus, preset.calculus.one_forms
+    p = Matrix.from_sparse_rows([{0: ONE, 1: ONE}, *({j: ONE} for j in range(1, e.dim))], e.dim)
+    p_inv = Matrix.from_sparse_rows([{0: ONE, 1: -ONE}, *({j: ONE} for j in range(1, e.dim))],
+                                    e.dim)
+    conjugated = Bimodule(calc.algebra, e.dim, e.left, [p @ m @ p_inv for m in e.right])
+    broken = Calculus(calc.algebra, conjugated, calc.two_forms, calc.d0, calc.d1,
+                      calc.wedge_plain)
+    specfile.save_spec(specfile.SpecData(name=preset.name, calculus=broken,
+                                         metric_plain=preset.metric_plain),
+                       "conjugated-right.json")
+    return ["conjugated-right.json"]
+
+
+def _bumped_spec(*path):
+    def make() -> list[str]:
+        return [_spec("bumped.json", _bumped(preset_text("matrix-derivations", 2), *path))]
+    return make
+
+
+# the algebra and bimodule axioms, each failing at its own line: the unit
+# law, associativity, the unit acting as the identity on either side, and
+# the two actions commuting
+AXIOM_FAILURES = {f"{MD2}.unit": _bumped_spec("algebra", "unit", 0),
+                  f"{MD2}.mul": _bumped_spec("algebra", "mul", 1, 2, 3),
+                  f"{MD2}.one-form-left-unit": _bumped_spec("one_forms", "left", 0, 0, 1),
+                  f"{MD2}.one-form-right-unit": _bumped_spec("one_forms", "right", 0, 0, 1),
+                  f"{MD2}.conjugated-right": _conjugated_right}
+
+
+def _file(name: str, data: bytes) -> str:
+    Path(name).write_bytes(data)
+    return name
+
+
+def _md2_with(change, *path) -> str:
+    return _spec("bad.json", _edited(preset_text("matrix-derivations", 2), change, *path))
+
+
+# each class of bad input README lists, and the command line's own exits
+BAD_INPUTS = {
+    "not-utf8": lambda: ["check", _file("bad.json", b"\xff\xfe{}")],
+    "not-json": lambda: ["check", _spec("bad.json", "{not json")],
+    "too-deep": lambda: ["check", _file("bad.json", b"[" * 100000 + b"]" * 100000)],
+    "exponent": lambda: ["check", _md2_with(lambda _: "1e5", "d0", 1, 0)],
+    "boolean-dim": lambda: ["check", _md2_with(lambda _: True, "one_forms", "dim")],
+    "missing-file": lambda: ["check", "missing.json"],
+    "bad-metric": lambda: ["check", _generated(MD2), "--metric",
+                           _spec("shape.metric.json", '[["1"]]')],
+    "unwritable-out": lambda: ["connect", _generated(MD2), "--out", "no/dir/x.json"],
+    "gen-n": lambda: ["gen", "abelian-torus", "--n", "3", "--out", "x.json"],
+    "command-line": lambda: ["gen", "klein-bottle"],
+}
+USAGE = {"version": lambda: ["--version"], "help": lambda: ["--help"]}
+
+
 # the refusal classes no bumped preset reaches; no known input reaches
 # SigmaNotBilinear
 REFUSALS = {f"{MD2}.zero-metric": _zero_metric,
@@ -258,11 +345,16 @@ def cases() -> dict[str, tuple[bool, object]]:
         # E stays centered, its central tensors no longer span
         out[f"refuse-{command}/{AT2}.one-form-left"] = (True, _bumped_case(
             command, ("one_forms", "left", 2, 0, 1), "abelian-torus"))
-    for label, make in REFUSALS.items():
+    for label, make in {**REFUSALS, **AXIOM_FAILURES}.items():
         for as_json in (False, True):
             out[f"refuse-check{'-json' if as_json else ''}/{label}"] = (
                 True, _command_case("check", as_json, make))
     out[f"refuse-verify/{MD2}.nabla"] = (True, _bumped_nabla)
+    out[f"refuse-verify/{MD2}.nabla-plus-central"] = (True, _shifted_nabla)
+    for label, make in BAD_INPUTS.items():
+        out[f"bad-input/{label}"] = (True, make)
+    for label, make in USAGE.items():
+        out[f"usage/{label}"] = (True, make)
     out[f"verify/{MD2}.broken-wedge.empty-artifact"] = (True, _malformed_artifact({}))
     out[f"verify/{MD2}.broken-wedge.one-entry-artifact"] = (
         True, _malformed_artifact({"nabla": [["1"]]}))
@@ -272,20 +364,31 @@ def cases() -> dict[str, tuple[bool, object]]:
 # -- running ------------------------------------------------------------------------------
 
 def run_case(name: str, case) -> dict[str, object]:
-    """The digests of one case, by key: exit code, stdout, stderr, files."""
-    cwd = os.getcwd()
+    """The digests of one case, by key: exit code, stdout, stderr, files.
+
+    argparse ends --help and --version with SystemExit, whose code is the
+    exit code, and wraps help text to the terminal, pinned here at 80."""
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory() as d:
         os.chdir(d)
+        os.environ["COLUMNS"] = "80"
         try:
             argv = case()
             before = {p.name: p.read_bytes() for p in Path(".").iterdir()}
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
             written = {p.name: p.read_bytes() for p in Path(".").iterdir()
                        if before.get(p.name) != p.read_bytes()}
         finally:
             os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
     got: dict[str, object] = {
         f"{name}/exit": code,
         f"{name}/stdout": _sha(TIMING.sub('"timing_ms": 0', out.getvalue()).encode()),
