@@ -142,10 +142,11 @@ class Algebra:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self) -> None:
-        """Certify associativity and the unit laws; raises with the failing
-        triple.  Given the unit laws, the c with (ab)c = a(bc) for all a, b
-        form a unital subalgebra, so the generators decide associativity."""
+    def validate(self) -> str | None:
+        """Certify associativity and the unit laws: the first failure's text,
+        naming its basis element or triple, or None, which sets `validated`.
+        Given the unit laws, the c with (ab)c = a(bc) for all a, b form a
+        unital subalgebra, so the generators decide associativity."""
         n = self.dim
         mul = self.sparse_mul
         unit = self.sparse_unit
@@ -153,11 +154,10 @@ class Algebra:
             e = {i: ONE}
             if (_lincomb((c, mul[u][i]) for u, c in unit.items()) != e
                     or _lincomb((c, mul[i][u]) for u, c in unit.items()) != e):
-                raise ContractViolationError(
-                    f"unit law fails on basis element {self.labels[i]}", witness=i)
+                return f"unit law fails on basis element {self.labels[i]}"
         # (b_i b_j) b_k and b_i (b_j b_k) as sparse sums over the table
 
-        def associativity(lasts: Sequence[int]) -> ContractViolationError | None:
+        def associativity(lasts: Sequence[int]) -> str | None:
             for i in range(n):
                 for j in range(n):
                     ij = mul[i][j]
@@ -165,16 +165,13 @@ class Algebra:
                         left = _lincomb((c, mul[p][k]) for p, c in ij.items())
                         right = _lincomb((c, mul[i][q]) for q, c in mul[j][k].items())
                         if left != right:
-                            return ContractViolationError(
-                                "associativity fails on basis triple "
-                                f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})",
-                                witness=(i, j, k))
+                            return ("associativity fails on basis triple "
+                                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
             return None
 
         failure = self.first_failure(associativity, True)
-        if failure is not None:
-            raise failure
-        self.validated = True
+        self.validated = failure is None
+        return failure
 
     # -- derivations --------------------------------------------------------
 

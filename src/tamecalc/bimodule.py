@@ -99,8 +99,9 @@ class Bimodule:
         """v . a for sparse a and v, without building the action of a."""
         return _act(self.right, a, v)
 
-    def validate(self) -> None:
-        """Certify the bimodule axioms; raises with the failing pair.
+    def validate(self) -> str | None:
+        """Certify the bimodule axioms: the first failure's text, naming its
+        basis pair, or None, which sets `validated` over a validated algebra.
 
         Every identity is compared on sparse rows.  Over a validated algebra
         with the unit acting as the identity, each axiom holds for all of A
@@ -109,33 +110,29 @@ class Bimodule:
         n = alg.dim
         ident = [{i: ONE} for i in range(self.dim)]
         if self._action_rows(self.left, alg.sparse_unit) != ident:
-            raise ContractViolationError("bimodule: unit does not act as identity on the left")
+            return "bimodule: unit does not act as identity on the left"
         if self._action_rows(self.right, alg.sparse_unit) != ident:
-            raise ContractViolationError("bimodule: unit does not act as identity on the right")
+            return "bimodule: unit does not act as identity on the right"
 
-        def axioms(gens: Sequence[int]) -> ContractViolationError | None:
+        def axioms(gens: Sequence[int]) -> str | None:
             # (ab)e with a, e(ab) with b and (ae)b with a in gens
             for i in range(n):
                 for j in range(n):
                     prod = alg.sparse_mul[i][j]
                     if i in gens and self._action_rows(self.left, prod) != \
                             _product_rows(self.left[i], self.left[j]):
-                        return ContractViolationError(
-                            f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})", witness=(i, j))
+                        return f"bimodule: (ab)e != a(be) at basis pair ({i}, {j})"
                     if j in gens and self._action_rows(self.right, prod) != \
                             _product_rows(self.right[j], self.right[i]):
-                        return ContractViolationError(
-                            f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})", witness=(i, j))
+                        return f"bimodule: e(ab) != (ea)b at basis pair ({i}, {j})"
                     if i in gens and _product_rows(self.left[i], self.right[j]) != \
                             _product_rows(self.right[j], self.left[i]):
-                        return ContractViolationError(
-                            f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})", witness=(i, j))
+                        return f"bimodule: (a e) b != a (e b) at basis pair ({i}, {j})"
             return None
 
         failure = alg.first_failure(axioms, alg.validated)
-        if failure is not None:
-            raise failure
-        self.validated = alg.validated
+        self.validated = failure is None and alg.validated
+        return failure
 
     def __repr__(self) -> str:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"

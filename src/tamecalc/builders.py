@@ -11,7 +11,8 @@ finite-dimensional complex formulas
 
 Two presets are shipped: a 2x2 matrix algebra with its inner derivations
 (noncommutative, curvature-bearing) and a matrix algebra with two commuting
-projector derivations (the flat baseline).
+projector derivations (the flat baseline).  Each preset maker returns the
+`SpecData` that `gen` writes.
 
 Builders build, and `check` certifies: past its shapes, nothing here checks
 the algebra or the Lie datum.  On the built calculus a broken datum fails a
@@ -38,6 +39,7 @@ from .linalg import (
     qi,
     zero_vector,
 )
+from .specfile import SpecData
 
 
 class ChevalleySpec:
@@ -239,23 +241,16 @@ def abelian_torus_chevalley(n: int = 2) -> ChevalleySpec:
     return ChevalleySpec(alg, 2, brackets, actions)
 
 
-class Preset:
-    __slots__ = ("name", "calculus", "metric_plain")
-
-    def __init__(self, name: str, calculus: Calculus, metric_plain: Matrix):
-        self.name, self.calculus, self.metric_plain = name, calculus, metric_plain
-
-
-def preset_matrix_derivations(n: int = 2) -> Preset:
+def preset_matrix_derivations(n: int = 2) -> SpecData:
     spec = matrix_derivations_chevalley(n)
-    return Preset(f"matrix-derivations-{n}", build_chevalley(spec),
-                  euclidean_metric_plain(spec))
+    return SpecData(f"matrix-derivations-{n}", build_chevalley(spec),
+                    euclidean_metric_plain(spec))
 
 
-def preset_abelian_torus(n: int = 2) -> Preset:
+def preset_abelian_torus(n: int = 2) -> SpecData:
     spec = abelian_torus_chevalley(n)
-    return Preset(f"abelian-torus-{n}", build_chevalley(spec),
-                  euclidean_metric_plain(spec))
+    return SpecData(f"abelian-torus-{n}", build_chevalley(spec),
+                    euclidean_metric_plain(spec))
 
 
 PRESETS = {

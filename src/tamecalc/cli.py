@@ -56,47 +56,44 @@ class ReportBuilder:
         self.summary: dict = {}
         self.t0 = time.monotonic()
 
-    def add(self, name: str, ok: bool, witness=None) -> bool:
+    def add(self, name: str, ok: bool, witness=None) -> None:
         self.checks.append({
             "name": name,
             "ok": bool(ok),
             "witness": None if witness is None else str(witness),
         })
-        return ok
 
     @property
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def finish(self, exit_code: int) -> dict:
-        report = {
-            "tool": "tamecalc",
-            "version": __version__,
-            "command": self.command,
-            "input": self.path,
-            "input_digest": self.digest,
-            "seed": self.seed,
-            "checks": self.checks,
-            "summary": self.summary,
-            "ok": self.ok,
-            "exit_code": exit_code,
-            "timing_ms": round((time.monotonic() - self.t0) * 1000.0, 3),
-        }
-        return report
-
-
-def emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(dumps_canonical(report))
-        return
-    for c in report["checks"]:
-        mark = "ok  " if c["ok"] else "FAIL"
-        line = f"  [{mark}] {c['name']}"
-        if not c["ok"] and c.get("witness"):
-            line += f": {c['witness']}"
-        print(line)
-    for key, value in report["summary"].items():
-        print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
+    def emit(self, exit_code: int, as_json: bool) -> int:
+        """Write the report to stdout, as JSON or as text, and return its
+        exit code."""
+        if as_json:
+            sys.stdout.write(dumps_canonical({
+                "tool": "tamecalc",
+                "version": __version__,
+                "command": self.command,
+                "input": self.path,
+                "input_digest": self.digest,
+                "seed": self.seed,
+                "checks": self.checks,
+                "summary": self.summary,
+                "ok": self.ok,
+                "exit_code": exit_code,
+                "timing_ms": round((time.monotonic() - self.t0) * 1000.0, 3),
+            }))
+            return exit_code
+        for c in self.checks:
+            mark = "ok  " if c["ok"] else "FAIL"
+            line = f"  [{mark}] {c['name']}"
+            if not c["ok"] and c.get("witness"):
+                line += f": {c['witness']}"
+            print(line)
+        for key, value in self.summary.items():
+            print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
+        return exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +127,9 @@ def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
     before it runs."""
     rb.digest = spec.digest
     calc = spec.calculus
-    try:
-        calc.algebra.validate()
-        rb.add("algebra_axioms", True)
-    except ContractViolationError as exc:
-        rb.add("algebra_axioms", False, exc)
+    failure = calc.algebra.validate()
+    rb.add("algebra_axioms", failure is None, failure)
+    if failure is not None:
         rb.summary.update(calculus_valid=False, tame=False, metric_valid=False)
         return None, None
 
@@ -171,13 +166,11 @@ def cmd_gen(args) -> int:
 
     maker = PRESETS[args.preset]
     try:
-        preset = maker(args.n)
+        spec = maker(args.n)
     except ContractViolationError as exc:
         # a size the preset does not ship is bad input, not a failed check
         raise SpecFileError(f"{args.preset} --n {args.n}: {exc}")
-    spec = SpecData(name=preset.name, calculus=preset.calculus,
-                    metric_plain=preset.metric_plain)
-    out = args.out or f"{preset.name}.json"
+    out = args.out or f"{spec.name}.json"
     save_spec(spec, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -187,9 +180,7 @@ def cmd_check(args) -> int:
     rb = ReportBuilder("check", args.spec, args.seed)
     spec = load_spec(args.spec)
     _, metric = run_structure_checks(spec, rb, read_metric(spec, args.metric))
-    code = EXIT_OK if (rb.ok and metric is not None) else EXIT_MATH
-    emit(rb.finish(code), args.json)
-    return code
+    return rb.emit(EXIT_OK if (rb.ok and metric is not None) else EXIT_MATH, args.json)
 
 
 def cmd_connect(args) -> int:
@@ -200,8 +191,7 @@ def cmd_connect(args) -> int:
     check_writable(out)
     sigma, metric = run_structure_checks(spec, rb, g_in)
     if metric is None or not rb.ok:
-        emit(rb.finish(EXIT_MATH), args.json)
-        return EXIT_MATH
+        return rb.emit(EXIT_MATH, args.json)
 
     geo = Geometry(spec.calculus, sigma, metric)
     try:
@@ -209,8 +199,7 @@ def cmd_connect(args) -> int:
         direct = levi_civita_direct(geo)
     except EngineError as exc:
         rb.add(f"solver_{exc.code}", False, exc)
-        emit(rb.finish(EXIT_MATH), args.json)
-        return EXIT_MATH
+        return rb.emit(EXIT_MATH, args.json)
 
     # the Koszul route raised unless its connection certified (Leibniz,
     # torsion, compatibility), and the direct route unless its kernel is 0
@@ -229,9 +218,7 @@ def cmd_connect(args) -> int:
     artifact = connection_to_json(nabla, table, checks, spec.digest)
     write_file(out, dumps_canonical(artifact))
     rb.summary["artifact"] = out
-    code = EXIT_OK if all(checks.values()) else EXIT_MATH
-    emit(rb.finish(code), args.json)
-    return code
+    return rb.emit(EXIT_OK if all(checks.values()) else EXIT_MATH, args.json)
 
 
 def cmd_verify(args) -> int:
@@ -244,16 +231,14 @@ def cmd_verify(args) -> int:
     calc = spec.calculus
     nabla, table = connection_from_json(obj, calc.tensor_square.dim, calc.one_forms.dim)
     if metric is None or not rb.ok:
-        emit(rb.finish(EXIT_MATH), args.json)
-        return EXIT_MATH
+        return rb.emit(EXIT_MATH, args.json)
 
     verdicts = certify(Geometry(calc, sigma, metric), nabla)
 
     rb.add("leibniz", verdicts.leibniz is None, verdicts.leibniz)
     rb.summary["valid_connection"] = verdicts.leibniz is None
     if verdicts.leibniz is not None:
-        emit(rb.finish(EXIT_MATH), args.json)
-        return EXIT_MATH
+        return rb.emit(EXIT_MATH, args.json)
 
     tw, cw = verdicts.torsion_witnesses, verdicts.compat_witnesses
     rb.add("torsion_zero_form", not tw)
@@ -266,9 +251,7 @@ def cmd_verify(args) -> int:
         rb.add("input_digest_matches", obj["input_digest"] == spec.digest)
     rb.summary["torsionless"] = not tw
     rb.summary["compatible"] = not cw
-    code = EXIT_OK if rb.ok else EXIT_MATH
-    emit(rb.finish(code), args.json)
-    return code
+    return rb.emit(EXIT_OK if rb.ok else EXIT_MATH, args.json)
 
 
 # ---------------------------------------------------------------------------

@@ -447,11 +447,6 @@ class Verdicts:
         self.leibniz, self.table = leibniz, table
         self.torsion_witnesses, self.compat_witnesses = torsion_witnesses, compat_witnesses
 
-    def __eq__(self, other):
-        if not isinstance(other, Verdicts):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
     @property
     def ok(self) -> bool:
         return self.leibniz is None and not self.torsion_witnesses and not self.compat_witnesses

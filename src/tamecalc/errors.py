@@ -1,9 +1,11 @@
 """Structured errors shared across the engine.
 
-Mathematical *diagnoses* (a calculus failing a tameness condition, a metric
-failing symmetry) come back as one `Refusal` value, not raised; exceptions
-are reserved for broken inputs and for situations the theory rules out,
-which therefore signal corrupted data or an implementation bug.
+Mathematical *diagnoses* come back as values, never raised: a failed
+algebra, bimodule or calculus axiom as the text of its first failure, and a
+calculus failing a tameness condition or a metric failing symmetry as one
+`Refusal`.  Exceptions are reserved for broken inputs and shapes and for
+situations the theory rules out, which therefore signal corrupted data or
+an implementation bug.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ class EngineError(Exception):
 
 
 class ContractViolationError(EngineError):
+    """A broken shape or contract, such as an action matrix of the wrong
+    size; never a failed axiom."""
+
     code = "ContractViolation"
 
 

@@ -57,7 +57,7 @@ def certified(x):
     """x (a calculus or a Lie datum) with its algebra certified, as `check`
     does before it reads the calculus: the builders leave certification to
     the commands, and the checks over the algebra's generators need it."""
-    x.algebra.validate()
+    assert x.algebra.validate() is None
     return x
 
 
@@ -112,7 +112,7 @@ def truncated_line_spec() -> ChevalleySpec:
             if a + b < dim:
                 mul[a][b] = e[a + b]
     alg = Algebra(dim, ("1", "x", "x^2"), e[0], mul)
-    alg.validate()
+    assert alg.validate() is None
     euler = from_rows([(ZERO, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, qi(2))])
     return ChevalleySpec(alg, 1, ((z[:1],),), (euler,))
 

@@ -55,9 +55,7 @@ def _quiet_main(argv: list[str]) -> int:
 def preset_text(preset: str, n: int) -> str:
     from tamecalc.builders import PRESETS
 
-    p = PRESETS[preset](n)
-    return specfile.dumps_canonical(specfile.spec_to_json(specfile.SpecData(
-        name=p.name, calculus=p.calculus, metric_plain=p.metric_plain)))
+    return specfile.dumps_canonical(specfile.spec_to_json(PRESETS[preset](n)))
 
 
 def _perfbench_inputs():
@@ -252,8 +250,7 @@ def _conjugated_right() -> list[str]:
     conjugated = Bimodule(calc.algebra, e.dim, e.left, [p @ m @ p_inv for m in e.right])
     broken = Calculus(calc.algebra, conjugated, calc.two_forms, calc.d0, calc.d1,
                       calc.wedge_plain)
-    specfile.save_spec(specfile.SpecData(name=preset.name, calculus=broken,
-                                         metric_plain=preset.metric_plain),
+    specfile.save_spec(specfile.SpecData(preset.name, broken, preset.metric_plain),
                        "conjugated-right.json")
     return ["conjugated-right.json"]
 

@@ -11,7 +11,6 @@ from conftest import certified
 from dense_reference import center, contains_vector, from_rows, multiply_dense
 from tamecalc.algebra import Algebra
 from tamecalc.builders import matrix_derivations_chevalley
-from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     Matrix,
     Subspace,
@@ -55,17 +54,18 @@ def test_preset_multiplication_against_matrix_oracle(fuzzy):
 
 
 def test_preset_algebra_validates(fuzzy):
-    fuzzy.validate()
+    assert fuzzy.validate() is None
 
 
 def test_invalid_structure_constants_report_triple():
     z = zero_vector(2)
     e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
-    # x*x = 1 with unit e0 is non-associative together with x*1 = 0.
+    # x*x = 1 with unit e0 is non-associative together with x*1 = 0; the
+    # unit law is checked first, and its failure comes back as the message
     mul = [[e0, z], [z, e0]]
     bad = Algebra(2, ("1", "x"), e0, mul)
-    with pytest.raises(ContractViolationError):
-        bad.validate()
+    assert bad.validate() == "unit law fails on basis element x"
+    assert not bad.validated
 
 
 def test_center_of_matrix_algebra_is_scalars(fuzzy):
@@ -78,14 +78,14 @@ def test_center_of_commutative_algebra_is_everything():
     z = zero_vector(2)
     e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
     alg = Algebra(2, ("1", "x"), e0, [[e0, e1], [e1, z]])
-    alg.validate()
+    assert alg.validate() is None
     assert center(alg).dim == 2
 
 
 def test_center_of_base_field():
     e0 = basis_vector(1, 0)
     alg = Algebra(1, ("1",), e0, [[e0]])
-    alg.validate()
+    assert alg.validate() is None
     assert center(alg) == Subspace(1, [e0])
 
 

@@ -74,7 +74,7 @@ def truncated_line_chevalley():
             if a + b < dim:
                 mul[a][b] = e[a + b]
     alg = Algebra(dim, ("1", "x", "x^2"), e[0], mul)
-    alg.validate()
+    assert alg.validate() is None
     euler = from_rows([
         (ZERO, ZERO, ZERO),
         (ZERO, ONE, ZERO),
@@ -207,7 +207,7 @@ def test_not_centered_is_reported():
     # Sign-twisted one-forms over K[x]/(x^2 - 1): the center is zero.
     e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
     alg = Algebra(2, ("1", "x"), e0, [[e0, e1], [e1, e0]])
-    alg.validate()
+    assert alg.validate() is None
     reg = Bimodule.regular(alg)
     twisted = Bimodule(alg, 2, [reg.left[0], -reg.left[1]], list(reg.right))
     calc = Calculus(alg, twisted, Bimodule.zero(alg),

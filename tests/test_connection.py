@@ -32,7 +32,6 @@ from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import build_symmetry
 from tamecalc.connection import (
     Geometry,
-    Verdicts,
     bracket_general,
     certify,
     compat_witnesses,
@@ -521,8 +520,8 @@ def test_levi_civita_is_torsionless_and_compatible(fuzzy_geo, fuzzy_lc):
     nabla, table = fuzzy_lc
     verdicts = certify(geo, nabla)
     assert verdicts.ok
-    assert verdicts == Verdicts(leibniz=None, table=table)
-    assert verdicts.table == table
+    assert (verdicts.leibniz, verdicts.table, verdicts.torsion_witnesses,
+            verdicts.compat_witnesses) == (None, table, (), ())
 
 
 def test_grassmann_fails_covariant_torsion_condition(fuzzy_geo):

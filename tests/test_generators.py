@@ -32,7 +32,6 @@ from tamecalc.bimodule import Bimodule, module_center, tensor_over_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import Calculus, build_symmetry, validate_calculus
 from tamecalc.connection import leibniz_witness
-from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     ONE,
     ZERO,
@@ -62,7 +61,7 @@ def _k_times_k() -> Algebra:
     e1, e2 = basis_vector(2, 0), basis_vector(2, 1)
     z = zero_vector(2)
     alg = Algebra(2, ("e1", "e2"), (ONE, ONE), [[e1, z], [z, e2]])
-    alg.validate()
+    assert alg.validate() is None
     return alg
 
 
@@ -117,7 +116,7 @@ def test_generated_relations_and_center_equal_the_full_basis(name):
              "abelian-torus-2": lambda: preset_abelian_torus(2),
              "abelian-torus-4": lambda: preset_abelian_torus(4)}[name]
     e = certified(maker().calculus).one_forms
-    e.validate()
+    assert e.validate() is None
     assert e.validated and len(e.algebra.generators) < e.algebra.dim
     qt = tensor_over_A(e, e)
     rows = commutator_rows((e.right[i].transpose(), e.left[i]) for i in range(e.algebra.dim))
@@ -230,12 +229,11 @@ def test_associativity_witness_is_the_first_triple(coeffs):
     alg = Algebra(3, ("1", "x", "y"), e[0], mul)
     want = _first_nonassociative_triple(alg)
     if want is None:
-        alg.validate()
+        assert alg.validate() is None
         assert alg.validated
     else:
-        with pytest.raises(ContractViolationError) as info:
-            alg.validate()
-        assert info.value.witness == want
+        i, j, k = (alg.labels[x] for x in want)
+        assert alg.validate() == f"associativity fails on basis triple ({i}, {j}, {k})"
         assert not alg.validated
 
 

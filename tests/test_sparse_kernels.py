@@ -273,3 +273,28 @@ def test_certification_runs_only_where_check_runs_it():
     assert sites == [("calculus.py", "validate_calculus", "e"),
                      ("calculus.py", "validate_calculus", "w2"),
                      ("cli.py", "run_structure_checks", "calc.algebra")]
+
+
+def test_axiom_failures_are_returned_not_raised():
+    # a failed axiom is a value from the engine to the report: no src/ code
+    # returns an exception object, and the check path catches none
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    src = Path(tamecalc.__file__).parent
+    returned, caught = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id.endswith("Error")):
+                returned.append((path.name, node.lineno))
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("validate_calculus", "run_structure_checks")):
+                caught.extend((path.name, node.name) for inner in ast.walk(node)
+                              if isinstance(inner, ast.Try))
+    assert returned == []
+    assert caught == []
