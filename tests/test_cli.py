@@ -34,7 +34,7 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.cli import main
-from tamecalc.errors import Refusal
+from tamecalc.errors import ContractViolationError, Refusal
 from tamecalc.linalg import (
     ONE,
     ZERO,
@@ -781,6 +781,17 @@ def test_input_files_are_read_before_any_check(workdir, capsys, tmp_path, monkey
         assert "metric override" in err
     else:
         assert str(bad_inputs[named]) in err
+
+
+def test_a_contract_violation_inside_an_axiom_is_no_report_line(workdir, capsys, monkeypatch):
+    # a failed axiom comes back as its text; a raised ContractViolationError
+    # is a broken contract, which main writes as one stderr line (exit 1)
+    def broken(self):
+        raise ContractViolationError("bimodule: broken contract")
+
+    monkeypatch.setattr(bimodule.Bimodule, "validate", broken)
+    assert main(["check", str(workdir / "fuzzy.json")]) == 1
+    assert capsys.readouterr() == ("", "ContractViolation: bimodule: broken contract\n")
 
 
 def test_bad_input_file_outranks_a_failing_check(workdir, capsys, tmp_path):
