@@ -28,6 +28,7 @@ import tempfile
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "digests.json"
@@ -245,8 +246,7 @@ def _conjugated_right() -> list[str]:
     preset = preset_matrix_derivations(2)
     calc, e = preset.calculus, preset.calculus.one_forms
     p = Matrix.from_sparse_rows([{0: ONE, 1: ONE}, *({j: ONE} for j in range(1, e.dim))], e.dim)
-    p_inv = Matrix.from_sparse_rows([{0: ONE, 1: -ONE}, *({j: ONE} for j in range(1, e.dim))],
-                                    e.dim)
+    p_inv = p.inverse()
     conjugated = Bimodule(calc.algebra, e.dim, e.left, [p @ m @ p_inv for m in e.right])
     broken = Calculus(calc.algebra, conjugated, calc.two_forms, calc.d0, calc.d1,
                       calc.wedge_plain)
@@ -365,10 +365,9 @@ def run_case(name: str, case) -> dict[str, object]:
 
     argparse ends --help and --version with SystemExit, whose code is the
     exit code, and wraps help text to the terminal, pinned here at 80."""
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
-    with tempfile.TemporaryDirectory() as d:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ, COLUMNS="80"):
         os.chdir(d)
-        os.environ["COLUMNS"] = "80"
         try:
             argv = case()
             before = {p.name: p.read_bytes() for p in Path(".").iterdir()}
@@ -382,10 +381,6 @@ def run_case(name: str, case) -> dict[str, object]:
                        if before.get(p.name) != p.read_bytes()}
         finally:
             os.chdir(cwd)
-            if columns is None:
-                del os.environ["COLUMNS"]
-            else:
-                os.environ["COLUMNS"] = columns
     got: dict[str, object] = {
         f"{name}/exit": code,
         f"{name}/stdout": _sha(TIMING.sub('"timing_ms": 0', out.getvalue()).encode()),
