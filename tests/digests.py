@@ -255,6 +255,31 @@ def _conjugated_right() -> list[str]:
     return ["conjugated-right.json"]
 
 
+def _two_point_graph() -> list[str]:
+    # a valid calculus whose one-forms have no nonzero central element:
+    # NotCentered
+    from calculi import two_point_graph
+    from tamecalc.linalg import Matrix
+
+    specfile.save_spec(specfile.SpecData("two-point-graph", two_point_graph(), Matrix.zeros(2, 4)),
+                       "two-point-graph.json")
+    return ["two-point-graph.json"]
+
+
+def _no_two_forms() -> list[str]:
+    # abelian-torus-2 with Omega^2 = 0, a valid calculus: ker W is the
+    # whole tensor square, the symmetrizer's range is not (PsymRangeMismatch)
+    from calculi import without_two_forms
+    from tamecalc.builders import preset_abelian_torus
+
+    preset = preset_abelian_torus(2)
+    calc = preset.calculus
+    flat = without_two_forms(calc.algebra, calc.one_forms, calc.d0)
+    specfile.save_spec(specfile.SpecData(preset.name, flat, preset.metric_plain),
+                       "no-two-forms.json")
+    return ["no-two-forms.json"]
+
+
 def _bumped_spec(*path):
     def make() -> list[str]:
         return [_spec("bumped.json", _bumped(preset_text("matrix-derivations", 2), *path))]
@@ -302,7 +327,9 @@ USAGE = {"version": lambda: ["--version"], "help": lambda: ["--help"]}
 REFUSALS = {f"{MD2}.zero-metric": _zero_metric,
             f"{MD2}.zero-wedge": _zero_wedge,
             f"{MD2}.doubled-two-forms": _doubled_two_forms,
-            "twisted-line": _twisted_line}
+            "twisted-line": _twisted_line,
+            "two-point-graph": _two_point_graph,
+            f"{AT2}.no-two-forms": _no_two_forms}
 
 
 BUMPS = {
@@ -326,6 +353,8 @@ def cases() -> dict[str, tuple[bool, object]]:
               AT2: (True, lambda: [_generated(AT2)]),
               f"{MD2}.A3": (True, lambda: _bench(MD2, "A3")),
               f"{AT2}.A2": (True, lambda: _bench(AT2, "A2")),
+              f"{MD2}.B3": (True, lambda: _bench(MD2, "B3")),
+              f"{AT2}.B2": (True, lambda: _bench(AT2, "B2")),
               "fuzzy-sphere-3.A3": (False, lambda: _bench("fuzzy-sphere-3", "A3"))}
     for label, (small, make) in inputs.items():
         for command in ("check", "connect", "verify"):
@@ -337,6 +366,8 @@ def cases() -> dict[str, tuple[bool, object]]:
     for command in ("check", "connect"):
         out[f"refuse-{command}/fuzzy-sphere-3.asym3"] = (
             False, _command_case(command, False, lambda: _bench("fuzzy-sphere-3", "asym3")))
+        out[f"refuse-{command}/{MD2}.asym3"] = (
+            True, _command_case(command, False, lambda: _bench(MD2, "asym3")))
         for label, path in BUMPS.items():
             out[f"refuse-{command}/{MD2}.{label}"] = (True, _bumped_case(command, path))
         # E stays centered, its central tensors no longer span
