@@ -326,11 +326,13 @@ class CentralGenerators:
         zero exactly when the values respect the relations."""
         return [_lincomb((c, values[i]) for i, c in w.items()) for w in self.relations]
 
-    def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix | None:
-        """The linear map sending z_j . a_s to the sparse values[j * nA + s],
-        or None when the values break a relation among the z_j . a_s."""
+    def extend(self, values: Sequence[dict[int, Scalar]], out_dim: int) -> Matrix:
+        """The linear map sending z_j . a_s to the sparse values[j * nA + s].
+        Every caller's values respect the relations among the z_j . a_s by
+        construction, so a broken one raises InternalInconsistencyError."""
         if any(self.relation_sums(values)):
-            return None
+            raise InternalInconsistencyError(
+                "values break a relation among the central generators")
         return Matrix.from_sparse_cols(
             [_lincomb((c, values[i]) for i, c in through.items())
              for through in self._through.sparse_cols()], out_dim)
@@ -343,11 +345,7 @@ class CentralGenerators:
         for u, c in images.items():
             j, f = divmod(u, nt)
             f_of[j][f] = c
-        m = self.extend([_apply_sparse(target.right[s], f) for f in f_of for s in range(nA)], nt)
-        if m is None:
-            raise InternalInconsistencyError(
-                "values break a relation among the central generators")
-        return m
+        return self.extend([_apply_sparse(target.right[s], f) for f in f_of for s in range(nA)], nt)
 
 
 class HomModule:

@@ -2,15 +2,30 @@
 
 A calculus is (one-forms E, two-forms, d0, d1, wedge).  The wedge is given
 on the plain tensor space of E (x)_K E and must factor through E (x)_A E.
+A failed axiom or tameness condition comes back as a value, never raised:
+the check command is a diagnostic tool.
+
 A calculus is tame when its central flip extends to a bimodule symmetry
-sigma, and `build_symmetry` returns that sigma.  E (x)_A E is taken over its
-central tensors pi(z_p (x) z_q) as one `CentralGenerators`; sigma is the
-flip on them extended right-linearly, and exists exactly when they span
-and the flip respects every linear relation among their right translates.
-The symmetrizer must project onto ker(wedge), and its kernel, the
-complement, must have the dimension of the two-forms, on which the wedge
-is then invertible.  A failed condition comes back as a `Refusal`, never
-raised: the check command is a diagnostic tool.
+sigma.  That is defined only on a valid calculus, so `build_symmetry`,
+like `validate_metric` and `leibniz_witness`, requires `Calculus.validated`.
+It takes E (x)_A E over the central tensors pi(z_p (x) z_q) as one
+`CentralGenerators`, and sigma is the flip on them extended right-linearly.
+On a valid calculus just two conditions can fail, each a `Refusal`: E
+centered (`NotCentered`), and the symmetrizer projecting onto ker(wedge)
+(`PsymRangeMismatch`).  The rest hold once E is centered, so a failure of
+one raises `InternalInconsistencyError`:
+
+* the central tensors span: for e = sum z_i a_i and f = sum z_j b_j,
+  e (x) f = sum (z_i (x) z_j) a_i b_j, as a_i z_j = z_j a_i;
+* the flip is well defined: E is the free bimodule on the z_j modulo the
+  relations sum_j z_j w_j = 0, so E (x)_A E is Z (x) Z (x) A modulo the
+  families sum_j z_p (x) z_j (x) w_j c and sum_j z_j (x) z_p (x) w_j c,
+  which the flip swaps;
+* sigma is a bimodule map, as the central tensors are central; this one
+  is not checked (the tests' `CertificateParts` flags hold it);
+* the complement of ker(wedge) has dimension dim Omega^2, as
+  `wedge_middle_linear` and `wedge_surjective` make the wedge on quotient
+  coordinates onto the two-forms.
 
 The axioms that read "for every a in A" run over the algebra's generators
 (`Algebra.first_failure`) once the axioms before them passed on a validated
@@ -18,8 +33,7 @@ algebra: then the a where one holds form a unital subalgebra.  Only d0's
 Leibniz rule needs the unit checked too, as d(1) == 0.  Any failure reruns
 the check over the whole basis, so every witness is the first in basis
 order.  `Calculus.validated` records a fully passed report over a
-validated algebra; the symmetry, the metric and the connection layer read
-it the same way.
+validated algebra; the checks that require it run over the generators.
 """
 
 from __future__ import annotations
@@ -259,14 +273,14 @@ def _differing_columns(lhs: list[dict[int, Scalar]], rhs: list[dict[int, Scalar]
 # ---------------------------------------------------------------------------
 
 def build_symmetry(calc: Calculus) -> Matrix | Refusal:
-    """The bimodule symmetry sigma of the tensor square, or a structured
-    refusal.
+    """The bimodule symmetry sigma of the tensor square of a validated
+    calculus, or its refusal: `NotCentered` or `PsymRangeMismatch`.
 
     E (x)_A E is taken over its central tensors pi(z_p (x) z_q), and sigma
-    is the right-linear map that flips their legs.  It exists iff the
-    tensors span and the flip preserves every linear relation among their
-    right translates.
+    is the right-linear map that flips their legs.
     """
+    if not calc.validated:
+        raise ContractViolationError("build_symmetry: the calculus is not validated")
     e = calc.one_forms
     qt = calc.tensor_square
     gens = e.central_generators
@@ -277,33 +291,13 @@ def build_symmetry(calc: Calculus) -> Matrix | Refusal:
     zs = gens.zs
     span = CentralGenerators(qt.bimodule, [qt.pure_sparse(zp, zq) for zp in zs for zq in zs])
     if not span.spans:
-        return Refusal("CentralTensorsDoNotSpan",
-                       "the tensors of central one-forms do not generate the tensor square "
-                       "as a right module")
+        raise InternalInconsistencyError("the central tensors do not span the tensor square")
     k = len(zs)
     sigma = span.extend([_apply_sparse(qt.bimodule.right[r], span.zs[q * k + p])
                          for p in range(k) for q in range(k) for r in range(calc.algebra.dim)],
                         qt.dim)
-    if sigma is None:
-        return Refusal("FlipNotWellDefined",
-                       "flipping central tensors is incompatible with a linear relation "
-                       "among the spanning tensors")
     if not (sigma @ sigma == Matrix.identity(qt.dim)):
         raise InternalInconsistencyError("flip extension failed to be an involution")
-
-    def commutes(indices: Sequence[int]) -> int | None:
-        for i in indices:
-            if sigma @ qt.bimodule.left[i] != qt.bimodule.left[i] @ sigma:
-                return i
-            if sigma @ qt.bimodule.right[i] != qt.bimodule.right[i] @ sigma:
-                return i
-        return None
-
-    unbilinear = calc.algebra.first_failure(commutes, calc.validated)
-    if unbilinear is not None:
-        return Refusal("SigmaNotBilinear",
-                       "the central flip extends right-linearly but is not a bimodule map",
-                       calc.algebra.labels[unbilinear])
 
     p_sym = (Matrix.identity(qt.dim) + sigma).scale(HALF)
     kernel_wedge = calc.wedge_q.kernel()
@@ -315,13 +309,7 @@ def build_symmetry(calc: Calculus) -> Matrix | Refusal:
                        for row in space.rows if other._residual(dict(row)))
         return Refusal("PsymRangeMismatch",
                        "the symmetrizer image differs from the kernel of the wedge", witness)
-
-    # p_sym is a projection onto ker W, so its kernel, the complement of
-    # ker W, has dimension qt.dim - dim ker W, and W is injective on it:
-    # W is invertible there exactly when that dimension is dim Omega^2
-    complement_dim = qt.dim - kernel_wedge.dim
-    w2dim = calc.two_forms.dim
-    if complement_dim != w2dim:
-        return Refusal("QNotInvertible",
-                       f"complement has dimension {complement_dim}, two-forms {w2dim}")
+    if qt.dim - kernel_wedge.dim != calc.two_forms.dim:
+        raise InternalInconsistencyError("the complement of ker(wedge) and the two-forms "
+                                         "differ in dimension")
     return sigma

@@ -123,20 +123,20 @@ def refusal_text(refusal: Refusal) -> str:
 
 def run_structure_checks(spec: SpecData, rb: ReportBuilder, g_in: Matrix):
     """Algebra, calculus, tameness and validation of the metric g_in on plain
-    tensor coordinates; returns what passed.  Every input file is read
-    before it runs."""
+    tensor coordinates; returns what passed.  Each stage runs only when the
+    ones before it passed.  Every input file is read before it runs."""
     rb.digest = spec.digest
     calc = spec.calculus
     failure = calc.algebra.validate()
     rb.add("algebra_axioms", failure is None, failure)
-    if failure is not None:
+    if failure is None:
+        for item in validate_calculus(calc):
+            rb.add(item.name, item.ok, item.witness)
+    # tameness and the metric are defined only on a valid calculus
+    if not calc.validated:
         rb.summary.update(calculus_valid=False, tame=False, metric_valid=False)
         return None, None
-
-    calc_report = validate_calculus(calc)
-    for item in calc_report:
-        rb.add(item.name, item.ok, item.witness)
-    rb.summary["calculus_valid"] = calc_report.ok
+    rb.summary["calculus_valid"] = True
 
     sigma = build_symmetry(calc)
     rb.summary["tame"] = not isinstance(sigma, Refusal)

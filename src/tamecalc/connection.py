@@ -65,7 +65,9 @@ Table = tuple  # Table[p][q] = sparse E* coordinates of the derivative of X_q al
 def leibniz_witness(calc: Calculus, nabla: Matrix) -> tuple[int, int] | None:
     """First basis pair (s, i) with nabla(e_s . a_i) != nabla(e_s) . a_i +
     e_s (x) d a_i, algebra index outer, or None; compared on sparse columns.
-    On a validated calculus the algebra's generators decide it."""
+    The calculus must be validated, so the algebra's generators decide it."""
+    if not calc.validated:
+        raise ContractViolationError("leibniz_witness: the calculus is not validated")
     e = calc.one_forms
     qt = calc.tensor_square
     ncols = nabla.sparse_cols()
@@ -83,7 +85,7 @@ def leibniz_witness(calc: Calculus, nabla: Matrix) -> tuple[int, int] | None:
                     return (s, i)
         return None
 
-    return calc.algebra.first_failure(pairs, calc.validated)
+    return calc.algebra.first_failure(pairs, True)
 
 
 def _leibniz_values(calc: Calculus, images: Sequence[dict[int, Scalar]]
@@ -103,11 +105,8 @@ def leibniz_extension(calc: Calculus, images: Sequence[dict[int, Scalar]]) -> Ma
     """The connection sending each central generator z_r of the one-forms to
     the sparse images[r], extended by the Leibniz rule:
     z_r . a_s -> images[r] . a_s + z_r (x) d a_s."""
-    nabla = calc.one_forms.central_generators.extend(_leibniz_values(calc, images),
-                                                     calc.tensor_square.dim)
-    if nabla is None:
-        raise InternalInconsistencyError("values break a relation among the central generators")
-    return nabla
+    return calc.one_forms.central_generators.extend(_leibniz_values(calc, images),
+                                                    calc.tensor_square.dim)
 
 
 # ---------------------------------------------------------------------------

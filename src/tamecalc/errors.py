@@ -75,6 +75,8 @@ class CenterMismatchError(EngineError):
 
 
 class InternalInconsistencyError(EngineError):
-    """Two provably equivalent routes disagreed; always a bug, never data."""
+    """A situation the theory rules out, such as two provably equivalent
+    routes disagreeing or a tameness condition failing on a valid calculus:
+    always a bug, never data."""
 
     code = "InternalInconsistency"

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bimodule import CentralGenerators, HomModule, dual_module, module_center
 from .calculus import Calculus
-from .errors import CenterMismatchError, InternalInconsistencyError, Refusal
+from .errors import CenterMismatchError, ContractViolationError, InternalInconsistencyError, Refusal
 from .linalg import (
     LinAlgError,
     Matrix,
@@ -51,9 +51,11 @@ def validate_metric(calc: Calculus, sigma: Matrix, g_in: Matrix) -> Metric | Ref
 
     g_in is the metric on plain tensor coordinates (dim E^2 columns), as
     every spec, metric file and builder gives it; once it kills the relations
-    its quotient form is g_in @ section.  Bilinearity needs only the
-    algebra's generators once the calculus validated.
+    its quotient form is g_in @ section.  The calculus must be validated,
+    so the algebra's generators decide bilinearity.
     """
+    if not calc.validated:
+        raise ContractViolationError("validate_metric: the calculus is not validated")
     qt = calc.tensor_square
     alg = calc.algebra
     e = calc.one_forms
@@ -76,7 +78,7 @@ def validate_metric(calc: Calculus, sigma: Matrix, g_in: Matrix) -> Metric | Ref
                 return Refusal("NotBilinear", "metric is not right-linear", alg.labels[i])
         return None
 
-    failure = alg.first_failure(unbilinear, calc.validated)
+    failure = alg.first_failure(unbilinear, True)
     if failure is not None:
         return failure
 

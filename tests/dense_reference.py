@@ -356,9 +356,7 @@ def pi_g_matrix(geo, nabla) -> Matrix:
     """The compatibility map Pi_g on the whole tensor square, extended from
     its values on every right translate of the central tensors."""
     spanning = CertificateParts(geo.calc, geo.sigma).spanning
-    m = spanning.extend(compat_values(geo, nabla), geo.calc.one_forms.dim)
-    assert m is not None, "compatibility map is not well-defined"
-    return m
+    return spanning.extend(compat_values(geo, nabla), geo.calc.one_forms.dim)
 
 
 def levi_civita_verdicts_reference(geo, nabla) -> tuple[bool, bool]:

@@ -194,14 +194,14 @@ def _zero_metric() -> list[str]:
 
 
 def _zero_wedge() -> list[str]:
-    # ker W is everything, the symmetrizer's range is not: PsymRangeMismatch
+    # the wedge reaches none of the two-forms, and d(da.b) != -da^db
     text = specfile.dumps_canonical(_zeroed(preset_text("matrix-derivations", 2), "wedge"))
     return [_spec("zero-wedge.json", text)]
 
 
 def _doubled_two_forms() -> list[str]:
     # two copies of the two-forms, the wedge and d1 into the first: the
-    # complement of ker W is too small to carry them (QNotInvertible)
+    # wedge misses the second copy
     obj = json.loads(preset_text("matrix-derivations", 2))
     w2 = obj["two_forms"]
     n = w2["dim"]
@@ -217,8 +217,8 @@ def _doubled_two_forms() -> list[str]:
 
 
 def _twisted_line() -> list[str]:
-    # one-forms over K[x]/(x^2 - 1) with x acting by -1 on the left: the
-    # center is zero, so E is not centered (NotCentered)
+    # one-forms over K[x]/(x^2 - 1) with x acting by -1 on the left and
+    # d = 0: the exact forms span nothing
     from tamecalc.algebra import Algebra
     from tamecalc.bimodule import Bimodule
     from tamecalc.calculus import Calculus
@@ -286,14 +286,17 @@ def _bumped_spec(*path):
     return make
 
 
-# the algebra and bimodule axioms, each failing at its own line: the unit
-# law, associativity, the unit acting as the identity on either side, and
-# the two actions commuting
+# the axioms, each failing at its own line: the algebra's unit law and
+# associativity, the unit acting as the identity on either side, the two
+# actions commuting, the wedge's reach and the span of the exact forms
 AXIOM_FAILURES = {f"{MD2}.unit": _bumped_spec("algebra", "unit", 0),
                   f"{MD2}.mul": _bumped_spec("algebra", "mul", 1, 2, 3),
                   f"{MD2}.one-form-left-unit": _bumped_spec("one_forms", "left", 0, 0, 1),
                   f"{MD2}.one-form-right-unit": _bumped_spec("one_forms", "right", 0, 0, 1),
-                  f"{MD2}.conjugated-right": _conjugated_right}
+                  f"{MD2}.conjugated-right": _conjugated_right,
+                  f"{MD2}.zero-wedge": _zero_wedge,
+                  f"{MD2}.doubled-two-forms": _doubled_two_forms,
+                  "twisted-line": _twisted_line}
 
 
 def _file(name: str, data: bytes) -> str:
@@ -322,12 +325,9 @@ BAD_INPUTS = {
 USAGE = {"version": lambda: ["--version"], "help": lambda: ["--help"]}
 
 
-# the refusal classes no bumped preset reaches; no known input reaches
-# SigmaNotBilinear
+# the refusal classes no bumped preset reaches, each on a valid calculus:
+# the two tameness refusals a valid calculus can reach, and V_g singular
 REFUSALS = {f"{MD2}.zero-metric": _zero_metric,
-            f"{MD2}.zero-wedge": _zero_wedge,
-            f"{MD2}.doubled-two-forms": _doubled_two_forms,
-            "twisted-line": _twisted_line,
             "two-point-graph": _two_point_graph,
             f"{AT2}.no-two-forms": _no_two_forms}
 
@@ -370,7 +370,7 @@ def cases() -> dict[str, tuple[bool, object]]:
             True, _command_case(command, False, lambda: _bench(MD2, "asym3")))
         for label, path in BUMPS.items():
             out[f"refuse-{command}/{MD2}.{label}"] = (True, _bumped_case(command, path))
-        # E stays centered, its central tensors no longer span
+        # E stays centered, and fails its bimodule axioms
         out[f"refuse-{command}/{AT2}.one-form-left"] = (True, _bumped_case(
             command, ("one_forms", "left", 2, 0, 1), "abelian-torus"))
     for label, make in {**REFUSALS, **AXIOM_FAILURES}.items():

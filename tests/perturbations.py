@@ -14,7 +14,7 @@ from dense_reference import CertificateParts, center, nabla_zero, vec_is_zero
 from tamecalc.bimodule import Bimodule, hom_A
 from tamecalc.calculus import Calculus
 from tamecalc.connection import Geometry
-from tamecalc.errors import ContractViolationError, InternalInconsistencyError, Refusal
+from tamecalc.errors import ContractViolationError, Refusal
 from tamecalc.linalg import (
     Matrix,
     Scalar,
@@ -113,11 +113,7 @@ def random_metric(calc: Calculus, sigma: Matrix, seed: int,
         # g(pi(z_p (x) z_q) . a_r) = coeff[p][q] a_r
         values = [_apply_sparse(alg.right_basis_matrix(r), vec_to_sparse(coeff[p][q]))
                   for p in range(nz) for q in range(nz) for r in range(alg.dim)]
-        g = spanning.extend(values, alg.dim)
-        if g is None:
-            raise InternalInconsistencyError(
-                "a seeded metric breaks a relation among the central tensors")
-        g = g @ calc.tensor_square.project
+        g = spanning.extend(values, alg.dim) @ calc.tensor_square.project
         if isinstance(validate_metric(calc, sigma, g), Refusal):
             continue
         euclidean = all(

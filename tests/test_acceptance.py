@@ -40,12 +40,14 @@ def report(criterion: int, message: str) -> None:
 
 
 def test_criterion_1_presets_are_tame_quickly():
-    # Fresh pipeline per preset, timed: calculus axioms, the constructive
-    # tameness certificate (centered + splitting + flip), metric validity.
+    # Fresh pipeline per preset, timed, in check's order: algebra and
+    # calculus axioms, the constructive tameness certificate (centered +
+    # splitting + flip), metric validity.
     dims = {}
     for maker in (preset_matrix_derivations, preset_abelian_torus):
         t0 = time.monotonic()
         preset = maker(2)
+        assert preset.calculus.algebra.validate() is None
         calc_report = validate_calculus(preset.calculus)
         assert calc_report.ok, failures(calc_report)
         sigma = build_symmetry(preset.calculus)

@@ -1,10 +1,14 @@
 """Calculus axioms and the constructive tameness certificate."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import certified
+from calculi import quotient_calculus, two_point_graph, without_two_forms
+from conftest import certified, line_calculus, load_perfbench, validated
 from dense_reference import (
     CertificateParts,
+    central_basis,
     col,
     failures,
     from_rows,
@@ -20,13 +24,15 @@ from tamecalc.builders import (
     abelian_torus_chevalley,
     build_chevalley,
     matrix_derivations_chevalley,
+    preset_abelian_torus,
+    preset_matrix_derivations,
 )
 from tamecalc.calculus import (
     Calculus,
     build_symmetry,
     validate_calculus,
 )
-from tamecalc.errors import Refusal
+from tamecalc.errors import InternalInconsistencyError, Refusal
 from tamecalc.linalg import (
     HALF,
     Matrix,
@@ -48,7 +54,7 @@ def fuzzy_spec():
 
 @pytest.fixture(scope="module")
 def fuzzy(fuzzy_spec):
-    return build_chevalley(fuzzy_spec)
+    return validated(build_chevalley(fuzzy_spec))
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +199,7 @@ def test_fuzzy_certificate_dimensions(fuzzy_parts):
 
 
 def test_truncated_line_certificate_is_trivial():
-    calc = build_chevalley(truncated_line_chevalley())
+    calc = line_calculus()
     sigma = build_symmetry(calc)
     assert not isinstance(sigma, Refusal)
     parts = CertificateParts(calc, sigma)
@@ -204,26 +210,22 @@ def test_truncated_line_certificate_is_trivial():
 
 
 def test_not_centered_is_reported():
-    # Sign-twisted one-forms over K[x]/(x^2 - 1): the center is zero.
-    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
-    alg = Algebra(2, ("1", "x"), e0, [[e0, e1], [e1, e0]])
-    assert alg.validate() is None
-    reg = Bimodule.regular(alg)
-    twisted = Bimodule(alg, 2, [reg.left[0], -reg.left[1]], list(reg.right))
-    calc = Calculus(alg, twisted, Bimodule.zero(alg),
-                    Matrix.zeros(2, 2), Matrix.zeros(0, 2), Matrix.zeros(0, 4))
+    # the graph calculus on two points is valid, and no nonzero one-form
+    # is central: the first direction outside the (zero) span is e_0
+    calc = validated(two_point_graph())
+    assert central_basis(calc) == ()
     refusal = build_symmetry(calc)
     assert isinstance(refusal, Refusal)
     assert refusal.condition == "NotCentered"
-    assert refusal.witness is not None
+    assert refusal.witness == {0: ONE}
 
 
 def test_wedge_kernel_mismatch_is_reported(fuzzy):
-    # zero wedge: its kernel is everything, but the flip still fixes only
-    # the symmetric part, so the symmetrizer image cannot match
-    broken = Calculus(fuzzy.algebra, fuzzy.one_forms, fuzzy.two_forms,
-                      fuzzy.d0, fuzzy.d1, Matrix.zeros(12, 144))
-    refusal = build_symmetry(broken)
+    # with no two-forms the calculus stays valid and ker(wedge) is
+    # everything, but the flip still fixes only the symmetric part, so
+    # the symmetrizer image cannot match
+    flat = validated(without_two_forms(fuzzy.algebra, fuzzy.one_forms, fuzzy.d0))
+    refusal = build_symmetry(flat)
     assert isinstance(refusal, Refusal)
     assert refusal.condition == "PsymRangeMismatch"
     # the symmetrizer image lies in the kernel (everything), so the witness
@@ -232,8 +234,10 @@ def test_wedge_kernel_mismatch_is_reported(fuzzy):
 
 
 def test_oversized_two_forms_break_wedge_inverse(fuzzy):
-    # doubling the two-form target keeps every other condition intact but
-    # the complement can no longer biject onto it
+    # doubling the two-form target keeps every axiom but the wedge's
+    # surjectivity, and the complement of ker(wedge) no longer has the
+    # dimension of the two-forms; the theory rules that out on a valid
+    # calculus, so build_symmetry, forced to run, raises
     w2 = fuzzy.two_forms
     double = Bimodule(
         fuzzy.algebra, 2 * w2.dim,
@@ -246,11 +250,59 @@ def test_oversized_two_forms_break_wedge_inverse(fuzzy):
                   [list(r) for r in fuzzy.d1.entries]
                   + [[ZERO] * 12 for _ in range(w2.dim)])
     broken = Calculus(fuzzy.algebra, fuzzy.one_forms, double, fuzzy.d0, d1_2, wedge2)
-    refusal = build_symmetry(broken)
-    assert isinstance(refusal, Refusal)
-    assert refusal.condition == "QNotInvertible"
+    assert {item.name for item in failures(validate_calculus(broken))} == {"wedge_surjective"}
     # counted: the complement of ker(wedge) in the 36-dimensional square
-    assert refusal.detail == "complement has dimension 12, two-forms 24"
+    assert broken.tensor_square.dim - broken.wedge_q.kernel().dim == 12
+    broken.validated = True
+    with pytest.raises(InternalInconsistencyError, match="differ in dimension"):
+        build_symmetry(broken)
+
+
+def _fuzzy_sphere(n: int):
+    return build_chevalley(load_perfbench("inputs").fuzzy_sphere_chevalley(n))
+
+
+# every valid calculus the suite builds that is tame; the K[x]/(x^3)
+# fixture fails one_forms_spanned_by_exact_forms, and the two-point graph
+# and the presets without two-forms are refused
+VALID_CALCULI = {"matrix-derivations-2": lambda: preset_matrix_derivations(2).calculus,
+                 "abelian-torus-2": lambda: preset_abelian_torus(2).calculus,
+                 "fuzzy-sphere-2": lambda: _fuzzy_sphere(2),
+                 "fuzzy-sphere-3": lambda: _fuzzy_sphere(3)}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_CALCULI))
+def test_a_valid_calculus_meets_the_conditions_tameness_trusts(name):
+    # the central tensors span, the flip is well defined and bilinear, and
+    # the complement of ker(wedge) has the dimension of the two-forms:
+    # build_symmetry checks none of these, the dense flags recompute them
+    calc = validated(VALID_CALCULI[name]())
+    sigma = build_symmetry(calc)
+    assert not isinstance(sigma, Refusal), sigma.detail
+    parts = CertificateParts(calc, sigma)
+    assert all(parts.flags.values()), parts.flags
+    assert parts.spanning.spans
+    assert calc.tensor_square.dim - parts.kernel_wedge.dim == calc.two_forms.dim
+
+
+QUOTIENT_BASES = (preset_matrix_derivations(2).calculus, preset_abelian_torus(2).calculus)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_valid_quotient_calculus_is_tame_or_refused_as_the_theory_allows(data):
+    # E/N with Omega^2 = 0, for N the sub-bimodule one drawn element
+    # generates, is a valid calculus; tameness on it gives sigma or one of
+    # the two refusals a valid calculus can reach, and never raises
+    base = data.draw(st.sampled_from(QUOTIENT_BASES))
+    n = base.one_forms.dim
+    v = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-2, 2).filter(bool),
+                                  min_size=1, max_size=3))
+    calc = quotient_calculus(base, {j: qi(c) for j, c in v.items()})
+    assume(calc is not None)
+    outcome = build_symmetry(validated(calc))
+    assert isinstance(outcome, Matrix) or outcome.condition in ("NotCentered",
+                                                                "PsymRangeMismatch")
 
 
 def _block_diag(m):

@@ -15,7 +15,7 @@ wedge o nabla + d1 and Pi_g - d o g.
 
 import pytest
 
-from conftest import load_perfbench
+from conftest import load_perfbench, validated
 from dense_reference import (
     CertificateParts,
     central_basis,
@@ -41,6 +41,7 @@ from tamecalc import connection
 from tamecalc.bimodule import CentralGenerators
 from tamecalc.builders import build_chevalley
 from tamecalc.calculus import build_symmetry
+from tamecalc.cli import main
 from tamecalc.connection import (
     Geometry,
     certify,
@@ -108,7 +109,6 @@ def test_seeded_metric_matches_solve_through(geo, line_geo, monkeypatch):
     monkeypatch.setattr(CentralGenerators, "extend", recording)
     assert random_metric(calc, sigma, 5) == calls[-1][2] @ calc.tensor_square.project
     for values, out_dim, got in calls:
-        assert got is not None
         assert got == through_central_tensors(calc, values, out_dim)
 
 
@@ -135,7 +135,8 @@ def test_seeded_metric_on_a_module_that_is_not_free(line_geo, seed):
 
 def test_line_fixture_tensor_relations_refuse_breaking_values(line_geo):
     # 3 * 3 central tensors times dim A = 3 translates span the 3-dimensional
-    # tensor square with 24 relations; values breaking one give no map
+    # tensor square with 24 relations; values breaking one give no map,
+    # and extending them raises
     calc = line_geo.calc
     span = CertificateParts(calc, line_geo.sigma).spanning
     assert calc.tensor_square.dim == 3
@@ -143,7 +144,8 @@ def test_line_fixture_tensor_relations_refuse_breaking_values(line_geo):
     assert len(span.relations) == 24
     values = [{} for _ in range(27)]
     values[min(span.relations[0])] = {0: ONE}
-    assert span.extend(values, 1) is None
+    with pytest.raises(InternalInconsistencyError, match="break a relation"):
+        span.extend(values, 1)
     assert through_central_tensors(calc, values, 1) is None
     # the translates' own classes keep every relation and give the identity
     translates = [_apply_sparse(calc.tensor_square.bimodule.right[r], z)
@@ -151,17 +153,24 @@ def test_line_fixture_tensor_relations_refuse_breaking_values(line_geo):
     assert span.extend(translates, 3) == Matrix.identity(3)
 
 
-def test_flip_breaking_a_relation_is_reported(fuzzy_preset, monkeypatch):
-    monkeypatch.setattr(CentralGenerators, "extend", lambda self, values, out_dim: None)
-    refusal = build_symmetry(fuzzy_preset.calculus)
-    assert isinstance(refusal, Refusal)
-    assert refusal.condition == "FlipNotWellDefined"
+def test_flip_breaking_a_relation_is_reported(capsys, tmp_path, monkeypatch):
+    # the theory makes the flip well defined on a valid calculus, so a
+    # relation it breaks is a bug: check exits 1 with one stderr line
+    spec = str(tmp_path / "md2.json")
+    assert main(["gen", "matrix-derivations", "--n", "2", "--out", spec]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(CentralGenerators, "relation_sums", lambda self, values: [{0: ONE}])
+    assert main(["check", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("InternalInconsistency: values break a relation among the "
+                            "central generators\n")
 
 
 @pytest.fixture(scope="module")
 def fuzzy2_calc():
     """The fuzzy sphere N = 2 of the benchmark inputs: A = M_2, dim E = 12."""
-    return build_chevalley(load_perfbench("inputs").fuzzy_sphere_chevalley(2))
+    return validated(build_chevalley(load_perfbench("inputs").fuzzy_sphere_chevalley(2)))
 
 
 def _seeded_geo(calc, seed):

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GRAM_3, constant_metric_plain, load_perfbench, truncated_line_spec
+from conftest import (
+    GRAM_3,
+    constant_metric_plain,
+    load_perfbench,
+    truncated_line_spec,
+    validated,
+)
 from dense_reference import (
     central_basis,
     grassmann,
@@ -34,7 +40,7 @@ from tamecalc.builders import (
     matrix_derivations_chevalley,
 )
 from tamecalc.cli import main
-from tamecalc.errors import ContractViolationError, Refusal
+from tamecalc.errors import ContractViolationError, InternalInconsistencyError, Refusal
 from tamecalc.linalg import (
     ONE,
     ZERO,
@@ -385,24 +391,31 @@ def test_each_central_family_is_eliminated_once(workdir, capsys, tmp_path, monke
     assert spans and not any(vectors == family for vectors in spans for family in families)
 
 
-def test_check_reports_central_tensors_that_do_not_span(workdir, capsys, tmp_path):
-    # a one-form action that breaks associativity leaves E centered, but the
-    # central tensors no longer span its tensor square: the report still
-    # names the failing axiom
-    spec = json.loads((workdir / "torus.json").read_text())
-    spec["one_forms"]["left"][2][0][1] = "1"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(spec))
-    code, out = run(capsys, ["check", str(bad), "--json"])
+def _stops_at_axiom(capsys, tmp_path, spec_text: str, axiom: str):
+    """check --json on a spec whose calculus fails axiom: the report names
+    it, and no tameness or metric line follows.  Returns the loaded spec
+    and the axiom's witness."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text)
+    code, out = run(capsys, ["check", str(spec_path), "--json"])
     assert code == 1
     report = json.loads(out)
     validate_report_schema(report)
     checks = {c["name"]: c for c in report["checks"]}
-    assert checks["one_forms_bimodule_axioms"]["witness"] == \
-        "bimodule: (ab)e != a(be) at basis pair (1, 5)"
-    assert not checks["tame_certificate"]["ok"]
-    assert checks["tame_certificate"]["witness"].startswith("CentralTensorsDoNotSpan: ")
+    assert not checks[axiom]["ok"]
+    assert checks.keys().isdisjoint({"tame_certificate", *cli.TAMENESS_CHECKS, "metric_valid"})
     assert report["summary"] == {"calculus_valid": False, "tame": False, "metric_valid": False}
+    return load_spec(spec_path), checks[axiom]["witness"]
+
+
+def test_check_reports_central_tensors_that_do_not_span(workdir, capsys, tmp_path):
+    # a one-form action that breaks associativity leaves E centered, but the
+    # central tensors no longer span its tensor square; tameness is defined
+    # only on a valid calculus, so the report stops at the failing axiom
+    spec = json.loads((workdir / "torus.json").read_text())
+    spec["one_forms"]["left"][2][0][1] = "1"
+    _, witness = _stops_at_axiom(capsys, tmp_path, json.dumps(spec), "one_forms_bimodule_axioms")
+    assert witness == "bimodule: (ab)e != a(be) at basis pair (1, 5)"
 
 
 def test_readme_documents_exactly_the_command_options():
@@ -445,7 +458,7 @@ def test_verify_grassmann_artifact_has_torsion(workdir, capsys, tmp_path):
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    sigma = build_symmetry(spec.calculus)
+    sigma = build_symmetry(validated(spec.calculus))
     conn = grassmann(spec.calculus, sigma)
     art = tmp_path / "grassmann.json"
     art.write_text(dumps_canonical(connection_to_json(
@@ -468,7 +481,7 @@ def test_verify_reference_connection_is_torsionless_but_not_compatible(workdir, 
     spec = load_spec(workdir / "fuzzy.json")
     from tamecalc.calculus import build_symmetry
 
-    sigma = build_symmetry(spec.calculus)
+    sigma = build_symmetry(validated(spec.calculus))
     conn = nabla_zero(spec.calculus, sigma)
     art = tmp_path / "reference.json"
     art.write_text(dumps_canonical(connection_to_json(conn, [], {}, spec.digest)))
@@ -980,10 +993,22 @@ def test_not_bilinear_names_the_first_relation_the_metric_keeps(capsys, tmp_path
     ("abelian-torus", ("one_forms", "left", 2, 0, 1), "CentralTensorsDoNotSpan"),
 ])
 def test_a_refusal_without_witness_names_none(capsys, tmp_path, preset, bump, condition):
+    # condition was this input's refusal while tameness ran after a failed
+    # axiom; the theory rules it out on a valid calculus, so check stops at
+    # the axiom, and build_symmetry forced to run raises
     import digests
+    from tamecalc.calculus import build_symmetry, validate_calculus
 
-    _, witness = _refused(capsys, tmp_path, digests._bumped(digests.preset_text(preset, 2), *bump))
-    assert witness.startswith(f"{condition}: ") and "witness" not in witness
+    spec, _ = _stops_at_axiom(capsys, tmp_path,
+                              digests._bumped(digests.preset_text(preset, 2), *bump),
+                              "one_forms_bimodule_axioms")
+    calc = spec.calculus
+    assert calc.algebra.validate() is None and not validate_calculus(calc).ok
+    calc.validated = True
+    ruled_out = {"FlipNotWellDefined": "values break a relation",
+                 "CentralTensorsDoNotSpan": "central tensors do not span"}
+    with pytest.raises(InternalInconsistencyError, match=ruled_out[condition]):
+        build_symmetry(calc)
 
 
 def test_every_manifest_refusal_witness_is_sparse_a_label_or_none(monkeypatch):
@@ -1001,15 +1026,40 @@ def test_every_manifest_refusal_witness_is_sparse_a_label_or_none(monkeypatch):
     for name, (_, case) in digests.cases().items():
         if name.startswith("refuse-check/"):
             digests.run_case(name, case)
-    # no known input reaches SigmaNotBilinear
-    assert set(seen) == {"NotCentered", "CentralTensorsDoNotSpan", "FlipNotWellDefined",
-                         "PsymRangeMismatch", "QNotInvertible", "NotBilinear", "NotSymmetric",
+    # the two tameness refusals a valid calculus can reach, and the metric's
+    assert set(seen) == {"NotCentered", "PsymRangeMismatch", "NotBilinear", "NotSymmetric",
                          "VgNotInvertible"}
     for condition, witnesses in seen.items():
         for w in witnesses:
             assert w is None or isinstance(w, str) or (
                 type(w) is dict and w and all(type(j) is int and isinstance(v, Scalar)
                                               and v is not ZERO for j, v in w.items())), (condition, w)
+
+
+def test_no_manifest_case_decides_tameness_after_a_failed_axiom(capsys, monkeypatch, tmp_path):
+    # tameness and the metric are defined only on a valid calculus: in each
+    # small refuse-check case, no tameness or metric line follows a failed
+    # axiom, and the two tameness refusals are reached on valid calculi
+    import digests
+
+    decided = ("tame_certificate", *cli.TAMENESS_CHECKS, "metric_valid")
+    refused = set()
+    for name, (small, case) in digests.cases().items():
+        if not (small and name.startswith("refuse-check/")):
+            continue
+        workdir = tmp_path / name.replace("/", "_")
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(case()) == 1
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line.split("] ")[1].split(":")[0] for line in lines if line.startswith("  [")]
+        failed = [line.startswith("  [FAIL]") for line in lines if line.startswith("  [")]
+        first = failed.index(True)
+        if checks[first] not in decided:
+            assert not set(checks[first:]) & set(decided), name
+        elif checks[first] == "tame_certificate":
+            refused.add(lines[first].split(": ")[1])
+    assert refused == {"NotCentered", "PsymRangeMismatch"}
 
 
 def test_refusal_text_writes_a_complex_witness_by_index():
@@ -1024,7 +1074,7 @@ def _manifest_texts(monkeypatch, tmp_path, label: str) -> list[str]:
     import digests
 
     monkeypatch.chdir(tmp_path)
-    args = digests.REFUSALS[label]()
+    args = {**digests.REFUSALS, **digests.AXIOM_FAILURES}[label]()
     return [Path(args[0]).read_text(), *(Path(a).read_text() for a in args[2:3])]
 
 
@@ -1047,7 +1097,7 @@ def test_vg_not_invertible_names_the_first_kernel_vector(capsys, monkeypatch, tm
 
 def test_psym_range_mismatch_names_a_vector_in_one_space_only(capsys, monkeypatch, tmp_path):
     spec, witness = _refused(capsys, tmp_path,
-                             *_manifest_texts(monkeypatch, tmp_path, "matrix-derivations-2.zero-wedge"))
+                             *_manifest_texts(monkeypatch, tmp_path, "abelian-torus-2.no-two-forms"))
     w = _sparse_witness(witness, "PsymRangeMismatch: the symmetrizer image differs from the "
                                  "kernel of the wedge; witness ")
     calc = spec.calculus
@@ -1066,19 +1116,20 @@ def test_psym_range_mismatch_names_a_vector_in_one_space_only(capsys, monkeypatc
 
 
 def test_q_not_invertible_counts_the_complement_of_ker_wedge(capsys, monkeypatch, tmp_path):
-    spec, witness = _refused(capsys, tmp_path, *_manifest_texts(
-        monkeypatch, tmp_path, "matrix-derivations-2.doubled-two-forms"))
+    # the complement of ker(wedge) is smaller than the two-forms exactly
+    # when the wedge misses some of them, and check stops at that axiom
+    spec, witness = _stops_at_axiom(capsys, tmp_path, *_manifest_texts(
+        monkeypatch, tmp_path, "matrix-derivations-2.doubled-two-forms"), "wedge_surjective")
     calc = spec.calculus
     qt = calc.tensor_square
     complement = qt.dim - len(kernel_rows((calc.wedge_plain @ qt.section).sparse_rows(), qt.dim))
-    assert complement != calc.two_forms.dim
-    assert witness == (f"QNotInvertible: complement has dimension {complement}, "
-                       f"two-forms {calc.two_forms.dim}")
+    assert complement < calc.two_forms.dim
+    assert witness == "wedge does not reach all of the two-forms"
 
 
 def test_not_centered_names_the_first_direction_outside_the_span(capsys, monkeypatch, tmp_path):
     spec, witness = _refused(capsys, tmp_path,
-                             *_manifest_texts(monkeypatch, tmp_path, "twisted-line"))
+                             *_manifest_texts(monkeypatch, tmp_path, "two-point-graph"))
     w = _sparse_witness(witness, "NotCentered: the center of the one-forms does not generate "
                                  "them as a right module; witness ")
     # e_j is the first direction outside the right span of the center when
@@ -1226,10 +1277,11 @@ def fuzzy3_input(tmp_path_factory):
 
 def test_tensor_square_left_actions_are_read_on_generators(fuzzy3_input, capsys, tmp_path,
                                                            monkeypatch):
-    # Only build_symmetry (sigma is a bimodule map) and validate_metric (g is
-    # bilinear) read the left actions of E (x)_A E, each through
-    # Algebra.first_failure: on a passing connect just the algebra's
-    # generators; the whole basis is read only to name a failure.
+    # Only validate_metric (g is bilinear) reads the left actions of
+    # E (x)_A E, through Algebra.first_failure: on a passing connect just
+    # the algebra's generators; the whole basis is read only to name a
+    # failure.  build_symmetry reads none, as sigma is a bimodule map by
+    # construction.
     spec = load_spec(fuzzy3_input.spec_path)
     qt = spec.calculus.tensor_square
     gens = list(spec.calculus.algebra.generators)
@@ -1250,16 +1302,15 @@ def test_tensor_square_left_actions_are_read_on_generators(fuzzy3_input, capsys,
         self.bimodule.left = RecordedReads(self.bimodule.left, log)
 
     monkeypatch.setattr(bimodule.QuotientTensor, "__init__", recorded_init)
-    symmetry = [i for i in gens for _ in range(2)]     # sigma L_a and L_a sigma
     assert main(["connect", str(fuzzy3_input.spec_path), "--metric",
                  str(fuzzy3_input.metrics["A3"].path), "--out", str(tmp_path / "a.json")]) == 0
-    assert log == symmetry + gens
+    assert log == gens
     log.clear()
     code, out = run(capsys, ["check", str(fuzzy3_input.spec_path), "--metric", str(bad)])
     assert code == 1 and "NotBilinear: metric is not right-linear" in out
     # the first generator fails, and the rerun over the whole basis stops
     # at the same first element
-    assert log == symmetry + [0, 0]
+    assert log == [0, 0]
 
 
 # -- exit contract ---------------------------------------------------------------

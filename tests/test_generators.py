@@ -32,6 +32,7 @@ from tamecalc.bimodule import Bimodule, module_center, tensor_over_A
 from tamecalc.builders import preset_abelian_torus, preset_matrix_derivations
 from tamecalc.calculus import Calculus, build_symmetry, validate_calculus
 from tamecalc.connection import leibniz_witness
+from tamecalc.errors import ContractViolationError
 from tamecalc.linalg import (
     ONE,
     ZERO,
@@ -288,8 +289,9 @@ def test_wedge_failure_is_named_as_the_reference_names_it(calc_index, row, s, t,
 
 
 def test_connection_checks_match_on_a_validated_calculus():
-    # leibniz_witness and torsion run over the generators once the calculus
-    # validated; they name what the whole-basis scan names
+    # leibniz_witness runs over the generators, on a validated calculus
+    # only, and the torsion oracle does once the calculus validated; they
+    # name what the whole-basis scan names
     for preset in (preset_matrix_derivations(2), preset_abelian_torus(2)):
         calc = certified(preset.calculus)
         unchecked = Calculus(calc.algebra, calc.one_forms, calc.two_forms,
@@ -297,10 +299,11 @@ def test_connection_checks_match_on_a_validated_calculus():
         assert validate_calculus(calc).ok and calc.validated and not unchecked.validated
         sigma = build_symmetry(calc)
         n0 = nabla_zero(calc, sigma)
+        with pytest.raises(ContractViolationError, match="not validated"):
+            leibniz_witness(unchecked, n0)
         for r, c in ((0, 0), (0, 6), (7, 4), (3, 1)):
             broken = _bumped(n0, r, c, ONE)
             assert leibniz_witness(calc, broken) == leibniz_witness_dense(calc, broken)
-            assert leibniz_witness(unchecked, broken) == leibniz_witness_dense(calc, broken)
             witnesses = []
             for target in (calc, unchecked):
                 try:

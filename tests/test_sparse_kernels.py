@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAM_2, GRAM_3, certified, constant_metric_plain
+from conftest import GRAM_2, GRAM_3, constant_metric_plain, validated
 from dense_reference import (
     g_tilde_dense,
     leibniz_witness_dense,
@@ -30,7 +30,7 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 def _constant_geometry(spec, gram):
-    calc = build_chevalley(certified(spec))
+    calc = validated(build_chevalley(spec))
     sigma = build_symmetry(calc)
     metric = validate_metric(calc, sigma, constant_metric_plain(spec, gram))
     return Geometry(calc, sigma, metric)
@@ -298,3 +298,29 @@ def test_axiom_failures_are_returned_not_raised():
                               if isinstance(inner, ast.Try))
     assert returned == []
     assert caught == []
+
+
+def test_tameness_keeps_two_refusals_and_trusts_validation():
+    # on a valid calculus only NotCentered and PsymRangeMismatch can fail,
+    # so build_symmetry constructs no other Refusal; and the checks that
+    # require a validated calculus run on the algebra's generators, so no
+    # src/ call hands calc.validated to first_failure
+    import ast
+    from pathlib import Path
+
+    import tamecalc
+
+    src = Path(tamecalc.__file__).parent
+    tree = ast.parse((src / "calculus.py").read_text())
+    symmetry, = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_symmetry")
+    conditions = [ast.literal_eval(node.args[0]) for node in ast.walk(symmetry)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "Refusal"]
+    assert sorted(conditions) == ["NotCentered", "PsymRangeMismatch"]
+    handed = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "first_failure"
+              and any("calc.validated" in ast.unparse(arg) for arg in node.args[1:])]
+    assert handed == []
